@@ -1,8 +1,16 @@
 """EXP-F9cd: regenerate Fig. 9c/9d (permutation-step latency by hop policy)."""
 
+import time
+
 from conftest import run_once, two_level_capacities
 
+from repro.distillation import FactorySpec
 from repro.experiments import fig9_permutation
+from repro.mapping import StitchingConfig, hierarchical_stitching
+from repro.mapping.stitching import (
+    optimize_permutation_hops,
+    optimize_permutation_hops_reference,
+)
 
 
 def test_bench_fig9cd_permutation_hops(benchmark):
@@ -23,3 +31,28 @@ def test_bench_fig9cd_permutation_hops(benchmark):
         # Purely random Valiant hops lengthen braids and should not be the
         # best policy.
         assert table["random"][capacity] >= min(annealed, baseline) * 0.95
+
+
+def test_bench_hop_annealer_capacity_36():
+    """The array annealer matches its scalar oracle at a Fig. 9d paper
+    capacity, and is at least 5x faster there."""
+    stitched = hierarchical_stitching(
+        FactorySpec.from_capacity(36, 2), config=StitchingConfig(hop_mode="none")
+    )
+    config = StitchingConfig(seed=0)  # annealed midpoint hops, as in Fig. 9d
+
+    def timed(function):
+        started = time.perf_counter()
+        hops = function(stitched.factory, stitched.placement, config)
+        return hops, time.perf_counter() - started
+
+    reference, reference_seconds = timed(optimize_permutation_hops_reference)
+    runs = [timed(optimize_permutation_hops) for _ in range(3)]
+    fast_seconds = min(seconds for _, seconds in runs)
+    print(
+        f"\ncapacity 36 hop annealing: reference {reference_seconds:.2f}s, "
+        f"array {fast_seconds:.2f}s ({reference_seconds / fast_seconds:.1f}x)"
+    )
+    for hops, _ in runs:
+        assert hops == reference
+    assert reference_seconds >= 5.0 * fast_seconds

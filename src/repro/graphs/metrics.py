@@ -725,30 +725,18 @@ class _ScalarTrackerEngine:
             self._cells[i] = cells
 
 
-# --- vector engine ---------------------------------------------------------
-def _np_pairs_crossing_count(seg, end_u, end_v, idx, query, query_u, query_v):
-    """Crossing count over explicit (query segment, candidate index) pairs.
+# --- array predicates ------------------------------------------------------
+def _np_segments_cross(a, b):
+    """Array replay of :func:`_segments_cross` over broadcast segment arrays.
 
-    Replays exactly the arithmetic of :func:`_segments_cross` (same
-    products, same 1e-12 tolerances) over the pair arrays, so the count
-    agrees with the scalar path on every input.  ``query`` rows are
-    ``(p_row, p_col, q_row, q_col)`` segments; vertex-identity exclusion
-    uses ``query_u``/``query_v`` against the candidate endpoint arrays.
+    ``a`` and ``b`` are ``(..., 4)`` float arrays of ``(p_row, p_col,
+    q_row, q_col)`` segments that broadcast against each other; the
+    result is the boolean crossing array of their broadcast shape.  Same
+    products, same 1e-12 tolerances as the scalar test, so every entry
+    agrees with :func:`_segments_cross` on every input.
     """
-    cand_u = end_u[idx]
-    cand_v = end_v[idx]
-    keep = (
-        (cand_u != query_u)
-        & (cand_u != query_v)
-        & (cand_v != query_u)
-        & (cand_v != query_v)
-    )
-    if not keep.any():
-        return 0
-    cand = seg[idx[keep]]
-    query = query[keep]
-    b1r, b1c, b2r, b2c = cand[:, 0], cand[:, 1], cand[:, 2], cand[:, 3]
-    pr, pc, qr, qc = query[:, 0], query[:, 1], query[:, 2], query[:, 3]
+    pr, pc, qr, qc = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    b1r, b1c, b2r, b2c = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
     tol = 1e-12
 
     def orient(v1r, v1c, v2r, v2c, wr, wc):
@@ -773,7 +761,47 @@ def _np_pairs_crossing_count(seg, end_u, end_v, idx, query, query_u, query_v):
     crossing |= (o2 == 0) & on_segment(pr, pc, b2r, b2c, qr, qc)
     crossing |= (o3 == 0) & on_segment(b1r, b1c, pr, pc, b2r, b2c)
     crossing |= (o4 == 0) & on_segment(b1r, b1c, qr, qc, b2r, b2c)
-    return int(crossing.sum())
+    return crossing
+
+
+def segments_intersect_array(a, b):
+    """Array form of :func:`segments_intersect` (needs numpy).
+
+    Broadcasts like :func:`_np_segments_cross` and, like the scalar
+    helper, excludes pairs that share an endpoint *coordinate* before
+    the geometric test.
+    """
+    a1r, a1c, a2r, a2c = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
+    b1r, b1c, b2r, b2c = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
+    shared = (
+        ((a1r == b1r) & (a1c == b1c))
+        | ((a1r == b2r) & (a1c == b2c))
+        | ((a2r == b1r) & (a2c == b1c))
+        | ((a2r == b2r) & (a2c == b2c))
+    )
+    return _np_segments_cross(a, b) & ~shared
+
+
+# --- vector engine ---------------------------------------------------------
+def _np_pairs_crossing_count(seg, end_u, end_v, idx, query, query_u, query_v):
+    """Crossing count over explicit (query segment, candidate index) pairs.
+
+    ``query`` rows are ``(p_row, p_col, q_row, q_col)`` segments tested
+    with :func:`_np_segments_cross`, so the count agrees with the scalar
+    path on every input; vertex-identity exclusion uses
+    ``query_u``/``query_v`` against the candidate endpoint arrays.
+    """
+    cand_u = end_u[idx]
+    cand_v = end_v[idx]
+    keep = (
+        (cand_u != query_u)
+        & (cand_u != query_v)
+        & (cand_v != query_u)
+        & (cand_v != query_v)
+    )
+    if not keep.any():
+        return 0
+    return int(_np_segments_cross(query[keep], seg[idx[keep]]).sum())
 
 
 class _VectorTrackerEngine:

@@ -32,6 +32,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
+import numpy as np
+
 from ..distillation.block_code import (
     Factory,
     FactorySpec,
@@ -42,7 +44,7 @@ from ..distillation.block_code import (
     default_port_map,
 )
 from ..graphs.interaction import interaction_graph
-from ..graphs.metrics import segments_intersect
+from ..graphs.metrics import segments_intersect, segments_intersect_array
 from .force_directed import ForceDirectedConfig, force_directed_refine
 from .graph_partition import graph_partition_placement
 from .linear import linear_module_cells, linear_module_shape
@@ -347,25 +349,14 @@ def _segments_for(
     return [(src, mid), (mid, dst)]
 
 
-def optimize_permutation_hops(
+def _initial_hops(
     factory: Factory,
     placement: Placement,
-    config: Optional[StitchingConfig] = None,
-) -> Dict[int, Cell]:
-    """Assign (and optionally anneal) intermediate hops for permutation braids.
-
-    Returns a map from gate index to the hop *tile* cell, suitable for
-    :class:`~repro.routing.simulator.SimulatorConfig.hops`.  The annealed
-    modes start from a random cell or the braid's midpoint and then locally
-    move each hop to reduce the number of crossings among the permutation
-    braids' polylines, weighted against the extra distance the hop adds.
-    """
-    config = config or StitchingConfig()
-    indices = permutation_gate_indices(factory)
-    if not indices or config.hop_mode == "none":
-        return {}
-
-    rng = random.Random(config.seed)
+    config: StitchingConfig,
+    indices: List[int],
+    rng: random.Random,
+) -> Tuple[List[Cell], Dict[int, Tuple[Cell, Cell]], Dict[int, Cell]]:
+    """Free cells, braid endpoints and starting hops (one draw per random hop)."""
     free = _free_cells(placement)
     hops: Dict[int, Cell] = {}
     endpoints: Dict[int, Tuple[Cell, Cell]] = {}
@@ -381,7 +372,117 @@ def optimize_permutation_hops(
                 (source[0] + target[0]) // 2,
                 (source[1] + target[1]) // 2,
             )
+    return free, endpoints, hops
 
+
+#: The 24 local moves tried around a hop, in the annealer's scan order.
+_HOP_OFFSETS = [
+    (dr, dc)
+    for dr in (-2, -1, 0, 1, 2)
+    for dc in (-2, -1, 0, 1, 2)
+    if (dr, dc) != (0, 0)
+]
+
+
+def optimize_permutation_hops(
+    factory: Factory,
+    placement: Placement,
+    config: Optional[StitchingConfig] = None,
+) -> Dict[int, Cell]:
+    """Assign (and optionally anneal) intermediate hops for permutation braids.
+
+    Returns a map from gate index to the hop *tile* cell, suitable for
+    :class:`~repro.routing.simulator.SimulatorConfig.hops`.  The annealed
+    modes start from a random cell or the braid's midpoint and then locally
+    move each hop to reduce the number of crossings among the permutation
+    braids' polylines, weighted against the extra distance the hop adds.
+
+    Each braid visit scores all of its candidate hops in one numpy pass
+    against a ``(P, 2, 4)`` array of every braid's two segments, and takes
+    the first minimum — the same choice, from the same RNG draws, as
+    :func:`optimize_permutation_hops_reference`, so the hops are identical.
+    """
+    config = config or StitchingConfig()
+    indices = permutation_gate_indices(factory)
+    if not indices or config.hop_mode == "none":
+        return {}
+
+    rng = random.Random(config.seed)
+    free, endpoints, hops = _initial_hops(factory, placement, config, indices, rng)
+    if config.hop_mode == "random":
+        return hops
+
+    height, width = placement.height, placement.width
+    slot = {index: row for row, index in enumerate(indices)}
+    polylines = np.empty((len(indices), 2, 4))
+    for index in indices:
+        source, target = endpoints[index]
+        hop = hops[index]
+        polylines[slot[index]] = (source + hop, hop + target)
+    # Segment rows 2s and 2s+1 belong to braid slot s (a view: updating a
+    # braid's polyline updates its segment rows).
+    segments = polylines.reshape(-1, 4)
+
+    for _sweep in range(config.hop_sweeps):
+        order = list(indices)
+        rng.shuffle(order)
+        for index in order:
+            (sr, sc), (tr, tc) = endpoints[index]
+            current = hops[index]
+            # The current hop first (argmin keeps the first minimum, like
+            # the reference's strict "<" from the current cost), then the
+            # in-bounds offsets in scan order, then one random free cell.
+            candidates = [current]
+            for dr, dc in _HOP_OFFSETS:
+                row, col = current[0] + dr, current[1] + dc
+                if 0 <= row < height and 0 <= col < width:
+                    candidates.append((row, col))
+            cell = free[rng.randrange(len(free))]
+            if 0 <= cell[0] < height and 0 <= cell[1] < width:
+                candidates.append(cell)
+
+            cells = np.array(candidates, dtype=float)
+            mine = np.empty((len(candidates), 2, 4))
+            mine[:, 0, :2] = sr, sc
+            mine[:, 0, 2:] = cells
+            mine[:, 1, :2] = cells
+            mine[:, 1, 2:] = tr, tc
+            # (2C, 2P) pair matrix: every candidate segment against every
+            # braid segment, the visited braid's own two rows masked out.
+            hits = segments_intersect_array(
+                mine.reshape(-1, 1, 4), segments[None, :, :]
+            )
+            own = 2 * slot[index]
+            hits[:, own : own + 2] = False
+            crossings = hits.reshape(len(candidates), -1).sum(axis=1)
+            # Small integers in floats: every sum below is exact.
+            hr, hc = cells[:, 0], cells[:, 1]
+            to_hop = np.abs(sr - hr) + np.abs(sc - hc)
+            from_hop = np.abs(hr - tr) + np.abs(hc - tc)
+            detour = to_hop + from_hop - (abs(sr - tr) + abs(sc - tc))
+            best = int(np.argmin(4.0 * crossings + 0.5 * detour))
+            hops[index] = candidates[best]
+            polylines[slot[index]] = mine[best]
+    return hops
+
+
+def optimize_permutation_hops_reference(
+    factory: Factory,
+    placement: Placement,
+    config: Optional[StitchingConfig] = None,
+) -> Dict[int, Cell]:
+    """Scalar oracle for :func:`optimize_permutation_hops`.
+
+    Scores every candidate hop with pairwise :func:`segments_intersect`
+    calls and keeps a candidate only when it is strictly cheaper.
+    """
+    config = config or StitchingConfig()
+    indices = permutation_gate_indices(factory)
+    if not indices or config.hop_mode == "none":
+        return {}
+
+    rng = random.Random(config.seed)
+    free, endpoints, hops = _initial_hops(factory, placement, config, indices, rng)
     if config.hop_mode == "random":
         return hops
 
@@ -414,10 +515,7 @@ def optimize_permutation_hops(
             best_hop = current
             best_cost = current_cost
             candidates = [
-                (current[0] + dr, current[1] + dc)
-                for dr in (-2, -1, 0, 1, 2)
-                for dc in (-2, -1, 0, 1, 2)
-                if (dr, dc) != (0, 0)
+                (current[0] + dr, current[1] + dc) for dr, dc in _HOP_OFFSETS
             ]
             candidates.append(free[rng.randrange(len(free))])
             for candidate in candidates:

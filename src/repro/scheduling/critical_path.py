@@ -10,6 +10,7 @@ qubit count).
 
 from __future__ import annotations
 
+import functools
 from typing import Dict, Optional
 
 from ..circuits.dag import critical_path_length
@@ -36,12 +37,24 @@ def factory_latency_lower_bound(
 
     Barriers are omitted (they only add dependencies), and the no-reuse
     policy is used so that no false dependency inflates the bound — this is
-    the most permissive schedule the factory could possibly follow.
+    the most permissive schedule the factory could possibly follow.  The
+    bound is a pure function of ``(spec, durations)``, so it is memoized:
+    an evaluation pipeline asks for it once per data point.
     """
+    key = None if durations is None else frozenset(durations.items())
+    return _cached_latency_lower_bound(spec, key)
+
+
+@functools.lru_cache(maxsize=256)
+def _cached_latency_lower_bound(
+    spec: FactorySpec, durations: Optional[frozenset]
+) -> int:
     factory = build_factory(
         spec, reuse_policy=ReusePolicy.NO_REUSE, barriers_between_rounds=False
     )
-    return critical_path_length(factory.circuit, durations)
+    return critical_path_length(
+        factory.circuit, None if durations is None else dict(durations)
+    )
 
 
 def factory_area_lower_bound(spec: FactorySpec) -> int:

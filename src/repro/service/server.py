@@ -318,6 +318,10 @@ def build_handler(service: SweepService, quiet: bool = True):
     class Handler(BaseHTTPRequestHandler):
         server_version = SERVICE_VERSION
         protocol_version = "HTTP/1.1"
+        # TCP_NODELAY: _send_json writes headers and body separately, and
+        # with Nagle the body waits for the client's delayed ACK (~40 ms
+        # per response on a kept-alive connection).
+        disable_nagle_algorithm = True
 
         # ---- plumbing ------------------------------------------------
         def log_message(self, format: str, *args: Any) -> None:

@@ -1,5 +1,8 @@
 """Unit tests for scheduling utilities (barriers, renaming, critical-path bounds)."""
 
+import pytest
+
+from repro.api import EvaluationRequest, Pipeline
 from repro.circuits import (
     Circuit,
     GateKind,
@@ -8,7 +11,8 @@ from repro.circuits import (
     h,
     meas_x,
 )
-from repro.distillation import FactorySpec
+from repro.circuits.gates import DEFAULT_DURATIONS
+from repro.distillation import FactorySpec, ReusePolicy, build_factory
 from repro.scheduling import (
     asap_timesteps,
     circuit_lower_bound,
@@ -26,6 +30,7 @@ from repro.scheduling import (
     strip_barriers,
     timestep_degree_bound,
 )
+from repro.scheduling import critical_path as critical_path_module
 
 
 def reuse_circuit():
@@ -190,3 +195,53 @@ class TestLowerBounds:
         single = factory_volume_lower_bound(FactorySpec(k=4, levels=1))
         double = factory_volume_lower_bound(FactorySpec(k=4, levels=2))
         assert double > single
+
+
+class TestLowerBoundMemo:
+    """``factory_latency_lower_bound`` is memoized on ``(spec, durations)``."""
+
+    @pytest.fixture
+    def unbarriered_builds(self, monkeypatch):
+        builds = []
+        real_build = critical_path_module.build_factory
+
+        def counting_build(spec, **kwargs):
+            builds.append(spec)
+            return real_build(spec, **kwargs)
+
+        monkeypatch.setattr(critical_path_module, "build_factory", counting_build)
+        critical_path_module._cached_latency_lower_bound.cache_clear()
+        yield builds
+        critical_path_module._cached_latency_lower_bound.cache_clear()
+
+    def test_evaluations_of_one_spec_build_once(self, unbarriered_builds):
+        pipeline = Pipeline()
+        points = [
+            pipeline.evaluate(EvaluationRequest(method="random", capacity=4, seed=s))
+            for s in range(4)
+        ]
+        assert pipeline.stats.evaluations == 4
+        assert len(unbarriered_builds) == 1
+        assert len({point.critical_latency for point in points}) == 1
+
+    def test_non_default_durations_get_their_own_entry(self, unbarriered_builds):
+        spec = FactorySpec(k=2, levels=1)
+        default = factory_latency_lower_bound(spec)
+        slow = dict(DEFAULT_DURATIONS)
+        slow[GateKind.CNOT] += 3
+        bound = factory_latency_lower_bound(spec, slow)
+        assert len(unbarriered_builds) == 2
+        uncached = critical_path_length(
+            build_factory(
+                spec,
+                reuse_policy=ReusePolicy.NO_REUSE,
+                barriers_between_rounds=False,
+            ).circuit,
+            slow,
+        )
+        assert bound == uncached
+        assert bound > default
+        # An equal durations table is the same entry; so is the default.
+        assert factory_latency_lower_bound(spec, dict(slow)) == bound
+        assert factory_latency_lower_bound(spec) == default
+        assert len(unbarriered_builds) == 2

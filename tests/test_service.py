@@ -24,6 +24,7 @@ import time
 import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
+from http.client import HTTPConnection
 
 import pytest
 
@@ -229,6 +230,24 @@ class TestHttpEndpoints:
         status, _, body = http("GET", f"{base_url}/healthz")
         assert status == 200
         assert body == {"ok": True, "service": SERVICE_VERSION}
+
+    def test_kept_alive_connection_does_not_stall(self, base_url):
+        # Headers and body go out in separate writes; with Nagle on, each
+        # response waited ~40 ms for the client's delayed ACK (30 requests
+        # took ~1.3 s).  With TCP_NODELAY they take milliseconds.
+        host, port = base_url.rsplit("/", 1)[1].split(":")
+        connection = HTTPConnection(host, int(port), timeout=30)
+        try:
+            started = time.perf_counter()
+            for _ in range(30):
+                connection.request("GET", "/healthz")
+                response = connection.getresponse()
+                assert response.status == 200
+                assert json.loads(response.read())["ok"] is True
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert elapsed < 0.5, f"30 kept-alive requests took {elapsed:.2f}s"
 
     def test_unknown_endpoint_404_lists_routes(self, base_url):
         status, _, body = http("GET", f"{base_url}/v1/nope")
