@@ -840,8 +840,8 @@ def _bench_fd_kernel(args: argparse.Namespace) -> Dict[str, Any]:
     available engine (``scalar`` reference, ``vector``, ``compiled``) on
     the L2 K=16 factory graph (L1 K=4 under ``--smoke``) and drives each
     through the *same* deterministic sequence of annealer-shaped
-    operations — single-move applies, apply+revert pairs, and chunked
-    ``evaluate_many`` batches.  Full tracker state (crossings, lengths,
+    operations — single-move applies, apply+revert pairs, and batches
+    of pure ``evaluate`` proposals.  Full tracker state (crossings, lengths,
     spacing sum, combined cost, positions) is asserted byte-identical
     across engines at the end; the record carries per-engine wall time
     and the speedup of each engine over the scalar reference.
@@ -865,7 +865,7 @@ def _bench_fd_kernel(args: argparse.Namespace) -> Dict[str, Any]:
 
     # Pre-generate the operation sequence once so every engine replays the
     # identical workload (roughly annealer-shaped: mostly kept moves, some
-    # rejected ones, occasional batched proposal evaluation).
+    # rejected ones, occasional runs of evaluated-only proposals).
     rng = _random.Random(seed)
     vertices = sorted(graph.nodes(), key=str)
     max_row = max(row for row, _ in positions.values()) + 1.0
@@ -903,7 +903,8 @@ def _bench_fd_kernel(args: argparse.Namespace) -> Dict[str, Any]:
                 tracker.apply(payload)
                 tracker.revert_last()
             else:
-                tracker.evaluate_many(payload)
+                for updates in payload:
+                    tracker.evaluate(updates)
         timings[engine] = time.perf_counter() - tick
         states[engine] = (
             tracker.crossings,

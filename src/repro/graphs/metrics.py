@@ -471,6 +471,7 @@ def mapping_cost(
 # fuses the multiply-adds the Python engines evaluate separately.
 
 _GRID_MARGIN = 4  # dense-grid slack (cells) around the initial extent
+_CELL_CAPACITY = 8  # initial dense-grid slots per cell (doubled on overflow)
 
 
 def tracker_engines() -> List[str]:
@@ -690,9 +691,6 @@ class _ScalarTrackerEngine:
             newrows.append(_treefold_list(dists, self._pad))
         return newrows, old_cross, new_cross
 
-    def eval_many(self, moves):
-        return [self.eval(*move) for move in moves]
-
     def flush(self, changed, new_ends, new_mids):
         """Fold a committed move into the geometry, grid and R cache."""
         mid = self._mid
@@ -899,9 +897,6 @@ class _VectorTrackerEngine:
         newrows = [float(value) for value in self._fold_rows(dists)]
         return newrows, old_cross, new_cross
 
-    def eval_many(self, moves):
-        return [self.eval(*move) for move in moves]
-
     def flush(self, changed, new_ends, new_mids):
         mid = self._mid
         R = self._R
@@ -985,7 +980,7 @@ class _CompiledTrackerEngine:
             origin_row = origin_col = 0
             n_rows = n_cols = 1
         self._n_cells = n_rows * n_cols
-        cap = 8
+        cap = _CELL_CAPACITY
         self._ip = _np.array(
             [m, pad, origin_row, origin_col, n_rows, n_cols, cap],
             dtype=_np.int64,
@@ -1082,43 +1077,6 @@ class _CompiledTrackerEngine:
             int(self._cross_buf[1]),
         )
 
-    def eval_many(self, moves):
-        if not moves:
-            return []
-        n = len(moves)
-        offsets = [0]
-        changed_flat: List[int] = []
-        seg_rows: List[Tuple[float, float, float, float]] = []
-        mid_rows: List[Position] = []
-        for changed, new_ends, new_mids in moves:
-            changed_flat.extend(changed)
-            seg_rows.extend((p[0], p[1], q[0], q[1]) for p, q in new_ends)
-            mid_rows.extend(new_mids)
-            offsets.append(len(changed_flat))
-        total = len(changed_flat)
-        koff = _np.asarray(offsets, dtype=_np.int64)
-        changed_arr = _np.asarray(changed_flat, dtype=_np.int64)
-        seg_arr = _np.asarray(seg_rows, dtype=float).reshape(total, 4)
-        mid_arr = _np.asarray(mid_rows, dtype=float).reshape(total, 2)
-        newrow = _np.zeros(max(total, 1), dtype=float)
-        cross = _np.zeros(2 * n, dtype=_np.int64)
-        self._kern.eval_moves(
-            self._ip_p, self._bucket, n,
-            koff.ctypes.data, changed_arr.ctypes.data,
-            seg_arr.ctypes.data, mid_arr.ctypes.data,
-            self._seg_p, self._mid_p, self._eu_p, self._ev_p,
-            self._crossC_p, self._cflag_p,
-            self._cc_p, self._ci_p, self._stamp_p, self._gen_p,
-            self._scratch_p, newrow.ctypes.data, cross.ctypes.data,
-        )
-        results = []
-        for v in range(n):
-            lo, hi = offsets[v], offsets[v + 1]
-            results.append(
-                (newrow[lo:hi].tolist(), int(cross[2 * v]), int(cross[2 * v + 1]))
-            )
-        return results
-
     def flush(self, changed, new_ends, new_mids):
         k = self._stage(changed, new_ends, new_mids)
         status = self._kern.commit(
@@ -1133,6 +1091,161 @@ class _CompiledTrackerEngine:
             # A cell overflowed its capacity: seg/mid/R are already
             # updated, so rebuilding the whole grid from seg is enough.
             self._rebuild_grid()
+
+
+class KernelSweep:
+    """Whole annealing sweeps run inside the metrics kernel (``mc_sweep``).
+
+    Built by :meth:`MappingCostTracker.kernel_sweep` on the compiled
+    engine.  The annealer keeps the policy (forces, proposal order, steps,
+    temperature schedule) and hands over one sweep per :meth:`run`; the
+    kernel runs the proposal loop (target cell, bounds check, occupant
+    swap, evaluate, Boltzmann test, commit) against the engine's arrays.
+    Vertices are indexed ``movers`` first, then every other tracked
+    vertex (occupants that never move on their own), so proposal index
+    ``i`` always means ``movers[i]``.
+    """
+
+    def __init__(
+        self,
+        tracker: "MappingCostTracker",
+        movers: Sequence,
+        height: int,
+        width: int,
+    ) -> None:
+        self._tracker = tracker
+        self._engine = tracker._engine
+        mover_set = set(movers)
+        ids = list(movers) + [v for v in tracker._positions if v not in mover_set]
+        self._ids = ids
+        index = {vertex: i for i, vertex in enumerate(ids)}
+        edges = tracker._edges
+        self._weight = _np.asarray([w for _, _, w in edges] or [0.0], dtype=float)
+        self._ea = _np.asarray([index[a] for a, _, _ in edges] or [0], dtype=_np.int64)
+        self._eb = _np.asarray([index[b] for _, b, _ in edges] or [0], dtype=_np.int64)
+        # Ascending incident-edge lists (the tracker builds them in edge
+        # order), flattened with prefix offsets.
+        offsets = [0]
+        incident: List[int] = []
+        for vertex in ids:
+            incident.extend(tracker._incident.get(vertex, ()))
+            offsets.append(len(incident))
+        self._inc_off = _np.asarray(offsets, dtype=_np.int64)
+        self._inc_edge = _np.asarray(incident or [0], dtype=_np.int64)
+        n = max(len(movers), 1)
+        self._width = width
+        self._pos = _np.zeros((max(len(ids), 1), 2), dtype=_np.int64)
+        self._occ = _np.full(height * width, -1, dtype=_np.int64)
+        self._order = _np.zeros(n, dtype=_np.int64)
+        self._step = _np.zeros((n, 2), dtype=_np.int64)
+        self._log = _np.zeros((n, 3), dtype=_np.int64)
+        self._mt = _np.zeros(624, dtype=_np.uint32)
+        self._sp = _np.zeros(_metrics_kernel.SP_SLOTS, dtype=_np.int64)
+        self._sp[_metrics_kernel.SP_HEIGHT] = height
+        self._sp[_metrics_kernel.SP_WIDTH] = width
+        self._dp = _np.zeros(_metrics_kernel.DP_SLOTS, dtype=float)
+        self._dp[_metrics_kernel.DP_LENGTH_W] = tracker.length_weight
+        self._dp[_metrics_kernel.DP_SPACING_W] = tracker.spacing_weight
+        self._dp[_metrics_kernel.DP_CROSSING_W] = tracker.crossing_weight
+        self._pointers = [
+            array.ctypes.data
+            for array in (
+                self._weight, self._ea, self._eb, self._inc_off,
+                self._inc_edge, self._pos, self._occ, self._order,
+                self._step, self._mt, self._sp, self._dp, self._log,
+            )
+        ]
+
+    def run(
+        self,
+        cells: Mapping,
+        order: Sequence[int],
+        steps,
+        temperature: float,
+        rng,
+    ) -> Tuple[List[Tuple[object, Tuple[int, int]]], int, int]:
+        """Run one sweep; returns ``(moves, proposed, improving)``.
+
+        ``cells`` maps every tracked vertex to its grid cell (the
+        placement, re-read every sweep because community moves change it
+        in between); ``order`` lists mover indices in proposal order and
+        ``steps`` is the matching ``(n, 2)`` int array of grid steps.
+        ``rng`` (a :class:`random.Random`) crosses into the kernel and
+        back through ``getstate``/``setstate``.  ``moves`` lists the
+        accepted ``(vertex, target_cell)`` pairs in acceptance order, for
+        the caller to replay with ``Placement.move``; the tracker already
+        holds their committed state.
+        """
+        k = _metrics_kernel
+        tracker = self._tracker
+        engine = self._engine
+        tracker._flush_pending()
+        tracker._pending_eval = None
+        tracker._last_move = None
+        ids = self._ids
+        nv = len(ids)
+        pos = self._pos[:nv]
+        pos[:] = [cells[vertex] for vertex in ids]
+        before = pos.copy()
+        self._occ.fill(-1)
+        self._occ[pos[:, 0] * self._width + pos[:, 1]] = _np.arange(nv)
+        n = len(order)
+        self._order[:n] = order
+        self._step[:n] = steps
+        sp = self._sp
+        dp = self._dp
+        sp[k.SP_START] = 0
+        sp[k.SP_COUNT] = n
+        sp[k.SP_DRAWS] = sp[k.SP_PROPOSED] = 0
+        sp[k.SP_ACCEPTED] = sp[k.SP_IMPROVING] = 0
+        sp[k.SP_CROSSINGS] = tracker.crossings
+        dp[k.DP_TEMPERATURE] = temperature
+        dp[k.DP_TOTAL_LENGTH] = tracker.total_edge_length
+        dp[k.DP_WEIGHTED_LENGTH] = tracker.total_weighted_length
+        dp[k.DP_SPACING_SUM] = tracker.spacing_sum
+        dp[k.DP_COST] = tracker._cost_value
+        version, internal, gauss_next = rng.getstate()
+        self._mt[:] = internal[:-1]
+        sp[k.SP_MT_INDEX] = internal[-1]
+        while engine._kern.sweep(
+            engine._ip_p, engine._bucket,
+            engine._seg_p, engine._mid_p, engine._R_p,
+            engine._eu_p, engine._ev_p, engine._crossC_p, engine._cflag_p,
+            engine._cc_p, engine._ci_p, engine._er_p,
+            engine._stamp_p, engine._gen_p, engine._scratch_p,
+            engine._changed_p, engine._newseg_p, engine._newmid_p,
+            engine._newrow_p, *self._pointers,
+        ) != 0:
+            # A commit overflowed a grid cell: the state arrays are
+            # current, so rebuild the grid and resume at sp[SP_START].
+            engine._rebuild_grid()
+        if sp[k.SP_DRAWS]:
+            internal = tuple(self._mt.tolist()) + (int(sp[k.SP_MT_INDEX]),)
+            rng.setstate((version, internal, gauss_next))
+        # Refresh the tracker's Python mirrors of the committed state.
+        positions = tracker._positions
+        incident = tracker._incident
+        touched = set()
+        for i in _np.flatnonzero((pos != before).any(axis=1)).tolist():
+            vertex = ids[i]
+            row, col = pos[i].tolist()
+            positions[vertex] = (float(row), float(col))
+            touched.update(incident.get(vertex, ()))
+        for index in touched:
+            a, b, _ = tracker._edges[index]
+            p, q = positions[a], positions[b]
+            tracker._ends[index] = (p, q)
+            tracker._mids[index] = edge_midpoint(p, q)
+        tracker.total_edge_length = float(dp[k.DP_TOTAL_LENGTH])
+        tracker.total_weighted_length = float(dp[k.DP_WEIGHTED_LENGTH])
+        tracker.spacing_sum = float(dp[k.DP_SPACING_SUM])
+        tracker.crossings = int(sp[k.SP_CROSSINGS])
+        tracker._cost_value = float(dp[k.DP_COST])
+        moves = [
+            (ids[v], (row, col))
+            for v, row, col in self._log[: int(sp[k.SP_ACCEPTED])].tolist()
+        ]
+        return moves, int(sp[k.SP_PROPOSED]), int(sp[k.SP_IMPROVING])
 
 
 def _int64_vertex_arrays(edges):
@@ -1158,8 +1271,9 @@ class MappingCostTracker:
     O(m^2) per recompute.
 
     An annealer's dominant path is *propose, inspect, reject*: use
-    :meth:`evaluate` (pure) plus :meth:`commit_evaluated`, or the batched
-    :meth:`evaluate_many` for a whole sweep of independent proposals.
+    :meth:`evaluate` (pure) plus :meth:`commit_evaluated`, or, on the
+    compiled engine, :meth:`kernel_sweep` to run a whole sweep of
+    proposals inside the kernel.
     :meth:`apply` keeps the historical move-then-revert protocol:
     :meth:`revert_last` restores the pre-move state exactly and in O(1),
     because the heavy geometry updates are deferred until the *next*
@@ -1290,6 +1404,18 @@ class MappingCostTracker:
         return _ScalarTrackerEngine(
             self._edges, self._ends, self._mids, bucket_size
         )
+
+    def kernel_sweep(
+        self, movers: Sequence, height: int, width: int
+    ) -> Optional[KernelSweep]:
+        """A :class:`KernelSweep` over this tracker, or None off the compiled engine.
+
+        ``movers`` are the vertices an annealing sweep proposes moves
+        for, on a ``height`` x ``width`` placement grid.
+        """
+        if self.engine != "compiled":
+            return None
+        return KernelSweep(self, movers, height, width)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1436,36 +1562,6 @@ class MappingCostTracker:
             moves, moved_from, changed, (new_ends, new_mids, sums_after, cost_after)
         )
         return delta
-
-    def evaluate_many(
-        self, updates_list: Sequence[Mapping[int, Position]]
-    ) -> List[float]:
-        """Cost deltas of independent proposals against the current state.
-
-        Every proposal is evaluated as if applied alone (none is
-        committed); the compiled engine folds the whole batch into one
-        kernel call.  Bit-identical to calling :meth:`evaluate` per item.
-        """
-        self._flush_pending()
-        deltas = [0.0] * len(updates_list)
-        engine_moves = []
-        slots = []
-        for slot, updates in enumerate(updates_list):
-            moves, _, changed = self._prepare(updates)
-            if moves and changed:
-                new_ends, new_mids = self._geometry_for(moves, changed)
-                engine_moves.append((changed, new_ends, new_mids))
-                slots.append(slot)
-        if engine_moves:
-            results = self._engine.eval_many(engine_moves)
-            for slot, move, result in zip(slots, engine_moves, results):
-                changed, new_ends, new_mids = move
-                newrows, old_cross, new_cross = result
-                delta, _, _ = self._assemble_delta(
-                    changed, new_ends, new_mids, newrows, old_cross, new_cross
-                )
-                deltas[slot] = delta
-        return deltas
 
     def commit_evaluated(self) -> None:
         """Make the last :meth:`evaluate` move the committed state.

@@ -12,8 +12,11 @@ bit-identical to the numpy and scalar engines) and ``-fno-math-errno``
 still IEEE correctly rounded).
 
 The façade exposes the raw ``ctypes`` entry points; the tracker passes
-cached ``ndarray.ctypes.data`` addresses, keeping per-call overhead off
-the annealer's per-proposal path.
+cached ``ndarray.ctypes.data`` addresses.  ``mc_sweep`` runs a whole
+force-directed annealing sweep (target, occupant swap, evaluate,
+Boltzmann test, commit) per call, drawing from a C replica of CPython's
+MT19937 ``random.random()`` (``mc_random`` exposes it for the parity
+test) and calling libm ``exp`` like ``math.exp`` does.
 """
 
 from __future__ import annotations
@@ -30,6 +33,33 @@ _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
 #: Compile flags required for bitwise parity with the Python engines (see
 #: module docstring); folded into the cache digest by the loader.
 BASE_CFLAGS = ("-ffp-contract=off", "-fno-math-errno")
+
+#: Slots of ``mc_sweep``'s int64 and double in/out parameter arrays (the
+#: ``SP_*`` / ``DP_*`` enums of the C source).
+(
+    SP_START,
+    SP_COUNT,
+    SP_HEIGHT,
+    SP_WIDTH,
+    SP_MT_INDEX,
+    SP_DRAWS,
+    SP_PROPOSED,
+    SP_ACCEPTED,
+    SP_IMPROVING,
+    SP_CROSSINGS,
+    SP_SLOTS,
+) = range(11)
+(
+    DP_LENGTH_W,
+    DP_SPACING_W,
+    DP_CROSSING_W,
+    DP_TEMPERATURE,
+    DP_TOTAL_LENGTH,
+    DP_WEIGHTED_LENGTH,
+    DP_SPACING_SUM,
+    DP_COST,
+    DP_SLOTS,
+) = range(9)
 
 _i64 = ctypes.c_int64
 _dbl = ctypes.c_double
@@ -57,12 +87,15 @@ class MetricsKernel:
         self.eval = lib.mc_eval
         self.eval.restype = None
         self.eval.argtypes = [_ptr, _dbl, _i64] + [_ptr] * 16
-        self.eval_moves = lib.mc_eval_moves
-        self.eval_moves.restype = None
-        self.eval_moves.argtypes = [_ptr, _dbl, _i64] + [_ptr] * 17
         self.commit = lib.mc_commit
         self.commit.restype = _i64
         self.commit.argtypes = [_ptr, _dbl, _i64] + [_ptr] * 16
+        self.sweep = lib.mc_sweep
+        self.sweep.restype = _i64
+        self.sweep.argtypes = [_ptr, _dbl] + [_ptr] * 30
+        self.random = lib.mc_random
+        self.random.restype = None
+        self.random.argtypes = [_ptr, _ptr, _i64, _ptr]
 
 
 _LOADER = KernelLoader(

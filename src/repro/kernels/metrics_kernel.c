@@ -28,6 +28,10 @@
  *
  * int-params array ip = { m, pad, origin_row, origin_col, n_rows, n_cols,
  * cap }.  All functions are single-threaded over caller-owned buffers.
+ *
+ * mc_sweep (at the end) runs a whole force-directed annealing sweep over
+ * this state: the proposal loop of repro.mapping.force_directed, with a
+ * replica of CPython's random.random() for the Boltzmann test.
  */
 
 #include <stdint.h>
@@ -458,31 +462,6 @@ void mc_eval(const int64_t *ip, double bucket, int64_t k,
               newrow_out, cross_out);
 }
 
-/* Bulk twin of mc_eval: n independent moves against the same committed
- * state, flattened via the prefix offsets koff[n+1] (one library call per
- * annealer sweep chunk). */
-void mc_eval_moves(const int64_t *ip, double bucket, int64_t n,
-                   const int64_t *koff, const int64_t *changed_flat,
-                   const double *newseg_flat, const double *newmid_flat,
-                   const double *seg, const double *mid,
-                   const int64_t *eu, const int64_t *ev,
-                   const int64_t *crossC, int64_t *cflag,
-                   const int64_t *cell_count,
-                   const int64_t *cell_items, int64_t *stamp, int64_t *gen,
-                   double *scratch, double *newrow_flat,
-                   int64_t *cross_flat) {
-    int64_t v;
-    for (v = 0; v < n; v++) {
-        int64_t start = koff[v];
-        int64_t k = koff[v + 1] - start;
-        eval_move(ip, bucket, k, changed_flat + start,
-                  newseg_flat + 4 * start, newmid_flat + 2 * start,
-                  seg, mid, eu, ev, crossC, cflag, cell_count, cell_items,
-                  stamp, gen, scratch, newrow_flat + start,
-                  cross_flat + 2 * v);
-    }
-}
-
 /* ------------------------------------------------------------------ */
 /* Committing a move                                                   */
 /* ------------------------------------------------------------------ */
@@ -581,4 +560,299 @@ int64_t mc_commit(const int64_t *ip, double bucket, int64_t k,
         }
     }
     return status;
+}
+
+/* ------------------------------------------------------------------ */
+/* CPython's random.random(): MT19937 genrand_res53                    */
+/* ------------------------------------------------------------------ */
+
+/* The generator state is the 624-word array plus the read index of
+ * random.Random.getstate(); the caller hands both across and back, so the
+ * Python stream continues exactly where the kernel left it. */
+
+#define MT_N 624
+#define MT_M 397
+
+static uint32_t mt_next(uint32_t *mt, int64_t *index) {
+    static const uint32_t mag01[2] = {0x0U, 0x9908b0dfU};
+    uint32_t y;
+    if (*index >= MT_N) {
+        int kk;
+        for (kk = 0; kk < MT_N - MT_M; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + MT_M] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        for (; kk < MT_N - 1; kk++) {
+            y = (mt[kk] & 0x80000000U) | (mt[kk + 1] & 0x7fffffffU);
+            mt[kk] = mt[kk + (MT_M - MT_N)] ^ (y >> 1) ^ mag01[y & 0x1U];
+        }
+        y = (mt[MT_N - 1] & 0x80000000U) | (mt[0] & 0x7fffffffU);
+        mt[MT_N - 1] = mt[MT_M - 1] ^ (y >> 1) ^ mag01[y & 0x1U];
+        *index = 0;
+    }
+    y = mt[(*index)++];
+    y ^= (y >> 11);
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    y ^= (y >> 18);
+    return y;
+}
+
+static double mt_random(uint32_t *mt, int64_t *index) {
+    uint32_t a = mt_next(mt, index) >> 5;
+    uint32_t b = mt_next(mt, index) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* n successive random.random() draws (the generator's parity test). */
+void mc_random(uint32_t *mt, int64_t *index, int64_t n, double *out) {
+    int64_t i;
+    for (i = 0; i < n; i++) {
+        out[i] = mt_random(mt, index);
+    }
+}
+
+/* ------------------------------------------------------------------ */
+/* One annealing sweep                                                 */
+/* ------------------------------------------------------------------ */
+
+/* Slots of mc_sweep's in/out parameter arrays (mirrored by
+ * repro.kernels.metrics). */
+enum {
+    SP_START,      /* first proposal to run; the resume point on return 1 */
+    SP_COUNT,      /* proposals in the sweep */
+    SP_HEIGHT,     /* placement grid rows */
+    SP_WIDTH,      /* placement grid columns */
+    SP_MT_INDEX,   /* MT19937 read index */
+    SP_DRAWS,      /* random.random() draws made */
+    SP_PROPOSED,   /* proposals evaluated */
+    SP_ACCEPTED,   /* accepted moves = rows written to the move log */
+    SP_IMPROVING,  /* accepted moves with a negative delta */
+    SP_CROSSINGS,  /* committed crossing count */
+    SP_SLOTS
+};
+enum {
+    DP_LENGTH_W,
+    DP_SPACING_W,
+    DP_CROSSING_W,
+    DP_TEMPERATURE,
+    DP_TOTAL_LENGTH,   /* committed metric sums ... */
+    DP_WEIGHTED_LENGTH,
+    DP_SPACING_SUM,
+    DP_COST,           /* ... and their combined cost */
+    DP_SLOTS
+};
+
+/* The tracker's combined cost (_cost_from / combine_metric_cost), in the
+ * same operation order. */
+static double combined_cost(const double *dp, int64_t m, int64_t crossings,
+                            double total_length, double spacing_sum) {
+    int64_t pairs = m * (m - 1) / 2;
+    double avg_length = m ? total_length / (double)m : 0.0;
+    double avg_spacing = pairs ? spacing_sum / (double)pairs : 0.0;
+    return dp[DP_CROSSING_W] * (double)crossings
+           + dp[DP_LENGTH_W] * avg_length
+           + dp[DP_SPACING_W] * (1.0 / (1.0 + avg_spacing));
+}
+
+/* Sorted, deduplicated union of the ascending incident-edge lists of
+ * vertices v and w (w < 0: none); the tracker's `changed` set. */
+static int64_t incident_union(const int64_t *inc_off, const int64_t *inc_edge,
+                              int64_t v, int64_t w, int64_t *out) {
+    int64_t a = inc_off[v], a_end = inc_off[v + 1];
+    int64_t b = 0, b_end = 0, k = 0;
+    if (w >= 0) {
+        b = inc_off[w];
+        b_end = inc_off[w + 1];
+    }
+    while (a < a_end || b < b_end) {
+        if (b >= b_end || (a < a_end && inc_edge[a] < inc_edge[b])) {
+            out[k++] = inc_edge[a++];
+        } else if (a >= a_end || inc_edge[b] < inc_edge[a]) {
+            out[k++] = inc_edge[b++];
+        } else {
+            out[k++] = inc_edge[a];
+            a++;
+            b++;
+        }
+    }
+    return k;
+}
+
+/* Cost delta of an evaluated move, in exactly the float order of the
+ * tracker's _assemble_delta; after = {total_length, weighted_length,
+ * spacing_sum, cost} and *crossings_after describe the post-move state. */
+static double move_delta(const int64_t *ip, int64_t k, const int64_t *changed,
+                         const double *newseg, const double *newmid,
+                         const double *seg, const double *mid,
+                         const double *R, const double *weight,
+                         const double *newrow, const int64_t *cross,
+                         const int64_t *sp, const double *dp,
+                         double *after, int64_t *crossings_after) {
+    double total_length = dp[DP_TOTAL_LENGTH];
+    double weighted_length = dp[DP_WEIGHTED_LENGTH];
+    double old_spacing = 0.0, new_spacing = 0.0;
+    int64_t t, u;
+    for (t = 0; t < k; t++) {
+        const double *s = seg + 4 * changed[t];
+        const double *ns = newseg + 4 * t;
+        double old_len = fabs(s[0] - s[2]) + fabs(s[1] - s[3]);
+        double new_len = fabs(ns[0] - ns[2]) + fabs(ns[1] - ns[3]);
+        total_length += new_len - old_len;
+        weighted_length += weight[changed[t]] * (new_len - old_len);
+    }
+    for (t = 0; t < k; t++) {
+        old_spacing += R[changed[t]];
+    }
+    for (t = 0; t < k; t++) {
+        const double *a = mid + 2 * changed[t];
+        for (u = t + 1; u < k; u++) {
+            const double *b = mid + 2 * changed[u];
+            old_spacing -= dist2d(a[0], a[1], b[0], b[1]);
+        }
+    }
+    for (t = 0; t < k; t++) {
+        new_spacing += newrow[t];
+    }
+    for (t = 0; t < k; t++) {
+        for (u = t + 1; u < k; u++) {
+            new_spacing += dist2d(newmid[2 * t], newmid[2 * t + 1],
+                                  newmid[2 * u], newmid[2 * u + 1]);
+        }
+    }
+    *crossings_after = sp[SP_CROSSINGS] + (cross[1] - cross[0]);
+    after[0] = total_length;
+    after[1] = weighted_length;
+    after[2] = dp[DP_SPACING_SUM] + (new_spacing - old_spacing);
+    after[3] = combined_cost(dp, ip[0], *crossings_after, total_length,
+                             after[2]);
+    return after[3] - dp[DP_COST];
+}
+
+/* Run proposals order[sp[SP_START]..sp[SP_COUNT]) of one annealing sweep:
+ * the sequential proposal loop of repro.mapping.force_directed, whose
+ * Python form is the oracle this must match bit for bit.
+ *
+ * Proposal p moves vertex order[p] by step[2p], step[2p+1] (vertices are
+ * indices into pos[nv*2] = placement cells; ea/eb[m] are the edge
+ * endpoints in that index space, inc_off/inc_edge their ascending
+ * incident-edge lists).  A zero step or an off-grid target is skipped
+ * without counting; otherwise the target's occupant (occ[height*width],
+ * -1 when free) swaps into the vertex's cell, the move is evaluated
+ * against the tracker state, and it is accepted when
+ * delta <= 0 or (temperature > 1e-9 and random() < exp(-delta / T)) --
+ * one draw only when the first test fails, exactly like Python's `or`.
+ * Accepted moves are committed (mc_commit), applied to pos/occ, counted,
+ * and logged as rows log[3j..3j+2] = {vertex, target_row, target_col}.
+ *
+ * Returns 0 when the sweep is done, or 1 when a commit overflowed a grid
+ * cell: sp[SP_START] then holds the next proposal, and the caller
+ * rebuilds the grid with a larger capacity and calls again. */
+int64_t mc_sweep(const int64_t *ip, double bucket,
+                 double *seg, double *mid, double *R,
+                 const int64_t *eu, const int64_t *ev,
+                 int64_t *crossC, int64_t *cflag,
+                 int64_t *cell_count, int64_t *cell_items,
+                 int64_t *edge_range, int64_t *stamp, int64_t *gen,
+                 double *scratch, int64_t *changed, double *newseg,
+                 double *newmid, double *newrow,
+                 const double *weight, const int64_t *ea, const int64_t *eb,
+                 const int64_t *inc_off, const int64_t *inc_edge,
+                 int64_t *pos, int64_t *occ,
+                 const int64_t *order, const int64_t *step,
+                 uint32_t *mt, int64_t *sp, double *dp, int64_t *log) {
+    int64_t height = sp[SP_HEIGHT], width = sp[SP_WIDTH];
+    double temperature = dp[DP_TEMPERATURE];
+    int64_t p;
+    for (p = sp[SP_START]; p < sp[SP_COUNT]; p++) {
+        int64_t v = order[p];
+        int64_t d_row = step[2 * p], d_col = step[2 * p + 1];
+        int64_t row, col, t_row, t_col, occupant, k, t;
+        int64_t cross[2];
+        int64_t crossings_after = 0;
+        double after[4] = {0.0, 0.0, 0.0, 0.0};
+        double delta = 0.0;
+        int accept;
+        if (d_row == 0 && d_col == 0) {
+            continue;
+        }
+        row = pos[2 * v];
+        col = pos[2 * v + 1];
+        t_row = row + d_row;
+        t_col = col + d_col;
+        if (t_row < 0 || t_row >= height || t_col < 0 || t_col >= width) {
+            continue;
+        }
+        occupant = occ[t_row * width + t_col];
+        k = incident_union(inc_off, inc_edge, v, occupant, changed);
+        for (t = 0; t < k; t++) {
+            int64_t i = changed[t];
+            int64_t ends[2] = {ea[i], eb[i]};
+            int e;
+            for (e = 0; e < 2; e++) {
+                double r, c;
+                if (ends[e] == v) {
+                    r = (double)t_row;
+                    c = (double)t_col;
+                } else if (ends[e] == occupant) {
+                    r = (double)row;
+                    c = (double)col;
+                } else {
+                    r = (double)pos[2 * ends[e]];
+                    c = (double)pos[2 * ends[e] + 1];
+                }
+                newseg[4 * t + 2 * e] = r;
+                newseg[4 * t + 2 * e + 1] = c;
+            }
+            newmid[2 * t] = (newseg[4 * t] + newseg[4 * t + 2]) / 2.0;
+            newmid[2 * t + 1] = (newseg[4 * t + 1] + newseg[4 * t + 3]) / 2.0;
+        }
+        sp[SP_PROPOSED] += 1;
+        if (k > 0) {
+            eval_move(ip, bucket, k, changed, newseg, newmid, seg, mid, eu,
+                      ev, crossC, cflag, cell_count, cell_items, stamp, gen,
+                      scratch, newrow, cross);
+            delta = move_delta(ip, k, changed, newseg, newmid, seg, mid, R,
+                               weight, newrow, cross, sp, dp, after,
+                               &crossings_after);
+        }
+        accept = delta <= 0.0;
+        if (!accept && temperature > 1e-9) {
+            sp[SP_DRAWS] += 1;
+            accept = mt_random(mt, &sp[SP_MT_INDEX]) < exp(-delta / temperature);
+        }
+        if (!accept) {
+            continue;
+        }
+        pos[2 * v] = t_row;
+        pos[2 * v + 1] = t_col;
+        occ[t_row * width + t_col] = v;
+        occ[row * width + col] = occupant;
+        if (occupant >= 0) {
+            pos[2 * occupant] = row;
+            pos[2 * occupant + 1] = col;
+        }
+        log[3 * sp[SP_ACCEPTED]] = v;
+        log[3 * sp[SP_ACCEPTED] + 1] = t_row;
+        log[3 * sp[SP_ACCEPTED] + 2] = t_col;
+        sp[SP_ACCEPTED] += 1;
+        if (delta < 0.0) {
+            sp[SP_IMPROVING] += 1;
+        }
+        if (k > 0) {
+            dp[DP_TOTAL_LENGTH] = after[0];
+            dp[DP_WEIGHTED_LENGTH] = after[1];
+            dp[DP_SPACING_SUM] = after[2];
+            dp[DP_COST] = after[3];
+            sp[SP_CROSSINGS] = crossings_after;
+            if (mc_commit(ip, bucket, k, changed, newseg, newmid, seg, mid,
+                          R, cell_count, cell_items, edge_range, scratch, eu,
+                          ev, stamp, gen, crossC, cflag) != 0) {
+                sp[SP_START] = p + 1;
+                return 1;
+            }
+        }
+    }
+    sp[SP_START] = sp[SP_COUNT];
+    return 0;
 }

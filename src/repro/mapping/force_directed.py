@@ -31,16 +31,11 @@ from __future__ import annotations
 
 import math
 import random
-from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import networkx as nx
-
-try:  # Optional: vectorises the per-sweep force evaluation.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None
+import numpy as _np
 
 from ..circuits.circuit import Circuit
 from ..graphs.community import (
@@ -51,9 +46,6 @@ from ..graphs.community import (
 from ..graphs.interaction import interaction_graph
 from ..graphs.metrics import MappingCostTracker
 from .placement import Cell, Placement, grid_dimensions_for, row_major_placement
-
-Vector = Tuple[float, float]
-
 
 @dataclass
 class ForceDirectedConfig:
@@ -82,6 +74,51 @@ class ForceDirectedConfig:
     use_communities: bool = True
     cost_crossing_weight: float = 4.0
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        """Reject values the annealer cannot run with, naming the field."""
+        for spec in fields(self):
+            _check_config_field(spec.name, getattr(self, spec.name))
+
+
+#: Integer fields of :class:`ForceDirectedConfig` and their lower bounds.
+_INT_FIELDS = {
+    "sweeps": 0,
+    "max_step": 1,
+    "neighborhood_radius": 1,
+    "community_patience": 0,
+    "max_community_moves": 0,
+    "seed": -math.inf,
+}
+
+#: Closed ranges of the float fields; the weights need only be finite.
+_FLOAT_RANGES = {
+    "temperature": (0.0, math.inf),
+    "cooling": (0.0, 1.0),
+}
+
+
+def _check_config_field(name: str, value) -> None:
+    where = f"ForceDirectedConfig.{name}"
+    if name.startswith("use_"):
+        if not isinstance(value, bool):
+            raise TypeError(f"{where} must be a bool, got {value!r}")
+    elif name in _INT_FIELDS:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"{where} must be an int, got {value!r}")
+        if value < _INT_FIELDS[name]:
+            raise ValueError(
+                f"{where} must be >= {_INT_FIELDS[name]}, got {value!r}"
+            )
+    else:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise TypeError(f"{where} must be a number, got {value!r}")
+        low, high = _FLOAT_RANGES.get(name, (-math.inf, math.inf))
+        if not math.isfinite(value) or not low <= value <= high:
+            raise ValueError(
+                f"{where} must be finite and lie in [{low}, {high}], "
+                f"got {value!r}"
+            )
 
 
 def assign_dipole_poles(graph: nx.Graph, seed: int = 0) -> Dict[int, int]:
@@ -122,22 +159,14 @@ def assign_dipole_poles(graph: nx.Graph, seed: int = 0) -> Dict[int, int]:
     return poles
 
 
-def _bucket_key(position: Vector, bucket: float) -> Tuple[int, int]:
-    return (int(position[0] // bucket), int(position[1] // bucket))
-
-
-def _nearby_buckets(key: Tuple[int, int]) -> List[Tuple[int, int]]:
-    row, col = key
-    return [(row + dr, col + dc) for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
-
-
 def _np_bucket_pairs(keys, count: int):
     """Ordered (i, j) index pairs whose keys fall in a 3x3 neighbourhood.
 
-    numpy twin of the ``_bucket_key`` / ``_nearby_buckets`` scan: for every
-    bucket, pairs its members against the members of the nine surrounding
-    buckets (both orders, self-pairs dropped), as flat index arrays ready
-    for vectorized force kernels.  Returns ``None`` when no pair exists.
+    For every bucket, pairs its members against the members of the nine
+    surrounding buckets (both orders, self-pairs dropped), as flat index
+    arrays ready for vectorized force kernels.  Bucketing keeps the
+    pairwise forces close to linear in the vertex (or edge) count.
+    Returns ``None`` when no pair exists.
     """
     if count == 0:
         return None
@@ -177,14 +206,9 @@ def _np_bucket_pairs(keys, count: int):
 class _ForceField:
     """Computes the per-vertex net force for the current placement.
 
-    With numpy present the three force kernels run vectorized over flat
-    index arrays prepared once at construction (adjacency pairs, edge
-    endpoints, poles); the bucket pruning of the pairwise kernels matches
-    the scalar fallback's 3x3 neighbourhood scan.  The scalar fallback
-    keeps the original per-vertex loops; its force values can differ from
-    the vectorized path in the last ulp (summation order), which is fine —
-    reproducibility is pinned per environment, and the cost tracker (whose
-    engines *are* bit-identical) is what accepts or rejects moves.
+    The three force kernels run vectorized over flat index arrays prepared
+    once at construction (adjacency pairs, edge endpoints, poles).  Forces
+    only steer proposals; the cost tracker decides every move.
     """
 
     def __init__(
@@ -193,12 +217,7 @@ class _ForceField:
         config: ForceDirectedConfig,
         poles: Mapping[int, int],
     ) -> None:
-        self.graph = graph
         self.config = config
-        self.poles = poles
-        self._vectorized = _np is not None
-        if not self._vectorized:
-            return
         nodes = list(graph.nodes())
         self._nodes = nodes
         index = {vertex: i for i, vertex in enumerate(nodes)}
@@ -219,39 +238,24 @@ class _ForceField:
             [poles.get(vertex, 1) for vertex in nodes], dtype=_np.int64
         )
 
-    def forces(self, positions: Mapping[int, Cell]) -> Dict[int, Vector]:
-        """Net force on every vertex under the current positions."""
+    def forces(self, positions: Mapping[int, Cell]):
+        """Net force on every graph node, an ``(n, 2)`` array in node order."""
         config = self.config
-        if self._vectorized:
-            nodes = self._nodes
-            if not nodes:
-                return {}
-            pos = _np.asarray(
-                [positions[vertex] for vertex in nodes], dtype=float
-            ).reshape(len(nodes), 2)
-            out = _np.zeros((len(nodes), 2), dtype=float)
-            if config.use_attraction:
-                self._np_attraction(pos, out)
-            if config.use_edge_repulsion:
-                self._np_edge_repulsion(pos, out)
-            if config.use_dipole:
-                self._np_dipole(pos, out)
-            return {
-                vertex: (float(out[i, 0]), float(out[i, 1]))
-                for i, vertex in enumerate(nodes)
-            }
-        forces: Dict[int, List[float]] = {v: [0.0, 0.0] for v in self.graph.nodes()}
+        nodes = self._nodes
+        out = _np.zeros((len(nodes), 2), dtype=float)
+        if not nodes:
+            return out
+        pos = _np.asarray(
+            [positions[vertex] for vertex in nodes], dtype=float
+        ).reshape(len(nodes), 2)
         if config.use_attraction:
-            self._add_attraction(positions, forces)
+            self._np_attraction(pos, out)
         if config.use_edge_repulsion:
-            self._add_edge_repulsion(positions, forces)
+            self._np_edge_repulsion(pos, out)
         if config.use_dipole:
-            self._add_dipole(positions, forces)
-        return {v: (f[0], f[1]) for v, f in forces.items()}
+            self._np_dipole(pos, out)
+        return out
 
-    # ------------------------------------------------------------------
-    # Vectorized kernels
-    # ------------------------------------------------------------------
     def _np_attraction(self, pos, out) -> None:
         """Pull every vertex toward the centroid of its neighbourhood."""
         if self._nbr_owner.size == 0:
@@ -330,98 +334,6 @@ class _ForceField:
             left, weights=sign * magnitude * d_col[keep], minlength=n
         )
 
-    # ------------------------------------------------------------------
-    # Scalar fallback kernels
-    # ------------------------------------------------------------------
-    def _add_attraction(
-        self, positions: Mapping[int, Cell], forces: Dict[int, List[float]]
-    ) -> None:
-        """Pull every vertex toward the centroid of its neighbourhood."""
-        weight = self.config.attraction_weight
-        for vertex in self.graph.nodes():
-            neighbors = list(self.graph.neighbors(vertex))
-            if not neighbors:
-                continue
-            centroid_row = sum(positions[n][0] for n in neighbors) / len(neighbors)
-            centroid_col = sum(positions[n][1] for n in neighbors) / len(neighbors)
-            row, col = positions[vertex]
-            forces[vertex][0] += weight * (centroid_row - row)
-            forces[vertex][1] += weight * (centroid_col - col)
-
-    def _add_edge_repulsion(
-        self, positions: Mapping[int, Cell], forces: Dict[int, List[float]]
-    ) -> None:
-        """Repel edges from each other through their midpoints.
-
-        Midpoints are bucketed on a coarse grid so only nearby edge pairs
-        interact, keeping the sweep cost close to linear in the edge count.
-        """
-        weight = self.config.repulsion_weight
-        bucket = float(max(2, self.config.neighborhood_radius))
-        edges = list(self.graph.edges())
-        midpoints: List[Vector] = []
-        buckets: Dict[Tuple[int, int], List[int]] = defaultdict(list)
-        for index, (a, b) in enumerate(edges):
-            pa, pb = positions[a], positions[b]
-            midpoint = ((pa[0] + pb[0]) / 2.0, (pa[1] + pb[1]) / 2.0)
-            midpoints.append(midpoint)
-            buckets[_bucket_key(midpoint, bucket)].append(index)
-
-        for index, (a, b) in enumerate(edges):
-            midpoint = midpoints[index]
-            push = [0.0, 0.0]
-            for key in _nearby_buckets(_bucket_key(midpoint, bucket)):
-                for other_index in buckets.get(key, ()):
-                    if other_index == index:
-                        continue
-                    other = midpoints[other_index]
-                    d_row = midpoint[0] - other[0]
-                    d_col = midpoint[1] - other[1]
-                    distance_sq = d_row * d_row + d_col * d_col
-                    if distance_sq < 1e-9:
-                        d_row, d_col, distance_sq = 0.5, 0.5, 0.5
-                    magnitude = weight / distance_sq
-                    push[0] += magnitude * d_row
-                    push[1] += magnitude * d_col
-            # The repulsion acts on the edge; split it between the endpoints.
-            forces[a][0] += push[0] / 2.0
-            forces[a][1] += push[1] / 2.0
-            forces[b][0] += push[0] / 2.0
-            forces[b][1] += push[1] / 2.0
-
-    def _add_dipole(
-        self, positions: Mapping[int, Cell], forces: Dict[int, List[float]]
-    ) -> None:
-        """Pole-based dipole forces: opposite poles attract, identical repel."""
-        weight = self.config.dipole_weight
-        radius = float(self.config.neighborhood_radius)
-        bucket = radius
-        buckets: Dict[Tuple[int, int], List[int]] = defaultdict(list)
-        for vertex in self.graph.nodes():
-            buckets[_bucket_key(positions[vertex], bucket)].append(vertex)
-
-        for vertex in self.graph.nodes():
-            pole = self.poles.get(vertex, 1)
-            row, col = positions[vertex]
-            for key in _nearby_buckets(_bucket_key(positions[vertex], bucket)):
-                for other in buckets.get(key, ()):
-                    if other == vertex:
-                        continue
-                    other_pole = self.poles.get(other, 1)
-                    o_row, o_col = positions[other]
-                    d_row = row - o_row
-                    d_col = col - o_col
-                    distance_sq = d_row * d_row + d_col * d_col
-                    if distance_sq < 1e-9 or distance_sq > radius * radius:
-                        continue
-                    magnitude = weight / distance_sq
-                    if pole == other_pole:
-                        forces[vertex][0] += magnitude * d_row
-                        forces[vertex][1] += magnitude * d_col
-                    else:
-                        forces[vertex][0] -= magnitude * d_row
-                        forces[vertex][1] -= magnitude * d_col
-
 
 @dataclass
 class RefineStats:
@@ -499,26 +411,72 @@ def _next_stall_counter(stall: int, new_best: bool, improved_any: bool) -> int:
     return stall + 1
 
 
-def _step_toward(force: Vector, max_step: int = 1) -> Tuple[int, int]:
-    """Grid step in the direction of the net force, clamped to ``max_step``.
+def _step_toward(forces, max_step: int):
+    """Grid steps along the net forces, an ``(n, 2)`` int64 array.
 
-    The step length scales with the force magnitude so strongly displaced
-    vertices (e.g. a later-round module sitting far from the qubits it talks
-    to) can migrate across the array within a reasonable number of sweeps.
+    A component below 0.25 in magnitude gives no step; otherwise the step
+    length is the force magnitude rounded half to even (``np.rint``, like
+    ``round``), at least 1 and at most ``max_step``, so strongly displaced
+    vertices (e.g. a later-round module sitting far from the qubits it
+    talks to) can migrate across the array within a reasonable number of
+    sweeps.  Callers clamp ``max_step`` to the grid size: any longer step
+    leaves the grid all the same.
     """
-    def component(value: float) -> int:
-        if abs(value) < 0.25:
-            return 0
-        magnitude = min(max_step, max(1, int(round(abs(value)))))
-        return magnitude if value > 0 else -magnitude
+    magnitude = _np.abs(forces)
+    if _np.isnan(magnitude).any():
+        raise ValueError("force-directed refinement produced a NaN force")
+    length = _np.minimum(max_step, _np.maximum(1.0, _np.rint(magnitude)))
+    steps = _np.where(magnitude < 0.25, 0.0, _np.copysign(length, forces))
+    return steps.astype(_np.int64)
 
-    return component(force[0]), component(force[1])
 
+def _oracle_sweep(
+    placement: Placement,
+    tracker: MappingCostTracker,
+    vertices: Sequence[int],
+    order: Sequence[int],
+    steps,
+    temperature: float,
+    rng: random.Random,
+    stats: RefineStats,
+) -> bool:
+    """One sweep's proposal loop in Python; returns whether a move improved.
 
-#: Proposals per batched tracker evaluation inside a sweep.  Chunking keeps
-#: the waste bounded when an accepted move invalidates the rest of the batch
-#: (at most one chunk of evaluations is discarded per sweep).
-_PROPOSAL_CHUNK = 64
+    The readable oracle for the kernel's ``mc_sweep`` (and the path of the
+    ``scalar`` and ``vector`` tracker engines).  Each proposal moves
+    ``vertices[order[p]]`` by ``steps[p]`` from its current cell, swapping
+    with any occupant of the target; off-grid targets are skipped
+    uncounted.  A move is accepted when it does not worsen the exact cost,
+    or with Boltzmann probability otherwise (one RNG draw per such test).
+    """
+    improved_any = False
+    for index, (d_row, d_col) in zip(order, steps.tolist()):
+        if d_row == 0 and d_col == 0:
+            continue
+        vertex = vertices[index]
+        row, col = placement.positions[vertex]
+        target = (row + d_row, col + d_col)
+        if not placement.in_bounds(target):
+            continue
+        occupant = placement.occupant(target)
+        updates = {vertex: (float(target[0]), float(target[1]))}
+        if occupant is not None:
+            updates[occupant] = (float(row), float(col))
+        delta = tracker.evaluate(updates)
+        stats.proposed_moves += 1
+        accept = delta <= 0 or (
+            temperature > 1e-9 and rng.random() < math.exp(-delta / temperature)
+        )
+        if accept:
+            # Commit the evaluation just made; a rejected proposal needs
+            # no cleanup (the next evaluate() simply supersedes it).
+            tracker.commit_evaluated()
+            placement.move(vertex, target)
+            stats.accepted_moves += 1
+            if delta < 0:
+                improved_any = True
+                stats.improving_moves += 1
+    return improved_any
 
 
 def force_directed_refine(
@@ -534,6 +492,12 @@ def force_directed_refine(
     by :class:`repro.graphs.metrics.MappingCostTracker`, at any graph size.
     Returns the exact-cost argmin over all sweep-end placements (including
     the initial one); the input placement is not modified.
+
+    The policy lives here: forces, proposal order, steps, the temperature
+    schedule, best-placement tracking and community moves.  Each sweep's
+    proposal loop runs inside the metrics kernel on the compiled tracker
+    engine (:class:`repro.graphs.metrics.KernelSweep`) and in
+    :func:`_oracle_sweep` otherwise; the two are bit-identical.
     """
     config = config or ForceDirectedConfig()
     rng = random.Random(config.seed)
@@ -541,6 +505,8 @@ def force_directed_refine(
     poles = assign_dipole_poles(graph, seed=config.seed)
     field_model = _ForceField(graph, config, poles)
 
+    # Every graph node must be placed for the forces, so ``vertices`` is
+    # the force array's node order.
     vertices = [v for v in graph.nodes() if v in placement.positions]
     # Community detection is deferred until the first stall actually asks
     # for a community move (most refinements never stall); ``None`` means
@@ -552,6 +518,10 @@ def force_directed_refine(
         placement.as_float_positions(),
         crossing_weight=config.cost_crossing_weight,
     )
+    kernel = tracker.kernel_sweep(vertices, placement.height, placement.width)
+    # A step longer than the grid leaves it all the same; the clamp keeps
+    # every step a small integer.
+    max_step = min(config.max_step, max(placement.height, placement.width))
     stats = RefineStats()
 
     best = placement.copy()
@@ -563,101 +533,25 @@ def force_directed_refine(
 
     for _sweep in range(config.sweeps):
         forces = field_model.forces(placement.positions)
-        order = list(vertices)
+        order = list(range(len(vertices)))
         rng.shuffle(order)
-        improved_any = False
+        steps = _step_toward(forces[order], max_step)
         stats.sweeps += 1
-
-        # Generate the sweep's candidate moves up front from the sweep-start
-        # placement.  Forces are per-sweep anyway; targets, bounds checks and
-        # occupant swaps stay exact until the first *accepted* move, which
-        # invalidates every later candidate (the spacing metric couples all
-        # midpoints, so any accept changes every subsequent delta).
-        proposals = []
-        for vertex in order:
-            force = forces.get(vertex, (0.0, 0.0))
-            d_row, d_col = _step_toward(force, config.max_step)
-            if d_row == 0 and d_col == 0:
-                continue
-            row, col = placement.positions[vertex]
-            target = (row + d_row, col + d_col)
-            if placement.in_bounds(target):
-                occupant = placement.occupant(target)
-                updates = {vertex: (float(target[0]), float(target[1]))}
-                if occupant is not None:
-                    updates[occupant] = (float(row), float(col))
-            else:
-                # Kept (not evaluated): an accepted move may bring the
-                # vertex back in bounds, so the fallback path re-checks.
-                updates = None
-            proposals.append((vertex, d_row, d_col, target, updates))
-
-        batch_valid = True
-        deltas: Dict[int, float] = {}
-        for index, (vertex, d_row, d_col, target, updates) in enumerate(proposals):
-            if batch_valid:
-                if updates is None:
-                    continue  # no accept yet: the target is still out of bounds
-                if index not in deltas:
-                    # Evaluate the next chunk of candidates in one batched
-                    # call (a single kernel invocation on the compiled
-                    # engine); rejected proposals never touch the tracker.
-                    chunk = [
-                        (j, proposals[j][4])
-                        for j in range(
-                            index, min(index + _PROPOSAL_CHUNK, len(proposals))
-                        )
-                        if proposals[j][4] is not None
-                    ]
-                    for (j, _), value in zip(
-                        chunk,
-                        tracker.evaluate_many([u for _, u in chunk]),
-                    ):
-                        deltas[j] = value
-                delta = deltas[index]
-                stats.proposed_moves += 1
-                accept = delta <= 0 or (
-                    temperature > 1e-9
-                    and rng.random() < math.exp(-delta / temperature)
-                )
-                if accept:
-                    # Replay the accepted candidate for real.  The tracker
-                    # state is identical to evaluation time, so this apply
-                    # returns the same delta bit for bit.
-                    tracker.apply(updates)
-                    placement.move(vertex, target)
-                    stats.accepted_moves += 1
-                    if delta < 0:
-                        improved_any = True
-                        stats.improving_moves += 1
-                    batch_valid = False
-                continue
-            # Sequential fallback after the first accepted move: regenerate
-            # target and occupant from the current placement (the force, and
-            # hence the step, stays fixed for the sweep), exactly like the
-            # one-move-at-a-time annealer.
-            row, col = placement.positions[vertex]
-            target = (row + d_row, col + d_col)
-            if not placement.in_bounds(target):
-                continue
-            occupant = placement.occupant(target)
-            updates = {vertex: (float(target[0]), float(target[1]))}
-            if occupant is not None:
-                updates[occupant] = (float(row), float(col))
-            delta = tracker.evaluate(updates)
-            stats.proposed_moves += 1
-            accept = delta <= 0 or (
-                temperature > 1e-9 and rng.random() < math.exp(-delta / temperature)
+        if kernel is not None:
+            moves, proposed, improving = kernel.run(
+                placement.positions, order, steps, temperature, rng
             )
-            if accept:
-                # Commit the evaluation just made; a rejected proposal needs
-                # no cleanup (the next evaluate() simply supersedes it).
-                tracker.commit_evaluated()
-                placement.move(vertex, target)
-                stats.accepted_moves += 1
-                if delta < 0:
-                    improved_any = True
-                    stats.improving_moves += 1
+            for vertex, cell in moves:
+                placement.move(vertex, cell)
+            stats.proposed_moves += proposed
+            stats.accepted_moves += len(moves)
+            stats.improving_moves += improving
+            improved_any = improving > 0
+        else:
+            improved_any = _oracle_sweep(
+                placement, tracker, vertices, order, steps, temperature, rng,
+                stats,
+            )
 
         temperature *= config.cooling
         current_cost = tracker.cost()

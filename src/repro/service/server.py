@@ -322,6 +322,9 @@ def build_handler(service: SweepService, quiet: bool = True):
         # with Nagle the body waits for the client's delayed ACK (~40 ms
         # per response on a kept-alive connection).
         disable_nagle_algorithm = True
+        #: (endpoint, start time) of the request being dispatched, until
+        #: its response status is recorded in the service counters.
+        _pending_observation: Optional[Tuple[str, float]] = None
 
         # ---- plumbing ------------------------------------------------
         def log_message(self, format: str, *args: Any) -> None:
@@ -337,6 +340,9 @@ def build_handler(service: SweepService, quiet: bool = True):
             body = b""
             if payload is not None:
                 body = (json.dumps(payload, indent=2) + "\n").encode("utf-8")
+            # Count the request before any byte of the response leaves: a
+            # client that has its reply must find it in /v1/status.
+            self._observe(status)
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
@@ -358,24 +364,30 @@ def build_handler(service: SweepService, quiet: bool = True):
                     f"request body is not valid JSON: {error}"
                 ) from error
 
-        def _dispatch(self, endpoint: str, handler) -> None:
-            started = time.perf_counter()
-            status = 500
-            try:
-                status = handler()
-            except WireFormatError as error:
-                status = 400
-                self._send_json(status, error.to_dict())
-            except Exception as error:  # never kill the connection thread
-                status = 500
-                self._send_json(
-                    status,
-                    {"error": {"message": f"{type(error).__name__}: {error}"}},
-                )
-            finally:
+        def _observe(self, status: int) -> None:
+            """Record the dispatched request once, with its final status."""
+            pending = self._pending_observation
+            if pending is not None:
+                self._pending_observation = None
+                endpoint, started = pending
                 service.counters.observe(
                     endpoint, time.perf_counter() - started, status
                 )
+
+        def _dispatch(self, endpoint: str, handler) -> None:
+            self._pending_observation = (endpoint, time.perf_counter())
+            try:
+                handler()
+            except WireFormatError as error:
+                self._send_json(400, error.to_dict())
+            except Exception as error:  # never kill the connection thread
+                self._send_json(
+                    500,
+                    {"error": {"message": f"{type(error).__name__}: {error}"}},
+                )
+            finally:
+                # A handler that died before responding is still counted.
+                self._observe(500)
 
         # ---- routes --------------------------------------------------
         def do_GET(self) -> None:  # noqa: N802 - http.server API
@@ -396,7 +408,7 @@ def build_handler(service: SweepService, quiet: bool = True):
             else:
                 self._dispatch("POST <unknown>", self._not_found)
 
-        def _not_found(self) -> int:
+        def _not_found(self) -> None:
             self._send_json(
                 404,
                 {
@@ -412,17 +424,14 @@ def build_handler(service: SweepService, quiet: bool = True):
                     }
                 },
             )
-            return 404
 
-        def _get_healthz(self) -> int:
+        def _get_healthz(self) -> None:
             self._send_json(200, {"ok": True, "service": SERVICE_VERSION})
-            return 200
 
-        def _get_status(self) -> int:
+        def _get_status(self) -> None:
             self._send_json(200, service.status())
-            return 200
 
-        def _get_job(self) -> int:
+        def _get_job(self) -> None:
             match = _JOB_PATH.match(self.path)
             assert match is not None
             view = service.job_status(match.group(1))
@@ -431,18 +440,17 @@ def build_handler(service: SweepService, quiet: bool = True):
                     404,
                     {"error": {"message": f"unknown job {match.group(1)!r}"}},
                 )
-                return 404
+                return
             self._send_json(200, view)
-            return 200
 
-        def _post_evaluate(self) -> int:
+        def _post_evaluate(self) -> None:
             data = self._read_json_body()
             outcome = service.evaluate(
                 data, if_none_match=self.headers.get("If-None-Match")
             )
             if outcome.not_modified:
                 self._send_json(304, None, headers={"ETag": outcome.etag})
-                return 304
+                return
             self._send_json(
                 200,
                 {
@@ -452,15 +460,13 @@ def build_handler(service: SweepService, quiet: bool = True):
                 },
                 headers={"ETag": outcome.etag},
             )
-            return 200
 
-        def _post_sweeps(self) -> int:
+        def _post_sweeps(self) -> None:
             data = self._read_json_body()
             accepted = service.submit_sweep(data)
             self._send_json(
                 202, accepted, headers={"Location": accepted["location"]}
             )
-            return 202
 
     return Handler
 

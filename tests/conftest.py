@@ -6,6 +6,10 @@ Factory construction and simulation are deterministic, so expensive objects
 
 from __future__ import annotations
 
+import dataclasses
+import random
+import types
+
 import pytest
 
 
@@ -87,3 +91,43 @@ def k4_linear_placement(single_level_k4):
 def k4_random_placement(single_level_k4):
     """Random placement of the single-level capacity-4 factory."""
     return random_circuit_placement(single_level_k4.circuit, seed=11)
+
+
+@pytest.fixture
+def refine_outcome(monkeypatch):
+    """Run ``force_directed_refine`` and capture everything it decides.
+
+    Returns a function ``(graph, placement, config) -> dict`` with the
+    refined positions, every ``RefineStats`` field (floats as ``repr``, so
+    a last-ulp difference shows) and the annealer RNG's state after the
+    run, which pins the number and order of its draws.
+    """
+    from repro.mapping import force_directed as fd_module
+
+    created = []
+
+    class _RecordingRandom(random.Random):
+        def __init__(self, seed=None):
+            super().__init__(seed)
+            created.append(self)
+
+    monkeypatch.setattr(
+        fd_module, "random", types.SimpleNamespace(Random=_RecordingRandom)
+    )
+
+    def run(graph, placement, config):
+        created.clear()
+        fd_module.take_refine_stats()
+        refined = fd_module.force_directed_refine(graph, placement, config)
+        stats = dataclasses.asdict(fd_module.take_refine_stats()[-1])
+        stats["initial_cost"] = repr(stats["initial_cost"])
+        stats["best_cost"] = repr(stats["best_cost"])
+        stats["sweep_costs"] = [repr(cost) for cost in stats["sweep_costs"]]
+        return {
+            "positions": dict(refined.positions),
+            "stats": stats,
+            # The annealer's own generator is the first one it creates.
+            "rng": created[0].getstate(),
+        }
+
+    return run

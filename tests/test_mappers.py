@@ -1,5 +1,8 @@
 """Unit tests for the mapping algorithms (linear, random, FD, GP)."""
 
+import functools
+import random
+
 import pytest
 
 from repro.circuits import critical_path_length
@@ -359,3 +362,283 @@ class TestStallCounter:
         force_directed_refine(graph, k4_random_placement, config)
         stats = take_refine_stats()[-1]
         assert stats.community_moves == 0
+
+
+# ----------------------------------------------------------------------
+# Kernel sweep vs the Python oracle
+# ----------------------------------------------------------------------
+#: The parity matrix's annealer configurations.
+PARITY_CONFIGS = {
+    "seed0": dict(seed=0),
+    "seed1": dict(seed=1),
+    "seed7": dict(seed=7),
+    "frozen": dict(seed=2, temperature=0.0),
+    "no-communities": dict(seed=3, use_communities=False, sweeps=8),
+    "no-dipole": dict(
+        seed=4, use_dipole=False, max_step=1, cooling=0.5, temperature=5.0
+    ),
+    "no-attraction": dict(
+        seed=5, use_attraction=False, community_patience=1, max_community_moves=10
+    ),
+}
+
+
+def _random_graph_case(index):
+    """A random graph on a placement with spare non-graph occupants."""
+    import networkx as nx
+
+    from repro.mapping.placement import Placement
+
+    rng = random.Random(100 + index)
+    n = rng.randint(6, 40)
+    graph = nx.gnm_random_graph(
+        n, rng.randint(n, 3 * n), seed=rng.randrange(1 << 30)
+    )
+    spares = [1000 + i for i in range(rng.randint(1, 8))]
+    side = int((n + len(spares)) ** 0.5) + rng.randint(1, 3)
+    cells = [(row, col) for row in range(side) for col in range(side)]
+    rng.shuffle(cells)
+    occupants = list(graph.nodes()) + spares
+    return graph, Placement(side, side, dict(zip(occupants, cells)))
+
+
+@functools.lru_cache(maxsize=None)
+def _parity_case(name):
+    from repro.distillation import (
+        build_single_level_factory,
+        build_two_level_factory,
+    )
+
+    if name.startswith("random"):
+        return _random_graph_case(int(name[len("random") :]))
+    if name.startswith("L1-K"):
+        factory = build_single_level_factory(int(name[len("L1-K") :]))
+    else:
+        factory = build_two_level_factory(
+            int(name[len("L2-K") :]), barriers_between_rounds=True
+        )
+    return interaction_graph(factory.circuit), linear_factory_placement(factory)
+
+
+def _require_kernel():
+    from repro.graphs import tracker_engines
+
+    if "compiled" not in tracker_engines():
+        pytest.skip("the metrics kernel is unavailable")
+
+
+def _assert_kernel_matches_oracle(
+    refine_outcome, monkeypatch, name, config, oracle_engine
+):
+    """Run the kernel sweep, then the oracle loop, and compare everything."""
+    from repro.graphs.metrics import KernelSweep, MappingCostTracker
+
+    _require_kernel()
+    graph, placement = _parity_case(name)
+    runs = []
+    real_run = KernelSweep.run
+
+    def counting_run(self, *args):
+        runs.append(1)
+        return real_run(self, *args)
+
+    monkeypatch.setattr(KernelSweep, "run", counting_run)
+    monkeypatch.setenv("REPRO_METRICS_ENGINE", "compiled")
+    kernel = refine_outcome(graph, placement, config)
+    assert len(runs) == config.sweeps  # one kernel call per sweep
+    if oracle_engine == "scalar":
+        monkeypatch.setenv("REPRO_METRICS_ENGINE", "scalar")
+    else:
+        # The oracle loop over the compiled engine's per-move evaluate.
+        monkeypatch.setattr(
+            MappingCostTracker, "kernel_sweep", lambda self, *args: None
+        )
+    oracle = refine_outcome(graph, placement, config)
+    assert len(runs) == config.sweeps  # the oracle never entered the kernel
+    for key in ("positions", "stats", "rng"):
+        assert kernel[key] == oracle[key], f"{name}: kernel sweep forked {key}"
+
+
+class TestKernelSweepParity:
+    """``mc_sweep`` equals the sequential Python loop bit for bit.
+
+    Small graphs compare against the loop on the ``scalar`` engine (the
+    tracker's own oracle).  On the two-level factories the scalar engine
+    costs minutes per refine, so the loop runs on the compiled engine's
+    per-move ``evaluate`` instead; its parity with ``scalar`` is pinned by
+    the tracker fuzz harness and the cross-engine refine test above.
+    """
+
+    @pytest.mark.parametrize("config_name", sorted(PARITY_CONFIGS))
+    @pytest.mark.parametrize(
+        "name",
+        ["L1-K2", "L1-K4", "L1-K8"] + [f"random{i}" for i in range(6)],
+    )
+    def test_small_graphs_match_scalar_oracle(
+        self, refine_outcome, monkeypatch, name, config_name
+    ):
+        config = ForceDirectedConfig(**PARITY_CONFIGS[config_name])
+        _assert_kernel_matches_oracle(
+            refine_outcome, monkeypatch, name, config, "scalar"
+        )
+
+    @pytest.mark.parametrize("config_name", sorted(PARITY_CONFIGS))
+    def test_two_level_k4_matches_oracle(
+        self, refine_outcome, monkeypatch, config_name
+    ):
+        config = ForceDirectedConfig(**PARITY_CONFIGS[config_name])
+        _assert_kernel_matches_oracle(
+            refine_outcome, monkeypatch, "L2-K4", config, "compiled"
+        )
+
+    @pytest.mark.parametrize("config_name", ["seed0", "frozen", "no-attraction"])
+    def test_two_level_k16_matches_oracle(
+        self, refine_outcome, monkeypatch, config_name
+    ):
+        # 1032 edges; six sweeps keep the oracle run short.
+        settings = dict(PARITY_CONFIGS[config_name], sweeps=6)
+        _assert_kernel_matches_oracle(
+            refine_outcome,
+            monkeypatch,
+            "L2-K16",
+            ForceDirectedConfig(**settings),
+            "compiled",
+        )
+
+    @pytest.mark.parametrize("temperature", [1e-9, 2e-9])
+    def test_draws_only_above_the_temperature_floor(
+        self, refine_outcome, monkeypatch, temperature
+    ):
+        # At T = 1e-9 a worsening move is rejected without a draw; just
+        # above it every worsening move draws once.  The RNG state after
+        # the run pins the draw count.
+        config = ForceDirectedConfig(seed=6, temperature=temperature, cooling=1.0)
+        _assert_kernel_matches_oracle(
+            refine_outcome, monkeypatch, "random0", config, "scalar"
+        )
+
+    def test_grid_overflow_resume_is_identical(self, refine_outcome, monkeypatch):
+        """A commit that overflows a grid cell resumes the sweep exactly."""
+        import numpy as np
+
+        from repro.graphs import metrics as metrics_module
+
+        _require_kernel()
+        graph, placement = _parity_case("L1-K8")
+        config = ForceDirectedConfig(sweeps=10, seed=0, use_communities=False)
+        monkeypatch.setenv("REPRO_METRICS_ENGINE", "scalar")
+        oracle = refine_outcome(graph, placement, config)
+
+        engine_cls = metrics_module._CompiledTrackerEngine
+        rebuilds = []
+        real_rebuild = engine_cls._rebuild_grid
+
+        def counting_rebuild(self):
+            rebuilds.append(1)
+            real_rebuild(self)
+
+        def grow_by_one(self):
+            # One slot at a time (instead of doubling) keeps every cell
+            # full, so the first crowding commit overflows.
+            self._ip[6] += 1
+            self._cell_items = np.zeros(
+                self._n_cells * int(self._ip[6]), dtype=np.int64
+            )
+            self._ci_p = self._cell_items.ctypes.data
+
+        monkeypatch.setattr(engine_cls, "_rebuild_grid", counting_rebuild)
+        monkeypatch.setattr(engine_cls, "_grow_cell_items", grow_by_one)
+        monkeypatch.setattr(metrics_module, "_CELL_CAPACITY", 1)
+        monkeypatch.setenv("REPRO_METRICS_ENGINE", "compiled")
+        kernel = refine_outcome(graph, placement, config)
+        # Without community moves every commit happens inside mc_sweep.
+        assert rebuilds, "no commit overflowed a grid cell"
+        assert kernel == oracle
+
+
+def test_kernel_sweep_leaves_the_tracker_as_the_oracle_does():
+    """After a kernel sweep every tracker field equals the oracle's."""
+    import numpy as np
+
+    from repro.graphs.metrics import MappingCostTracker
+    from repro.mapping.force_directed import (
+        RefineStats,
+        _oracle_sweep,
+        _step_toward,
+    )
+
+    _require_kernel()
+    graph, placement = _parity_case("random3")
+    graph = graph.copy()  # the case is cached and shared
+    for a, b in graph.edges():  # weights feed the weighted-length sum
+        graph[a][b]["weight"] = 0.5 + (a * 7 + b) % 4
+    vertices = list(graph.nodes())
+    rng = random.Random(11)
+    forces = np.asarray(
+        [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in vertices]
+    )
+    order = list(range(len(vertices)))
+    rng.shuffle(order)
+    steps = _step_toward(forces[order], 4)
+    states = []
+    for use_kernel in (True, False):
+        moved = placement.copy()
+        tracker = MappingCostTracker(
+            graph, moved.as_float_positions(), engine="compiled"
+        )
+        sweep_rng = random.Random(5)
+        if use_kernel:
+            kernel = tracker.kernel_sweep(vertices, moved.height, moved.width)
+            moves, _, _ = kernel.run(moved.positions, order, steps, 0.7, sweep_rng)
+            assert moves, "the sweep accepted nothing"
+            for vertex, cell in moves:
+                moved.move(vertex, cell)
+        else:
+            _oracle_sweep(
+                moved, tracker, vertices, order, steps, 0.7, sweep_rng,
+                RefineStats(),
+            )
+        # A later Python-side move must see the same committed geometry.
+        delta = tracker.apply({vertices[0]: (0.0, 0.0), vertices[1]: (1.0, 1.0)})
+        states.append(
+            (
+                moved.positions,
+                tracker.crossings,
+                tracker.total_edge_length,
+                tracker.total_weighted_length,
+                tracker.spacing_sum,
+                tracker.cost(),
+                dict(tracker._positions),
+                list(tracker._ends),
+                list(tracker._mids),
+                delta,
+                sweep_rng.getstate(),
+            )
+        )
+    assert states[0] == states[1]
+
+
+class TestKernelRandom:
+    """The kernel's MT19937 reproduces ``random.random()`` exactly."""
+
+    @pytest.mark.parametrize("warmup_words", [0, 1, 623])
+    @pytest.mark.parametrize("seed", [0, 1, 42, 2**40 + 7, "text seed"])
+    def test_draws_and_state_match_python(self, seed, warmup_words):
+        import numpy as np
+
+        from repro.kernels import metrics as metrics_kernel
+
+        kern = metrics_kernel.load()
+        if kern is None:
+            pytest.skip("the metrics kernel is unavailable")
+        rng = random.Random(seed)
+        for _ in range(warmup_words):  # leave the read index mid-block
+            rng.getrandbits(32)
+        version, internal, gauss_next = rng.getstate()
+        mt = np.asarray(internal[:-1], dtype=np.uint32)
+        index = np.asarray([internal[-1]], dtype=np.int64)
+        draws = np.zeros(1000)  # 2000 words: three regenerations
+        kern.random(mt.ctypes.data, index.ctypes.data, len(draws), draws.ctypes.data)
+        assert draws.tolist() == [rng.random() for _ in range(len(draws))]
+        state = (version, tuple(mt.tolist()) + (int(index[0]),), gauss_next)
+        assert state == rng.getstate()

@@ -1,15 +1,24 @@
 """Differential fuzz harness: tracker engines vs the scalar reference.
 
-Each trial draws a random scenario — a random interaction-style graph
-(occasionally weighted, occasionally with non-integer vertex labels), a
-random layout, and a random sequence of moves, reverts and batched
-evaluations — and checks that **every** available
+Each tracker trial draws a random scenario — a random interaction-style
+graph (occasionally weighted, occasionally with non-integer vertex
+labels), a random layout, and a random sequence of moves, reverts and
+pure (never committed) evaluations — and checks that **every** available
 :class:`repro.graphs.metrics.MappingCostTracker` engine (``scalar``
 reference, ``vector`` when numpy is present, ``compiled`` when the C
 kernel builds) stays byte-identical on the full tracker state after
 every step: per-move deltas, crossings, total/weighted length, spacing
-sum, combined cost, and the tracked positions.  A small corpus runs in
-tier 1; the nightly CI job widens it with ``--fuzz-iterations``.
+sum, combined cost, and the tracked positions.
+
+Each refine trial draws a random graph, a placement with extra non-graph
+occupants and a random :class:`ForceDirectedConfig`, and runs the
+force-directed annealer once per engine: the ``compiled`` engine runs
+every sweep inside the kernel (``mc_sweep``), the others run the Python
+oracle loop.  The refined placement, every ``RefineStats`` field and the
+annealer RNG's final state must match the ``scalar`` run exactly.
+
+A small corpus runs in tier 1; the nightly CI job widens it with
+``--fuzz-iterations``.
 
 Failures are collected, not raised one at a time: the assertion message
 lists every failing seed with a one-line repro command
@@ -24,6 +33,8 @@ import networkx as nx
 import pytest
 
 from repro.graphs import MappingCostTracker, tracker_engines
+from repro.mapping import ForceDirectedConfig
+from repro.mapping.placement import Placement
 
 #: Offset added to the trial index so seed 0 is not a magic value.
 SEED_BASE = 20260808
@@ -112,26 +123,24 @@ def run_trial(seed: int) -> None:
             for tracker in trackers.values():
                 tracker.apply(updates)
                 tracker.revert_last()
-        else:  # batched evaluation of independent proposals (no commit)
-            proposals = [
-                _random_updates(rng, vertices, span)
-                for _ in range(rng.randint(1, 6))
-            ]
-            batches = {
-                engine: tracker.evaluate_many(proposals)
-                for engine, tracker in trackers.items()
-            }
-            expected_batch = batches["scalar"]
-            for engine, batch in batches.items():
-                assert batch == expected_batch, (
-                    f"engine={engine!r} diverged on evaluate_many() "
-                    f"at step {step} (seed {seed})"
-                )
-            singles = [reference.evaluate(updates) for updates in proposals]
-            assert expected_batch == singles, (
-                f"evaluate_many() diverged from per-move evaluate() "
-                f"at step {step} (seed {seed})"
-            )
+        else:  # pure evaluations of independent proposals (no commit)
+            for _ in range(rng.randint(1, 6)):
+                updates = _random_updates(rng, vertices, span)
+                deltas = {
+                    engine: tracker.evaluate(updates)
+                    for engine, tracker in trackers.items()
+                }
+                expected = deltas["scalar"]
+                for engine, delta in deltas.items():
+                    assert delta == expected, (
+                        f"engine={engine!r} diverged on the evaluate() delta "
+                        f"at step {step} (seed {seed})"
+                    )
+                for engine, tracker in trackers.items():
+                    assert _state(tracker) == ref_state, (
+                        f"engine={engine!r} changed the tracker state in a "
+                        f"pure evaluate() at step {step} (seed {seed})"
+                    )
         ref_state = _state(reference)
         for engine, tracker in trackers.items():
             assert _state(tracker) == ref_state, (
@@ -145,8 +154,8 @@ def trackers_support_compiled(graph: nx.Graph) -> bool:
     return all(isinstance(vertex, int) for vertex in graph.nodes())
 
 
-def test_differential_fuzz(request):
-    """Sweep the seeded corpus; report every failing seed with a repro."""
+def _fuzz_corpus(request, trial, test_id: str) -> None:
+    """Run ``trial`` over the seeded corpus; report every failing seed."""
     seeds_option = request.config.getoption("--fuzz-seeds")
     if seeds_option:
         seeds = [int(token) for token in str(seeds_option).split(",") if token.strip()]
@@ -155,7 +164,7 @@ def test_differential_fuzz(request):
     failures = []
     for seed in seeds:
         try:
-            run_trial(seed)
+            trial(seed)
         except AssertionError as error:
             failures.append((seed, str(error).splitlines()[0]))
     if failures:
@@ -164,10 +173,71 @@ def test_differential_fuzz(request):
             lines.append(
                 f"  seed {seed}: {message}\n"
                 f"    repro: python -m pytest "
-                f"tests/test_metrics_fuzz.py::test_differential_fuzz "
+                f"tests/test_metrics_fuzz.py::{test_id} "
                 f"--fuzz-seeds={seed}"
             )
         pytest.fail("\n".join(lines))
+
+
+def test_differential_fuzz(request):
+    """Sweep the seeded corpus; report every failing seed with a repro."""
+    _fuzz_corpus(request, run_trial, "test_differential_fuzz")
+
+
+def _random_refine_case(rng: random.Random):
+    """A random graph, a placement with spare occupants, and a config."""
+    graph = _random_graph(rng)
+    labelled = any(isinstance(vertex, str) for vertex in graph.nodes())
+    spares = [
+        f"spare{i}" if labelled else 1000 + i for i in range(rng.randint(0, 6))
+    ]
+    occupants = list(graph.nodes()) + spares
+    height = rng.randint(2, 9)
+    width = max(rng.randint(2, 9), -(-len(occupants) // height))
+    cells = [(row, col) for row in range(height) for col in range(width)]
+    rng.shuffle(cells)
+    placement = Placement(width, height, dict(zip(occupants, cells)))
+    config = ForceDirectedConfig(
+        sweeps=rng.randint(0, 6),
+        temperature=rng.choice([0.0, rng.uniform(0.0, 3.0), 1e-10]),
+        cooling=rng.uniform(0.0, 1.0),
+        attraction_weight=rng.uniform(0.0, 2.0),
+        repulsion_weight=rng.uniform(0.0, 2.0),
+        dipole_weight=rng.uniform(0.0, 2.0),
+        neighborhood_radius=rng.randint(1, 6),
+        max_step=rng.randint(1, 12),
+        community_patience=rng.randint(0, 3),
+        max_community_moves=rng.randint(0, 4),
+        use_attraction=rng.random() < 0.8,
+        use_edge_repulsion=rng.random() < 0.8,
+        use_dipole=rng.random() < 0.8,
+        use_communities=rng.random() < 0.7,
+        cost_crossing_weight=rng.uniform(0.0, 8.0),
+        seed=rng.randrange(1 << 20),
+    )
+    return graph, placement, config
+
+
+def test_refine_differential_fuzz(request, refine_outcome, monkeypatch):
+    """The kernel sweep and the oracle loop anneal identically."""
+
+    def trial(seed: int) -> None:
+        rng = random.Random(SEED_BASE + seed)
+        graph, placement, config = _random_refine_case(rng)
+        outcomes = {}
+        for engine in _engines():
+            monkeypatch.setenv("REPRO_METRICS_ENGINE", engine)
+            if engine == "compiled" and not trackers_support_compiled(graph):
+                continue
+            outcomes[engine] = refine_outcome(graph, placement, config)
+        expected = outcomes["scalar"]
+        for engine, outcome in outcomes.items():
+            for key, value in outcome.items():
+                assert value == expected[key], (
+                    f"engine={engine!r} refine diverged on {key} (seed {seed})"
+                )
+
+    _fuzz_corpus(request, trial, "test_refine_differential_fuzz")
 
 
 def test_harness_detects_divergence(monkeypatch):

@@ -337,6 +337,36 @@ class TestHttpEndpoints:
         }
         assert body["in_flight"] == 0
 
+    def test_status_counts_every_answered_request(self, base_url):
+        # Each request is counted before its response goes out, so a
+        # client holding its /healthz reply always finds it in /v1/status.
+        # Two kept-alive connections are served by two handler threads,
+        # which is where counting after the write raced the next request.
+        host, port = base_url.rsplit("/", 1)[1].split(":")
+        health = HTTPConnection(host, int(port), timeout=30)
+        status_conn = HTTPConnection(host, int(port), timeout=30)
+        try:
+            for answered in range(1, 401):
+                health.request("GET", "/healthz")
+                response = health.getresponse()
+                response.read()
+                assert response.status == 200
+                status_conn.request("GET", "/v1/status")
+                body = json.loads(status_conn.getresponse().read())
+                endpoints = body["server"]["endpoints"]
+                assert endpoints["GET /healthz"]["requests"] == answered
+        finally:
+            health.close()
+            status_conn.close()
+
+    def test_invalid_fd_config_is_400_naming_fd_config(self, base_url):
+        data = a_request(method="force_directed").to_dict()
+        data["fd_config"] = {"max_step": -1}
+        status, _, body = http("POST", f"{base_url}/v1/evaluate", data)
+        assert status == 400
+        assert body["error"]["field"] == "fd_config"
+        assert "max_step" in body["error"]["message"]
+
 
 class TestHttpSweeps:
     def test_sweep_job_lifecycle(self, base_url, service):

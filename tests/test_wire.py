@@ -89,6 +89,45 @@ class TestDecodeEvaluationRequest:
         with pytest.raises(WireFormatError):
             decode_evaluation_request(payload)
 
+    @pytest.mark.parametrize(
+        "fd_config",
+        [
+            {"sweeps": 2.5},
+            {"sweeps": -3},
+            {"sweeps": True},
+            {"max_step": -1},
+            {"max_step": 0},
+            {"neighborhood_radius": 0},
+            {"community_patience": -1},
+            {"max_community_moves": -2},
+            {"seed": 1.5},
+            {"temperature": -1.0},
+            {"temperature": float("inf")},
+            {"cooling": float("nan")},
+            {"cooling": 1.5},
+            {"cooling": -0.1},
+            {"attraction_weight": float("inf")},
+            {"cost_crossing_weight": float("nan")},
+            {"dipole_weight": "heavy"},
+            {"use_dipole": 1},
+            {"use_communities": "yes"},
+        ],
+    )
+    def test_invalid_fd_config_names_fd_config(self, fd_config):
+        payload = wire_request(method="force_directed", fd_config=fd_config)
+        with pytest.raises(WireFormatError) as excinfo:
+            decode_evaluation_request(payload)
+        assert excinfo.value.field == "fd_config"
+        (key,) = fd_config
+        assert key in str(excinfo.value)
+
+    def test_in_range_fd_config_decodes(self):
+        fd_config = {"sweeps": 0, "max_step": 1, "temperature": 0, "cooling": 1.0}
+        request = decode_evaluation_request(
+            wire_request(method="force_directed", fd_config=fd_config)
+        )
+        assert request.fd_config == ForceDirectedConfig(**fd_config)
+
     def test_field_prefix_appears_in_nested_messages(self):
         with pytest.raises(WireFormatError) as excinfo:
             decode_evaluation_request({"method": "linear"}, field_prefix="requests[3]")
