@@ -420,9 +420,9 @@ class Pipeline:
         not answered by the :class:`~repro.api.store.ResultStore` or the
         :class:`~repro.routing.simulator.SimulationCache` are executed in
         one :func:`~repro.routing.batchsim.simulate_batch` call, which
-        groups same-circuit points and advances them together through the
-        vectorized (or compiled) batched engine.  ``engine`` is forwarded
-        to :func:`~repro.routing.batchsim.simulate_batch`.
+        groups same-circuit points and runs them through the compiled
+        batched kernel.  ``engine`` is forwarded to
+        :func:`~repro.routing.batchsim.simulate_batch`.
         """
         # Imported lazily, like the other analysis/routing consumers above.
         from ..routing.batchsim import simulate_batch

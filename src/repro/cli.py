@@ -1100,16 +1100,12 @@ def _bench_sim_batch(args: argparse.Namespace) -> Dict[str, Any]:
     agree field-for-field on ``to_dict()``.  Wall times are
     best-of-``repeats``; the headline ``speedup`` is the loop total over
     the batched total.  The record names the batched engine actually used
-    (``compiled``/``vector``/``scalar``) so cross-machine records stay
-    interpretable.
+    (``compiled``, or ``loop`` when the kernel cannot be built) so
+    cross-machine records stay interpretable.
     """
     from .mapping import random_circuit_placement
     from .routing import SimulatorConfig, simulate
-    from .routing.batchsim import (
-        kernel_available,
-        numpy_available,
-        simulate_batch,
-    )
+    from .routing.batchsim import kernel_available, simulate_batch
     from .routing.simulator import _gate_list
 
     capacity, levels = (4, 1) if args.smoke else (16, 2)
@@ -1153,11 +1149,7 @@ def _bench_sim_batch(args: argparse.Namespace) -> Dict[str, Any]:
             f"sim-batch: batched engine diverged from the per-point engine "
             f"on {mismatched} of {len(points)} points"
         )
-    engine = (
-        "compiled"
-        if kernel_available()
-        else ("vector" if numpy_available() else "scalar")
-    )
+    engine = "compiled" if kernel_available() else "loop"
     return {
         "experiment": SIM_BATCH_BENCH,
         "params": {

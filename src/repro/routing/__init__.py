@@ -22,17 +22,17 @@ schedules on it:
   :func:`simulate_reference` retains the set-based retry-every-event
   oracle that the parity suite checks it against, byte for byte;
 * :func:`simulate_batch` — the batched core: groups same-circuit sweep
-  points and advances all of them per event-loop iteration (numpy lanes,
-  plus an optional runtime-compiled C kernel), byte-identical to
-  :func:`simulate` at any batch size and falling back to it point-by-point
-  when numpy is unavailable;
+  points, shares their circuit preparation and route-candidate table, and
+  runs each point's event loop in a runtime-compiled C kernel,
+  byte-identical to :func:`simulate` at any batch size and mesh size and
+  falling back to it point-by-point when the kernel cannot be built;
 * :class:`SimulationCache` / :func:`simulation_cache_key` — memoization of
   deterministic simulation results keyed by (circuit fingerprint,
   placement, simulator config), used by the evaluation pipeline so repeated
   sweep points never re-simulate.
 """
 
-from .batchsim import kernel_available, numpy_available, simulate_batch
+from .batchsim import kernel_available, simulate_batch
 from .braid import BraidPath
 from .mesh import (
     Cell,
@@ -76,7 +76,6 @@ __all__ = [
     "SimulatorConfig",
     "circuit_fingerprint",
     "kernel_available",
-    "numpy_available",
     "simulate",
     "simulate_batch",
     "simulate_latency",

@@ -1,100 +1,63 @@
-"""Batched braid simulation: K sweep points through one event loop.
+"""Batched braid simulation: sweep points through one compiled event loop.
 
 A capacity sweep simulates the *same circuit* under many placements and
 configs.  :func:`simulate_batch` exploits that: it groups requests by
 circuit, shares the per-circuit preparation (dependency DAG, gate
-metadata) and the per-endpoint-pair route plans across the whole group,
-and advances every point of a group through a single time-stepped event
-loop whose per-step work is done at the *array* level — the cost of a
-step is a fixed number of numpy operations over all K points' events,
-not a Python-level loop over each point's events.
+metadata, the braids flattened into endpoint-pair *legs*) across the
+group and each placement's table of route candidates across its configs,
+and runs each point's event loop in the compiled kernel
+(:mod:`repro.routing.kernel`, ``batchsim_kernel.c``).
 
-Occupancy representation
-------------------------
-Every route candidate the router can produce is an L-shaped path: one
-horizontal segment, one vertical segment, and the two endpoint cells.
-The batched engine therefore keeps each point's ``locked`` occupancy in
-a *dual* row/column bitboard — one ``uint64`` word per lattice row (bit
-= column) concatenated with one word per lattice column (bit = row),
-i.e. a ``(K, H + W)`` array — so a candidate's conflict test collapses
-to exactly four word probes: the horizontal segment against its row
-word, the vertical segment against its column word, and one bit per
-endpoint.  A wave's candidate tests are then a single ``(attempts,
-candidates, 4)`` gather + AND over the batch instead of a dense scan of
-the full lattice bitmask.  This requires lattice dimensions ≤ 64 in
-both axes; larger meshes fall back to the scalar engine per point.
-
-The rest of the batched state:
-
-* all candidate rows (dual representation) live in one master matrix,
-  one block per endpoint-pair plan, bracketed by zero guard rows, with
-  parallel per-candidate probe tables;
-* per-gate bookkeeping (start/end cycles, ready times, remaining
-  dependency counts, stall scans, park generations) lives in flat
-  ``(K * n,)`` arrays indexed by ``k * n + gate``, updated with
-  vectorized scatter ops (``ufunc.at``) per step;
-* parked gates sit in a sparse *watch pool* — one row per (gate,
-  blocked candidate, watched cell) — tested against the step's freed
-  cells in one vectorized AND.
-
-Within a step, a point's pending attempts must be consumed in program
-order against its live occupancy (an earlier issue can block a later
-candidate).  The engine exploits a monotonicity fact: during a step's
-attempt phase a point's occupancy only *grows*, and only via the
-point's *own* issues — so verdicts computed against the occupancy at
-the top of a wave stay exact for every attempt up to and including the
-point's first issue of that wave (parks don't change occupancy).  Each
-wave therefore batch-tests *all* remaining attempts of all points,
-commits every pre-first-issue park and the first issue per point, and
-re-queues only the attempts after the issue; the number of waves is
-bounded by the deepest same-step issue chain.  Star (CXX) gates test
-every leg against the same occupancy, so their multi-leg verdicts
-vectorize identically with one extra axis.  When few attempts remain,
-the survivors finish through a scalar big-int loop (in the same padded
-cell space, so watch-cell identity is preserved bit for bit).
+Candidate table
+---------------
+Every route candidate the router can produce is an L-shaped path: two
+endpoint cells, one horizontal run and one vertical run.  The kernel
+stores each candidate as one fixed-width int32 row (endpoints, horizontal
+run, vertical run, cell count) whatever the lattice size, and derives its
+conflict probes and lock/free bits from those coordinates.  A placement's
+table holds one plan per leg, written in one call by the kernel's
+``build_plans``, which replicates ``BraidRouter._mask_plan``: the same
+channel enumeration and the same generation-order dedup by cell set, left
+untruncated so one plan serves every ``max_candidates``.  Each point's
+occupancy is a dual row/column bitboard sized to its own lattice
+(⌈W/64⌉ words per lattice row, ⌈H/64⌉ per lattice column), so every mesh
+size runs in the kernel.
 
 Exactness contract
 ------------------
 Per-point results are **byte-identical** (``SimulationResult.to_dict()``
 equality) to :func:`repro.routing.simulator.simulate` and
 :func:`repro.routing.simulator.simulate_reference` at any batch size and
-any grouping: same candidate order and truncation, same
-one-lowest-blocking-cell-per-candidate watch masks (cells are compared
-row-major, and the padded 64-bit row stride preserves that order), the
+any grouping: same candidate order and truncation, the same watch cell
+per blocked candidate (its lowest blocked cell in row-major order), the
 same wake rule, and the same legacy ``scan`` clock behind
 ``stall_events``.  Points whose config needs the router's special paths
-(hop/Valiant routes, BFS detours, or a star leg with coincident
-endpoints) fall back to the scalar engine per point — exact by
-construction, just not batched.
+(hop/Valiant routes, BFS detours), or whose circuit has a braid with
+coincident endpoints (a star leg whose target sits on the control's
+tile), run through per-point :func:`~repro.routing.simulator.simulate`
+instead — exact by construction, just not batched.
 
 Engine selection
 ----------------
-``simulate_batch`` prefers the compiled C kernel
-(:mod:`repro.routing.kernel` — the same group representation driven by a
-per-point C event loop, built on demand with the host C compiler) when
-it is available and a group has batchable points; next the vectorized
-numpy group engine; otherwise it falls back to the scalar
-:func:`~repro.routing.simulator.simulate` per request (the fallback *is*
-the oracle, so degraded environments lose speed, never correctness).
-Force a path with ``engine="compiled"`` / ``"vector"`` / ``"scalar"`` —
-the differential fuzz harness pins all available paths against the
-reference engine.
+Two engines: the compiled kernel whenever it builds (``engine="auto"``,
+the default, or ``"compiled"``, which raises :class:`RuntimeError` when
+the kernel cannot be built), otherwise the per-point ``simulate`` loop —
+the oracle itself, so an environment without a C compiler (or with
+``REPRO_NO_KERNEL=1``) loses speed, never correctness.  The differential
+fuzz harness pins both against the reference engine.
 """
 
 from __future__ import annotations
 
-import heapq
 from typing import Dict, List, Optional, Sequence, Tuple
 
-try:  # numpy is an optional accelerator, never a hard dependency
-    import numpy as _np
-except ImportError:  # pragma: no cover - exercised on numpy-free installs
-    _np = None
+import numpy as np
 
+from ..circuits.circuit import Circuit
 from ..circuits.gates import GateKind
 from ..mapping.placement import Placement
 from . import kernel as _kernel
-from .mesh import LatticeCell, Mesh, popcount as _popcount
+from .mesh import Mesh
 from .simulator import (
     RoutingDeadlockError,
     SimulationResult,
@@ -105,376 +68,105 @@ from .simulator import (
     simulate,
 )
 
-__all__ = ["simulate_batch", "numpy_available", "kernel_available", "BatchPoint"]
+__all__ = ["simulate_batch", "kernel_available", "BatchPoint"]
 
 #: One batch request: (circuit_or_gates, placement, config-or-None).
 BatchPoint = Tuple[object, Placement, Optional[SimulatorConfig]]
 
-#: Gate kinds in the flat ``kind`` array.
+#: Gate kinds in the per-gate ``kind`` array (the kernel's encoding).
 _KIND_PLAIN = 0   # non-braided: always issues
-_KIND_PAIR = 1    # simple two-endpoint braid: candidate block in the matrix
-_KIND_STAR = 2    # CXX star: per-leg candidate blocks + a control-cell row
-
-#: Zero guard rows at the head and tail of the master matrix.  Row 0 is
-#: the canonical "no candidate" row (padding star legs point at it); the
-#: tail pad keeps per-attempt candidate windows in bounds when a plan has
-#: fewer candidates than the widest plan of the wave.
-_GUARD_ROWS = 8
-
-#: Both lattice dimensions must fit one uint64 word for the dual
-#: row/column occupancy representation.
-_MAX_DIM = 64
-
-#: Below this many pending attempts, the wave machinery hands off to the
-#: scalar sequential loop — array-op overhead no longer amortizes.
-_TAIL_ATTEMPTS = 24
-
-#: Attempts tested per point per wave.  Verdicts past a point's first
-#: issue are invalidated by that issue and would be recomputed anyway, so
-#: testing the full depth mostly wastes gather bandwidth; a short prefix
-#: keeps the waste bounded by (prefix - 1) lanes per issue.
-_WAVE_PREFIX = 4
-
-#: Sentinel cell index larger than any real padded cell (64 * 64).
-_NO_CELL = 1 << 20
+_KIND_PAIR = 1    # simple two-endpoint braid: one candidate block
+_KIND_STAR = 2    # CXX star: one candidate block per leg
 
 
-def numpy_available() -> bool:
-    """Whether the vectorized group engine can run in this environment."""
-    return _np is not None
-
-
-# ----------------------------------------------------------------------
-# Shared route plans
-# ----------------------------------------------------------------------
-_REP64 = [0]  # _REP64[L] = sum(2 ** (64 * i) for i in range(L))
-
-
-def _rep64(length: int) -> int:
-    while len(_REP64) <= length:
-        _REP64.append((_REP64[-1] << 64) | 1)
-    return _REP64[length]
-
-
-class _Candidate:
-    """One L-shaped route candidate in the dual padded representation.
-
-    ``rbytes`` is the little-endian serialization of the padded row-major
-    mask (cell (r, c) -> bit ``r * 64 + c``, ``group_height`` words);
-    ``cbytes`` is its column-major transpose (bit ``c * 64 + r``,
-    ``group_width`` words); ``probes`` is the 4-probe conflict test:
-    (word offset into a point's dual bitboard, word mask).
-    """
-
-    __slots__ = ("rbytes", "cbytes", "probes")
-
-    def __init__(self, rbytes: bytes, cbytes: bytes,
-                 probes: Tuple[Tuple[int, int], ...]):
-        self.rbytes = rbytes
-        self.cbytes = cbytes
-        self.probes = probes
-
-
-class _PairPlan:
-    """Untruncated candidates for one endpoint pair on one mesh size.
-
-    The candidate shapes depend only on the lattice dimensions and the two
-    endpoint cells — never on the locked set, the placement's other tiles,
-    or ``max_candidates`` — so one plan serves every point of a batch whose
-    mesh has the same dimensions, across all configs.  Slicing the first
-    ``max_candidates`` reproduces the router's truncated plan exactly (its
-    generation-order dedup stops appending at the limit, which equals
-    truncating the full dedup'd sequence).
-
-    ``packed`` is the candidates' master-matrix block verbatim: ``count``
-    dual-representation rows, little-endian, ``head`` bytes of row words
-    then the column words.  ``probe_arr`` is the matching ``(count * 4,
-    2)`` uint64 (offset, mask) probe table.  ``masks`` — the padded
-    big-int masks in generation order — materializes lazily; only the
-    scalar paths read it.
-    """
-
-    __slots__ = ("count", "block", "packed", "probe_arr", "_head", "_masks")
-
-    def __init__(self, count: int, packed: bytes, probe_arr, head: int):
-        self.count = count
-        self.block = -1  # row offset in the group's master candidate matrix
-        self.packed = packed
-        self.probe_arr = probe_arr
-        self._head = head
-        self._masks: Optional[Tuple[int, ...]] = None
-
-    @property
-    def masks(self) -> Tuple[int, ...]:
-        masks = self._masks
-        if masks is None:
-            packed = self.packed
-            if not isinstance(packed, (bytes, bytearray)):
-                packed = packed.tobytes()  # bulk-prefetched plans hold views
-            stride = len(packed) // self.count if self.count else 0
-            head = self._head
-            masks = tuple(
-                int.from_bytes(packed[i * stride: i * stride + head], "little")
-                for i in range(self.count)
-            )
-            self._masks = masks
-        return masks
-
-
-def _plan_from_candidates(candidates: List[_Candidate], head: int) -> _PairPlan:
-    packed = b"".join(
-        part
-        for candidate in candidates
-        for part in (candidate.rbytes, candidate.cbytes)
-    )
-    probe_arr = _np.asarray(
-        [probe for candidate in candidates for probe in candidate.probes],
-        dtype="<u8",
-    ).reshape(len(candidates) * 4, 2)
-    return _PairPlan(len(candidates), packed, probe_arr, head)
-
-
-def _pair_candidate(endpoints, hrow: int, hcols, vcol: int, vrows,
-                    height: int, width: int) -> _Candidate:
-    (sr, sc), (tr, tc) = endpoints
-    ha, hb = hcols if hcols[0] <= hcols[1] else (hcols[1], hcols[0])
-    va, vb = vrows if vrows[0] <= vrows[1] else (vrows[1], vrows[0])
-    hmask = ((1 << (hb - ha + 1)) - 1) << ha   # bits are columns
-    vmask = ((1 << (vb - va + 1)) - 1) << va   # bits are rows
-    rbig = (
-        (1 << (sr * 64 + sc))
-        | (1 << (tr * 64 + tc))
-        | (hmask << (hrow * 64))
-        | (_rep64(vb - va + 1) << (va * 64 + vcol))
-    )
-    cbig = (
-        (1 << (sc * 64 + sr))
-        | (1 << (tc * 64 + tr))
-        | (vmask << (vcol * 64))
-        | (_rep64(hb - ha + 1) << (ha * 64 + hrow))
-    )
-    probes = (
-        (sr, 1 << sc),
-        (tr, 1 << tc),
-        (hrow, hmask),
-        (height + vcol, vmask),
-    )
-    return _Candidate(
-        rbig.to_bytes(height * 8, "little"),
-        cbig.to_bytes(width * 8, "little"),
-        probes,
-    )
-
-
-def _build_pair_plan(mesh: Mesh, source: LatticeCell, target: LatticeCell,
-                     height: int, width: int) -> _PairPlan:
-    """Full (untruncated) twin of ``BraidRouter._mask_plan``.
-
-    Same channel enumeration and generation-order dedup; candidates are
-    composed from their segment geometry instead of dense cell masks.
-    """
-    endpoints = (source, target)
-    (sr, sc), (tr, tc) = endpoints
-    max_row = mesh.lattice_height - 1
-    max_col = mesh.lattice_width - 1
-    candidates: List[_Candidate] = []
-    seen: Dict[bytes, bool] = {}
-    for channel_row in (sr - 1, min(sr + 1, max_row)):
-        for channel_col in (tc - 1, min(tc + 1, max_col)):
-            candidate = _pair_candidate(
-                endpoints,
-                channel_row, (sc, channel_col),
-                channel_col, (channel_row, tr),
-                height, width,
-            )
-            if candidate.rbytes not in seen:
-                seen[candidate.rbytes] = True
-                candidates.append(candidate)
-    for channel_col in (sc - 1, min(sc + 1, max_col)):
-        for channel_row in (tr - 1, min(tr + 1, max_row)):
-            candidate = _pair_candidate(
-                endpoints,
-                channel_row, (channel_col, tc),
-                channel_col, (sr, channel_row),
-                height, width,
-            )
-            if candidate.rbytes not in seen:
-                seen[candidate.rbytes] = True
-                candidates.append(candidate)
-    return _plan_from_candidates(candidates, height * 8)
-
-
-class _PlanCache:
-    """Per-group cache of :class:`_PairPlan` keyed by (dims, source, target).
-
-    When the compiled kernel is available, plan geometry is generated by
-    its C ``build_pair_plan`` (byte-identical rows and probes — pinned by
-    ``test_simulator_batch``'s builder-parity test); otherwise the pure
-    Python big-int composition above runs.
-    """
-
-    __slots__ = ("_plans", "_height", "_width", "_kernel", "_rows_buf",
-                 "_poff_buf", "_pmask_buf")
-
-    def __init__(self, height: int, width: int, kernel=None) -> None:
-        self._plans: Dict[Tuple, _PairPlan] = {}
-        self._height = height
-        self._width = width
-        self._kernel = kernel
-        if kernel is not None:
-            span = height + width
-            self._rows_buf = _np.zeros((8, span), dtype="<u8")
-            self._poff_buf = _np.zeros((8, 4), dtype=_np.int64)
-            self._pmask_buf = _np.zeros((8, 4), dtype="<u8")
-
-    def _pair_compiled(self, mesh: Mesh, source: LatticeCell,
-                       target: LatticeCell) -> _PairPlan:
-        height = self._height
-        (sr, sc), (tr, tc) = source, target
-        kept = self._kernel.build_pair_plan(
-            sr, sc, tr, tc,
-            mesh.lattice_height - 1, mesh.lattice_width - 1,
-            height, self._width,
-            self._rows_buf, self._poff_buf, self._pmask_buf,
-        )
-        probe_arr = _np.empty((kept * 4, 2), dtype="<u8")
-        probe_arr[:, 0] = self._poff_buf[:kept].reshape(-1)
-        probe_arr[:, 1] = self._pmask_buf[:kept].reshape(-1)
-        return _PairPlan(
-            kept, self._rows_buf[:kept].tobytes(), probe_arr, height * 8
-        )
-
-    def prefetch(self, mesh: Mesh, pairs) -> None:
-        """Build every uncached plan of ``pairs`` in one kernel call.
-
-        Per-pair ctypes round trips dominate plan building for large
-        circuits, so the batched engine pre-resolves a placement's whole
-        pair set through the kernel's bulk ``build_pair_plans`` and keeps
-        ndarray views into the bulk buffers (no per-pair copies).  Pairs
-        already cached, touching the padding frame (a coordinate < 1), or
-        rejected by the kernel (kept < 0) are left for :meth:`pair`.
-        No-op without a kernel.
-        """
-        kern = self._kernel
-        if kern is None:
-            return
-        width_cells = mesh.lattice_width
-        height_cells = mesh.lattice_height
-        wanted = []
-        queued = set()
-        for source, target in pairs:
-            key = (width_cells, height_cells, source, target)
-            if key in self._plans or key in queued:
-                continue
-            if source == target:  # degenerate star leg: point goes scalar
-                continue
-            if min(source[0], source[1], target[0], target[1]) < 1:
-                continue
-            queued.add(key)
-            wanted.append((key, source, target))
-        if not wanted:
-            return
-        m = len(wanted)
-        span = self._height + self._width
-        coords = _np.empty((m, 4), dtype=_np.int64)
-        for i, (_, (sr, sc), (tr, tc)) in enumerate(wanted):
-            coords[i, 0] = sr
-            coords[i, 1] = sc
-            coords[i, 2] = tr
-            coords[i, 3] = tc
-        # np.empty, not zeros: the kernel fully writes every kept row and
-        # its 4 probes, and slots beyond kept[i] are never read (callers
-        # slice ``[:kept]``), so the zero-fill would be pure overhead.
-        rows = _np.empty((m, 8, span), dtype="<u8")
-        poff = _np.empty((m, 8, 4), dtype=_np.int64)
-        pmask = _np.empty((m, 8, 4), dtype="<u8")
-        kept = _np.empty(m, dtype=_np.int64)
-        kern.build_pair_plans(
-            coords, m, height_cells - 1, width_cells - 1,
-            self._height, self._width, rows, poff, pmask, kept,
-        )
-        probes = _np.empty((m, 8, 4, 2), dtype="<u8")
-        probes[..., 0] = poff  # non-negative offsets: safe int64 -> uint64
-        probes[..., 1] = pmask
-        head = self._height * 8
-        for i, (key, _, _) in enumerate(wanted):
-            k = int(kept[i])
-            if k < 0:
-                continue
-            self._plans[key] = _PairPlan(
-                k, rows[i, :k], probes[i, :k].reshape(k * 4, 2), head
-            )
-
-    def pair(self, mesh: Mesh, source: LatticeCell, target: LatticeCell) -> _PairPlan:
-        key = (mesh.lattice_width, mesh.lattice_height, source, target)
-        plan = self._plans.get(key)
-        if plan is None:
-            if self._kernel is not None and min(
-                source[0], source[1], target[0], target[1]
-            ) >= 1:
-                plan = self._pair_compiled(mesh, source, target)
-            else:
-                plan = _build_pair_plan(
-                    mesh, source, target, self._height, self._width
-                )
-            self._plans[key] = plan
-        return plan
-
-
-# ----------------------------------------------------------------------
-# Group preparation
-# ----------------------------------------------------------------------
 class _Shared:
-    """Per-circuit state shared by every point of a group."""
+    """Per-circuit state shared by every point of a group.
+
+    Besides the gate metadata and the dependency DAG this flattens the
+    circuit's braids into *legs* — one endpoint pair per pair gate and
+    per star target — so a placement's candidate table is one kernel call
+    over a ``(legs, 4)`` coordinate array and its per-gate arrays are
+    numpy scatters.
+    """
 
     __slots__ = (
-        "gates",
         "n",
-        "qubits",
-        "braided",
-        "is_star",
+        "kind",
         "max_legs",
         "succ_flat",
         "succ_off",
-        "succ_cnt",
         "pred_count",
-        "roots",
-        "used_qubits",
+        "qubits",
+        "leg_src",
+        "leg_dst",
+        "pair_gates",
+        "pair_legs",
+        "star_rows",
+        "star_cols",
+        "star_legs",
     )
 
     def __init__(self, gates) -> None:
         from ..circuits.dag import build_dependency_dag
 
-        self.gates = gates
-        n = len(gates)
-        self.n = n
-        self.qubits = [gate.qubits for gate in gates]
-        self.braided = [gate.is_braided for gate in gates]
-        self.is_star = [gate.kind is GateKind.CXX for gate in gates]
-        self.max_legs = max(
-            (len(q) - 1 for q, star in zip(self.qubits, self.is_star) if star),
-            default=0,
-        )
+        self.n = len(gates)
+        kind = [
+            _KIND_STAR if gate.kind is GateKind.CXX
+            else _KIND_PAIR if gate.is_braided
+            else _KIND_PLAIN
+            for gate in gates
+        ]
+        self.kind = np.asarray(kind, dtype=np.int64)
         dag = build_dependency_dag(gates)
         succ_flat: List[int] = []
         succ_off: List[int] = [0]
         for successors in dag.successors:
             succ_flat.extend(successors)
             succ_off.append(len(succ_flat))
-        self.succ_flat = _np.asarray(succ_flat, dtype=_np.int64)
-        self.succ_off = _np.asarray(succ_off, dtype=_np.int64)
-        self.succ_cnt = _np.diff(self.succ_off)
-        self.pred_count = [len(p) for p in dag.predecessors]
-        self.roots = [i for i in range(n) if self.pred_count[i] == 0]
-        used: set = set()
-        for gate in gates:
-            used.update(gate.qubits)
-        self.used_qubits = used
+        self.succ_flat = np.asarray(succ_flat, dtype=np.int64)
+        self.succ_off = np.asarray(succ_off, dtype=np.int64)
+        self.pred_count = np.asarray(
+            [len(p) for p in dag.predecessors], dtype=np.int64
+        )
+
+        # Legs reference qubits by their position in ``self.qubits``.
+        self.qubits = sorted({q for gate in gates for q in gate.qubits})
+        slot = {q: i for i, q in enumerate(self.qubits)}
+        leg_src: List[int] = []
+        leg_dst: List[int] = []
+        pair_gates: List[int] = []
+        pair_legs: List[int] = []
+        star_rows: List[int] = []
+        star_cols: List[int] = []
+        star_legs: List[int] = []
+        max_legs = 0
+        for index, gate in enumerate(gates):
+            if kind[index] == _KIND_PLAIN:
+                continue
+            control, *targets = gate.qubits
+            if kind[index] == _KIND_PAIR:
+                pair_gates.append(index)
+                pair_legs.append(len(leg_src))
+            else:
+                star_rows.extend([index] * len(targets))
+                star_cols.extend(range(len(targets)))
+                star_legs.extend(range(len(leg_src), len(leg_src) + len(targets)))
+                max_legs = max(max_legs, len(targets))
+            leg_src.extend([slot[control]] * len(targets))
+            leg_dst.extend(slot[target] for target in targets)
+        self.max_legs = max_legs
+        self.leg_src = np.asarray(leg_src, dtype=np.int64)
+        self.leg_dst = np.asarray(leg_dst, dtype=np.int64)
+        self.pair_gates = np.asarray(pair_gates, dtype=np.int64)
+        self.pair_legs = np.asarray(pair_legs, dtype=np.int64)
+        self.star_rows = np.asarray(star_rows, dtype=np.int64)
+        self.star_cols = np.asarray(star_cols, dtype=np.int64)
+        self.star_legs = np.asarray(star_legs, dtype=np.int64)
 
 
 def _validate_placement(shared: _Shared, placement: Placement) -> None:
     """Same check (and message) as ``simulator._prepare_simulation``."""
-    missing = [q for q in shared.used_qubits if q not in placement.positions]
+    missing = [q for q in shared.qubits if q not in placement.positions]
     if missing:
         raise ValueError(
             f"{len(missing)} qubits used by the circuit are not placed "
@@ -482,1014 +174,173 @@ def _validate_placement(shared: _Shared, placement: Placement) -> None:
         )
 
 
-class _MatrixBuilder:
-    """Accumulates candidate rows (dual representation + probe tables).
+def _candidate_rows(kern, coords: np.ndarray, height: int,
+                    width: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Untruncated candidate rows of each endpoint pair on a lattice.
 
-    The matrix opens and closes with :data:`_GUARD_ROWS` zero rows so that
-    padding lanes (short plans, absent star legs) can safely read a zero
-    candidate without branching.
+    ``coords`` is ``(m, 4)``: source row/col, target row/col.  Returns the
+    table — ``(m * MAX_CANDIDATES, CAND_FIELDS)`` int32, pair ``i``'s rows
+    starting at ``i * MAX_CANDIDATES`` — and each pair's row count (-1
+    when the kernel has no plan for it).  A plan depends only on the
+    lattice dimensions and its endpoints, never on the locked set or
+    ``max_candidates``: truncating it to the first ``max_candidates`` rows
+    reproduces the router's plan exactly (its dedup stops appending at
+    the limit, which equals truncating the full dedup'd sequence).  Slots
+    past a pair's count are left unwritten and never read.
     """
-
-    __slots__ = ("height", "width", "span", "blocks", "probe_parts", "rows")
-
-    def __init__(self, height: int, width: int) -> None:
-        self.height = height
-        self.width = width
-        self.span = height + width
-        self.blocks: List[bytes] = [bytes(_GUARD_ROWS * self.span * 8)]
-        self.probe_parts: List[object] = [
-            _np.zeros((_GUARD_ROWS * 4, 2), dtype="<u8")
-        ]
-        self.rows = _GUARD_ROWS
-
-    def register(self, plan: _PairPlan) -> int:
-        if plan.block < 0:
-            self.blocks.append(plan.packed)
-            self.probe_parts.append(plan.probe_arr)
-            plan.block = self.rows
-            self.rows += plan.count
-        return plan.block
-
-    def register_cell(self, row: int, col: int) -> int:
-        """A single-cell row (star control cells); never probed."""
-        self.blocks.append((1 << (row * 64 + col)).to_bytes(self.height * 8, "little"))
-        self.blocks.append((1 << (col * 64 + row)).to_bytes(self.width * 8, "little"))
-        self.probe_parts.append(_np.zeros((4, 2), dtype="<u8"))
-        index = self.rows
-        self.rows += 1
-        return index
-
-    def finish(self):
-        self.blocks.append(bytes(_GUARD_ROWS * self.span * 8))
-        self.probe_parts.append(_np.zeros((_GUARD_ROWS * 4, 2), dtype="<u8"))
-        total = self.rows + _GUARD_ROWS
-        # frombuffer gives a readonly view over the joined bytes — fine,
-        # the master matrix is only ever gathered from, never written.
-        matrix = _np.frombuffer(b"".join(self.blocks), dtype="<u8").reshape(
-            total, self.span
-        )
-        flat = _np.concatenate(self.probe_parts)
-        probe_off = flat[:, 0].astype(_np.int64).reshape(total, 4)
-        probe_mask = _np.ascontiguousarray(flat[:, 1]).reshape(total, 4)
-        return matrix, probe_off, probe_mask
+    m = len(coords)
+    table = np.empty(
+        (m * _kernel.MAX_CANDIDATES, _kernel.CAND_FIELDS), dtype=np.int32
+    )
+    kept = np.empty(m, dtype=np.int64)
+    kern.build_plans(
+        np.ascontiguousarray(coords, dtype=np.int64), m,
+        height - 1, width - 1, table, kept,
+    )
+    return table, kept
 
 
 class _PlacementPlans:
-    """Per-(circuit, placement) route-plan resolution, shared across configs.
+    """Per-(circuit, placement) kernel inputs, shared across configs.
 
-    ``kind``/``block``/``length`` are per-gate arrays describing how to
-    attempt each gate; star gates additionally get per-leg candidate
-    blocks (``star_start``/``star_len``), a control-cell row
-    (``star_ctrl``), and a big-int tuple in ``stars`` for the scalar
-    paths.  ``degenerate`` marks a star with a leg whose endpoints
-    coincide — the router's source==target special case — which sends the
-    whole point down the scalar fallback.
+    ``table`` holds one untruncated plan per leg; ``block``/``length``
+    locate each pair gate's rows, and star gates get per-leg rows
+    (``star_start``/``star_len``; the control cell is every leg's source
+    endpoint).  ``batchable`` is False when some braid has no plan
+    (coincident endpoints), which sends every point on this placement to
+    per-point ``simulate``.
     """
 
     __slots__ = (
-        "kind",
+        "height",
+        "width",
+        "table",
         "block",
         "length",
-        "pairs",
-        "stars",
         "star_start",
         "star_len",
-        "star_ctrl",
-        "degenerate",
+        "batchable",
     )
 
-    def __init__(self, shared: _Shared, mesh: Mesh, plans: _PlanCache,
-                 matrix: _MatrixBuilder) -> None:
+    def __init__(self, kern, shared: _Shared, placement: Placement) -> None:
+        # Built for its bounds check, which simulate() performs too.
+        mesh = Mesh.from_placement(
+            placement.positions, width=placement.width, height=placement.height
+        )
+        self.height = mesh.lattice_height
+        self.width = mesh.lattice_width
+        cells = np.asarray(
+            [mesh.qubit_cells[q] for q in shared.qubits], dtype=np.int64
+        ).reshape(-1, 2)
+        coords = np.concatenate(
+            [cells[shared.leg_src], cells[shared.leg_dst]], axis=1
+        )
+        self.table, kept = _candidate_rows(kern, coords, self.height, self.width)
+        self.batchable = bool((kept >= 0).all())
+        first = np.arange(len(kept), dtype=np.int64) * _kernel.MAX_CANDIDATES
         n = shared.n
-        max_legs = shared.max_legs
-        qubit_cell = mesh.qubit_cells
-        kind = [0] * n
-        block = [0] * n
-        length = [0] * n
-        self.pairs: List[Optional[_PairPlan]] = [None] * n
-        self.stars: Dict[int, tuple] = {}
-        self.degenerate = False
-        star_start = star_len = star_ctrl = None
-        if max_legs:
-            star_start = _np.zeros((n, max_legs), dtype=_np.int64)
-            star_len = _np.zeros((n, max_legs), dtype=_np.int64)
-            star_ctrl = _np.zeros(n, dtype=_np.int64)
-        wanted = []
-        seen_pairs = set()
-        for gate in range(n):
-            if not shared.braided[gate]:
-                continue
-            qubits = shared.qubits[gate]
-            if shared.is_star[gate]:
-                control_cell = qubit_cell[qubits[0]]
-                endpoint_pairs = [
-                    (control_cell, qubit_cell[target]) for target in qubits[1:]
-                ]
-            else:
-                endpoint_pairs = [(qubit_cell[qubits[0]], qubit_cell[qubits[1]])]
-            for endpoints in endpoint_pairs:
-                if endpoints not in seen_pairs:
-                    seen_pairs.add(endpoints)
-                    wanted.append(endpoints)
-        plans.prefetch(mesh, wanted)
-        for gate in range(n):
-            if not shared.braided[gate]:
-                continue
-            qubits = shared.qubits[gate]
-            if shared.is_star[gate]:
-                control_cell = qubit_cell[qubits[0]]
-                legs = []
-                for target in qubits[1:]:
-                    target_cell = qubit_cell[target]
-                    if target_cell == control_cell:
-                        self.degenerate = True
-                        return
-                    legs.append(plans.pair(mesh, control_cell, target_cell))
-                kind[gate] = _KIND_STAR
-                for leg_index, leg in enumerate(legs):
-                    star_start[gate, leg_index] = matrix.register(leg)
-                    star_len[gate, leg_index] = leg.count
-                row, col = control_cell
-                star_ctrl[gate] = matrix.register_cell(row, col)
-                self.stars[gate] = (1 << (row * 64 + col), tuple(legs))
-            else:
-                plan = plans.pair(
-                    mesh, qubit_cell[qubits[0]], qubit_cell[qubits[1]]
-                )
-                kind[gate] = _KIND_PAIR
-                block[gate] = matrix.register(plan)
-                length[gate] = plan.count
-                self.pairs[gate] = plan
-        self.kind = _np.asarray(kind, dtype=_np.int8)
-        self.block = _np.asarray(block, dtype=_np.int64)
-        self.length = _np.asarray(length, dtype=_np.int64)
-        self.star_start = star_start
-        self.star_len = star_len
-        self.star_ctrl = star_ctrl
+        self.block = np.zeros(n, dtype=np.int64)
+        self.length = np.zeros(n, dtype=np.int64)
+        self.block[shared.pair_gates] = first[shared.pair_legs]
+        self.length[shared.pair_gates] = kept[shared.pair_legs]
+        legs = (shared.star_rows, shared.star_cols)
+        self.star_start = np.zeros((n, shared.max_legs), dtype=np.int64)
+        self.star_len = np.zeros((n, shared.max_legs), dtype=np.int64)
+        self.star_start[legs] = first[shared.star_legs]
+        self.star_len[legs] = kept[shared.star_legs]
 
 
-class _Point:
-    """Per-point simulation state inside a vectorized group."""
-
-    __slots__ = (
-        "k",
-        "config",
-        "placement",
-        "mc",
-        "plans",
-        "attempt",
-        "locked_int",
-        "finished",
-    )
-
-    def __init__(self, k: int, config: SimulatorConfig, placement: Placement,
-                 plans: _PlacementPlans) -> None:
-        self.k = k
-        self.config = config
-        self.placement = placement
-        self.mc = max(1, config.max_candidates)
-        self.plans = plans
-        self.attempt: List[int] = []
-        self.locked_int: Optional[int] = None  # materialized for scalar paths
-        self.finished = False
-
-
-# ----------------------------------------------------------------------
-# The vectorized group engine
-# ----------------------------------------------------------------------
-class _ArrayGroup:
-    """Runs K same-circuit points through one array-level event loop."""
-
-    def __init__(self, shared: _Shared, points: List[_Point],
-                 matrix: _MatrixBuilder, durations: List[List[int]]) -> None:
-        self.shared = shared
-        self.points = points
-        K = len(points)
-        n = shared.n
-        self.K = K
-        self.n = n
-        self.height = matrix.height
-        self.span = matrix.span
-        self.M, self.probe_off, self.probe_mask = matrix.finish()
-        if hasattr(_np, "bitwise_count"):
-            row_part = self.M[:, : self.height]
-            self.POPS = _np.bitwise_count(row_part).sum(axis=1, dtype=_np.int64)
-            self._popcount_rows = lambda rows: _np.bitwise_count(
-                rows[:, : self.height]
-            ).sum(axis=1, dtype=_np.int64)
-        else:  # pragma: no cover - numpy < 2.0
-            height = self.height
-
-            def _pops(rows):
-                return _np.asarray(
-                    [
-                        int.from_bytes(row[:height].tobytes(), "little").bit_count()
-                        for row in rows
-                    ],
-                    dtype=_np.int64,
-                )
-
-            self.POPS = _pops(self.M)
-            self._popcount_rows = _pops
-
-        self.locked = _np.zeros((K, self.span), dtype="<u8")
-        self.freed = _np.zeros((K, self.span), dtype="<u8")
-
-        # Flat per-(point, gate) state, indexed k * n + gate.
-        self.kind = _np.concatenate([p.plans.kind for p in points])
-        self.block = _np.concatenate([p.plans.block for p in points])
-        self.count = _np.concatenate(
-            [_np.minimum(p.plans.length, p.mc) for p in points]
-        )
-        if shared.max_legs:
-            self.star_start = _np.concatenate(
-                [p.plans.star_start for p in points]
-            )
-            self.star_count = _np.concatenate(
-                [_np.minimum(p.plans.star_len, p.mc) for p in points]
-            )
-            self.star_ctrl = _np.concatenate([p.plans.star_ctrl for p in points])
-        else:
-            self.star_start = self.star_count = self.star_ctrl = None
-        self.dur = _np.concatenate(
-            [_np.asarray(d, dtype=_np.int64) for d in durations]
-        )
-        self.start = _np.full(K * n, -1, dtype=_np.int64)
-        self.end = _np.full(K * n, -1, dtype=_np.int64)
-        self.ready = _np.zeros(K * n, dtype=_np.int64)
-        self.remaining = _np.tile(
-            _np.asarray(shared.pred_count, dtype=_np.int64), K
-        )
-        self.first_stall = _np.full(K * n, -1, dtype=_np.int64)
-        self.park_gen = _np.zeros(K * n, dtype=_np.int64)
-        self.park_rows = _np.zeros(K * n, dtype=_np.int64)
-        self.choice = _np.full(K * n, -1, dtype=_np.int64)
-
-        # Per-point counters.
-        self.scan_k = _np.zeros(K, dtype=_np.int64)
-        self.completed_k = _np.zeros(K, dtype=_np.int64)
-        self.stall_events_k = _np.zeros(K, dtype=_np.int64)
-        self.distinct_k = _np.zeros(K, dtype=_np.int64)
-        self.wakeups_k = _np.zeros(K, dtype=_np.int64)
-        self.cells_k = _np.zeros(K, dtype=_np.int64)
-        self.braids_k = _np.zeros(K, dtype=_np.int64)
-        self.conc_k = _np.zeros(K, dtype=_np.int64)
-        self.max_conc_k = _np.zeros(K, dtype=_np.int64)
-        self.active_k = _np.zeros(K, dtype=_np.int64)
-        self.parked_k = _np.zeros(K, dtype=_np.int64)
-        self.max_cycles_k = _np.asarray(
-            [p.config.max_cycles for p in points], dtype=_np.int64
-        )
-
-        # Rows of braids issued outside the master matrix (star composites):
-        # (k, gate) -> dual-representation uint64 row, popped at retirement.
-        self.big_rows: Dict[Tuple[int, int], object] = {}
-
-        # Calendar of retirement events: end time -> ([ks], [gates]).
-        self.calendar: Dict[int, Tuple[List[int], List[int]]] = {}
-        self.times: List[int] = []
-
-        # Sparse watch pool: one row per (parked gate, blocked candidate).
-        cap = 1024
-        self.pool_flat = _np.zeros(cap, dtype=_np.int64)
-        self.pool_word = _np.zeros(cap, dtype="<u8")
-        self.pool_idx = _np.zeros(cap, dtype=_np.int64)  # k * n + gate
-        self.pool_gen = _np.zeros(cap, dtype=_np.int64)
-        self.pool_size = 0
-        self.pool_live = 0
-
-        self.live = K
-        self._freed_ks: List[int] = []
-
-    # -- small helpers -------------------------------------------------
-    def _calendar_add_arrays(self, ends, ks, gates) -> None:
-        """File vectorized issues into the retirement calendar."""
-        calendar = self.calendar
-        for end in _np.unique(ends).tolist():
-            mask = ends == end
-            bucket = calendar.get(end)
-            if bucket is None:
-                calendar[end] = (ks[mask].tolist(), gates[mask].tolist())
-                heapq.heappush(self.times, end)
-            else:
-                bucket[0].extend(ks[mask].tolist())
-                bucket[1].extend(gates[mask].tolist())
-
-    def _calendar_add_one(self, end: int, k: int, gate: int) -> None:
-        bucket = self.calendar.get(end)
-        if bucket is None:
-            self.calendar[end] = ([k], [gate])
-            heapq.heappush(self.times, end)
-        else:
-            bucket[0].append(k)
-            bucket[1].append(gate)
-
-    def _pool_reserve(self, extra: int) -> None:
-        needed = self.pool_size + extra
-        cap = len(self.pool_flat)
-        if needed <= cap:
-            return
-        while cap < needed:
-            cap *= 2
-        for name in ("pool_flat", "pool_word", "pool_idx", "pool_gen"):
-            old = getattr(self, name)
-            grown = _np.zeros(cap, dtype=old.dtype)
-            grown[: self.pool_size] = old[: self.pool_size]
-            setattr(self, name, grown)
-
-    def _pool_compact(self) -> None:
-        """Drop rows whose generation no longer matches (woken/re-parked)."""
-        size = self.pool_size
-        keep = self.park_gen[self.pool_idx[:size]] == self.pool_gen[:size]
-        count = int(keep.sum())
-        for name in ("pool_flat", "pool_word", "pool_idx", "pool_gen"):
-            arr = getattr(self, name)
-            arr[:count] = arr[:size][keep]
-        self.pool_size = count
-        self.pool_live = count
-
-    # -- the main loop -------------------------------------------------
-    def run(self) -> List[SimulationResult]:
-        points = self.points
-        for point in points:
-            point.attempt = list(self.shared.roots)
-        self._attempt_phase(points, 0)
-        self._check_idle(points)
-        while self.live:
-            if not self.times:
-                break
-            now = heapq.heappop(self.times)
-            bucket = self.calendar.pop(now, None)
-            if not bucket:
-                continue
-            touched = self._retire(bucket, now)
-            self._wake()
-            self._attempt_phase([p for p in touched if p.attempt], now)
-            self._check_idle(touched)
-        return [self._result(point) for point in points]
-
-    # -- retire --------------------------------------------------------
-    def _retire(self, bucket: Tuple[List[int], List[int]], now: int) -> List[_Point]:
-        points = self.points
-        n = self.n
-        k_arr = _np.asarray(bucket[0], dtype=_np.int64)
-        g_arr = _np.asarray(bucket[1], dtype=_np.int64)
-        idx = k_arr * n + g_arr
-
-        touched_ks = _np.unique(k_arr)
-        self.scan_k[touched_ks] += 1
-        counts_k = _np.bincount(k_arr, minlength=self.K)
-        self.active_k -= counts_k
-        self.completed_k += counts_k
-        # ``simulate()`` checks max_cycles at the top of its loop, i.e. the
-        # last event time only raises for a point that still has unfinished
-        # gates after processing that event's retirements.
-        over = touched_ks[
-            (self.completed_k[touched_ks] < n)
-            & (now > self.max_cycles_k[touched_ks])
-        ]
-        if over.size:
-            limit = int(self.max_cycles_k[over[0]])
-            raise RuntimeError(f"simulation exceeded max_cycles={limit}")
-
-        kinds = self.kind[idx]
-        braided = kinds != _KIND_PLAIN
-        freed_ks: List[int] = []
-        if braided.any():
-            k_br = k_arr[braided]
-            idx_br = idx[braided]
-            choices = self.choice[idx_br]
-            from_matrix = choices >= 0
-            if from_matrix.any():
-                rows = self.M[self.block[idx_br[from_matrix]] + choices[from_matrix]]
-                _np.bitwise_or.at(self.freed, k_br[from_matrix], rows)
-            if not from_matrix.all():
-                big_rows = self.big_rows
-                for k, gate in zip(
-                    k_br[~from_matrix].tolist(), g_arr[braided][~from_matrix].tolist()
-                ):
-                    self.freed[k] |= big_rows.pop((k, gate))
-            _np.subtract.at(self.conc_k, k_br, 1)
-            freed_ks = _np.unique(k_br).tolist()
-            self.locked[freed_ks] &= ~self.freed[freed_ks]
-            for k in freed_ks:
-                points[k].locked_int = None  # big-int mirror is stale
-        self._freed_ks = freed_ks
-
-        # Dependency bookkeeping for every retired gate's successors.
-        cnt = self.shared.succ_cnt[g_arr]
-        total = int(cnt.sum())
-        if total:
-            cum = _np.cumsum(cnt)
-            starts = self.shared.succ_off[g_arr]
-            offsets = _np.repeat(starts - (cum - cnt), cnt) + _np.arange(total)
-            succs = self.shared.succ_flat[offsets]
-            owner = _np.repeat(k_arr, cnt)
-            sidx = owner * n + succs
-            _np.subtract.at(self.remaining, sidx, 1)
-            _np.maximum.at(self.ready, sidx, now)
-            newly = _np.unique(sidx[self.remaining[sidx] == 0])
-            for flat in newly.tolist():
-                points[flat // n].attempt.append(flat % n)
-        return [points[k] for k in touched_ks.tolist()]
-
-    # -- wake ----------------------------------------------------------
-    def _wake(self) -> None:
-        freed_ks = self._freed_ks
-        size = self.pool_size
-        if freed_ks and size:
-            hits = (
-                self.freed.reshape(-1)[self.pool_flat[:size]]
-                & self.pool_word[:size]
-            )
-            nzi = _np.nonzero(hits)[0]
-            if nzi.size:
-                cand_idx = self.pool_idx[nzi]
-                valid = self.park_gen[cand_idx] == self.pool_gen[nzi]
-                woken = _np.unique(cand_idx[valid])
-                if woken.size:
-                    self.park_gen[woken] += 1
-                    ks = woken // self.n
-                    counts = _np.bincount(ks, minlength=self.K)
-                    self.parked_k -= counts
-                    self.wakeups_k += counts
-                    self.pool_live -= int(self.park_rows[woken].sum())
-                    points = self.points
-                    n = self.n
-                    for flat in woken.tolist():
-                        points[flat // n].attempt.append(flat % n)
-        if freed_ks:
-            # Always consume the freed scratch rows, even with an empty
-            # watch pool: stale bits would make the *next* retirement's
-            # ``locked &= ~freed`` clear cells of braids issued since.
-            self.freed[freed_ks] = 0
-        if size > 512 and self.pool_live * 2 < size:
-            self._pool_compact()
-
-    # -- idle / finish -------------------------------------------------
-    def _check_idle(self, candidates: List[_Point]) -> None:
-        active = self.active_k
-        parked = self.parked_k
-        for point in candidates:
-            if point.finished or active[point.k]:
-                continue
-            if parked[point.k]:
-                raise RoutingDeadlockError(
-                    f"{int(parked[point.k])} gates cannot be routed on an "
-                    f"otherwise idle mesh"
-                )
-            point.finished = True
-            self.live -= 1
-
-    # -- the attempt phase ---------------------------------------------
-    def _attempt_phase(self, step_points: List[_Point], now: int) -> None:
-        """Consume every pending attempt of ``step_points`` at time ``now``.
-
-        Non-braided gates issue first in one vectorized batch (their issue
-        cannot change any braided verdict).  Braided attempts then go
-        through full-depth waves (see the module docstring); a small
-        residue finishes through the scalar sequential loop.
-        """
-        if not step_points:
-            return
-        all_k: List[int] = []
-        all_g: List[int] = []
-        for point in step_points:
-            order = sorted(point.attempt)
-            point.attempt.clear()
-            all_g.extend(order)
-            all_k.extend([point.k] * len(order))
-        k_at = _np.asarray(all_k, dtype=_np.int64)
-        g_at = _np.asarray(all_g, dtype=_np.int64)
-        kinds = self.kind[k_at * self.n + g_at]
-        braided = kinds != _KIND_PLAIN
-        if not braided.all():
-            plain = ~braided
-            self._issue_plain(k_at[plain], g_at[plain], now)
-            k_at = k_at[braided]
-            g_at = g_at[braided]
-        while k_at.size:
-            if k_at.size <= _TAIL_ATTEMPTS:
-                self._scalar_tail(k_at.tolist(), g_at.tolist(), now)
-                return
-            k_at, g_at = self._wave(k_at, g_at, now)
-
-    def _issue_plain(self, k_arr, g_arr, now: int) -> None:
-        """Issue all pending non-braided gates of the step in one batch."""
-        idx = k_arr * self.n + g_arr
-        ends = now + self.dur[idx]
-        self.start[idx] = now
-        self.end[idx] = ends
-        self.active_k += _np.bincount(k_arr, minlength=self.K)
-        # Non-braided gates never park, so no stall accounting applies.
-        self._calendar_add_arrays(ends, k_arr, g_arr)
-
-    def _probe(self, owners, cand):
-        """Conflict test for candidate rows: 4 word probes per candidate.
-
-        ``owners`` broadcasts against ``cand`` (candidate row indices); the
-        result tuple is (hit words, hit?, probe offsets) with a trailing
-        probe axis.
-        """
-        off = self.probe_off[cand]
-        locked_flat = self.locked.reshape(-1)
-        gathered = locked_flat[
-            (owners * self.span).reshape(
-                owners.shape + (1,) * (cand.ndim - owners.ndim + 1)
-            )
-            + off
-        ]
-        hit = gathered & self.probe_mask[cand]
-        return hit, hit != _np.uint64(0), off
-
-    def _watch_cells(self, hit, nz, off):
-        """Lowest blocked cell per candidate, in padded row-major order.
-
-        Row probes watch cell ``off * 64 + ctz(hit)``; column probes watch
-        ``ctz(hit) * 64 + (off - height)``.  The minimum over the probe
-        axis is the candidate's watch cell (lowbit of the full overlap).
-        """
-        low = hit & (_np.zeros_like(hit) - hit)
-        ctz = _np.bitwise_count(low - _np.uint64(1)).astype(_np.int64)
-        is_row = off < self.height
-        cell = _np.where(is_row, off * 64 + ctz, ctz * 64 + (off - self.height))
-        cell = _np.where(nz, cell, _NO_CELL)
-        return cell.min(axis=-1)
-
-    def _wave(self, k_at, g_at, now: int):
-        """One wave over a prefix of each point's remaining attempts.
-
-        Verdicts are computed against start-of-wave occupancy, which stays
-        exact for every attempt up to and including a point's first issue
-        (earlier parks don't change occupancy).  Each wave therefore tests
-        only the first :data:`_WAVE_PREFIX` attempts per point — testing
-        deeper is wasted work whenever an issue lands, since post-issue
-        verdicts must be recomputed anyway — commits every pre-first-issue
-        park and the first issue per point, and returns the untouched rest
-        (later prefix attempts and the deferred suffix, in order) for the
-        next wave.
-        """
-        n = self.n
-        A = k_at.size
-        pos = _np.arange(A)
-        change = _np.empty(A, dtype=bool)
-        change[0] = True
-        change[1:] = k_at[1:] != k_at[:-1]
-        seg = _np.cumsum(change) - 1
-        seg_first = pos[change]
-        selected = (pos - seg_first[seg]) < _WAVE_PREFIX
-        full = bool(selected.all())
-        if full:
-            k_sel, g_sel, pos_sel, seg_sel = k_at, g_at, pos, seg
-        else:
-            k_sel = k_at[selected]
-            g_sel = g_at[selected]
-            pos_sel = pos[selected]
-            seg_sel = seg[selected]
-        S = k_sel.size
-        idx = k_sel * n + g_sel
-        kinds = self.kind[idx]
-
-        star_sel = kinds == _KIND_STAR
-        any_stars = bool(star_sel.any())
-        has_free = _np.empty(S, dtype=bool)
-
-        # Pair verdicts: (attempts, candidates, 4 probes) in one gather.
-        ppos = _np.nonzero(~star_sel)[0] if any_stars else _np.arange(S)
-        if ppos.size:
-            pidx = idx[ppos]
-            p_starts = self.block[pidx]
-            p_counts = self.count[pidx]
-            cmax = int(p_counts.max())
-            col = _np.arange(cmax)
-            p_cand = p_starts[:, None] + col
-            hit, nz, off = self._probe(k_sel[ppos], p_cand)
-            blocked = nz.any(axis=2)
-            p_valid = col < p_counts[:, None]
-            p_open = ~blocked & p_valid
-            p_free = p_open.any(axis=1)
-            p_choice = p_open.argmax(axis=1)
-            has_free[ppos] = p_free
-
-        # Star verdicts: every leg tests against the same occupancy, so
-        # the same gather with a leg axis.  Padding lanes read guard row 0.
-        if any_stars:
-            spos = _np.nonzero(star_sel)[0]
-            sidx = idx[spos]
-            leg_start = self.star_start[sidx]        # (S, L)
-            leg_count = self.star_count[sidx]        # (S, L)
-            scmax = int(leg_count.max())
-            scol = _np.arange(scmax)
-            s_cand = leg_start[:, :, None] + scol
-            s_hit, s_nz, s_off = self._probe(k_sel[spos], s_cand)
-            s_blocked = s_nz.any(axis=3)
-            s_valid = scol < leg_count[:, :, None]
-            s_open = ~s_blocked & s_valid
-            leg_free = s_open.any(axis=2)            # (S, L)
-            leg_used = leg_count > 0
-            s_free = (leg_free | ~leg_used).all(axis=1)
-            s_choice = s_open.argmax(axis=2)         # (S, L)
-            has_free[spos] = s_free
-
-        # Per point (a contiguous segment of the attempt arrays), find the
-        # first successful attempt; everything before it parks, everything
-        # after it retries next wave.
-        first = _np.full(int(seg[-1]) + 1, A, dtype=_np.int64)
-        _np.minimum.at(first, seg_sel, _np.where(has_free, pos_sel, A))
-        first_pos = first[seg_sel]
-        is_park = pos_sel < first_pos
-        is_issue = pos_sel == first_pos
-
-        if ppos.size:
-            sel = is_issue[ppos]
-            ji = _np.nonzero(sel)[0]
-            if ji.size:
-                ki = k_sel[ppos[ji]]
-                idxi = pidx[ji]
-                ci = p_choice[ji]
-                row_idx = p_starts[ji] + ci
-                self.locked[ki] |= self.M[row_idx]
-                self.choice[idxi] = ci
-                self.cells_k[ki] += self.POPS[row_idx]
-                self._issue_braids(ki, g_sel[ppos[ji]], idxi, now)
-            sel = is_park[ppos]
-            jp = _np.nonzero(sel)[0]
-            if jp.size:
-                kp = k_sel[ppos[jp]]
-                cells = self._watch_cells(hit[jp], nz[jp], off[jp])
-                lane = p_valid[jp]
-                picked = cells[lane]
-                self._park_batch(
-                    kp,
-                    pidx[jp],
-                    (kp[:, None] * self.span + (cells >> 6))[lane],
-                    _np.uint64(1) << (picked & 63).astype(_np.uint64),
-                    p_counts[jp],
-                )
-
-        if any_stars:
-            sel = is_issue[spos]
-            js = _np.nonzero(sel)[0]
-            if js.size:
-                ks = k_sel[spos[js]]
-                idxs = sidx[js]
-                gates = g_sel[spos[js]]
-                composed = _np.bitwise_or.reduce(
-                    self.M[leg_start[js] + s_choice[js]], axis=1
-                )
-                composed |= self.M[self.star_ctrl[idxs]]
-                self.locked[ks] |= composed
-                self.cells_k[ks] += self._popcount_rows(composed)
-                self._issue_braids(ks, gates, idxs, now)
-                big_rows = self.big_rows
-                for j, k, gate in zip(
-                    range(js.size), ks.tolist(), gates.tolist()
-                ):
-                    big_rows[(k, gate)] = composed[j]
-            sel = is_park[spos]
-            jp = _np.nonzero(sel)[0]
-            if jp.size:
-                ksp = k_sel[spos[jp]]
-                # Park on the first failing leg, watching that leg's
-                # lowest blocking cell per candidate.
-                fail_leg = _np.argmax(leg_used[jp] & ~leg_free[jp], axis=1)
-                lane0 = _np.arange(jp.size)
-                cells = self._watch_cells(
-                    s_hit[jp][lane0, fail_leg],
-                    s_nz[jp][lane0, fail_leg],
-                    s_off[jp][lane0, fail_leg],
-                )
-                leg_cnt = leg_count[jp][lane0, fail_leg]
-                lane = _np.arange(cells.shape[1]) < leg_cnt[:, None]
-                picked = cells[lane]
-                self._park_batch(
-                    ksp,
-                    sidx[jp],
-                    (ksp[:, None] * self.span + (cells >> 6))[lane],
-                    _np.uint64(1) << (picked & 63).astype(_np.uint64),
-                    leg_cnt,
-                )
-
-        keep = pos > first[seg]
-        if not full:
-            keep |= ~selected
-        return k_at[keep], g_at[keep]
-
-    def _issue_braids(self, ki, gi, idxi, now: int) -> None:
-        """Shared issue bookkeeping; ``ki`` holds at most one row per point."""
-        self.braids_k[ki] += 1
-        conc = self.conc_k[ki] + 1
-        self.conc_k[ki] = conc
-        self.max_conc_k[ki] = _np.maximum(self.max_conc_k[ki], conc)
-        first = self.first_stall[idxi]
-        stalled = first >= 0
-        if stalled.any():
-            ks = ki[stalled]
-            self.stall_events_k[ks] += self.scan_k[ks] - first[stalled]
-        ends = now + self.dur[idxi]
-        self.start[idxi] = now
-        self.end[idxi] = ends
-        self.active_k[ki] += 1
-        self._calendar_add_arrays(ends, ki, gi)
-        points = self.points
-        for k in ki.tolist():
-            points[k].locked_int = None
-
-    def _park_batch(self, kp, idxp, flat, bits, rows_per) -> None:
-        """Shared park bookkeeping; ``kp`` may repeat a point (several
-        pre-issue parks of one point in one wave)."""
-        gens = self.park_gen[idxp] + 1
-        self.park_gen[idxp] = gens
-        self.park_rows[idxp] = rows_per
-        first = self.first_stall[idxp]
-        fresh = first < 0
-        if fresh.any():
-            kf = kp[fresh]
-            self.first_stall[idxp[fresh]] = self.scan_k[kf]
-            _np.add.at(self.distinct_k, kf, 1)
-        _np.add.at(self.parked_k, kp, 1)
-        total = int(flat.size)
-        self._pool_reserve(total)
-        s = self.pool_size
-        e = s + total
-        self.pool_flat[s:e] = flat
-        self.pool_word[s:e] = bits
-        self.pool_idx[s:e] = _np.repeat(idxp, rows_per)
-        self.pool_gen[s:e] = _np.repeat(gens, rows_per)
-        self.pool_size = e
-        self.pool_live += total
-
-    # -- scalar paths (small tails) --------------------------------------
-    def _locked_int(self, point: _Point) -> int:
-        if point.locked_int is None:
-            point.locked_int = int.from_bytes(
-                self.locked[point.k, : self.height].tobytes(), "little"
-            )
-        return point.locked_int
-
-    def _scalar_tail(self, k_list: List[int], g_list: List[int], now: int) -> None:
-        """Consume a small attempt residue with the scalar big-int loop.
-
-        The flat attempt arrays keep each point's attempts contiguous and
-        ordered, so a linear walk preserves per-point program order;
-        points never share occupancy, so their interleave is irrelevant.
-        All big-int masks live in the padded 64-bit-row cell space, which
-        preserves row-major cell order (and therefore watch lowbits).
-        """
-        n = self.n
-        kind = self.kind
-        points = self.points
-        for k, gate in zip(k_list, g_list):
-            point = points[k]
-            flat = k * n + gate
-            if kind[flat] == _KIND_STAR:
-                self._scalar_star(point, gate, now)
-                continue
-            locked = self._locked_int(point)
-            plan = point.plans.pairs[gate]
-            candidates = plan.masks[: int(self.count[flat])]
-            if not locked:
-                self._scalar_issue_pair(point, gate, now, candidates[0], 0)
-                continue
-            chosen = -1
-            watch = 0
-            for index, candidate in enumerate(candidates):
-                hit = candidate & locked
-                if not hit:
-                    chosen = index
-                    break
-                watch |= hit & -hit
-            if chosen >= 0:
-                self._scalar_issue_pair(point, gate, now, candidates[chosen], chosen)
-            else:
-                self._scalar_park(point, gate, watch)
-
-    def _scalar_star(self, point: _Point, gate: int, now: int) -> None:
-        """Exact ``route_star_masked`` replica against live occupancy."""
-        control_bit, legs = point.plans.stars[gate]
-        locked = self._locked_int(point)
-        mc = point.mc
-        mask = control_bit
-        choices: List[int] = []
-        routed = True
-        for leg in legs:
-            candidates = leg.masks[:mc]
-            if not locked:
-                mask |= candidates[0]
-                choices.append(0)
-                continue
-            leg_choice = -1
-            watch = 0
-            for index, candidate in enumerate(candidates):
-                hit = candidate & locked
-                if not hit:
-                    leg_choice = index
-                    mask |= candidate
-                    break
-                watch |= hit & -hit
-            if leg_choice < 0:
-                routed = False
-                mask = watch
-                break
-            choices.append(leg_choice)
-        if not routed:
-            self._scalar_park(point, gate, mask)
-            return
-        k = point.k
-        flat = k * self.n + gate
-        # Compose the dual-representation row from the chosen legs.
-        row = self.M[int(self.star_ctrl[flat])].copy()
-        leg_starts = self.star_start[flat]
-        for leg_index, leg_choice in enumerate(choices):
-            row |= self.M[int(leg_starts[leg_index]) + leg_choice]
-        self.big_rows[(k, gate)] = row
-        self.locked[k] |= row
-        point.locked_int = locked | mask
-        self._scalar_issue_common(point, gate, now, _popcount(mask))
-
-    def _scalar_issue_pair(self, point: _Point, gate: int, now: int,
-                           big: int, chosen: int) -> None:
-        k = point.k
-        flat = k * self.n + gate
-        point.locked_int = self._locked_int(point) | big
-        self.choice[flat] = chosen
-        row_idx = int(self.block[flat]) + chosen
-        self.locked[k] |= self.M[row_idx]
-        self._scalar_issue_common(point, gate, now, int(self.POPS[row_idx]))
-
-    def _scalar_issue_common(self, point: _Point, gate: int, now: int,
-                             pop: int) -> None:
-        k = point.k
-        flat = k * self.n + gate
-        self.cells_k[k] += pop
-        self.braids_k[k] += 1
-        conc = int(self.conc_k[k]) + 1
-        self.conc_k[k] = conc
-        if conc > self.max_conc_k[k]:
-            self.max_conc_k[k] = conc
-        first = int(self.first_stall[flat])
-        if first >= 0:
-            self.stall_events_k[k] += int(self.scan_k[k]) - first
-        end = now + int(self.dur[flat])
-        self.start[flat] = now
-        self.end[flat] = end
-        self.active_k[k] += 1
-        self._calendar_add_one(end, k, gate)
-
-    def _scalar_park(self, point: _Point, gate: int, watch: int) -> None:
-        k = point.k
-        flat = k * self.n + gate
-        if self.first_stall[flat] < 0:
-            self.first_stall[flat] = self.scan_k[k]
-            self.distinct_k[k] += 1
-        gen = int(self.park_gen[flat]) + 1
-        self.park_gen[flat] = gen
-        self.parked_k[k] += 1
-        base = k * self.span
-        rows: List[Tuple[int, int]] = []
-        while watch:
-            low = watch & -watch
-            watch ^= low
-            bit = low.bit_length() - 1
-            rows.append((base + (bit >> 6), 1 << (bit & 63)))
-        self.park_rows[flat] = len(rows)
-        total = len(rows)
-        self._pool_reserve(total)
-        s = self.pool_size
-        for offset, (flat_word, bits) in enumerate(rows):
-            self.pool_flat[s + offset] = flat_word
-            self.pool_word[s + offset] = bits
-            self.pool_idx[s + offset] = flat
-            self.pool_gen[s + offset] = gen
-        self.pool_size = s + total
-        self.pool_live += total
-
-    # -- result assembly -----------------------------------------------
-    def _result(self, point: _Point) -> SimulationResult:
-        n = self.n
-        base = point.k * n
-        start = self.start[base: base + n]
-        end = self.end[base: base + n]
-        ready = self.ready[base: base + n]
-        issued = start >= 0
-        stall_cycles = int(
-            _np.maximum(0, (start - ready)[issued]).sum()
-        )
-        return SimulationResult(
-            latency=int(end.max()) if n else 0,
-            area=point.placement.area,
-            gate_start=start.tolist(),
-            gate_end=end.tolist(),
-            stall_cycles=stall_cycles,
-            stall_events=int(self.stall_events_k[point.k]),
-            braided_gates=int(self.braids_k[point.k]),
-            max_concurrent_braids=int(self.max_conc_k[point.k]),
-            total_braid_cells=int(self.cells_k[point.k]),
-            distinct_stalls=int(self.distinct_k[point.k]),
-            wakeups=int(self.wakeups_k[point.k]),
-        )
-
-
-# ----------------------------------------------------------------------
-# The compiled kernel path
-# ----------------------------------------------------------------------
-def _row_popcounts(matrix, height: int):
-    """Popcount of each row's row-major part (cells, not column mirrors)."""
-    if hasattr(_np, "bitwise_count"):
-        return _np.bitwise_count(matrix[:, :height]).sum(
-            axis=1, dtype=_np.int64
-        )
-    return _np.asarray(  # pragma: no cover - numpy < 2.0
-        [
-            int.from_bytes(row[:height].tobytes(), "little").bit_count()
-            for row in matrix
-        ],
-        dtype=_np.int64,
-    )
-
-
-def _run_kernel_group(kern, shared: _Shared, points: List[_Point],
-                      matrix: _MatrixBuilder,
-                      durations: List[List[int]]) -> List[SimulationResult]:
-    """Run a group's points through the compiled per-point event loop.
-
-    The group preparation (master candidate matrix, probe tables, plan
-    dedup) is shared exactly as in the vectorized engine; each point's
-    event loop then runs in C over the same tables.
-    """
-    M, probe_off, probe_mask = matrix.finish()
-    height = matrix.height
-    span = matrix.span
-    pops = _row_popcounts(M, height)
+def _simulate_point(kern, shared: _Shared, plans: _PlacementPlans,
+                    placement: Placement, config: SimulatorConfig,
+                    dur: np.ndarray) -> SimulationResult:
+    """One point's event loop in the kernel."""
     n = shared.n
-    pred = _np.asarray(shared.pred_count, dtype=_np.int64)
-    dummy = _np.zeros(1, dtype=_np.int64)
-    kind_cache: Dict[int, object] = {}
-    results: List[SimulationResult] = []
-    for point, dur_list in zip(points, durations):
-        plans = point.plans
-        kind64 = kind_cache.get(id(plans))
-        if kind64 is None:
-            kind64 = plans.kind.astype(_np.int64)
-            kind_cache[id(plans)] = kind64
-        count = _np.minimum(plans.length, point.mc)
-        if shared.max_legs:
-            star_start = plans.star_start
-            star_count = _np.minimum(plans.star_len, point.mc)
-            star_ctrl = plans.star_ctrl
-        else:
-            star_start = star_count = star_ctrl = dummy
-        dur = _np.asarray(dur_list, dtype=_np.int64)
-        gate_start = _np.empty(n, dtype=_np.int64)
-        gate_end = _np.empty(n, dtype=_np.int64)
-        ready = _np.empty(n, dtype=_np.int64)
-        counters = _np.zeros(_kernel.COUNTER_SLOTS, dtype=_np.int64)
-        code = kern.simulate_point(
-            n, kind64, dur, plans.block, count, shared.max_legs,
-            star_start, star_count, star_ctrl,
-            shared.succ_flat, shared.succ_off, pred,
-            M, probe_off, probe_mask, pops,
-            span, height, point.config.max_cycles,
-            gate_start, gate_end, ready, counters,
+    mc = max(1, config.max_candidates)
+    gate_start = np.empty(n, dtype=np.int64)
+    gate_end = np.empty(n, dtype=np.int64)
+    ready = np.empty(n, dtype=np.int64)
+    counters = np.zeros(_kernel.COUNTER_SLOTS, dtype=np.int64)
+    code = kern.simulate_point(
+        n, shared.kind, dur, plans.block, np.minimum(plans.length, mc),
+        shared.max_legs, plans.star_start, np.minimum(plans.star_len, mc),
+        shared.succ_flat, shared.succ_off, shared.pred_count, plans.table,
+        plans.height, plans.width, config.max_cycles,
+        gate_start, gate_end, ready, counters,
+    )
+    if code == _kernel.MAX_CYCLES_EXCEEDED:
+        raise RuntimeError(f"simulation exceeded max_cycles={config.max_cycles}")
+    if code == _kernel.DEADLOCK:
+        raise RoutingDeadlockError(
+            f"{int(counters[0])} gates cannot be routed on an otherwise idle mesh"
         )
-        if code == _kernel.MAX_CYCLES_EXCEEDED:
-            raise RuntimeError(
-                f"simulation exceeded max_cycles={point.config.max_cycles}"
-            )
-        if code == _kernel.DEADLOCK:
-            raise RoutingDeadlockError(
-                f"{int(counters[0])} gates cannot be routed on an "
-                f"otherwise idle mesh"
-            )
-        if code != _kernel.OK:  # pragma: no cover - allocation failure
-            raise RuntimeError(f"batchsim kernel failed with code {code}")
-        results.append(SimulationResult(
-            latency=int(counters[8]),
-            area=point.placement.area,
-            gate_start=gate_start.tolist(),
-            gate_end=gate_end.tolist(),
-            stall_cycles=int(counters[7]),
-            stall_events=int(counters[1]),
-            braided_gates=int(counters[2]),
-            max_concurrent_braids=int(counters[3]),
-            total_braid_cells=int(counters[4]),
-            distinct_stalls=int(counters[5]),
-            wakeups=int(counters[6]),
-        ))
-    return results
+    if code != _kernel.OK:  # pragma: no cover - allocation failure
+        raise RuntimeError(f"batchsim kernel failed with code {code}")
+    return SimulationResult(
+        latency=int(counters[8]),
+        area=placement.area,
+        gate_start=gate_start.tolist(),
+        gate_end=gate_end.tolist(),
+        stall_cycles=int(counters[7]),
+        stall_events=int(counters[1]),
+        braided_gates=int(counters[2]),
+        max_concurrent_braids=int(counters[3]),
+        total_braid_cells=int(counters[4]),
+        distinct_stalls=int(counters[5]),
+        wakeups=int(counters[6]),
+    )
 
 
-# ----------------------------------------------------------------------
-# Public entry point
-# ----------------------------------------------------------------------
-def _needs_scalar_config(config: SimulatorConfig) -> bool:
+def _needs_loop(config: SimulatorConfig) -> bool:
     """Configs whose routes take the router's special paths."""
     return config.allow_detour or bool(config.hops)
 
 
+def _run_group(kern, gates, points: List[Tuple[object, Placement, SimulatorConfig]]
+               ) -> List[SimulationResult]:
+    """Simulate one circuit's points: kernel where batchable, else the loop.
+
+    Points are taken placement by placement, so only one placement's
+    candidate table is alive at a time.
+    """
+    if len(gates) == 0:
+        return [_empty_result(placement) for _, placement, _ in points]
+    shared = _Shared(gates)
+    for _, placement, _ in points:
+        _validate_placement(shared, placement)
+    results: List[Optional[SimulationResult]] = [None] * len(points)
+    by_placement: Dict[tuple, List[int]] = {}
+    for position, (_, placement, config) in enumerate(points):
+        if _needs_loop(config):
+            results[position] = simulate(gates, placement, config)
+        else:
+            by_placement.setdefault(placement.fingerprint(), []).append(position)
+    durations: Dict[tuple, np.ndarray] = {}
+    for positions in by_placement.values():
+        plans = _PlacementPlans(kern, shared, points[positions[0]][1])
+        for position in positions:
+            _, placement, config = points[position]
+            if not plans.batchable:
+                results[position] = simulate(gates, placement, config)
+                continue
+            key = tuple(
+                sorted((kind.value, int(v)) for kind, v in config.durations.items())
+            )
+            dur = durations.get(key)
+            if dur is None:
+                dur = np.asarray(
+                    [gate.duration(config.durations) for gate in gates],
+                    dtype=np.int64,
+                )
+                durations[key] = dur
+            results[position] = _simulate_point(
+                kern, shared, plans, placement, config, dur
+            )
+    return results  # type: ignore[return-value]
+
+
 def kernel_available() -> bool:
     """Whether the compiled kernel engine can run in this environment."""
-    return _np is not None and _kernel.available()
+    return _kernel.available()
 
 
 def simulate_batch(
@@ -1500,145 +351,55 @@ def simulate_batch(
 
     ``requests`` is a sequence of ``(circuit_or_gates, placement, config)``
     triples (``config`` may be ``None`` for the default).  Requests are
-    grouped by circuit content; each group of K > 1 batchable points runs
-    through the vectorized group engine when numpy is available, sharing
-    the circuit preparation and route plans and advancing all points per
-    event-loop step.  Results come back in request order and are
+    grouped by circuit content; each group shares its circuit preparation,
+    each placement its candidate table, and every batchable point runs
+    through the compiled kernel.  Results come back in request order and are
     byte-identical to per-request :func:`~repro.routing.simulator.simulate`
     calls.
 
-    ``engine`` selects the path: ``"auto"`` (compiled kernel when
-    available, else vectorize when possible), ``"compiled"`` (require the
-    C kernel, raise :class:`RuntimeError` when it cannot be built),
-    ``"vector"`` (require numpy, raise :class:`RuntimeError` without it),
-    or ``"scalar"`` (always fall back to per-request ``simulate``).
+    ``engine`` selects the path: ``"auto"`` (the compiled kernel when it
+    builds, else the per-point ``simulate`` loop) or ``"compiled"``
+    (require the kernel, raise :class:`RuntimeError` when it cannot be
+    built).
     """
-    if engine not in ("auto", "compiled", "vector", "scalar"):
+    if engine not in ("auto", "compiled"):
         raise ValueError(f"unknown batch engine {engine!r}")
-    if engine == "vector" and _np is None:
-        raise RuntimeError("engine='vector' requires numpy, which is not installed")
-    if engine == "compiled":
-        if _np is None:
-            raise RuntimeError(
-                "engine='compiled' requires numpy, which is not installed"
-            )
-        if not _kernel.available():
-            raise RuntimeError(
-                "engine='compiled' requires a working C compiler to build "
-                "the simulator kernel"
-            )
-
-    normalized: List[Tuple[object, Placement, SimulatorConfig]] = []
-    for request in requests:
-        circuit_or_gates, placement, config = request
-        normalized.append(
-            (circuit_or_gates, placement, config or SimulatorConfig())
-        )
-
-    results: List[Optional[SimulationResult]] = [None] * len(normalized)
-    use_vector = engine != "scalar" and _np is not None
-
-    if not use_vector:
-        for index, (circ, placement, config) in enumerate(normalized):
-            results[index] = simulate(circ, placement, config)
-        return results  # type: ignore[return-value]
-
-    # The compiled kernel, when buildable, both generates route plans
-    # (all engines) and runs the per-point event loop (auto/compiled).
     kern = _kernel.load()
-    use_kernel_loop = kern is not None and engine in ("auto", "compiled")
+    if kern is None and engine == "compiled":
+        raise RuntimeError(
+            "engine='compiled' requires a working C compiler to build "
+            "the simulator kernel"
+        )
+    normalized = [
+        (circ, placement, config or SimulatorConfig())
+        for circ, placement, config in requests
+    ]
+    if kern is None:
+        return [simulate(*point) for point in normalized]
 
-    # Group same-circuit requests; keep gate tuples so one-shot iterables
-    # are read exactly once.  Sweeps typically pass the same circuit (or
-    # gate tuple) object for every point, so memoize the content
-    # fingerprint by object identity.
+    # Group same-circuit requests.  Sweeps pass the same circuit (or gate
+    # tuple) object for every point, so each distinct object is read and
+    # fingerprinted once: a Circuit memoizes its own digest, and one-shot
+    # iterables are consumed exactly once.
     groups: Dict[str, List[int]] = {}
-    gate_lists: List[tuple] = []
-    fp_by_id: Dict[int, str] = {}
+    circuits: Dict[str, object] = {}
+    fingerprint_of: Dict[int, str] = {}
     for index, (circ, _placement, _config) in enumerate(normalized):
-        gates = _gate_list(circ)
-        gate_lists.append(gates)
-        fingerprint = fp_by_id.get(id(gates))
+        fingerprint = fingerprint_of.get(id(circ))
         if fingerprint is None:
-            fingerprint = circuit_fingerprint(gates)
-            fp_by_id[id(gates)] = fingerprint
+            circuit = circ if isinstance(circ, Circuit) else _gate_list(circ)
+            fingerprint = circuit_fingerprint(circuit)
+            fingerprint_of[id(circ)] = fingerprint
+            circuits.setdefault(fingerprint, circuit)
         groups.setdefault(fingerprint, []).append(index)
 
-    mesh_cache: Dict[tuple, Mesh] = {}
-    for indices in groups.values():
-        gates = gate_lists[indices[0]]
-        if len(gates) == 0:
-            for index in indices:
-                results[index] = _empty_result(normalized[index][1])
-            continue
-        shared = _Shared(gates)
-        height = width = 0
-        meshes: Dict[tuple, Mesh] = {}
-        oversized: set = set()
-        for index in indices:
-            placement = normalized[index][1]
-            _validate_placement(shared, placement)
-            mesh_key = placement.fingerprint()
-            mesh = mesh_cache.get(mesh_key)
-            if mesh is None:
-                mesh = Mesh.from_placement(
-                    placement.positions,
-                    width=placement.width,
-                    height=placement.height,
-                )
-                mesh_cache[mesh_key] = mesh
-            meshes[mesh_key] = mesh
-            if mesh.lattice_height > _MAX_DIM or mesh.lattice_width > _MAX_DIM:
-                oversized.add(mesh_key)
-            else:
-                height = max(height, mesh.lattice_height)
-                width = max(width, mesh.lattice_width)
-
-        matrix = _MatrixBuilder(height, width)
-        # Plans carry their master-matrix block offset, which is per-group
-        # state, so the plan cache cannot outlive the group.
-        plans = _PlanCache(height, width, kernel=kern)
-        placement_plans: Dict[tuple, _PlacementPlans] = {}
-        duration_cache: Dict[tuple, List[int]] = {}
-        points: List[_Point] = []
-        durations: List[List[int]] = []
-        batch_order: List[int] = []
-        for index in indices:
-            _circ, placement, config = normalized[index]
-            mesh_key = placement.fingerprint()
-            if mesh_key in oversized or _needs_scalar_config(config):
-                results[index] = simulate(gates, placement, config)
-                continue
-            resolved = placement_plans.get(mesh_key)
-            if resolved is None:
-                resolved = _PlacementPlans(shared, meshes[mesh_key], plans, matrix)
-                placement_plans[mesh_key] = resolved
-            if resolved.degenerate:
-                results[index] = simulate(gates, placement, config)
-                continue
-            duration_key = tuple(
-                sorted((kind.value, int(v)) for kind, v in config.durations.items())
-            )
-            point_durations = duration_cache.get(duration_key)
-            if point_durations is None:
-                point_durations = [gate.duration(config.durations) for gate in gates]
-                duration_cache[duration_key] = point_durations
-            points.append(_Point(len(points), config, placement, resolved))
-            durations.append(point_durations)
-            batch_order.append(index)
-
-        if len(points) == 1 and engine != "compiled" and not use_kernel_loop:
-            # A lone point gains nothing from group prep without the
-            # kernel; the masked engine is the cheaper exact path.
-            index = batch_order[0]
-            results[index] = simulate(gates, normalized[index][1], normalized[index][2])
-        elif points:
-            if use_kernel_loop:
-                group_results = _run_kernel_group(
-                    kern, shared, points, matrix, durations
-                )
-            else:
-                group_results = _ArrayGroup(shared, points, matrix, durations).run()
-            for index, result in zip(batch_order, group_results):
-                results[index] = result
+    results: List[Optional[SimulationResult]] = [None] * len(normalized)
+    for fingerprint, indices in groups.items():
+        group_results = _run_group(
+            kern,
+            _gate_list(circuits[fingerprint]),
+            [normalized[i] for i in indices],
+        )
+        for index, result in zip(indices, group_results):
+            results[index] = result
     return results  # type: ignore[return-value]

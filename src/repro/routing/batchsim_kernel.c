@@ -1,37 +1,51 @@
-/* batchsim_kernel.c — compiled fast path for the batched braid simulator.
+/* batchsim_kernel.c — compiled event loop of the batched braid simulator.
  *
- * Exact C port of the masked engine in repro/routing/simulator.py over
- * the batched group representation built by repro/routing/batchsim.py:
- * a dense master matrix of candidate rows in the dual row/column uint64
- * bitboard (row word r holds the columns occupied in lattice row r; word
- * height + c holds the rows occupied in lattice column c), plus a
- * 4-probe conflict table per row (two endpoint bits, the horizontal
- * segment against its row word, the vertical segment against its column
- * word).
+ * Exact C port of the masked engine in repro/routing/simulator.py, driven
+ * by repro/routing/batchsim.py one sweep point at a time over a candidate
+ * table that every point on the same placement shares.
+ *
+ * Candidate table.  Every route candidate BraidRouter._mask_plan produces
+ * is an L-shaped path: two endpoint cells, one horizontal run and one
+ * vertical run.  A candidate is therefore stored as one fixed-width int32
+ * row (the F_* fields below: endpoints, horizontal run, vertical run,
+ * cell count), independent of the lattice size; the kernel derives its
+ * conflict probes and lock/free bits from those coordinates.
+ *
+ * Occupancy.  Each point keeps a dual row/column bitboard sized to its
+ * own lattice (H rows, W columns): rw = ceil(W / 64) words per lattice row
+ * (bit = column), then cw = ceil(H / 64) words per lattice column (bit =
+ * row).  A candidate's conflict test is two endpoint bits, the horizontal
+ * run against its row words and the vertical run against its column
+ * words, so it costs O(words), not O(cells); locking and freeing touch
+ * every cell of the candidate in both boards.
  *
  * Two entry points, loaded via ctypes by repro/routing/kernel.py:
  *
- *   build_pair_plan  — candidate-row generation for one endpoint pair,
- *                      replicating BraidRouter._mask_plan's channel
- *                      enumeration and generation-order dedup.
- *   simulate_point   — one sweep point's full event loop, byte-identical
- *                      to simulate() (and therefore simulate_reference).
+ *   build_plans     — the candidate rows of many endpoint pairs,
+ *                     replicating BraidRouter._mask_plan's channel
+ *                     enumeration and generation-order dedup by cell set.
+ *   simulate_point  — one sweep point's full event loop, byte-identical
+ *                     to simulate() (and therefore simulate_reference).
  *
- * Exactness notes mirrored from the Python engines:
+ * Exactness notes mirrored from the Python engine:
  *   - attempts pop from a min-heap of gate indices (program order);
- *   - `locked == 0` shortcut takes candidate 0 without probing;
- *   - a blocked candidate contributes the lowest set bit of its overlap
- *     with the locked set, in padded row-major cell order; the 4-probe
- *     minimum reproduces that lowbit exactly because the probes cover
- *     every cell of the candidate and padded row-major order is the
- *     probe-local (word offset, bit) order;
- *   - stall accounting: first_stall_scan latches the retirement-step
- *     counter at first park, stall_events accrues scan - first at issue;
- *   - wakeups: one per parked gate whose blocker set intersects the
- *     cells freed during a retirement step (the per-event waiter-queue
- *     walk in simulate() wakes the same set — a woken gate's blocker is
- *     cleared, so later events in the step cannot wake it again, and
- *     the attempt heap restores program order);
+ *   - with no braid in flight the locked set is empty, so candidate 0 is
+ *     taken without probing (simulate()'s `not locked_mask` shortcut);
+ *   - a blocked candidate contributes the lowest cell of its overlap with
+ *     the locked set in row-major order (the lowbit of candidate & locked
+ *     in the big-int engine); the minimum over the endpoint bits, the
+ *     first hit of the horizontal run and the first hit of the vertical
+ *     run is exactly that cell.  Cells are numbered r * 64 * rw + c, which
+ *     preserves row-major order;
+ *   - stall accounting: first_stall latches the retirement-step counter at
+ *     first park, stall_events accrues scan - first at issue;
+ *   - wakeups: one per parked gate with a watch cell freed during a
+ *     retirement step.  Watch cells are locked when recorded, and only
+ *     retirements unlock cells, so after a step's retirements a watch cell
+ *     is free exactly when that step freed it; simulate()'s per-event
+ *     waiter walk wakes the same set (a woken gate's blocker mask is
+ *     cleared, so later events of the step cannot wake it again, and the
+ *     attempt heap restores program order);
  *   - max_cycles raises only when an event time exceeds the limit with
  *     gates still unfinished (simulate() checks at the top of the next
  *     loop iteration, which only runs while completed < n).
@@ -46,8 +60,16 @@
 #define ERR_DEADLOCK 2
 #define ERR_ALLOC 3
 
-#define MAX_SPAN 128          /* both lattice dims capped at 64 words */
-#define MAX_CANDIDATES 8      /* _mask_plan emits at most 4 + 4 rows */
+#define MAX_CANDIDATES 8      /* _mask_plan emits at most 4 + 4 shapes */
+
+/* Candidate row layout (int32 fields), shared with kernel.py. */
+enum {
+    F_SR = 0, F_SC, F_TR, F_TC,   /* endpoint cells (source, target) */
+    F_HROW, F_HA, F_HB,           /* horizontal run: row, first..last col */
+    F_VCOL, F_VA, F_VB,           /* vertical run: col, first..last row */
+    F_CELLS,                      /* distinct cells of the candidate */
+    CAND_FIELDS
+};
 
 /* ---- min-heap of gate indices (the attempt queue) ------------------ */
 
@@ -131,143 +153,288 @@ static event_t epop(event_t *heap, int64_t *size)
     return top;
 }
 
-/* ---- candidate conflict probe -------------------------------------- */
+/* ---- bit ranges ----------------------------------------------------- */
 
-/* Returns 1 when the candidate row is free; otherwise 0 with *watch_out
- * set to the lowest blocked cell in padded row-major order (r * 64 + c),
- * i.e. the lowbit of (candidate & locked) in the big-int engine. */
-static int probe_row(const uint64_t *locked, const int64_t *poff,
-                     const uint64_t *pmask, int64_t row, int64_t height,
-                     int64_t *watch_out)
+static int get_bit(const uint64_t *words, int64_t idx)
 {
-    const int64_t *off = poff + 4 * row;
-    const uint64_t *pm = pmask + 4 * row;
-    uint64_t hits[4];
-    hits[0] = locked[off[0]] & pm[0];
-    hits[1] = locked[off[1]] & pm[1];
-    hits[2] = locked[off[2]] & pm[2];
-    hits[3] = locked[off[3]] & pm[3];
-    if (!(hits[0] | hits[1] | hits[2] | hits[3]))
-        return 1;
-    int64_t best = INT64_MAX;
-    for (int i = 0; i < 4; i++) {
-        if (!hits[i])
-            continue;
-        int64_t bit = __builtin_ctzll(hits[i]);
-        int64_t cell = off[i] < height
-            ? off[i] * 64 + bit               /* row word: bit is a column */
-            : bit * 64 + (off[i] - height);   /* column word: bit is a row */
-        if (cell < best)
+    return (int)((words[idx >> 6] >> (idx & 63)) & 1u);
+}
+
+/* Sets a bit; returns 1 when it was clear. */
+static int64_t set_bit(uint64_t *words, int64_t idx)
+{
+    uint64_t bit = 1ull << (idx & 63);
+    uint64_t *word = words + (idx >> 6);
+    int64_t added = (*word & bit) == 0;
+    *word |= bit;
+    return added;
+}
+
+static void clear_bit(uint64_t *words, int64_t idx)
+{
+    words[idx >> 6] &= ~(1ull << (idx & 63));
+}
+
+/* Bits lo..hi (inclusive) of word w, for lo <= hi. */
+static uint64_t word_mask(int64_t w, int64_t lo, int64_t hi)
+{
+    uint64_t mask = ~0ull;
+    if (w == lo >> 6)
+        mask &= ~0ull << (lo & 63);
+    if (w == hi >> 6)
+        mask &= ~0ull >> (63 - (hi & 63));
+    return mask;
+}
+
+/* Lowest set bit index in lo..hi, or -1. */
+static int64_t first_set(const uint64_t *words, int64_t lo, int64_t hi)
+{
+    for (int64_t w = lo >> 6; w <= hi >> 6; w++) {
+        uint64_t hit = words[w] & word_mask(w, lo, hi);
+        if (hit)
+            return (w << 6) + __builtin_ctzll(hit);
+    }
+    return -1;
+}
+
+/* Sets bits lo..hi; returns how many were clear. */
+static int64_t set_range(uint64_t *words, int64_t lo, int64_t hi)
+{
+    int64_t added = 0;
+    for (int64_t w = lo >> 6; w <= hi >> 6; w++) {
+        uint64_t mask = word_mask(w, lo, hi);
+        added += __builtin_popcountll(mask & ~words[w]);
+        words[w] |= mask;
+    }
+    return added;
+}
+
+static void clear_range(uint64_t *words, int64_t lo, int64_t hi)
+{
+    for (int64_t w = lo >> 6; w <= hi >> 6; w++)
+        words[w] &= ~word_mask(w, lo, hi);
+}
+
+/* ---- the dual occupancy board -------------------------------------- */
+
+typedef struct {
+    uint64_t *rows;   /* bit r * rs + c: cell (r, c) */
+    uint64_t *cols;   /* bit c * cs + r: cell (r, c) */
+    int64_t rs;       /* 64 * words per lattice row */
+    int64_t cs;       /* 64 * words per lattice column */
+} board_t;
+
+static int64_t lock_cell(board_t *b, int64_t r, int64_t c)
+{
+    set_bit(b->cols, c * b->cs + r);
+    return set_bit(b->rows, r * b->rs + c);
+}
+
+static void free_cell(board_t *b, int64_t r, int64_t c)
+{
+    clear_bit(b->cols, c * b->cs + r);
+    clear_bit(b->rows, r * b->rs + c);
+}
+
+/* Locks every cell of a candidate; returns how many were free (so a
+ * star's legs, which may share cells, count their union once). */
+static int64_t lock_cand(board_t *b, const int32_t *cand)
+{
+    int64_t hrow = cand[F_HROW], vcol = cand[F_VCOL];
+    int64_t added = lock_cell(b, cand[F_SR], cand[F_SC])
+        + lock_cell(b, cand[F_TR], cand[F_TC]);
+    added += set_range(b->rows, hrow * b->rs + cand[F_HA],
+                       hrow * b->rs + cand[F_HB]);
+    for (int64_t c = cand[F_HA]; c <= cand[F_HB]; c++)
+        set_bit(b->cols, c * b->cs + hrow);
+    set_range(b->cols, vcol * b->cs + cand[F_VA], vcol * b->cs + cand[F_VB]);
+    for (int64_t r = cand[F_VA]; r <= cand[F_VB]; r++)
+        added += set_bit(b->rows, r * b->rs + vcol);
+    return added;
+}
+
+/* Frees every cell of a candidate.  Braids in flight never share a cell
+ * (each candidate was free when issued), so this frees only its own. */
+static void free_cand(board_t *b, const int32_t *cand)
+{
+    int64_t hrow = cand[F_HROW], vcol = cand[F_VCOL];
+    free_cell(b, cand[F_SR], cand[F_SC]);
+    free_cell(b, cand[F_TR], cand[F_TC]);
+    clear_range(b->rows, hrow * b->rs + cand[F_HA], hrow * b->rs + cand[F_HB]);
+    for (int64_t c = cand[F_HA]; c <= cand[F_HB]; c++)
+        clear_bit(b->cols, c * b->cs + hrow);
+    clear_range(b->cols, vcol * b->cs + cand[F_VA], vcol * b->cs + cand[F_VB]);
+    for (int64_t r = cand[F_VA]; r <= cand[F_VB]; r++)
+        clear_bit(b->rows, r * b->rs + vcol);
+}
+
+/* -1 when the candidate is free; otherwise its lowest locked cell in
+ * row-major order, numbered r * rs + c. */
+static int64_t probe_cand(const board_t *b, const int32_t *cand)
+{
+    int64_t rs = b->rs, best = -1, cell;
+    int64_t hrow = cand[F_HROW], vcol = cand[F_VCOL];
+    cell = first_set(b->rows, hrow * rs + cand[F_HA], hrow * rs + cand[F_HB]);
+    if (cell >= 0)
+        best = cell;
+    int64_t base = vcol * b->cs;
+    cell = first_set(b->cols, base + cand[F_VA], base + cand[F_VB]);
+    if (cell >= 0) {
+        cell = (cell - base) * rs + vcol;
+        if (best < 0 || cell < best)
             best = cell;
     }
-    *watch_out = best;
-    return 0;
+    cell = (int64_t)cand[F_SR] * rs + cand[F_SC];
+    if (get_bit(b->rows, cell) && (best < 0 || cell < best))
+        best = cell;
+    cell = (int64_t)cand[F_TR] * rs + cand[F_TC];
+    if (get_bit(b->rows, cell) && (best < 0 || cell < best))
+        best = cell;
+    return best;
 }
 
 /* ---- candidate-plan generation ------------------------------------- */
 
-static uint64_t span_mask(int64_t lo, int64_t hi)
+static int cand_has(const int32_t *cand, int64_t r, int64_t c)
 {
-    int64_t width = hi - lo + 1;
-    uint64_t bits = width >= 64 ? ~0ull : (1ull << width) - 1;
-    return bits << lo;
+    return (r == cand[F_SR] && c == cand[F_SC])
+        || (r == cand[F_TR] && c == cand[F_TC])
+        || (r == cand[F_HROW] && c >= cand[F_HA] && c <= cand[F_HB])
+        || (c == cand[F_VCOL] && r >= cand[F_VA] && r <= cand[F_VB]);
 }
 
-static int64_t emit_candidate(
-    int64_t sr, int64_t sc, int64_t tr, int64_t tc,
-    int64_t hrow, int64_t h0, int64_t h1, int64_t vcol, int64_t v0, int64_t v1,
-    int64_t height, int64_t span,
-    uint64_t *rows_out, int64_t *poff_out, uint64_t *pmask_out, int64_t kept)
+/* Count, row sum, column sum and row-column product sum of a cell set:
+ * a cheap exact invariant, so most distinct candidates are told apart
+ * without comparing cells. */
+typedef struct {
+    int64_t n, r, c, rc;
+} moments_t;
+
+static void add_run(moments_t *m, int64_t sign, int64_t r0, int64_t r1,
+                    int64_t c0, int64_t c1)
 {
-    uint64_t row[MAX_SPAN];
-    memset(row, 0, (size_t)span * 8);
-    int64_t ha = h0 <= h1 ? h0 : h1, hb = h0 <= h1 ? h1 : h0;
-    int64_t va = v0 <= v1 ? v0 : v1, vb = v0 <= v1 ? v1 : v0;
-    row[sr] |= 1ull << sc;
-    row[height + sc] |= 1ull << sr;
-    row[tr] |= 1ull << tc;
-    row[height + tc] |= 1ull << tr;
-    uint64_t hmask = span_mask(ha, hb);      /* bits are columns */
-    uint64_t vmask = span_mask(va, vb);      /* bits are rows */
-    row[hrow] |= hmask;
-    for (int64_t c = ha; c <= hb; c++)
-        row[height + c] |= 1ull << hrow;
-    row[height + vcol] |= vmask;
-    for (int64_t r = va; r <= vb; r++)
-        row[r] |= 1ull << vcol;
+    /* cells (r, c) for r0 <= r <= r1, c0 <= c <= c1; one of the ranges
+     * is a single value */
+    int64_t nr = r1 - r0 + 1, nc = c1 - c0 + 1;
+    int64_t sum_r = (r0 + r1) * nr / 2, sum_c = (c0 + c1) * nc / 2;
+    m->n += sign * nr * nc;
+    m->r += sign * sum_r * nc;
+    m->c += sign * sum_c * nr;
+    m->rc += sign * sum_r * sum_c;
+}
+
+static moments_t cand_moments(const int32_t *cand)
+{
+    moments_t m = { 0, 0, 0, 0 };
+    int64_t hrow = cand[F_HROW], vcol = cand[F_VCOL];
+    add_run(&m, 1, hrow, hrow, cand[F_HA], cand[F_HB]);
+    add_run(&m, 1, cand[F_VA], cand[F_VB], vcol, vcol);
+    if (hrow >= cand[F_VA] && hrow <= cand[F_VB]
+        && vcol >= cand[F_HA] && vcol <= cand[F_HB])
+        add_run(&m, -1, hrow, hrow, vcol, vcol);      /* the shared corner */
+    int source_on_runs =
+        (cand[F_SR] == hrow && cand[F_SC] >= cand[F_HA] && cand[F_SC] <= cand[F_HB])
+        || (cand[F_SC] == vcol && cand[F_SR] >= cand[F_VA] && cand[F_SR] <= cand[F_VB]);
+    int target_on_runs =
+        (cand[F_TR] == hrow && cand[F_TC] >= cand[F_HA] && cand[F_TC] <= cand[F_HB])
+        || (cand[F_TC] == vcol && cand[F_TR] >= cand[F_VA] && cand[F_TR] <= cand[F_VB]);
+    if (!source_on_runs)
+        add_run(&m, 1, cand[F_SR], cand[F_SR], cand[F_SC], cand[F_SC]);
+    if (!target_on_runs && !(cand[F_TR] == cand[F_SR] && cand[F_TC] == cand[F_SC]))
+        add_run(&m, 1, cand[F_TR], cand[F_TR], cand[F_TC], cand[F_TC]);
+    return m;
+}
+
+/* Whether two candidates cover the same cells (a must have b's count). */
+static int same_cells(const int32_t *a, const int32_t *b)
+{
+    if (!cand_has(b, a[F_SR], a[F_SC]) || !cand_has(b, a[F_TR], a[F_TC]))
+        return 0;
+    for (int64_t c = a[F_HA]; c <= a[F_HB]; c++)
+        if (!cand_has(b, a[F_HROW], c))
+            return 0;
+    for (int64_t r = a[F_VA]; r <= a[F_VB]; r++)
+        if (!cand_has(b, r, a[F_VCOL]))
+            return 0;
+    return 1;
+}
+
+/* Appends the candidate source -> (hrow, h0..h1) / (vcol, v0..v1) ->
+ * target unless an earlier one covers the same cells (_mask_plan's
+ * generation-order dedup: masks are equal exactly when cell sets are). */
+static int64_t emit_candidate(int32_t *rows, moments_t *seen, int64_t kept,
+                              int64_t sr, int64_t sc, int64_t tr, int64_t tc,
+                              int64_t hrow, int64_t h0, int64_t h1,
+                              int64_t vcol, int64_t v0, int64_t v1)
+{
+    int32_t *cand = rows + kept * CAND_FIELDS;
+    cand[F_SR] = (int32_t)sr;
+    cand[F_SC] = (int32_t)sc;
+    cand[F_TR] = (int32_t)tr;
+    cand[F_TC] = (int32_t)tc;
+    cand[F_HROW] = (int32_t)hrow;
+    cand[F_HA] = (int32_t)(h0 <= h1 ? h0 : h1);
+    cand[F_HB] = (int32_t)(h0 <= h1 ? h1 : h0);
+    cand[F_VCOL] = (int32_t)vcol;
+    cand[F_VA] = (int32_t)(v0 <= v1 ? v0 : v1);
+    cand[F_VB] = (int32_t)(v0 <= v1 ? v1 : v0);
+    moments_t m = cand_moments(cand);
+    cand[F_CELLS] = (int32_t)m.n;
     for (int64_t i = 0; i < kept; i++)
-        if (!memcmp(rows_out + i * span, row, (size_t)span * 8))
-            return kept;                     /* generation-order dedup */
-    memcpy(rows_out + kept * span, row, (size_t)span * 8);
-    int64_t *po = poff_out + kept * 4;
-    uint64_t *pm = pmask_out + kept * 4;
-    po[0] = sr;            pm[0] = 1ull << sc;
-    po[1] = tr;            pm[1] = 1ull << tc;
-    po[2] = hrow;          pm[2] = hmask;
-    po[3] = height + vcol; pm[3] = vmask;
+        if (seen[i].n == m.n && seen[i].r == m.r && seen[i].c == m.c
+            && seen[i].rc == m.rc
+            && same_cells(cand, rows + i * CAND_FIELDS))
+            return kept;
+    seen[kept] = m;
     return kept + 1;
 }
 
-/* Candidate rows for one endpoint pair: the same channel enumeration as
- * BraidRouter._mask_plan (row-first then column-first L shapes), with
- * duplicate rows dropped in generation order.  Buffers must hold
- * MAX_CANDIDATES rows; returns how many were kept, or -1 when a channel
- * coordinate would be negative (callers fall back to Python, which
- * reproduces the big-int engine's behavior for such degenerate meshes). */
-int64_t build_pair_plan(
-    int64_t sr, int64_t sc, int64_t tr, int64_t tc,
-    int64_t max_row, int64_t max_col,
-    int64_t height, int64_t width,
-    uint64_t *rows_out, int64_t *poff_out, uint64_t *pmask_out)
+/* Candidate rows for one endpoint pair: the channel enumeration of
+ * BraidRouter._mask_plan (row-first, then column-first L shapes), with
+ * duplicate cell sets dropped in generation order.  `rows` must hold
+ * MAX_CANDIDATES rows.  Returns how many were kept, or -1 when the pair
+ * has no such plan here: a channel coordinate would be negative, or the
+ * endpoints coincide (the router's single-cell special case) — callers
+ * then simulate the point with the Python engine. */
+static int64_t build_plan(int64_t sr, int64_t sc, int64_t tr, int64_t tc,
+                          int64_t max_row, int64_t max_col, int32_t *rows)
 {
-    int64_t span = height + width;
-    if (sr < 1 || sc < 1 || tr < 1 || tc < 1 || span > MAX_SPAN)
+    if (sr < 1 || sc < 1 || tr < 1 || tc < 1 || (sr == tr && sc == tc))
         return -1;
+    moments_t seen[MAX_CANDIDATES];
     int64_t kept = 0;
     int64_t row_opts[2] = { sr - 1, sr + 1 < max_row ? sr + 1 : max_row };
     int64_t col_opts[2] = { tc - 1, tc + 1 < max_col ? tc + 1 : max_col };
     for (int a = 0; a < 2; a++)
         for (int b = 0; b < 2; b++) {
             int64_t cr = row_opts[a], cc = col_opts[b];
-            kept = emit_candidate(sr, sc, tr, tc,
-                                  cr, sc, cc, cc, cr, tr,
-                                  height, span,
-                                  rows_out, poff_out, pmask_out, kept);
+            kept = emit_candidate(rows, seen, kept, sr, sc, tr, tc,
+                                  cr, sc, cc, cc, cr, tr);
         }
     int64_t col_opts2[2] = { sc - 1, sc + 1 < max_col ? sc + 1 : max_col };
     int64_t row_opts2[2] = { tr - 1, tr + 1 < max_row ? tr + 1 : max_row };
     for (int a = 0; a < 2; a++)
         for (int b = 0; b < 2; b++) {
             int64_t cc = col_opts2[a], cr = row_opts2[b];
-            kept = emit_candidate(sr, sc, tr, tc,
-                                  cr, cc, tc, cc, sr, cr,
-                                  height, span,
-                                  rows_out, poff_out, pmask_out, kept);
+            kept = emit_candidate(rows, seen, kept, sr, sc, tr, tc,
+                                  cr, cc, tc, cc, sr, cr);
         }
     return kept;
 }
 
-/* Bulk twin of build_pair_plan: m pairs in one call (one ctypes round
- * trip per placement instead of one per pair).  pairs is m * 4 ints
- * (sr, sc, tr, tc); each pair writes its own MAX_CANDIDATES-row slot in
- * rows_out / poff_out / pmask_out and its kept count (or -1) into
- * kept_out. */
-void build_pair_plans(
-    const int64_t *pairs, int64_t m,
-    int64_t max_row, int64_t max_col,
-    int64_t height, int64_t width,
-    uint64_t *rows_out, int64_t *poff_out, uint64_t *pmask_out,
-    int64_t *kept_out)
+/* Plans of m endpoint pairs in one call.  pairs is m * 4 ints (sr, sc,
+ * tr, tc); pair i writes its rows into slot i * MAX_CANDIDATES of
+ * rows_out (CAND_FIELDS int32 per row) and its kept count, or -1, into
+ * kept_out[i]. */
+void build_plans(const int64_t *pairs, int64_t m,
+                 int64_t max_row, int64_t max_col,
+                 int32_t *rows_out, int64_t *kept_out)
 {
-    int64_t span = height + width;
     for (int64_t i = 0; i < m; i++) {
         const int64_t *p = pairs + i * 4;
-        kept_out[i] = build_pair_plan(
-            p[0], p[1], p[2], p[3],
-            max_row, max_col, height, width,
-            rows_out + (size_t)(i * MAX_CANDIDATES) * (size_t)span,
-            poff_out + i * MAX_CANDIDATES * 4,
-            pmask_out + (size_t)(i * MAX_CANDIDATES) * 4);
+        kept_out[i] = build_plan(
+            p[0], p[1], p[2], p[3], max_row, max_col,
+            rows_out + i * MAX_CANDIDATES * CAND_FIELDS);
     }
 }
 
@@ -287,6 +454,20 @@ enum {
     C_COUNT
 };
 
+/* First free candidate of cands[0..count), or -1 with one watch cell per
+ * blocked candidate written to watch. */
+static int64_t route(const board_t *b, const int32_t *table, int64_t first,
+                     int64_t count, int64_t *watch)
+{
+    for (int64_t c = 0; c < count; c++) {
+        int64_t cell = probe_cand(b, table + (first + c) * CAND_FIELDS);
+        if (cell < 0)
+            return first + c;
+        watch[c] = cell;
+    }
+    return -1;
+}
+
 int64_t simulate_point(
     int64_t n,
     const int64_t *kind,          /* 0 plain, 1 pair, 2 star */
@@ -296,39 +477,38 @@ int64_t simulate_point(
     int64_t max_legs,
     const int64_t *star_start,    /* n * max_legs: leg's first row */
     const int64_t *star_count,    /* n * max_legs: 0 marks no leg */
-    const int64_t *star_ctrl,     /* star: control-cell row */
     const int64_t *succ_flat,
     const int64_t *succ_off,      /* n + 1 */
     const int64_t *pred_count,
-    const uint64_t *M,            /* rows * span master matrix */
-    const int64_t *poff,          /* rows * 4 probe word offsets */
-    const uint64_t *pmask,        /* rows * 4 probe word masks */
-    const int64_t *pops,          /* rows: popcount of the row part */
-    int64_t span,
-    int64_t height,
+    const int32_t *table,         /* rows * CAND_FIELDS candidate table */
+    int64_t height,               /* lattice rows */
+    int64_t width,                /* lattice columns */
     int64_t max_cycles,
     int64_t *gate_start,          /* out, n */
     int64_t *gate_end,            /* out, n */
     int64_t *ready_time,          /* out, n */
     int64_t *counters)            /* out, C_COUNT */
 {
-    int64_t ml1 = max_legs + 1;
+    int64_t legs_per_gate = max_legs > 0 ? max_legs : 1;
+    int64_t rw = (width + 63) / 64, cw = (height + 63) / 64;
     int64_t err = ERR_OK;
+    board_t board = { NULL, NULL, 64 * rw, 64 * cw };
 
-    uint64_t *locked = calloc((size_t)span, 8);
-    uint64_t *freed = calloc((size_t)span, 8);
-    uint64_t *tmp = malloc((size_t)span * 8);
-    uint64_t *blocker = calloc((size_t)n * height, 8);
+    board.rows = calloc((size_t)(height * rw), 8);
+    board.cols = calloc((size_t)(width * cw), 8);
+    int64_t *watch = malloc((size_t)n * MAX_CANDIDATES * 8);
+    int64_t *watch_cnt = malloc((size_t)n * 8);
     int64_t *remaining = malloc((size_t)n * 8);
     int64_t *first_stall = malloc((size_t)n * 8);
-    int64_t *issued_rows = malloc((size_t)n * ml1 * 8);
+    int64_t *issued_rows = malloc((size_t)(n * legs_per_gate) * 8);
     int64_t *issued_cnt = calloc((size_t)n, 8);
     int64_t *parked_list = malloc((size_t)n * 8);
     int64_t *attempt = malloc((size_t)(n + 1) * 8);
     event_t *active = malloc((size_t)(n + 1) * sizeof(event_t));
 
-    if (!locked || !freed || !tmp || !blocker || !remaining || !first_stall
-        || !issued_rows || !issued_cnt || !parked_list || !attempt || !active) {
+    if (!board.rows || !board.cols || !watch || !watch_cnt || !remaining
+        || !first_stall || !issued_rows || !issued_cnt || !parked_list
+        || !attempt || !active) {
         err = ERR_ALLOC;
         goto done;
     }
@@ -351,84 +531,46 @@ int64_t simulate_point(
     int64_t conc = 0, max_conc = 0, parked = 0;
     int64_t stall_events = 0, distinct = 0, wakeups = 0;
     int64_t braids = 0, cells = 0;
-    int64_t wc[MAX_CANDIDATES];
 
     for (;;) {
         /* -- attempt phase at `now`, in program order ---------------- */
         while (attempt_size) {
             int64_t g = ipop(attempt, &attempt_size);
             int64_t kg = kind[g];
-            int64_t nw = 0;
+            int64_t *gate_watch = watch + g * MAX_CANDIDATES;
             if (kg == 1) {                               /* simple pair */
-                int64_t base = block[g], cnt = count[g], chosen = -1;
-                if (conc == 0) {
-                    chosen = base;
-                } else {
-                    for (int64_t c = 0; c < cnt; c++) {
-                        int64_t cell;
-                        if (probe_row(locked, poff, pmask, base + c,
-                                      height, &cell)) {
-                            chosen = base + c;
-                            break;
-                        }
-                        wc[nw++] = cell;
-                    }
-                }
-                if (chosen < 0)
+                int64_t chosen = conc == 0
+                    ? block[g]
+                    : route(&board, table, block[g], count[g], gate_watch);
+                if (chosen < 0) {
+                    watch_cnt[g] = count[g];
                     goto park;
-                const uint64_t *row = M + chosen * span;
-                for (int64_t w = 0; w < span; w++)
-                    locked[w] |= row[w];
-                cells += pops[chosen];
-                issued_rows[g * ml1] = chosen;
+                }
+                cells += lock_cand(&board, table + chosen * CAND_FIELDS);
+                issued_rows[g * legs_per_gate] = chosen;
                 issued_cnt[g] = 1;
             } else if (kg == 2) {                        /* CXX star */
-                int64_t *rows = issued_rows + g * ml1;
+                /* Every leg is tested against the occupancy before the
+                 * star: its legs may share cells with each other. */
+                int64_t *rows = issued_rows + g * legs_per_gate;
                 int64_t nr = 0;
-                int routed = 1;
                 for (int64_t leg = 0; leg < max_legs; leg++) {
                     int64_t cnt = star_count[g * max_legs + leg];
                     if (cnt == 0)
                         break;
                     int64_t base = star_start[g * max_legs + leg];
-                    if (conc == 0) {
-                        rows[nr++] = base;
-                        continue;
-                    }
-                    int64_t chosen = -1;
-                    nw = 0;
-                    for (int64_t c = 0; c < cnt; c++) {
-                        int64_t cell;
-                        if (probe_row(locked, poff, pmask, base + c,
-                                      height, &cell)) {
-                            chosen = base + c;
-                            break;
-                        }
-                        wc[nw++] = cell;
-                    }
+                    int64_t chosen = conc == 0
+                        ? base : route(&board, table, base, cnt, gate_watch);
                     if (chosen < 0) {
-                        routed = 0;      /* only the failing leg watches */
-                        break;
+                        watch_cnt[g] = cnt;  /* only the failing leg watches */
+                        goto park;
                     }
                     rows[nr++] = chosen;
                 }
-                if (!routed)
-                    goto park;
-                rows[nr++] = star_ctrl[g];
+                /* The control cell is every leg's source endpoint. */
                 issued_cnt[g] = nr;
-                memset(tmp, 0, (size_t)span * 8);
-                for (int64_t i = 0; i < nr; i++) {
-                    const uint64_t *row = M + rows[i] * span;
-                    for (int64_t w = 0; w < span; w++)
-                        tmp[w] |= row[w];
-                }
-                int64_t pc = 0;
-                for (int64_t w = 0; w < span; w++) {
-                    locked[w] |= tmp[w];
-                    if (w < height)
-                        pc += __builtin_popcountll(tmp[w]);
-                }
-                cells += pc;
+                for (int64_t i = 0; i < nr; i++)
+                    cells += lock_cand(&board, table + rows[i] * CAND_FIELDS);
             }
             if (kg != 0) {
                 conc++;
@@ -447,13 +589,6 @@ int64_t simulate_point(
             if (first_stall[g] < 0) {
                 first_stall[g] = scan;
                 distinct++;
-            }
-            {
-                uint64_t *b = blocker + (size_t)g * height;
-                for (int64_t i = 0; i < nw; i++) {
-                    int64_t cell = wc[i];
-                    b[cell >> 6] |= 1ull << (cell & 63);
-                }
             }
             parked_list[parked++] = g;
         }
@@ -475,13 +610,9 @@ int64_t simulate_point(
             event_t ev = epop(active, &active_size);
             int64_t g = ev.g;
             if (kind[g] != 0) {
-                const int64_t *rows = issued_rows + g * ml1;
-                int64_t m = issued_cnt[g];
-                for (int64_t i = 0; i < m; i++) {
-                    const uint64_t *row = M + rows[i] * span;
-                    for (int64_t w = 0; w < span; w++)
-                        freed[w] |= row[w];
-                }
+                const int64_t *rows = issued_rows + g * legs_per_gate;
+                for (int64_t i = 0; i < issued_cnt[g]; i++)
+                    free_cand(&board, table + rows[i] * CAND_FIELDS);
                 conc--;
                 freed_any = 1;
             }
@@ -503,20 +634,14 @@ int64_t simulate_point(
             break;
         }
         if (freed_any) {
-            for (int64_t w = 0; w < span; w++)
-                locked[w] &= ~freed[w];
+            /* wake every parked gate with a watch cell freed this step */
             for (int64_t i = 0; i < parked; ) {
                 int64_t g = parked_list[i];
-                const uint64_t *b = blocker + (size_t)g * height;
-                uint64_t hit = 0;
-                for (int64_t w = 0; w < height; w++) {
-                    hit = b[w] & freed[w];
-                    if (hit)
-                        break;
-                }
-                if (hit) {
-                    memset(blocker + (size_t)g * height, 0,
-                           (size_t)height * 8);
+                const int64_t *gate_watch = watch + g * MAX_CANDIDATES;
+                int freed = 0;
+                for (int64_t j = 0; j < watch_cnt[g] && !freed; j++)
+                    freed = !get_bit(board.rows, gate_watch[j]);
+                if (freed) {
                     parked_list[i] = parked_list[--parked];
                     wakeups++;
                     ipush(attempt, &attempt_size, g);
@@ -524,7 +649,6 @@ int64_t simulate_point(
                     i++;
                 }
             }
-            memset(freed, 0, (size_t)span * 8);
         }
     }
 
@@ -550,10 +674,10 @@ int64_t simulate_point(
     }
 
 done:
-    free(locked);
-    free(freed);
-    free(tmp);
-    free(blocker);
+    free(board.rows);
+    free(board.cols);
+    free(watch);
+    free(watch_cnt);
     free(remaining);
     free(first_stall);
     free(issued_rows);

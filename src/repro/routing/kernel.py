@@ -1,12 +1,13 @@
-"""Runtime-compiled C kernel for the batched simulator (optional).
+"""Runtime-compiled C kernel of the batched simulator.
 
-:mod:`repro.routing.batchsim` vectorizes a group of same-circuit sweep
-points with numpy; this module supplies its compiled fast path.  The
-compile/cache/load machinery — host-compiler discovery, source-hash +
-``REPRO_KERNEL_CFLAGS`` cache digest, on-disk ``.so`` cache, the
-``REPRO_NO_KERNEL`` opt-out — lives in the shared
-:class:`repro.kernels.runtime.KernelLoader`; this module keeps the
-batchsim-specific ctypes facade and the historical public API
+:mod:`repro.routing.batchsim` runs every batchable sweep point through
+this kernel: ``build_plans`` writes the compact candidate table (one
+fixed-width int32 row per route candidate) and ``simulate_point`` runs one
+point's event loop over it.  The compile/cache/load machinery —
+host-compiler discovery, source-hash + ``REPRO_KERNEL_CFLAGS`` cache
+digest, on-disk ``.so`` cache, the ``REPRO_NO_KERNEL`` opt-out — lives in
+the shared :class:`repro.kernels.runtime.KernelLoader`; this module keeps
+the batchsim-specific ctypes facade and the public API
 (:func:`load` / :func:`available` / :func:`reset`).
 """
 from __future__ import annotations
@@ -19,6 +20,14 @@ from ..kernels.runtime import KernelLoader
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                        "batchsim_kernel.c")
+
+#: int32 fields per candidate row (the ``F_*`` enum in batchsim_kernel.c):
+#: source row/col, target row/col, horizontal run row/first/last column,
+#: vertical run column/first/last row, cell count.
+CAND_FIELDS = 11
+
+#: Candidate rows reserved per endpoint pair (``MAX_CANDIDATES``).
+MAX_CANDIDATES = 8
 
 #: Number of int64 counter slots written by ``simulate_point`` (must match
 #: the ``C_*`` enum in batchsim_kernel.c).
@@ -35,56 +44,40 @@ class Kernel:
 
     def __init__(self, lib: ctypes.CDLL, path: str) -> None:
         self.path = path
-        self._build = lib.build_pair_plan
-        self._build.restype = ctypes.c_int64
-        self._build.argtypes = [ctypes.c_int64] * 8 + [ctypes.c_void_p] * 3
-        self._build_bulk = lib.build_pair_plans
-        self._build_bulk.restype = None
-        self._build_bulk.argtypes = (
-            [ctypes.c_void_p] + [ctypes.c_int64] * 5 + [ctypes.c_void_p] * 4
+        self._build = lib.build_plans
+        self._build.restype = None
+        self._build.argtypes = (
+            [ctypes.c_void_p] + [ctypes.c_int64] * 3 + [ctypes.c_void_p] * 2
         )
         self._simulate = lib.simulate_point
         self._simulate.restype = ctypes.c_int64
         self._simulate.argtypes = (
             [ctypes.c_int64, ctypes.c_void_p, ctypes.c_void_p,
              ctypes.c_void_p, ctypes.c_void_p, ctypes.c_int64]
-            + [ctypes.c_void_p] * 10
+            + [ctypes.c_void_p] * 6
             + [ctypes.c_int64] * 3
             + [ctypes.c_void_p] * 4
         )
 
-    def build_pair_plan(self, sr, sc, tr, tc, max_row, max_col,
-                        height, width, rows_out, poff_out, pmask_out) -> int:
-        return self._build(
-            sr, sc, tr, tc, max_row, max_col, height, width,
-            rows_out.ctypes.data, poff_out.ctypes.data, pmask_out.ctypes.data,
-        )
-
-    def build_pair_plans(self, pairs, m, max_row, max_col, height, width,
-                         rows_out, poff_out, pmask_out, kept_out) -> None:
-        """Bulk twin of :meth:`build_pair_plan`: m pairs, one library call."""
-        self._build_bulk(
-            pairs.ctypes.data, m, max_row, max_col, height, width,
-            rows_out.ctypes.data, poff_out.ctypes.data, pmask_out.ctypes.data,
-            kept_out.ctypes.data,
+    def build_plans(self, pairs, m, max_row, max_col, rows_out, kept_out) -> None:
+        """Candidate rows of ``m`` endpoint pairs (``pairs`` is (m, 4))."""
+        self._build(
+            pairs.ctypes.data, m, max_row, max_col,
+            rows_out.ctypes.data, kept_out.ctypes.data,
         )
 
     def simulate_point(self, n, kind, dur, block, count, max_legs,
-                       star_start, star_count, star_ctrl,
-                       succ_flat, succ_off, pred_count,
-                       matrix, probe_off, probe_mask, pops,
-                       span, height, max_cycles,
+                       star_start, star_count,
+                       succ_flat, succ_off, pred_count, table,
+                       height, width, max_cycles,
                        gate_start, gate_end, ready_time, counters) -> int:
         return self._simulate(
             n, kind.ctypes.data, dur.ctypes.data,
             block.ctypes.data, count.ctypes.data, max_legs,
             star_start.ctypes.data, star_count.ctypes.data,
-            star_ctrl.ctypes.data,
             succ_flat.ctypes.data, succ_off.ctypes.data,
-            pred_count.ctypes.data,
-            matrix.ctypes.data, probe_off.ctypes.data,
-            probe_mask.ctypes.data, pops.ctypes.data,
-            span, height, max_cycles,
+            pred_count.ctypes.data, table.ctypes.data,
+            height, width, max_cycles,
             gate_start.ctypes.data, gate_end.ctypes.data,
             ready_time.ctypes.data, counters.ctypes.data,
         )

@@ -1,50 +1,85 @@
-"""Cross-engine invariants of the batched simulator core.
+"""Invariants of the batched simulator core.
 
 :func:`repro.routing.simulate_batch` promises byte-identical
 ``SimulationResult.to_dict()`` output to per-point
 :func:`repro.routing.simulate` (and, transitively through the parity
 suite, to :func:`repro.routing.simulate_reference`) at **any** batch
-size and grouping.  These tests pin the invariants that promise decomposes
-into — batch-of-1 equals scalar, grouping/order independence, early
-retirees not perturbing survivors, the C plan builder matching the pure
-Python one — plus the engine-selection and fallback contract
-(``engine=`` validation, ``REPRO_NO_KERNEL``, scalar-config points inside
-a batch).  The randomized end-to-end sweep lives in
-``test_simulator_fuzz.py``.
+size, grouping and mesh size.  These tests pin the invariants that
+promise decomposes into — batch-of-1 equals scalar, grouping/order
+independence, early retirees not perturbing survivors, the compiled
+candidate table matching ``BraidRouter._mask_plan`` — plus the
+engine-selection and fallback contract (``engine=`` validation,
+``REPRO_NO_KERNEL``, loop-only points inside a batch).  The randomized
+end-to-end sweep lives in ``test_simulator_fuzz.py``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
+import random
+
+import numpy as np
 import pytest
 
-from repro.circuits.gates import cnot
+from repro.circuits import Circuit
+from repro.circuits.gates import cnot, cxx
+from repro.distillation import ReusePolicy, build_two_level_factory
 from repro.mapping import (
     Placement,
     linear_factory_placement,
     random_circuit_placement,
 )
 from repro.routing import (
+    BraidRouter,
     Mesh,
     SimulatorConfig,
     kernel_available,
-    numpy_available,
     simulate,
     simulate_batch,
     simulate_reference,
 )
 from repro.routing import batchsim
 from repro.routing import kernel as kernel_module
+from repro.routing import simulator as simulator_module
 from repro.routing.simulator import _gate_list
 
 
 def available_engines():
-    """Engines runnable in this environment (``scalar`` always is)."""
+    """Engines runnable in this environment.
+
+    ``scalar`` is the per-point ``simulate`` loop that ``simulate_batch``
+    runs when the kernel cannot be built (pinned here with
+    ``REPRO_NO_KERNEL=1``); ``compiled`` is the kernel.
+    """
     engines = ["scalar"]
-    if numpy_available():
-        engines.append("vector")
     if kernel_available():
         engines.append("compiled")
     return engines
+
+
+@contextlib.contextmanager
+def kernel_disabled():
+    """``REPRO_NO_KERNEL=1`` for the block, restoring the kernel after."""
+    previous = os.environ.get("REPRO_NO_KERNEL")
+    os.environ["REPRO_NO_KERNEL"] = "1"
+    kernel_module.reset()
+    try:
+        yield
+    finally:
+        if previous is None:
+            del os.environ["REPRO_NO_KERNEL"]
+        else:
+            os.environ["REPRO_NO_KERNEL"] = previous
+        kernel_module.reset()
+
+
+def run_batch(points, engine):
+    """``simulate_batch`` on one engine (see :func:`available_engines`)."""
+    if engine == "compiled":
+        return simulate_batch(points, engine="compiled")
+    with kernel_disabled():
+        return simulate_batch(points)
 
 
 def dicts(results):
@@ -74,14 +109,14 @@ class TestBatchInvariants:
         placement = random_circuit_placement(single_level_k4.circuit, seed=7)
         config = SimulatorConfig(max_candidates=2)
         point = (single_level_k4.circuit, placement, config)
-        batched = simulate_batch([point], engine=engine)
+        batched = run_batch([point], engine)
         assert len(batched) == 1
         expected = simulate(single_level_k4.circuit, placement, config)
         assert batched[0].to_dict() == expected.to_dict()
 
     @pytest.mark.parametrize("engine", available_engines())
     def test_full_batch_matches_scalar(self, k4_points, k4_expected, engine):
-        assert dicts(simulate_batch(k4_points, engine=engine)) == k4_expected
+        assert dicts(run_batch(k4_points, engine)) == k4_expected
 
     @pytest.mark.parametrize("engine", available_engines())
     @pytest.mark.parametrize("size", [1, 3, 8])
@@ -90,7 +125,7 @@ class TestBatchInvariants:
         out = []
         for start in range(0, len(k4_points), size):
             out.extend(
-                simulate_batch(k4_points[start:start + size], engine=engine)
+                run_batch(k4_points[start:start + size], engine)
             )
         assert dicts(out) == k4_expected
 
@@ -98,9 +133,7 @@ class TestBatchInvariants:
     def test_order_independence(self, k4_points, k4_expected, engine):
         """Permuting the request order permutes the results, nothing else."""
         order = [4, 0, 5, 2, 1, 3]
-        permuted = simulate_batch(
-            [k4_points[i] for i in order], engine=engine
-        )
+        permuted = run_batch([k4_points[i] for i in order], engine)
         assert dicts(permuted) == [k4_expected[i] for i in order]
 
     @pytest.mark.parametrize("engine", available_engines())
@@ -118,7 +151,7 @@ class TestBatchInvariants:
                     (factory.circuit, placement, SimulatorConfig(max_candidates=2))
                 )
         expected = [simulate(g, p, c).to_dict() for g, p, c in points]
-        assert dicts(simulate_batch(points, engine=engine)) == expected
+        assert dicts(run_batch(points, engine)) == expected
 
     @pytest.mark.parametrize("engine", available_engines())
     def test_early_retirees_do_not_perturb_survivors(
@@ -140,7 +173,7 @@ class TestBatchInvariants:
         points = [(gates, p, config) for p in [slow[0], fast, slow[1]]]
         solo = [simulate(g, p, c) for g, p, c in points]
         assert solo[1].latency < min(solo[0].latency, solo[2].latency)
-        assert dicts(simulate_batch(points, engine=engine)) == dicts(solo)
+        assert dicts(run_batch(points, engine)) == dicts(solo)
 
     @pytest.mark.parametrize("engine", available_engines())
     def test_matches_untracked_reference(self, k4_points, engine):
@@ -150,7 +183,7 @@ class TestBatchInvariants:
         ``sim-congestion`` bench depends on this); everything else in its
         ``to_dict()`` must match the batched engines field for field.
         """
-        batched = simulate_batch(k4_points, engine=engine)
+        batched = run_batch(k4_points, engine)
         for (g, p, c), result in zip(k4_points, batched):
             untracked = simulate_reference(g, p, c, track_wakeups=False)
             batched_dict = result.to_dict()
@@ -170,15 +203,16 @@ class TestBatchInvariants:
         ]
         points = [(single_level_k4.circuit, placement, c) for c in configs]
         expected = [simulate(g, p, c).to_dict() for g, p, c in points]
-        assert dicts(simulate_batch(points, engine=engine)) == expected
+        assert dicts(run_batch(points, engine)) == expected
 
     @pytest.mark.parametrize("engine", available_engines())
     def test_stale_freed_bits_regression(self, engine):
         """Fuzz-found: an unparked retirement must not leak freed cells.
 
         Minimized from fuzz seed 11: gate 3 retires at a moment when
-        nothing is parked, so the vector engine once skipped consuming its
-        freed-cell scratch rows; the next retirement then cleared cells of
+        nothing is parked, so the former numpy group engine once skipped
+        consuming its freed-cell scratch rows; the next retirement then
+        cleared cells of
         the braid issued in between, letting gate 5 issue one cycle early
         instead of stalling.
         """
@@ -200,7 +234,7 @@ class TestBatchInvariants:
         expected = simulate(gates, placement, config)
         assert expected.stall_events == 1  # the scenario must actually stall
         points = [(gates, placement, config)] * 2
-        batched = simulate_batch(points, engine=engine)
+        batched = run_batch(points, engine)
         assert [r.to_dict() for r in batched] == [expected.to_dict()] * 2
 
     @pytest.mark.parametrize("engine", available_engines())
@@ -214,16 +248,18 @@ class TestBatchInvariants:
         )
         points = [(gates, placement, SimulatorConfig(max_cycles=0))]
         with pytest.raises(RuntimeError, match="max_cycles=0"):
-            simulate_batch(points, engine=engine)
+            run_batch(points, engine)
 
 
 class TestEngineSelection:
     def test_unknown_engine_rejected(self, single_level_k4):
+        """Only ``auto`` and ``compiled`` exist (``vector``/``scalar`` are gone)."""
         placement = linear_factory_placement(single_level_k4)
-        with pytest.raises(ValueError, match="unknown batch engine"):
-            simulate_batch(
-                [(single_level_k4.circuit, placement, None)], engine="magic"
-            )
+        for engine in ("magic", "vector", "scalar"):
+            with pytest.raises(ValueError, match="unknown batch engine"):
+                simulate_batch(
+                    [(single_level_k4.circuit, placement, None)], engine=engine
+                )
 
     def test_empty_batch(self):
         assert simulate_batch([]) == []
@@ -234,100 +270,230 @@ class TestEngineSelection:
         expected = simulate(single_level_k4.circuit, placement)
         assert batched[0].to_dict() == expected.to_dict()
 
-    @pytest.mark.skipif(not numpy_available(), reason="needs numpy")
-    def test_no_kernel_env_pins_python_paths(
-        self, single_level_k4, monkeypatch
-    ):
+    def test_no_kernel_env_pins_python_paths(self, single_level_k4):
         """REPRO_NO_KERNEL=1 disables the compiled engine, not correctness."""
-        monkeypatch.setenv("REPRO_NO_KERNEL", "1")
-        kernel_module.reset()
-        try:
+        placement = random_circuit_placement(single_level_k4.circuit, seed=5)
+        points = [
+            (single_level_k4.circuit, placement, SimulatorConfig(max_candidates=2)),
+            (single_level_k4.circuit, placement, SimulatorConfig(max_candidates=8)),
+        ]
+        expected = [simulate(g, p, c).to_dict() for g, p, c in points]
+        with kernel_disabled():
             assert not kernel_available()
-            placement = random_circuit_placement(
-                single_level_k4.circuit, seed=5
-            )
-            points = [
-                (single_level_k4.circuit, placement, SimulatorConfig(max_candidates=2)),
-                (single_level_k4.circuit, placement, SimulatorConfig(max_candidates=8)),
-            ]
             with pytest.raises(RuntimeError, match="compiled"):
                 simulate_batch(points, engine="compiled")
-            expected = [simulate(g, p, c).to_dict() for g, p, c in points]
             assert dicts(simulate_batch(points)) == expected
-        finally:
-            monkeypatch.delenv("REPRO_NO_KERNEL")
-            kernel_module.reset()
+
+
+def _counting(monkeypatch, module, name):
+    """Wrap ``module.name`` so each call is recorded; returns the call log."""
+    calls = []
+    real = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+@pytest.mark.skipif(not kernel_available(), reason="needs the C kernel")
+class TestCompiledCoverage:
+    """What the kernel takes, and the per-point fallback for the rest."""
+
+    def test_circuit_fingerprinted_once(self, monkeypatch):
+        """N points of one ``Circuit`` hash its gates once, not N times."""
+        circuit = Circuit("fingerprint-once")
+        circuit.add_register("q", 4)
+        circuit.extend([cnot(0, 1), cnot(2, 3), cnot(0, 3), cnot(1, 2)])
+        placement = Placement(
+            width=2, height=2,
+            positions={0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1)},
+        )
+        points = [
+            (circuit, placement, SimulatorConfig(max_candidates=mc))
+            for mc in (1, 2, 4, 8)
+        ]
+        calls = _counting(monkeypatch, simulator_module, "_gates_fingerprint")
+        simulate_batch(points, engine="compiled")
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("layout", ["linear", "linear-reuse", "random"])
+    @pytest.mark.parametrize("capacity", [16, 36, 64])
+    def test_sweep_layouts_run_in_the_kernel(self, monkeypatch, capacity, layout):
+        """The paper's two-level sweep shapes never leave the kernel.
+
+        Linear layouts of capacities 16-64 have lattices 101-169 cells
+        wide (two or three words per row); every point must run in the
+        kernel, with no per-point ``simulate`` call, and match it.
+        """
+        factory = build_two_level_factory(
+            capacity,
+            reuse_policy=(
+                ReusePolicy.REUSE if layout == "linear-reuse"
+                else ReusePolicy.NO_REUSE
+            ),
+            barriers_between_rounds=True,
+        )
+        if layout == "random":
+            placement = random_circuit_placement(factory.circuit, seed=capacity)
+        else:
+            placement = linear_factory_placement(factory)
+        if layout == "linear" and capacity == 64:
+            assert 2 * placement.width + 1 > 128  # three words per row
+        points = [
+            (factory.circuit, placement, SimulatorConfig(max_candidates=mc))
+            for mc in (1, 2, 4, 8)
+        ]
+        expected = [simulate(*points[i]).to_dict() for i in (0, 3)]
+        calls = _counting(monkeypatch, batchsim, "simulate")
+        results = simulate_batch(points, engine="compiled")
+        assert calls == []
+        assert dicts([results[0], results[3]]) == expected
+
+    def test_coincident_star_leg_falls_back(self, monkeypatch):
+        """A star leg on the control's own tile has no candidate plan.
+
+        A valid ``Placement`` never puts two qubits on one tile, so this
+        needs ``positions`` edited behind its back; the router then routes
+        the leg as its single cell, and the batch hands exactly those
+        points to per-point ``simulate``.
+        """
+        gates = (cnot(0, 1), cxx(0, [1, 2]), cnot(1, 2))
+        good = Placement(
+            width=3, height=1, positions={0: (0, 0), 1: (0, 1), 2: (0, 2)}
+        )
+        bad = Placement(
+            width=3, height=1, positions={0: (0, 0), 1: (0, 1), 2: (0, 2)}
+        )
+        bad.positions[2] = (0, 0)
+        config = SimulatorConfig(max_candidates=2)
+        points = [(gates, good, config), (gates, bad, config)]
+        expected = [simulate(*point).to_dict() for point in points]
+        calls = _counting(monkeypatch, batchsim, "simulate")
+        assert dicts(simulate_batch(points, engine="compiled")) == expected
+        assert [args[1] for args in calls] == [bad]
+
+
+def _sparse_placement(rng, row_words, col_words):
+    """A few qubits on a grid whose lattice spans the given word counts.
+
+    ``words`` lattice words per axis means 2 * tiles + 1 cells in
+    (64 * (words - 1), 64 * words].  Corner and edge tiles put routes
+    against the lattice frame, and each random tile gets a second one in
+    its row.
+    """
+    tiles = {1: (3, 31), 2: (32, 63), 3: (64, 95)}
+    height = rng.randint(*tiles[col_words])
+    width = rng.randint(*tiles[row_words])
+    cells = {
+        (0, 0), (0, 1), (1, 0), (1, 1),
+        (0, width - 1), (height - 1, 0),
+        (height - 1, width - 1), (height - 1, width - 2),
+    }
+    while len(cells) < 12:
+        row, col = rng.randrange(height), rng.randrange(width)
+        cells.update({(row, col), (row, rng.randrange(width))})
+    return Placement(
+        width=width,
+        height=height,
+        positions={q: cell for q, cell in enumerate(sorted(cells))},
+    )
+
+
+def _row_mask(mesh, row):
+    """A compiled candidate row expanded to the router's cell mask."""
+    sr, sc, tr, tc, hrow, ha, hb, vcol, va, vb, cells = (int(v) for v in row)
+    mask = (
+        mesh.cells_mask([(sr, sc), (tr, tc)])
+        | mesh.segment_mask((hrow, ha), (hrow, hb))
+        | mesh.segment_mask((va, vcol), (vb, vcol))
+    )
+    assert bin(mask).count("1") == cells
+    return mask
 
 
 @pytest.mark.skipif(not kernel_available(), reason="needs the C kernel")
 class TestCompiledPlanBuilder:
-    """The C ``build_pair_plan(s)`` vs the pure-Python plan composer."""
-
-    def _mesh(self, factory, seed):
-        placement = random_circuit_placement(factory.circuit, seed=seed)
-        return placement, Mesh.from_placement(
-            placement.positions,
-            width=placement.width,
-            height=placement.height,
-        )
-
-    def _pairs(self, mesh):
-        cells = sorted(set(mesh.qubit_cells.values()))
-        return [
-            (a, b)
-            for a in cells
-            for b in cells
-            if a != b and min(a[0], a[1], b[0], b[1]) >= 1
-        ]
+    """The kernel's candidate table vs ``BraidRouter._mask_plan``."""
 
     @staticmethod
-    def _as_bytes(packed):
-        return packed if isinstance(packed, bytes) else packed.tobytes()
+    def _mesh(placement):
+        return Mesh.from_placement(
+            placement.positions, width=placement.width, height=placement.height
+        )
 
-    def _assert_plans_equal(self, lhs, rhs):
-        assert lhs.count == rhs.count
-        assert self._as_bytes(lhs.packed) == self._as_bytes(rhs.packed)
-        assert (lhs.probe_arr == rhs.probe_arr).all()
-        assert lhs.masks == rhs.masks
+    @staticmethod
+    def _pairs(mesh, rng):
+        """Ordered pairs over the tiles plus channel and far-border cells.
+
+        Two tile cells never yield duplicate candidates; endpoints on
+        channels or on the last lattice row/column (where the router's
+        channel clamp binds) do, so both dedup and clamping are covered.
+        """
+        max_row, max_col = mesh.lattice_height - 1, mesh.lattice_width - 1
+        cells = set(mesh.qubit_cells.values())
+        cells.update({(max_row, max_col), (max_row - 1, max_col), (1, max_col),
+                      (max_row, 1), (2, 2), (2, 3)})
+        while len(cells) < len(mesh.qubit_cells) + 10:
+            cells.add((rng.randint(1, max_row), rng.randint(1, max_col)))
+        cells = sorted(cells)
+        return [(a, b) for a in cells for b in cells if a != b]
+
+    @staticmethod
+    def _rows(pairs, mesh):
+        """The kernel's plan of each pair, as row arrays (None: no plan)."""
+        coords = np.asarray(
+            [(*source, *target) for source, target in pairs], dtype=np.int64
+        ).reshape(-1, 4)
+        table, kept = batchsim._candidate_rows(
+            kernel_module.load(), coords, mesh.lattice_height, mesh.lattice_width
+        )
+        slot = kernel_module.MAX_CANDIDATES
+        return [
+            table[i * slot: i * slot + count] if count >= 0 else None
+            for i, count in enumerate(kept.tolist())
+        ]
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_single_pair_builder_parity(self, single_level_k8, seed):
-        _placement, mesh = self._mesh(single_level_k8, seed)
-        height, width = mesh.lattice_height, mesh.lattice_width
-        compiled = batchsim._PlanCache(
-            height, width, kernel=kernel_module.load()
-        )
-        python = batchsim._PlanCache(height, width, kernel=None)
-        for source, target in self._pairs(mesh):
-            self._assert_plans_equal(
-                compiled.pair(mesh, source, target),
-                python.pair(mesh, source, target),
-            )
+    def test_single_pair_builder_parity(self, seed):
+        """Same candidates, order and dedup as the untruncated router plan,
+        on meshes of 1, 2 and 3 words per lattice row and column."""
+        rng = random.Random(seed)
+        deduplicated = 0
+        for row_words in (1, 2, 3):
+            for col_words in (1, 2, 3):
+                mesh = self._mesh(_sparse_placement(rng, row_words, col_words))
+                assert -(-mesh.lattice_width // 64) == row_words
+                assert -(-mesh.lattice_height // 64) == col_words
+                router = BraidRouter(mesh, max_candidates=8)
+                pairs = self._pairs(mesh, rng)
+                for pair, rows in zip(pairs, self._rows(pairs, mesh)):
+                    compiled = [_row_mask(mesh, row) for row in rows]
+                    assert compiled == list(router._mask_plan(*pair)[0]), pair
+                    deduplicated += len(rows) < 8
+        assert deduplicated  # the dedup path actually ran
 
-    def test_bulk_prefetch_matches_single_calls(self, single_level_k8):
-        """``prefetch`` (one bulk kernel call) == per-pair ``pair`` calls."""
-        _placement, mesh = self._mesh(single_level_k8, 2)
-        height, width = mesh.lattice_height, mesh.lattice_width
-        kern = kernel_module.load()
-        prefetched = batchsim._PlanCache(height, width, kernel=kern)
-        single = batchsim._PlanCache(height, width, kernel=kern)
-        pairs = self._pairs(mesh)
-        prefetched.prefetch(mesh, pairs)
-        for source, target in pairs:
-            self._assert_plans_equal(
-                prefetched.pair(mesh, source, target),
-                single.pair(mesh, source, target),
-            )
+    def test_bulk_prefetch_matches_single_calls(self):
+        """One ``build_plans`` call over every pair == one call per pair."""
+        rng = random.Random(2)
+        mesh = self._mesh(_sparse_placement(rng, 2, 3))
+        pairs = self._pairs(mesh, rng)
+        bulk = self._rows(pairs, mesh)
+        for pair, rows in zip(pairs, bulk):
+            assert np.array_equal(rows, self._rows([pair], mesh)[0])
 
     def test_prefetch_skips_border_and_degenerate_pairs(self, single_level_k4):
-        """Padding-frame and coincident pairs never reach the bulk kernel.
+        """Padding-frame and coincident pairs get no plan.
 
         Qubit tiles live at odd/odd lattice cells, so neither shape occurs
-        in real plan requests; ``prefetch`` must not hand them to the C
-        builder (whose channel enumeration assumes coordinates >= 1).
+        in a valid placement; the kernel reports them as plan-less (count
+        -1), which sends their points to per-point ``simulate``.
         """
-        _placement, mesh = self._mesh(single_level_k4, 0)
-        height, width = mesh.lattice_height, mesh.lattice_width
-        cache = batchsim._PlanCache(height, width, kernel=kernel_module.load())
-        cache.prefetch(mesh, [((0, 1), (1, 1)), ((1, 1), (1, 1))])
-        assert not cache._plans
+        placement = random_circuit_placement(single_level_k4.circuit, seed=0)
+        mesh = self._mesh(placement)
+        pairs = [((0, 1), (1, 1)), ((1, 1), (1, 1)), ((1, 1), (1, 3))]
+        assert [rows is None for rows in self._rows(pairs, mesh)] == [
+            True, True, False,
+        ]
