@@ -49,7 +49,17 @@ import math
 import os
 import weakref
 from collections import defaultdict
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import networkx as nx
 
@@ -1093,13 +1103,47 @@ class _CompiledTrackerEngine:
             self._rebuild_grid()
 
 
+#: The error both sweep paths raise when a weighted force sum overflows.
+NAN_FORCE_ERROR = "force-directed refinement produced a NaN force"
+
+
+class SweepForces(NamedTuple):
+    """The force field an annealing sweep steers by, as plain arrays.
+
+    Indices are sweep mover indices: entry ``i`` belongs to ``movers[i]``
+    of :meth:`MappingCostTracker.kernel_sweep`.  ``nbr_offsets`` (n + 1
+    entries) and ``nbr_index`` list every mover's neighbours in CSR form,
+    ``edge_u``/``edge_v`` are the edges the braid repulsion acts on and
+    ``poles`` the +1/-1 dipole poles.  ``weights`` holds the attraction,
+    repulsion and dipole weights and ``enabled`` the matching switches.
+    """
+
+    nbr_offsets: Sequence[int]
+    nbr_index: Sequence[int]
+    edge_u: Sequence[int]
+    edge_v: Sequence[int]
+    poles: Sequence[int]
+    weights: Tuple[float, float, float]
+    enabled: Tuple[bool, bool, bool]
+    radius: int
+    max_step: int
+
+
+def _int64_buffer(values):
+    """``values`` as a non-empty contiguous int64 array (safe to point at)."""
+    array = _np.ascontiguousarray(values, dtype=_np.int64)
+    return array if array.size else _np.zeros(1, dtype=_np.int64)
+
+
 class KernelSweep:
     """Whole annealing sweeps run inside the metrics kernel (``mc_sweep``).
 
     Built by :meth:`MappingCostTracker.kernel_sweep` on the compiled
-    engine.  The annealer keeps the policy (forces, proposal order, steps,
+    engine, once per refinement, with the annealer's force field.  The
+    annealer keeps the policy (weights and switches, proposal order,
     temperature schedule) and hands over one sweep per :meth:`run`; the
-    kernel runs the proposal loop (target cell, bounds check, occupant
+    kernel computes the forces and grid steps from the current cells,
+    then runs the proposal loop (target cell, bounds check, occupant
     swap, evaluate, Boltzmann test, commit) against the engine's arrays.
     Vertices are indexed ``movers`` first, then every other tracked
     vertex (occupants that never move on their own), so proposal index
@@ -1112,7 +1156,28 @@ class KernelSweep:
         movers: Sequence,
         height: int,
         width: int,
+        forces: SweepForces,
     ) -> None:
+        k = _metrics_kernel
+        # The kernel reads the field without bounds checks.
+        nodes, field_edges = len(movers), len(forces.edge_u)
+        offsets = _np.asarray(forces.nbr_offsets, dtype=_np.int64)
+        indices = _np.concatenate(
+            [
+                _np.asarray(a, dtype=_np.int64)
+                for a in (forces.nbr_index, forces.edge_u, forces.edge_v)
+            ]
+        )
+        if (
+            len(forces.poles) != nodes
+            or len(forces.edge_v) != field_edges
+            or offsets.shape != (nodes + 1,)
+            or offsets[0] != 0
+            or offsets[-1] != len(forces.nbr_index)
+            or (_np.diff(offsets) < 0).any()
+            or ((indices < 0) | (indices >= nodes)).any()
+        ):
+            raise ValueError("the force field must index exactly the movers")
         self._tracker = tracker
         self._engine = tracker._engine
         mover_set = set(movers)
@@ -1140,13 +1205,45 @@ class KernelSweep:
         self._step = _np.zeros((n, 2), dtype=_np.int64)
         self._log = _np.zeros((n, 3), dtype=_np.int64)
         self._mt = _np.zeros(624, dtype=_np.uint32)
-        self._sp = _np.zeros(_metrics_kernel.SP_SLOTS, dtype=_np.int64)
-        self._sp[_metrics_kernel.SP_HEIGHT] = height
-        self._sp[_metrics_kernel.SP_WIDTH] = width
-        self._dp = _np.zeros(_metrics_kernel.DP_SLOTS, dtype=float)
-        self._dp[_metrics_kernel.DP_LENGTH_W] = tracker.length_weight
-        self._dp[_metrics_kernel.DP_SPACING_W] = tracker.spacing_weight
-        self._dp[_metrics_kernel.DP_CROSSING_W] = tracker.crossing_weight
+        self._sp = _np.zeros(k.SP_SLOTS, dtype=_np.int64)
+        self._sp[k.SP_HEIGHT] = height
+        self._sp[k.SP_WIDTH] = width
+        self._dp = _np.zeros(k.DP_SLOTS, dtype=float)
+        self._dp[k.DP_LENGTH_W] = tracker.length_weight
+        self._dp[k.DP_SPACING_W] = tracker.spacing_weight
+        self._dp[k.DP_CROSSING_W] = tracker.crossing_weight
+        # The force pass: settings, field arrays and scratch sized for the
+        # layout of mc_forces (buckets of at least one cell on the grid).
+        self._fp = _np.zeros(k.FP_SLOTS, dtype=_np.int64)
+        self._fp[k.FP_NODES] = nodes
+        self._fp[k.FP_EDGES] = field_edges
+        self._fp[k.FP_USE] = sum(
+            bit
+            for bit, on in zip(
+                (k.FORCE_ATTRACTION, k.FORCE_REPULSION, k.FORCE_DIPOLE),
+                forces.enabled,
+            )
+            if on
+        )
+        self._fp[k.FP_RADIUS] = forces.radius
+        self._fp[k.FP_MAX_STEP] = forces.max_step
+        self._fw = _np.asarray(forces.weights, dtype=float)
+        self._field = [
+            _int64_buffer(values)
+            for values in (
+                forces.nbr_offsets, forces.nbr_index,
+                forces.edge_u, forces.edge_v, forces.poles,
+            )
+        ]
+        self._fbuf = _np.zeros(5 * nodes + 4 * field_edges + 1, dtype=float)
+        self._ibuf = _np.zeros(
+            3 * max(nodes, field_edges) + (height + 2) * (width + 2) + 1,
+            dtype=_np.int64,
+        )
+        self._force_pointers = [
+            array.ctypes.data
+            for array in [self._fp, self._fw] + self._field
+        ]
         self._pointers = [
             array.ctypes.data
             for array in (
@@ -1154,13 +1251,42 @@ class KernelSweep:
                 self._inc_edge, self._pos, self._occ, self._order,
                 self._step, self._mt, self._sp, self._dp, self._log,
             )
-        ]
+        ] + self._force_pointers + [self._fbuf.ctypes.data, self._ibuf.ctypes.data]
+
+    def _load_cells(self, cells: Mapping):
+        """Copy every tracked vertex's cell into the kernel's ``pos``."""
+        pos = self._pos[: len(self._ids)]
+        pos[:] = [cells[vertex] for vertex in self._ids]
+        return pos
+
+    def forces(self, cells: Mapping, order: Sequence[int]):
+        """The kernel's force pass alone: ``(forces, steps)`` arrays.
+
+        ``forces`` is the ``(n, 2)`` net force on every mover at ``cells``
+        and ``steps`` the grid steps of proposals in ``order``, the values
+        a :meth:`run` from these cells would use.  Raises ``ValueError``
+        on a NaN force.
+        """
+        nodes = int(self._fp[_metrics_kernel.FP_NODES])
+        self._load_cells(cells)
+        count = len(order)
+        self._order[:count] = order
+        status = self._engine._kern.forces(
+            *self._force_pointers, self._pos.ctypes.data, count,
+            self._order.ctypes.data, self._fbuf.ctypes.data,
+            self._ibuf.ctypes.data, self._step.ctypes.data,
+        )
+        if status == _metrics_kernel.STATUS_NAN_FORCE:
+            raise ValueError(NAN_FORCE_ERROR)
+        return (
+            self._fbuf[: 2 * nodes].reshape(nodes, 2).copy(),
+            self._step[:count].copy(),
+        )
 
     def run(
         self,
         cells: Mapping,
         order: Sequence[int],
-        steps,
         temperature: float,
         rng,
     ) -> Tuple[List[Tuple[object, Tuple[int, int]]], int, int]:
@@ -1168,13 +1294,15 @@ class KernelSweep:
 
         ``cells`` maps every tracked vertex to its grid cell (the
         placement, re-read every sweep because community moves change it
-        in between); ``order`` lists mover indices in proposal order and
-        ``steps`` is the matching ``(n, 2)`` int array of grid steps.
-        ``rng`` (a :class:`random.Random`) crosses into the kernel and
-        back through ``getstate``/``setstate``.  ``moves`` lists the
-        accepted ``(vertex, target_cell)`` pairs in acceptance order, for
-        the caller to replay with ``Placement.move``; the tracker already
-        holds their committed state.
+        in between) and ``order`` lists mover indices in proposal order;
+        the kernel derives each proposal's step from the forces at
+        ``cells``.  ``rng`` (a :class:`random.Random`) crosses into the
+        kernel and back through ``getstate``/``setstate``.  ``moves``
+        lists the accepted ``(vertex, target_cell)`` pairs in acceptance
+        order, for the caller to replay with ``Placement.move``; the
+        tracker already holds their committed state.  A NaN force raises
+        ``ValueError`` before any proposal, leaving tracker and ``rng``
+        untouched.
         """
         k = _metrics_kernel
         tracker = self._tracker
@@ -1184,14 +1312,12 @@ class KernelSweep:
         tracker._last_move = None
         ids = self._ids
         nv = len(ids)
-        pos = self._pos[:nv]
-        pos[:] = [cells[vertex] for vertex in ids]
+        pos = self._load_cells(cells)
         before = pos.copy()
         self._occ.fill(-1)
         self._occ[pos[:, 0] * self._width + pos[:, 1]] = _np.arange(nv)
         n = len(order)
         self._order[:n] = order
-        self._step[:n] = steps
         sp = self._sp
         dp = self._dp
         sp[k.SP_START] = 0
@@ -1207,7 +1333,7 @@ class KernelSweep:
         version, internal, gauss_next = rng.getstate()
         self._mt[:] = internal[:-1]
         sp[k.SP_MT_INDEX] = internal[-1]
-        while engine._kern.sweep(
+        while (status := engine._kern.sweep(
             engine._ip_p, engine._bucket,
             engine._seg_p, engine._mid_p, engine._R_p,
             engine._eu_p, engine._ev_p, engine._crossC_p, engine._cflag_p,
@@ -1215,10 +1341,13 @@ class KernelSweep:
             engine._stamp_p, engine._gen_p, engine._scratch_p,
             engine._changed_p, engine._newseg_p, engine._newmid_p,
             engine._newrow_p, *self._pointers,
-        ) != 0:
+        )) == 1:
             # A commit overflowed a grid cell: the state arrays are
-            # current, so rebuild the grid and resume at sp[SP_START].
+            # current, so rebuild the grid and resume at sp[SP_START]
+            # (with the steps the force pass already wrote).
             engine._rebuild_grid()
+        if status == k.STATUS_NAN_FORCE:
+            raise ValueError(NAN_FORCE_ERROR)
         if sp[k.SP_DRAWS]:
             internal = tuple(self._mt.tolist()) + (int(sp[k.SP_MT_INDEX]),)
             rng.setstate((version, internal, gauss_next))
@@ -1406,16 +1535,17 @@ class MappingCostTracker:
         )
 
     def kernel_sweep(
-        self, movers: Sequence, height: int, width: int
+        self, movers: Sequence, height: int, width: int, forces: SweepForces
     ) -> Optional[KernelSweep]:
         """A :class:`KernelSweep` over this tracker, or None off the compiled engine.
 
         ``movers`` are the vertices an annealing sweep proposes moves
-        for, on a ``height`` x ``width`` placement grid.
+        for, on a ``height`` x ``width`` placement grid, and ``forces``
+        the field that steers them (indexed like ``movers``).
         """
         if self.engine != "compiled":
             return None
-        return KernelSweep(self, movers, height, width)
+        return KernelSweep(self, movers, height, width, forces)
 
     # ------------------------------------------------------------------
     # Introspection

@@ -13,10 +13,13 @@ still IEEE correctly rounded).
 
 The façade exposes the raw ``ctypes`` entry points; the tracker passes
 cached ``ndarray.ctypes.data`` addresses.  ``mc_sweep`` runs a whole
-force-directed annealing sweep (target, occupant swap, evaluate,
-Boltzmann test, commit) per call, drawing from a C replica of CPython's
-MT19937 ``random.random()`` (``mc_random`` exposes it for the parity
-test) and calling libm ``exp`` like ``math.exp`` does.
+force-directed annealing sweep per call: the force pass and the grid
+steps (``mc_forces``, the numpy ``_ForceField.forces`` and
+``_step_toward`` in numpy's float order), then per proposal the target,
+occupant swap, evaluate, Boltzmann test and commit, drawing from a C
+replica of CPython's MT19937 ``random.random()`` and calling libm
+``exp`` like ``math.exp`` does.  ``mc_forces`` and ``mc_random`` are
+exported on their own for the parity tests.
 """
 
 from __future__ import annotations
@@ -61,6 +64,14 @@ BASE_CFLAGS = ("-ffp-contract=off", "-fno-math-errno")
     DP_SLOTS,
 ) = range(9)
 
+#: Slots of the force pass's int64 and double settings arrays, the bits
+#: of ``FP_USE`` and the status ``mc_forces``/``mc_sweep`` return for a
+#: NaN force (the ``FP_*`` / ``FW_*`` / ``FORCE_*`` enums of the C source).
+FP_NODES, FP_EDGES, FP_USE, FP_RADIUS, FP_MAX_STEP, FP_SLOTS = range(6)
+FW_ATTRACTION, FW_REPULSION, FW_DIPOLE, FW_SLOTS = range(4)
+FORCE_ATTRACTION, FORCE_REPULSION, FORCE_DIPOLE = 1, 2, 4
+STATUS_NAN_FORCE = 2
+
 _i64 = ctypes.c_int64
 _dbl = ctypes.c_double
 _ptr = ctypes.c_void_p
@@ -92,7 +103,10 @@ class MetricsKernel:
         self.commit.argtypes = [_ptr, _dbl, _i64] + [_ptr] * 16
         self.sweep = lib.mc_sweep
         self.sweep.restype = _i64
-        self.sweep.argtypes = [_ptr, _dbl] + [_ptr] * 30
+        self.sweep.argtypes = [_ptr, _dbl] + [_ptr] * 39
+        self.forces = lib.mc_forces
+        self.forces.restype = _i64
+        self.forces.argtypes = [_ptr] * 8 + [_i64] + [_ptr] * 4
         self.random = lib.mc_random
         self.random.restype = None
         self.random.argtypes = [_ptr, _ptr, _i64, _ptr]

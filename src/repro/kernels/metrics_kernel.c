@@ -30,8 +30,9 @@
  * cap }.  All functions are single-threaded over caller-owned buffers.
  *
  * mc_sweep (at the end) runs a whole force-directed annealing sweep over
- * this state: the proposal loop of repro.mapping.force_directed, with a
- * replica of CPython's random.random() for the Boltzmann test.
+ * this state: the force pass and steps (mc_forces) and the proposal loop
+ * of repro.mapping.force_directed, with a replica of CPython's
+ * random.random() for the Boltzmann test.
  */
 
 #include <stdint.h>
@@ -613,6 +614,299 @@ void mc_random(uint32_t *mt, int64_t *index, int64_t n, double *out) {
 }
 
 /* ------------------------------------------------------------------ */
+/* Force pass: _ForceField.forces plus _step_toward                    */
+/* ------------------------------------------------------------------ */
+
+/* The force field arrives as flat arrays indexed by mover (mover i is
+ * graph node i of the numpy field): CSR adjacency nbr_off[n+1] /
+ * nbr_idx, the field's edges fe_u/fe_v[FP_EDGES] (self-loops included,
+ * in graph.edges() order) and the +1/-1 poles pole[n].  Every sum below
+ * repeats numpy's float operations in numpy's order:
+ *
+ *  - a np.bincount is a sequential scatter-add into a zeroed array, so a
+ *    per-target sum starts at 0.0 and adds its terms in input order;
+ *  - _np_bucket_pairs lists a point's partners by the 3x3 bucket offsets
+ *    in row-major order, then by ascending index inside each bucket;
+ *  - a force starts at +0.0 and only ever has values added, so it is
+ *    never -0.0 and adding one of numpy's zero terms is the identity:
+ *    those are skipped.  An edge push reaches a vertex as a sum over
+ *    several edges, so the pushes still scatter through a zeroed
+ *    temporary, u-ends then v-ends, as the np.bincount calls do.
+ *
+ * Scratch layout, for c = max(n, m) points bucketed into at most
+ * cells = (height + 2) * (width + 2) buckets (every point lies on the
+ * placement grid and buckets are at least one cell wide):
+ * fbuf = {force[2n], pts[2n], mid[2m], push[2m], tmp[n]} and
+ * ibuf = {code[c], items[c], partner[c], head[cells + 1]}. */
+
+enum {
+    FP_NODES,      /* graph vertices, the movers 0..n-1 */
+    FP_EDGES,      /* edges of the field */
+    FP_USE,        /* FORCE_* bit mask of the enabled forces */
+    FP_RADIUS,     /* neighborhood_radius */
+    FP_MAX_STEP,   /* step clamp */
+    FP_SLOTS
+};
+enum { FW_ATTRACTION, FW_REPULSION, FW_DIPOLE, FW_SLOTS };
+enum { FORCE_ATTRACTION = 1, FORCE_REPULSION = 2, FORCE_DIPOLE = 4 };
+
+/* Return status of mc_forces and mc_sweep when a force is NaN. */
+#define STATUS_NAN_FORCE 2
+
+/* numpy's float floor_divide (npy_divmod), for the bucket keys. */
+static double np_floor_divide(double a, double b) {
+    double mod = fmod(a, b);
+    double div = (a - mod) / b;
+    double floordiv;
+    if (mod != 0.0 && (b < 0) != (mod < 0)) {
+        div -= 1.0;
+    }
+    if (div != 0.0) {
+        floordiv = floor(div);
+        if (div - floordiv > 0.5) {
+            floordiv += 1.0;
+        }
+    } else {
+        floordiv = copysign(0.0, a / b);
+    }
+    return floordiv;
+}
+
+/* Points grouped by bucket: the members of packed bucket code c are
+ * items[head[c]..head[c+1]) in ascending index, and code[i] is point i's
+ * code.  The packing leaves an empty bucket on every side, so the nine
+ * neighbour codes of a point are valid and distinct. */
+typedef struct {
+    int64_t width;
+    int64_t *code;
+    int64_t *items;
+    int64_t *partner;
+    int64_t *head;
+} Buckets;
+
+static Buckets bucket_points(const double *pts, int64_t count, double size,
+                             int64_t *ibuf) {
+    Buckets b;
+    int64_t r_min = 0, r_max = 0, c_min = 0, c_max = 0;
+    int64_t cells, i, c;
+    for (i = 0; i < count; i++) {
+        int64_t kr = (int64_t)np_floor_divide(pts[2 * i], size);
+        int64_t kc = (int64_t)np_floor_divide(pts[2 * i + 1], size);
+        if (i == 0 || kr < r_min) r_min = kr;
+        if (i == 0 || kr > r_max) r_max = kr;
+        if (i == 0 || kc < c_min) c_min = kc;
+        if (i == 0 || kc > c_max) c_max = kc;
+    }
+    b.width = c_max - c_min + 3;
+    b.code = ibuf;
+    b.items = ibuf + count;
+    b.partner = ibuf + 2 * count;
+    b.head = ibuf + 3 * count;
+    cells = (r_max - r_min + 3) * b.width;
+    for (c = 0; c <= cells; c++) {
+        b.head[c] = 0;
+    }
+    for (i = 0; i < count; i++) {
+        int64_t kr = (int64_t)np_floor_divide(pts[2 * i], size);
+        int64_t kc = (int64_t)np_floor_divide(pts[2 * i + 1], size);
+        b.code[i] = (kr - r_min + 1) * b.width + (kc - c_min + 1);
+        b.head[b.code[i] + 1] += 1;
+    }
+    /* Counting sort by code, stable in the point index. */
+    for (c = 0; c < cells; c++) {
+        b.head[c + 1] += b.head[c];
+    }
+    for (i = 0; i < count; i++) {
+        b.items[b.head[b.code[i]]++] = i;
+    }
+    for (c = cells; c > 0; c--) {
+        b.head[c] = b.head[c - 1];
+    }
+    b.head[0] = 0;
+    return b;
+}
+
+/* The partners of point i into b->partner, in _np_bucket_pairs order;
+ * returns their number. */
+static int64_t bucket_partners(const Buckets *b, int64_t i) {
+    int64_t k = 0, d_row, d_col, s;
+    for (d_row = -1; d_row <= 1; d_row++) {
+        for (d_col = -1; d_col <= 1; d_col++) {
+            int64_t c = b->code[i] + d_row * b->width + d_col;
+            for (s = b->head[c]; s < b->head[c + 1]; s++) {
+                if (b->items[s] != i) {
+                    b->partner[k++] = b->items[s];
+                }
+            }
+        }
+    }
+    return k;
+}
+
+/* _np_attraction: pull toward the neighbourhood centroid. */
+static void attraction(const int64_t *nbr_off, const int64_t *nbr_idx,
+                       int64_t n, double weight, const double *pts,
+                       double *force) {
+    int64_t v, s;
+    for (v = 0; v < n; v++) {
+        double degree = (double)(nbr_off[v + 1] - nbr_off[v]);
+        double sum_r = 0.0, sum_c = 0.0;
+        if (degree == 0.0) {
+            continue;
+        }
+        for (s = nbr_off[v]; s < nbr_off[v + 1]; s++) {
+            sum_r += pts[2 * nbr_idx[s]];
+            sum_c += pts[2 * nbr_idx[s] + 1];
+        }
+        force[2 * v] += weight * (sum_r / degree - pts[2 * v]);
+        force[2 * v + 1] += weight * (sum_c / degree - pts[2 * v + 1]);
+    }
+}
+
+/* force[2v + axis] += the bincount of push[2e + axis] over ends[e]. */
+static void scatter_add(const int64_t *ends, int64_t m, int64_t n,
+                        const double *push, int axis, double *tmp,
+                        double *force) {
+    int64_t e, v;
+    for (v = 0; v < n; v++) {
+        tmp[v] = 0.0;
+    }
+    for (e = 0; e < m; e++) {
+        tmp[ends[e]] += push[2 * e + axis];
+    }
+    for (v = 0; v < n; v++) {
+        force[2 * v + axis] += tmp[v];
+    }
+}
+
+/* _np_edge_repulsion: edges repel through their midpoints. */
+static void edge_repulsion(const int64_t *fe_u, const int64_t *fe_v,
+                           int64_t m, int64_t n, double weight,
+                           int64_t radius, const double *pts, double *mid,
+                           double *push, double *tmp, int64_t *ibuf,
+                           double *force) {
+    Buckets b;
+    int64_t e, k, t;
+    int axis;
+    for (e = 0; e < m; e++) {
+        mid[2 * e] = (pts[2 * fe_u[e]] + pts[2 * fe_v[e]]) / 2.0;
+        mid[2 * e + 1] = (pts[2 * fe_u[e] + 1] + pts[2 * fe_v[e] + 1]) / 2.0;
+    }
+    b = bucket_points(mid, m, (double)(radius > 2 ? radius : 2), ibuf);
+    for (e = 0; e < m; e++) {
+        double sum_r = 0.0, sum_c = 0.0;
+        k = bucket_partners(&b, e);
+        for (t = 0; t < k; t++) {
+            int64_t j = b.partner[t];
+            double d_row = mid[2 * e] - mid[2 * j];
+            double d_col = mid[2 * e + 1] - mid[2 * j + 1];
+            double dist_sq = d_row * d_row + d_col * d_col;
+            double magnitude;
+            if (dist_sq < 1e-9) {
+                d_row = d_col = dist_sq = 0.5;
+            }
+            magnitude = weight / dist_sq;
+            sum_r += magnitude * d_row;
+            sum_c += magnitude * d_col;
+        }
+        push[2 * e] = sum_r / 2.0;
+        push[2 * e + 1] = sum_c / 2.0;
+    }
+    for (axis = 0; axis < 2; axis++) {
+        scatter_add(fe_u, m, n, push, axis, tmp, force);
+        scatter_add(fe_v, m, n, push, axis, tmp, force);
+    }
+}
+
+/* _np_dipole: opposite poles attract, identical poles repel. */
+static void dipole(const int64_t *pole, int64_t n, double weight,
+                   int64_t radius, const double *pts, int64_t *ibuf,
+                   double *force) {
+    double reach = (double)radius;
+    Buckets b = bucket_points(pts, n, reach, ibuf);
+    int64_t i, k, t;
+    for (i = 0; i < n; i++) {
+        double sum_r = 0.0, sum_c = 0.0;
+        k = bucket_partners(&b, i);
+        for (t = 0; t < k; t++) {
+            int64_t j = b.partner[t];
+            double d_row = pts[2 * i] - pts[2 * j];
+            double d_col = pts[2 * i + 1] - pts[2 * j + 1];
+            double dist_sq = d_row * d_row + d_col * d_col;
+            if (dist_sq >= 1e-9 && dist_sq <= reach * reach) {
+                double sign = pole[i] == pole[j] ? 1.0 : -1.0;
+                double magnitude = weight / dist_sq;
+                sum_r += sign * magnitude * d_row;
+                sum_c += sign * magnitude * d_col;
+            }
+        }
+        force[2 * i] += sum_r;
+        force[2 * i + 1] += sum_c;
+    }
+}
+
+/* _step_toward for one force component. */
+static int64_t step_toward(double force, int64_t max_step) {
+    double magnitude = fabs(force);
+    double length;
+    if (magnitude < 0.25) {
+        return 0;
+    }
+    length = rint(magnitude);
+    if (length < 1.0) {
+        length = 1.0;
+    }
+    if (length > (double)max_step) {
+        length = (double)max_step;
+    }
+    return (int64_t)copysign(length, force);
+}
+
+/* The forces of every mover from its cell pos[2i], pos[2i+1] (into
+ * fbuf[0..2n)) and the steps of proposals order[0..count): step[2p],
+ * step[2p+1] move mover order[p].  Returns STATUS_NAN_FORCE, before
+ * writing any step, when a force of an ordered mover is NaN (an
+ * overflowing weighted sum); 0 otherwise. */
+int64_t mc_forces(const int64_t *fp, const double *fw,
+                  const int64_t *nbr_off, const int64_t *nbr_idx,
+                  const int64_t *fe_u, const int64_t *fe_v,
+                  const int64_t *pole, const int64_t *pos, int64_t count,
+                  const int64_t *order, double *fbuf, int64_t *ibuf,
+                  int64_t *step) {
+    int64_t n = fp[FP_NODES], m = fp[FP_EDGES], use = fp[FP_USE];
+    double *force = fbuf;
+    double *pts = force + 2 * n;
+    double *mid = pts + 2 * n;
+    double *push = mid + 2 * m;
+    double *tmp = push + 2 * m;
+    int64_t i, p;
+    for (i = 0; i < 2 * n; i++) {
+        force[i] = 0.0;
+        pts[i] = (double)pos[i];
+    }
+    if (use & FORCE_ATTRACTION) {
+        attraction(nbr_off, nbr_idx, n, fw[FW_ATTRACTION], pts, force);
+    }
+    if ((use & FORCE_REPULSION) && m > 0) {
+        edge_repulsion(fe_u, fe_v, m, n, fw[FW_REPULSION], fp[FP_RADIUS], pts,
+                       mid, push, tmp, ibuf, force);
+    }
+    if ((use & FORCE_DIPOLE) && n > 0) {
+        dipole(pole, n, fw[FW_DIPOLE], fp[FP_RADIUS], pts, ibuf, force);
+    }
+    for (p = 0; p < count; p++) {
+        if (isnan(force[2 * order[p]]) || isnan(force[2 * order[p] + 1])) {
+            return STATUS_NAN_FORCE;
+        }
+    }
+    for (p = 0; p < count; p++) {
+        step[2 * p] = step_toward(force[2 * order[p]], fp[FP_MAX_STEP]);
+        step[2 * p + 1] = step_toward(force[2 * order[p] + 1], fp[FP_MAX_STEP]);
+    }
+    return 0;
+}
+
+/* ------------------------------------------------------------------ */
 /* One annealing sweep                                                 */
 /* ------------------------------------------------------------------ */
 
@@ -733,8 +1027,11 @@ static double move_delta(const int64_t *ip, int64_t k, const int64_t *changed,
  * the sequential proposal loop of repro.mapping.force_directed, whose
  * Python form is the oracle this must match bit for bit.
  *
- * Proposal p moves vertex order[p] by step[2p], step[2p+1] (vertices are
- * indices into pos[nv*2] = placement cells; ea/eb[m] are the edge
+ * A sweep starting at proposal 0 first runs the force pass (mc_forces)
+ * over the movers' current cells and writes every proposal's step into
+ * step[2p], step[2p+1]; a resumed sweep reuses those steps.  Proposal p
+ * moves vertex order[p] by that step (vertices are indices into
+ * pos[nv*2] = placement cells, movers first; ea/eb[m] are the edge
  * endpoints in that index space, inc_off/inc_edge their ascending
  * incident-edge lists).  A zero step or an off-grid target is skipped
  * without counting; otherwise the target's occupant (occ[height*width],
@@ -745,7 +1042,8 @@ static double move_delta(const int64_t *ip, int64_t k, const int64_t *changed,
  * Accepted moves are committed (mc_commit), applied to pos/occ, counted,
  * and logged as rows log[3j..3j+2] = {vertex, target_row, target_col}.
  *
- * Returns 0 when the sweep is done, or 1 when a commit overflowed a grid
+ * Returns 0 when the sweep is done; STATUS_NAN_FORCE, before any
+ * proposal, when a force is NaN; or 1 when a commit overflowed a grid
  * cell: sp[SP_START] then holds the next proposal, and the caller
  * rebuilds the grid with a larger capacity and calls again. */
 int64_t mc_sweep(const int64_t *ip, double bucket,
@@ -759,11 +1057,20 @@ int64_t mc_sweep(const int64_t *ip, double bucket,
                  const double *weight, const int64_t *ea, const int64_t *eb,
                  const int64_t *inc_off, const int64_t *inc_edge,
                  int64_t *pos, int64_t *occ,
-                 const int64_t *order, const int64_t *step,
-                 uint32_t *mt, int64_t *sp, double *dp, int64_t *log) {
+                 const int64_t *order, int64_t *step,
+                 uint32_t *mt, int64_t *sp, double *dp, int64_t *log,
+                 const int64_t *fp, const double *fw,
+                 const int64_t *nbr_off, const int64_t *nbr_idx,
+                 const int64_t *fe_u, const int64_t *fe_v,
+                 const int64_t *pole, double *fbuf, int64_t *ibuf) {
     int64_t height = sp[SP_HEIGHT], width = sp[SP_WIDTH];
     double temperature = dp[DP_TEMPERATURE];
     int64_t p;
+    if (sp[SP_START] == 0
+        && mc_forces(fp, fw, nbr_off, nbr_idx, fe_u, fe_v, pole, pos,
+                     sp[SP_COUNT], order, fbuf, ibuf, step) != 0) {
+        return STATUS_NAN_FORCE;
+    }
     for (p = sp[SP_START]; p < sp[SP_COUNT]; p++) {
         int64_t v = order[p];
         int64_t d_row = step[2 * p], d_col = step[2 * p + 1];

@@ -44,7 +44,7 @@ from ..graphs.community import (
     detect_communities,
 )
 from ..graphs.interaction import interaction_graph
-from ..graphs.metrics import MappingCostTracker
+from ..graphs.metrics import NAN_FORCE_ERROR, MappingCostTracker, SweepForces
 from .placement import Cell, Placement, grid_dimensions_for, row_major_placement
 
 @dataclass
@@ -91,10 +91,15 @@ _INT_FIELDS = {
     "seed": -math.inf,
 }
 
-#: Closed ranges of the float fields; the weights need only be finite.
+#: Closed ranges of the float fields (the rest need only be finite).  The
+#: force weights stay small enough that no weighted force sum can
+#: overflow to a NaN force on any grid.
 _FLOAT_RANGES = {
     "temperature": (0.0, math.inf),
     "cooling": (0.0, 1.0),
+    "attraction_weight": (-1e6, 1e6),
+    "repulsion_weight": (-1e6, 1e6),
+    "dipole_weight": (-1e6, 1e6),
 }
 
 
@@ -208,7 +213,9 @@ class _ForceField:
 
     The three force kernels run vectorized over flat index arrays prepared
     once at construction (adjacency pairs, edge endpoints, poles).  Forces
-    only steer proposals; the cost tracker decides every move.
+    only steer proposals; the cost tracker decides every move.  This is
+    the oracle of the metrics kernel's force pass, which gets the same
+    arrays through :meth:`sweep_forces`.
     """
 
     def __init__(
@@ -230,12 +237,37 @@ class _ForceField:
                 neighbor.append(index[other])
         self._nbr_owner = _np.asarray(owner, dtype=_np.intp)
         self._nbr_index = _np.asarray(neighbor, dtype=_np.intp)
-        self._degree = _np.bincount(self._nbr_owner, minlength=n).astype(float)
+        counts = _np.bincount(self._nbr_owner, minlength=n)
+        self._degree = counts.astype(float)
+        self._nbr_offsets = _np.concatenate(([0], _np.cumsum(counts)))
         edges = list(graph.edges())
         self._edge_u = _np.asarray([index[a] for a, _ in edges], dtype=_np.intp)
         self._edge_v = _np.asarray([index[b] for _, b in edges], dtype=_np.intp)
         self._pole_arr = _np.asarray(
             [poles.get(vertex, 1) for vertex in nodes], dtype=_np.int64
+        )
+
+    def sweep_forces(self, max_step: int) -> SweepForces:
+        """The field as the plain arrays a kernel sweep computes it from."""
+        config = self.config
+        return SweepForces(
+            nbr_offsets=self._nbr_offsets,
+            nbr_index=self._nbr_index,
+            edge_u=self._edge_u,
+            edge_v=self._edge_v,
+            poles=self._pole_arr,
+            weights=(
+                config.attraction_weight,
+                config.repulsion_weight,
+                config.dipole_weight,
+            ),
+            enabled=(
+                config.use_attraction,
+                config.use_edge_repulsion,
+                config.use_dipole,
+            ),
+            radius=config.neighborhood_radius,
+            max_step=max_step,
         )
 
     def forces(self, positions: Mapping[int, Cell]):
@@ -424,7 +456,7 @@ def _step_toward(forces, max_step: int):
     """
     magnitude = _np.abs(forces)
     if _np.isnan(magnitude).any():
-        raise ValueError("force-directed refinement produced a NaN force")
+        raise ValueError(NAN_FORCE_ERROR)
     length = _np.minimum(max_step, _np.maximum(1.0, _np.rint(magnitude)))
     steps = _np.where(magnitude < 0.25, 0.0, _np.copysign(length, forces))
     return steps.astype(_np.int64)
@@ -493,21 +525,26 @@ def force_directed_refine(
     Returns the exact-cost argmin over all sweep-end placements (including
     the initial one); the input placement is not modified.
 
-    The policy lives here: forces, proposal order, steps, the temperature
-    schedule, best-placement tracking and community moves.  Each sweep's
-    proposal loop runs inside the metrics kernel on the compiled tracker
-    engine (:class:`repro.graphs.metrics.KernelSweep`) and in
-    :func:`_oracle_sweep` otherwise; the two are bit-identical.
+    The policy lives here: the force weights and switches, proposal
+    order, the temperature schedule, best-placement tracking and
+    community moves.  On the compiled tracker engine each sweep's forces,
+    steps and proposal loop run inside the metrics kernel
+    (:class:`repro.graphs.metrics.KernelSweep`); otherwise
+    :meth:`_ForceField.forces`, :func:`_step_toward` and
+    :func:`_oracle_sweep` run them.  The two are bit-identical.  Every
+    graph vertex must be placed (``KeyError`` otherwise).
     """
     config = config or ForceDirectedConfig()
     rng = random.Random(config.seed)
     placement = initial.copy()
+    # The movers are the force field's vertices in its order, which the
+    # kernel's force pass indexes by.
+    vertices = list(graph.nodes())
+    for vertex in vertices:
+        if vertex not in placement.positions:
+            raise KeyError(f"graph vertex {vertex!r} is unplaced")
     poles = assign_dipole_poles(graph, seed=config.seed)
     field_model = _ForceField(graph, config, poles)
-
-    # Every graph node must be placed for the forces, so ``vertices`` is
-    # the force array's node order.
-    vertices = [v for v in graph.nodes() if v in placement.positions]
     # Community detection is deferred until the first stall actually asks
     # for a community move (most refinements never stall); ``None`` means
     # "not computed yet", an empty list means "computed, none found".
@@ -518,10 +555,15 @@ def force_directed_refine(
         placement.as_float_positions(),
         crossing_weight=config.cost_crossing_weight,
     )
-    kernel = tracker.kernel_sweep(vertices, placement.height, placement.width)
     # A step longer than the grid leaves it all the same; the clamp keeps
     # every step a small integer.
     max_step = min(config.max_step, max(placement.height, placement.width))
+    kernel = tracker.kernel_sweep(
+        vertices,
+        placement.height,
+        placement.width,
+        field_model.sweep_forces(max_step),
+    )
     stats = RefineStats()
 
     best = placement.copy()
@@ -532,14 +574,12 @@ def force_directed_refine(
     community_moves_used = 0
 
     for _sweep in range(config.sweeps):
-        forces = field_model.forces(placement.positions)
         order = list(range(len(vertices)))
         rng.shuffle(order)
-        steps = _step_toward(forces[order], max_step)
         stats.sweeps += 1
         if kernel is not None:
             moves, proposed, improving = kernel.run(
-                placement.positions, order, steps, temperature, rng
+                placement.positions, order, temperature, rng
             )
             for vertex, cell in moves:
                 placement.move(vertex, cell)
@@ -548,6 +588,8 @@ def force_directed_refine(
             stats.improving_moves += improving
             improved_any = improving > 0
         else:
+            forces = field_model.forces(placement.positions)
+            steps = _step_toward(forces[order], max_step)
             improved_any = _oracle_sweep(
                 placement, tracker, vertices, order, steps, temperature, rng,
                 stats,

@@ -380,6 +380,16 @@ PARITY_CONFIGS = {
     "no-attraction": dict(
         seed=5, use_attraction=False, community_patience=1, max_community_moves=10
     ),
+    # Radius 1: the edge-repulsion bucket (2) differs from the dipole's (1).
+    "radius1": dict(seed=8, neighborhood_radius=1),
+    "radius9": dict(seed=9, neighborhood_radius=9),
+    "signed-weights": dict(
+        seed=10, attraction_weight=-0.5, repulsion_weight=2.5, dipole_weight=-1.5
+    ),
+    # Every step is 0: only community moves change the placement.
+    "forces-off": dict(
+        seed=11, use_attraction=False, use_edge_repulsion=False, use_dipole=False
+    ),
 }
 
 
@@ -427,10 +437,34 @@ def _require_kernel():
         pytest.skip("the metrics kernel is unavailable")
 
 
+def _count_numpy_force_calls(monkeypatch):
+    """Record every ``_ForceField.forces`` and ``_step_toward`` call."""
+    from repro.mapping import force_directed as fd_module
+
+    calls = []
+    real_forces = fd_module._ForceField.forces
+    real_step = fd_module._step_toward
+
+    def counting_forces(self, positions):
+        calls.append("forces")
+        return real_forces(self, positions)
+
+    def counting_step(forces, max_step):
+        calls.append("steps")
+        return real_step(forces, max_step)
+
+    monkeypatch.setattr(fd_module._ForceField, "forces", counting_forces)
+    monkeypatch.setattr(fd_module, "_step_toward", counting_step)
+    return calls
+
+
 def _assert_kernel_matches_oracle(
     refine_outcome, monkeypatch, name, config, oracle_engine
 ):
-    """Run the kernel sweep, then the oracle loop, and compare everything."""
+    """Run the kernel sweep, then the oracle loop, and compare everything.
+
+    Returns the kernel run's outcome.
+    """
     from repro.graphs.metrics import KernelSweep, MappingCostTracker
 
     _require_kernel()
@@ -438,25 +472,31 @@ def _assert_kernel_matches_oracle(
     runs = []
     real_run = KernelSweep.run
 
-    def counting_run(self, *args):
+    def counting_run(self, cells, order, temperature, rng):
         runs.append(1)
-        return real_run(self, *args)
+        return real_run(self, cells, order, temperature, rng)
 
     monkeypatch.setattr(KernelSweep, "run", counting_run)
+    numpy_calls = _count_numpy_force_calls(monkeypatch)
     monkeypatch.setenv("REPRO_METRICS_ENGINE", "compiled")
     kernel = refine_outcome(graph, placement, config)
     assert len(runs) == config.sweeps  # one kernel call per sweep
+    assert numpy_calls == [], "the compiled path ran the numpy force field"
     if oracle_engine == "scalar":
         monkeypatch.setenv("REPRO_METRICS_ENGINE", "scalar")
     else:
         # The oracle loop over the compiled engine's per-move evaluate.
         monkeypatch.setattr(
-            MappingCostTracker, "kernel_sweep", lambda self, *args: None
+            MappingCostTracker,
+            "kernel_sweep",
+            lambda self, movers, height, width, forces: None,
         )
     oracle = refine_outcome(graph, placement, config)
     assert len(runs) == config.sweeps  # the oracle never entered the kernel
+    assert numpy_calls == ["forces", "steps"] * config.sweeps
     for key in ("positions", "stats", "rng"):
         assert kernel[key] == oracle[key], f"{name}: kernel sweep forked {key}"
+    return kernel
 
 
 class TestKernelSweepParity:
@@ -504,6 +544,30 @@ class TestKernelSweepParity:
             ForceDirectedConfig(**settings),
             "compiled",
         )
+
+    def test_forces_off_proposes_nothing(self, refine_outcome, monkeypatch):
+        config = ForceDirectedConfig(**PARITY_CONFIGS["forces-off"])
+        kernel = _assert_kernel_matches_oracle(
+            refine_outcome, monkeypatch, "L1-K8", config, "scalar"
+        )
+        assert kernel["stats"]["proposed_moves"] == 0
+        assert kernel["stats"]["community_moves"] > 0
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_nan_force_raises_the_same_error_on_both_paths(self, monkeypatch):
+        # Validation caps the weights; a config mutated past it overflows
+        # the first sweep's repulsion sums to NaN.
+        _require_kernel()
+        graph, placement = _parity_case("L1-K4")
+        config = ForceDirectedConfig(seed=0)
+        config.repulsion_weight = 1e308
+        messages = []
+        for engine in ("compiled", "scalar"):
+            monkeypatch.setenv("REPRO_METRICS_ENGINE", engine)
+            with pytest.raises(ValueError, match="NaN force") as excinfo:
+                force_directed_refine(graph, placement, config)
+            messages.append(str(excinfo.value))
+        assert messages[0] == messages[1]
 
     @pytest.mark.parametrize("temperature", [1e-9, 2e-9])
     def test_draws_only_above_the_temperature_floor(
@@ -558,11 +622,10 @@ class TestKernelSweepParity:
 
 def test_kernel_sweep_leaves_the_tracker_as_the_oracle_does():
     """After a kernel sweep every tracker field equals the oracle's."""
-    import numpy as np
-
     from repro.graphs.metrics import MappingCostTracker
     from repro.mapping.force_directed import (
         RefineStats,
+        _ForceField,
         _oracle_sweep,
         _step_toward,
     )
@@ -573,13 +636,17 @@ def test_kernel_sweep_leaves_the_tracker_as_the_oracle_does():
     for a, b in graph.edges():  # weights feed the weighted-length sum
         graph[a][b]["weight"] = 0.5 + (a * 7 + b) % 4
     vertices = list(graph.nodes())
-    rng = random.Random(11)
-    forces = np.asarray(
-        [(rng.uniform(-3, 3), rng.uniform(-3, 3)) for _ in vertices]
+    # Real forces from a field with non-unit, signed weights.
+    config = ForceDirectedConfig(
+        attraction_weight=1.5,
+        repulsion_weight=-0.75,
+        dipole_weight=2.5,
+        neighborhood_radius=3,
     )
+    field = _ForceField(graph, config, assign_dipole_poles(graph, seed=11))
+    rng = random.Random(11)
     order = list(range(len(vertices)))
     rng.shuffle(order)
-    steps = _step_toward(forces[order], 4)
     states = []
     for use_kernel in (True, False):
         moved = placement.copy()
@@ -588,12 +655,15 @@ def test_kernel_sweep_leaves_the_tracker_as_the_oracle_does():
         )
         sweep_rng = random.Random(5)
         if use_kernel:
-            kernel = tracker.kernel_sweep(vertices, moved.height, moved.width)
-            moves, _, _ = kernel.run(moved.positions, order, steps, 0.7, sweep_rng)
+            kernel = tracker.kernel_sweep(
+                vertices, moved.height, moved.width, field.sweep_forces(4)
+            )
+            moves, _, _ = kernel.run(moved.positions, order, 0.7, sweep_rng)
             assert moves, "the sweep accepted nothing"
             for vertex, cell in moves:
                 moved.move(vertex, cell)
         else:
+            steps = _step_toward(field.forces(moved.positions)[order], 4)
             _oracle_sweep(
                 moved, tracker, vertices, order, steps, 0.7, sweep_rng,
                 RefineStats(),
@@ -616,6 +686,28 @@ def test_kernel_sweep_leaves_the_tracker_as_the_oracle_does():
             )
         )
     assert states[0] == states[1]
+
+
+class TestUnplacedVertex:
+    """Every graph vertex needs a cell, or refinement names the one missing."""
+
+    @pytest.mark.parametrize("sweeps", [0, 2])
+    @pytest.mark.parametrize("engine", ["compiled", "scalar"])
+    def test_unplaced_graph_vertex_is_named(self, monkeypatch, engine, sweeps):
+        import networkx as nx
+
+        from repro.mapping.placement import Placement
+
+        if engine == "compiled":
+            _require_kernel()
+        graph = nx.path_graph(4)
+        graph.add_node(9)  # isolated and unplaced
+        placement = Placement(2, 2, {v: (v // 2, v % 2) for v in range(4)})
+        monkeypatch.setenv("REPRO_METRICS_ENGINE", engine)
+        with pytest.raises(KeyError, match=r"vertex 9\b"):
+            force_directed_refine(
+                graph, placement, ForceDirectedConfig(sweeps=sweeps)
+            )
 
 
 class TestKernelRandom:

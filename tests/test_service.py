@@ -367,6 +367,16 @@ class TestHttpEndpoints:
         assert body["error"]["field"] == "fd_config"
         assert "max_step" in body["error"]["message"]
 
+    def test_overflowing_fd_weight_is_400_not_500(self, base_url):
+        # A finite weight this large once passed validation, overflowed
+        # the first sweep's repulsion sums to NaN and answered 500.
+        data = a_request(method="force_directed").to_dict()
+        data["fd_config"] = {"repulsion_weight": 1e308}
+        status, _, body = http("POST", f"{base_url}/v1/evaluate", data)
+        assert status == 400
+        assert body["error"]["field"] == "fd_config"
+        assert "repulsion_weight" in body["error"]["message"]
+
 
 class TestHttpSweeps:
     def test_sweep_job_lifecycle(self, base_url, service):

@@ -107,6 +107,13 @@ class TestDecodeEvaluationRequest:
             {"cooling": 1.5},
             {"cooling": -0.1},
             {"attraction_weight": float("inf")},
+            # Finite weights past +-1e6 could overflow a force sum to NaN.
+            {"attraction_weight": 1e308},
+            {"attraction_weight": -2e6},
+            {"repulsion_weight": 1e308},
+            {"repulsion_weight": -2e6},
+            {"dipole_weight": 1e308},
+            {"dipole_weight": -2e6},
             {"cost_crossing_weight": float("nan")},
             {"dipole_weight": "heavy"},
             {"use_dipole": 1},
@@ -123,6 +130,18 @@ class TestDecodeEvaluationRequest:
 
     def test_in_range_fd_config_decodes(self):
         fd_config = {"sweeps": 0, "max_step": 1, "temperature": 0, "cooling": 1.0}
+        request = decode_evaluation_request(
+            wire_request(method="force_directed", fd_config=fd_config)
+        )
+        assert request.fd_config == ForceDirectedConfig(**fd_config)
+
+    @pytest.mark.parametrize("weight", [-1e6, 1e6])
+    def test_weights_at_the_range_bounds_decode(self, weight):
+        fd_config = {
+            "attraction_weight": weight,
+            "repulsion_weight": -weight,
+            "dipole_weight": weight,
+        }
         request = decode_evaluation_request(
             wire_request(method="force_directed", fd_config=fd_config)
         )
