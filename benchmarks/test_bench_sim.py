@@ -9,7 +9,7 @@ set-based :func:`~repro.routing.simulate_reference` oracle — whose own
 internal assertions also verify the wakeup parking invariant on every run.
 
 It also times both engines on the stall-heavy congestion case (the
-``sim-congestion`` bench scenario's headline configuration), asserting a
+two-level K=16 factory under a random placement), asserting a
 conservative floor under the committed BENCH record's speedup so a
 performance regression of the wakeup engine fails loudly.
 """
@@ -97,7 +97,7 @@ def test_batched_engine_equals_scalar_on_fig7_factories(capacity, levels):
 def test_bench_stall_heavy_speedup(benchmark):
     """Time the wakeup engine against the reference on heavy congestion.
 
-    The workload is the ``sim-congestion`` headline case: the two-level
+    The workload is the headline congestion case: the two-level
     K=16 factory under a random placement (the congested Fig. 6 geometry),
     ``max_candidates=8``.  The committed BENCH record shows >= 5x on this
     machine; the assertion floor is deliberately lower (2.5x) so shared CI

@@ -17,7 +17,7 @@ Run with::
     python examples/factory_resource_planning.py
 """
 
-from repro.analysis import evaluate_factory_mapping
+from repro.api import evaluate_factory_mapping
 from repro.distillation import (
     ErrorBudget,
     FactorySpec,

@@ -1,4 +1,4 @@
-"""Evaluation machinery: volume accounting, correlation study, capacity sweeps."""
+"""Evaluation machinery: volume accounting, correlation study, sweep tables."""
 
 from .correlation import (
     CorrelationStudy,
@@ -9,10 +9,7 @@ from .correlation import (
 from .sweeps import (
     MAPPING_METHODS,
     METHOD_LABELS,
-    FactoryEvaluation,
     best_volume_by_method,
-    capacity_sweep,
-    evaluate_factory_mapping,
     format_sweep_table,
 )
 from .volume import (
@@ -29,10 +26,7 @@ __all__ = [
     "correlation_study",
     "MAPPING_METHODS",
     "METHOD_LABELS",
-    "FactoryEvaluation",
     "best_volume_by_method",
-    "capacity_sweep",
-    "evaluate_factory_mapping",
     "format_sweep_table",
     "EvaluationResult",
     "evaluate_mapping",

@@ -1,45 +1,16 @@
-"""Capacity sweeps driving every mapper through the build-map-simulate flow.
+"""Tabulating capacity sweeps: method names, labels and best-volume tables.
 
-This is the evaluation harness shared by the figures and tables of the
-paper's Section VIII.  The heavy lifting now lives in :mod:`repro.api`:
-mapping procedures are looked up in the pluggable mapper registry and runs
-go through :class:`repro.api.Pipeline`, which caches built factory circuits
-across the mappers of a sweep and memoizes simulation results.  Sweeps can
-run in parallel: :func:`capacity_sweep` takes ``workers=N``, and
-:class:`SweepPlan` / :class:`SweepExecutor` / :func:`run_sweep` (re-exported
-from :mod:`repro.api.executor`) expose the full plan-based execution model
-with deterministic result ordering.  :func:`evaluate_factory_mapping` and
-:func:`capacity_sweep` are kept here as thin, backward-compatible delegates
-so existing callers (experiments, benchmarks, notebooks) keep working
-unchanged; new code should prefer :mod:`repro.api` directly.
+The sweeps themselves run through :mod:`repro.api`
+(:func:`~repro.api.capacity_sweep`, :class:`~repro.api.Pipeline`); this
+module groups and prints their :class:`~repro.api.FactoryEvaluation`
+points the way the figures and tables of the paper's Section VIII do.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Sequence
 
-# Re-exported for backward compatibility: these names historically lived in
-# this module and are imported from here throughout the test-suite.  The
-# __all__ below is what marks them as deliberate re-exports for linters.
-from ..api.executor import (
-    SweepExecutor,
-    SweepPlan,
-    SweepRunResult,
-    run_sweep,
-)
-from ..api.pipeline import capacity_sweep, evaluate_factory_mapping
 from ..api.results import FactoryEvaluation
-
-__all__ = [
-    "FactoryEvaluation",
-    "MAPPING_METHODS",
-    "SweepExecutor",
-    "SweepPlan",
-    "SweepRunResult",
-    "capacity_sweep",
-    "evaluate_factory_mapping",
-    "run_sweep",
-]
 
 #: Mapping methods shipped with the toolchain, in the order the paper
 #: introduces them.  The authoritative list is the mapper registry

@@ -8,9 +8,8 @@ construction dominates the two-level benches), runs the braid simulator and
 reports the :class:`~repro.api.results.FactoryEvaluation` data point.
 
 :class:`EvaluationRequest` is the serializable description of one such run;
-:func:`capacity_sweep` and :func:`evaluate_factory_mapping` are the
-functional conveniences the legacy :mod:`repro.analysis.sweeps` API now
-delegates to.
+:func:`capacity_sweep` and :func:`evaluate_factory_mapping` are its
+functional conveniences.
 """
 
 from __future__ import annotations
@@ -411,7 +410,7 @@ class Pipeline:
         return result
 
     def evaluate_batch(
-        self, requests: Sequence[EvaluationRequest], engine: str = "auto"
+        self, requests: Sequence[EvaluationRequest]
     ) -> List[FactoryEvaluation]:
         """Evaluate many requests, batching the cache-missing simulations.
 
@@ -421,8 +420,7 @@ class Pipeline:
         :class:`~repro.routing.simulator.SimulationCache` are executed in
         one :func:`~repro.routing.batchsim.simulate_batch` call, which
         groups same-circuit points and runs them through the compiled
-        batched kernel.  ``engine`` is forwarded to
-        :func:`~repro.routing.batchsim.simulate_batch`.
+        batched kernel.
         """
         # Imported lazily, like the other analysis/routing consumers above.
         from ..routing.batchsim import simulate_batch
@@ -492,7 +490,7 @@ class Pipeline:
             return results  # type: ignore[return-value]
 
         batch_started = time.perf_counter()
-        batch_results = simulate_batch(points, engine=engine)
+        batch_results = simulate_batch(points)
         batch_seconds = time.perf_counter() - batch_started
         self.stats.sim_seconds += batch_seconds
         batch_share = batch_seconds / len(points)
@@ -571,7 +569,7 @@ class Pipeline:
 
 
 # ----------------------------------------------------------------------
-# Functional conveniences (the legacy analysis API delegates here)
+# Functional conveniences
 # ----------------------------------------------------------------------
 #: Shared pipeline behind the module-level convenience functions, so repeat
 #: calls for the same configuration reuse the built factory.

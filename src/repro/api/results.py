@@ -14,8 +14,7 @@ helpers here keep those implementations small:
 * :func:`to_json` / :func:`from_json` — thin :mod:`json` wrappers.
 
 :class:`FactoryEvaluation` — the per-configuration data point produced by
-the evaluation pipeline — is defined here; :mod:`repro.analysis.sweeps`
-re-exports it for backward compatibility.
+the evaluation pipeline — is defined here.
 """
 
 from __future__ import annotations

@@ -69,7 +69,7 @@ import platform
 import sys
 import time
 from datetime import datetime, timezone
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence
 
 from .api.benchcompare import (
     BenchRecordError,
@@ -96,7 +96,6 @@ from .api.sharding import (
     load_shard_file,
     plan_fingerprint,
     run_shard,
-    shard_specs,
     write_shard_files,
 )
 from .api.store import (
@@ -203,10 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--experiments",
         metavar="NAMES",
         default=None,
-        help=(
-            "comma-separated experiment names to benchmark "
-            f"(default: {','.join(DEFAULT_BENCH_EXPERIMENTS)})"
-        ),
+        help="comma-separated experiment names to benchmark (default: all)",
     )
     bench_parser.add_argument(
         "--workers",
@@ -634,56 +630,14 @@ def _add_sweep_parsers(subparsers) -> None:
     )
 
 
-#: Experiments benchmarked by ``repro-msfu bench`` when none are named: the
-#: Fig. 7 scaling sweeps (the canonical parallel-execution workload), the
-#: single-level Table I block (a mapper-diverse, simulation-heavy sweep),
-#: the force-directed mapper case (crossing counting + full exact-cost FD
-#: refinement on a factory-scale graph), the congestion-stress simulator
-#: case (bitmask/wakeup engine vs the set-based reference engine) and the
-#: batched-simulator case (one ``simulate_batch`` call over a sweep-shaped
-#: point set vs the per-point engine loop).
-DEFAULT_BENCH_EXPERIMENTS = (
-    "fig7a",
-    "fig7b",
-    "table1-level1",
-    "fd-mapper",
-    "fd-kernel",
-    "sim-congestion",
-    "sim-batch",
-    "sweep-shard",
-)
-
-#: Name of the special bench-only case handled by :func:`_bench_fd_mapper`
-#: (not a registered experiment: it times mapping-layer internals, not a
-#: paper artifact).
-FD_MAPPER_BENCH = "fd-mapper"
-
-#: Name of the special bench-only case handled by :func:`_bench_fd_kernel`
-#: (times the compiled/vector/scalar tracker engines head to head on one
-#: deterministic move sequence, asserting byte-identical state).
-FD_KERNEL_BENCH = "fd-kernel"
-
-#: Name of the special bench-only case handled by
-#: :func:`_bench_sim_congestion` (times routing-layer internals: the default
-#: simulation engine against the retained reference engine).
-SIM_CONGESTION_BENCH = "sim-congestion"
-
-#: Name of the special bench-only case handled by :func:`_bench_sim_batch`
-#: (times the batched simulator core against the per-point engine loop on
-#: a sweep-shaped same-circuit point set).
-SIM_BATCH_BENCH = "sim-batch"
-
-#: Name of the special bench-only case handled by
-#: :func:`_bench_sweep_shard` (a k-shard simulated fleet over private
-#: stores, merged and checked byte-identical against one single-store run).
-SWEEP_SHARD_BENCH = "sweep-shard"
-
 #: Reduced ``--smoke`` parameter overrides per experiment, chosen so every
-#: entry completes in seconds.  Unknown experiments with a ``capacities``
-#: parameter fall back to ``[2, 4]``.
+#: entry completes in seconds.  Experiments without an entry run at their
+#: defaults.
 SMOKE_OVERRIDES: Dict[str, Dict[str, Any]] = {
     "fig7a": {"capacities": [2, 4]},
     "fig7b": {"capacities": [4]},
+    "fig9ab": {"capacities": [4]},
+    "fig9cd": {"capacities": [4]},
     "fig10-single": {"capacities": [2, 4]},
     "fig10-two": {"capacities": [4]},
     "table1-level1": {"capacities": [2]},
@@ -697,10 +651,7 @@ def _bench_kwargs(spec: ExperimentSpec, args: argparse.Namespace) -> Dict[str, A
     param_names = {param.name for param in spec.params}
     kwargs: Dict[str, Any] = {}
     if args.smoke:
-        overrides = SMOKE_OVERRIDES.get(spec.name)
-        if overrides is None and "capacities" in param_names:
-            overrides = {"capacities": [2, 4]}
-        for key, value in (overrides or {}).items():
+        for key, value in SMOKE_OVERRIDES.get(spec.name, {}).items():
             if key in param_names:
                 kwargs[key] = value
     if args.seed is not None and "seed" in param_names:
@@ -710,574 +661,6 @@ def _bench_kwargs(spec: ExperimentSpec, args: argparse.Namespace) -> Dict[str, A
     if getattr(args, "batch", False) and "batch" in param_names:
         kwargs["batch"] = True
     return kwargs
-
-
-def _bench_fd_mapper(args: argparse.Namespace) -> Dict[str, Any]:
-    """Benchmark the exact-metrics engine and a full FD refinement.
-
-    Times the bucketed crossing counter against the brute-force
-    ``_reference`` oracle (asserting equal counts), then a complete
-    :func:`~repro.mapping.force_directed.force_directed_refine` run with
-    per-move exact incremental cost, on the L2 K=16 factory graph (the
-    paper's headline two-level configuration; L1 K=4 under ``--smoke``).
-
-    The record also estimates two brute-force baselines from a measured
-    exact-cost evaluation (best of three): *per-move* — what driving every
-    proposed move with a brute-force exact evaluation would cost, i.e. the
-    only pre-existing way to compute the objective the incremental tracker
-    now provides per move — and *per-sweep* — what the pre-existing exact
-    path actually did for graphs under its 600-edge cutoff (one exact
-    evaluation per sweep; above the cutoff it optimized a cheap surrogate
-    instead, which is the bug this engine fixes, so its wall time is not a
-    like-for-like baseline).
-    """
-    from .graphs import interaction_graph
-    from .graphs.metrics import (
-        average_edge_length,
-        average_edge_spacing_reference,
-        combine_metric_cost,
-        count_edge_crossings,
-        count_edge_crossings_reference,
-    )
-    from .mapping import linear_factory_placement
-    from .mapping.force_directed import (
-        ForceDirectedConfig,
-        force_directed_refine,
-        take_refine_stats,
-    )
-
-    capacity, levels = (4, 1) if args.smoke else (16, 2)
-    started = time.perf_counter()
-    factory = default_pipeline().factory(capacity, levels)
-    graph = interaction_graph(factory.circuit)
-    initial = linear_factory_placement(factory)
-    positions = initial.as_float_positions()
-
-    tick = time.perf_counter()
-    bucketed = count_edge_crossings(graph, positions)
-    crossing_seconds = time.perf_counter() - tick
-    tick = time.perf_counter()
-    reference = count_edge_crossings_reference(graph, positions)
-    crossing_reference_seconds = time.perf_counter() - tick
-    if bucketed != reference:
-        raise AssertionError(
-            f"bucketed crossing count {bucketed} != brute force {reference}"
-        )
-
-    # One full brute-force evaluation of the exact combined cost (best of
-    # three, to damp single-sample timing noise).
-    config = ForceDirectedConfig(seed=args.seed if args.seed is not None else 0)
-    brute_eval_seconds = float("inf")
-    for _ in range(3):
-        tick = time.perf_counter()
-        combine_metric_cost(
-            count_edge_crossings_reference(graph, positions),
-            average_edge_length(graph, positions),
-            average_edge_spacing_reference(graph, positions),
-            crossing_weight=config.cost_crossing_weight,
-        )
-        brute_eval_seconds = min(brute_eval_seconds, time.perf_counter() - tick)
-
-    take_refine_stats()  # drop stats of unrelated earlier runs
-    tick = time.perf_counter()
-    force_directed_refine(graph, initial, config)
-    refine_seconds = time.perf_counter() - tick
-    refine_stats = take_refine_stats()[-1]
-
-    per_move_brute_seconds = refine_stats.proposed_moves * brute_eval_seconds
-    per_sweep_brute_seconds = refine_stats.sweeps * brute_eval_seconds
-    return {
-        "experiment": FD_MAPPER_BENCH,
-        "params": {"capacity": capacity, "levels": levels, "seed": config.seed},
-        "workers": 1,
-        "wall_seconds": round(time.perf_counter() - started, 4),
-        "sim_cycles": None,
-        "stall_cycles": None,
-        "evaluations": None,
-        "fd": {
-            "nodes": graph.number_of_nodes(),
-            "edges": graph.number_of_edges(),
-            "edge_crossings": bucketed,
-            "crossing_seconds": round(crossing_seconds, 4),
-            "crossing_reference_seconds": round(crossing_reference_seconds, 4),
-            "crossing_speedup": round(
-                crossing_reference_seconds / crossing_seconds, 2
-            )
-            if crossing_seconds > 0
-            else None,
-            "refine_seconds": round(refine_seconds, 4),
-            "sweeps": refine_stats.sweeps,
-            "proposed_moves": refine_stats.proposed_moves,
-            "accepted_moves": refine_stats.accepted_moves,
-            "initial_cost": round(refine_stats.initial_cost, 2),
-            "best_cost": round(refine_stats.best_cost, 2),
-            "brute_force_cost_eval_seconds": round(brute_eval_seconds, 4),
-            # Hypothetical: per-move exact acceptance via brute-force
-            # recompute (what the incremental tracker replaces).  No prior
-            # release ran this loop — large graphs used a length surrogate.
-            "estimated_per_move_brute_force_seconds": round(
-                per_move_brute_seconds, 1
-            ),
-            "refine_speedup_vs_per_move_brute_force": round(
-                per_move_brute_seconds / refine_seconds, 1
-            )
-            if refine_seconds > 0
-            else None,
-            # What the pre-existing exact path did for <=600-edge graphs,
-            # extrapolated to this size: one brute-force evaluation per
-            # sweep (per-move acceptance still used the cheap surrogate).
-            "estimated_per_sweep_brute_force_seconds": round(
-                per_sweep_brute_seconds, 1
-            ),
-        },
-    }
-
-
-def _bench_fd_kernel(args: argparse.Namespace) -> Dict[str, Any]:
-    """Benchmark the tracker engines head to head on one move sequence.
-
-    Builds one :class:`~repro.graphs.metrics.MappingCostTracker` per
-    available engine (``scalar`` reference, ``vector``, ``compiled``) on
-    the L2 K=16 factory graph (L1 K=4 under ``--smoke``) and drives each
-    through the *same* deterministic sequence of annealer-shaped
-    operations — single-move applies, apply+revert pairs, and batches
-    of pure ``evaluate`` proposals.  Full tracker state (crossings, lengths,
-    spacing sum, combined cost, positions) is asserted byte-identical
-    across engines at the end; the record carries per-engine wall time
-    and the speedup of each engine over the scalar reference.
-    """
-    import random as _random
-
-    from .graphs import interaction_graph
-    from .graphs.metrics import MappingCostTracker, tracker_engines
-    from .mapping import linear_factory_placement
-
-    capacity, levels = (4, 1) if args.smoke else (16, 2)
-    # The scalar reference costs ~10ms per evaluation at L2 K=16; the
-    # sequence length is chosen so the slowest engine stays under ~10s
-    # while every engine still accumulates a timing well above jitter.
-    moves = 300 if args.smoke else 400
-    seed = args.seed if args.seed is not None else 0
-    started = time.perf_counter()
-    factory = default_pipeline().factory(capacity, levels)
-    graph = interaction_graph(factory.circuit)
-    positions = linear_factory_placement(factory).as_float_positions()
-
-    # Pre-generate the operation sequence once so every engine replays the
-    # identical workload (roughly annealer-shaped: mostly kept moves, some
-    # rejected ones, occasional runs of evaluated-only proposals).
-    rng = _random.Random(seed)
-    vertices = sorted(graph.nodes(), key=str)
-    max_row = max(row for row, _ in positions.values()) + 1.0
-    max_col = max(col for _, col in positions.values()) + 1.0
-
-    def _updates() -> Dict[Any, Tuple[float, float]]:
-        chosen = rng.sample(vertices, rng.randint(1, 2))
-        return {
-            vertex: (
-                float(rng.randrange(int(max_row))),
-                float(rng.randrange(int(max_col))),
-            )
-            for vertex in chosen
-        }
-
-    ops = []
-    for _ in range(moves):
-        roll = rng.random()
-        if roll < 0.7:
-            ops.append(("apply", _updates()))
-        elif roll < 0.9:
-            ops.append(("revert", _updates()))
-        else:
-            ops.append(("batch", [_updates() for _ in range(8)]))
-
-    timings: Dict[str, float] = {}
-    states: Dict[str, Any] = {}
-    for engine in tracker_engines():
-        tick = time.perf_counter()
-        tracker = MappingCostTracker(graph, dict(positions), engine=engine)
-        for op, payload in ops:
-            if op == "apply":
-                tracker.apply(payload)
-            elif op == "revert":
-                tracker.apply(payload)
-                tracker.revert_last()
-            else:
-                for updates in payload:
-                    tracker.evaluate(updates)
-        timings[engine] = time.perf_counter() - tick
-        states[engine] = (
-            tracker.crossings,
-            tracker.total_edge_length,
-            tracker.total_weighted_length,
-            tracker.spacing_sum,
-            tracker.cost(),
-            dict(tracker._positions),
-        )
-
-    expected = states["scalar"]
-    for engine, state in states.items():
-        if state != expected:
-            raise AssertionError(
-                f"tracker engine {engine!r} diverged from the scalar "
-                f"reference on the fd-kernel bench sequence"
-            )
-
-    scalar_seconds = timings["scalar"]
-    engines = {
-        engine: {
-            "seconds": round(seconds, 4),
-            "speedup_vs_scalar": round(scalar_seconds / seconds, 2)
-            if seconds > 0
-            else None,
-        }
-        for engine, seconds in timings.items()
-    }
-    return {
-        "experiment": FD_KERNEL_BENCH,
-        "params": {
-            "capacity": capacity,
-            "levels": levels,
-            "seed": seed,
-            "moves": moves,
-        },
-        "workers": 1,
-        "wall_seconds": round(time.perf_counter() - started, 4),
-        "sim_cycles": None,
-        "stall_cycles": None,
-        "evaluations": None,
-        "fd": {
-            "nodes": graph.number_of_nodes(),
-            "edges": graph.number_of_edges(),
-            "operations": len(ops),
-            "engines": engines,
-            "state_identical": True,  # asserted above; recorded for compare
-        },
-    }
-
-
-def _bench_sim_congestion(args: argparse.Namespace) -> Dict[str, Any]:
-    """Benchmark the bitmask/wakeup simulation engine under congestion.
-
-    The scenario is a factory-scale mesh at high braid pressure (Section
-    VIII-A stall semantics): the two-level K=16 factory circuit under a
-    *random* placement — the congested geometry of the Fig. 6 study, where
-    braid corridors cross constantly — swept over ``max_candidates``, plus a
-    denser schedule that stitches rounds of random permutation braids (the
-    inter-round traffic the paper blames for the Fig. 7b gap) onto the same
-    mapping.  Under ``--smoke`` the single-level K=4 factory is used.
-
-    Each configuration is simulated with the default bitmask/wakeup engine
-    and with :func:`~repro.routing.simulator.simulate_reference` (wakeup
-    tracking disabled, so the oracle's cost profile is the pre-wakeup
-    engine's).  Results must agree field-for-field (``wakeups`` aside, which
-    the untracked oracle does not compute; the tier-1 parity suite pins it);
-    wall times are best-of-``repeats`` to damp single-sample noise.  The
-    headline ``speedup`` is total reference time over total engine time.
-    """
-    import random as random_module
-
-    from .routing import SimulatorConfig, simulate, simulate_reference
-    from .circuits.gates import cnot
-    from .mapping import random_circuit_placement
-
-    capacity, levels = (4, 1) if args.smoke else (16, 2)
-    seed = args.seed if args.seed is not None else 0
-    repeats = 1 if args.smoke else 3
-    started = time.perf_counter()
-    factory = default_pipeline().factory(capacity, levels)
-    placement = random_circuit_placement(factory.circuit, seed=seed)
-
-    # The denser stitched schedule: the factory rounds followed by rounds of
-    # random permutation braids over every placed qubit.
-    rng = random_module.Random(seed + 1)
-    placed = sorted(placement.positions)
-    permutation_gates = []
-    for _ in range(2):
-        rng.shuffle(placed)
-        permutation_gates.extend(
-            cnot(placed[i], placed[i + 1]) for i in range(0, len(placed) - 1, 2)
-        )
-    factory_gates = list(factory.circuit.gates)
-    stitched_gates = factory_gates + permutation_gates
-
-    cases = [
-        ("factory", factory_gates, mc)
-        for mc in ((2,) if args.smoke else (2, 4, 8))
-    ]
-    if not args.smoke:
-        cases.append(("stitched-permutations", stitched_gates, 4))
-
-    def best_of(func):
-        best, result = float("inf"), None
-        for _ in range(repeats):
-            tick = time.perf_counter()
-            result = func()
-            best = min(best, time.perf_counter() - tick)
-        return best, result
-
-    records = []
-    mask_total = 0.0
-    reference_total = 0.0
-    for name, gates, max_candidates in cases:
-        config = SimulatorConfig(max_candidates=max_candidates)
-        mask_seconds, mask_result = best_of(
-            lambda: simulate(gates, placement, config)
-        )
-        reference_seconds, reference_result = best_of(
-            lambda: simulate_reference(
-                gates, placement, config, track_wakeups=False
-            )
-        )
-        mask_dict = mask_result.to_dict()
-        reference_dict = reference_result.to_dict()
-        # The untracked oracle reports wakeups=0 by construction; everything
-        # else must match byte for byte.
-        mask_wakeups = mask_dict.pop("wakeups")
-        reference_dict.pop("wakeups")
-        if mask_dict != reference_dict:
-            raise AssertionError(
-                f"sim-congestion: engines diverged on case {name} "
-                f"(max_candidates={max_candidates})"
-            )
-        mask_total += mask_seconds
-        reference_total += reference_seconds
-        records.append(
-            {
-                "case": name,
-                "max_candidates": max_candidates,
-                "gates": len(gates),
-                "mask_seconds": round(mask_seconds, 4),
-                "reference_seconds": round(reference_seconds, 4),
-                "speedup": round(reference_seconds / mask_seconds, 2)
-                if mask_seconds > 0
-                else None,
-                "latency": mask_result.latency,
-                "stall_cycles": mask_result.stall_cycles,
-                "stall_events": mask_result.stall_events,
-                "distinct_stalls": mask_result.distinct_stalls,
-                "wakeups": mask_wakeups,
-            }
-        )
-
-    return {
-        "experiment": SIM_CONGESTION_BENCH,
-        "params": {
-            "capacity": capacity,
-            "levels": levels,
-            "seed": seed,
-            "repeats": repeats,
-        },
-        "workers": 1,
-        "wall_seconds": round(time.perf_counter() - started, 4),
-        "sim_cycles": None,
-        "stall_cycles": None,
-        "evaluations": None,
-        "sim": {
-            "placement": "random (congested)",
-            "grid": [placement.height, placement.width],
-            "cases": records,
-            "mask_total_seconds": round(mask_total, 4),
-            "reference_total_seconds": round(reference_total, 4),
-            "speedup": round(reference_total / mask_total, 2)
-            if mask_total > 0
-            else None,
-        },
-    }
-
-
-def _bench_sim_batch(args: argparse.Namespace) -> Dict[str, Any]:
-    """Benchmark the batched simulator core against the per-point loop.
-
-    The scenario is the batched engine's target shape — a capacity sweep's
-    cache-miss batch: one circuit (the two-level K=16 factory; single-level
-    K=4 under ``--smoke``) swept over several random placements crossed
-    with a ``max_candidates`` range.  The whole point set is simulated once
-    as a per-point loop over the default bitmask/wakeup engine (the
-    ``sim-congestion`` baseline, one :func:`~repro.routing.simulate` call
-    per point) and once as a single
-    :func:`~repro.routing.batchsim.simulate_batch` call; every point must
-    agree field-for-field on ``to_dict()``.  Wall times are
-    best-of-``repeats``; the headline ``speedup`` is the loop total over
-    the batched total.  The record names the batched engine actually used
-    (``compiled``, or ``loop`` when the kernel cannot be built) so
-    cross-machine records stay interpretable.
-    """
-    from .mapping import random_circuit_placement
-    from .routing import SimulatorConfig, simulate
-    from .routing.batchsim import kernel_available, simulate_batch
-    from .routing.simulator import _gate_list
-
-    capacity, levels = (4, 1) if args.smoke else (16, 2)
-    num_placements = 2 if args.smoke else 8
-    candidate_sweep = (2,) if args.smoke else (1, 2, 3, 4, 6, 8)
-    seed = args.seed if args.seed is not None else 0
-    repeats = 1 if args.smoke else 3
-    started = time.perf_counter()
-    factory = default_pipeline().factory(capacity, levels)
-    gates = _gate_list(factory.circuit)
-    placements = [
-        random_circuit_placement(factory.circuit, seed=seed + index)
-        for index in range(num_placements)
-    ]
-    configs = [SimulatorConfig(max_candidates=mc) for mc in candidate_sweep]
-    points = [
-        (gates, placement, config)
-        for placement in placements
-        for config in configs
-    ]
-
-    def best_of(func):
-        best, result = float("inf"), None
-        for _ in range(repeats):
-            tick = time.perf_counter()
-            result = func()
-            best = min(best, time.perf_counter() - tick)
-        return best, result
-
-    loop_seconds, loop_results = best_of(
-        lambda: [simulate(g, p, c) for g, p, c in points]
-    )
-    batch_seconds, batch_results = best_of(lambda: simulate_batch(points))
-    mismatched = sum(
-        1
-        for loop_result, batch_result in zip(loop_results, batch_results)
-        if loop_result.to_dict() != batch_result.to_dict()
-    )
-    if mismatched:
-        raise AssertionError(
-            f"sim-batch: batched engine diverged from the per-point engine "
-            f"on {mismatched} of {len(points)} points"
-        )
-    engine = "compiled" if kernel_available() else "loop"
-    return {
-        "experiment": SIM_BATCH_BENCH,
-        "params": {
-            "capacity": capacity,
-            "levels": levels,
-            "seed": seed,
-            "repeats": repeats,
-            "placements": num_placements,
-            "candidate_sweep": list(candidate_sweep),
-        },
-        "workers": 1,
-        "wall_seconds": round(time.perf_counter() - started, 4),
-        "sim_cycles": None,
-        "stall_cycles": None,
-        "evaluations": None,
-        "sim": {
-            "engine": engine,
-            "points": len(points),
-            "gates": len(gates),
-            "loop_total_seconds": round(loop_seconds, 4),
-            "batch_total_seconds": round(batch_seconds, 4),
-            "speedup": round(loop_seconds / batch_seconds, 2)
-            if batch_seconds > 0
-            else None,
-        },
-    }
-
-
-def _bench_sweep_shard(args: argparse.Namespace) -> Dict[str, Any]:
-    """Benchmark a k-shard simulated fleet against one single-store sweep.
-
-    The scenario is the distributed layer's target shape — a congested
-    fig7-style capacity sweep partitioned over three strided shards, each
-    running :func:`~repro.api.sharding.run_shard` against a private store,
-    then joined with :meth:`~repro.api.store.ResultStore.merge`.  The
-    fleet is *simulated* (shards run back to back in this process), so
-    the headline ``fleet_wall_seconds`` is the max of the per-shard walls
-    — what a real 3-machine fleet would wait — while ``wall_seconds``
-    keeps the actual serial cost of the whole bench entry.  The merged
-    store must answer a full resumed run with zero evaluations and
-    byte-identical output to the single-store run; the bench fails hard
-    otherwise, so every perf record doubles as an invariant check.
-    """
-    import shutil
-    import tempfile
-
-    shards = 3
-    strategy = "strided"
-    methods = ["linear", "force_directed"]
-    capacities = [2, 4] if args.smoke else [2, 3, 4, 6]
-    seed = args.seed if args.seed is not None else 0
-    plan = SweepPlan.from_grid(
-        methods=methods, capacities=capacities, levels=[1], seeds=[seed]
-    )
-    started = time.perf_counter()
-    root = tempfile.mkdtemp(prefix="repro-bench-shard-")
-    try:
-        single_store = ResultStore(os.path.join(root, "single"))
-        tick = time.perf_counter()
-        single = SweepExecutor(workers=1, store=single_store).run(plan)
-        single_seconds = time.perf_counter() - tick
-
-        shard_stores: List[ResultStore] = []
-        shard_walls: List[float] = []
-        for spec in shard_specs(shards, strategy):
-            shard_store = ResultStore(os.path.join(root, f"shard-{spec.index}"))
-            shard_stores.append(shard_store)
-            tick = time.perf_counter()
-            outcome = run_shard(plan, spec, shard_store)
-            shard_walls.append(time.perf_counter() - tick)
-            if outcome.yielded or outcome.stolen:
-                raise AssertionError(
-                    f"sweep-shard: claimless shard {spec.index} must neither "
-                    f"yield nor steal, got {outcome.to_dict()}"
-                )
-
-        merged = ResultStore(os.path.join(root, "merged"))
-        report = merged.merge([shard_store.root for shard_store in shard_stores])
-        if report.conflicts:
-            raise AssertionError(
-                f"sweep-shard: disjoint shards produced {report.conflicts} "
-                f"merge conflicts"
-            )
-        resumed = SweepExecutor(workers=1, store=merged).run(plan, resume=True)
-        if resumed.stats.evaluations != 0:
-            raise AssertionError(
-                f"sweep-shard: the merged store answered a resumed run with "
-                f"{resumed.stats.evaluations} fresh evaluations, expected 0"
-            )
-        if json.dumps(resumed.to_dict(), sort_keys=True) != json.dumps(
-            single.to_dict(), sort_keys=True
-        ):
-            raise AssertionError(
-                "sweep-shard: merged-store output is not byte-identical to "
-                "the single-store run"
-            )
-    finally:
-        shutil.rmtree(root, ignore_errors=True)
-
-    fleet_wall = max(shard_walls)
-    return {
-        "experiment": SWEEP_SHARD_BENCH,
-        "params": {
-            "shards": shards,
-            "strategy": strategy,
-            "methods": methods,
-            "capacities": capacities,
-            "seed": seed,
-        },
-        "workers": 1,
-        "wall_seconds": round(time.perf_counter() - started, 4),
-        "sim_cycles": sum(e.latency for e in single.evaluations),
-        "stall_cycles": sum(e.stall_cycles for e in single.evaluations),
-        "evaluations": len(single.evaluations),
-        "shard": {
-            "shards": shards,
-            "strategy": strategy,
-            "plan_points": len(plan),
-            "merged_entries": report.merged,
-            "single_seconds": round(single_seconds, 4),
-            "fleet_wall_seconds": round(fleet_wall, 4),
-            "fleet_total_seconds": round(sum(shard_walls), 4),
-            "fleet_speedup": (
-                round(single_seconds / fleet_wall, 2) if fleet_wall > 0 else None
-            ),
-            "identical": True,
-        },
-    }
 
 
 def _bench_one(name: str, args: argparse.Namespace) -> Dict[str, Any]:
@@ -1395,22 +778,14 @@ def run_bench(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    experiments = (
-        args.experiments
-        if args.experiments is not None
-        else ",".join(DEFAULT_BENCH_EXPERIMENTS)
-    )
-    names = [name.strip() for name in experiments.split(",") if name.strip()]
+    if args.experiments is None:
+        names = available_experiments()
+    else:
+        names = [name.strip() for name in args.experiments.split(",") if name.strip()]
     if args.workers < 1:
         print(f"bench: --workers must be >= 1, got {args.workers}", file=sys.stderr)
         return 2
-    known = set(available_experiments()) | {
-        FD_MAPPER_BENCH,
-        FD_KERNEL_BENCH,
-        SIM_CONGESTION_BENCH,
-        SIM_BATCH_BENCH,
-        SWEEP_SHARD_BENCH,
-    }
+    known = set(available_experiments())
     unknown = [name for name in names if name not in known]
     if unknown:
         print(
@@ -1422,18 +797,7 @@ def run_bench(args: argparse.Namespace) -> int:
     records = []
     for name in names:
         print(f"[bench] {name} ...", file=sys.stderr)
-        if name == FD_MAPPER_BENCH:
-            record = _bench_fd_mapper(args)
-        elif name == FD_KERNEL_BENCH:
-            record = _bench_fd_kernel(args)
-        elif name == SIM_CONGESTION_BENCH:
-            record = _bench_sim_congestion(args)
-        elif name == SIM_BATCH_BENCH:
-            record = _bench_sim_batch(args)
-        elif name == SWEEP_SHARD_BENCH:
-            record = _bench_sweep_shard(args)
-        else:
-            record = _bench_one(name, args)
+        record = _bench_one(name, args)
         print(
             f"[bench] {name}: {record['wall_seconds']:.2f}s"
             + (
@@ -1457,7 +821,6 @@ def run_bench(args: argparse.Namespace) -> int:
         # annotate cross-machine diffs as advisory instead of failing them.
         "git_sha": current_git_sha(),
         "cpu_count": os.cpu_count(),
-        "python": platform.python_version(),  # legacy key, kept for old tooling
         "python_version": platform.python_version(),
         "platform": platform.platform(),
         "experiments": records,
@@ -1881,17 +1244,6 @@ def run_serve(args: argparse.Namespace) -> int:
         server.server_close()
         service.close()
     return 0
-
-
-def run_experiment(name: str, **kwargs) -> str:
-    """Run an experiment by name and return its formatted result.
-
-    Backward-compatible helper: new code should use
-    :func:`repro.api.run_experiment`, which returns the structured result
-    object instead of pre-rendered text.
-    """
-    spec = get_experiment(name)
-    return spec.format(spec.run(**kwargs))
 
 
 def _experiment_kwargs(

@@ -5,14 +5,10 @@ structured result object (with ``to_dict()``/``from_dict`` JSON
 round-tripping) and a ``format_result(result)`` helper producing a printable
 table.  Experiments are registered declaratively with
 :func:`repro.api.register_experiment`, which also drives the auto-generated
-command-line options; :data:`EXPERIMENTS` is a backward-compatible live view
-of that registry mapping experiment names to ``(runner, formatter)`` pairs.
+command-line options; look them up with :func:`repro.api.get_experiment`
+and run them with :func:`repro.api.run_experiment`.
 """
 
-from typing import Callable, Iterator, Mapping, Tuple
-
-from ..api.experiments import available_experiments, get_experiment
-from ..api.registry import RegistryError
 from . import (
     fig6_correlation,
     fig7_scaling,
@@ -22,39 +18,7 @@ from . import (
     table1_volumes,
 )
 
-
-class _ExperimentsView(Mapping):
-    """Dict-like view of the experiment registry.
-
-    Historically this package exported a literal ``{name: (runner,
-    formatter)}`` dict; the view preserves that interface while delegating to
-    the registry, so third-party registrations show up here too.
-    """
-
-    def __getitem__(self, name: str) -> Tuple[Callable, Callable]:
-        try:
-            spec = get_experiment(name)
-        except RegistryError:
-            # Preserve dict semantics: Mapping.get/__contains__ only swallow
-            # KeyError, and legacy callers expect a plain-dict lookup here.
-            raise KeyError(name) from None
-        return (spec.run, spec.format)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(available_experiments())
-
-    def __len__(self) -> int:
-        return len(available_experiments())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<EXPERIMENTS registry view: {', '.join(sorted(self))}>"
-
-
-#: Registry of runnable experiments: name -> (runner, formatter).
-EXPERIMENTS = _ExperimentsView()
-
 __all__ = [
-    "EXPERIMENTS",
     "fig6_correlation",
     "fig7_scaling",
     "fig9_permutation",

@@ -19,14 +19,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from ..analysis.sweeps import FactoryEvaluation, capacity_sweep
 from ..api.experiments import (
     SEED_PARAM,
     WORKERS_PARAM,
     ParamSpec,
     register_experiment,
 )
-from ..api.results import evaluation_series_from_dict, evaluation_series_to_dict
+from ..api.pipeline import capacity_sweep
+from ..api.results import (
+    FactoryEvaluation,
+    evaluation_series_from_dict,
+    evaluation_series_to_dict,
+)
 from ..mapping.force_directed import ForceDirectedConfig
 from ..mapping.stitching import StitchingConfig
 from ..routing.simulator import SimulatorConfig

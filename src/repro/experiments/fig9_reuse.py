@@ -18,8 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from ..analysis.sweeps import evaluate_factory_mapping
 from ..api.experiments import SEED_PARAM, ParamSpec, register_experiment
+from ..api.pipeline import evaluate_factory_mapping
 from ..api.results import filter_fields
 from ..mapping.force_directed import ForceDirectedConfig
 from ..routing.simulator import SimulatorConfig

@@ -21,7 +21,6 @@ import functools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from ..analysis.sweeps import FactoryEvaluation, evaluate_factory_mapping
 from ..api.executor import SweepExecutor, SweepPlan
 from ..api.experiments import (
     SEED_PARAM,
@@ -29,8 +28,8 @@ from ..api.experiments import (
     ParamSpec,
     register_experiment,
 )
-from ..api.pipeline import EvaluationRequest
-from ..api.results import int_keyed, str_keyed
+from ..api.pipeline import EvaluationRequest, evaluate_factory_mapping
+from ..api.results import FactoryEvaluation, int_keyed, str_keyed
 from ..distillation.block_code import FactorySpec
 from ..mapping.force_directed import ForceDirectedConfig
 from ..mapping.stitching import StitchingConfig

@@ -30,23 +30,22 @@ Two implementations of the quadratic metrics exist side by side:
 under single-vertex moves (only edges incident to the moved vertices are
 re-tested against their bucket neighbourhoods), which is what lets the
 force-directed annealer of Section VI-B.1 accept or reject every move
-against the exact combined cost at any graph size.  The tracker ships
-three interchangeable engines — ``compiled`` (the runtime-built C kernel
-of :mod:`repro.kernels.metrics`), ``vector`` (numpy) and ``scalar``
-(pure Python, the retained oracle) — that are **bit-identical** on every
-value they produce: distances use only correctly-rounded IEEE operations
+against the exact combined cost at any graph size.  The tracker has
+two engines — ``compiled`` (the runtime-built C kernel of
+:mod:`repro.kernels.metrics`, used whenever it loads) and ``scalar``
+(pure Python, the retained oracle, used under ``REPRO_NO_KERNEL=1`` or
+without a C compiler) — that are **bit-identical** on every value they
+produce: distances use only correctly-rounded IEEE operations
 (``sqrt(dr*dr + dc*dc)``, never ``hypot``), every row reduction is a
 binary tree fold over the row zero-padded to a power-of-two length, and
-the C build disables FMA contraction.  ``REPRO_METRICS_ENGINE`` forces
-an engine; the differential fuzz harness (tests/test_metrics_fuzz.py)
-pins the parity.
+the C build disables FMA contraction.  The differential fuzz harness
+(tests/test_metrics_fuzz.py) pins the parity.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import os
 import weakref
 from collections import defaultdict
 from typing import (
@@ -62,13 +61,9 @@ from typing import (
 )
 
 import networkx as nx
+import numpy as _np
 
 from ..kernels import metrics as _metrics_kernel
-
-try:  # Optional: vectorises the O(m^2) spacing sums when present.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the container bakes numpy in
-    _np = None
 
 Position = Tuple[float, float]
 PositionMap = Mapping[int, Position]
@@ -146,13 +141,13 @@ def _edge_midpoints(graph: nx.Graph, positions: PositionMap) -> List[Position]:
 def _pairwise_distance_sum(midpoints: Sequence[Position]) -> float:
     """Exact sum of Euclidean distances over all unordered midpoint pairs.
 
-    Uses numpy block evaluation when available (identical result up to
-    floating-point summation order); falls back to the pairwise loop.
+    From 64 midpoints on, numpy block evaluation (identical result up to
+    floating-point summation order); below that, the pairwise loop.
     """
     n = len(midpoints)
     if n < 2:
         return 0.0
-    if _np is not None and n >= 64:
+    if n >= 64:
         arr = _np.asarray(midpoints, dtype=float)
         total = 0.0
         chunk = 256
@@ -450,7 +445,7 @@ def mapping_cost(
 # ----------------------------------------------------------------------
 #
 # The tracker below is split into a shared Python core (positions, edge
-# bookkeeping, the scalar metric sums, move snapshots) and three
+# bookkeeping, the scalar metric sums, move snapshots) and two
 # interchangeable *engines* that own the geometry state — segment
 # endpoints, midpoints, the bucket grid and the per-edge spacing row-sum
 # cache R[i] = treefold_j dist(mid_i, mid_j):
@@ -459,7 +454,6 @@ def mapping_cost(
 # engine        geometry state             crossing / spacing evaluation
 # ============  =========================  ==============================
 # ``compiled``  flat numpy arrays          C kernel (repro.kernels.metrics)
-# ``vector``    flat numpy arrays          numpy + dict bucket grid
 # ``scalar``    Python lists               pure Python (retained oracle)
 # ============  =========================  ==============================
 #
@@ -470,15 +464,15 @@ def mapping_cost(
 #   axis, one add, one correctly-rounded sqrt; never ``hypot`` (libm
 #   hypots differ across platforms and numpy);
 # * every reduction over a distance row is a binary **tree fold** of the
-#   row zero-padded to a power-of-two length — the same tree shape in C,
-#   numpy (stride-halving adds) and Python (pairwise list halving);
+#   row zero-padded to a power-of-two length — the same tree shape in C
+#   and Python (pairwise list halving);
 # * the tiny k-term sums of a move delta (old-row totals, intra-changed
 #   midpoint terms, the length updates, the final cost assembly) run in
 #   shared Python code, so each engine contributes only the big
 #   tree-folded terms it computed under the rules above.
 #
 # The C kernel is compiled with ``-ffp-contract=off`` so no FMA ever
-# fuses the multiply-adds the Python engines evaluate separately.
+# fuses the multiply-adds the Python engine evaluates separately.
 
 _GRID_MARGIN = 4  # dense-grid slack (cells) around the initial extent
 _CELL_CAPACITY = 8  # initial dense-grid slots per cell (doubled on overflow)
@@ -487,14 +481,12 @@ _CELL_CAPACITY = 8  # initial dense-grid slots per cell (doubled on overflow)
 def tracker_engines() -> List[str]:
     """Tracker engine names usable in this environment.
 
-    Always includes ``scalar``; ``vector`` needs numpy and ``compiled``
-    additionally needs the runtime-built metrics kernel.
+    Always includes ``scalar``; ``compiled`` needs the runtime-built
+    metrics kernel.
     """
     engines = ["scalar"]
-    if _np is not None:
-        engines.append("vector")
-        if _metrics_kernel.available():
-            engines.append("compiled")
+    if _metrics_kernel.available():
+        engines.append("compiled")
     return engines
 
 
@@ -773,7 +765,7 @@ def _np_segments_cross(a, b):
 
 
 def segments_intersect_array(a, b):
-    """Array form of :func:`segments_intersect` (needs numpy).
+    """Array form of :func:`segments_intersect`.
 
     Broadcasts like :func:`_np_segments_cross` and, like the scalar
     helper, excludes pairs that share an endpoint *coordinate* before
@@ -790,156 +782,6 @@ def segments_intersect_array(a, b):
     return _np_segments_cross(a, b) & ~shared
 
 
-# --- vector engine ---------------------------------------------------------
-def _np_pairs_crossing_count(seg, end_u, end_v, idx, query, query_u, query_v):
-    """Crossing count over explicit (query segment, candidate index) pairs.
-
-    ``query`` rows are ``(p_row, p_col, q_row, q_col)`` segments tested
-    with :func:`_np_segments_cross`, so the count agrees with the scalar
-    path on every input; vertex-identity exclusion uses
-    ``query_u``/``query_v`` against the candidate endpoint arrays.
-    """
-    cand_u = end_u[idx]
-    cand_v = end_v[idx]
-    keep = (
-        (cand_u != query_u)
-        & (cand_u != query_v)
-        & (cand_v != query_u)
-        & (cand_v != query_v)
-    )
-    if not keep.any():
-        return 0
-    return int(_np_segments_cross(query[keep], seg[idx[keep]]).sum())
-
-
-class _VectorTrackerEngine:
-    """numpy engine: flat arrays, dict bucket grid, vectorized predicates."""
-
-    name = "vector"
-
-    def __init__(self, edges, ends, mids, bucket_size):
-        self._eu = [a for a, _, _ in edges]
-        self._ev = [b for _, b, _ in edges]
-        m = len(ends)
-        self._m = m
-        self._pad = _pow2_pad(m)
-        self._end_u = _np.asarray(self._eu)
-        self._end_v = _np.asarray(self._ev)
-        self._seg = _np.asarray(
-            [(p[0], p[1], q[0], q[1]) for p, q in ends], dtype=float
-        ).reshape(m, 4)
-        self._mid = _np.asarray(mids, dtype=float).reshape(m, 2)
-        self._grid = _SegmentGrid(bucket_size)
-        self._cells: List[List[Tuple[int, int]]] = []
-        self.crossings = 0
-        for index, (p, q) in enumerate(ends):
-            cells = self._grid.cells(p, q)
-            cand = self._grid.candidates(cells)
-            if cand:
-                self.crossings += self._count_pairs(index, p, q, cand)
-            self._grid.insert(index, cells)
-            self._cells.append(cells)
-        if m:
-            dr = self._mid[:, 0][:, None] - self._mid[:, 0][None, :]
-            dc = self._mid[:, 1][:, None] - self._mid[:, 1][None, :]
-            self._R = self._fold_rows(_np.sqrt(dr * dr + dc * dc))
-        else:
-            self._R = _np.zeros(0, dtype=float)
-        self.spacing_sum = self._fold(self._R) * 0.5
-
-    def _fold(self, values):
-        buf = _np.zeros(self._pad, dtype=float)
-        buf[: values.shape[0]] = values
-        while buf.shape[0] > 1:
-            buf = buf[0::2] + buf[1::2]
-        return float(buf[0])
-
-    def _fold_rows(self, matrix):
-        buf = _np.zeros((matrix.shape[0], self._pad), dtype=float)
-        buf[:, : matrix.shape[1]] = matrix
-        while buf.shape[1] > 1:
-            buf = buf[:, 0::2] + buf[:, 1::2]
-        return buf[:, 0]
-
-    def _count_pairs(self, index, p, q, candidates):
-        idx = _np.fromiter(candidates, dtype=_np.intp, count=len(candidates))
-        n = idx.size
-        query = _np.empty((n, 4))
-        query[:] = (p[0], p[1], q[0], q[1])
-        a, b = self._eu[index], self._ev[index]
-        return _np_pairs_crossing_count(
-            self._seg, self._end_u, self._end_v,
-            idx, query, _np.full(n, a), _np.full(n, b),
-        )
-
-    def row_sum(self, index: int) -> float:
-        return float(self._R[index])
-
-    def eval(self, changed, new_ends, new_mids):
-        changed_set = set(changed)
-        old_cross = 0
-        new_cross = 0
-        grid = self._grid
-        for t, i in enumerate(changed):
-            old_cand = grid.candidates(self._cells[i]) - changed_set
-            if old_cand:
-                p = (float(self._seg[i, 0]), float(self._seg[i, 1]))
-                q = (float(self._seg[i, 2]), float(self._seg[i, 3]))
-                old_cross += self._count_pairs(i, p, q, old_cand)
-            np_, nq = new_ends[t]
-            new_cand = grid.candidates(grid.cells(np_, nq)) - changed_set
-            if new_cand:
-                new_cross += self._count_pairs(i, np_, nq, new_cand)
-        old_segs = [
-            (
-                (float(self._seg[i, 0]), float(self._seg[i, 1])),
-                (float(self._seg[i, 2]), float(self._seg[i, 3])),
-            )
-            for i in changed
-        ]
-        old_cross += _intra_crossings(changed, old_segs, self._eu, self._ev)
-        new_cross += _intra_crossings(changed, new_ends, self._eu, self._ev)
-        nm = _np.asarray(new_mids, dtype=float).reshape(len(changed), 2)
-        dr = nm[:, 0:1] - self._mid[:, 0][None, :]
-        dc = nm[:, 1:2] - self._mid[:, 1][None, :]
-        dists = _np.sqrt(dr * dr + dc * dc)
-        dists[:, list(changed)] = 0.0
-        newrows = [float(value) for value in self._fold_rows(dists)]
-        return newrows, old_cross, new_cross
-
-    def flush(self, changed, new_ends, new_mids):
-        mid = self._mid
-        R = self._R
-        for t, i in enumerate(changed):
-            new_row, new_col = new_mids[t]
-            old_row, old_col = float(mid[i, 0]), float(mid[i, 1])
-            dr = mid[:, 0] - new_row
-            dc = mid[:, 1] - new_col
-            d_new = _np.sqrt(dr * dr + dc * dc)
-            dr = mid[:, 0] - old_row
-            dc = mid[:, 1] - old_col
-            d_old = _np.sqrt(dr * dr + dc * dc)
-            R += d_new - d_old
-        for t, i in enumerate(changed):
-            p, q = new_ends[t]
-            self._seg[i, 0] = p[0]
-            self._seg[i, 1] = p[1]
-            self._seg[i, 2] = q[0]
-            self._seg[i, 3] = q[1]
-            mid[i, 0] = new_mids[t][0]
-            mid[i, 1] = new_mids[t][1]
-        for i in changed:
-            dr = mid[i, 0] - mid[:, 0]
-            dc = mid[i, 1] - mid[:, 1]
-            R[i] = self._fold(_np.sqrt(dr * dr + dc * dc))
-        for t, i in enumerate(changed):
-            self._grid.remove(i, self._cells[i])
-            p, q = new_ends[t]
-            cells = self._grid.cells(p, q)
-            self._grid.insert(i, cells)
-            self._cells[i] = cells
-
-
 # --- compiled engine -------------------------------------------------------
 class _CompiledTrackerEngine:
     """C-kernel engine: flat numpy state driven through raw ctypes calls.
@@ -954,14 +796,21 @@ class _CompiledTrackerEngine:
 
     name = "compiled"
 
-    def __init__(self, edges, ends, mids, bucket_size, kern, end_u, end_v):
+    def __init__(self, edges, ends, mids, bucket_size, kern):
         self._kern = kern
         self._bucket = float(bucket_size)
         m = len(ends)
         self._m = m
         pad = _pow2_pad(m)
-        self._eu_arr = _np.ascontiguousarray(end_u)
-        self._ev_arr = _np.ascontiguousarray(end_v)
+        # The kernel only compares endpoint vertices, so any hashable ids
+        # work: it sees them as dense ints numbered here.
+        number: Dict[object, int] = {}
+        self._eu_arr = _np.asarray(
+            [number.setdefault(a, len(number)) for a, _, _ in edges], dtype=_np.int64
+        )
+        self._ev_arr = _np.asarray(
+            [number.setdefault(b, len(number)) for _, b, _ in edges], dtype=_np.int64
+        )
         self._seg = _np.ascontiguousarray(
             _np.asarray(
                 [(p[0], p[1], q[0], q[1]) for p, q in ends], dtype=float
@@ -1377,16 +1226,6 @@ class KernelSweep:
         return moves, int(sp[k.SP_PROPOSED]), int(sp[k.SP_IMPROVING])
 
 
-def _int64_vertex_arrays(edges):
-    """(end_u, end_v) as int64 arrays, or None when ids are not integers."""
-    try:
-        end_u = _np.asarray([a for a, _, _ in edges], dtype=_np.int64)
-        end_v = _np.asarray([b for _, b, _ in edges], dtype=_np.int64)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    return end_u, end_v
-
-
 class MappingCostTracker:
     """Exact Fig. 6 metrics maintained incrementally under vertex moves.
 
@@ -1408,10 +1247,10 @@ class MappingCostTracker:
     because the heavy geometry updates are deferred until the *next*
     evaluation needs them (a reverted move never touches the engine).
 
-    ``engine`` selects the evaluation backend (``compiled`` / ``vector``
-    / ``scalar``, see the section comment above; ``None`` honours
-    ``REPRO_METRICS_ENGINE`` and then auto-selects the fastest available).
-    All engines are bit-identical on every reported value.
+    ``engine`` selects the evaluation backend (``compiled`` or
+    ``scalar``, see the section comment above); ``None`` picks
+    ``compiled`` whenever the metrics kernel loads.  Both engines are
+    bit-identical on every reported value.
 
     Vertices present in ``positions`` but not in the graph (or isolated
     in it) may be moved freely; they contribute nothing to any metric.
@@ -1488,48 +1327,20 @@ class MappingCostTracker:
         self._last_move: Optional[tuple] = None
 
     def _build_engine(self, requested: Optional[str], bucket_size: float):
-        name = requested if requested is not None else (
-            os.environ.get("REPRO_METRICS_ENGINE") or "auto"
-        )
-        if name not in ("auto", "compiled", "vector", "scalar"):
+        if requested not in (None, "compiled", "scalar"):
             raise ValueError(
-                f"unknown tracker engine {name!r}; "
-                "expected 'compiled', 'vector', 'scalar' or 'auto'"
+                f"unknown tracker engine {requested!r}; "
+                "expected 'compiled', 'scalar' or None"
             )
-        explicit = name != "auto"
-        if name == "auto":
-            if _np is not None and _metrics_kernel.available():
-                name = "compiled"
-            elif _np is not None and len(self._edges) >= 64:
-                name = "vector"
-            else:
-                name = "scalar"
-        if name == "compiled":
-            kern = _metrics_kernel.load() if _np is not None else None
-            ids = _int64_vertex_arrays(self._edges) if kern is not None else None
-            if kern is None or ids is None:
-                if explicit:
-                    reason = (
-                        "the metrics kernel (or numpy) is unavailable"
-                        if kern is None
-                        else "vertex ids are not int64-representable"
-                    )
-                    raise ValueError(f"engine 'compiled' unusable: {reason}")
-                name = "vector" if _np is not None else "scalar"
-            else:
-                return _CompiledTrackerEngine(
-                    self._edges, self._ends, self._mids, bucket_size,
-                    kern, ids[0], ids[1],
-                )
-        if name == "vector":
-            if _np is None:
-                if explicit:
-                    raise ValueError("engine 'vector' requires numpy")
-                name = "scalar"
-            else:
-                return _VectorTrackerEngine(
-                    self._edges, self._ends, self._mids, bucket_size
-                )
+        kern = _metrics_kernel.load() if requested != "scalar" else None
+        if kern is not None:
+            return _CompiledTrackerEngine(
+                self._edges, self._ends, self._mids, bucket_size, kern
+            )
+        if requested == "compiled":
+            raise ValueError(
+                "engine 'compiled' unusable: the metrics kernel is unavailable"
+            )
         return _ScalarTrackerEngine(
             self._edges, self._ends, self._mids, bucket_size
         )

@@ -7,7 +7,7 @@ midpoint-distance rows for the spacing metric, and the commit-time
 maintenance of the per-edge row-sum cache.  It is built through the
 shared :class:`repro.kernels.runtime.KernelLoader` with
 ``-ffp-contract=off`` (no FMA contraction — the compiled engine must be
-bit-identical to the numpy and scalar engines) and ``-fno-math-errno``
+bit-identical to the scalar engine) and ``-fno-math-errno``
 (lets the compiler inline ``sqrt`` without an errno branch; results are
 still IEEE correctly rounded).
 

@@ -7,14 +7,14 @@
  * (cell_count / cell_items / per-edge clamped cell ranges edge_range[m*4] =
  * {row_lo, row_hi, col_lo, col_hi}).
  *
- * Bitwise discipline (the compiled, vector and scalar engines must agree on
- * every bit of every float they produce):
+ * Bitwise discipline (the compiled and scalar engines must agree on every
+ * bit of every float they produce):
  *
  *  - distances are sqrt(dr*dr + dc*dc) -- IEEE correctly-rounded ops only,
  *    never hypot() (library-dependent rounding);
  *  - every reduction over an m-length row is a binary tree fold over the
  *    row zero-padded to the power-of-two length `pad` (identical to the
- *    numpy a[0::2] + a[1::2] halving and the Python list halving);
+ *    Python list halving);
  *  - the build ships with -ffp-contract=off so the compiler cannot fuse
  *    the multiply-adds above into FMAs the Python engines do not perform.
  *

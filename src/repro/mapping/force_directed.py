@@ -475,7 +475,7 @@ def _oracle_sweep(
     """One sweep's proposal loop in Python; returns whether a move improved.
 
     The readable oracle for the kernel's ``mc_sweep`` (and the path of the
-    ``scalar`` and ``vector`` tracker engines).  Each proposal moves
+    ``scalar`` tracker engine).  Each proposal moves
     ``vertices[order[p]]`` by ``steps[p]`` from its current cell, swapping
     with any occupant of the target; off-grid targets are skipped
     uncounted.  A move is accepted when it does not worsen the exact cost,

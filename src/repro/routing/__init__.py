@@ -46,7 +46,6 @@ from .router import BraidRouter, bfs_detour, bfs_detour_mask, rectilinear_candid
 from .simulator import (
     RoutingDeadlockError,
     SimulationCache,
-    SimulationCacheWarning,
     SimulationResult,
     SimulatorConfig,
     circuit_fingerprint,
@@ -54,7 +53,6 @@ from .simulator import (
     simulate_latency,
     simulate_reference,
     simulation_cache_key,
-    simulation_fingerprint,
 )
 
 __all__ = [
@@ -71,7 +69,6 @@ __all__ = [
     "rectilinear_candidates",
     "RoutingDeadlockError",
     "SimulationCache",
-    "SimulationCacheWarning",
     "SimulationResult",
     "SimulatorConfig",
     "circuit_fingerprint",
@@ -81,5 +78,4 @@ __all__ = [
     "simulate_latency",
     "simulate_reference",
     "simulation_cache_key",
-    "simulation_fingerprint",
 ]

@@ -39,9 +39,6 @@ from __future__ import annotations
 
 import dataclasses
 import heapq
-import json
-import os
-import warnings
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -51,7 +48,7 @@ from ..circuits.circuit import Circuit
 from ..circuits.dag import build_dependency_dag
 from ..circuits.gates import DEFAULT_DURATIONS, Gate, GateKind
 from ..mapping.placement import Placement
-from ..persistutil import atomic_write_json, tagged_fingerprint
+from ..persistutil import tagged_fingerprint
 from .braid import BraidPath
 from .mesh import Cell, LatticeCell, Mesh, popcount as _popcount, tile_to_lattice
 from .router import BraidRouter
@@ -777,51 +774,6 @@ def simulation_cache_key(
     )
 
 
-#: Version tag folded into :func:`simulation_fingerprint`.  Bump whenever
-#: simulator semantics or the cache-key encoding change, so persisted cache
-#: files from older code become unreachable instead of wrong.  v2: circuit
-#: fingerprints moved to the tag-salted blake2b scheme, changing every
-#: cache key's digest component.
-SIM_CACHE_SCHEMA_VERSION = 2
-
-_SIM_FINGERPRINT_TAG = "repro-msfu-sim-cache/v{version}"
-
-
-class SimulationCacheWarning(UserWarning):
-    """A persisted simulation-cache file or entry was unreadable."""
-
-
-def _key_fingerprint(key: Tuple, schema_version: int = SIM_CACHE_SCHEMA_VERSION) -> str:
-    """Hex content address of one cache key (store fingerprint discipline).
-
-    The key tuple contains only primitives with deterministic ``repr``
-    (digest strings, ints, floats, bools, nested tuples), so hashing the
-    ``repr`` is stable across processes and machines — the same
-    :func:`~repro.persistutil.tagged_fingerprint` scheme as
-    :func:`repro.api.store.request_fingerprint`.
-    """
-    return tagged_fingerprint(
-        _SIM_FINGERPRINT_TAG.format(version=schema_version), repr(key)
-    )
-
-
-def simulation_fingerprint(
-    circuit_or_gates,
-    placement: Placement,
-    config: Optional[SimulatorConfig] = None,
-) -> str:
-    """Stable hex fingerprint of one simulation point.
-
-    This is the persistence address used by :meth:`SimulationCache.save` /
-    :meth:`SimulationCache.load` — equal fingerprints name byte-identical
-    :class:`SimulationResult`s, exactly like the request fingerprints of
-    :class:`repro.api.store.ResultStore`.
-    """
-    return _key_fingerprint(
-        simulation_cache_key(circuit_or_gates, placement, config)
-    )
-
-
 class SimulationCache:
     """LRU memo of :class:`SimulationResult`s keyed by (circuit, placement, config).
 
@@ -833,21 +785,8 @@ class SimulationCache:
 
     The cache is bounded (``max_entries``, LRU eviction) because results
     hold per-gate timing lists.  ``hits`` / ``misses`` counters make cache
-    accounting exact for benchmarking.
-
-    Entries are **persistable**: :meth:`save` writes every live entry to a
-    JSON file addressed by :func:`simulation_fingerprint` (the same
-    blake2b + schema-tag discipline as the
-    :class:`~repro.api.store.ResultStore`), and :meth:`load` rehydrates
-    them into a fingerprint-indexed side table consulted on in-memory
-    misses (``persisted_hits`` counts those answers, which also count as
-    ``hits``).  A corrupt or foreign-schema file loads as empty with a
-    :class:`SimulationCacheWarning`, never as wrong results.
-
-    Note the bounds: ``max_entries`` caps only the hot LRU table.  The
-    persisted side table holds whatever :meth:`load` read — bounded by the
-    file, or explicitly via ``load(..., max_persisted=N)`` for long-lived
-    processes loading cache files grown over many :meth:`save` cycles.
+    accounting exact for benchmarking.  It lives for one process; the
+    :class:`~repro.api.store.ResultStore` is the cross-run layer.
     """
 
     def __init__(self, max_entries: int = 512) -> None:
@@ -856,17 +795,14 @@ class SimulationCache:
         self.max_entries = max_entries
         self.hits = 0
         self.misses = 0
-        self.persisted_hits = 0
         self._entries: "OrderedDict[Tuple, SimulationResult]" = OrderedDict()
-        self._persisted: Dict[str, SimulationResult] = {}
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def clear(self) -> None:
-        """Drop every cached result, persisted ones included (counters kept)."""
+        """Drop every cached result (counters kept)."""
         self._entries.clear()
-        self._persisted.clear()
 
     def simulate(
         self,
@@ -885,14 +821,6 @@ class SimulationCache:
             self._entries.move_to_end(key)
             self.hits += 1
             return cached
-        if self._persisted:
-            # Only pay the fingerprint hash when a persisted table exists.
-            persisted = self._persisted.get(_key_fingerprint(key))
-            if persisted is not None:
-                self.hits += 1
-                self.persisted_hits += 1
-                self._insert(key, persisted)
-                return persisted
         result = simulate(circuit_or_gates, placement, config)
         self.misses += 1
         self._insert(key, result)
@@ -921,13 +849,6 @@ class SimulationCache:
             self._entries.move_to_end(key)
             self.hits += 1
             return cached
-        if self._persisted:
-            persisted = self._persisted.get(_key_fingerprint(key))
-            if persisted is not None:
-                self.hits += 1
-                self.persisted_hits += 1
-                self._insert(key, persisted)
-                return persisted
         return None
 
     def store_result(
@@ -953,91 +874,3 @@ class SimulationCache:
         self._entries[key] = result
         while len(self._entries) > self.max_entries:
             self._entries.popitem(last=False)
-
-    # ------------------------------------------------------------------
-    # Persistence
-    # ------------------------------------------------------------------
-    def save(self, path) -> int:
-        """Write every live entry (in-memory + persisted) to a JSON file.
-
-        Returns the number of entries written.  The write is atomic
-        (temporary file + :func:`os.replace`), mirroring the result store.
-        """
-        entries: Dict[str, Dict] = {
-            fingerprint: result.to_dict()
-            for fingerprint, result in self._persisted.items()
-        }
-        for key, result in self._entries.items():
-            entries[_key_fingerprint(key)] = result.to_dict()
-        payload = {
-            "schema": _SIM_FINGERPRINT_TAG.format(version=SIM_CACHE_SCHEMA_VERSION),
-            "entries": entries,
-        }
-        atomic_write_json(path, payload)
-        return len(entries)
-
-    @classmethod
-    def load(
-        cls,
-        path,
-        max_entries: int = 512,
-        max_persisted: Optional[int] = None,
-    ) -> "SimulationCache":
-        """Rehydrate a cache saved by :meth:`save`.
-
-        Unreadable files, foreign schema tags, and undecodable entries are
-        skipped with a :class:`SimulationCacheWarning` — a stale or damaged
-        cache file degrades to re-simulation, never to wrong results.
-        ``max_persisted`` caps how many entries are held in memory (the
-        first N of the file, with a warning when truncating); the default
-        ``None`` loads everything.
-        """
-        cache = cls(max_entries=max_entries)
-        try:
-            with open(os.fspath(path), "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except (OSError, ValueError, UnicodeDecodeError) as error:
-            warnings.warn(
-                f"simulation cache: cannot load {path} ({error}); starting empty",
-                SimulationCacheWarning,
-                stacklevel=2,
-            )
-            return cache
-        expected = _SIM_FINGERPRINT_TAG.format(version=SIM_CACHE_SCHEMA_VERSION)
-        if not isinstance(payload, dict) or payload.get("schema") != expected:
-            warnings.warn(
-                f"simulation cache: {path} has schema "
-                f"{payload.get('schema') if isinstance(payload, dict) else None!r}, "
-                f"expected {expected!r}; starting empty",
-                SimulationCacheWarning,
-                stacklevel=2,
-            )
-            return cache
-        entries = payload.get("entries")
-        if entries is not None and not isinstance(entries, dict):
-            warnings.warn(
-                f"simulation cache: {path} has a non-object entries table; "
-                f"starting empty",
-                SimulationCacheWarning,
-                stacklevel=2,
-            )
-            return cache
-        for fingerprint, entry in (entries or {}).items():
-            if max_persisted is not None and len(cache._persisted) >= max_persisted:
-                warnings.warn(
-                    f"simulation cache: {path} holds more than {max_persisted} "
-                    f"entries; loading only the first {max_persisted}",
-                    SimulationCacheWarning,
-                    stacklevel=2,
-                )
-                break
-            try:
-                cache._persisted[str(fingerprint)] = SimulationResult.from_dict(entry)
-            except (AttributeError, KeyError, TypeError, ValueError) as error:
-                warnings.warn(
-                    f"simulation cache: skipping undecodable entry "
-                    f"{fingerprint} in {path} ({error})",
-                    SimulationCacheWarning,
-                    stacklevel=2,
-                )
-        return cache

@@ -6,7 +6,9 @@ Factory construction and simulation are deterministic, so expensive objects
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import os
 import random
 import types
 
@@ -40,7 +42,31 @@ from repro.distillation import (
     build_two_level_factory,
 )
 from repro.graphs import interaction_graph
+from repro.kernels import metrics as metrics_kernel
 from repro.mapping import linear_factory_placement, random_circuit_placement
+from repro.routing import kernel as simulator_kernel
+
+
+@contextlib.contextmanager
+def kernel_disabled():
+    """``REPRO_NO_KERNEL=1`` for the block, restoring the kernels after.
+
+    Both stacks fall back to their Python oracles inside the block: the
+    per-point ``simulate`` loop and the ``scalar`` metrics tracker.
+    """
+    previous = os.environ.get("REPRO_NO_KERNEL")
+    os.environ["REPRO_NO_KERNEL"] = "1"
+    simulator_kernel.reset()
+    metrics_kernel.reset()
+    try:
+        yield
+    finally:
+        if previous is None:
+            del os.environ["REPRO_NO_KERNEL"]
+        else:
+            os.environ["REPRO_NO_KERNEL"] = previous
+        simulator_kernel.reset()
+        metrics_kernel.reset()
 
 
 @pytest.fixture(scope="session")

@@ -5,15 +5,14 @@ import pytest
 from repro.analysis import (
     MAPPING_METHODS,
     best_volume_by_method,
-    capacity_sweep,
     collect_samples,
     correlation_study,
-    evaluate_factory_mapping,
     evaluate_mapping,
     format_sweep_table,
     mapping_area,
     occupied_bounding_box,
 )
+from repro.api import capacity_sweep, evaluate_factory_mapping
 from repro.mapping import Placement
 from repro.routing import SimulatorConfig
 

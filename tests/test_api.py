@@ -77,14 +77,6 @@ class TestMapperRegistry:
             register_mapper(instance, name="linear")
         assert instance.name == "snake"
 
-    def test_experiments_view_keeps_dict_semantics(self):
-        from repro.experiments import EXPERIMENTS
-
-        assert "nope" not in EXPERIMENTS
-        assert EXPERIMENTS.get("nope") is None
-        with pytest.raises(KeyError):
-            EXPERIMENTS["nope"]
-
     def test_function_mapper_registration(self):
         @register_mapper(name="reversed_rows")
         def reversed_rows(factory, *, seed=0, context=None):

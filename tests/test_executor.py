@@ -491,40 +491,24 @@ class TestBenchCommand:
         assert entry["cache"]["workers"] == 2
         assert entry["cache"]["requests"] == entry["evaluations"]
 
-
-class TestSimCongestionBench:
-    def test_bench_smoke_sim_congestion(self, tmp_path):
-        """The sim-congestion case emits engine-vs-reference timings."""
+    def test_bench_smoke_default_suite_is_every_registered_experiment(
+        self, tmp_path
+    ):
+        """Without --experiments the bench times the whole registry, and
+        every entry's smoke overrides fit it (two-level experiments need
+        perfect-square capacities)."""
+        from repro.api import available_experiments
         from repro.cli import main
 
-        output = tmp_path / "BENCH_sim.json"
-        code = main(
-            [
-                "bench",
-                "--smoke",
-                "--experiments",
-                "sim-congestion",
-                "--output",
-                str(output),
-            ]
-        )
-        assert code == 0
+        output = tmp_path / "BENCH_default.json"
+        assert main(["bench", "--smoke", "--output", str(output)]) == 0
         record = json.loads(output.read_text())
-        [entry] = record["experiments"]
-        assert entry["experiment"] == "sim-congestion"
-        sim = entry["sim"]
-        assert sim["cases"], "at least one congestion case must run"
-        for case in sim["cases"]:
-            assert case["mask_seconds"] >= 0
-            assert case["reference_seconds"] >= 0
-            assert case["stall_events"] >= case["wakeups"] >= 0
-        assert sim["mask_total_seconds"] > 0
-        assert sim["reference_total_seconds"] > 0
-
-    def test_bench_default_experiments_include_sim_congestion(self):
-        from repro.cli import DEFAULT_BENCH_EXPERIMENTS, SIM_CONGESTION_BENCH
-
-        assert SIM_CONGESTION_BENCH in DEFAULT_BENCH_EXPERIMENTS
+        names = [entry["experiment"] for entry in record["experiments"]]
+        assert names == available_experiments()
+        for entry in record["experiments"]:
+            assert entry["wall_seconds"] > 0, entry
+        assert "python" not in record  # only python_version is written
+        assert record["python_version"]
 
 
 # ----------------------------------------------------------------------

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.cli import build_parser, main, run_experiment
+from repro.api import available_experiments, get_experiment, run_experiment
+from repro.cli import build_parser, main
 from repro.experiments import (
-    EXPERIMENTS,
     fig6_correlation,
     fig7_scaling,
     fig9_permutation,
@@ -59,7 +59,7 @@ class TestFig9Reuse:
         assert -1.0 <= comparison.differential <= 1.0
 
     def test_reuse_saves_area_for_linear(self):
-        from repro.analysis import evaluate_factory_mapping
+        from repro.api import evaluate_factory_mapping
 
         no_reuse = evaluate_factory_mapping("linear", 4, levels=2, reuse=False)
         reuse = evaluate_factory_mapping("linear", 4, levels=2, reuse=True)
@@ -160,11 +160,11 @@ class TestRegistryAndCli:
             "table1-level1",
             "table1-level2",
         }
-        assert expected <= set(EXPERIMENTS)
+        assert expected <= set(available_experiments())
 
     def test_run_experiment_by_name(self):
-        output = run_experiment("fig6", num_mappings=4)
-        assert "edge crossings" in output
+        result = run_experiment("fig6", num_mappings=4)
+        assert "edge crossings" in get_experiment("fig6").format(result)
 
     def test_parser_list_command(self, capsys):
         assert main(["list"]) == 0

@@ -7,7 +7,7 @@ model of the simulator.
 
 import pytest
 
-from repro.analysis import evaluate_factory_mapping
+from repro.api import evaluate_factory_mapping
 from repro.experiments import fig6_correlation, fig9_permutation, fig10_resources
 
 

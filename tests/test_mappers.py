@@ -1,5 +1,6 @@
 """Unit tests for the mapping algorithms (linear, random, FD, GP)."""
 
+import contextlib
 import functools
 import random
 
@@ -29,6 +30,7 @@ from repro.mapping import (
 )
 from repro.mapping.force_directed import _next_stall_counter
 from repro.routing import simulate
+from conftest import kernel_disabled
 
 
 def assert_places_all_qubits(placement, circuit):
@@ -272,35 +274,38 @@ class TestExactCostRefinement:
         )
         assert refined_cost <= stats.initial_cost
 
-    def test_refine_is_byte_identical_across_tracker_engines(
-        self, single_level_k8, monkeypatch
-    ):
+    def test_refine_is_byte_identical_across_tracker_engines(self, single_level_k8):
         """Every tracker engine drives the annealer down the same trajectory.
 
         The RNG stream consumes one draw per Boltzmann test, so even a
         last-ulp delta difference between engines would fork the move
         sequence; identical positions and costs pin the bit-parity
-        contract end to end, not just per-call.
+        contract end to end, not just per-call.  The ``scalar`` run is
+        the one under ``REPRO_NO_KERNEL=1``.
         """
         from repro.graphs import tracker_engines
 
         graph = interaction_graph(single_level_k8.circuit)
         initial = random_circuit_placement(single_level_k8.circuit, seed=7, slack=1.5)
         config = ForceDirectedConfig(sweeps=6, seed=4)
-        outcomes = {}
-        for engine in tracker_engines():
-            monkeypatch.setenv("REPRO_METRICS_ENGINE", engine)
+
+        def refine():
             take_refine_stats()
             refined = force_directed_refine(graph, initial, config)
             stats = take_refine_stats()[-1]
-            outcomes[engine] = (
+            return (
                 refined.positions,
                 stats.best_cost,
                 stats.sweep_costs,
                 stats.proposed_moves,
                 stats.accepted_moves,
             )
-        monkeypatch.delenv("REPRO_METRICS_ENGINE")
+
+        outcomes = {}
+        if "compiled" in tracker_engines():
+            outcomes["compiled"] = refine()
+        with kernel_disabled():
+            outcomes["scalar"] = refine()
         expected = outcomes["scalar"]
         for engine, outcome in outcomes.items():
             assert outcome == expected, f"engine={engine!r} forked the trajectory"
@@ -478,12 +483,12 @@ def _assert_kernel_matches_oracle(
 
     monkeypatch.setattr(KernelSweep, "run", counting_run)
     numpy_calls = _count_numpy_force_calls(monkeypatch)
-    monkeypatch.setenv("REPRO_METRICS_ENGINE", "compiled")
     kernel = refine_outcome(graph, placement, config)
     assert len(runs) == config.sweeps  # one kernel call per sweep
     assert numpy_calls == [], "the compiled path ran the numpy force field"
     if oracle_engine == "scalar":
-        monkeypatch.setenv("REPRO_METRICS_ENGINE", "scalar")
+        with kernel_disabled():
+            oracle = refine_outcome(graph, placement, config)
     else:
         # The oracle loop over the compiled engine's per-move evaluate.
         monkeypatch.setattr(
@@ -491,7 +496,7 @@ def _assert_kernel_matches_oracle(
             "kernel_sweep",
             lambda self, movers, height, width, forces: None,
         )
-    oracle = refine_outcome(graph, placement, config)
+        oracle = refine_outcome(graph, placement, config)
     assert len(runs) == config.sweeps  # the oracle never entered the kernel
     assert numpy_calls == ["forces", "steps"] * config.sweeps
     for key in ("positions", "stats", "rng"):
@@ -554,7 +559,7 @@ class TestKernelSweepParity:
         assert kernel["stats"]["community_moves"] > 0
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-    def test_nan_force_raises_the_same_error_on_both_paths(self, monkeypatch):
+    def test_nan_force_raises_the_same_error_on_both_paths(self):
         # Validation caps the weights; a config mutated past it overflows
         # the first sweep's repulsion sums to NaN.
         _require_kernel()
@@ -562,9 +567,8 @@ class TestKernelSweepParity:
         config = ForceDirectedConfig(seed=0)
         config.repulsion_weight = 1e308
         messages = []
-        for engine in ("compiled", "scalar"):
-            monkeypatch.setenv("REPRO_METRICS_ENGINE", engine)
-            with pytest.raises(ValueError, match="NaN force") as excinfo:
+        for context in (contextlib.nullcontext(), kernel_disabled()):
+            with context, pytest.raises(ValueError, match="NaN force") as excinfo:
                 force_directed_refine(graph, placement, config)
             messages.append(str(excinfo.value))
         assert messages[0] == messages[1]
@@ -590,8 +594,8 @@ class TestKernelSweepParity:
         _require_kernel()
         graph, placement = _parity_case("L1-K8")
         config = ForceDirectedConfig(sweeps=10, seed=0, use_communities=False)
-        monkeypatch.setenv("REPRO_METRICS_ENGINE", "scalar")
-        oracle = refine_outcome(graph, placement, config)
+        with kernel_disabled():
+            oracle = refine_outcome(graph, placement, config)
 
         engine_cls = metrics_module._CompiledTrackerEngine
         rebuilds = []
@@ -613,7 +617,6 @@ class TestKernelSweepParity:
         monkeypatch.setattr(engine_cls, "_rebuild_grid", counting_rebuild)
         monkeypatch.setattr(engine_cls, "_grow_cell_items", grow_by_one)
         monkeypatch.setattr(metrics_module, "_CELL_CAPACITY", 1)
-        monkeypatch.setenv("REPRO_METRICS_ENGINE", "compiled")
         kernel = refine_outcome(graph, placement, config)
         # Without community moves every commit happens inside mc_sweep.
         assert rebuilds, "no commit overflowed a grid cell"
@@ -693,7 +696,7 @@ class TestUnplacedVertex:
 
     @pytest.mark.parametrize("sweeps", [0, 2])
     @pytest.mark.parametrize("engine", ["compiled", "scalar"])
-    def test_unplaced_graph_vertex_is_named(self, monkeypatch, engine, sweeps):
+    def test_unplaced_graph_vertex_is_named(self, engine, sweeps):
         import networkx as nx
 
         from repro.mapping.placement import Placement
@@ -703,8 +706,8 @@ class TestUnplacedVertex:
         graph = nx.path_graph(4)
         graph.add_node(9)  # isolated and unplaced
         placement = Placement(2, 2, {v: (v // 2, v % 2) for v in range(4)})
-        monkeypatch.setenv("REPRO_METRICS_ENGINE", engine)
-        with pytest.raises(KeyError, match=r"vertex 9\b"):
+        context = kernel_disabled() if engine == "scalar" else contextlib.nullcontext()
+        with context, pytest.raises(KeyError, match=r"vertex 9\b"):
             force_directed_refine(
                 graph, placement, ForceDirectedConfig(sweeps=sweeps)
             )

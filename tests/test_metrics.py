@@ -291,7 +291,7 @@ class TestMappingCostTracker:
                 self._assert_matches_recompute(tracker, graph, positions)
 
     def test_matches_recompute_vectorised_path(self):
-        # >= 64 edges switches the tracker to its numpy crossing test.
+        # >= 64 edges: the recomputed spacing takes numpy block summation.
         rng = random.Random(17)
         graph = nx.gnm_random_graph(50, 120, seed=0)
         positions = {

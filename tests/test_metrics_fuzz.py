@@ -1,21 +1,22 @@
-"""Differential fuzz harness: tracker engines vs the scalar reference.
+"""Differential fuzz harness: the compiled tracker vs the scalar reference.
 
 Each tracker trial draws a random scenario — a random interaction-style
-graph (occasionally weighted, occasionally with non-integer vertex
-labels), a random layout, and a random sequence of moves, reverts and
-pure (never committed) evaluations — and checks that **every** available
+graph (occasionally weighted, occasionally with string vertex labels), a
+random layout, and a random sequence of moves, reverts and pure (never
+committed) evaluations — and checks that **every** available
 :class:`repro.graphs.metrics.MappingCostTracker` engine (``scalar``
-reference, ``vector`` when numpy is present, ``compiled`` when the C
-kernel builds) stays byte-identical on the full tracker state after
-every step: per-move deltas, crossings, total/weighted length, spacing
-sum, combined cost, and the tracked positions.
+reference, ``compiled`` when the C kernel builds) stays byte-identical
+on the full tracker state after every step: per-move deltas, crossings,
+total/weighted length, spacing sum, combined cost, and the tracked
+positions.
 
 Each refine trial draws a random graph, a placement with extra non-graph
 occupants and a random :class:`ForceDirectedConfig`, and runs the
 force-directed annealer once per engine: the ``compiled`` engine runs
-every sweep inside the kernel (``mc_sweep``), the others run the Python
-oracle loop.  The refined placement, every ``RefineStats`` field and the
-annealer RNG's final state must match the ``scalar`` run exactly.
+every sweep inside the kernel (``mc_sweep``), the ``scalar`` run (under
+``REPRO_NO_KERNEL=1``) the Python oracle loop.  The refined placement,
+every ``RefineStats`` field and the annealer RNG's final state must
+match the ``scalar`` run exactly.
 
 Each force trial draws a random graph, placement and force configuration
 (negative weights, every radius from 1 to 9, every combination of the
@@ -48,6 +49,7 @@ from repro.mapping.force_directed import (
     assign_dipole_poles,
 )
 from repro.mapping.placement import Placement
+from conftest import kernel_disabled
 
 #: Offset added to the trial index so seed 0 is not a magic value.
 SEED_BASE = 20260808
@@ -65,7 +67,7 @@ def _random_graph(rng: random.Random) -> nx.Graph:
     if rng.random() < 0.3:  # weighted edges exercise weighted-length sums
         for a, b in graph.edges():
             graph[a][b]["weight"] = rng.choice([0.5, 1.0, 2.0, 3.5])
-    if rng.random() < 0.2:  # string ids force the compiled->vector fallback
+    if rng.random() < 0.2:  # string ids: the kernel sees them as dense ints
         graph = nx.relabel_nodes(graph, {v: f"q{v}" for v in graph.nodes()})
     return graph
 
@@ -107,7 +109,6 @@ def run_trial(seed: int) -> None:
     trackers = {
         engine: MappingCostTracker(graph, dict(layout), engine=engine)
         for engine in _engines()
-        if engine != "compiled" or trackers_support_compiled(graph)
     }
     reference = trackers["scalar"]
     ref_state = _state(reference)
@@ -160,11 +161,6 @@ def run_trial(seed: int) -> None:
                 f"engine={engine!r} diverged on the tracker state "
                 f"at step {step} (seed {seed})"
             )
-
-
-def trackers_support_compiled(graph: nx.Graph) -> bool:
-    """Whether the compiled engine accepts this graph's vertex ids."""
-    return all(isinstance(vertex, int) for vertex in graph.nodes())
 
 
 def _fuzz_corpus(request, trial, test_id: str) -> None:
@@ -231,18 +227,17 @@ def _random_refine_case(rng: random.Random):
     return graph, placement, config
 
 
-def test_refine_differential_fuzz(request, refine_outcome, monkeypatch):
+def test_refine_differential_fuzz(request, refine_outcome):
     """The kernel sweep and the oracle loop anneal identically."""
 
     def trial(seed: int) -> None:
         rng = random.Random(SEED_BASE + seed)
         graph, placement, config = _random_refine_case(rng)
         outcomes = {}
-        for engine in _engines():
-            monkeypatch.setenv("REPRO_METRICS_ENGINE", engine)
-            if engine == "compiled" and not trackers_support_compiled(graph):
-                continue
-            outcomes[engine] = refine_outcome(graph, placement, config)
+        if "compiled" in _engines():
+            outcomes["compiled"] = refine_outcome(graph, placement, config)
+        with kernel_disabled():
+            outcomes["scalar"] = refine_outcome(graph, placement, config)
         expected = outcomes["scalar"]
         for engine, outcome in outcomes.items():
             for key, value in outcome.items():
@@ -255,6 +250,7 @@ def test_refine_differential_fuzz(request, refine_outcome, monkeypatch):
 
 def test_harness_detects_divergence(monkeypatch):
     """The harness itself must fail loudly if an engine ever lies."""
+    _require_compiled()  # with the scalar engine alone there is no pair
     real_apply = MappingCostTracker.apply
 
     def corrupted(self, updates):

@@ -15,8 +15,6 @@ end-to-end sweep lives in ``test_simulator_fuzz.py``.
 
 from __future__ import annotations
 
-import contextlib
-import os
 import random
 
 import numpy as np
@@ -43,6 +41,7 @@ from repro.routing import batchsim
 from repro.routing import kernel as kernel_module
 from repro.routing import simulator as simulator_module
 from repro.routing.simulator import _gate_list
+from conftest import kernel_disabled
 
 
 def available_engines():
@@ -56,22 +55,6 @@ def available_engines():
     if kernel_available():
         engines.append("compiled")
     return engines
-
-
-@contextlib.contextmanager
-def kernel_disabled():
-    """``REPRO_NO_KERNEL=1`` for the block, restoring the kernel after."""
-    previous = os.environ.get("REPRO_NO_KERNEL")
-    os.environ["REPRO_NO_KERNEL"] = "1"
-    kernel_module.reset()
-    try:
-        yield
-    finally:
-        if previous is None:
-            del os.environ["REPRO_NO_KERNEL"]
-        else:
-            os.environ["REPRO_NO_KERNEL"] = previous
-        kernel_module.reset()
 
 
 def run_batch(points, engine):
@@ -179,9 +162,10 @@ class TestBatchInvariants:
     def test_matches_untracked_reference(self, k4_points, engine):
         """Satellite: ``simulate_reference(track_wakeups=False)`` agreement.
 
-        The untracked oracle reports ``wakeups=0`` by construction (the
-        ``sim-congestion`` bench depends on this); everything else in its
-        ``to_dict()`` must match the batched engines field for field.
+        The untracked oracle reports ``wakeups=0`` by construction, the
+        cost profile of the engine before wakeup tracking; everything
+        else in its ``to_dict()`` must match the batched engines field
+        for field.
         """
         batched = run_batch(k4_points, engine)
         for (g, p, c), result in zip(k4_points, batched):

@@ -33,7 +33,7 @@ from repro.routing import (
     simulate_batch,
     simulate_reference,
 )
-from test_simulator_batch import kernel_disabled
+from conftest import kernel_disabled
 from test_simulator_parity import random_gates, random_placement
 
 #: Offset added to the trial index so seed 0 is not a magic value.

@@ -12,9 +12,7 @@ The contracts under test:
 * a :class:`~repro.api.SweepExecutor` run killed mid-plan and re-run with
   ``resume=True`` produces output **byte-identical** to an uninterrupted
   run while re-executing only the missing requests, with exact
-  ``store_hits`` accounting;
-* :class:`~repro.routing.simulator.SimulationCache` persistence reuses the
-  same fingerprint discipline.
+  ``store_hits`` accounting.
 """
 
 from __future__ import annotations
@@ -36,12 +34,7 @@ from repro.api import (
     unregister_mapper,
 )
 from repro.api.store import STORE_SCHEMA_VERSION, store_metadata
-from repro.routing.simulator import (
-    SimulationCache,
-    SimulationCacheWarning,
-    SimulatorConfig,
-    simulation_fingerprint,
-)
+from repro.routing.simulator import SimulatorConfig
 
 METHODS = ("linear", "graph_partition")
 CAPACITIES = (2, 3)
@@ -623,124 +616,6 @@ class TestExecutorResume:
         assert again.stats.store_hits == 0
         assert again.stats.evaluations == len(plan)
         assert len(store) == len(plan)
-
-
-# ----------------------------------------------------------------------
-# Persistable simulation cache (same fingerprint discipline)
-# ----------------------------------------------------------------------
-class TestSimulationCachePersistence:
-    def _scenario(self):
-        from repro.circuits.circuit import Circuit
-        from repro.circuits.gates import cnot, prep
-        from repro.mapping.placement import row_major_placement
-
-        circuit = Circuit("persist")
-        q = circuit.add_register("q", 4)
-        circuit.append(prep(q[0]))
-        circuit.append(cnot(q[0], q[1]))
-        circuit.append(cnot(q[2], q[3]))
-        return circuit, row_major_placement(list(range(4)))
-
-    def test_fingerprint_is_stable_and_config_sensitive(self):
-        circuit, placement = self._scenario()
-        base = simulation_fingerprint(circuit, placement)
-        assert base == simulation_fingerprint(circuit, placement)
-        assert len(base) == 40
-        assert base != simulation_fingerprint(
-            circuit, placement, SimulatorConfig(max_candidates=5)
-        )
-
-    def test_save_load_round_trip_serves_without_resimulating(
-        self, tmp_path, monkeypatch
-    ):
-        circuit, placement = self._scenario()
-        cache = SimulationCache()
-        reference = cache.simulate(circuit, placement)
-        path = tmp_path / "simcache.json"
-        assert cache.save(path) == 1
-
-        loaded = SimulationCache.load(path)
-        import repro.routing.simulator as simulator_module
-
-        def explode(*args, **kwargs):
-            raise AssertionError("persisted entry must serve this probe")
-
-        monkeypatch.setattr(simulator_module, "simulate", explode)
-        served = loaded.simulate(circuit, placement)
-        assert served.to_dict() == reference.to_dict()
-        assert loaded.persisted_hits == 1
-        assert loaded.hits == 1
-
-    def test_corrupt_cache_file_loads_empty_with_warning(self, tmp_path):
-        path = tmp_path / "simcache.json"
-        path.write_text("{ not json")
-        with pytest.warns(SimulationCacheWarning):
-            cache = SimulationCache.load(path)
-        assert len(cache) == 0
-
-    def test_foreign_schema_cache_file_loads_empty_with_warning(self, tmp_path):
-        path = tmp_path / "simcache.json"
-        path.write_text(json.dumps({"schema": "something-else/v9", "entries": {}}))
-        with pytest.warns(SimulationCacheWarning):
-            SimulationCache.load(path)
-
-    def test_undecodable_entry_is_skipped_with_warning(self, tmp_path):
-        circuit, placement = self._scenario()
-        cache = SimulationCache()
-        cache.simulate(circuit, placement)
-        path = tmp_path / "simcache.json"
-        cache.save(path)
-        payload = json.loads(path.read_text())
-        payload["entries"]["deadbeef"] = {"latency": "nope"}
-        payload["entries"]["cafebabe"] = "not a dict at all"
-        path.write_text(json.dumps(payload))
-        with pytest.warns(SimulationCacheWarning):
-            loaded = SimulationCache.load(path)
-        assert len(loaded._persisted) == 1
-
-    def test_non_dict_entries_table_loads_empty_with_warning(self, tmp_path):
-        from repro.routing.simulator import (
-            _SIM_FINGERPRINT_TAG,
-            SIM_CACHE_SCHEMA_VERSION,
-        )
-
-        path = tmp_path / "simcache.json"
-        schema = _SIM_FINGERPRINT_TAG.format(version=SIM_CACHE_SCHEMA_VERSION)
-        path.write_text(json.dumps({"schema": schema, "entries": [1, 2]}))
-        with pytest.warns(SimulationCacheWarning):
-            loaded = SimulationCache.load(path)
-        assert len(loaded._persisted) == 0
-
-    def test_load_max_persisted_truncates_with_warning(self, tmp_path):
-        circuit, placement = self._scenario()
-        cache = SimulationCache()
-        cache.simulate(circuit, placement)
-        cache.simulate(circuit, placement, SimulatorConfig(max_candidates=4))
-        path = tmp_path / "simcache.json"
-        assert cache.save(path) == 2
-        with pytest.warns(SimulationCacheWarning):
-            bounded = SimulationCache.load(path, max_persisted=1)
-        assert len(bounded._persisted) == 1
-        unbounded = SimulationCache.load(path)
-        assert len(unbounded._persisted) == 2
-
-    def test_save_creates_parent_directories(self, tmp_path):
-        circuit, placement = self._scenario()
-        cache = SimulationCache()
-        cache.simulate(circuit, placement)
-        path = tmp_path / "nested" / "dirs" / "simcache.json"
-        assert cache.save(path) == 1
-        assert path.is_file()
-
-    def test_clear_drops_persisted_entries(self, tmp_path):
-        circuit, placement = self._scenario()
-        cache = SimulationCache()
-        cache.simulate(circuit, placement)
-        path = tmp_path / "simcache.json"
-        cache.save(path)
-        loaded = SimulationCache.load(path)
-        loaded.clear()
-        assert len(loaded._persisted) == 0
 
 
 # ----------------------------------------------------------------------
