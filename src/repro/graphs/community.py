@@ -10,46 +10,58 @@ Section VI-B.1 of the paper uses community structure in two ways:
   the clusters a community has broken into, so that an attraction force of
   the right magnitude can rejoin them.
 
-This module provides community detection (greedy modularity with a
-label-propagation fallback) plus a small dependency-free KMeans implementation
-operating on 2-D placement coordinates.
+This module provides community detection (Clauset-Newman-Moore greedy
+modularity on a plain adjacency, merge for merge the same as networkx's
+``greedy_modularity_communities``) plus a small dependency-free KMeans
+implementation operating on 2-D placement coordinates.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import random
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import networkx as nx
+from .adjacency import Adjacency, adjacency, edges, subgraph_order, weighted_degree
 
 Position = Tuple[float, float]
 
 
 def detect_communities(
-    graph: nx.Graph, max_communities: Optional[int] = None, seed: int = 0
+    graph, max_communities: Optional[int] = None, seed: int = 0
 ) -> List[List[int]]:
     """Partition the graph's vertices into communities.
 
     Uses greedy modularity maximisation (Clauset-Newman-Moore, one of the
-    classic approaches cited in the paper's Section VI-B.1 reference list).
-    Isolated vertices are grouped into their own trailing community.  If
+    classic approaches cited in the paper's Section VI-B.1 reference list),
+    with networkx's merge order and community order.  Isolated vertices are
+    grouped into their own trailing community.  If the edges' total weight
+    is zero, modularity is undefined and the non-isolated vertices are
+    grouped by networkx's label propagation instead.  If
     ``max_communities`` is given, the smallest communities are merged until
-    the bound is met.
+    the bound is met.  Directed graphs and multigraphs raise
+    :class:`TypeError`.
     """
-    if graph.number_of_nodes() == 0:
+    adj = adjacency(graph)
+    if not adj:
         return []
-    connected_nodes = [node for node, degree in graph.degree() if degree > 0]
-    isolated = [node for node, degree in graph.degree() if degree == 0]
+    connected_nodes = [node for node, nbrs in adj.items() if nbrs]
+    isolated = [node for node, nbrs in adj.items() if not nbrs]
 
     communities: List[List[int]] = []
     if connected_nodes:
-        core = graph.subgraph(connected_nodes)
+        # networkx ran on the view ``graph.subgraph(connected_nodes)``: its
+        # node order, and each node's full neighbour dict.
+        order, _ = subgraph_order(adj, connected_nodes)
         try:
-            detected = nx.community.greedy_modularity_communities(core, weight="weight")
-            communities = [sorted(c) for c in detected]
-        except (nx.NetworkXError, ZeroDivisionError):
-            detected = nx.community.label_propagation_communities(core)
+            communities = _greedy_modularity({node: adj[node] for node in order})
+        except ZeroDivisionError:
+            import networkx as nx
+
+            detected = nx.community.label_propagation_communities(
+                graph.subgraph(connected_nodes)
+            )
             communities = [sorted(c) for c in detected]
     if isolated:
         communities.append(sorted(isolated))
@@ -63,6 +75,64 @@ def detect_communities(
         kept.append(merged)
         communities = kept
     return communities
+
+
+def _greedy_modularity(core: Adjacency) -> List[List[int]]:
+    """Clauset-Newman-Moore merges on a graph without isolated vertices.
+
+    networkx keeps one heap per row of the ``dq`` matrix plus a heap of the
+    row maxima, and merges the pair with the smallest ``(-dq, (u, v))``
+    among them, which is that pair over the whole matrix.  The key is a
+    total order, so a single heap over every entry, skipping entries whose
+    row or value has since changed, pops the same pairs in the same order.
+    Merging stops before the first pair with ``dq < 0``.  The float
+    expressions are networkx's at resolution 1, where its in- and
+    out-degree fractions ``a`` and ``b`` are one dict.  Raises
+    :class:`ZeroDivisionError` when the total edge weight is zero.
+    """
+    degrees = {u: weighted_degree(nbrs, u) for u, nbrs in core.items()}
+    m = sum(degrees.values()) / 2
+    q0 = 1 / m
+    a = {u: deg * q0 * 0.5 for u, deg in degrees.items()}
+    dq: Dict[int, Dict[int, float]] = {u: {} for u in core}
+    for u, v, wt in edges(core):
+        if u != v:
+            dq[u][v] = dq[v][u] = 0.0 + wt
+    for u, row in dq.items():
+        for v, wt in row.items():
+            row[v] = q0 * wt - (a[u] * a[v] + a[u] * a[v])
+    heap = [(-value, u, v) for u, row in dq.items() for v, value in row.items()]
+    heapq.heapify(heap)
+
+    # Keyed by the surviving vertex, in core order: the final stable sort by
+    # size breaks ties in this order.
+    communities = {u: [u] for u in core}
+    while len(communities) > 1 and heap:
+        negdq, u, v = heapq.heappop(heap)
+        row_u = dq.get(u)
+        if row_u is None or row_u.get(v) != -negdq:
+            continue  # stale: u was merged away or dq[u][v] changed
+        if -negdq < 0:
+            break
+        del dq[u]
+        row_v = dq[v]
+        for w in row_u.keys() | row_v.keys():
+            if w == u or w == v:
+                continue
+            if w in row_u and w in row_v:
+                value = row_v[w] + row_u[w]
+            elif w in row_v:
+                value = row_v[w] - (a[u] * a[w] + a[w] * a[u])
+            else:
+                value = row_u[w] - (a[v] * a[w] + a[w] * a[v])
+            row_v[w] = dq[w][v] = value
+            heapq.heappush(heap, (-value, v, w))
+            heapq.heappush(heap, (-value, w, v))
+        for w in row_u:
+            del dq[w][u]
+        a[v] += a[u]
+        communities[v].extend(communities.pop(u))
+    return [sorted(c) for c in sorted(communities.values(), key=len, reverse=True)]
 
 
 def community_of(communities: Sequence[Sequence[int]]) -> Dict[int, int]:

@@ -13,15 +13,32 @@ balanced bisection with Kernighan-Lin-style boundary refinement, and the
 recursive driver that returns a hierarchy of vertex blocks.  The grid side
 (matching grid bisections and final cell assignment) lives in
 :mod:`repro.mapping.graph_partition`.
+
+The public functions take a networkx graph and convert it once to a plain
+:data:`~repro.graphs.adjacency.Adjacency` plus a ``{vertex: size}`` map
+(the ``size`` node attribute, 1 when missing); coarse graphs are
+adjacencies with their own size maps.  Every iteration order follows the
+networkx graph (see :mod:`repro.graphs.adjacency`), so the blocks and the
+GP placements are the ones the networkx-backed version produced.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
 
-import networkx as nx
+from .adjacency import (
+    Adjacency,
+    adjacency,
+    edges,
+    induced_subgraph,
+    weighted_degree,
+)
+
+#: ``{vertex: size}``: how many original vertices each vertex stands for.
+Sizes = Dict[Hashable, int]
 
 
 @dataclass
@@ -33,7 +50,12 @@ class Bisection:
     cut_weight: float
 
 
-def heavy_edge_matching(graph: nx.Graph, seed: int = 0) -> List[Tuple[int, ...]]:
+def vertex_sizes(graph) -> Sizes:
+    """Each node's ``size`` attribute (1 when missing), in node order."""
+    return {v: data.get("size", 1) for v, data in graph.nodes(data=True)}
+
+
+def heavy_edge_matching(graph, seed: int = 0) -> List[Tuple[int, ...]]:
     """Contract vertices pairwise along heavy edges.
 
     Visits vertices in random order and matches each unmatched vertex with
@@ -41,8 +63,12 @@ def heavy_edge_matching(graph: nx.Graph, seed: int = 0) -> List[Tuple[int, ...]]
     singleton groups.  Returns the list of vertex groups (size 1 or 2) that
     become the super-vertices of the coarser graph.
     """
+    return _heavy_edge_matching(adjacency(graph), seed)
+
+
+def _heavy_edge_matching(adj: Adjacency, seed: int) -> List[Tuple[int, ...]]:
     rng = random.Random(seed)
-    vertices = list(graph.nodes())
+    vertices = list(adj)
     rng.shuffle(vertices)
     matched: Set[int] = set()
     groups: List[Tuple[int, ...]] = []
@@ -51,86 +77,91 @@ def heavy_edge_matching(graph: nx.Graph, seed: int = 0) -> List[Tuple[int, ...]]
             continue
         best_neighbor = None
         best_weight = -1.0
-        for neighbor in graph.neighbors(vertex):
+        for neighbor, weight in adj[vertex].items():
             if neighbor in matched or neighbor == vertex:
                 continue
-            weight = graph[vertex][neighbor].get("weight", 1)
             if weight > best_weight:
                 best_weight = weight
                 best_neighbor = neighbor
+        matched.add(vertex)
         if best_neighbor is None:
-            matched.add(vertex)
             groups.append((vertex,))
         else:
-            matched.add(vertex)
             matched.add(best_neighbor)
             groups.append((vertex, best_neighbor))
     return groups
 
 
 def contract(
-    graph: nx.Graph, groups: Sequence[Tuple[int, ...]]
-) -> Tuple[nx.Graph, Dict[int, int]]:
+    graph, groups: Sequence[Tuple[int, ...]]
+) -> Tuple[Adjacency, Sizes, Dict[int, int]]:
     """Build the coarse graph induced by ``groups``.
 
-    Returns the coarse graph (nodes are group indices, carrying a ``size``
-    attribute equal to the number of original vertices they represent) and
-    the fine-vertex to coarse-node map.
+    Returns the coarse adjacency (nodes are group indices), its size map
+    (each group's total vertex size) and the fine-vertex to coarse-node
+    map.
     """
-    coarse = nx.Graph()
+    return _contract(adjacency(graph), vertex_sizes(graph), groups)
+
+
+def _contract(
+    adj: Adjacency, sizes: Sizes, groups: Sequence[Tuple[int, ...]]
+) -> Tuple[Adjacency, Sizes, Dict[int, int]]:
+    coarse: Adjacency = {index: {} for index in range(len(groups))}
+    coarse_sizes: Sizes = {}
     membership: Dict[int, int] = {}
     for index, group in enumerate(groups):
-        size = sum(graph.nodes[v].get("size", 1) for v in group)
-        coarse.add_node(index, size=size)
+        coarse_sizes[index] = sum(sizes[v] for v in group)
         for vertex in group:
             membership[vertex] = index
-    for a, b, data in graph.edges(data=True):
+    for a, b, weight in edges(adj):
         ca, cb = membership[a], membership[b]
         if ca == cb:
             continue
-        weight = data.get("weight", 1)
-        if coarse.has_edge(ca, cb):
-            coarse[ca][cb]["weight"] += weight
+        row = coarse[ca]
+        if cb in row:
+            row[cb] += weight
         else:
-            coarse.add_edge(ca, cb, weight=weight)
-    return coarse, membership
+            row[cb] = weight
+        coarse[cb][ca] = row[cb]
+    return coarse, coarse_sizes, membership
 
 
-def cut_weight(graph: nx.Graph, left: Set[int]) -> float:
+def cut_weight(graph, left: Set[int]) -> float:
     """Total weight of edges crossing the partition boundary."""
+    return _cut_weight(adjacency(graph), left)
+
+
+def _cut_weight(adj: Adjacency, left: Set[int]) -> float:
     weight = 0.0
-    for a, b, data in graph.edges(data=True):
+    for a, b, edge_weight in edges(adj):
         if (a in left) != (b in left):
-            weight += data.get("weight", 1)
+            weight += edge_weight
     return weight
 
 
-def _vertex_size(graph: nx.Graph, vertex: int) -> int:
-    return graph.nodes[vertex].get("size", 1)
-
-
 def _initial_bisection(
-    graph: nx.Graph, target_left: int, seed: int = 0
+    adj: Adjacency, sizes: Sizes, target_left: int, seed: int = 0
 ) -> Set[int]:
     """Greedy BFS-based initial bisection growing a region of ``target_left`` size."""
     rng = random.Random(seed)
-    vertices = list(graph.nodes())
+    vertices = list(adj)
     if not vertices:
         return set()
-    start = max(vertices, key=lambda v: graph.degree(v, weight="weight"))
+    start = max(vertices, key=lambda v: weighted_degree(adj[v], v))
     left: Set[int] = set()
     left_size = 0
-    frontier = [start]
+    frontier = deque([start])
     visited = {start}
     while frontier and left_size < target_left:
-        vertex = frontier.pop(0)
-        if left_size + _vertex_size(graph, vertex) > target_left and left:
+        vertex = frontier.popleft()
+        if left_size + sizes[vertex] > target_left and left:
             continue
         left.add(vertex)
-        left_size += _vertex_size(graph, vertex)
+        left_size += sizes[vertex]
+        nbrs = adj[vertex]
         neighbors = sorted(
-            (n for n in graph.neighbors(vertex) if n not in visited),
-            key=lambda n: -graph[vertex][n].get("weight", 1),
+            (n for n in nbrs if n not in visited), key=lambda n: -nbrs[n]
         )
         for neighbor in neighbors:
             visited.add(neighbor)
@@ -145,7 +176,8 @@ def _initial_bisection(
 
 
 def _refine_bisection(
-    graph: nx.Graph,
+    adj: Adjacency,
+    sizes: Sizes,
     left: Set[int],
     target_left: int,
     max_passes: int = 4,
@@ -158,34 +190,40 @@ def _refine_bisection(
     within ``balance_tolerance`` of ``target_left``.
     """
     left = set(left)
-    all_vertices = set(graph.nodes())
+    # Built one vertex at a time like ``set(graph.nodes())``, so the boundary
+    # (and the sort's tie order) comes out in the same order.
+    all_vertices = {v for v in adj}
 
     def gain(vertex: int) -> float:
         internal = 0.0
         external = 0.0
         in_left = vertex in left
-        for neighbor in graph.neighbors(vertex):
-            weight = graph[vertex][neighbor].get("weight", 1)
+        for neighbor, weight in adj[vertex].items():
             if (neighbor in left) == in_left:
                 internal += weight
             else:
                 external += weight
         return external - internal
 
+    left_size = sum(sizes[v] for v in left)
     for _ in range(max_passes):
         moved_any = False
+        # A vertex is on the boundary when a neighbour sits on the other side.
         boundary = [
             v
             for v in all_vertices
-            if any(((n in left) != (v in left)) for n in graph.neighbors(v))
+            if (
+                not left.issuperset(adj[v])
+                if v in left
+                else not left.isdisjoint(adj[v])
+            )
         ]
         boundary.sort(key=gain, reverse=True)
         for vertex in boundary:
             vertex_gain = gain(vertex)
             if vertex_gain <= 0:
                 break
-            left_size = sum(_vertex_size(graph, v) for v in left)
-            size = _vertex_size(graph, vertex)
+            size = sizes[vertex]
             if vertex in left:
                 new_left_size = left_size - size
             else:
@@ -198,6 +236,7 @@ def _refine_bisection(
                 left.remove(vertex)
             else:
                 left.add(vertex)
+            left_size = new_left_size
             moved_any = True
         if not moved_any:
             break
@@ -205,7 +244,7 @@ def _refine_bisection(
 
 
 def bisect(
-    graph: nx.Graph,
+    graph,
     target_left: Optional[int] = None,
     seed: int = 0,
     coarsen_threshold: int = 32,
@@ -216,43 +255,49 @@ def bisect(
     coarsened via heavy-edge matching, bisected recursively, and the result
     projected back and refined — the classic multilevel scheme.
     """
-    vertices = list(graph.nodes())
-    total_size = sum(_vertex_size(graph, v) for v in vertices)
-    if target_left is None:
-        target_left = total_size // 2
-    if len(vertices) <= 1:
-        return Bisection(left=list(vertices), right=[], cut_weight=0.0)
+    adj = adjacency(graph)
+    left = bisect_left(adj, vertex_sizes(graph), target_left, seed, coarsen_threshold)
+    return Bisection(
+        left=sorted(left),
+        right=sorted(v for v in adj if v not in left),
+        cut_weight=_cut_weight(adj, left),
+    )
 
+
+def bisect_left(
+    adj: Adjacency,
+    sizes: Sizes,
+    target_left: Optional[int] = None,
+    seed: int = 0,
+    coarsen_threshold: int = 32,
+) -> Set[int]:
+    """The left half of :func:`bisect`'s cut of an adjacency, as a set."""
+    vertices = list(adj)
+    if target_left is None:
+        target_left = sum(sizes[v] for v in vertices) // 2
+    if len(vertices) <= 1:
+        return set(vertices)
+
+    initial = None
     if len(vertices) > coarsen_threshold:
-        groups = heavy_edge_matching(graph, seed=seed)
+        groups = _heavy_edge_matching(adj, seed)
         if len(groups) < len(vertices):
-            coarse, membership = contract(graph, groups)
-            coarse_result = bisect(
+            coarse, coarse_sizes, membership = _contract(adj, sizes, groups)
+            coarse_left = bisect_left(
                 coarse,
+                coarse_sizes,
                 target_left=target_left,
                 seed=seed + 1,
                 coarsen_threshold=coarsen_threshold,
             )
-            coarse_left = set(coarse_result.left)
-            projected_left = {
-                v for v in vertices if membership[v] in coarse_left
-            }
-            refined = _refine_bisection(graph, projected_left, target_left)
-            left = sorted(refined)
-            right = sorted(set(vertices) - refined)
-            return Bisection(
-                left=left, right=right, cut_weight=cut_weight(graph, refined)
-            )
-
-    initial = _initial_bisection(graph, target_left, seed=seed)
-    refined = _refine_bisection(graph, initial, target_left)
-    left = sorted(refined)
-    right = sorted(set(vertices) - refined)
-    return Bisection(left=left, right=right, cut_weight=cut_weight(graph, refined))
+            initial = {v for v in vertices if membership[v] in coarse_left}
+    if initial is None:
+        initial = _initial_bisection(adj, sizes, target_left, seed=seed)
+    return _refine_bisection(adj, sizes, initial, target_left)
 
 
 def recursive_bisection(
-    graph: nx.Graph,
+    graph,
     num_parts: int,
     seed: int = 0,
 ) -> List[List[int]]:
@@ -264,16 +309,25 @@ def recursive_bisection(
     """
     if num_parts < 1:
         raise ValueError(f"num_parts must be >= 1, got {num_parts}")
-    vertices = list(graph.nodes())
+    return _recursive_bisection(adjacency(graph), vertex_sizes(graph), num_parts, seed)
+
+
+def _recursive_bisection(
+    adj: Adjacency, sizes: Sizes, num_parts: int, seed: int
+) -> List[List[int]]:
+    vertices = list(adj)
     if num_parts == 1 or len(vertices) <= 1:
         return [sorted(vertices)]
     left_parts = (num_parts + 1) // 2
     right_parts = num_parts - left_parts
     total = len(vertices)
     target_left = round(total * left_parts / num_parts)
-    result = bisect(graph, target_left=target_left, seed=seed)
-    left_graph = graph.subgraph(result.left).copy()
-    right_graph = graph.subgraph(result.right).copy()
-    blocks = recursive_bisection(left_graph, left_parts, seed=seed * 2 + 1)
-    blocks += recursive_bisection(right_graph, right_parts, seed=seed * 2 + 2)
+    left = bisect_left(adj, sizes, target_left=target_left, seed=seed)
+    blocks = _recursive_bisection(
+        induced_subgraph(adj, sorted(left)), sizes, left_parts, seed * 2 + 1
+    )
+    right = sorted(v for v in vertices if v not in left)
+    blocks += _recursive_bisection(
+        induced_subgraph(adj, right), sizes, right_parts, seed * 2 + 2
+    )
     return blocks

@@ -9,6 +9,10 @@ which are then assigned to cells directly.  Because every cut minimises the
 number of interaction edges that cross it, strongly interacting qubits end up
 spatially close and the global structure of the circuit (including the
 permutation edges of a multi-level factory) is optimised directly.
+
+The mapper converts its graph once to a plain adjacency (see
+:mod:`repro.graphs.adjacency`) and recurses on dict copies that iterate in
+networkx's order, so its placements are the networkx-backed ones.
 """
 
 from __future__ import annotations
@@ -16,11 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from ..circuits.circuit import Circuit
+from ..graphs.adjacency import Adjacency, adjacency, induced_subgraph
 from ..graphs.interaction import interaction_graph
-from ..graphs.partition import bisect
+from ..graphs.partition import Sizes, bisect_left, vertex_sizes
 from .placement import Cell, Placement, grid_dimensions_for
 
 
@@ -78,7 +81,8 @@ class GridRegion:
 
 
 def _embed_recursive(
-    graph: nx.Graph,
+    adj: Adjacency,
+    sizes: Sizes,
     vertices: List[int],
     region: GridRegion,
     placement: Placement,
@@ -97,16 +101,15 @@ def _embed_recursive(
         or region.area <= leaf_size
         or min(region.height, region.width) <= 1
     ):
-        cells = region.cells()
-        ordered = _order_leaf_vertices(graph, vertices)
-        for vertex, cell in zip(ordered, cells):
-            placement.place(vertex, cell)
+        _place_leaf(adj, vertices, region, placement)
         return
 
-    subgraph = graph.subgraph(vertices).copy()
     target_left = len(vertices) // 2
-    result = bisect(subgraph, target_left=target_left, seed=seed)
-    left, right = list(result.left), list(result.right)
+    cut = bisect_left(
+        induced_subgraph(adj, vertices), sizes, target_left=target_left, seed=seed
+    )
+    left = sorted(cut)
+    right = sorted(v for v in vertices if v not in cut)
     if not left or not right:
         # Degenerate cut (e.g. disconnected dust): fall back to an even split.
         middle = len(vertices) // 2
@@ -117,34 +120,45 @@ def _embed_recursive(
         # The rounding starved one side; rebalance by swapping the split.
         region_left, region_right = region.split(len(left) / max(1, len(vertices)))
         if region_left.area < len(left) or region_right.area < len(right):
-            cells = region.cells()
-            ordered = _order_leaf_vertices(graph, vertices)
-            for vertex, cell in zip(ordered, cells):
-                placement.place(vertex, cell)
+            _place_leaf(adj, vertices, region, placement)
             return
-    _embed_recursive(graph, left, region_left, placement, seed * 2 + 1, leaf_size)
-    _embed_recursive(graph, right, region_right, placement, seed * 2 + 2, leaf_size)
+    _embed_recursive(
+        adj, sizes, left, region_left, placement, seed * 2 + 1, leaf_size
+    )
+    _embed_recursive(
+        adj, sizes, right, region_right, placement, seed * 2 + 2, leaf_size
+    )
 
 
-def _order_leaf_vertices(graph: nx.Graph, vertices: List[int]) -> List[int]:
+def _place_leaf(
+    adj: Adjacency, vertices: List[int], region: GridRegion, placement: Placement
+) -> None:
+    for vertex, cell in zip(_order_leaf_vertices(adj, vertices), region.cells()):
+        placement.place(vertex, cell)
+
+
+def _order_leaf_vertices(adj: Adjacency, vertices: List[int]) -> List[int]:
     """Order a leaf's vertices so strongly connected ones are adjacent.
 
     A simple greedy chain: start from the highest-degree vertex and repeatedly
     append the unvisited vertex most strongly connected to the current one.
+    Degrees and neighbours are those of the subgraph induced by ``vertices``.
     """
     if len(vertices) <= 2:
         return sorted(vertices)
     remaining = set(vertices)
-    subgraph = graph.subgraph(vertices)
-    current = max(remaining, key=lambda v: subgraph.degree(v, weight="weight"))
+
+    def degree(v: int):
+        nbrs = adj[v]
+        return sum(w for n, w in nbrs.items() if n in remaining) + (
+            v in nbrs and nbrs[v]
+        )
+
+    current = max(remaining, key=degree)
     order = [current]
     remaining.remove(current)
     while remaining:
-        neighbors = [
-            (subgraph[current][n].get("weight", 1), n)
-            for n in subgraph.neighbors(current)
-            if n in remaining
-        ]
+        neighbors = [(w, n) for n, w in adj[current].items() if n in remaining]
         if neighbors:
             _, best = max(neighbors)
         else:
@@ -194,14 +208,17 @@ def graph_partition_placement(
         graph = circuit_or_graph
         vertex_list = list(qubits) if qubits is not None else list(graph.nodes())
 
+    adj = adjacency(graph)
+    sizes = vertex_sizes(graph)
     for vertex in vertex_list:
-        if vertex not in graph:
-            graph.add_node(vertex)
+        if vertex not in adj:
+            adj[vertex] = {}
+            sizes[vertex] = 1
 
     if width is None or height is None:
         height, width = grid_dimensions_for(len(vertex_list), slack=slack)
     placement = Placement(width=width, height=height)
     region = GridRegion(0, 0, height, width)
-    _embed_recursive(graph, vertex_list, region, placement, seed, leaf_size)
+    _embed_recursive(adj, sizes, vertex_list, region, placement, seed, leaf_size)
     placement.validate()
     return placement

@@ -17,7 +17,7 @@ import pytest
 
 def pytest_addoption(parser):
     """Options shared by the differential fuzz harnesses
-    (test_simulator_fuzz.py, test_metrics_fuzz.py)."""
+    (test_simulator_fuzz.py, test_metrics_fuzz.py, test_graph_fuzz.py)."""
     parser.addoption(
         "--fuzz-iterations",
         type=int,
@@ -45,6 +45,35 @@ from repro.graphs import interaction_graph
 from repro.kernels import metrics as metrics_kernel
 from repro.mapping import linear_factory_placement, random_circuit_placement
 from repro.routing import kernel as simulator_kernel
+
+
+def fuzz_corpus(request, trial) -> None:
+    """Run ``trial(seed)`` over the fuzz corpus; report every failing seed.
+
+    The corpus is ``range(--fuzz-iterations)``, or the ``--fuzz-seeds``
+    list when given.  Failures are collected, not raised one at a time:
+    the report lists each failing seed with a one-line repro command.
+    """
+    seeds_option = request.config.getoption("--fuzz-seeds")
+    if seeds_option:
+        seeds = [int(token) for token in str(seeds_option).split(",") if token.strip()]
+    else:
+        seeds = list(range(request.config.getoption("--fuzz-iterations")))
+    failures = []
+    for seed in seeds:
+        try:
+            trial(seed)
+        except AssertionError as error:
+            failures.append((seed, str(error).splitlines()[0]))
+    if failures:
+        lines = [f"{len(failures)} of {len(seeds)} fuzz trials diverged:"]
+        for seed, message in failures:
+            lines.append(
+                f"  seed {seed}: {message}\n"
+                f"    repro: python -m pytest {request.node.nodeid} "
+                f"--fuzz-seeds={seed}"
+            )
+        pytest.fail("\n".join(lines))
 
 
 @contextlib.contextmanager

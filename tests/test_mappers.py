@@ -4,6 +4,7 @@ import contextlib
 import functools
 import random
 
+import networkx as nx
 import pytest
 
 from repro.circuits import critical_path_length
@@ -167,6 +168,15 @@ class TestGraphPartitionMapping:
             qubits=list(range(single_level_k4.circuit.num_qubits)),
         )
         assert placement.num_qubits == single_level_k4.circuit.num_qubits
+
+    def test_extra_qubits_leave_the_callers_graph_alone(self):
+        """Qubits missing from the graph are placed without mutating it."""
+        graph = nx.path_graph(6)
+        placement = graph_partition_placement(graph, qubits=range(8))
+        assert graph.number_of_nodes() == 6
+        grown = nx.path_graph(6)
+        grown.add_nodes_from([6, 7])
+        assert placement.positions == graph_partition_placement(grown).positions
 
 
 class TestForceDirected:

@@ -49,7 +49,7 @@ from repro.mapping.force_directed import (
     assign_dipole_poles,
 )
 from repro.mapping.placement import Placement
-from conftest import kernel_disabled
+from conftest import fuzz_corpus, kernel_disabled
 
 #: Offset added to the trial index so seed 0 is not a magic value.
 SEED_BASE = 20260808
@@ -163,34 +163,9 @@ def run_trial(seed: int) -> None:
             )
 
 
-def _fuzz_corpus(request, trial, test_id: str) -> None:
-    """Run ``trial`` over the seeded corpus; report every failing seed."""
-    seeds_option = request.config.getoption("--fuzz-seeds")
-    if seeds_option:
-        seeds = [int(token) for token in str(seeds_option).split(",") if token.strip()]
-    else:
-        seeds = list(range(request.config.getoption("--fuzz-iterations")))
-    failures = []
-    for seed in seeds:
-        try:
-            trial(seed)
-        except AssertionError as error:
-            failures.append((seed, str(error).splitlines()[0]))
-    if failures:
-        lines = [f"{len(failures)} of {len(seeds)} fuzz trials diverged:"]
-        for seed, message in failures:
-            lines.append(
-                f"  seed {seed}: {message}\n"
-                f"    repro: python -m pytest "
-                f"tests/test_metrics_fuzz.py::{test_id} "
-                f"--fuzz-seeds={seed}"
-            )
-        pytest.fail("\n".join(lines))
-
-
 def test_differential_fuzz(request):
     """Sweep the seeded corpus; report every failing seed with a repro."""
-    _fuzz_corpus(request, run_trial, "test_differential_fuzz")
+    fuzz_corpus(request, run_trial)
 
 
 def _random_refine_case(rng: random.Random):
@@ -245,7 +220,7 @@ def test_refine_differential_fuzz(request, refine_outcome):
                     f"engine={engine!r} refine diverged on {key} (seed {seed})"
                 )
 
-    _fuzz_corpus(request, trial, "test_refine_differential_fuzz")
+    fuzz_corpus(request, trial)
 
 
 def test_harness_detects_divergence(monkeypatch):
@@ -507,4 +482,4 @@ def test_force_differential_fuzz(request):
         graph, placement, config = _random_force_case(rng, seed)
         assert_same_forces(graph, placement, config, f"seed {seed}", seed)
 
-    _fuzz_corpus(request, trial, "test_force_differential_fuzz")
+    fuzz_corpus(request, trial)

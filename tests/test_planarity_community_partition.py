@@ -145,8 +145,9 @@ class TestGraphPartitioning:
     def test_contract_preserves_total_size(self):
         graph = self.barbell()
         groups = heavy_edge_matching(graph, seed=1)
-        coarse, membership = contract(graph, groups)
-        assert sum(coarse.nodes[n]["size"] for n in coarse) == graph.number_of_nodes()
+        coarse, sizes, membership = contract(graph, groups)
+        assert set(sizes) == set(coarse)
+        assert sum(sizes[n] for n in coarse) == graph.number_of_nodes()
         assert set(membership) == set(graph.nodes())
 
     def test_bisect_barbell_cuts_the_bridge(self):

@@ -33,7 +33,7 @@ from repro.routing import (
     simulate_batch,
     simulate_reference,
 )
-from conftest import kernel_disabled
+from conftest import fuzz_corpus, kernel_disabled
 from test_simulator_parity import random_gates, random_placement
 
 #: Offset added to the trial index so seed 0 is not a magic value.
@@ -156,27 +156,7 @@ def run_trial(seed: int) -> None:
 
 def test_differential_fuzz(request):
     """Sweep the seeded corpus; report every failing seed with a repro."""
-    seeds_option = request.config.getoption("--fuzz-seeds")
-    if seeds_option:
-        seeds = [int(token) for token in str(seeds_option).split(",") if token.strip()]
-    else:
-        seeds = list(range(request.config.getoption("--fuzz-iterations")))
-    failures = []
-    for seed in seeds:
-        try:
-            run_trial(seed)
-        except AssertionError as error:
-            failures.append((seed, str(error).splitlines()[0]))
-    if failures:
-        lines = [f"{len(failures)} of {len(seeds)} fuzz trials diverged:"]
-        for seed, message in failures:
-            lines.append(
-                f"  seed {seed}: {message}\n"
-                f"    repro: python -m pytest "
-                f"tests/test_simulator_fuzz.py::test_differential_fuzz "
-                f"--fuzz-seeds={seed}"
-            )
-        pytest.fail("\n".join(lines))
+    fuzz_corpus(request, run_trial)
 
 
 def test_first_placements_cover_every_board_shape():
