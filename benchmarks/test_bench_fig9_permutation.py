@@ -34,8 +34,8 @@ def test_bench_fig9cd_permutation_hops(benchmark):
 
 
 def test_bench_hop_annealer_capacity_36():
-    """The array annealer matches its scalar oracle at a Fig. 9d paper
-    capacity, and is at least 5x faster there."""
+    """The kernel annealer matches its scalar oracle at a Fig. 9d paper
+    capacity, and is at least 50x faster there."""
     stitched = hierarchical_stitching(
         FactorySpec.from_capacity(36, 2), config=StitchingConfig(hop_mode="none")
     )
@@ -51,8 +51,8 @@ def test_bench_hop_annealer_capacity_36():
     fast_seconds = min(seconds for _, seconds in runs)
     print(
         f"\ncapacity 36 hop annealing: reference {reference_seconds:.2f}s, "
-        f"array {fast_seconds:.2f}s ({reference_seconds / fast_seconds:.1f}x)"
+        f"kernel {fast_seconds:.2f}s ({reference_seconds / fast_seconds:.1f}x)"
     )
     for hops, _ in runs:
         assert hops == reference
-    assert reference_seconds >= 5.0 * fast_seconds
+    assert reference_seconds >= 50.0 * fast_seconds

@@ -26,15 +26,13 @@ from ..api.experiments import SEED_PARAM, ParamSpec, register_experiment
 from ..api.results import filter_fields
 from ..distillation.block_code import FactorySpec, ReusePolicy
 from ..mapping.stitching import (
+    HOP_MODES,
     StitchingConfig,
     hierarchical_stitching,
     optimize_permutation_hops,
     permutation_gate_indices,
 )
 from ..routing.simulator import SimulatorConfig, simulate
-
-#: Hop policies in the order of the paper's Fig. 9d legend.
-HOP_MODES = ("none", "random", "annealed_random", "annealed_midpoint")
 
 #: Capacities on the paper's Fig. 9d x-axis.
 PAPER_CAPACITIES = (4, 16, 36, 64)

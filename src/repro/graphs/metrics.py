@@ -725,63 +725,6 @@ class _ScalarTrackerEngine:
             self._cells[i] = cells
 
 
-# --- array predicates ------------------------------------------------------
-def _np_segments_cross(a, b):
-    """Array replay of :func:`_segments_cross` over broadcast segment arrays.
-
-    ``a`` and ``b`` are ``(..., 4)`` float arrays of ``(p_row, p_col,
-    q_row, q_col)`` segments that broadcast against each other; the
-    result is the boolean crossing array of their broadcast shape.  Same
-    products, same 1e-12 tolerances as the scalar test, so every entry
-    agrees with :func:`_segments_cross` on every input.
-    """
-    pr, pc, qr, qc = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    b1r, b1c, b2r, b2c = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    tol = 1e-12
-
-    def orient(v1r, v1c, v2r, v2c, wr, wc):
-        value = (v2c - v1c) * (wr - v2r) - (v2r - v1r) * (wc - v2c)
-        return _np.where(_np.abs(value) < tol, 0, _np.where(value > 0, 1, 2))
-
-    o1 = orient(pr, pc, qr, qc, b1r, b1c)
-    o2 = orient(pr, pc, qr, qc, b2r, b2c)
-    o3 = orient(b1r, b1c, b2r, b2c, pr, pc)
-    o4 = orient(b1r, b1c, b2r, b2c, qr, qc)
-    crossing = (o1 != o2) & (o3 != o4)
-
-    def on_segment(ar, ac, br_, bc_, cr, cc):
-        return (
-            (_np.minimum(ar, cr) - tol <= br_)
-            & (br_ <= _np.maximum(ar, cr) + tol)
-            & (_np.minimum(ac, cc) - tol <= bc_)
-            & (bc_ <= _np.maximum(ac, cc) + tol)
-        )
-
-    crossing |= (o1 == 0) & on_segment(pr, pc, b1r, b1c, qr, qc)
-    crossing |= (o2 == 0) & on_segment(pr, pc, b2r, b2c, qr, qc)
-    crossing |= (o3 == 0) & on_segment(b1r, b1c, pr, pc, b2r, b2c)
-    crossing |= (o4 == 0) & on_segment(b1r, b1c, qr, qc, b2r, b2c)
-    return crossing
-
-
-def segments_intersect_array(a, b):
-    """Array form of :func:`segments_intersect`.
-
-    Broadcasts like :func:`_np_segments_cross` and, like the scalar
-    helper, excludes pairs that share an endpoint *coordinate* before
-    the geometric test.
-    """
-    a1r, a1c, a2r, a2c = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-    b1r, b1c, b2r, b2c = b[..., 0], b[..., 1], b[..., 2], b[..., 3]
-    shared = (
-        ((a1r == b1r) & (a1c == b1c))
-        | ((a1r == b2r) & (a1c == b2c))
-        | ((a2r == b1r) & (a2c == b1c))
-        | ((a2r == b2r) & (a2c == b2c))
-    )
-    return _np_segments_cross(a, b) & ~shared
-
-
 # --- compiled engine -------------------------------------------------------
 class _CompiledTrackerEngine:
     """C-kernel engine: flat numpy state driven through raw ctypes calls.

@@ -19,7 +19,11 @@ steps (``mc_forces``, the numpy ``_ForceField.forces`` and
 occupant swap, evaluate, Boltzmann test and commit, drawing from a C
 replica of CPython's MT19937 ``random.random()`` and calling libm
 ``exp`` like ``math.exp`` does.  ``mc_forces`` and ``mc_random`` are
-exported on their own for the parity tests.
+exported on their own for the parity tests.  ``mc_hop_sweep`` runs one
+sweep of the permutation-hop annealer of :mod:`repro.mapping.stitching`
+on the same crossing predicates: the caller pre-draws the visit order
+and one random cell per visit with CPython's own generator, and the
+kernel scores every candidate hop as an exact integer.
 """
 
 from __future__ import annotations
@@ -110,6 +114,9 @@ class MetricsKernel:
         self.random = lib.mc_random
         self.random.restype = None
         self.random.argtypes = [_ptr, _ptr, _i64, _ptr]
+        self.hop_sweep = lib.mc_hop_sweep
+        self.hop_sweep.restype = None
+        self.hop_sweep.argtypes = [_i64] * 3 + [_ptr] * 6
 
 
 _LOADER = KernelLoader(

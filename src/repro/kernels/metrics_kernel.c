@@ -32,7 +32,9 @@
  * mc_sweep (at the end) runs a whole force-directed annealing sweep over
  * this state: the force pass and steps (mc_forces) and the proposal loop
  * of repro.mapping.force_directed, with a replica of CPython's
- * random.random() for the Boltzmann test.
+ * random.random() for the Boltzmann test.  mc_hop_sweep (after it) runs
+ * one sweep of the permutation-hop annealer of repro.mapping.stitching on
+ * the same crossing predicates.
  */
 
 #include <stdint.h>
@@ -1162,4 +1164,146 @@ int64_t mc_sweep(const int64_t *ip, double bucket,
     }
     sp[SP_START] = sp[SP_COUNT];
     return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* Permutation-hop annealing sweep                                     */
+/* ------------------------------------------------------------------ */
+
+/* The visit loop of repro.mapping.stitching's hop annealer, against its
+ * oracle optimize_permutation_hops_reference.  Braid slot s has endpoint
+ * cells ends[4s..4s+4) = {src_row, src_col, dst_row, dst_col}, its hop
+ * hops[2s..2s+2) and its polyline's segment rows seg[8s..8s+8) =
+ * {src, hop}, {hop, dst}.  Cells are integers, so the double arithmetic
+ * of the crossing predicates is exact. */
+
+/* segments_intersect's rule: segments that meet at an endpoint
+ * coordinate do not cross. */
+static int shares_endpoint(const double *a, const double *b) {
+    return ((a[0] == b[0] && a[1] == b[1]) || (a[0] == b[2] && a[1] == b[3])
+            || (a[2] == b[0] && a[3] == b[1]) || (a[2] == b[2] && a[3] == b[3]));
+}
+
+static int64_t absdiff(int64_t a, int64_t b) {
+    return a < b ? b - a : a - b;
+}
+
+/* Twice the oracle's float score 4 * crossings + 0.5 * detour of braid
+ * `self` routed through (hop_row, hop_col): every term is a small integer,
+ * so 8 * crossings + detour orders candidates exactly as the float does.
+ * The candidate's segment from the source is tested against the other
+ * braids' segment rows near[0..count[0]), the one to the destination
+ * against near[stride..stride + count[1]). */
+static int64_t hop_score(const int64_t *ends, const double *seg,
+                         const int64_t *near, const int64_t *count,
+                         int64_t stride, int64_t self,
+                         int64_t hop_row, int64_t hop_col) {
+    const int64_t *end = ends + 4 * self;
+    double mine[8];
+    int64_t detour = absdiff(end[0], hop_row) + absdiff(end[1], hop_col)
+                     + absdiff(hop_row, end[2]) + absdiff(hop_col, end[3])
+                     - absdiff(end[0], end[2]) - absdiff(end[1], end[3]);
+    int64_t crossings = 0, n;
+    int a;
+    mine[0] = (double)end[0];
+    mine[1] = (double)end[1];
+    mine[2] = mine[4] = (double)hop_row;
+    mine[3] = mine[5] = (double)hop_col;
+    mine[6] = (double)end[2];
+    mine[7] = (double)end[3];
+    for (a = 0; a < 2; a++) {
+        const double *query = mine + 4 * a;
+        const int64_t *rows = near + a * stride;
+        for (n = 0; n < count[a]; n++) {
+            const double *other = seg + 4 * rows[n];
+            if (bbox_reject(query, other) || shares_endpoint(query, other)) {
+                continue;
+            }
+            crossings += segments_cross(query, other);
+        }
+    }
+    return 8 * crossings + detour;
+}
+
+/* The segment rows of braids other than `self` that a candidate hop in
+ * [row_lo, row_hi] x [col_lo, col_hi] can cross: near[0..count[0]) for
+ * its segment from the source and near[2 * braids..2 * braids + count[1])
+ * for the one to the destination.  Such a segment lies inside the box
+ * spanning its endpoint and that range, so a row whose box misses it
+ * (bbox_reject, with its tolerance margin, is sound) crosses no
+ * candidate's segment. */
+static void hop_near(const int64_t *ends, const double *seg, int64_t braids,
+                     int64_t self, int64_t row_lo, int64_t row_hi,
+                     int64_t col_lo, int64_t col_hi, int64_t *near,
+                     int64_t *count) {
+    const int64_t *end = ends + 4 * self;
+    int half;
+    for (half = 0; half < 2; half++) {
+        int64_t row = end[2 * half], col = end[2 * half + 1];
+        int64_t *rows = near + half * 2 * braids;
+        int64_t j, n = 0;
+        double box[4];
+        box[0] = (double)(row < row_lo ? row : row_lo);
+        box[1] = (double)(col < col_lo ? col : col_lo);
+        box[2] = (double)(row > row_hi ? row : row_hi);
+        box[3] = (double)(col > col_hi ? col : col_hi);
+        for (j = 0; j < 2 * braids; j++) {
+            if ((j >> 1) != self && !bbox_reject(box, seg + 4 * j)) {
+                rows[n++] = j;
+            }
+        }
+        count[half] = n;
+    }
+}
+
+/* One annealing sweep: visit v anneals braid slot order[v], for v in
+ * [0, braids).  Its candidates, in the oracle's order, are the current
+ * hop, the in-bounds cells of the 5x5 neighbourhood around it in row-major
+ * order, then the pre-drawn random cell draws[2v..2v+2) when in bounds; a
+ * candidate replaces the best one only when strictly cheaper.  The chosen
+ * hop and its segment rows are written back before the next visit.
+ * near[4 * braids] is scratch. */
+void mc_hop_sweep(int64_t braids, int64_t height, int64_t width,
+                  const int64_t *ends, int64_t *hops, double *seg,
+                  const int64_t *order, const int64_t *draws,
+                  int64_t *near) {
+    int64_t v, stride = 2 * braids;
+    for (v = 0; v < braids; v++) {
+        int64_t s = order[v];
+        int64_t cur_row = hops[2 * s], cur_col = hops[2 * s + 1];
+        int64_t best_row = cur_row, best_col = cur_col;
+        int64_t row = draws[2 * v], col = draws[2 * v + 1];
+        int64_t count[2], best, score, dr, dc;
+        double *row_seg = seg + 8 * s;
+        hop_near(ends, seg, braids, s, cur_row - 2, cur_row + 2, cur_col - 2,
+                 cur_col + 2, near, count);
+        best = hop_score(ends, seg, near, count, stride, s, cur_row, cur_col);
+        for (dr = -2; dr <= 2; dr++) {
+            for (dc = -2; dc <= 2; dc++) {
+                int64_t r = cur_row + dr, c = cur_col + dc;
+                if ((dr == 0 && dc == 0) || r < 0 || r >= height || c < 0
+                    || c >= width) {
+                    continue;
+                }
+                score = hop_score(ends, seg, near, count, stride, s, r, c);
+                if (score < best) {
+                    best = score;
+                    best_row = r;
+                    best_col = c;
+                }
+            }
+        }
+        if (row >= 0 && row < height && col >= 0 && col < width) {
+            hop_near(ends, seg, braids, s, row, row, col, col, near, count);
+            score = hop_score(ends, seg, near, count, stride, s, row, col);
+            if (score < best) {
+                best_row = row;
+                best_col = col;
+            }
+        }
+        hops[2 * s] = best_row;
+        hops[2 * s + 1] = best_col;
+        row_seg[2] = row_seg[4] = (double)best_row;
+        row_seg[3] = row_seg[5] = (double)best_col;
+    }
 }

@@ -44,12 +44,21 @@ from ..distillation.block_code import (
     default_port_map,
 )
 from ..graphs.interaction import interaction_graph
-from ..graphs.metrics import segments_intersect, segments_intersect_array
+from ..graphs.metrics import segments_intersect
+from ..kernels import metrics as _metrics_kernel
 from .force_directed import ForceDirectedConfig, force_directed_refine
 from .graph_partition import graph_partition_placement
 from .linear import linear_module_cells, linear_module_shape
 from .placement import Cell, Placement
 from ..circuits.gates import GateKind
+
+
+#: Intermediate-hop policies for permutation braids, in the order of the
+#: paper's Fig. 9d legend.
+HOP_MODES = ("none", "random", "annealed_random", "annealed_midpoint")
+
+#: Per-module embedding techniques.
+MODULE_MAPPERS = ("linear", "graph_partition")
 
 
 @dataclass
@@ -61,8 +70,8 @@ class StitchingConfig:
     module_mapper: str = "linear"
     #: Optionally refine each module block with a short force-directed pass.
     refine_modules: bool = False
-    #: Intermediate-hop policy for permutation braids: "none", "random",
-    #: "annealed_random" or "annealed_midpoint" (the paper's best variant).
+    #: Intermediate-hop policy for permutation braids, one of
+    #: :data:`HOP_MODES` ("annealed_midpoint" is the paper's best variant).
     hop_mode: str = "annealed_midpoint"
     #: Annealing sweeps over the permutation hops.
     hop_sweeps: int = 4
@@ -73,6 +82,29 @@ class StitchingConfig:
     #: Whether to perform the port-reassignment optimisation.
     reassign_ports: bool = True
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        """Reject values the mapper cannot run with, naming the field."""
+        for name, choices in (
+            ("module_mapper", MODULE_MAPPERS),
+            ("hop_mode", HOP_MODES),
+        ):
+            value = getattr(self, name)
+            if value not in choices:
+                raise ValueError(
+                    f"StitchingConfig.{name} must be one of "
+                    f"{', '.join(map(repr, choices))}, got {value!r}"
+                )
+        for name in ("refine_modules", "reassign_ports"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise TypeError(f"StitchingConfig.{name} must be a bool, got {value!r}")
+        for name in ("hop_sweeps", "gap", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise TypeError(f"StitchingConfig.{name} must be an int, got {value!r}")
+            if name != "seed" and value < 0:
+                raise ValueError(f"StitchingConfig.{name} must be >= 0, got {value!r}")
 
 
 @dataclass
@@ -397,11 +429,15 @@ def optimize_permutation_hops(
     move each hop to reduce the number of crossings among the permutation
     braids' polylines, weighted against the extra distance the hop adds.
 
-    Each braid visit scores all of its candidate hops in one numpy pass
-    against a ``(P, 2, 4)`` array of every braid's two segments, and takes
-    the first minimum — the same choice, from the same RNG draws, as
-    :func:`optimize_permutation_hops_reference`, so the hops are identical.
+    Each annealing sweep runs in one call of the metrics kernel
+    (``mc_hop_sweep``), which scores the candidates of every visit as
+    exact integers.  The random draws stay here, in the order of
+    :func:`optimize_permutation_hops_reference`, so the hops are identical
+    to the oracle's; without the kernel the oracle runs instead.
     """
+    kernel = _metrics_kernel.load()
+    if kernel is None:
+        return optimize_permutation_hops_reference(factory, placement, config)
     config = config or StitchingConfig()
     indices = permutation_gate_indices(factory)
     if not indices or config.hop_mode == "none":
@@ -412,58 +448,42 @@ def optimize_permutation_hops(
     if config.hop_mode == "random":
         return hops
 
-    height, width = placement.height, placement.width
-    slot = {index: row for row, index in enumerate(indices)}
-    polylines = np.empty((len(indices), 2, 4))
-    for index in indices:
-        source, target = endpoints[index]
-        hop = hops[index]
-        polylines[slot[index]] = (source + hop, hop + target)
-    # Segment rows 2s and 2s+1 belong to braid slot s (a view: updating a
-    # braid's polyline updates its segment rows).
-    segments = polylines.reshape(-1, 4)
-
+    # Braid slot s is gate indices[s]: its endpoint cells, its hop and the
+    # two segment rows of its polyline, which the kernel updates in place.
+    braids = len(indices)
+    ends = np.array(
+        [endpoints[index][0] + endpoints[index][1] for index in indices],
+        dtype=np.int64,
+    )
+    cells = np.array([hops[index] for index in indices], dtype=np.int64)
+    segments = np.empty((braids, 2, 4))
+    segments[:, 0, :2] = ends[:, :2]
+    segments[:, 0, 2:] = cells
+    segments[:, 1, :2] = cells
+    segments[:, 1, 2:] = ends[:, 2:]
+    order = np.empty(braids, dtype=np.int64)
+    draws = np.empty((braids, 2), dtype=np.int64)
+    near = np.empty(4 * braids, dtype=np.int64)
     for _sweep in range(config.hop_sweeps):
-        order = list(indices)
-        rng.shuffle(order)
-        for index in order:
-            (sr, sc), (tr, tc) = endpoints[index]
-            current = hops[index]
-            # The current hop first (argmin keeps the first minimum, like
-            # the reference's strict "<" from the current cost), then the
-            # in-bounds offsets in scan order, then one random free cell.
-            candidates = [current]
-            for dr, dc in _HOP_OFFSETS:
-                row, col = current[0] + dr, current[1] + dc
-                if 0 <= row < height and 0 <= col < width:
-                    candidates.append((row, col))
-            cell = free[rng.randrange(len(free))]
-            if 0 <= cell[0] < height and 0 <= cell[1] < width:
-                candidates.append(cell)
-
-            cells = np.array(candidates, dtype=float)
-            mine = np.empty((len(candidates), 2, 4))
-            mine[:, 0, :2] = sr, sc
-            mine[:, 0, 2:] = cells
-            mine[:, 1, :2] = cells
-            mine[:, 1, 2:] = tr, tc
-            # (2C, 2P) pair matrix: every candidate segment against every
-            # braid segment, the visited braid's own two rows masked out.
-            hits = segments_intersect_array(
-                mine.reshape(-1, 1, 4), segments[None, :, :]
-            )
-            own = 2 * slot[index]
-            hits[:, own : own + 2] = False
-            crossings = hits.reshape(len(candidates), -1).sum(axis=1)
-            # Small integers in floats: every sum below is exact.
-            hr, hc = cells[:, 0], cells[:, 1]
-            to_hop = np.abs(sr - hr) + np.abs(sc - hc)
-            from_hop = np.abs(hr - tr) + np.abs(hc - tc)
-            detour = to_hop + from_hop - (abs(sr - tr) + abs(sc - tc))
-            best = int(np.argmin(4.0 * crossings + 0.5 * detour))
-            hops[index] = candidates[best]
-            polylines[slot[index]] = mine[best]
-    return hops
+        # shuffle permutes by position alone, so shuffling the slots draws
+        # what the oracle's shuffle of the gate indices draws.  No draw
+        # depends on a hop, so each visit's free cell is drawn up front.
+        slots = list(range(braids))
+        rng.shuffle(slots)
+        order[:] = slots
+        draws[:] = [free[rng.randrange(len(free))] for _ in slots]
+        kernel.hop_sweep(
+            braids,
+            placement.height,
+            placement.width,
+            ends.ctypes.data,
+            cells.ctypes.data,
+            segments.ctypes.data,
+            order.ctypes.data,
+            draws.ctypes.data,
+            near.ctypes.data,
+        )
+    return {index: (row, col) for index, (row, col) in zip(indices, cells.tolist())}
 
 
 def optimize_permutation_hops_reference(

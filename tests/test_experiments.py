@@ -12,6 +12,7 @@ from repro.experiments import (
     fig10_resources,
     table1_volumes,
 )
+from repro.mapping.stitching import HOP_MODES
 
 
 class TestFig6:
@@ -74,7 +75,7 @@ class TestFig9Permutation:
     def test_all_modes_measured(self):
         result = fig9_permutation.run(capacities=[4])
         modes = {m.hop_mode for m in result.measurements}
-        assert modes == set(fig9_permutation.HOP_MODES)
+        assert modes == set(HOP_MODES)
 
     def test_speedup_computable(self):
         result = fig9_permutation.run(capacities=[4])

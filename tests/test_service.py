@@ -367,6 +367,16 @@ class TestHttpEndpoints:
         assert body["error"]["field"] == "fd_config"
         assert "max_step" in body["error"]["message"]
 
+    def test_invalid_stitch_config_is_400_naming_stitch_config(self, base_url):
+        # An unknown hop mode once ran midpoint annealing and was stored
+        # under its own fingerprint.
+        data = a_request(method="hierarchical_stitching").to_dict()
+        data["stitch_config"] = {"hop_mode": "bogus"}
+        status, _, body = http("POST", f"{base_url}/v1/evaluate", data)
+        assert status == 400
+        assert body["error"]["field"] == "stitch_config"
+        assert "hop_mode" in body["error"]["message"]
+
     def test_overflowing_fd_weight_is_400_not_500(self, base_url):
         # A finite weight this large once passed validation, overflowed
         # the first sweep's repulsion sums to NaN and answered 500.

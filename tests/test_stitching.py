@@ -1,25 +1,23 @@
 """Unit tests for the hierarchical stitching mapper (repro.mapping.stitching)."""
 
+import dataclasses
 import functools
 import random
+import types
 
-import numpy as np
 import pytest
+from conftest import fuzz_corpus, kernel_disabled
 
+from repro.circuits import Gate, GateKind
 from repro.distillation import (
     FactorySpec,
     ReusePolicy,
     build_factory,
     validate_port_map,
 )
-from repro.experiments.fig9_permutation import HOP_MODES
-from repro.graphs.metrics import (
-    _np_segments_cross,
-    _segments_cross,
-    segments_intersect,
-    segments_intersect_array,
-)
+from repro.kernels import metrics as metrics_kernel
 from repro.mapping import (
+    Placement,
     StitchingConfig,
     hierarchical_stitching,
     linear_factory_placement,
@@ -28,7 +26,7 @@ from repro.mapping import (
     stitched_mapping_for_factory,
 )
 from repro.mapping import stitching
-from repro.mapping.stitching import optimize_permutation_hops_reference
+from repro.mapping.stitching import HOP_MODES, optimize_permutation_hops_reference
 from repro.routing import SimulatorConfig, simulate
 
 
@@ -132,6 +130,52 @@ class TestHopModes:
             )
 
 
+class TestStitchingConfigValidation:
+    """Bad values fail at construction, naming the field, not mid-mapping."""
+
+    @pytest.mark.parametrize("mode", HOP_MODES)
+    def test_every_hop_mode_is_accepted(self, mode):
+        assert StitchingConfig(hop_mode=mode).hop_mode == mode
+
+    def test_in_range_values_are_accepted(self):
+        config = StitchingConfig(
+            module_mapper="graph_partition",
+            refine_modules=True,
+            hop_sweeps=0,
+            gap=0,
+            reassign_ports=False,
+            seed=-7,
+        )
+        assert (config.hop_sweeps, config.gap, config.seed) == (0, 0, -7)
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("hop_mode", "bogus", ValueError),
+            ("hop_mode", None, ValueError),
+            ("module_mapper", "nope", ValueError),
+            ("hop_sweeps", -3, ValueError),
+            ("hop_sweeps", "3", TypeError),
+            ("hop_sweeps", 2.0, TypeError),
+            ("hop_sweeps", True, TypeError),
+            ("gap", -1, ValueError),
+            ("gap", 1.5, TypeError),
+            ("seed", 1.5, TypeError),
+            ("seed", "0", TypeError),
+            ("seed", None, TypeError),
+            ("refine_modules", 1, TypeError),
+            ("reassign_ports", "yes", TypeError),
+        ],
+    )
+    def test_bad_value_names_its_field(self, field, value, error):
+        with pytest.raises(error, match=f"StitchingConfig.{field}"):
+            StitchingConfig(**{field: value})
+
+    def test_replace_is_validated_too(self):
+        with pytest.raises(ValueError, match="StitchingConfig.hop_mode"):
+            dataclasses.replace(StitchingConfig(), hop_mode="annealed")
+
+
 class TestStitchingVariants:
     def test_graph_partition_module_mapper(self):
         stitched = hierarchical_stitching(
@@ -178,7 +222,7 @@ class TestStitchingVariants:
 
 
 # ----------------------------------------------------------------------
-# Permutation-hop annealer: array fast path vs the scalar oracle
+# Permutation-hop annealer: kernel fast path vs the scalar oracle
 # ----------------------------------------------------------------------
 @functools.lru_cache(maxsize=None)
 def _layout(capacity, reuse, kind):
@@ -240,74 +284,84 @@ class TestHopAnnealerParity:
         assert fast == optimize_permutation_hops_reference(factory, placement, config)
 
 
-def _segment_row(segment):
-    (a, b), (c, d) = segment
-    return (a, b, c, d)
+def _random_hop_case(seed):
+    """A seeded stub factory, a random placement and an annealing config.
 
-
-def _random_segment(rng, size):
-    return (
-        (float(rng.randrange(size)), float(rng.randrange(size))),
-        (float(rng.randrange(size)), float(rng.randrange(size))),
+    The stub carries only what the annealer reads: a circuit of
+    ``inject_t`` braids (plus CNOTs, which are not permutation braids and
+    shift the gate indices) and the ``permutation_edges`` naming their
+    sources.  Braids draw their qubits from a small pool, so they share
+    endpoints; single-row grids make every segment collinear, and tight
+    grids put hops on braid endpoints (zero-length segments) and produce
+    T-junctions.
+    """
+    rng = random.Random(seed)
+    if rng.random() < 0.25:
+        height, width = 1, rng.randint(2, 12)
+    else:
+        height, width = rng.randint(3, 12), rng.randint(3, 12)
+    cells = [(row, col) for row in range(height) for col in range(width)]
+    rng.shuffle(cells)
+    qubits = rng.randint(2, min(len(cells), 16))
+    placement = Placement(width=width, height=height)
+    for qubit in range(qubits):
+        placement.place(qubit, cells[qubit])
+    braids = 1 if rng.random() < 0.15 else rng.randint(2, 20)
+    circuit, sources = [], set()
+    for _ in range(braids):
+        source, target = rng.sample(range(qubits), 2)
+        if rng.random() < 0.2:
+            circuit.append(Gate(GateKind.CNOT, (source, target)))
+        circuit.append(Gate(GateKind.INJECT_T, (source, target)))
+        sources.add(source)
+    factory = types.SimpleNamespace(
+        circuit=circuit,
+        permutation_edges=[
+            types.SimpleNamespace(producer_qubit=qubit) for qubit in sorted(sources)
+        ],
     )
+    config = StitchingConfig(
+        hop_mode=rng.choice(("annealed_random", "annealed_midpoint")),
+        hop_sweeps=rng.randint(0, 3),
+        seed=rng.randrange(1 << 30),
+    )
+    return factory, placement, config
 
 
-class TestSegmentArrayPredicate:
-    """The array predicates replay ``_segments_cross``/``segments_intersect``."""
+class TestHopKernelFuzz:
+    """The kernel sweep (``mc_hop_sweep``) against the scalar oracle on
+    random layouts; ``--fuzz-iterations``/``--fuzz-seeds`` widen or replay
+    the corpus."""
 
-    EDGE_CASES = [
-        # zero-length segment (a hop on its braid's endpoint) inside another
-        (((1.0, 1.0), (1.0, 1.0)), ((0.0, 0.0), (2.0, 2.0))),
-        (((1.0, 1.0), (1.0, 1.0)), ((1.0, 1.0), (3.0, 1.0))),
-        (((2.0, 0.0), (2.0, 0.0)), ((2.0, 0.0), (2.0, 0.0))),
-        # shared endpoints: excluded by coordinate
-        (((0.0, 0.0), (1.0, 1.0)), ((1.0, 1.0), (2.0, 0.0))),
-        (((0.0, 0.0), (2.0, 2.0)), ((0.0, 0.0), (2.0, 2.0))),
-        # collinear overlaps and collinear disjoint runs
-        (((0.0, 0.0), (3.0, 0.0)), ((1.0, 0.0), (4.0, 0.0))),
-        (((0.0, 0.0), (1.0, 0.0)), ((2.0, 0.0), (3.0, 0.0))),
-        (((0.0, 0.0), (4.0, 4.0)), ((1.0, 1.0), (2.0, 2.0))),
-        # a proper crossing and a T-junction
-        (((0.0, 0.0), (2.0, 2.0)), ((0.0, 2.0), (2.0, 0.0))),
-        (((0.0, 1.0), (2.0, 1.0)), ((1.0, 1.0), (1.0, 3.0))),
-    ]
+    def test_kernel_matches_the_oracle(self, request):
+        if not metrics_kernel.available():
+            pytest.skip("the metrics kernel is unavailable")
 
-    def _check(self, pairs):
-        a = np.array([_segment_row(s) for s, _ in pairs], dtype=float)
-        b = np.array([_segment_row(t) for _, t in pairs], dtype=float)
-        intersect = segments_intersect_array(a, b)
-        cross = _np_segments_cross(a, b)
-        for row, (s, t) in enumerate(pairs):
-            assert bool(intersect[row]) == segments_intersect(*s, *t), (s, t)
-            assert bool(cross[row]) == _segments_cross(*s, *t), (s, t)
+        def trial(seed):
+            factory, placement, config = _random_hop_case(seed)
+            fast = optimize_permutation_hops(factory, placement, config)
+            reference = optimize_permutation_hops_reference(factory, placement, config)
+            assert fast == reference and list(fast) == list(reference), (
+                f"hops diverged on a {placement.height}x{placement.width} grid, "
+                f"{len(reference)} braids, {config}"
+            )
 
-    def test_edge_cases(self):
-        pairs = self.EDGE_CASES + [(t, s) for s, t in self.EDGE_CASES]
-        self._check(pairs)
+        fuzz_corpus(request, trial)
 
-    @pytest.mark.parametrize("size", [3, 5, 9])
-    def test_random_small_integer_segments(self, size):
-        rng = random.Random(size)
-        pairs = [
-            (_random_segment(rng, size), _random_segment(rng, size))
-            for _ in range(3000)
-        ]
-        self._check(pairs)
+    def test_without_the_kernel_the_oracle_runs(self, monkeypatch):
+        factory, placement = _layout(4, ReusePolicy.NO_REUSE, "stitched")
+        config = StitchingConfig(hop_sweeps=1, seed=2)
+        expected = optimize_permutation_hops_reference(factory, placement, config)
+        calls = []
+        real = stitching.optimize_permutation_hops_reference
 
-    def test_broadcast_pair_matrix(self):
-        rng = random.Random(7)
-        mine = [_random_segment(rng, 5) for _ in range(12)]
-        others = [_random_segment(rng, 5) for _ in range(20)]
-        a = np.array([_segment_row(s) for s in mine], dtype=float)
-        b = np.array([_segment_row(t) for t in others], dtype=float)
-        hits = segments_intersect_array(a[:, None, :], b[None, :, :])
-        assert hits.shape == (12, 20)
-        for i, s in enumerate(mine):
-            for j, t in enumerate(others):
-                assert bool(hits[i, j]) == segments_intersect(*s, *t)
+        def spy(*args):
+            calls.append(args)
+            return real(*args)
 
-    def test_no_other_segments(self):
-        a = np.array([[0.0, 0.0, 1.0, 1.0]])
-        hits = segments_intersect_array(a[:, None, :], np.empty((1, 0, 4)))
-        assert hits.shape == (1, 0)
-        assert int(hits.sum()) == 0
+        monkeypatch.setattr(stitching, "optimize_permutation_hops_reference", spy)
+        with kernel_disabled():
+            hops = optimize_permutation_hops(factory, placement, config)
+        assert len(calls) == 1
+        assert hops == expected
+        assert list(hops) == list(expected)

@@ -128,6 +128,32 @@ class TestDecodeEvaluationRequest:
         (key,) = fd_config
         assert key in str(excinfo.value)
 
+    @pytest.mark.parametrize(
+        "stitch_config",
+        [
+            {"hop_mode": "bogus"},
+            {"module_mapper": "nope"},
+            {"hop_sweeps": -3},
+            {"hop_sweeps": "3"},
+            {"hop_sweeps": 2.5},
+            {"hop_sweeps": True},
+            {"gap": -1},
+            {"gap": 1.5},
+            {"seed": 1.5},
+            {"refine_modules": 1},
+            {"reassign_ports": "yes"},
+        ],
+    )
+    def test_invalid_stitch_config_names_stitch_config(self, stitch_config):
+        payload = wire_request(
+            method="hierarchical_stitching", stitch_config=stitch_config
+        )
+        with pytest.raises(WireFormatError) as excinfo:
+            decode_evaluation_request(payload)
+        assert excinfo.value.field == "stitch_config"
+        (key,) = stitch_config
+        assert key in str(excinfo.value)
+
     def test_in_range_fd_config_decodes(self):
         fd_config = {"sweeps": 0, "max_step": 1, "temperature": 0, "cooling": 1.0}
         request = decode_evaluation_request(
