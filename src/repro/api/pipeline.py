@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import (
     TYPE_CHECKING,
     Any,
+    Callable,
     Dict,
     Iterable,
     List,
@@ -33,7 +34,7 @@ from typing import (
 if TYPE_CHECKING:  # imported only for annotations: store.py imports this module
     from .store import ResultStore
 
-from ..circuits.gates import GateKind
+from ..circuits.gates import DEFAULT_DURATIONS, GateKind
 from ..distillation.block_code import (
     Factory,
     FactorySpec,
@@ -134,15 +135,8 @@ class EvaluationRequest:
     def from_dict(cls, data: Mapping[str, Any]) -> "EvaluationRequest":
         """Inverse of :meth:`to_dict`."""
         payload = dict(filter_fields(cls, data))
-        if payload.get("fd_config"):
-            payload["fd_config"] = ForceDirectedConfig(**payload["fd_config"])
-        else:
-            payload["fd_config"] = None
-        if payload.get("stitch_config"):
-            payload["stitch_config"] = StitchingConfig(**payload["stitch_config"])
-        else:
-            payload["stitch_config"] = None
-        payload["sim_config"] = _decode_sim_config(payload.get("sim_config"))
+        for key, decode in CONFIG_DECODERS.items():
+            payload[key] = decode(payload[key]) if payload.get(key) else None
         payload["options"] = dict(payload.get("options") or {})
         return cls(**payload)
 
@@ -160,17 +154,26 @@ def _encode_sim_config(config: Optional[SimulatorConfig]) -> Optional[Dict[str, 
     }
 
 
-def _decode_sim_config(data: Optional[Mapping[str, Any]]) -> Optional[SimulatorConfig]:
-    if not data:
-        return None
+def _decode_sim_config(data: Mapping[str, Any]) -> SimulatorConfig:
+    """A ``durations`` table overrides only the kinds it names."""
     payload = dict(data)
-    payload["durations"] = {
-        GateKind(kind): int(v) for kind, v in payload.get("durations", {}).items()
-    }
+    durations = dict(DEFAULT_DURATIONS)
+    for kind, cycles in dict(payload.get("durations") or {}).items():
+        durations[GateKind(kind)] = cycles
+    payload["durations"] = durations
     payload["hops"] = {
-        int(index): tuple(cell) for index, cell in payload.get("hops", {}).items()
+        int(index): tuple(cell)
+        for index, cell in dict(payload.get("hops") or {}).items()
     }
     return SimulatorConfig(**payload)
+
+
+#: The decoder of each config object of an encoded request, by key.
+CONFIG_DECODERS: Dict[str, Callable[[Mapping[str, Any]], Any]] = {
+    "fd_config": lambda data: ForceDirectedConfig(**data),
+    "stitch_config": lambda data: StitchingConfig(**data),
+    "sim_config": _decode_sim_config,
+}
 
 
 # ----------------------------------------------------------------------

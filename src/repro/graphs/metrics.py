@@ -46,7 +46,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import weakref
 from collections import defaultdict
 from typing import (
     Dict,
@@ -539,64 +538,6 @@ def _intra_crossings(
             if _segments_cross(p, q, pc, pd):
                 count += 1
     return count
-
-
-# --- auto bucket-size memo -------------------------------------------------
-#
-# Repeated tracker builds over the same graph at the same layout extent
-# (the bench oracles re-evaluate one placement many times; refinement
-# pipelines rebuild trackers per stage) used to re-run the O(m) sizing
-# scan every time.  The memo keys on the graph object (weakly — dropping
-# the graph drops its entry) plus the layout extent, because the sizing
-# only depends on segment spans, which the extent bounds.
-
-_BUCKET_SIZE_MEMO: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_BUCKET_AUTO_SIZINGS = 0
-
-
-def bucket_auto_sizing_count() -> int:
-    """How many times the auto bucket sizing scan actually ran (tests)."""
-    return _BUCKET_AUTO_SIZINGS
-
-
-def _auto_bucket_size_cached(
-    graph: nx.Graph, ends: Sequence[Tuple[int, int, Position, Position]]
-) -> float:
-    global _BUCKET_AUTO_SIZINGS
-    if not ends:
-        return 1.0
-    min_r = min_c = math.inf
-    max_r = max_c = -math.inf
-    for _, _, p, q in ends:
-        for row, col in (p, q):
-            if row < min_r:
-                min_r = row
-            if row > max_r:
-                max_r = row
-            if col < min_c:
-                min_c = col
-            if col > max_c:
-                max_c = col
-    key = (len(ends), min_r, max_r, min_c, max_c)
-    try:
-        per_graph = _BUCKET_SIZE_MEMO.get(graph)
-    except TypeError:  # graph not weak-referenceable: skip the cache
-        per_graph = None
-        cacheable = False
-    else:
-        cacheable = True
-    if per_graph is not None and key in per_graph:
-        return per_graph[key]
-    _BUCKET_AUTO_SIZINGS += 1
-    size = _auto_bucket_size(ends)
-    if cacheable:
-        if per_graph is None:
-            try:
-                per_graph = _BUCKET_SIZE_MEMO.setdefault(graph, {})
-            except TypeError:
-                return size
-        per_graph[key] = size
-    return size
 
 
 # --- scalar engine ---------------------------------------------------------
@@ -1238,9 +1179,8 @@ class MappingCostTracker:
         ]
 
         if bucket_size is None:
-            bucket_size = _auto_bucket_size_cached(
-                graph,
-                [(a, b, p, q) for (a, b, _), (p, q) in zip(self._edges, self._ends)],
+            bucket_size = _auto_bucket_size(
+                [(a, b, p, q) for (a, b, _), (p, q) in zip(self._edges, self._ends)]
             )
         if bucket_size <= 0:
             raise ValueError(f"bucket_size must be positive, got {bucket_size}")

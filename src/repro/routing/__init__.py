@@ -17,15 +17,15 @@ schedules on it:
 * :func:`simulate` — the event-driven, cycle-accurate simulator: gates
   issue in program order as dependencies retire, braids lock their cells
   for the gate duration, blocked braids stall until a completion frees
-  cells.  The default engine keeps occupancy as an integer bitmask and
-  parks stalled braids on the cells that blocked them (wakeup on release);
-  :func:`simulate_reference` retains the set-based retry-every-event
-  oracle that the parity suite checks it against, byte for byte;
+  cells.  It runs a point in a runtime-compiled C kernel, which parks
+  stalled braids on the cells that blocked them (wakeup on release), and
+  on :func:`simulate_reference` — the set-based retry-every-event oracle
+  the kernel matches byte for byte — where the kernel cannot plan the
+  point or does not load;
 * :func:`simulate_batch` — the batched core: groups same-circuit sweep
-  points, shares their circuit preparation and route-candidate table, and
-  runs each point's event loop in a runtime-compiled C kernel,
-  byte-identical to :func:`simulate` at any batch size and mesh size and
-  falling back to it point-by-point when the kernel cannot be built;
+  points, shares their circuit preparation and route-candidate table
+  across the kernel runs, byte-identical to :func:`simulate` at any batch
+  size and mesh size;
 * :class:`SimulationCache` / :func:`simulation_cache_key` — memoization of
   deterministic simulation results keyed by (circuit fingerprint,
   placement, simulator config), used by the evaluation pipeline so repeated
@@ -42,7 +42,7 @@ from .mesh import (
     lattice_to_tile,
     tile_to_lattice,
 )
-from .router import BraidRouter, bfs_detour, bfs_detour_mask, rectilinear_candidates
+from .router import BraidRouter, bfs_detour, rectilinear_candidates
 from .simulator import (
     RoutingDeadlockError,
     SimulationCache,
@@ -65,7 +65,6 @@ __all__ = [
     "tile_to_lattice",
     "BraidRouter",
     "bfs_detour",
-    "bfs_detour_mask",
     "rectilinear_candidates",
     "RoutingDeadlockError",
     "SimulationCache",

@@ -1,15 +1,17 @@
-/* batchsim_kernel.c — compiled event loop of the batched braid simulator.
+/* batchsim_kernel.c — compiled event loop of the braid simulator.
  *
- * Exact C port of the masked engine in repro/routing/simulator.py, driven
- * by repro/routing/batchsim.py one sweep point at a time over a candidate
+ * Exact C port of simulate_reference in repro/routing/simulator.py: its
+ * routing decisions and its shadow wake rule.  Driven by
+ * repro/routing/batchsim.py one sweep point at a time over a candidate
  * table that every point on the same placement shares.
  *
- * Candidate table.  Every route candidate BraidRouter._mask_plan produces
- * is an L-shaped path: two endpoint cells, one horizontal run and one
- * vertical run.  A candidate is therefore stored as one fixed-width int32
- * row (the F_* fields below: endpoints, horizontal run, vertical run,
- * cell count), independent of the lattice size; the kernel derives its
- * conflict probes and lock/free bits from those coordinates.
+ * Candidate table.  Every route candidate rectilinear_candidates produces
+ * between two cells inside the lattice is an L-shaped path: two endpoint
+ * cells, one horizontal run and one vertical run.  A candidate is
+ * therefore stored as one fixed-width int32 row (the F_* fields below:
+ * endpoints, horizontal run, vertical run, cell count), independent of the
+ * lattice size; the kernel derives its conflict probes and lock/free bits
+ * from those coordinates.
  *
  * Occupancy.  Each point keeps a dual row/column bitboard sized to its
  * own lattice (H rows, W columns): rw = ceil(W / 64) words per lattice row
@@ -22,32 +24,32 @@
  * Two entry points, loaded via ctypes by repro/routing/kernel.py:
  *
  *   build_plans     — the candidate rows of many endpoint pairs,
- *                     replicating BraidRouter._mask_plan's channel
+ *                     replicating rectilinear_candidates' channel
  *                     enumeration and generation-order dedup by cell set.
  *   simulate_point  — one sweep point's full event loop, byte-identical
- *                     to simulate() (and therefore simulate_reference).
+ *                     to simulate_reference.
  *
- * Exactness notes mirrored from the Python engine:
+ * Exactness notes mirrored from the reference:
  *   - attempts pop from a min-heap of gate indices (program order);
- *   - with no braid in flight the locked set is empty, so candidate 0 is
- *     taken without probing (simulate()'s `not locked_mask` shortcut);
+ *   - with no braid in flight the locked set is empty, so candidate 0 of
+ *     each route or leg is taken without probing;
  *   - a blocked candidate contributes the lowest cell of its overlap with
- *     the locked set in row-major order (the lowbit of candidate & locked
- *     in the big-int engine); the minimum over the endpoint bits, the
- *     first hit of the horizontal run and the first hit of the vertical
- *     run is exactly that cell.  Cells are numbered r * 64 * rw + c, which
- *     preserves row-major order;
+ *     the locked set in row-major order; the minimum over the endpoint
+ *     bits, the first hit of the horizontal run and the first hit of the
+ *     vertical run is exactly that cell.  Cells are numbered r * 64 * rw
+ *     + c, which preserves row-major order;
+ *   - a star watches its first failing leg; a hop braid routes source ->
+ *     hop, then hop -> target, and when either leg is blocked it watches
+ *     that leg's cells plus those of the direct route it falls back to;
  *   - stall accounting: first_stall latches the retirement-step counter at
  *     first park, stall_events accrues scan - first at issue;
  *   - wakeups: one per parked gate with a watch cell freed during a
  *     retirement step.  Watch cells are locked when recorded, and only
  *     retirements unlock cells, so after a step's retirements a watch cell
- *     is free exactly when that step freed it; simulate()'s per-event
- *     waiter walk wakes the same set (a woken gate's blocker mask is
- *     cleared, so later events of the step cannot wake it again, and the
- *     attempt heap restores program order);
+ *     is free exactly when that step freed it; the reference's shadow
+ *     accounting wakes the same set;
  *   - max_cycles raises only when an event time exceeds the limit with
- *     gates still unfinished (simulate() checks at the top of the next
+ *     gates still unfinished (the reference checks at the top of the next
  *     loop iteration, which only runs while completed < n).
  */
 
@@ -60,7 +62,11 @@
 #define ERR_DEADLOCK 2
 #define ERR_ALLOC 3
 
-#define MAX_CANDIDATES 8      /* _mask_plan emits at most 4 + 4 shapes */
+#define MAX_CANDIDATES 8      /* a plan holds at most 4 + 4 shapes */
+#define WATCH_SLOTS (2 * MAX_CANDIDATES)   /* a hop leg plus the direct route */
+
+/* Gate kinds (the per-gate `kind` array, shared with batchsim.py). */
+enum { KIND_PLAIN = 0, KIND_PAIR, KIND_STAR, KIND_HOP };
 
 /* Candidate row layout (int32 fields), shared with kernel.py. */
 enum {
@@ -360,8 +366,8 @@ static int same_cells(const int32_t *a, const int32_t *b)
 }
 
 /* Appends the candidate source -> (hrow, h0..h1) / (vcol, v0..v1) ->
- * target unless an earlier one covers the same cells (_mask_plan's
- * generation-order dedup: masks are equal exactly when cell sets are). */
+ * target unless an earlier one covers the same cells (the router's
+ * generation-order dedup by cell set). */
 static int64_t emit_candidate(int32_t *rows, moments_t *seen, int64_t kept,
                               int64_t sr, int64_t sc, int64_t tr, int64_t tc,
                               int64_t hrow, int64_t h0, int64_t h1,
@@ -390,12 +396,13 @@ static int64_t emit_candidate(int32_t *rows, moments_t *seen, int64_t kept,
 }
 
 /* Candidate rows for one endpoint pair: the channel enumeration of
- * BraidRouter._mask_plan (row-first, then column-first L shapes), with
+ * rectilinear_candidates (row-first, then column-first L shapes), with
  * duplicate cell sets dropped in generation order.  `rows` must hold
  * MAX_CANDIDATES rows.  Returns how many were kept, or -1 when the pair
  * has no such plan here: a channel coordinate would be negative, or the
  * endpoints coincide (the router's single-cell special case) — callers
- * then simulate the point with the Python engine. */
+ * then simulate the point with simulate_reference.  Endpoints must lie
+ * inside the lattice; callers keep off-lattice hops out. */
 static int64_t build_plan(int64_t sr, int64_t sc, int64_t tr, int64_t tc,
                           int64_t max_row, int64_t max_col, int32_t *rows)
 {
@@ -470,11 +477,11 @@ static int64_t route(const board_t *b, const int32_t *table, int64_t first,
 
 int64_t simulate_point(
     int64_t n,
-    const int64_t *kind,          /* 0 plain, 1 pair, 2 star */
+    const int64_t *kind,          /* KIND_* */
     const int64_t *dur,
-    const int64_t *block,         /* pair: first candidate row */
-    const int64_t *count,         /* pair: candidates after truncation */
-    int64_t max_legs,
+    const int64_t *block,         /* pair, hop: first direct-route row */
+    const int64_t *count,         /* pair, hop: candidates after truncation */
+    int64_t max_legs,             /* >= 2 when any gate is KIND_HOP */
     const int64_t *star_start,    /* n * max_legs: leg's first row */
     const int64_t *star_count,    /* n * max_legs: 0 marks no leg */
     const int64_t *succ_flat,
@@ -496,7 +503,7 @@ int64_t simulate_point(
 
     board.rows = calloc((size_t)(height * rw), 8);
     board.cols = calloc((size_t)(width * cw), 8);
-    int64_t *watch = malloc((size_t)n * MAX_CANDIDATES * 8);
+    int64_t *watch = malloc((size_t)n * WATCH_SLOTS * 8);
     int64_t *watch_cnt = malloc((size_t)n * 8);
     int64_t *remaining = malloc((size_t)n * 8);
     int64_t *first_stall = malloc((size_t)n * 8);
@@ -537,42 +544,48 @@ int64_t simulate_point(
         while (attempt_size) {
             int64_t g = ipop(attempt, &attempt_size);
             int64_t kg = kind[g];
-            int64_t *gate_watch = watch + g * MAX_CANDIDATES;
-            if (kg == 1) {                               /* simple pair */
-                int64_t chosen = conc == 0
-                    ? block[g]
-                    : route(&board, table, block[g], count[g], gate_watch);
-                if (chosen < 0) {
-                    watch_cnt[g] = count[g];
-                    goto park;
-                }
-                cells += lock_cand(&board, table + chosen * CAND_FIELDS);
-                issued_rows[g * legs_per_gate] = chosen;
-                issued_cnt[g] = 1;
-            } else if (kg == 2) {                        /* CXX star */
-                /* Every leg is tested against the occupancy before the
-                 * star: its legs may share cells with each other. */
-                int64_t *rows = issued_rows + g * legs_per_gate;
-                int64_t nr = 0;
-                for (int64_t leg = 0; leg < max_legs; leg++) {
+            int64_t *gate_watch = watch + g * WATCH_SLOTS;
+            int64_t *rows = issued_rows + g * legs_per_gate;
+            int64_t nr = 0, nw = 0;
+            if (kg == KIND_STAR || kg == KIND_HOP) {
+                /* A star's legs, or a hop braid's source -> hop and hop ->
+                 * target legs: every leg is tested against the occupancy
+                 * before the braid locks, since its legs may share cells. */
+                for (int64_t leg = 0; leg < max_legs && !nw; leg++) {
                     int64_t cnt = star_count[g * max_legs + leg];
                     if (cnt == 0)
                         break;
                     int64_t base = star_start[g * max_legs + leg];
                     int64_t chosen = conc == 0
                         ? base : route(&board, table, base, cnt, gate_watch);
-                    if (chosen < 0) {
-                        watch_cnt[g] = cnt;  /* only the failing leg watches */
-                        goto park;
-                    }
-                    rows[nr++] = chosen;
+                    if (chosen < 0)
+                        nw = cnt;            /* only the failing leg watches */
+                    else
+                        rows[nr++] = chosen;
                 }
-                /* The control cell is every leg's source endpoint. */
+                if (nw && kg == KIND_STAR) {
+                    watch_cnt[g] = nw;
+                    goto park;
+                }
+            }
+            if (kg == KIND_PAIR || (kg == KIND_HOP && nw)) {
+                /* The direct route: a pair's only one, and a hop braid's
+                 * fallback when its hop cannot be honoured. */
+                int64_t chosen = conc == 0
+                    ? block[g]
+                    : route(&board, table, block[g], count[g], gate_watch + nw);
+                if (chosen < 0) {
+                    watch_cnt[g] = nw + count[g];
+                    goto park;
+                }
+                rows[0] = chosen;
+                nr = 1;
+            }
+            if (kg != KIND_PLAIN) {
+                /* A star's control cell is every leg's source endpoint. */
                 issued_cnt[g] = nr;
                 for (int64_t i = 0; i < nr; i++)
                     cells += lock_cand(&board, table + rows[i] * CAND_FIELDS);
-            }
-            if (kg != 0) {
                 conc++;
                 if (conc > max_conc)
                     max_conc = conc;
@@ -609,7 +622,7 @@ int64_t simulate_point(
         while (active_size && active[0].t == now) {
             event_t ev = epop(active, &active_size);
             int64_t g = ev.g;
-            if (kind[g] != 0) {
+            if (kind[g] != KIND_PLAIN) {
                 const int64_t *rows = issued_rows + g * legs_per_gate;
                 for (int64_t i = 0; i < issued_cnt[g]; i++)
                     free_cand(&board, table + rows[i] * CAND_FIELDS);
@@ -637,7 +650,7 @@ int64_t simulate_point(
             /* wake every parked gate with a watch cell freed this step */
             for (int64_t i = 0; i < parked; ) {
                 int64_t g = parked_list[i];
-                const int64_t *gate_watch = watch + g * MAX_CANDIDATES;
+                const int64_t *gate_watch = watch + g * WATCH_SLOTS;
                 int freed = 0;
                 for (int64_t j = 0; j < watch_cnt[g] && !freed; j++)
                     freed = !get_bit(board.rows, gate_watch[j]);

@@ -1,7 +1,7 @@
-"""Runtime-compiled C kernel of the batched simulator.
+"""Runtime-compiled C kernel of the braid simulator.
 
-:mod:`repro.routing.batchsim` runs every batchable sweep point through
-this kernel: ``build_plans`` writes the compact candidate table (one
+:mod:`repro.routing.batchsim` runs every point it can plan through this
+kernel: ``build_plans`` writes the compact candidate table (one
 fixed-width int32 row per route candidate) and ``simulate_point`` runs one
 point's event loop over it.  The compile/cache/load machinery —
 host-compiler discovery, source-hash + ``REPRO_KERNEL_CFLAGS`` cache

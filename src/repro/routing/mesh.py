@@ -12,15 +12,10 @@ and every cell with at least one even coordinate is routing channel.  A braid
 is a set of lattice cells connecting two (or more) tile cells through the
 channel network; two braids conflict exactly when their cell sets intersect.
 
-For the simulator's hot path the mesh also defines a stable **flat integer
-encoding** of lattice cells: cell ``(r, c)`` maps to index
-``r * lattice_width + c`` (row-major), so any cell *set* can be packed into
-an arbitrary-precision int bitmask with bit ``i`` standing for the cell
-:meth:`Mesh.index_cell` returns for ``i``.  Two cell sets are disjoint
-exactly when the AND of their masks is zero — a single machine-level
-operation instead of a hash-set intersection.  The encoding depends only on
-the mesh dimensions, never on placements or traffic, so masks computed once
-(e.g. per cached route candidate) stay valid for the mesh's lifetime.
+The mesh also defines a stable **flat integer encoding** of lattice cells:
+cell ``(r, c)`` maps to index ``r * lattice_width + c`` (row-major), the
+cell numbering of the reference simulator's watch cells.  The encoding
+depends only on the mesh dimensions, never on placements or traffic.
 """
 
 from __future__ import annotations
@@ -30,14 +25,6 @@ from typing import Dict, Iterable, List, Mapping, Tuple
 
 Cell = Tuple[int, int]
 LatticeCell = Tuple[int, int]
-
-
-try:
-    popcount = int.bit_count  # Python >= 3.10
-except AttributeError:  # pragma: no cover - exercised on Python 3.9 only
-    def popcount(value: int) -> int:
-        """Number of set bits (cells) in an occupancy bitmask."""
-        return bin(value).count("1")
 
 
 def tile_to_lattice(cell: Cell) -> LatticeCell:
@@ -118,66 +105,17 @@ class Mesh:
 
     @property
     def num_lattice_cells(self) -> int:
-        """Total lattice cell count (the width of a full occupancy bitmask)."""
+        """Total lattice cell count."""
         return self.lattice_height * self.lattice_width
 
     def cell_index(self, cell: LatticeCell) -> int:
-        """Flat row-major index of a lattice cell (bit position in masks)."""
+        """Flat row-major index of a lattice cell."""
         row, col = cell
         return row * self.lattice_width + col
 
     def index_cell(self, index: int) -> LatticeCell:
         """Inverse of :meth:`cell_index`."""
         return divmod(index, self.lattice_width)
-
-    def cells_mask(self, cells: Iterable[LatticeCell]) -> int:
-        """Pack an iterable of lattice cells into an occupancy bitmask."""
-        width = self.lattice_width
-        mask = 0
-        for row, col in cells:
-            mask |= 1 << (row * width + col)
-        return mask
-
-    def segment_mask(self, start: LatticeCell, end: LatticeCell) -> int:
-        """Bitmask of an axis-aligned inclusive segment, in O(mask words).
-
-        A horizontal run is one contiguous bit block; a vertical run is a
-        cached stride-``lattice_width`` bit pattern shifted into place — no
-        per-cell loop, which is what makes composing route-candidate masks
-        cheap enough to replace per-cell path construction in the
-        simulator's default engine.
-        """
-        (r1, c1), (r2, c2) = start, end
-        width = self.lattice_width
-        if r1 == r2:
-            a, b = (c1, c2) if c1 <= c2 else (c2, c1)
-            return ((1 << (b - a + 1)) - 1) << (r1 * width + a)
-        if c1 == c2:
-            a, b = (r1, r2) if r1 <= r2 else (r2, r1)
-            return self._column_pattern(b - a + 1) << (a * width + c1)
-        raise ValueError(f"segment {start} -> {end} is not axis aligned")
-
-    def _column_pattern(self, length: int) -> int:
-        """``length`` bits at stride ``lattice_width`` (a vertical unit run)."""
-        patterns = getattr(self, "_col_patterns", None)
-        if patterns is None:
-            patterns = [0]
-            self._col_patterns = patterns
-        while len(patterns) <= length:
-            patterns.append(
-                patterns[-1] | (1 << ((len(patterns) - 1) * self.lattice_width))
-            )
-        return patterns[length]
-
-    def mask_cells(self, mask: int) -> List[LatticeCell]:
-        """Unpack an occupancy bitmask into its lattice cells (index order)."""
-        width = self.lattice_width
-        cells: List[LatticeCell] = []
-        while mask:
-            low = mask & -mask
-            mask ^= low
-            cells.append(divmod(low.bit_length() - 1, width))
-        return cells
 
     def neighbors(self, cell: LatticeCell) -> List[LatticeCell]:
         """4-neighbourhood of a lattice cell, clipped to the mesh bounds."""

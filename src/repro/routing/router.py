@@ -26,7 +26,7 @@ from typing import (
 )
 
 from .braid import BraidPath
-from .mesh import LatticeCell, Mesh, popcount as _popcount
+from .mesh import LatticeCell, Mesh
 
 
 def _straight_segment(start: LatticeCell, end: LatticeCell) -> List[LatticeCell]:
@@ -123,11 +123,6 @@ def bfs_detour(
     Qubit tile cells other than the endpoints are treated as obstacles (the
     braid must go around them).  ``max_length`` caps the detour length so
     pathological routes are rejected in favour of stalling.
-
-    This is the set-based reference implementation;
-    :func:`bfs_detour_mask` is the bitmask twin used by the default
-    simulation engine.  Both explore neighbours in the same order, so they
-    return the identical path for the identical blocked set.
     """
     obstacles = set(mesh.occupied_tile_cells())
     obstacles.discard(source)
@@ -145,58 +140,6 @@ def bfs_detour(
             if neighbor in parents:
                 continue
             if neighbor in blocked or neighbor in obstacles:
-                continue
-            parents[neighbor] = cell
-            queue.append(neighbor)
-    if target not in parents:
-        return None
-    path: List[LatticeCell] = []
-    cursor: Optional[LatticeCell] = target
-    while cursor is not None:
-        path.append(cursor)
-        cursor = parents[cursor]
-    path.reverse()
-    if max_length is not None and len(path) > max_length:
-        return None
-    return path
-
-
-def bfs_detour_mask(
-    mesh: Mesh,
-    source: LatticeCell,
-    target: LatticeCell,
-    blocked_mask: int,
-    max_length: Optional[int] = None,
-) -> Optional[List[LatticeCell]]:
-    """Bitmask twin of :func:`bfs_detour`.
-
-    ``blocked_mask`` encodes the blocked cells via :meth:`Mesh.cell_index`;
-    membership tests become single bit probes instead of hash lookups.  The
-    traversal order mirrors :func:`bfs_detour` exactly (same queue, same
-    clipped 4-neighbourhood order), so both functions return the identical
-    path for equivalent inputs — a property the randomized parity suite
-    pins.
-    """
-    width = mesh.lattice_width
-    obstacle_mask = mesh.cells_mask(mesh.qubit_cells.values())
-    obstacle_mask &= ~(1 << mesh.cell_index(source))
-    obstacle_mask &= ~(1 << mesh.cell_index(target))
-    if (blocked_mask >> mesh.cell_index(source)) & 1:
-        return None
-    if (blocked_mask >> mesh.cell_index(target)) & 1:
-        return None
-    excluded = blocked_mask | obstacle_mask
-
-    queue: deque = deque([source])
-    parents: Dict[LatticeCell, Optional[LatticeCell]] = {source: None}
-    while queue:
-        cell = queue.popleft()
-        if cell == target:
-            break
-        for neighbor in mesh.neighbors(cell):
-            if neighbor in parents:
-                continue
-            if (excluded >> (neighbor[0] * width + neighbor[1])) & 1:
                 continue
             parents[neighbor] = cell
             queue.append(neighbor)
@@ -238,15 +181,9 @@ class BraidRouter:
 
     The candidate shapes for an endpoint pair do not depend on which cells
     are momentarily locked, so the router precomputes each pair's candidate
-    paths (with their cell sets *and* their occupancy bitmasks, see
-    :meth:`Mesh.cell_index`) on first use and replays them on every retry.
-    The default simulation engine drives the ``*_masked`` methods, where a
-    stalled gate's retry costs one integer AND per candidate; the set-based
-    methods are retained as the reference oracle the parity suite checks
-    the bitmask engine against.  On failure the masked methods also report
-    a *watch mask* — one locked cell per blocked candidate — which is what
-    lets the simulator park a stalled gate until one of those specific
-    cells is released.
+    paths (with their cell sets) on first use and replays them on every
+    retry.  The compiled simulator kernel builds the same plans
+    (:mod:`repro.routing.batchsim`).
 
     Parameters
     ----------
@@ -278,19 +215,13 @@ class BraidRouter:
         self.allow_detour = allow_detour
         self.detour_slack = detour_slack
         self.max_candidates = max(1, max_candidates)
-        # Per-endpoint-pair route plans, two parallel caches: the set-based
-        # plans (candidate paths with frozen cell sets, used by the
-        # reference engine and path-returning analysis helpers) and the
-        # mask-only plans (candidate bitmasks, used by the default engine).
-        # Keyed by lattice cells, so both stay valid for the router's
-        # lifetime — candidate shapes depend only on the mesh geometry,
-        # never on the locked set.
+        # Per-endpoint-pair route plans (candidate paths with frozen cell
+        # sets), keyed by lattice cells: candidate shapes depend only on
+        # the mesh geometry, never on the locked set, so a plan stays valid
+        # for the router's lifetime.
         self._pair_plans: Dict[
             Tuple[LatticeCell, LatticeCell],
             Tuple[Tuple[Tuple[List[LatticeCell], FrozenSet[LatticeCell]], ...], int],
-        ] = {}
-        self._mask_plans: Dict[
-            Tuple[LatticeCell, LatticeCell], Tuple[Tuple[int, ...], int]
         ] = {}
 
     # ------------------------------------------------------------------
@@ -351,8 +282,7 @@ class BraidRouter:
         Returns ``(candidates, best_length)`` where ``candidates`` is a tuple
         of ``(path, cell_set)`` pairs, truncated to ``max_candidates``, and
         ``best_length`` is the shortest candidate's cell count.  Callers must
-        treat the returned paths as read-only.  The default engine uses the
-        list-free :meth:`_mask_plan` instead.
+        treat the returned paths as read-only.
         """
         key = (source, target)
         plan = self._pair_plans.get(key)
@@ -389,145 +319,6 @@ class BraidRouter:
                 return detour
         return None
 
-    def _mask_plan(
-        self, source: LatticeCell, target: LatticeCell
-    ) -> Tuple[Tuple[int, ...], int]:
-        """The cached candidate *masks* for an endpoint pair.
-
-        The bitmask twin of :meth:`_pair_plan`, built without ever
-        materializing a cell list: each rectilinear candidate is the OR of
-        two :meth:`~repro.routing.mesh.Mesh.segment_mask` runs plus the
-        endpoint bits, composed in the same generation order (row-first
-        variants then column-first) and deduplicated by mask equality —
-        masks are equal exactly when the cell sets are, so the surviving
-        candidate sequence matches the set-based plan's, truncated to
-        ``max_candidates``.  Returns ``(masks, best_length)`` with
-        ``best_length`` the smallest candidate popcount (the detour cap).
-        """
-        key = (source, target)
-        plan = self._mask_plans.get(key)
-        if plan is None:
-            mesh = self.mesh
-            segment = mesh.segment_mask
-            (sr, sc), (tr, tc) = source, target
-            max_row = mesh.lattice_height - 1
-            max_col = mesh.lattice_width - 1
-            endpoint_bits = (1 << mesh.cell_index(source)) | (
-                1 << mesh.cell_index(target)
-            )
-            limit = self.max_candidates
-            masks: List[int] = []
-            # Tile cells sit at odd coordinates >= 1, so only the upper
-            # clamp can bind (the reference generator's _clamp agrees).
-            for channel_row in (sr - 1, min(sr + 1, max_row)):
-                for channel_col in (tc - 1, min(tc + 1, max_col)):
-                    if len(masks) >= limit:
-                        break
-                    mask = (
-                        endpoint_bits
-                        | segment((channel_row, sc), (channel_row, channel_col))
-                        | segment((channel_row, channel_col), (tr, channel_col))
-                    )
-                    if mask not in masks:
-                        masks.append(mask)
-            for channel_col in (sc - 1, min(sc + 1, max_col)):
-                for channel_row in (tr - 1, min(tr + 1, max_row)):
-                    if len(masks) >= limit:
-                        break
-                    mask = (
-                        endpoint_bits
-                        | segment((sr, channel_col), (channel_row, channel_col))
-                        | segment((channel_row, channel_col), (channel_row, tc))
-                    )
-                    if mask not in masks:
-                        masks.append(mask)
-            if self.allow_detour:
-                best_length = min(_popcount(mask) for mask in masks)
-            else:
-                best_length = 0  # only the detour cap reads it
-            plan = (tuple(masks), best_length)
-            self._mask_plans[key] = plan
-        return plan
-
-    def _route_mask(
-        self,
-        source: LatticeCell,
-        target: LatticeCell,
-        locked_mask: int,
-    ) -> Tuple[bool, int]:
-        """Bitmask twin of :meth:`_route_cells`.
-
-        Returns ``(True, path_mask)`` on success and ``(False, watch_mask)``
-        on failure.  The watch mask carries one blocking cell per blocked
-        candidate (the lowest-index cell of ``candidate_mask & locked``) —
-        the cells a stalled gate must be parked on.  This is a sound
-        refinement of the full blocker union: while every watch cell stays
-        locked, every candidate still intersects the locked set, so the
-        route keeps failing and skipped retries could not have succeeded.
-        With ``allow_detour`` a failed BFS widens the watch mask to the full
-        locked mask (releasing *any* cell might open a detour).  Candidate
-        order and acceptance are identical to the set-based method, so both
-        make the same routing decision for the same locked set.
-        """
-        if source == target:
-            return True, 1 << self.mesh.cell_index(source)
-        masks, best_length = self._mask_plan(source, target)
-        if not locked_mask:
-            return True, masks[0]
-        watch = 0
-        for mask in masks:
-            hit = mask & locked_mask
-            if not hit:
-                return True, mask
-            watch |= hit & -hit
-        if self.allow_detour:
-            max_length = int(best_length * self.detour_slack) + 2
-            detour = bfs_detour_mask(
-                self.mesh, source, target, locked_mask, max_length
-            )
-            if detour is not None:
-                return True, self.mesh.cells_mask(detour)
-            return False, locked_mask
-        return False, watch
-
-    def route_pair_masked(
-        self,
-        qubit_a: int,
-        qubit_b: int,
-        locked_mask: int,
-        hop: Optional[LatticeCell] = None,
-    ) -> Tuple[bool, int]:
-        """Bitmask twin of :meth:`route_pair`.
-
-        Returns ``(True, path_mask)`` on success and ``(False, watch_mask)``
-        on failure; no cell list or :class:`BraidPath` is ever built, which
-        is most of the default engine's speedup.  The watch mask is sound
-        for stall parking: as long as every cell in it stays locked this
-        route keeps failing — for the hop form it combines the watch cells
-        of each leg that was attempted with those of the direct fallback,
-        since the route succeeds only if some attempted leg sequence or the
-        fallback does.
-        """
-        source = self.mesh.qubit_cell(qubit_a)
-        target = self.mesh.qubit_cell(qubit_b)
-        watch = 0
-        if hop is not None:
-            first_ok, first_mask = self._route_mask(source, hop, locked_mask)
-            if not first_ok:
-                watch |= first_mask
-            else:
-                # The two legs belong to the same braid, so they are allowed
-                # to touch each other; only other braids' cells are excluded.
-                second_ok, second_mask = self._route_mask(hop, target, locked_mask)
-                if second_ok:
-                    return True, first_mask | second_mask
-                watch |= second_mask
-            # Fall back to a direct route when the hop cannot be honoured.
-        ok, mask = self._route_mask(source, target, locked_mask)
-        if ok:
-            return True, mask
-        return False, watch | mask
-
     # ------------------------------------------------------------------
     # Multi-target braids
     # ------------------------------------------------------------------
@@ -555,28 +346,3 @@ class BraidRouter:
                 return None
             cells.update(leg)
         return BraidPath.from_cells(cells, endpoints=endpoints)
-
-    def route_star_masked(
-        self,
-        control: int,
-        targets: Sequence[int],
-        locked_mask: int,
-    ) -> Tuple[bool, int]:
-        """Bitmask twin of :meth:`route_star`.
-
-        Returns ``(True, path_mask)`` on success (the union of the legs, so
-        its popcount is the star's footprint) and ``(False, watch_mask)`` on
-        failure — the first failing leg's watch cells (while those stay
-        locked the leg, and therefore the star, keeps failing, which is all
-        stall parking needs).
-        """
-        control_cell = self.mesh.qubit_cell(control)
-        mask = 1 << self.mesh.cell_index(control_cell)
-        for target in targets:
-            leg_ok, leg_mask = self._route_mask(
-                control_cell, self.mesh.qubit_cell(target), locked_mask
-            )
-            if not leg_ok:
-                return False, leg_mask
-            mask |= leg_mask
-        return True, mask

@@ -17,28 +17,28 @@ Semantics reproduced from the paper's description:
   every target, occupying the union of those paths.
 
 The simulator is event driven: time jumps from one braid-completion event to
-the next.  Two engines implement these semantics:
+the next.  It has one oracle and one fast path:
 
-* :func:`simulate` — the default **bitmask occupancy / event-driven wakeup**
-  engine.  Cell sets are packed into arbitrary-precision int bitmasks (see
-  :meth:`~repro.routing.mesh.Mesh.cell_index`), so "is this path free?" is
-  one integer AND against a single ``locked`` mask.  A braid that stalls is
-  *parked* on a watch set of cells that blocked its route candidates (one
-  blocker per candidate) and is only re-tried when a retiring braid frees
-  one of those cells, so the cost is proportional to the number of events
-  and wakeups rather than ``events x stalled gates x candidates``.
-* :func:`simulate_reference` — the retained set-based oracle: frozenset
-  occupancy, every stalled gate re-tried at every completion event.  The
-  two engines produce byte-identical :meth:`SimulationResult.to_dict`
-  output (pinned by the randomized parity suite); the oracle additionally
-  asserts the wakeup engine's parking invariant — a parked gate none of
-  whose recorded blockers was freed must still fail to route.
+* :func:`simulate_reference` — the set-based oracle: frozenset occupancy,
+  every stalled gate re-tried at every completion event.  It also keeps
+  *shadow parking accounting* — the cells the fast path parks each stalled
+  gate on — so it reports the fast path's ``wakeups`` counter and asserts
+  its parking invariant: a parked gate none of whose watch cells was freed
+  must still fail to route.
+* the compiled kernel of :mod:`repro.routing.batchsim`, which parks a
+  stalled gate on its watch cells and re-tries it only when a retiring
+  braid frees one of them.  Its :meth:`SimulationResult.to_dict` output is
+  byte-identical to the oracle's (pinned by the differential fuzz suite).
+
+:func:`simulate` runs a point in the kernel when the kernel loads and can
+plan the point, and on the oracle otherwise.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import heapq
+import math
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
@@ -50,7 +50,7 @@ from ..circuits.gates import DEFAULT_DURATIONS, Gate, GateKind
 from ..mapping.placement import Placement
 from ..persistutil import tagged_fingerprint
 from .braid import BraidPath
-from .mesh import Cell, LatticeCell, Mesh, popcount as _popcount, tile_to_lattice
+from .mesh import Cell, LatticeCell, Mesh, tile_to_lattice
 from .router import BraidRouter
 
 
@@ -78,9 +78,17 @@ class SimulatorConfig:
     hops:
         Optional map from gate index to an intermediate *tile* cell the braid
         must pass through (Valiant-style routing for permutation braids,
-        Section VII-B.3).
+        Section VII-B.3).  A hop outside the placement's grid is routed by
+        :func:`simulate_reference` alone.
     max_cycles:
         Safety limit; simulation aborts with an error beyond this.
+
+    Construction rejects values the simulator cannot run with (a
+    :class:`TypeError` or :class:`ValueError` naming
+    ``SimulatorConfig.<field>``): ``max_candidates`` must be an int >= 1,
+    ``max_cycles`` an int >= 0, ``detour_slack`` a finite number >= 0,
+    ``durations`` map :class:`GateKind` to ints >= 0 and ``hops`` map ints
+    >= 0 to ``(row, col)`` pairs of ints >= 0.
     """
 
     durations: Mapping[GateKind, int] = field(
@@ -92,6 +100,42 @@ class SimulatorConfig:
     hops: Mapping[int, Cell] = field(default_factory=dict)
     max_cycles: int = 10_000_000
 
+    def __post_init__(self) -> None:
+        """Reject values the simulator cannot run with, naming the field."""
+        if not isinstance(self.allow_detour, bool):
+            raise TypeError(_invalid("allow_detour", "a bool", self.allow_detour))
+        _check_int("max_candidates", self.max_candidates, 1)
+        _check_int("max_cycles", self.max_cycles, 0)
+        slack = self.detour_slack
+        if isinstance(slack, bool) or not isinstance(slack, (int, float)):
+            raise TypeError(_invalid("detour_slack", "a number", slack))
+        if not math.isfinite(slack) or slack < 0:
+            raise ValueError(_invalid("detour_slack", "finite and >= 0", slack))
+        for name in ("durations", "hops"):
+            if not isinstance(getattr(self, name), Mapping):
+                raise TypeError(_invalid(name, "a mapping", getattr(self, name)))
+        for kind, cycles in self.durations.items():
+            if not isinstance(kind, GateKind):
+                raise TypeError(_invalid("durations keys", "GateKind", kind))
+            _check_int(f"durations[{kind.value!r}]", cycles, 0)
+        for index, cell in self.hops.items():
+            _check_int("hops keys", index, 0)
+            if not isinstance(cell, (tuple, list)) or len(cell) != 2:
+                raise TypeError(_invalid(f"hops[{index}]", "a (row, col) pair", cell))
+            for value in cell:
+                _check_int(f"hops[{index}]", value, 0)
+
+
+def _invalid(name: str, expected: str, value) -> str:
+    return f"SimulatorConfig.{name} must be {expected}, got {value!r}"
+
+
+def _check_int(name: str, value, minimum: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(_invalid(name, "an int", value))
+    if value < minimum:
+        raise ValueError(_invalid(name, f">= {minimum}", value))
+
 
 @dataclass
 class SimulationResult:
@@ -101,21 +145,18 @@ class SimulationResult:
 
     ``stall_events``
         The *legacy retry count*: how many failed route attempts the
-        retry-every-event reference engine performs — one per stalled gate
-        per completion event it stays stalled through.  Kept for
-        comparability with earlier BENCH records; the wakeup engine derives
-        the identical value from event indices without performing the
-        retries.
+        retry-every-event reference performs — one per stalled gate per
+        completion event it stays stalled through.  Kept for comparability
+        with earlier BENCH records; the kernel derives the identical value
+        from event indices without performing the retries.
     ``distinct_stalls``
         How many gates stalled at least once (engine-independent).
     ``wakeups``
         How many times a parked gate was re-tried because a retiring braid
-        freed one of its recorded blocking cells.  This is the wakeup
-        engine's actual retry count; ``stall_events - wakeups`` failed
-        retries are the work the event-driven engine skips.
-        :func:`simulate_reference` reproduces the same number via shadow
-        accounting when ``track_wakeups`` is on (its default), and reports
-        0 when tracking is disabled for like-for-like timing.
+        freed one of its watch cells.  This is the kernel's actual retry
+        count; ``stall_events - wakeups`` failed retries are the work it
+        skips.  :func:`simulate_reference` reproduces the same number via
+        shadow accounting.
     """
 
     latency: int
@@ -176,7 +217,7 @@ def _gate_list(circuit_or_gates) -> Tuple[Gate, ...]:
 def _prepare_simulation(
     circuit_or_gates, placement: Placement, config: SimulatorConfig
 ):
-    """Shared setup of both engines: validation, mesh, router, hops, DAG."""
+    """The reference's setup: validation, mesh, router, hops, DAG."""
     gates = _gate_list(circuit_or_gates)
     used_qubits: Set[int] = set()
     for gate in gates:
@@ -249,22 +290,11 @@ def simulate(
     * a routed braid locks its cells for the gate's duration and releases
       them on completion.
 
-    This default engine keeps occupancy as one integer bitmask (bit ``i`` =
-    lattice cell ``i``, see :meth:`~repro.routing.mesh.Mesh.cell_index`) and
-    is **event-driven all the way down**: a stalled gate is parked in a
-    cell -> waiters index keyed by its watch cells — one blocking cell per
-    route candidate (the full locked set after a failed BFS detour) — and
-    is re-tried only when a retiring braid frees one of those cells.
-    Parking is sound because routing failure is monotone in the locked
-    set: while every watch cell stays locked, each candidate still
-    intersects the locked set, so skipped retries could not have
-    succeeded.
-    Issue order within an event is program order (a min-heap on the gate
-    index), and time still jumps from one completion event to the next, so
-    the cost is proportional to events plus wakeups — not
-    ``events x stalled gates``.  Results are byte-identical to
-    :func:`simulate_reference`, which retains the retry-every-event
-    set-based loop as the verification oracle.
+    The point runs in the compiled kernel of :mod:`repro.routing.batchsim`
+    when the kernel loads and can plan it, and on :func:`simulate_reference`
+    otherwise (BFS detours, coincident braid endpoints, hops outside the
+    mesh, and every point without a C compiler or under
+    ``REPRO_NO_KERNEL=1``).  Both give byte-identical results.
 
     Stalled cycles (start minus ready time, summed over gates) are reported
     as ``stall_cycles`` and charged to the mapping; see
@@ -274,232 +304,46 @@ def simulate(
     an otherwise idle mesh, and :class:`RuntimeError` past
     ``config.max_cycles``.
     """
+    from .batchsim import _simulate_in_kernel  # batchsim imports this module
+
     config = config or SimulatorConfig()
-    durations = config.durations
-    gates, mesh, router, hop_cells, dag = _prepare_simulation(
-        circuit_or_gates, placement, config
-    )
-    n = len(gates)
-    if n == 0:
-        return _empty_result(placement)
-
-    remaining_preds = [len(p) for p in dag.predecessors]
-    ready_time = [0] * n
-    gate_start: List[int] = [-1] * n
-    gate_end: List[int] = [-1] * n
-
-    # Per-gate lookups hoisted out of the attempt loop: durations and gate
-    # kinds are immutable, and enum/dict probes per retry are measurable on
-    # congested runs.
-    gate_durations = [gate.duration(durations) for gate in gates]
-    gate_braided = [gate.is_braided for gate in gates]
-    route_pair = router.route_pair_masked
-    route_star = router.route_star_masked
-    # Plain pair braids (no hop, no detour) are the overwhelming majority of
-    # retries, so their candidate masks are cached per gate index and the
-    # accept test is unrolled inline — a stalled gate's retry is then a few
-    # integer ANDs with no method or dict-lookup overhead.  Stars, hop
-    # routes and detour fallbacks keep going through the router.
-    simple_pair = [
-        gate.is_braided
-        and gate.kind is not GateKind.CXX
-        and index not in hop_cells
-        and not config.allow_detour
-        for index, gate in enumerate(gates)
-    ]
-    pair_masks: List[Optional[Tuple[int, ...]]] = [None] * n
-
-    locked_mask = 0
-    active: List[Tuple[int, int, int]] = []  # (end time, gate index, cell mask)
-    now = 0
-    completed = 0
-    stall_events = 0
-    distinct_stalls = 0
-    wakeups = 0
-    total_braid_cells = 0
-    braided_gates = 0
-    concurrent_braids = 0
-    max_concurrent_braids = 0
-
-    # Wakeup machinery.  ``scan`` counts completion-event iterations (the
-    # reference engine's retry rounds); a gate that first stalled at scan s
-    # and issues at scan t would have failed t - s reference retries, which
-    # is how the legacy ``stall_events`` count is derived without performing
-    # them.  ``blocker_mask[i]`` is nonzero exactly while gate i is parked;
-    # ``waiters`` maps a cell index to the gates parked on it (entries are
-    # lazily discarded when the recorded mask no longer claims the cell).
-    scan = 0
-    first_stall_scan = [-1] * n
-    blocker_mask = [0] * n
-    parked_count = 0
-    waiters: Dict[int, List[int]] = {}
-    # OR of every cell with at least one registered waiter: a retiring braid
-    # whose mask misses it wakes nobody and costs a single AND — only the
-    # intersecting bits are ever decomposed.
-    waited_mask = 0
-
-    # Gates to attempt at the current event, popped in program order.
-    attempt: List[int] = [i for i in range(n) if remaining_preds[i] == 0]
-    heapq.heapify(attempt)
-
-    while completed < n:
-        if now > config.max_cycles:
-            raise RuntimeError(
-                f"simulation exceeded max_cycles={config.max_cycles}"
-            )
-        # ------------------------------------------------------------------
-        # Attempt every newly ready or woken gate, in program order.
-        # ------------------------------------------------------------------
-        while attempt:
-            index = heapq.heappop(attempt)
-            if gate_braided[index]:
-                qubits = gates[index].qubits
-                if simple_pair[index]:
-                    masks = pair_masks[index]
-                    if masks is None:
-                        masks, _ = router._mask_plan(
-                            mesh.qubit_cell(qubits[0]), mesh.qubit_cell(qubits[1])
-                        )
-                        pair_masks[index] = masks
-                    if not locked_mask:
-                        routed, mask = True, masks[0]
-                    else:
-                        routed = False
-                        mask = 0
-                        for candidate in masks:
-                            hit = candidate & locked_mask
-                            if not hit:
-                                routed, mask = True, candidate
-                                break
-                            mask |= hit & -hit
-                elif gates[index].kind is GateKind.CXX:
-                    routed, mask = route_star(qubits[0], qubits[1:], locked_mask)
-                else:
-                    routed, mask = route_pair(
-                        qubits[0],
-                        qubits[1],
-                        locked_mask,
-                        hop=hop_cells.get(index) if hop_cells else None,
-                    )
-                if not routed:
-                    # Park the gate on its watch cells (one blocker per
-                    # blocked candidate); it is re-tried only when one of
-                    # them is freed.
-                    if first_stall_scan[index] < 0:
-                        first_stall_scan[index] = scan
-                        distinct_stalls += 1
-                    blocker_mask[index] = mask
-                    parked_count += 1
-                    waited_mask |= mask
-                    bits = mask
-                    while bits:
-                        low = bits & -bits
-                        bits ^= low
-                        waiters.setdefault(low.bit_length() - 1, []).append(index)
-                    continue
-                locked_mask |= mask
-                total_braid_cells += _popcount(mask)
-                braided_gates += 1
-                concurrent_braids += 1
-                if concurrent_braids > max_concurrent_braids:
-                    max_concurrent_braids = concurrent_braids
-            else:
-                mask = 0
-            if first_stall_scan[index] >= 0:
-                # The reference engine would have re-tried (and failed) this
-                # gate at every event since its first stall.
-                stall_events += scan - first_stall_scan[index]
-            duration = gate_durations[index]
-            gate_start[index] = now
-            gate_end[index] = now + duration
-            heapq.heappush(active, (now + duration, index, mask))
-
-        if not active:
-            if parked_count:
-                raise RoutingDeadlockError(
-                    f"{parked_count} gates cannot be routed on an otherwise idle mesh"
-                )
-            break
-
-        # ------------------------------------------------------------------
-        # Advance to the next completion event, retire everything there, and
-        # wake the gates parked on the freed cells.
-        # ------------------------------------------------------------------
-        now = active[0][0]
-        scan += 1
-        while active and active[0][0] == now:
-            _, index, mask = heapq.heappop(active)
-            if mask:
-                locked_mask &= ~mask
-                concurrent_braids -= 1
-                bits = mask & waited_mask
-                while bits:
-                    low = bits & -bits
-                    bits ^= low
-                    waited_mask ^= low
-                    queue = waiters.pop(low.bit_length() - 1, None)
-                    if queue:
-                        for waiter in queue:
-                            if blocker_mask[waiter] & low:
-                                blocker_mask[waiter] = 0
-                                parked_count -= 1
-                                wakeups += 1
-                                heapq.heappush(attempt, waiter)
-            completed += 1
-            for successor in dag.successors[index]:
-                remaining_preds[successor] -= 1
-                if ready_time[successor] < now:
-                    ready_time[successor] = now
-                if remaining_preds[successor] == 0:
-                    heapq.heappush(attempt, successor)
-
-    latency = max(gate_end) if gate_end else 0
-    stall_cycles = sum(
-        max(0, start - ready_at)
-        for start, ready_at in zip(gate_start, ready_time)
-        if start >= 0
-    )
-    return SimulationResult(
-        latency=latency,
-        area=placement.area,
-        gate_start=gate_start,
-        gate_end=gate_end,
-        stall_cycles=stall_cycles,
-        stall_events=stall_events,
-        braided_gates=braided_gates,
-        max_concurrent_braids=max_concurrent_braids,
-        total_braid_cells=total_braid_cells,
-        distinct_stalls=distinct_stalls,
-        wakeups=wakeups,
-    )
+    gates = _gate_list(circuit_or_gates)
+    result = _simulate_in_kernel(gates, placement, config)
+    if result is None:
+        result = simulate_reference(gates, placement, config)
+    return result
 
 
 def simulate_reference(
     circuit_or_gates,
     placement: Placement,
     config: Optional[SimulatorConfig] = None,
-    track_wakeups: bool = True,
 ) -> SimulationResult:
-    """The retained set-based oracle engine (PR 2/3 semantics).
+    """The set-based oracle engine.
 
     Occupancy is a plain set of lattice cells and every stalled gate is
     re-tried at every completion event — the straightforward transcription
-    of the paper's semantics that :func:`simulate` must match byte for
-    byte.  Use it to verify the default engine (the randomized parity suite
-    does) or to time the pre-wakeup behaviour.
+    of the paper's semantics that the compiled kernel must match byte for
+    byte.  It also runs every point the kernel cannot plan.
 
-    With ``track_wakeups`` (the default) the oracle additionally runs
-    *shadow parking accounting*: on each failed route it records the same
-    blocker set the wakeup engine would park on (via the router's masked
-    methods) and counts a wakeup whenever a retired braid frees one of the
-    recorded cells, reproducing the wakeup engine's ``wakeups`` counter
-    exactly.  Two invariants are asserted along the way — a retry that
-    succeeds must coincide with a shadow wakeup (else the wakeup engine
-    would have missed it), and the masked router must agree with the
-    set-based router on every failure — so a divergence in the parking
-    logic fails loudly here rather than silently skewing results.  Pass
-    ``track_wakeups=False`` for like-for-like timing of the old engine
-    (the result then reports ``wakeups=0``).
+    It additionally runs *shadow parking accounting*: on each failed route
+    it records the watch cells the kernel parks the gate on and counts a
+    wakeup whenever a retired braid frees one of them, which is the
+    kernel's ``wakeups`` counter.  The watch rule, over the candidates the
+    router tests:
+
+    * each blocked route candidate contributes its lowest locked cell in
+      row-major order;
+    * with ``allow_detour`` a failed route watches the whole locked set
+      (releasing any cell might open a detour);
+    * a star watches its first failing leg;
+    * a hop braid watches the failing leg's cells plus those of the direct
+      route it falls back to.
+
+    A retry that succeeds must coincide with a shadow wakeup, else the
+    kernel would have missed it; this wakeup invariant is asserted, so a
+    divergence in the parking logic fails loudly here rather than silently
+    skewing results.
     """
     config = config or SimulatorConfig()
     durations = config.durations
@@ -525,11 +369,10 @@ def simulate_reference(
     stalled_ever: Set[int] = set()
     wakeups = 0
 
-    # Shadow parking state (track_wakeups only): the blocker mask the wakeup
-    # engine would have parked each stalled gate on, and the gates whose
-    # recorded blockers intersected the cells freed at the current event.
-    locked_mask = 0
-    shadow: Dict[int, int] = {}
+    # Shadow parking state: the watch cells each stalled gate is parked on,
+    # and the gates whose watch cells intersect the cells freed at the
+    # current event.
+    shadow: Dict[int, Set[LatticeCell]] = {}
     woken: Set[int] = set()
 
     total_braid_cells = 0
@@ -549,22 +392,39 @@ def simulate_reference(
         hop = hop_cells.get(index)
         return router.route_pair(gate.qubits[0], gate.qubits[1], locked, hop=hop)
 
-    def shadow_blockers(index: int, gate: Gate) -> int:
-        """The watch mask the wakeup engine would park this gate on."""
+    def blockers(
+        source: LatticeCell, target: LatticeCell
+    ) -> Optional[Set[LatticeCell]]:
+        """Watch cells of one blocked route; None when a candidate is free."""
+        if source == target:
+            return None
+        watch = set()
+        for _, cells in router._pair_plan(source, target)[0]:
+            hit = cells & locked
+            if not hit:
+                return None
+            watch.add(min(hit))
+        return set(locked) if config.allow_detour else watch
+
+    def shadow_watch(index: int, gate: Gate) -> Set[LatticeCell]:
+        """The watch cells the kernel parks this stalled gate on."""
+        cell = mesh.qubit_cell
         if gate.kind is GateKind.CXX:
-            routed, mask = router.route_star_masked(
-                gate.qubits[0], gate.qubits[1:], locked_mask
-            )
-        else:
-            routed, mask = router.route_pair_masked(
-                gate.qubits[0], gate.qubits[1], locked_mask, hop=hop_cells.get(index)
-            )
-        if routed:
-            raise AssertionError(
-                f"engine divergence: the masked router routed gate {index} "
-                "that the set-based router stalled"
-            )
-        return mask
+            control = cell(gate.qubits[0])
+            for target in gate.qubits[1:]:
+                watch = blockers(control, cell(target))
+                if watch is not None:
+                    return watch
+            return set()
+        source, target = cell(gate.qubits[0]), cell(gate.qubits[1])
+        watch = None
+        hop = hop_cells.get(index)
+        if hop is not None:
+            # The second leg is tried only once the first one routes.
+            watch = blockers(source, hop)
+            if watch is None:
+                watch = blockers(hop, target)
+        return (watch or set()) | (blockers(source, target) or set())
 
     while completed < n:
         if now > config.max_cycles:
@@ -583,22 +443,20 @@ def simulate_reference(
                 if path is None:
                     stall_events += 1
                     stalled_ever.add(index)
-                    if track_wakeups and (index not in shadow or index in woken):
+                    if index not in shadow or index in woken:
                         # First stall, or a woken retry that failed again:
-                        # the wakeup engine would (re-)park here.  A parked
-                        # gate that was not woken keeps its recorded
-                        # blockers, exactly like the wakeup engine.
-                        shadow[index] = shadow_blockers(index, gate)
+                        # the kernel would (re-)park here.  A parked gate
+                        # that was not woken keeps its watch cells, exactly
+                        # like the kernel.
+                        shadow[index] = shadow_watch(index, gate)
                     still_ready.append(index)
                     continue
-                if track_wakeups:
-                    if index in shadow and index not in woken:
-                        raise AssertionError(
-                            f"wakeup invariant violated: gate {index} routed "
-                            "although none of its recorded blockers was freed"
-                        )
-                    shadow.pop(index, None)
-                    locked_mask |= mesh.cells_mask(path.cells)
+                if index in shadow and index not in woken:
+                    raise AssertionError(
+                        f"wakeup invariant violated: gate {index} routed "
+                        "although none of its recorded blockers was freed"
+                    )
+                shadow.pop(index, None)
                 locked.update(path.cells)
                 total_braid_cells += path.length
                 braided_gates += 1
@@ -624,14 +482,13 @@ def simulate_reference(
         # Advance to the next completion event and retire everything there.
         # ------------------------------------------------------------------
         now = active[0][0]
-        freed_mask = 0
+        freed: Set[LatticeCell] = set()
         while active and active[0][0] == now:
             _, index, cells = heapq.heappop(active)
             if cells:
                 locked.difference_update(cells)
                 concurrent_braids -= 1
-                if track_wakeups:
-                    freed_mask |= mesh.cells_mask(cells)
+                freed.update(cells)
             completed += 1
             for successor in dag.successors[index]:
                 remaining_preds[successor] -= 1
@@ -639,10 +496,9 @@ def simulate_reference(
                 if remaining_preds[successor] == 0:
                     ready.append(successor)
         ready.sort()
-        if track_wakeups and freed_mask:
-            locked_mask &= ~freed_mask
-            for index, blockers in shadow.items():
-                if blockers & freed_mask:
+        if freed:
+            for index, watch in shadow.items():
+                if not watch.isdisjoint(freed):
                     woken.add(index)
             wakeups += len(woken)
 

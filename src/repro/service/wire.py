@@ -23,11 +23,12 @@ This module is the validating front door both the sweep service and
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, List, Mapping, Optional
 
 from ..api.executor import SweepPlan
 from ..api.mappers import available_mappers
-from ..api.pipeline import EvaluationRequest
+from ..api.pipeline import CONFIG_DECODERS, EvaluationRequest
 from ..api.sharding import SHARD_STRATEGIES, ShardSpec
 
 
@@ -129,28 +130,24 @@ def decode_evaluation_request(
             )
 
     # The shape is right; the typed config decoders enforce the rest
-    # (unknown config fields, malformed durations tables, ...).
+    # (unknown config fields, malformed durations tables, ...), each in its
+    # own try so an error names the config it came from.
+    configs = {}
+    for key, decode in CONFIG_DECODERS.items():
+        if data.get(key):
+            try:
+                configs[key] = decode(data[key])
+            except (KeyError, TypeError, ValueError) as error:
+                raise WireFormatError(
+                    f"could not be decoded: {error}", _path(field_prefix, key)
+                ) from error
+    rest = {key: value for key, value in data.items() if key not in configs}
     try:
-        return EvaluationRequest.from_dict(data)
+        return replace(EvaluationRequest.from_dict(rest), **configs)
     except (KeyError, TypeError, ValueError) as error:
-        key = next(
-            (
-                k
-                for k in ("fd_config", "stitch_config", "sim_config")
-                if data.get(k) and _mentions(error, data[k])
-            ),
-            None,
-        )
         raise WireFormatError(
-            f"could not be decoded: {error}",
-            _path(field_prefix, key) if key else (field_prefix or None),
+            f"could not be decoded: {error}", field_prefix or None
         ) from error
-
-
-def _mentions(error: BaseException, config: Mapping[str, Any]) -> bool:
-    """Heuristic: does the decode error reference one of this config's keys?"""
-    text = str(error)
-    return any(str(key) in text for key in config)
 
 
 def decode_sweep_plan(data: Any, field_prefix: str = "") -> SweepPlan:

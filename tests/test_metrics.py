@@ -10,7 +10,6 @@ from repro.graphs import (
     average_edge_length,
     average_edge_spacing,
     average_edge_spacing_reference,
-    bucket_auto_sizing_count,
     count_edge_crossings,
     count_edge_crossings_reference,
     edge_midpoint,
@@ -454,41 +453,6 @@ class TestMappingCostTracker:
         positions[0] = (5.0, 5.0)
         tracker.apply({0: (5.0, 5.0)})
         self._assert_matches_recompute(tracker, graph, positions)
-
-
-class TestBucketSizingMemo:
-    """Auto bucket sizing is memoized per (graph, edge count, extent)."""
-
-    def test_repeat_builds_reuse_the_memoized_size(self):
-        graph, positions = square_graph()
-        first = MappingCostTracker(graph, dict(positions))
-        before = bucket_auto_sizing_count()
-        repeat = MappingCostTracker(graph, dict(positions))
-        assert bucket_auto_sizing_count() == before  # no re-scan
-        assert repeat.crossings == first.crossings
-        assert repeat.cost() == first.cost()
-
-    def test_extent_change_invalidates_the_memo(self):
-        graph, positions = square_graph()
-        MappingCostTracker(graph, dict(positions))
-        before = bucket_auto_sizing_count()
-        stretched = {v: (r * 10.0, c * 10.0) for v, (r, c) in positions.items()}
-        MappingCostTracker(graph, stretched)
-        assert bucket_auto_sizing_count() == before + 1
-
-    def test_explicit_bucket_size_skips_the_sizing_scan(self):
-        graph, positions = square_graph()
-        before = bucket_auto_sizing_count()
-        MappingCostTracker(graph, dict(positions), bucket_size=2.0)
-        assert bucket_auto_sizing_count() == before
-
-    def test_same_extent_other_graph_sizes_independently(self):
-        graph, positions = square_graph()
-        MappingCostTracker(graph, dict(positions))
-        other, other_positions = square_graph()
-        before = bucket_auto_sizing_count()
-        MappingCostTracker(other, dict(other_positions))
-        assert bucket_auto_sizing_count() == before + 1
 
 
 class TestCostAndCorrelation:

@@ -207,7 +207,7 @@ class TestBfsDetour:
 
 
 class TestCellEncoding:
-    """The stable cell <-> flat-int encoding behind occupancy bitmasks."""
+    """The stable cell <-> flat-int encoding behind the watch cells."""
 
     def test_index_roundtrip(self):
         mesh = make_mesh({0: (0, 0)}, width=4, height=3)
@@ -217,122 +217,14 @@ class TestCellEncoding:
                 assert 0 <= index < mesh.num_lattice_cells
                 assert mesh.index_cell(index) == (row, col)
 
-    def test_cells_mask_roundtrip(self):
-        mesh = make_mesh({0: (0, 0)}, width=4, height=3)
-        cells = [(0, 0), (2, 5), (6, 8), (1, 3)]
-        mask = mesh.cells_mask(cells)
-        assert mesh.mask_cells(mask) == sorted(cells, key=mesh.cell_index)
-        from repro.routing.mesh import popcount
-
-        assert popcount(mask) == len(cells)
-
     def test_disjointness_matches_set_semantics(self):
         mesh = make_mesh({0: (0, 0)}, width=4, height=3)
         first = {(0, 0), (0, 1), (1, 1)}
         second = {(1, 1), (2, 2)}
         third = {(5, 5)}
-        assert mesh.cells_mask(first) & mesh.cells_mask(second)
-        assert not mesh.cells_mask(first) & mesh.cells_mask(third)
 
-    def test_segment_mask_matches_straight_segment(self):
-        from repro.routing.router import _straight_segment
+        def indices(cells):
+            return {mesh.cell_index(cell) for cell in cells}
 
-        mesh = make_mesh({0: (0, 0)}, width=6, height=6)
-        for start, end in [
-            ((2, 1), (2, 9)),
-            ((2, 9), (2, 1)),
-            ((0, 4), (11, 4)),
-            ((11, 4), (0, 4)),
-            ((3, 3), (3, 3)),
-        ]:
-            assert mesh.segment_mask(start, end) == mesh.cells_mask(
-                _straight_segment(start, end)
-            )
-
-    def test_segment_mask_rejects_diagonals(self):
-        mesh = make_mesh({0: (0, 0)})
-        with pytest.raises(ValueError):
-            mesh.segment_mask((0, 0), (1, 1))
-
-
-class TestMaskedRouter:
-    """The mask-only routing layer must mirror the set-based decisions."""
-
-    def test_mask_plan_matches_set_plan(self):
-        import random
-
-        rng = random.Random(5)
-        positions = {q: (rng.randrange(6), q) for q in range(6)}
-        mesh = make_mesh(positions, width=6, height=6)
-        for max_candidates in (1, 2, 8):
-            router = BraidRouter(mesh, max_candidates=max_candidates)
-            for a in range(6):
-                for b in range(6):
-                    if a == b:
-                        continue
-                    source, target = mesh.qubit_cell(a), mesh.qubit_cell(b)
-                    set_plan, set_best = router._pair_plan(source, target)
-                    mask_plan, _ = router._mask_plan(source, target)
-                    assert [mesh.cells_mask(cells) for _, cells in set_plan] == list(
-                        mask_plan
-                    )
-
-    def test_route_pair_masked_agrees_with_set_router(self):
-        import random
-
-        rng = random.Random(9)
-        mesh = make_mesh({0: (2, 0), 1: (2, 5), 2: (0, 3)}, width=6, height=6)
-        all_cells = [
-            (r, c)
-            for r in range(mesh.lattice_height)
-            for c in range(mesh.lattice_width)
-        ]
-        for trial in range(50):
-            router = BraidRouter(mesh, max_candidates=rng.choice([1, 2, 8]))
-            locked = frozenset(rng.sample(all_cells, rng.randint(0, 20)))
-            locked_mask = mesh.cells_mask(locked)
-            path = router.route_pair(0, 1, locked)
-            routed, mask = router.route_pair_masked(0, 1, locked_mask)
-            assert routed == (path is not None)
-            if routed:
-                assert mask == mesh.cells_mask(path.cells)
-            else:
-                # Watch-mask soundness: every watch cell is locked, and as
-                # long as all of them stay locked every candidate stays
-                # blocked, so the pair keeps failing.
-                assert mask
-                assert mask & locked_mask == mask
-                candidates, _ = router._mask_plan(
-                    mesh.qubit_cell(0), mesh.qubit_cell(1)
-                )
-                for candidate in candidates:
-                    assert candidate & mask
-
-    def test_route_star_masked_agrees_with_set_router(self):
-        mesh = make_mesh({0: (2, 2), 1: (0, 0), 2: (0, 4), 3: (4, 4)})
-        router = BraidRouter(mesh, max_candidates=1)
-        star = router.route_star(0, [1, 2, 3], frozenset())
-        routed, mask = router.route_star_masked(0, [1, 2, 3], 0)
-        assert routed
-        assert mask == mesh.cells_mask(star.cells)
-        blocking = frozenset(star.cells - {mesh.qubit_cell(q) for q in (0, 1, 2, 3)})
-        assert router.route_star(0, [1, 2, 3], blocking) is None
-        routed, watch = router.route_star_masked(
-            0, [1, 2, 3], mesh.cells_mask(blocking)
-        )
-        assert not routed
-        assert watch
-
-    def test_detour_failure_watches_full_locked_mask(self):
-        mesh = make_mesh({0: (0, 0), 1: (0, 2)}, width=3, height=1)
-        router = BraidRouter(mesh, allow_detour=True, max_candidates=1)
-        # Wall off the target completely: no rectilinear candidate and no
-        # BFS detour can reach it.
-        blocked = {(row, 2) for row in range(mesh.lattice_height)}
-        blocked |= {(row, 3) for row in range(mesh.lattice_height)}
-        blocked -= {mesh.qubit_cell(0), mesh.qubit_cell(1)}
-        locked_mask = mesh.cells_mask(blocked)
-        routed, watch = router.route_pair_masked(0, 1, locked_mask)
-        assert not routed
-        # Any release might open a detour, so the gate watches everything.
-        assert watch == locked_mask
+        assert indices(first) & indices(second)
+        assert not indices(first) & indices(third)

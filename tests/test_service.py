@@ -31,6 +31,7 @@ import pytest
 from repro.api import (
     EvaluationRequest,
     FunctionMapper,
+    Pipeline,
     ResultStore,
     SweepExecutor,
     SweepPlan,
@@ -47,6 +48,7 @@ from repro.service import (
     create_server,
     plan_fingerprint,
 )
+from repro.routing import SimulatorConfig
 from repro.service.jobs import JOB_RECORD_SCHEMA, JOBS_DIRNAME
 
 METHODS = ("linear", "graph_partition")
@@ -151,6 +153,17 @@ class TestEvaluate:
         assert warm.payload == cold.payload
         assert warm.fingerprint == cold.fingerprint
         assert service.pipeline.stats.evaluations == 1
+
+    def test_sim_config_without_durations_evaluates(self, service):
+        # Asking for more route candidates alone once raised KeyError for
+        # the first gate kind (an empty durations table) and answered 500.
+        data = a_request().to_dict()
+        data["sim_config"] = {"max_candidates": 3}
+        outcome = service.evaluate(data)
+        direct = Pipeline().evaluate(
+            a_request(sim_config=SimulatorConfig(max_candidates=3))
+        )
+        assert outcome.payload == direct.to_dict()
 
     def test_etag_revalidation_reads_nothing(self, service):
         data = a_request().to_dict()
@@ -376,6 +389,15 @@ class TestHttpEndpoints:
         assert status == 400
         assert body["error"]["field"] == "stitch_config"
         assert "hop_mode" in body["error"]["message"]
+
+    def test_invalid_sim_config_is_400_naming_sim_config(self, base_url):
+        # A string candidate budget once raised TypeError in the router.
+        data = a_request().to_dict()
+        data["sim_config"] = {"max_candidates": "x"}
+        status, _, body = http("POST", f"{base_url}/v1/evaluate", data)
+        assert status == 400
+        assert body["error"]["field"] == "sim_config"
+        assert "max_candidates" in body["error"]["message"]
 
     def test_overflowing_fd_weight_is_400_not_500(self, base_url):
         # A finite weight this large once passed validation, overflowed

@@ -15,6 +15,7 @@ from repro.circuits.gates import DEFAULT_DURATIONS, GateKind
 from repro.mapping import Placement, linear_factory_placement, random_circuit_placement
 from repro.routing import (
     BraidRouter,
+    Mesh,
     RoutingDeadlockError,
     SimulatorConfig,
     simulate,
@@ -207,6 +208,38 @@ class TestStallCounters:
         assert 0 < result.distinct_stalls <= result.stall_events
         assert result.distinct_stalls <= result.wakeups <= result.stall_events
 
+    def test_off_mesh_hop_watches_the_legs_the_router_tries(self):
+        """A hop two tiles below the grid with eight candidates: the braid
+        on the bottom channel row blocks every leg the router tries (their
+        channels are clamped to the mesh), so its retirement at cycle 2
+        must wake the hop gate, which then routes via the hop while the
+        direct route stays blocked until cycle 4."""
+        placement = Placement(
+            width=3,
+            height=2,
+            positions={
+                0: (0, 1), 1: (1, 1), 2: (1, 0), 3: (1, 2), 4: (0, 0), 5: (0, 2),
+            },
+        )
+        gates = [inject_t(0, 1), cnot(2, 3), cnot(4, 5)]
+        router = BraidRouter(
+            Mesh.from_placement(placement.positions, width=3, height=2),
+            max_candidates=8,
+        )
+        locked = set(router.route_pair(0, 1, set()).cells)
+        bottom_row = router.mesh.lattice_height - 1
+        assert bottom_row in {row for row, _ in router.route_pair(2, 3, locked).cells}
+
+        config = SimulatorConfig(max_candidates=8, hops={2: (3, 1)})
+        for engine in (simulate, simulate_reference):
+            result = engine(gates, placement, config)
+            assert result.gate_start == [0, 0, 2]
+            assert (result.stall_events, result.distinct_stalls, result.wakeups) == (
+                1, 1, 1,
+            )
+        direct = simulate(gates, placement, SimulatorConfig(max_candidates=8))
+        assert direct.gate_start[2] == 4
+
     def test_unstalled_run_reports_zero(self):
         placement = Placement(
             width=8,
@@ -230,23 +263,18 @@ class TestRoutingDeadlock:
 
     The real router always finds a route on an idle mesh (rectilinear
     candidates exist for every pair), so the error is exercised with a
-    router that can never route — both engines must diagnose the same
+    router that can never route — both entry points must diagnose the same
     deadlock rather than spinning.
     """
 
-    #: The wakeup engine handles plain pairs inline; routing through the
-    #: (monkeypatched) router requires a config whose gates take the router
-    #: path, which ``allow_detour`` guarantees.
+    #: The kernel plans its own routes; a config whose points run on the
+    #: reference (and so through the monkeypatched router) is one with
+    #: ``allow_detour``.
     ROUTER_PATH_CONFIG = SimulatorConfig(allow_detour=True)
 
     def _break_router(self, monkeypatch):
         monkeypatch.setattr(
             BraidRouter, "route_pair", lambda self, a, b, locked, hop=None: None
-        )
-        monkeypatch.setattr(
-            BraidRouter,
-            "route_pair_masked",
-            lambda self, a, b, locked_mask, hop=None: (False, 0),
         )
 
     def test_wakeup_engine_raises(self, monkeypatch):
@@ -257,9 +285,7 @@ class TestRoutingDeadlock:
     def test_reference_engine_raises(self, monkeypatch):
         self._break_router(monkeypatch)
         with pytest.raises(RoutingDeadlockError, match="1 gates cannot be routed"):
-            simulate_reference(
-                [cnot(0, 1)], line_placement(2), track_wakeups=False
-            )
+            simulate_reference([cnot(0, 1)], line_placement(2))
 
     def test_deadlock_waits_for_inflight_braids(self, monkeypatch):
         # With a braid already in flight the stalled gate is not a deadlock
@@ -274,22 +300,12 @@ class TestRoutingDeadlock:
             return None
 
         original = BraidRouter.route_pair
-        original_masked = BraidRouter.route_pair_masked
         monkeypatch.setattr(BraidRouter, "route_pair", flaky_pair)
         with pytest.raises(RoutingDeadlockError):
-            simulate_reference(
-                [cnot(0, 1), cnot(2, 3)], line_placement(4), track_wakeups=False
-            )
+            simulate_reference([cnot(0, 1), cnot(2, 3)], line_placement(4))
+        assert calls["n"] > 2  # the stalled gate was re-tried
 
         calls["n"] = 0
-
-        def flaky_masked(self, a, b, locked_mask, hop=None):
-            calls["n"] += 1
-            if calls["n"] == 1:
-                return original_masked(self, a, b, locked_mask, hop=hop)
-            return False, 0
-
-        monkeypatch.setattr(BraidRouter, "route_pair_masked", flaky_masked)
         with pytest.raises(RoutingDeadlockError):
             simulate(
                 [cnot(0, 1), cnot(2, 3)],
@@ -332,3 +348,50 @@ class TestResultFields:
         for index, preds in enumerate(dag.predecessors):
             for pred in preds:
                 assert result.gate_start[index] >= result.gate_end[pred]
+
+
+class TestSimulatorConfigValidation:
+    """Bad knobs fail at construction, naming ``SimulatorConfig.<field>``."""
+
+    @pytest.mark.parametrize(
+        "field, value, error",
+        [
+            ("max_candidates", "x", TypeError),
+            ("max_candidates", 2.0, TypeError),
+            ("max_candidates", True, TypeError),
+            ("max_candidates", 0, ValueError),
+            ("max_candidates", -5, ValueError),
+            ("allow_detour", 1, TypeError),
+            ("detour_slack", "2", TypeError),
+            ("detour_slack", -0.5, ValueError),
+            ("detour_slack", float("nan"), ValueError),
+            ("detour_slack", float("inf"), ValueError),
+            ("max_cycles", -1, ValueError),
+            ("max_cycles", 1.5, TypeError),
+            ("durations", [("cnot", 2)], TypeError),
+            ("durations", {"cnot": 2}, TypeError),
+            ("durations", {GateKind.CNOT: -1}, ValueError),
+            ("durations", {GateKind.CNOT: 2.5}, TypeError),
+            ("hops", [(0, (1, 1))], TypeError),
+            ("hops", {-1: (1, 1)}, ValueError),
+            ("hops", {"0": (1, 1)}, TypeError),
+            ("hops", {0: (-1, 0)}, ValueError),
+            ("hops", {0: (1, 1, 1)}, TypeError),
+            ("hops", {0: "ab"}, TypeError),
+            ("hops", {0: (1.0, 1)}, TypeError),
+        ],
+    )
+    def test_rejects(self, field, value, error):
+        with pytest.raises(error, match=f"SimulatorConfig.{field}"):
+            SimulatorConfig(**{field: value})
+
+    def test_accepts_boundaries(self):
+        config = SimulatorConfig(
+            max_candidates=1,
+            detour_slack=0,
+            max_cycles=0,
+            durations={GateKind.CNOT: 0},
+            hops={0: (0, 0), 3: [2, 1]},
+        )
+        assert config.max_candidates == 1
+        assert SimulatorConfig().durations == DEFAULT_DURATIONS

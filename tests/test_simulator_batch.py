@@ -1,16 +1,15 @@
-"""Invariants of the batched simulator core.
+"""Invariants of the compiled simulator and its dispatch.
 
-:func:`repro.routing.simulate_batch` promises byte-identical
-``SimulationResult.to_dict()`` output to per-point
-:func:`repro.routing.simulate` (and, transitively through the parity
-suite, to :func:`repro.routing.simulate_reference`) at **any** batch
-size, grouping and mesh size.  These tests pin the invariants that
-promise decomposes into — batch-of-1 equals scalar, grouping/order
-independence, early retirees not perturbing survivors, the compiled
-candidate table matching ``BraidRouter._mask_plan`` — plus the
-engine-selection and fallback contract (``engine=`` validation,
-``REPRO_NO_KERNEL``, loop-only points inside a batch).  The randomized
-end-to-end sweep lives in ``test_simulator_fuzz.py``.
+:func:`repro.routing.simulate_batch` and :func:`repro.routing.simulate`
+promise byte-identical ``SimulationResult.to_dict()`` output to
+:func:`repro.routing.simulate_reference` at **any** batch size, grouping
+and mesh size.  These tests pin the invariants that promise decomposes
+into — batch-of-1 equals the reference, grouping/order independence,
+early retirees not perturbing survivors, the compiled candidate table
+matching ``BraidRouter._pair_plan``, the hop gate's watch rule — plus the
+dispatch contract: which points run in the kernel, which fall back to the
+reference, and ``REPRO_NO_KERNEL``.  The randomized end-to-end sweep
+lives in ``test_simulator_fuzz.py``.
 """
 
 from __future__ import annotations
@@ -22,7 +21,11 @@ import pytest
 
 from repro.circuits import Circuit
 from repro.circuits.gates import cnot, cxx
-from repro.distillation import ReusePolicy, build_two_level_factory
+from repro.distillation import (
+    ReusePolicy,
+    build_single_level_factory,
+    build_two_level_factory,
+)
 from repro.mapping import (
     Placement,
     linear_factory_placement,
@@ -47,9 +50,9 @@ from conftest import kernel_disabled
 def available_engines():
     """Engines runnable in this environment.
 
-    ``scalar`` is the per-point ``simulate`` loop that ``simulate_batch``
-    runs when the kernel cannot be built (pinned here with
-    ``REPRO_NO_KERNEL=1``); ``compiled`` is the kernel.
+    ``scalar`` is the per-point ``simulate_reference`` loop that
+    ``simulate_batch`` runs when the kernel cannot be built (pinned here
+    with ``REPRO_NO_KERNEL=1``); ``compiled`` is the kernel.
     """
     engines = ["scalar"]
     if kernel_available():
@@ -60,13 +63,18 @@ def available_engines():
 def run_batch(points, engine):
     """``simulate_batch`` on one engine (see :func:`available_engines`)."""
     if engine == "compiled":
-        return simulate_batch(points, engine="compiled")
+        return simulate_batch(points)
     with kernel_disabled():
         return simulate_batch(points)
 
 
 def dicts(results):
     return [result.to_dict() for result in results]
+
+
+@pytest.fixture(scope="module")
+def single_level_k2():
+    return build_single_level_factory(2)
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +91,7 @@ def k4_points(single_level_k4):
 
 @pytest.fixture(scope="module")
 def k4_expected(k4_points):
-    return [simulate(g, p, c).to_dict() for g, p, c in k4_points]
+    return [simulate_reference(g, p, c).to_dict() for g, p, c in k4_points]
 
 
 class TestBatchInvariants:
@@ -94,7 +102,7 @@ class TestBatchInvariants:
         point = (single_level_k4.circuit, placement, config)
         batched = run_batch([point], engine)
         assert len(batched) == 1
-        expected = simulate(single_level_k4.circuit, placement, config)
+        expected = simulate_reference(single_level_k4.circuit, placement, config)
         assert batched[0].to_dict() == expected.to_dict()
 
     @pytest.mark.parametrize("engine", available_engines())
@@ -133,7 +141,7 @@ class TestBatchInvariants:
                 points.append(
                     (factory.circuit, placement, SimulatorConfig(max_candidates=2))
                 )
-        expected = [simulate(g, p, c).to_dict() for g, p, c in points]
+        expected = [simulate_reference(g, p, c).to_dict() for g, p, c in points]
         assert dicts(run_batch(points, engine)) == expected
 
     @pytest.mark.parametrize("engine", available_engines())
@@ -154,31 +162,14 @@ class TestBatchInvariants:
         ]
         config = SimulatorConfig(max_candidates=1)
         points = [(gates, p, config) for p in [slow[0], fast, slow[1]]]
-        solo = [simulate(g, p, c) for g, p, c in points]
+        solo = [simulate_reference(g, p, c) for g, p, c in points]
         assert solo[1].latency < min(solo[0].latency, solo[2].latency)
         assert dicts(run_batch(points, engine)) == dicts(solo)
 
     @pytest.mark.parametrize("engine", available_engines())
-    def test_matches_untracked_reference(self, k4_points, engine):
-        """Satellite: ``simulate_reference(track_wakeups=False)`` agreement.
-
-        The untracked oracle reports ``wakeups=0`` by construction, the
-        cost profile of the engine before wakeup tracking; everything
-        else in its ``to_dict()`` must match the batched engines field
-        for field.
-        """
-        batched = run_batch(k4_points, engine)
-        for (g, p, c), result in zip(k4_points, batched):
-            untracked = simulate_reference(g, p, c, track_wakeups=False)
-            batched_dict = result.to_dict()
-            untracked_dict = untracked.to_dict()
-            assert untracked_dict.pop("wakeups") == 0
-            batched_dict.pop("wakeups")
-            assert batched_dict == untracked_dict
-
-    @pytest.mark.parametrize("engine", available_engines())
     def test_scalar_config_points_inside_batch(self, single_level_k4, engine):
-        """Detour/hop configs fall back per point without breaking the batch."""
+        """Detour points fall back per point and hop points run in the
+        kernel, without breaking the batch."""
         placement = random_circuit_placement(single_level_k4.circuit, seed=1)
         configs = [
             SimulatorConfig(max_candidates=2),
@@ -186,7 +177,7 @@ class TestBatchInvariants:
             SimulatorConfig(hops={0: (1, 1)}, max_candidates=2),
         ]
         points = [(single_level_k4.circuit, placement, c) for c in configs]
-        expected = [simulate(g, p, c).to_dict() for g, p, c in points]
+        expected = [simulate_reference(g, p, c).to_dict() for g, p, c in points]
         assert dicts(run_batch(points, engine)) == expected
 
     @pytest.mark.parametrize("engine", available_engines())
@@ -215,7 +206,7 @@ class TestBatchInvariants:
             },
         )
         config = SimulatorConfig(max_candidates=4)
-        expected = simulate(gates, placement, config)
+        expected = simulate_reference(gates, placement, config)
         assert expected.stall_events == 1  # the scenario must actually stall
         points = [(gates, placement, config)] * 2
         batched = run_batch(points, engine)
@@ -223,7 +214,7 @@ class TestBatchInvariants:
 
     @pytest.mark.parametrize("engine", available_engines())
     def test_max_cycles_exceeded_parity(self, engine):
-        """The scalar engine's max_cycles error fires identically batched."""
+        """The reference's max_cycles error fires identically batched."""
         gates = (cnot(0, 1), cnot(2, 3), cnot(0, 3))
         placement = Placement(
             width=4,
@@ -237,10 +228,10 @@ class TestBatchInvariants:
 
 class TestEngineSelection:
     def test_unknown_engine_rejected(self, single_level_k4):
-        """Only ``auto`` and ``compiled`` exist (``vector``/``scalar`` are gone)."""
+        """``REPRO_NO_KERNEL`` is the only selector: no per-call engine."""
         placement = linear_factory_placement(single_level_k4)
-        for engine in ("magic", "vector", "scalar"):
-            with pytest.raises(ValueError, match="unknown batch engine"):
+        for engine in ("auto", "compiled", "scalar"):
+            with pytest.raises(TypeError, match="engine"):
                 simulate_batch(
                     [(single_level_k4.circuit, placement, None)], engine=engine
                 )
@@ -251,21 +242,24 @@ class TestEngineSelection:
     def test_none_config_defaults(self, single_level_k4):
         placement = linear_factory_placement(single_level_k4)
         batched = simulate_batch([(single_level_k4.circuit, placement, None)])
-        expected = simulate(single_level_k4.circuit, placement)
+        expected = simulate_reference(single_level_k4.circuit, placement)
         assert batched[0].to_dict() == expected.to_dict()
 
-    def test_no_kernel_env_pins_python_paths(self, single_level_k4):
-        """REPRO_NO_KERNEL=1 disables the compiled engine, not correctness."""
+    def test_no_kernel_env_pins_python_paths(self, single_level_k4, monkeypatch):
+        """REPRO_NO_KERNEL=1 disables the compiled engine, not correctness:
+        every point, batched or single, runs on the reference."""
         placement = random_circuit_placement(single_level_k4.circuit, seed=5)
         points = [
             (single_level_k4.circuit, placement, SimulatorConfig(max_candidates=2)),
             (single_level_k4.circuit, placement, SimulatorConfig(max_candidates=8)),
         ]
-        expected = [simulate(g, p, c).to_dict() for g, p, c in points]
+        expected = [simulate_reference(g, p, c).to_dict() for g, p, c in points]
         with kernel_disabled():
             assert not kernel_available()
-            with pytest.raises(RuntimeError, match="compiled"):
-                simulate_batch(points, engine="compiled")
+            assert kernel_module.load() is None
+            calls = _counting(monkeypatch, simulator_module, "simulate_reference")
+            assert dicts(simulate(*point) for point in points) == expected
+            assert len(calls) == 2
             assert dicts(simulate_batch(points)) == expected
 
 
@@ -300,7 +294,7 @@ class TestCompiledCoverage:
             for mc in (1, 2, 4, 8)
         ]
         calls = _counting(monkeypatch, simulator_module, "_gates_fingerprint")
-        simulate_batch(points, engine="compiled")
+        simulate_batch(points)
         assert len(calls) == 1
 
     @pytest.mark.parametrize("layout", ["linear", "linear-reuse", "random"])
@@ -310,7 +304,7 @@ class TestCompiledCoverage:
 
         Linear layouts of capacities 16-64 have lattices 101-169 cells
         wide (two or three words per row); every point must run in the
-        kernel, with no per-point ``simulate`` call, and match it.
+        kernel, with no ``simulate_reference`` call, and match it.
         """
         factory = build_two_level_factory(
             capacity,
@@ -330,9 +324,9 @@ class TestCompiledCoverage:
             (factory.circuit, placement, SimulatorConfig(max_candidates=mc))
             for mc in (1, 2, 4, 8)
         ]
-        expected = [simulate(*points[i]).to_dict() for i in (0, 3)]
-        calls = _counting(monkeypatch, batchsim, "simulate")
-        results = simulate_batch(points, engine="compiled")
+        expected = [simulate_reference(*points[i]).to_dict() for i in (0, 3)]
+        calls = _counting(monkeypatch, batchsim, "simulate_reference")
+        results = simulate_batch(points)
         assert calls == []
         assert dicts([results[0], results[3]]) == expected
 
@@ -342,7 +336,7 @@ class TestCompiledCoverage:
         A valid ``Placement`` never puts two qubits on one tile, so this
         needs ``positions`` edited behind its back; the router then routes
         the leg as its single cell, and the batch hands exactly those
-        points to per-point ``simulate``.
+        points to ``simulate_reference``.
         """
         gates = (cnot(0, 1), cxx(0, [1, 2]), cnot(1, 2))
         good = Placement(
@@ -354,10 +348,141 @@ class TestCompiledCoverage:
         bad.positions[2] = (0, 0)
         config = SimulatorConfig(max_candidates=2)
         points = [(gates, good, config), (gates, bad, config)]
-        expected = [simulate(*point).to_dict() for point in points]
-        calls = _counting(monkeypatch, batchsim, "simulate")
-        assert dicts(simulate_batch(points, engine="compiled")) == expected
+        expected = [simulate_reference(*point).to_dict() for point in points]
+        calls = _counting(monkeypatch, batchsim, "simulate_reference")
+        assert dicts(simulate_batch(points)) == expected
         assert [args[1] for args in calls] == [bad]
+
+
+def _spy_dispatch(monkeypatch):
+    """Call logs of ``simulate`` and of both ``simulate_reference`` callers."""
+    return {
+        "simulate": _counting(monkeypatch, simulator_module, "simulate"),
+        "reference": _counting(monkeypatch, simulator_module, "simulate_reference"),
+        "batch_reference": _counting(monkeypatch, batchsim, "simulate_reference"),
+    }
+
+
+@pytest.mark.skipif(not kernel_available(), reason="needs the C kernel")
+class TestSingleEvaluationDispatch:
+    """``simulate`` runs a point in the kernel when it can plan it."""
+
+    def test_stitched_evaluation_runs_in_the_kernel(self, monkeypatch):
+        from repro.api import EvaluationRequest, Pipeline
+
+        request = EvaluationRequest("hierarchical_stitching", 4, levels=2)
+        calls = _spy_dispatch(monkeypatch)
+        result = Pipeline().evaluate(request)
+        assert len(calls["simulate"]) == 1
+        assert calls["simulate"][0][2].hops  # a hop braid point
+        assert calls["reference"] == calls["batch_reference"] == []
+        with kernel_disabled():
+            assert Pipeline().evaluate(request) == result
+        assert len(calls["reference"]) == 1
+
+    @pytest.mark.parametrize("case", ["detour", "off-mesh hop"])
+    def test_unplannable_points_run_on_the_reference(
+        self, single_level_k2, monkeypatch, case
+    ):
+        """Detours and a hop outside the mesh make exactly one reference
+        call, with the reference's result."""
+        circuit = single_level_k2.circuit
+        placement = linear_factory_placement(single_level_k2)
+        gate = 5  # the circuit's first pair braid
+        assert circuit.gates[gate].kind.value == "cnot"
+        config = {
+            "detour": SimulatorConfig(allow_detour=True),
+            "off-mesh hop": SimulatorConfig(hops={gate: (100, 100)}),
+        }[case]
+        expected = simulate_reference(circuit, placement, config)
+        calls = _spy_dispatch(monkeypatch)
+        result = simulate(circuit, placement, config)
+        assert len(calls["reference"]) == 1
+        assert result.to_dict() == expected.to_dict()
+        if case == "off-mesh hop":
+            assert result.latency == 30
+
+    @pytest.mark.parametrize("end", [0, 1])
+    def test_hop_on_its_own_tile_runs_as_the_plain_pair(
+        self, single_level_k4, monkeypatch, end
+    ):
+        """The router routes a hop on a braid's own source or target tile
+        as that cell plus the direct route, so the kernel runs the plain
+        pair; the result is the reference's and the hop-free config's."""
+        circuit = single_level_k4.circuit
+        placement = random_circuit_placement(circuit, seed=1)
+        hops = {
+            index: placement.positions[gate.qubits[end]]
+            for index, gate in enumerate(circuit.gates)
+            if gate.is_braided and gate.kind.value != "cxx"
+        }
+        config = SimulatorConfig(hops=hops)
+        expected = simulate_reference(circuit, placement, config)
+        assert expected.stall_events  # the hop path meets traffic
+        calls = _spy_dispatch(monkeypatch)
+        result = simulate(circuit, placement, config)
+        assert calls["reference"] == []
+        assert result.to_dict() == expected.to_dict()
+        assert result.to_dict() == simulate(circuit, placement).to_dict()
+
+
+#: Hand-built hop braids (found by search) whose first stall fails one
+#: leg: gates 0 and 1 are in flight when gate 2, hopping through a free
+#: tile, tries leg 1 (source -> hop), then leg 2 (hop -> target), then the
+#: direct route.  Dropping the failing leg's watch cells (the first two
+#: cases) or keeping only them (the third) changes the wakeups.
+HOP_WATCH_CASES = {
+    "leg 1 blocked": (
+        2, 4, {0: (0, 0), 1: (1, 3), 2: (1, 1), 3: (0, 2), 4: (1, 0), 5: (1, 2)},
+        (0, 3),
+    ),
+    "leg 2 blocked": (
+        4, 3, {0: (1, 1), 1: (0, 0), 2: (3, 2), 3: (0, 2), 4: (2, 1), 5: (2, 2)},
+        (1, 0),
+    ),
+    "leg 2 blocked, direct watched": (
+        3, 3, {0: (1, 1), 1: (2, 1), 2: (0, 1), 3: (1, 2), 4: (1, 0), 5: (2, 2)},
+        (0, 0),
+    ),
+}
+
+
+@pytest.mark.skipif(not kernel_available(), reason="needs the C kernel")
+class TestHopWatchRule:
+    """A stalled hop braid watches its failing leg plus its direct route."""
+
+    @pytest.mark.parametrize("case", sorted(HOP_WATCH_CASES))
+    def test_hop_gate_watch_cells(self, monkeypatch, case):
+        from repro.circuits.gates import inject_t
+        from repro.routing.mesh import tile_to_lattice
+
+        height, width, positions, hop = HOP_WATCH_CASES[case]
+        placement = Placement(width=width, height=height, positions=positions)
+        gates = (cnot(0, 1), inject_t(2, 3), cnot(4, 5))
+        config = SimulatorConfig(max_candidates=1, hops={2: hop})
+
+        # The first stall fails the named leg.
+        router = BraidRouter(
+            Mesh.from_placement(positions, width=width, height=height),
+            max_candidates=1,
+        )
+        locked = set(router.route_pair(0, 1, set()).cells)
+        locked |= router.route_pair(2, 3, locked).cells
+        source, target = (router.mesh.qubit_cell(q) for q in (4, 5))
+        lattice_hop = tile_to_lattice(hop)
+        leg1 = router._route_cells(source, lattice_hop, locked)
+        leg2 = router._route_cells(lattice_hop, target, locked)
+        assert (leg1 is None) == case.startswith("leg 1")
+        assert leg2 is None or leg1 is None
+        assert router._route_cells(source, target, locked) is None
+
+        reference = simulate_reference(gates, placement, config)
+        calls = _spy_dispatch(monkeypatch)
+        result = simulate(gates, placement, config)
+        assert calls["reference"] == []  # ran in the kernel
+        assert (reference.stall_events, reference.distinct_stalls,
+                reference.wakeups) == (2, 1, 2)
+        assert result.to_dict() == reference.to_dict()
 
 
 def _sparse_placement(rng, row_words, col_words):
@@ -386,21 +511,19 @@ def _sparse_placement(rng, row_words, col_words):
     )
 
 
-def _row_mask(mesh, row):
-    """A compiled candidate row expanded to the router's cell mask."""
-    sr, sc, tr, tc, hrow, ha, hb, vcol, va, vb, cells = (int(v) for v in row)
-    mask = (
-        mesh.cells_mask([(sr, sc), (tr, tc)])
-        | mesh.segment_mask((hrow, ha), (hrow, hb))
-        | mesh.segment_mask((va, vcol), (vb, vcol))
-    )
-    assert bin(mask).count("1") == cells
-    return mask
+def _row_cells(row):
+    """A compiled candidate row expanded to its set of lattice cells."""
+    sr, sc, tr, tc, hrow, ha, hb, vcol, va, vb, count = (int(v) for v in row)
+    cells = {(sr, sc), (tr, tc)}
+    cells.update((hrow, c) for c in range(ha, hb + 1))
+    cells.update((r, vcol) for r in range(va, vb + 1))
+    assert len(cells) == count
+    return frozenset(cells)
 
 
 @pytest.mark.skipif(not kernel_available(), reason="needs the C kernel")
 class TestCompiledPlanBuilder:
-    """The kernel's candidate table vs ``BraidRouter._mask_plan``."""
+    """The kernel's candidate table vs ``BraidRouter._pair_plan``."""
 
     @staticmethod
     def _mesh(placement):
@@ -454,8 +577,9 @@ class TestCompiledPlanBuilder:
                 router = BraidRouter(mesh, max_candidates=8)
                 pairs = self._pairs(mesh, rng)
                 for pair, rows in zip(pairs, self._rows(pairs, mesh)):
-                    compiled = [_row_mask(mesh, row) for row in rows]
-                    assert compiled == list(router._mask_plan(*pair)[0]), pair
+                    compiled = [_row_cells(row) for row in rows]
+                    plan = [cells for _, cells in router._pair_plan(*pair)[0]]
+                    assert compiled == plan, pair
                     deduplicated += len(rows) < 8
         assert deduplicated  # the dedup path actually ran
 
@@ -473,7 +597,7 @@ class TestCompiledPlanBuilder:
 
         Qubit tiles live at odd/odd lattice cells, so neither shape occurs
         in a valid placement; the kernel reports them as plan-less (count
-        -1), which sends their points to per-point ``simulate``.
+        -1), which sends their points to ``simulate_reference``.
         """
         placement = random_circuit_placement(single_level_k4.circuit, seed=0)
         mesh = self._mesh(placement)

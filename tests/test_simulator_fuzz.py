@@ -1,18 +1,20 @@
-"""Differential fuzz harness: batched engines vs the reference oracles.
+"""Differential fuzz harness: the compiled kernel vs the reference oracle.
 
 Each trial draws a random scenario — one or two circuits, one or two
 placements each, a handful of simulator configs, the whole point set
-shuffled and chunked into random batch sizes — and checks that **every**
-available batched engine (``scalar``, the per-point loop
-``simulate_batch`` runs without the kernel, and ``compiled`` when the C
-kernel builds) produces ``to_dict()`` output byte-identical to per-point
-:func:`repro.routing.simulate`, which is itself cross-checked against
-:func:`repro.routing.simulate_reference` (stall_events, distinct_stalls
-and wakeups included).  Each trial's first placement spans 1–3 lattice
-words per row and per column (trial ``seed`` takes combination
-``seed % 9``), so any nine consecutive trials cross every multi-word
-board shape of the kernel.  A small corpus runs in tier 1; the nightly
-CI job widens it with ``--fuzz-iterations``.
+shuffled and chunked into random batch sizes — and checks that the
+compiled kernel, through :func:`repro.routing.simulate_batch` and the
+single-point :func:`repro.routing.simulate`, produces ``to_dict()`` output
+byte-identical to :func:`repro.routing.simulate_reference`
+(stall_events, distinct_stalls and wakeups included; the oracle asserts
+its own wakeup invariant on every point).  Configs cover hop (Valiant)
+braids on free tiles and on a braid's own tiles, which run in the
+kernel, and the points it hands back to the reference: hops outside the
+mesh and BFS detours.  Each trial's first placement spans 1–3 lattice words
+per row and per column (trial ``seed`` takes combination ``seed % 9``),
+so any nine consecutive trials cross every multi-word board shape of the
+kernel.  Without the kernel only the oracle runs.  A small corpus runs in
+tier 1; the nightly CI job widens it with ``--fuzz-iterations``.
 
 Failures are collected, not raised one at a time: the assertion message
 lists every failing seed with a one-line repro command
@@ -33,7 +35,7 @@ from repro.routing import (
     simulate_batch,
     simulate_reference,
 )
-from conftest import fuzz_corpus, kernel_disabled
+from conftest import fuzz_corpus
 from test_simulator_parity import random_gates, random_placement
 
 #: Offset added to the trial index so seed 0 is not a magic value.
@@ -42,20 +44,6 @@ SEED_BASE = 20260808
 #: Tiles per axis that put 1, 2 or 3 words in a lattice row or column
 #: (a lattice has 2 * tiles + 1 cells per axis, 64 cells per word).
 WORD_TILES = {2: (32, 40), 3: (64, 70)}
-
-
-def _engines():
-    engines = ["scalar"]
-    if kernel_available():
-        engines.append("compiled")
-    return engines
-
-
-def _batch(points, engine):
-    if engine == "compiled":
-        return simulate_batch(points, engine="compiled")
-    with kernel_disabled():
-        return simulate_batch(points)
 
 
 def wide_placement(rng: random.Random, num_qubits: int, row_words: int,
@@ -80,23 +68,54 @@ def wide_placement(rng: random.Random, num_qubits: int, row_words: int,
     )
 
 
-def _random_batchable_config(rng: random.Random, gates, placement: Placement):
-    """Mostly batchable configs; ~1 in 5 exercise the scalar fallback."""
+def _random_hops(rng: random.Random, gates, placement: Placement):
+    """Hops for a random share of the pair braids, of one random style.
+
+    ``free`` picks unoccupied tiles, ``mixed`` any in-mesh tile (most
+    hierarchical-stitching hops sit on another qubit's tile) and
+    ``endpoint`` one of the braid's own tiles: all three run in the
+    kernel.  ``off-mesh`` puts the hop below the last tile row, and the
+    point falls back to the reference.
+    """
+    occupied = set(placement.positions.values())
+    free = [
+        (r, c)
+        for r in range(placement.height)
+        for c in range(placement.width)
+        if (r, c) not in occupied
+    ]
+    style = rng.choice(["free", "free", "endpoint", "off-mesh", "mixed"])
+    share = rng.choice([0.3, 0.8])
+    hops = {}
+    for index, gate in enumerate(gates):
+        if gate.kind.value not in ("cnot", "inject_t") or rng.random() >= share:
+            continue
+        if style == "free" and free:
+            hops[index] = rng.choice(free)
+        elif style == "endpoint":
+            hops[index] = placement.positions[rng.choice(gate.qubits)]
+        elif style == "off-mesh":
+            hops[index] = (
+                placement.height + rng.randrange(3),
+                rng.randrange(placement.width),
+            )
+        else:
+            hops[index] = (
+                rng.randrange(placement.height),
+                rng.randrange(placement.width),
+            )
+    return hops
+
+
+def _random_config(rng: random.Random, gates, placement: Placement):
+    """Plain configs, plus ~2 in 5 with hops and ~1 in 10 with detours."""
     hops = {}
     allow_detour = False
-    if rng.random() < 0.2:
-        if rng.random() < 0.5:
-            allow_detour = True
-        else:
-            hops = {
-                index: (
-                    rng.randrange(placement.height),
-                    rng.randrange(placement.width),
-                )
-                for index, gate in enumerate(gates)
-                if gate.kind.value in ("cnot", "inject_t")
-                and rng.random() < 0.3
-            }
+    draw = rng.random()
+    if draw < 0.1:
+        allow_detour = True
+    elif draw < 0.5:
+        hops = _random_hops(rng, gates, placement)
     return SimulatorConfig(
         max_candidates=rng.choice([1, 2, 4, 8]),
         allow_detour=allow_detour,
@@ -123,35 +142,28 @@ def run_trial(seed: int) -> None:
             else:
                 placement = random_placement(rng, num_qubits)
             for _ in range(rng.randint(1, 3)):  # configs per placement
-                config = _random_batchable_config(rng, gates, placement)
+                config = _random_config(rng, gates, placement)
                 points.append((gates, placement, config))
     rng.shuffle(points)
 
-    expected = []
-    for gates, placement, config in points:
-        masked = simulate(gates, placement, config)
-        reference = simulate_reference(gates, placement, config)
-        assert masked.to_dict() == reference.to_dict(), (
-            "masked engine diverged from the set-based reference"
-        )
-        expected.append(masked.to_dict())
-
+    expected = [simulate_reference(*point).to_dict() for point in points]
+    if not kernel_available():
+        return
+    assert [simulate(*point).to_dict() for point in points] == expected, (
+        "simulate diverged from the reference"
+    )
+    # Whole batch in one call...
+    assert [r.to_dict() for r in simulate_batch(points)] == expected, (
+        "simulate_batch diverged on the full batch"
+    )
+    # ...and chunked into sub-batches of the trial's random size.
     batch_size = rng.choice([1, 3, 8, len(points)])
-    for engine in _engines():
-        # Whole batch in one call...
-        out = _batch(points, engine)
-        assert [r.to_dict() for r in out] == expected, (
-            f"engine={engine!r} diverged on the full batch"
-        )
-        # ...and chunked into sub-batches of the trial's random size.
-        chunked = []
-        for start in range(0, len(points), batch_size):
-            chunked.extend(
-                _batch(points[start:start + batch_size], engine)
-            )
-        assert [r.to_dict() for r in chunked] == expected, (
-            f"engine={engine!r} diverged at batch_size={batch_size}"
-        )
+    chunked = []
+    for start in range(0, len(points), batch_size):
+        chunked.extend(simulate_batch(points[start:start + batch_size]))
+    assert [r.to_dict() for r in chunked] == expected, (
+        f"simulate_batch diverged at batch_size={batch_size}"
+    )
 
 
 def test_differential_fuzz(request):
@@ -173,12 +185,13 @@ def test_first_placements_cover_every_board_shape():
     assert shapes == {(r, c) for r in (1, 2, 3) for c in (1, 2, 3)}
 
 
+@pytest.mark.skipif(not kernel_available(), reason="needs the C kernel")
 def test_harness_detects_divergence(monkeypatch):
-    """The harness itself must fail loudly if an engine ever lies."""
+    """The harness itself must fail loudly if the kernel ever lies."""
     from repro.routing.batchsim import simulate_batch as real
 
-    def corrupted(requests, engine="auto"):
-        results = real(requests, engine=engine)
+    def corrupted(requests):
+        results = real(requests)
         if results and results[0].gate_start:
             results[0].gate_start[0] += 1
         return results

@@ -1,14 +1,14 @@
-"""Randomized parity suite: the bitmask/wakeup engine vs the set-based oracle.
+"""Randomized parity suite: :func:`repro.routing.simulate` vs the oracle.
 
-The default :func:`repro.routing.simulate` engine (integer-bitmask occupancy,
-event-driven stall wakeup) must produce **byte-identical**
+:func:`repro.routing.simulate` runs a point in the compiled kernel when it
+can plan it, and must produce **byte-identical**
 ``SimulationResult.to_dict()`` output to :func:`repro.routing.simulate_reference`
 (frozenset occupancy, every stalled gate re-tried at every completion event)
 on every input — timing, per-gate schedules and all three stall counters
 included.  These tests sweep randomized circuits, placements, candidate
 budgets, detour policies and Valiant-hop assignments; the oracle's own
-internal assertions (the wakeup parking invariant, masked-vs-set routing
-agreement) run as part of every comparison.
+wakeup-invariant assertion runs as part of every comparison.  Without the
+kernel both sides are the oracle.
 """
 
 from __future__ import annotations
@@ -26,9 +26,6 @@ from repro.mapping import (
 from repro.routing import (
     SimulationResult,
     SimulatorConfig,
-    bfs_detour,
-    bfs_detour_mask,
-    Mesh,
     simulate,
     simulate_reference,
 )
@@ -94,44 +91,44 @@ class TestRandomizedParity:
         placement = random_placement(rng, num_qubits)
         gates = random_gates(rng, num_qubits)
         config = random_config(rng, gates, placement)
-        mask = simulate(gates, placement, config)
+        result = simulate(gates, placement, config)
         reference = simulate_reference(gates, placement, config)
-        assert mask.to_dict() == reference.to_dict()
+        assert result.to_dict() == reference.to_dict()
 
     @pytest.mark.parametrize("max_candidates", [1, 2, 8])
     def test_factory_linear_placement(self, single_level_k4, max_candidates):
         placement = linear_factory_placement(single_level_k4)
         config = SimulatorConfig(max_candidates=max_candidates)
-        mask = simulate(single_level_k4.circuit, placement, config)
+        result = simulate(single_level_k4.circuit, placement, config)
         reference = simulate_reference(single_level_k4.circuit, placement, config)
-        assert mask.to_dict() == reference.to_dict()
+        assert result.to_dict() == reference.to_dict()
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_factory_congested_random_placement(self, single_level_k8, seed):
         """The stall-heavy geometry: a random placement of the Fig. 5 circuit."""
         placement = random_circuit_placement(single_level_k8.circuit, seed=seed)
         config = SimulatorConfig(max_candidates=2)
-        mask = simulate(single_level_k8.circuit, placement, config)
+        result = simulate(single_level_k8.circuit, placement, config)
         reference = simulate_reference(single_level_k8.circuit, placement, config)
-        assert mask.stall_events > 0  # the scenario must actually stall
-        assert mask.to_dict() == reference.to_dict()
+        assert result.stall_events > 0  # the scenario must actually stall
+        assert result.to_dict() == reference.to_dict()
 
     def test_factory_detour_parity(self, single_level_k4):
         placement = random_circuit_placement(single_level_k4.circuit, seed=1)
         config = SimulatorConfig(allow_detour=True, detour_slack=3.0)
-        mask = simulate(single_level_k4.circuit, placement, config)
+        result = simulate(single_level_k4.circuit, placement, config)
         reference = simulate_reference(single_level_k4.circuit, placement, config)
-        assert mask.to_dict() == reference.to_dict()
+        assert result.to_dict() == reference.to_dict()
 
     def test_two_level_factory_parity(self, two_level_cap4):
         placement = random_circuit_placement(two_level_cap4.circuit, seed=2)
         config = SimulatorConfig(max_candidates=4)
-        mask = simulate(two_level_cap4.circuit, placement, config)
+        result = simulate(two_level_cap4.circuit, placement, config)
         reference = simulate_reference(two_level_cap4.circuit, placement, config)
-        assert mask.to_dict() == reference.to_dict()
+        assert result.to_dict() == reference.to_dict()
 
     def test_hop_routing_parity(self):
-        """Valiant-hop braids take the masked hop/fallback path."""
+        """Valiant-hop braids take the hop/fallback path."""
         placement = Placement(
             width=6,
             height=6,
@@ -139,39 +136,9 @@ class TestRandomizedParity:
         )
         gates = [cnot(0, 11), cnot(1, 10), cnot(2, 9)]
         config = SimulatorConfig(hops={0: (4, 2), 1: (5, 5)}, max_candidates=1)
-        mask = simulate(gates, placement, config)
+        result = simulate(gates, placement, config)
         reference = simulate_reference(gates, placement, config)
-        assert mask.to_dict() == reference.to_dict()
-
-
-class TestBfsDetourMask:
-    def make_mesh(self):
-        positions = {0: (0, 0), 1: (0, 4), 2: (1, 2)}
-        return Mesh.from_placement(positions, width=6, height=2)
-
-    @pytest.mark.parametrize("seed", range(10))
-    def test_identical_paths_on_random_blocked_sets(self, seed):
-        mesh = self.make_mesh()
-        rng = random.Random(seed)
-        source, target = mesh.qubit_cell(0), mesh.qubit_cell(1)
-        all_cells = [
-            (r, c)
-            for r in range(mesh.lattice_height)
-            for c in range(mesh.lattice_width)
-            if (r, c) not in (source, target)
-        ]
-        blocked = frozenset(rng.sample(all_cells, rng.randint(0, 12)))
-        set_path = bfs_detour(mesh, source, target, blocked)
-        mask_path = bfs_detour_mask(mesh, source, target, mesh.cells_mask(blocked))
-        assert set_path == mask_path
-
-    def test_max_length_cap_matches(self):
-        mesh = self.make_mesh()
-        source, target = mesh.qubit_cell(0), mesh.qubit_cell(1)
-        for max_length in (3, 6, 50):
-            assert bfs_detour(
-                mesh, source, target, frozenset(), max_length
-            ) == bfs_detour_mask(mesh, source, target, 0, max_length)
+        assert result.to_dict() == reference.to_dict()
 
 
 class TestResultSerialization:
@@ -181,19 +148,3 @@ class TestResultSerialization:
         assert data["volume"] == result.volume
         assert data["average_braid_length"] == result.average_braid_length
         assert SimulationResult.from_dict(data) == result
-
-    def test_untracked_reference_reports_zero_wakeups(
-        self, single_level_k8
-    ):
-        placement = random_circuit_placement(single_level_k8.circuit, seed=0)
-        tracked = simulate_reference(single_level_k8.circuit, placement)
-        untracked = simulate_reference(
-            single_level_k8.circuit, placement, track_wakeups=False
-        )
-        assert tracked.wakeups > 0
-        assert untracked.wakeups == 0
-        tracked_dict = tracked.to_dict()
-        untracked_dict = untracked.to_dict()
-        tracked_dict.pop("wakeups")
-        untracked_dict.pop("wakeups")
-        assert tracked_dict == untracked_dict

@@ -14,6 +14,7 @@ import json
 import pytest
 
 from repro.api import EvaluationRequest, SweepPlan
+from repro.circuits.gates import DEFAULT_DURATIONS, GateKind
 from repro.mapping.force_directed import ForceDirectedConfig
 from repro.routing.simulator import SimulatorConfig
 from repro.service.wire import (
@@ -153,6 +154,79 @@ class TestDecodeEvaluationRequest:
         assert excinfo.value.field == "stitch_config"
         (key,) = stitch_config
         assert key in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "sim_config",
+        [
+            {"max_candidates": "x"},
+            {"max_candidates": -5},
+            {"max_candidates": 0},
+            {"max_candidates": 2.5},
+            {"allow_detour": "yes"},
+            {"detour_slack": -1.0},
+            {"detour_slack": float("inf")},
+            {"max_cycles": -1},
+            {"durations": {"cnot": -2}},
+            {"durations": {"cnot": 2.7}},
+            {"durations": {"h": True}},
+            {"hops": {"-1": [1, 2]}},
+            {"hops": {"3": [-1, 0]}},
+            {"hops": {"3": [1, 2, 3]}},
+            {"hops": {"3": [1.5, 0]}},
+        ],
+    )
+    def test_invalid_sim_config_names_sim_config(self, sim_config):
+        payload = wire_request(sim_config=sim_config)
+        with pytest.raises(WireFormatError) as excinfo:
+            decode_evaluation_request(payload)
+        assert excinfo.value.field == "sim_config"
+        (key,) = sim_config
+        assert f"SimulatorConfig.{key}" in str(excinfo.value)
+
+    @pytest.mark.parametrize(
+        "sim_config",
+        [{"durations": {"no_such_gate": 2}}, {"hops": {"a": [1, 2]}}],
+    )
+    def test_undecodable_sim_config_names_sim_config(self, sim_config):
+        with pytest.raises(WireFormatError) as excinfo:
+            decode_evaluation_request(wire_request(sim_config=sim_config))
+        assert excinfo.value.field == "sim_config"
+
+    @pytest.mark.parametrize(
+        "configs, field",
+        [
+            (
+                {"fd_config": {"seed": 1}, "stitch_config": {"seed": 1.5}},
+                "stitch_config",
+            ),
+            (
+                {
+                    "fd_config": {"seed": 1},
+                    "sim_config": {"max_candidates": "x", "seed": 2},
+                },
+                "sim_config",
+            ),
+            (
+                {"stitch_config": {"seed": 1}, "sim_config": {"hops": {"a": [1, 2]}}},
+                "sim_config",
+            ),
+        ],
+    )
+    def test_error_names_the_config_it_came_from(self, configs, field):
+        # Matching config keys in the error text once named the first
+        # config sharing a key with the failing one (or none at all).
+        with pytest.raises(WireFormatError) as excinfo:
+            decode_evaluation_request(wire_request(**configs))
+        assert excinfo.value.field == field
+
+    def test_partial_durations_override_the_defaults(self):
+        request = decode_evaluation_request(
+            wire_request(sim_config={"durations": {"cnot": 3}, "max_candidates": 3})
+        )
+        expected = {**DEFAULT_DURATIONS, GateKind.CNOT: 3}
+        assert request.sim_config == SimulatorConfig(
+            durations=expected, max_candidates=3
+        )
 
     def test_in_range_fd_config_decodes(self):
         fd_config = {"sweeps": 0, "max_step": 1, "temperature": 0, "cooling": 1.0}
