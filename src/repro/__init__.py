@@ -69,7 +69,7 @@ from . import (
     scheduling,
 )
 
-__version__ = "1.6.0"
+__version__ = "1.9.0"
 
 __all__ = [
     "analysis",

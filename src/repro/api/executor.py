@@ -709,6 +709,13 @@ class SweepExecutor:
         report: Callable[[int, str, FactoryEvaluation], None],
     ) -> None:
         workers = min(self.workers, len(pending))
+        # Longest first: more levels, then higher capacity, so the slowest
+        # points (paper-scale level 2) do not start last and leave the other
+        # workers idle.  The sort is stable, so ties keep plan order.
+        longest_first = sorted(
+            pending,
+            key=lambda index: (-unique[index].levels, -unique[index].capacity),
+        )
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_init,
@@ -716,7 +723,7 @@ class SweepExecutor:
         ) as pool:
             futures = {
                 pool.submit(_worker_evaluate, unique[index]): index
-                for index in pending
+                for index in longest_first
             }
             # Collect in completion order so each result is persisted the
             # moment it exists (crash durability); results land in their

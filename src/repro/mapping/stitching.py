@@ -46,6 +46,7 @@ from ..distillation.block_code import (
 from ..graphs.interaction import interaction_graph
 from ..graphs.metrics import segments_intersect
 from ..kernels import metrics as _metrics_kernel
+from .assignment import linear_sum_assignment
 from .force_directed import ForceDirectedConfig, force_directed_refine
 from .graph_partition import graph_partition_placement
 from .linear import linear_module_cells, linear_module_shape
@@ -271,11 +272,10 @@ def _reassign_ports(
     For every producer module the k output qubits must go to k distinct
     consumer modules; the assignment minimising the total Manhattan distance
     from each output qubit's position to its consumer's input centroid is
-    found with the Hungarian algorithm (``scipy.optimize``), independently
-    per producer since producers do not share output qubits.
+    found by the exact shortest-augmenting-path solver of
+    :mod:`repro.mapping.assignment`, independently per producer since
+    producers do not share output qubits.
     """
-    from scipy.optimize import linear_sum_assignment
-
     spec = factory.spec
     port_maps: List[PortMap] = []
     for boundary in range(1, spec.levels):
@@ -318,7 +318,7 @@ def _reassign_ports(
             row_indices, col_indices = linear_sum_assignment(cost_matrix)
             for port, consumer_slot in zip(row_indices, col_indices):
                 consumer_index = target_consumers[consumer_slot]
-                port_map[(producer.module_index, consumer_index)] = int(port)
+                port_map[(producer.module_index, consumer_index)] = port
         port_maps.append(port_map)
     return port_maps
 

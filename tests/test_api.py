@@ -382,3 +382,18 @@ class TestSimStallStats:
         assert evaluation.stall_events == 1
         assert evaluation.distinct_stalls == 1
         assert evaluation.wakeups == 1
+
+
+class TestPackageMetadata:
+    def test_version_matches_pyproject(self):
+        import re
+        from pathlib import Path
+
+        import repro
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        match = re.search(
+            r'^version\s*=\s*"([^"]+)"', pyproject.read_text(), re.MULTILINE
+        )
+        assert match is not None, "no version line in pyproject.toml"
+        assert repro.__version__ == match.group(1)

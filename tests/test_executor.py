@@ -195,6 +195,63 @@ class TestCacheAccounting:
 
 
 # ----------------------------------------------------------------------
+# Parallel scheduling
+# ----------------------------------------------------------------------
+class TestLongestFirstSubmission:
+    def test_pool_receives_the_longest_requests_first(self, monkeypatch):
+        """More levels first, then higher capacity; ties keep plan order."""
+        import concurrent.futures
+
+        import repro.api.executor as executor_module
+
+        submitted = []
+
+        class RecordingPool:
+            """An in-process stand-in for the process pool."""
+
+            def __init__(self, max_workers, initializer, initargs):
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def submit(self, fn, request):
+                submitted.append((request.method, request.levels, request.capacity))
+                future = concurrent.futures.Future()
+                future.set_result(fn(request))
+                return future
+
+        monkeypatch.setattr(executor_module, "ProcessPoolExecutor", RecordingPool)
+        # The stand-in runs the worker initializer in this process: restore
+        # the worker globals it sets when the test ends.
+        for name in ("_WORKER_ARGS", "_WORKER_PIPELINE"):
+            monkeypatch.setattr(executor_module, name, getattr(executor_module, name))
+        plan = SweepPlan.from_requests(
+            [
+                EvaluationRequest(method="linear", capacity=2),
+                EvaluationRequest(method="random", capacity=2),
+                EvaluationRequest(method="linear", capacity=3),
+                EvaluationRequest(method="linear", capacity=4, levels=2),
+                EvaluationRequest(method="random", capacity=3),
+                EvaluationRequest(method="linear", capacity=2),
+            ]
+        )
+        parallel = SweepExecutor(workers=2).run(plan)
+        assert submitted == [
+            ("linear", 2, 4),
+            ("linear", 1, 3),
+            ("random", 1, 3),
+            ("linear", 1, 2),
+            ("random", 1, 2),
+        ]
+        serial = SweepExecutor(workers=1).run(plan)
+        assert parallel.evaluations == serial.evaluations
+
+
+# ----------------------------------------------------------------------
 # Batched evaluation
 # ----------------------------------------------------------------------
 class TestBatchedExecution:
