@@ -477,6 +477,17 @@ _GRID_MARGIN = 4  # dense-grid slack (cells) around the initial extent
 _CELL_CAPACITY = 8  # initial dense-grid slots per cell (doubled on overflow)
 
 
+def _cell_position(vertex, pos) -> Position:
+    """``pos`` as a float pair; ``ValueError`` unless it is a grid cell."""
+    row, col = float(pos[0]), float(pos[1])
+    if not (row.is_integer() and col.is_integer()):
+        raise ValueError(
+            f"vertex {vertex!r} is placed at {tuple(pos)!r}: tracked "
+            "coordinates must be finite integers (grid cells)"
+        )
+    return row, col
+
+
 def tracker_engines() -> List[str]:
     """Tracker engine names usable in this environment.
 
@@ -671,11 +682,13 @@ class _CompiledTrackerEngine:
     """C-kernel engine: flat numpy state driven through raw ctypes calls.
 
     The dense cell grid covers the initial layout extent plus a small
-    margin; segments drifting outside are *clamped* to the border cells,
-    which is a sound (if coarser) pruning — the exact bbox + orientation
-    tests behind it keep the counts identical to the dict grid.  Buffer
-    addresses are cached once per (re)allocation so the per-proposal path
-    costs one ctypes call, not an argument-marshalling pass.
+    margin, and holds each segment only in the cells its row-band walk
+    touches; segments drifting outside are *clamped* to the border
+    cells.  Both are sound pruning on the tracker's integer coordinates
+    — the exact bbox + orientation tests behind them keep the counts
+    identical to the dict grid.  Buffer addresses are cached once per
+    (re)allocation so the per-proposal path costs one ctypes call, not
+    an argument-marshalling pass.
     """
 
     name = "compiled"
@@ -729,7 +742,6 @@ class _CompiledTrackerEngine:
             dtype=_np.int64,
         )
         self._cell_count = _np.zeros(self._n_cells, dtype=_np.int64)
-        self._edge_range = _np.zeros(max(4 * m, 1), dtype=_np.int64)
         self._cell_items = _np.zeros(self._n_cells * cap, dtype=_np.int64)
         # Per-move staging buffers (k <= m always).
         self._changed_buf = _np.zeros(max(m, 1), dtype=_np.int64)
@@ -739,8 +751,7 @@ class _CompiledTrackerEngine:
         self._cross_buf = _np.zeros(2, dtype=_np.int64)
         self._cache_pointers()
         while self._kern.grid_build(
-            self._ip_p, self._seg_p, self._bucket,
-            self._cc_p, self._ci_p, self._er_p,
+            self._ip_p, self._seg_p, self._bucket, self._cc_p, self._ci_p
         ) != 0:
             self._grow_cell_items()
         self.spacing_sum = float(
@@ -750,9 +761,9 @@ class _CompiledTrackerEngine:
         )
         self.crossings = int(
             self._kern.count_crossings(
-                self._ip_p, self._seg_p, self._eu_p, self._ev_p, self._er_p,
-                self._cc_p, self._ci_p, self._stamp_p, self._gen_p,
-                self._crossC_p,
+                self._ip_p, self._seg_p, self._bucket, self._eu_p,
+                self._ev_p, self._cc_p, self._ci_p, self._stamp_p,
+                self._gen_p, self._crossC_p,
             )
         )
 
@@ -768,7 +779,6 @@ class _CompiledTrackerEngine:
         self._gen_p = self._gen.ctypes.data
         self._cc_p = self._cell_count.ctypes.data
         self._ci_p = self._cell_items.ctypes.data
-        self._er_p = self._edge_range.ctypes.data
         self._crossC_p = self._crossC.ctypes.data
         self._cflag_p = self._cflag.ctypes.data
         self._changed_p = self._changed_buf.ctypes.data
@@ -787,8 +797,7 @@ class _CompiledTrackerEngine:
         while True:
             self._grow_cell_items()
             if self._kern.grid_build(
-                self._ip_p, self._seg_p, self._bucket,
-                self._cc_p, self._ci_p, self._er_p,
+                self._ip_p, self._seg_p, self._bucket, self._cc_p, self._ci_p
             ) == 0:
                 return
 
@@ -826,7 +835,7 @@ class _CompiledTrackerEngine:
             self._ip_p, self._bucket, k,
             self._changed_p, self._newseg_p, self._newmid_p,
             self._seg_p, self._mid_p, self._R_p,
-            self._cc_p, self._ci_p, self._er_p, self._scratch_p,
+            self._cc_p, self._ci_p, self._scratch_p,
             self._eu_p, self._ev_p, self._stamp_p, self._gen_p,
             self._crossC_p, self._cflag_p,
         )
@@ -1055,7 +1064,7 @@ class KernelSweep:
         dp = self._dp
         sp[k.SP_START] = 0
         sp[k.SP_COUNT] = n
-        sp[k.SP_DRAWS] = sp[k.SP_PROPOSED] = 0
+        sp[k.SP_DRAWS] = sp[k.SP_PROPOSED] = sp[k.SP_EXACT] = 0
         sp[k.SP_ACCEPTED] = sp[k.SP_IMPROVING] = 0
         sp[k.SP_CROSSINGS] = tracker.crossings
         dp[k.DP_TEMPERATURE] = temperature
@@ -1070,7 +1079,7 @@ class KernelSweep:
             engine._ip_p, engine._bucket,
             engine._seg_p, engine._mid_p, engine._R_p,
             engine._eu_p, engine._ev_p, engine._crossC_p, engine._cflag_p,
-            engine._cc_p, engine._ci_p, engine._er_p,
+            engine._cc_p, engine._ci_p,
             engine._stamp_p, engine._gen_p, engine._scratch_p,
             engine._changed_p, engine._newseg_p, engine._newmid_p,
             engine._newrow_p, *self._pointers,
@@ -1109,6 +1118,16 @@ class KernelSweep:
         ]
         return moves, int(sp[k.SP_PROPOSED]), int(sp[k.SP_IMPROVING])
 
+    @property
+    def exact_proposals(self) -> int:
+        """Proposals of the last :meth:`run` that computed their distance rows.
+
+        The kernel settles the others from a bound on the spacing term
+        (see ``mc_sweep``).  The oracle loop evaluates every proposal in
+        full, so this count has no ``RefineStats`` counterpart.
+        """
+        return int(self._sp[_metrics_kernel.SP_EXACT])
+
 
 class MappingCostTracker:
     """Exact Fig. 6 metrics maintained incrementally under vertex moves.
@@ -1138,6 +1157,17 @@ class MappingCostTracker:
 
     Vertices present in ``positions`` but not in the graph (or isolated
     in it) may be moved freely; they contribute nothing to any metric.
+
+    Positions are grid cells: every coordinate must be a finite integer
+    value, which is what every mapper places on.  Construction,
+    :meth:`evaluate` and :meth:`apply` raise ``ValueError`` naming the
+    vertex otherwise.  Off the integer lattice the crossing predicates'
+    1e-12 tolerance makes a pair's verdict depend on which segment is
+    the query, and counts pairs that touch only within the tolerance,
+    which a grid bucketing exact coordinates can miss; the engines use
+    different grids and query orders, so they could disagree.  On
+    integer cells the predicates are exact, which the compiled grid's
+    soundness rests on, and both engines count one pair set.
     """
 
     def __init__(
@@ -1156,7 +1186,7 @@ class MappingCostTracker:
         self.crossing_weight = crossing_weight
 
         self._positions: Dict[int, Position] = {
-            vertex: (float(pos[0]), float(pos[1]))
+            vertex: _cell_position(vertex, pos)
             for vertex, pos in positions.items()
         }
         self._edges: List[Tuple[int, int, float]] = []
@@ -1294,7 +1324,7 @@ class MappingCostTracker:
         moves: Dict[int, Position] = {}
         for vertex, pos in updates.items():
             if vertex in self._positions:
-                moves[vertex] = (float(pos[0]), float(pos[1]))
+                moves[vertex] = _cell_position(vertex, pos)
         moved_from = {vertex: self._positions[vertex] for vertex in moves}
         changed: List[int] = sorted(
             {index for vertex in moves for index in self._incident.get(vertex, ())}
@@ -1368,7 +1398,8 @@ class MappingCostTracker:
         Pure with respect to the tracked state: nothing changes until
         :meth:`commit_evaluated` (which reuses this evaluation — no
         geometry test runs twice).  Unknown vertices are ignored; moves
-        that touch no edge cost 0.0.
+        that touch no edge cost 0.0.  A tracked vertex moved off the
+        integer grid raises ``ValueError`` and changes nothing.
         """
         moves, moved_from, changed = self._prepare(updates)
         if not moves or not changed:
@@ -1430,8 +1461,9 @@ class MappingCostTracker:
     def apply(self, updates: Mapping[int, Position]) -> float:
         """Move vertices to new positions; returns the combined-cost delta.
 
-        ``updates`` maps vertices to their new ``(row, col)`` positions.
-        Unknown vertices are ignored.  Undo with :meth:`revert_last`
+        ``updates`` maps vertices to their new ``(row, col)`` positions,
+        integer cells like every tracked position (``ValueError``
+        otherwise).  Unknown vertices are ignored.  Undo with :meth:`revert_last`
         (cheap, restores the pre-move state exactly) or by applying the
         inverse mapping.
         """

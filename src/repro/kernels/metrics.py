@@ -2,7 +2,8 @@
 
 The C source (``metrics_kernel.c`` beside this module) implements the
 hot path of :class:`repro.graphs.metrics.MappingCostTracker`: crossing
-and orientation tests against a dense bucket grid, tree-folded
+and orientation tests against a dense bucket grid that holds each
+segment in the cells its row-band walk touches, tree-folded
 midpoint-distance rows for the spacing metric, and the commit-time
 maintenance of the per-edge row-sum cache.  It is built through the
 shared :class:`repro.kernels.runtime.KernelLoader` with
@@ -18,7 +19,9 @@ steps (``mc_forces``, the numpy ``_ForceField.forces`` and
 ``_step_toward`` in numpy's float order), then per proposal the target,
 occupant swap, evaluate, Boltzmann test and commit, drawing from a C
 replica of CPython's MT19937 ``random.random()`` and calling libm
-``exp`` like ``math.exp`` does.  ``mc_forces`` and ``mc_random`` are
+``exp`` like ``math.exp`` does.  A proposal computes its midpoint
+distance rows only when a bound on its spacing term cannot settle the
+Boltzmann test (``SP_EXACT`` counts those that do).  ``mc_forces`` and ``mc_random`` are
 exported on their own for the parity tests.  ``mc_hop_sweep`` runs one
 sweep of the permutation-hop annealer of :mod:`repro.mapping.stitching`
 on the same crossing predicates: the caller pre-draws the visit order
@@ -54,8 +57,9 @@ BASE_CFLAGS = ("-ffp-contract=off", "-fno-math-errno")
     SP_ACCEPTED,
     SP_IMPROVING,
     SP_CROSSINGS,
+    SP_EXACT,
     SP_SLOTS,
-) = range(11)
+) = range(12)
 (
     DP_LENGTH_W,
     DP_SPACING_W,
@@ -92,22 +96,22 @@ class MetricsKernel:
         self.path = path
         self.grid_build = lib.mc_grid_build
         self.grid_build.restype = _i64
-        self.grid_build.argtypes = [_ptr, _ptr, _dbl, _ptr, _ptr, _ptr]
+        self.grid_build.argtypes = [_ptr, _ptr, _dbl, _ptr, _ptr]
         self.spacing_init = lib.mc_spacing_init
         self.spacing_init.restype = _dbl
         self.spacing_init.argtypes = [_ptr] * 4
         self.count_crossings = lib.mc_count_crossings
         self.count_crossings.restype = _i64
-        self.count_crossings.argtypes = [_ptr] * 10
+        self.count_crossings.argtypes = [_ptr, _ptr, _dbl] + [_ptr] * 7
         self.eval = lib.mc_eval
         self.eval.restype = None
         self.eval.argtypes = [_ptr, _dbl, _i64] + [_ptr] * 16
         self.commit = lib.mc_commit
         self.commit.restype = _i64
-        self.commit.argtypes = [_ptr, _dbl, _i64] + [_ptr] * 16
+        self.commit.argtypes = [_ptr, _dbl, _i64] + [_ptr] * 15
         self.sweep = lib.mc_sweep
         self.sweep.restype = _i64
-        self.sweep.argtypes = [_ptr, _dbl] + [_ptr] * 39
+        self.sweep.argtypes = [_ptr, _dbl] + [_ptr] * 38
         self.forces = lib.mc_forces
         self.forces.restype = _i64
         self.forces.argtypes = [_ptr] * 8 + [_i64] + [_ptr] * 4

@@ -4,8 +4,7 @@
  * over flat arrays: segment endpoints seg[m*4] = (p_row, p_col, q_row, q_col),
  * midpoints mid[m*2], edge endpoint vertices eu/ev[m], per-edge full
  * midpoint-distance row sums R[m], and a dense clamped bucket grid
- * (cell_count / cell_items / per-edge clamped cell ranges edge_range[m*4] =
- * {row_lo, row_hi, col_lo, col_hi}).
+ * (cell_count / cell_items).
  *
  * Bitwise discipline (the compiled and scalar engines must agree on every
  * bit of every float they produce):
@@ -21,10 +20,15 @@
  * The crossing predicates replicate the arithmetic of _orientation /
  * _on_segment / _segments_cross exactly (same products, same 1e-12
  * tolerances), so crossing counts agree with the Python engines on every
- * input.  The clamped dense grid may produce *larger* candidate sets than
- * the unbounded Python dict grid (out-of-range cells clamp onto the border),
- * but candidates are only pruning: the exact bbox + orientation tests keep
- * the counted pair set identical.
+ * input of the tracker's domain: integer cell coordinates, on which the
+ * predicates are exact.  The grid registers each segment in the cells its
+ * band walk touches (band_walk_start/band_walk_next: per bucket row, the
+ * columns the segment crosses inside that row band), not in every cell of
+ * its bounding box as the scalar engine's dict grid does, and cells beyond
+ * the grid clamp onto its border.  Candidate sets therefore differ between
+ * the engines, but candidates are only pruning: two segments the exact
+ * predicates count share a point, and that point's cell lies on both band
+ * walks, so the counted pair set is identical.
  *
  * int-params array ip = { m, pad, origin_row, origin_col, n_rows, n_cols,
  * cap }.  All functions are single-threaded over caller-owned buffers.
@@ -32,11 +36,15 @@
  * mc_sweep (at the end) runs a whole force-directed annealing sweep over
  * this state: the force pass and steps (mc_forces) and the proposal loop
  * of repro.mapping.force_directed, with a replica of CPython's
- * random.random() for the Boltzmann test.  mc_hop_sweep (after it) runs
- * one sweep of the permutation-hop annealer of repro.mapping.stitching on
- * the same crossing predicates.
+ * random.random() for the Boltzmann test.  Each proposal computes its
+ * crossings and lengths exactly, then bounds the spacing term, and skips
+ * the k distance rows whenever that bound already rejects the move (see
+ * delta_lower_bound).  mc_hop_sweep (after it) runs one sweep of the
+ * permutation-hop annealer of repro.mapping.stitching on the same crossing
+ * predicates.
  */
 
+#include <float.h>
 #include <stdint.h>
 #include <math.h>
 
@@ -128,47 +136,122 @@ static int bbox_reject(const double *query_seg, const double *other_seg) {
 }
 
 /* ------------------------------------------------------------------ */
-/* Dense clamped cell grid                                             */
+/* Dense clamped cell grid, walked band by band                        */
 /* ------------------------------------------------------------------ */
 
-static int64_t clampi(int64_t value, int64_t lo, int64_t hi) {
-    if (value < lo) {
+/* floor(x) clamped to [lo, hi]; NaN clamps to lo.  Clamping in doubles
+ * keeps the int64 conversion defined for any coordinate. */
+static int64_t cell_of(double x, int64_t lo, int64_t hi) {
+    double cell = floor(x);
+    if (!(cell > (double)lo)) {
         return lo;
     }
-    if (value > hi) {
+    if (cell >= (double)hi) {
         return hi;
     }
-    return value;
+    return (int64_t)cell;
 }
 
-/* Clamped cell range of one segment; out = {row_lo, row_hi, col_lo, col_hi}. */
-static void cell_range(const double *seg, double bucket, const int64_t *ip,
-                       int64_t *out) {
-    double row_min = seg[0] < seg[2] ? seg[0] : seg[2];
-    double row_max = seg[0] < seg[2] ? seg[2] : seg[0];
-    double col_min = seg[1] < seg[3] ? seg[1] : seg[3];
-    double col_max = seg[1] < seg[3] ? seg[3] : seg[1];
-    int64_t origin_row = ip[2], origin_col = ip[3];
-    int64_t n_rows = ip[4], n_cols = ip[5];
-    out[0] = clampi((int64_t)floor(row_min / bucket), origin_row,
-                    origin_row + n_rows - 1);
-    out[1] = clampi((int64_t)floor(row_max / bucket), origin_row,
-                    origin_row + n_rows - 1);
-    out[2] = clampi((int64_t)floor(col_min / bucket), origin_col,
-                    origin_col + n_cols - 1);
-    out[3] = clampi((int64_t)floor(col_max / bucket), origin_col,
-                    origin_col + n_cols - 1);
+/* The cells of one segment, one bucket row at a time.  Coordinates are
+ * divided by the bucket once, so row r's band is exactly [r, r + 1]; a
+ * border row's band is unbounded on its outer side, because clamping
+ * folds every band beyond the border into it.  Each row's column span is
+ * the segment clipped to the band, its two ends interpolated, widened by
+ * eps, floored, and clamped into the bounding box's columns and the grid.
+ *
+ * Why this is sound for crossings: a pair the exact predicates count
+ * shares a point X.  Let x = X / bucket rounded to doubles (rounding is
+ * monotone, so x lies inside both segments' computed row ranges and
+ * column ranges).  Both walks visit row floor(x_row), clamped, and both
+ * bands contain x_row exactly.  At x_row each walk's interpolated column
+ * is within a few ulps of the coordinates' magnitude, times (1 + slope),
+ * of x_col, which eps covers many times over; so both spans contain
+ * floor(x_col), clamped.
+ * Insert, remove, query and mc_count_crossings all walk through here. */
+typedef struct {
+    double r0, c0, r1, slope, eps; /* bucket units, r0 <= r1 */
+    int64_t next, last;             /* next row to visit, last row */
+    int64_t col_min, col_max;       /* bounding-box columns */
+    int64_t origin_row, last_row, origin_col, last_col;
+    int64_t row, col_lo, col_hi;    /* the visited row and its span */
+} BandWalk;
+
+static void band_walk_start(BandWalk *w, const double *seg, double bucket,
+                            const int64_t *ip) {
+    double pr = seg[0] / bucket, pc = seg[1] / bucket;
+    double qr = seg[2] / bucket, qc = seg[3] / bucket;
+    double c1, mag;
+    w->origin_row = ip[2];
+    w->last_row = ip[2] + ip[4] - 1;
+    w->origin_col = ip[3];
+    w->last_col = ip[3] + ip[5] - 1;
+    if (pr <= qr) {
+        w->r0 = pr;
+        w->c0 = pc;
+        w->r1 = qr;
+        c1 = qc;
+    } else {
+        w->r0 = qr;
+        w->c0 = qc;
+        w->r1 = pr;
+        c1 = pc;
+    }
+    w->slope = w->r1 > w->r0 ? (c1 - w->c0) / (w->r1 - w->r0) : 0.0;
+    mag = fabs(pr) + fabs(pc) + fabs(qr) + fabs(qc) + 1.0;
+    w->eps = 1e-7 + 1e-12 * mag * (1.0 + fabs(w->slope));
+    w->next = cell_of(w->r0, w->origin_row, w->last_row);
+    w->last = cell_of(w->r1, w->origin_row, w->last_row);
+    w->col_min = cell_of(pc < qc ? pc : qc, w->origin_col, w->last_col);
+    w->col_max = cell_of(pc < qc ? qc : pc, w->origin_col, w->last_col);
 }
 
-static int64_t grid_insert(int64_t edge, const int64_t *range,
+/* Advance to the next row w->row and its span [col_lo, col_hi]; returns
+ * 0 when the walk is done. */
+static int band_walk_next(BandWalk *w) {
+    int64_t row = w->next;
+    double lo, hi, a, b, lo_col, hi_col;
+    if (row > w->last) {
+        return 0;
+    }
+    w->row = row;
+    w->next = row + 1;
+    w->col_lo = w->col_min;
+    w->col_hi = w->col_max;
+    if (!(w->r1 > w->r0)) {
+        return 1; /* one row holds the whole segment */
+    }
+    lo = row == w->origin_row || w->r0 > (double)row ? w->r0 : (double)row;
+    hi = row == w->last_row || w->r1 < (double)(row + 1) ? w->r1
+                                                         : (double)(row + 1);
+    a = w->c0 + (lo - w->r0) * w->slope;
+    b = w->c0 + (hi - w->r0) * w->slope;
+    lo_col = (a < b ? a : b) - w->eps;
+    hi_col = (a < b ? b : a) + w->eps;
+    if (lo_col <= hi_col) { /* a NaN span keeps the whole bounding box */
+        int64_t first = cell_of(lo_col, w->origin_col, w->last_col);
+        int64_t last = cell_of(hi_col, w->origin_col, w->last_col);
+        if (first > w->col_lo) {
+            w->col_lo = first;
+        }
+        if (last < w->col_hi) {
+            w->col_hi = last;
+        }
+    }
+    return 1;
+}
+
+static int64_t grid_insert(int64_t edge, const double *seg, double bucket,
                            const int64_t *ip, int64_t *cell_count,
                            int64_t *cell_items) {
     int64_t origin_row = ip[2], origin_col = ip[3];
     int64_t n_cols = ip[5], cap = ip[6];
-    int64_t row, col;
-    for (row = range[0]; row <= range[1]; row++) {
-        for (col = range[2]; col <= range[3]; col++) {
-            int64_t cell = (row - origin_row) * n_cols + (col - origin_col);
+    int64_t col;
+    BandWalk w;
+    band_walk_start(&w, seg, bucket, ip);
+    while (band_walk_next(&w)) {
+        int64_t base = (w.row - origin_row) * n_cols - origin_col;
+        for (col = w.col_lo; col <= w.col_hi; col++) {
+            int64_t cell = base + col;
             if (cell_count[cell] >= cap) {
                 return -1;
             }
@@ -179,15 +262,18 @@ static int64_t grid_insert(int64_t edge, const int64_t *range,
     return 0;
 }
 
-static void grid_remove(int64_t edge, const int64_t *range,
+static void grid_remove(int64_t edge, const double *seg, double bucket,
                         const int64_t *ip, int64_t *cell_count,
                         int64_t *cell_items) {
     int64_t origin_row = ip[2], origin_col = ip[3];
     int64_t n_cols = ip[5], cap = ip[6];
-    int64_t row, col, slot;
-    for (row = range[0]; row <= range[1]; row++) {
-        for (col = range[2]; col <= range[3]; col++) {
-            int64_t cell = (row - origin_row) * n_cols + (col - origin_col);
+    int64_t col, slot;
+    BandWalk w;
+    band_walk_start(&w, seg, bucket, ip);
+    while (band_walk_next(&w)) {
+        int64_t base = (w.row - origin_row) * n_cols - origin_col;
+        for (col = w.col_lo; col <= w.col_hi; col++) {
+            int64_t cell = base + col;
             int64_t count = cell_count[cell];
             for (slot = 0; slot < count; slot++) {
                 if (cell_items[cell * cap + slot] == edge) {
@@ -203,16 +289,14 @@ static void grid_remove(int64_t edge, const int64_t *range,
 
 /* Build the whole grid from seg; returns -1 when a cell overflows cap. */
 int64_t mc_grid_build(const int64_t *ip, const double *seg, double bucket,
-                      int64_t *cell_count, int64_t *cell_items,
-                      int64_t *edge_range) {
+                      int64_t *cell_count, int64_t *cell_items) {
     int64_t m = ip[0], n_cells = ip[4] * ip[5];
     int64_t i;
     for (i = 0; i < n_cells; i++) {
         cell_count[i] = 0;
     }
     for (i = 0; i < m; i++) {
-        cell_range(seg + 4 * i, bucket, ip, edge_range + 4 * i);
-        if (grid_insert(i, edge_range + 4 * i, ip, cell_count,
+        if (grid_insert(i, seg + 4 * i, bucket, ip, cell_count,
                         cell_items) != 0) {
             return -1;
         }
@@ -250,25 +334,26 @@ double mc_spacing_init(const int64_t *ip, const double *mid, double *R,
  * of crossings edge i participates in — the per-edge cache that lets move
  * evaluation skip re-scanning old segments. */
 int64_t mc_count_crossings(const int64_t *ip, const double *seg,
-                           const int64_t *eu, const int64_t *ev,
-                           const int64_t *edge_range,
-                           const int64_t *cell_count,
-                           const int64_t *cell_items,
-                           int64_t *stamp, int64_t *gen, int64_t *crossC) {
+                           double bucket, const int64_t *eu,
+                           const int64_t *ev, const int64_t *cell_count,
+                           const int64_t *cell_items, int64_t *stamp,
+                           int64_t *gen, int64_t *crossC) {
     int64_t m = ip[0];
     int64_t origin_row = ip[2], origin_col = ip[3];
     int64_t n_cols = ip[5], cap = ip[6];
     int64_t crossings = 0;
-    int64_t i, row, col, slot;
+    int64_t i, col, slot;
     for (i = 0; i < m; i++) {
         crossC[i] = 0;
     }
     for (i = 0; i < m; i++) {
-        const int64_t *range = edge_range + 4 * i;
         int64_t g = ++(*gen);
-        for (row = range[0]; row <= range[1]; row++) {
-            for (col = range[2]; col <= range[3]; col++) {
-                int64_t cell = (row - origin_row) * n_cols + (col - origin_col);
+        BandWalk w;
+        band_walk_start(&w, seg + 4 * i, bucket, ip);
+        while (band_walk_next(&w)) {
+            int64_t base = (w.row - origin_row) * n_cols - origin_col;
+            for (col = w.col_lo; col <= w.col_hi; col++) {
+                int64_t cell = base + col;
                 int64_t count = cell_count[cell];
                 for (slot = 0; slot < count; slot++) {
                     int64_t other = cell_items[cell * cap + slot];
@@ -304,7 +389,7 @@ int64_t mc_count_crossings(const int64_t *ip, const double *seg,
  * separately).  When cross_adjust is non-NULL, every crossing partner has
  * cross_adjust[other] bumped by delta — the commit path uses this to keep
  * the per-edge crossing-count cache current. */
-static int64_t cross_vs_grid(const double *query_seg, const int64_t *range,
+static int64_t cross_vs_grid(const double *query_seg, double bucket,
                              int64_t self_u, int64_t self_v,
                              const int64_t *cflag,
                              const int64_t *ip, const double *seg,
@@ -317,7 +402,8 @@ static int64_t cross_vs_grid(const double *query_seg, const int64_t *range,
     int64_t n_cols = ip[5], cap = ip[6];
     int64_t count_crossing = 0;
     int64_t g = ++(*gen);
-    int64_t row, col, slot;
+    int64_t col, slot;
+    BandWalk w;
     double q_row_lo = (query_seg[0] < query_seg[2] ? query_seg[0]
                                                    : query_seg[2]) - TOL;
     double q_row_hi = (query_seg[0] < query_seg[2] ? query_seg[2]
@@ -326,9 +412,11 @@ static int64_t cross_vs_grid(const double *query_seg, const int64_t *range,
                                                    : query_seg[3]) - TOL;
     double q_col_hi = (query_seg[1] < query_seg[3] ? query_seg[3]
                                                    : query_seg[1]) + TOL;
-    for (row = range[0]; row <= range[1]; row++) {
-        for (col = range[2]; col <= range[3]; col++) {
-            int64_t cell = (row - origin_row) * n_cols + (col - origin_col);
+    band_walk_start(&w, query_seg, bucket, ip);
+    while (band_walk_next(&w)) {
+        int64_t base = (w.row - origin_row) * n_cols - origin_col;
+        for (col = w.col_lo; col <= w.col_hi; col++) {
+            int64_t cell = base + col;
             int64_t count = cell_count[cell];
             for (slot = 0; slot < count; slot++) {
                 int64_t other = cell_items[cell * cap + slot];
@@ -388,30 +476,21 @@ static int64_t cross_intra(const double *segs, const int64_t *changed,
     return count_crossing;
 }
 
-/* Evaluate one move of k edges without mutating any state.
- *
- * Outputs: newrow_out[t] = tree-folded distance row from the new midpoint
- * of changed[t] to every unchanged midpoint (changed columns zeroed);
+/* Crossings of one move of k edges, without mutating any state:
  * cross_out = {old crossings touching a changed edge, new crossings}.
  * The old count comes from the per-edge crossing cache crossC (maintained
  * by mc_commit): sum over changed edges counts changed-vs-changed pairs
  * twice, so one intra-block count is subtracted back out — exact integer
- * arithmetic, identical to re-scanning the old segments.  The caller
- * assembles the cost delta from these plus R (old rows) and the tiny
- * intra-changed midpoint terms, identically across engines. */
-static void eval_move(const int64_t *ip, double bucket, int64_t k,
-                      const int64_t *changed, const double *newseg,
-                      const double *newmid, const double *seg,
-                      const double *mid, const int64_t *eu,
-                      const int64_t *ev, const int64_t *crossC,
-                      int64_t *cflag,
-                      const int64_t *cell_count, const int64_t *cell_items,
-                      int64_t *stamp, int64_t *gen, double *scratch,
-                      double *newrow_out, int64_t *cross_out) {
-    int64_t m = ip[0], pad = ip[1];
-    int64_t t, u, j;
+ * arithmetic, identical to re-scanning the old segments. */
+static void eval_crossings(const int64_t *ip, double bucket, int64_t k,
+                           const int64_t *changed, const double *newseg,
+                           const double *seg, const int64_t *eu,
+                           const int64_t *ev, const int64_t *crossC,
+                           int64_t *cflag, const int64_t *cell_count,
+                           const int64_t *cell_items, int64_t *stamp,
+                           int64_t *gen, double *scratch, int64_t *cross_out) {
+    int64_t t;
     int64_t old_crossings = 0, new_crossings = 0;
-    int64_t new_range[4];
 
     for (t = 0; t < k; t++) {
         cflag[changed[t]] = 1;
@@ -419,9 +498,8 @@ static void eval_move(const int64_t *ip, double bucket, int64_t k,
     }
     for (t = 0; t < k; t++) {
         int64_t i = changed[t];
-        cell_range(newseg + 4 * t, bucket, ip, new_range);
         new_crossings += cross_vs_grid(
-            newseg + 4 * t, new_range, eu[i], ev[i], cflag,
+            newseg + 4 * t, bucket, eu[i], ev[i], cflag,
             ip, seg, eu, ev, cell_count, cell_items, stamp, gen, 0, 0);
     }
     /* Old intra block reads the current segments of the changed edges. */
@@ -439,7 +517,15 @@ static void eval_move(const int64_t *ip, double bucket, int64_t k,
     }
     cross_out[0] = old_crossings;
     cross_out[1] = new_crossings;
+}
 
+/* newrow_out[t] = tree-folded distance row from the new midpoint of
+ * changed[t] to every unchanged midpoint (changed columns zeroed). */
+static void eval_rows(const int64_t *ip, int64_t k, const int64_t *changed,
+                      const double *newmid, const double *mid,
+                      double *scratch, double *newrow_out) {
+    int64_t m = ip[0], pad = ip[1];
+    int64_t t, u, j;
     for (t = 0; t < k; t++) {
         double row = newmid[2 * t], col = newmid[2 * t + 1];
         for (j = 0; j < m; j++) {
@@ -452,6 +538,10 @@ static void eval_move(const int64_t *ip, double bucket, int64_t k,
     }
 }
 
+/* Evaluate one move of k edges without mutating any state: its crossings
+ * (eval_crossings) and its distance rows (eval_rows).  The caller
+ * assembles the cost delta from these plus R (old rows) and the tiny
+ * intra-changed midpoint terms, identically across engines. */
 void mc_eval(const int64_t *ip, double bucket, int64_t k,
              const int64_t *changed, const double *newseg,
              const double *newmid, const double *seg, const double *mid,
@@ -460,9 +550,10 @@ void mc_eval(const int64_t *ip, double bucket, int64_t k,
              const int64_t *cell_count,
              const int64_t *cell_items, int64_t *stamp, int64_t *gen,
              double *scratch, double *newrow_out, int64_t *cross_out) {
-    eval_move(ip, bucket, k, changed, newseg, newmid, seg, mid, eu, ev,
-              crossC, cflag, cell_count, cell_items, stamp, gen, scratch,
-              newrow_out, cross_out);
+    eval_crossings(ip, bucket, k, changed, newseg, seg, eu, ev, crossC,
+                   cflag, cell_count, cell_items, stamp, gen, scratch,
+                   cross_out);
+    eval_rows(ip, k, changed, newmid, mid, scratch, newrow_out);
 }
 
 /* ------------------------------------------------------------------ */
@@ -472,21 +563,21 @@ void mc_eval(const int64_t *ip, double bucket, int64_t k,
 /* Fold an evaluated move into the state arrays.  R maintenance runs in a
  * fixed canonical order (elementwise adjust against the old midpoints in
  * ascending changed order, then fresh tree-folded rows for the changed
- * edges) that the Python engines replicate exactly.  Returns -1 when a
- * grid cell overflows cap: seg/mid/R are already updated, and the caller
- * rebuilds the grid from seg with a larger cap. */
+ * edges) that the Python engines replicate exactly.  The grid derives an
+ * edge's cells from its segment, so each changed edge leaves the grid
+ * before its segment is overwritten.  Returns -1 when a grid cell
+ * overflows cap: seg/mid/R are already updated, and the caller rebuilds
+ * the grid from seg with a larger cap. */
 int64_t mc_commit(const int64_t *ip, double bucket, int64_t k,
                   const int64_t *changed, const double *newseg,
                   const double *newmid, double *seg, double *mid,
                   double *R, int64_t *cell_count, int64_t *cell_items,
-                  int64_t *edge_range, double *scratch,
-                  const int64_t *eu, const int64_t *ev,
+                  double *scratch, const int64_t *eu, const int64_t *ev,
                   int64_t *stamp, int64_t *gen, int64_t *crossC,
                   int64_t *cflag) {
     int64_t m = ip[0], pad = ip[1];
     int64_t t, u, j;
     int64_t status = 0;
-    int64_t new_range[4];
 
     /* Crossing-cache maintenance, while the grid and seg still hold the
      * old geometry: cancel each changed edge's old crossings with the
@@ -498,12 +589,11 @@ int64_t mc_commit(const int64_t *ip, double bucket, int64_t k,
     }
     for (t = 0; t < k; t++) {
         int64_t i = changed[t];
-        cross_vs_grid(seg + 4 * i, edge_range + 4 * i, eu[i], ev[i], cflag,
+        cross_vs_grid(seg + 4 * i, bucket, eu[i], ev[i], cflag,
                       ip, seg, eu, ev, cell_count, cell_items, stamp, gen,
                       crossC, -1);
-        cell_range(newseg + 4 * t, bucket, ip, new_range);
         crossC[i] = cross_vs_grid(
-            newseg + 4 * t, new_range, eu[i], ev[i], cflag,
+            newseg + 4 * t, bucket, eu[i], ev[i], cflag,
             ip, seg, eu, ev, cell_count, cell_items, stamp, gen,
             crossC, +1);
     }
@@ -523,6 +613,8 @@ int64_t mc_commit(const int64_t *ip, double bucket, int64_t k,
     }
     for (t = 0; t < k; t++) {
         cflag[changed[t]] = 0;
+        grid_remove(changed[t], seg + 4 * changed[t], bucket, ip, cell_count,
+                    cell_items);
     }
 
     for (t = 0; t < k; t++) {
@@ -552,15 +644,9 @@ int64_t mc_commit(const int64_t *ip, double bucket, int64_t k,
         }
         R[i] = treefold(scratch, m, pad);
     }
-    for (t = 0; t < k; t++) {
-        int64_t i = changed[t];
-        grid_remove(i, edge_range + 4 * i, ip, cell_count, cell_items);
-        cell_range(newseg + 4 * t, bucket, ip, edge_range + 4 * i);
-        if (status == 0
-            && grid_insert(i, edge_range + 4 * i, ip, cell_count,
-                           cell_items) != 0) {
-            status = -1;
-        }
+    for (t = 0; t < k && status == 0; t++) {
+        status = grid_insert(changed[t], seg + 4 * changed[t], bucket, ip,
+                             cell_count, cell_items);
     }
     return status;
 }
@@ -925,6 +1011,7 @@ enum {
     SP_ACCEPTED,   /* accepted moves = rows written to the move log */
     SP_IMPROVING,  /* accepted moves with a negative delta */
     SP_CROSSINGS,  /* committed crossing count */
+    SP_EXACT,      /* proposals that computed their distance rows */
     SP_SLOTS
 };
 enum {
@@ -975,20 +1062,15 @@ static int64_t incident_union(const int64_t *inc_off, const int64_t *inc_edge,
     return k;
 }
 
-/* Cost delta of an evaluated move, in exactly the float order of the
- * tracker's _assemble_delta; after = {total_length, weighted_length,
- * spacing_sum, cost} and *crossings_after describe the post-move state. */
-static double move_delta(const int64_t *ip, int64_t k, const int64_t *changed,
-                         const double *newseg, const double *newmid,
-                         const double *seg, const double *mid,
-                         const double *R, const double *weight,
-                         const double *newrow, const int64_t *cross,
-                         const int64_t *sp, const double *dp,
-                         double *after, int64_t *crossings_after) {
+/* Length sums after a move, in the float order of the tracker's
+ * _assemble_delta: after[0] = total_length, after[1] = weighted_length. */
+static void move_lengths(int64_t k, const int64_t *changed,
+                         const double *newseg, const double *seg,
+                         const double *weight, const double *dp,
+                         double *after) {
     double total_length = dp[DP_TOTAL_LENGTH];
     double weighted_length = dp[DP_WEIGHTED_LENGTH];
-    double old_spacing = 0.0, new_spacing = 0.0;
-    int64_t t, u;
+    int64_t t;
     for (t = 0; t < k; t++) {
         const double *s = seg + 4 * changed[t];
         const double *ns = newseg + 4 * t;
@@ -997,6 +1079,60 @@ static double move_delta(const int64_t *ip, int64_t k, const int64_t *changed,
         total_length += new_len - old_len;
         weighted_length += weight[changed[t]] * (new_len - old_len);
     }
+    after[0] = total_length;
+    after[1] = weighted_length;
+}
+
+/* A lower bound on the cost delta move_delta would compute, from the exact
+ * crossings and total length of the move but without its distance rows.
+ *
+ * Each pairwise midpoint distance that involves a changed midpoint moves
+ * by at most the Manhattan displacements of its two ends, so the spacing
+ * sum S after the move lies within m * (sum of displacements) of S now.
+ * The computed sum strays from the true one only by rounding and by the
+ * drift of the R cache (below 1e-10 * S after 1e5 commits), so the
+ * interval is widened by far more than either: x (1 + 1e-6), plus
+ * 1e-6 * |S|, plus 1.0.  Its low end is clamped at -pairs / 2, where
+ * 1 + S / pairs = 0.5, so that 1 / (1 + S / pairs) stays monotone on it.
+ *
+ * combined_cost is a chain of correctly rounded operations, each monotone
+ * in S (the spacing weight's sign only flips the direction), so the cost
+ * at the computed S after the move lies between its values at the two
+ * ends, and the smaller one minus the committed cost bounds the delta
+ * from below.  A NaN end bounds nothing and returns -HUGE_VAL. */
+static double delta_lower_bound(int64_t m, int64_t k, const int64_t *changed,
+                                const double *newmid, const double *mid,
+                                const double *dp, int64_t crossings,
+                                double total_length) {
+    double spacing = dp[DP_SPACING_SUM];
+    double shift = 0.0, reach, low, cost_low, cost_high;
+    int64_t t;
+    for (t = 0; t < k; t++) {
+        const double *old = mid + 2 * changed[t];
+        shift += fabs(newmid[2 * t] - old[0]) + fabs(newmid[2 * t + 1] - old[1]);
+    }
+    reach = (double)m * shift * (1.0 + 1e-6) + 1e-6 * fabs(spacing) + 1.0;
+    low = spacing - reach;
+    if (low < -0.5 * (double)(m * (m - 1) / 2)) {
+        low = -0.5 * (double)(m * (m - 1) / 2);
+    }
+    cost_low = combined_cost(dp, m, crossings, total_length, low);
+    cost_high = combined_cost(dp, m, crossings, total_length, spacing + reach);
+    if (isnan(cost_low) || isnan(cost_high)) {
+        return -HUGE_VAL;
+    }
+    return (cost_low < cost_high ? cost_low : cost_high) - dp[DP_COST];
+}
+
+/* Cost delta of an evaluated move, in exactly the float order of the
+ * tracker's _assemble_delta, given its lengths (move_lengths) and
+ * crossings; fills after[2] = spacing_sum and after[3] = cost. */
+static double move_delta(const int64_t *ip, int64_t k, const int64_t *changed,
+                         const double *newmid, const double *mid,
+                         const double *R, const double *newrow,
+                         int64_t crossings, const double *dp, double *after) {
+    double old_spacing = 0.0, new_spacing = 0.0;
+    int64_t t, u;
     for (t = 0; t < k; t++) {
         old_spacing += R[changed[t]];
     }
@@ -1016,12 +1152,8 @@ static double move_delta(const int64_t *ip, int64_t k, const int64_t *changed,
                                   newmid[2 * u], newmid[2 * u + 1]);
         }
     }
-    *crossings_after = sp[SP_CROSSINGS] + (cross[1] - cross[0]);
-    after[0] = total_length;
-    after[1] = weighted_length;
     after[2] = dp[DP_SPACING_SUM] + (new_spacing - old_spacing);
-    after[3] = combined_cost(dp, ip[0], *crossings_after, total_length,
-                             after[2]);
+    after[3] = combined_cost(dp, ip[0], crossings, after[0], after[2]);
     return after[3] - dp[DP_COST];
 }
 
@@ -1044,6 +1176,22 @@ static double move_delta(const int64_t *ip, int64_t k, const int64_t *changed,
  * Accepted moves are committed (mc_commit), applied to pos/occ, counted,
  * and logged as rows log[3j..3j+2] = {vertex, target_row, target_col}.
  *
+ * A proposal pays for its k distance rows only when they can decide it.
+ * Its crossings and lengths are computed exactly first, and
+ * delta_lower_bound gives dlo <= delta.  When dlo > 0 the oracle's first
+ * test fails, so:
+ *  - at temperature <= 1e-9 the move is rejected without a draw, as the
+ *    oracle rejects it;
+ *  - otherwise the draw r the oracle makes is made here too, and the move
+ *    is rejected when r >= exp(-dlo / T) * (1 + 1e-9) + DBL_MIN.  Since
+ *    -delta / T <= -dlo / T, the oracle's exp(-delta / T) is below that:
+ *    the factor covers libm exp's error of under 1 ulp, and DBL_MIN
+ *    covers underflow.  The oracle rejects too.
+ * Every other proposal computes its rows and the exact delta, and decides
+ * with the draw already made, if any.  Decisions, draws and committed
+ * sums are therefore the oracle's.  sp[SP_EXACT] counts the proposals
+ * that computed their rows.
+ *
  * Returns 0 when the sweep is done; STATUS_NAN_FORCE, before any
  * proposal, when a force is NaN; or 1 when a commit overflowed a grid
  * cell: sp[SP_START] then holds the next proposal, and the caller
@@ -1053,7 +1201,7 @@ int64_t mc_sweep(const int64_t *ip, double bucket,
                  const int64_t *eu, const int64_t *ev,
                  int64_t *crossC, int64_t *cflag,
                  int64_t *cell_count, int64_t *cell_items,
-                 int64_t *edge_range, int64_t *stamp, int64_t *gen,
+                 int64_t *stamp, int64_t *gen,
                  double *scratch, int64_t *changed, double *newseg,
                  double *newmid, double *newrow,
                  const double *weight, const int64_t *ea, const int64_t *eb,
@@ -1080,8 +1228,8 @@ int64_t mc_sweep(const int64_t *ip, double bucket,
         int64_t cross[2];
         int64_t crossings_after = 0;
         double after[4] = {0.0, 0.0, 0.0, 0.0};
-        double delta = 0.0;
-        int accept;
+        double delta = 0.0, draw = 0.0;
+        int accept, drawn = 0;
         if (d_row == 0 && d_col == 0) {
             continue;
         }
@@ -1118,17 +1266,37 @@ int64_t mc_sweep(const int64_t *ip, double bucket,
         }
         sp[SP_PROPOSED] += 1;
         if (k > 0) {
-            eval_move(ip, bucket, k, changed, newseg, newmid, seg, mid, eu,
-                      ev, crossC, cflag, cell_count, cell_items, stamp, gen,
-                      scratch, newrow, cross);
-            delta = move_delta(ip, k, changed, newseg, newmid, seg, mid, R,
-                               weight, newrow, cross, sp, dp, after,
-                               &crossings_after);
+            double bound;
+            eval_crossings(ip, bucket, k, changed, newseg, seg, eu, ev,
+                           crossC, cflag, cell_count, cell_items, stamp, gen,
+                           scratch, cross);
+            crossings_after = sp[SP_CROSSINGS] + (cross[1] - cross[0]);
+            move_lengths(k, changed, newseg, seg, weight, dp, after);
+            bound = delta_lower_bound(ip[0], k, changed, newmid, mid, dp,
+                                      crossings_after, after[0]);
+            if (bound > 0.0) {
+                if (!(temperature > 1e-9)) {
+                    continue;
+                }
+                sp[SP_DRAWS] += 1;
+                draw = mt_random(mt, &sp[SP_MT_INDEX]);
+                drawn = 1;
+                if (draw >= exp(-bound / temperature) * (1.0 + 1e-9) + DBL_MIN) {
+                    continue;
+                }
+            }
+            eval_rows(ip, k, changed, newmid, mid, scratch, newrow);
+            sp[SP_EXACT] += 1;
+            delta = move_delta(ip, k, changed, newmid, mid, R, newrow,
+                               crossings_after, dp, after);
         }
         accept = delta <= 0.0;
         if (!accept && temperature > 1e-9) {
-            sp[SP_DRAWS] += 1;
-            accept = mt_random(mt, &sp[SP_MT_INDEX]) < exp(-delta / temperature);
+            if (!drawn) {
+                sp[SP_DRAWS] += 1;
+                draw = mt_random(mt, &sp[SP_MT_INDEX]);
+            }
+            accept = draw < exp(-delta / temperature);
         }
         if (!accept) {
             continue;
@@ -1155,8 +1323,8 @@ int64_t mc_sweep(const int64_t *ip, double bucket,
             dp[DP_COST] = after[3];
             sp[SP_CROSSINGS] = crossings_after;
             if (mc_commit(ip, bucket, k, changed, newseg, newmid, seg, mid,
-                          R, cell_count, cell_items, edge_range, scratch, eu,
-                          ev, stamp, gen, crossC, cflag) != 0) {
+                          R, cell_count, cell_items, scratch, eu, ev, stamp,
+                          gen, crossC, cflag) != 0) {
                 sp[SP_START] = p + 1;
                 return 1;
             }

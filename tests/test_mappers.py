@@ -405,6 +405,14 @@ PARITY_CONFIGS = {
     "forces-off": dict(
         seed=11, use_attraction=False, use_edge_repulsion=False, use_dipole=False
     ),
+    # mc_sweep rejects a move early when a bound on its spacing term
+    # settles the Boltzmann test.  Without the crossing term the delta is
+    # length and spacing only, so the bound is tight; a temperature just
+    # under the 1e-9 floor rejects without a draw, and a hot one draws
+    # for every worsening move ("frozen" covers 0.0).
+    "no-crossing-weight": dict(seed=12, cost_crossing_weight=0.0),
+    "below-floor": dict(seed=13, temperature=1e-10),
+    "hot": dict(seed=14, temperature=3.0, cooling=0.95),
 }
 
 
@@ -427,6 +435,22 @@ def _random_graph_case(index):
     return graph, Placement(side, side, dict(zip(occupants, cells)))
 
 
+def _star_case():
+    """Four edges around a corner hub, packed on a 3x3 grid with spares.
+
+    The spacing sum starts near 5, so moves that shift the midpoints give
+    mc_sweep a spacing bound larger than the sum itself, and the
+    interval's low end clamps at -pairs / 2.
+    """
+    import networkx as nx
+
+    from repro.mapping.placement import Placement
+
+    graph = nx.star_graph(4)  # hub 0, leaves 1..4
+    cells = {0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1), 4: (2, 2), 1000: (0, 2)}
+    return graph, Placement(3, 3, cells)
+
+
 @functools.lru_cache(maxsize=None)
 def _parity_case(name):
     from repro.distillation import (
@@ -434,6 +458,8 @@ def _parity_case(name):
         build_two_level_factory,
     )
 
+    if name == "star":
+        return _star_case()
     if name.startswith("random"):
         return _random_graph_case(int(name[len("random") :]))
     if name.startswith("L1-K"):
@@ -471,6 +497,22 @@ def _count_numpy_force_calls(monkeypatch):
     monkeypatch.setattr(fd_module._ForceField, "forces", counting_forces)
     monkeypatch.setattr(fd_module, "_step_toward", counting_step)
     return calls
+
+
+def _record_exact_proposals(monkeypatch):
+    """Record ``(exact_proposals, proposed, accepted)`` of every kernel sweep."""
+    from repro.graphs.metrics import KernelSweep
+
+    counts = []
+    real_run = KernelSweep.run
+
+    def counting_run(self, cells, order, temperature, rng):
+        moves, proposed, improving = real_run(self, cells, order, temperature, rng)
+        counts.append((self.exact_proposals, proposed, len(moves)))
+        return moves, proposed, improving
+
+    monkeypatch.setattr(KernelSweep, "run", counting_run)
+    return counts
 
 
 def _assert_kernel_matches_oracle(
@@ -527,7 +569,7 @@ class TestKernelSweepParity:
     @pytest.mark.parametrize("config_name", sorted(PARITY_CONFIGS))
     @pytest.mark.parametrize(
         "name",
-        ["L1-K2", "L1-K4", "L1-K8"] + [f"random{i}" for i in range(6)],
+        ["L1-K2", "L1-K4", "L1-K8", "star"] + [f"random{i}" for i in range(6)],
     )
     def test_small_graphs_match_scalar_oracle(
         self, refine_outcome, monkeypatch, name, config_name
@@ -567,6 +609,48 @@ class TestKernelSweepParity:
         )
         assert kernel["stats"]["proposed_moves"] == 0
         assert kernel["stats"]["community_moves"] > 0
+
+    def test_most_proposals_skip_their_rows(self, monkeypatch):
+        """On L2-K4 under a quarter of proposals compute distance rows."""
+        _require_kernel()
+        graph, placement = _parity_case("L2-K4")
+        counts = _record_exact_proposals(monkeypatch)
+        force_directed_refine(graph, placement, ForceDirectedConfig(seed=0))
+        exact, proposed, accepted = (sum(column) for column in zip(*counts))
+        # Every accepted move needs its exact delta, so rows ran for those.
+        assert accepted <= exact < 0.25 * proposed, (exact, proposed)
+
+    def test_star_clamps_the_spacing_interval(self, refine_outcome, monkeypatch):
+        """The star case reaches the bound's -pairs / 2 clamp and its early
+        rejection, and still anneals exactly like the scalar oracle."""
+        from repro.graphs.metrics import MappingCostTracker
+
+        _require_kernel()
+        clamped = []
+        real_evaluate = MappingCostTracker.evaluate
+
+        def recording_evaluate(self, updates):
+            # mc_sweep's spacing interval for this move, from the state.
+            moves, _, changed = self._prepare(updates)
+            _, new_mids = self._geometry_for(moves, changed)
+            shift = sum(
+                abs(new[0] - old[0]) + abs(new[1] - old[1])
+                for new, old in zip(new_mids, (self._mids[i] for i in changed))
+            )
+            m = self.num_edges
+            reach = m * shift * (1 + 1e-6) + 1e-6 * abs(self.spacing_sum) + 1.0
+            clamped.append(self.spacing_sum - reach < -0.5 * (m * (m - 1) // 2))
+            return real_evaluate(self, updates)
+
+        counts = _record_exact_proposals(monkeypatch)
+        monkeypatch.setattr(MappingCostTracker, "evaluate", recording_evaluate)
+        config = ForceDirectedConfig(seed=3, use_communities=False)
+        _assert_kernel_matches_oracle(
+            refine_outcome, monkeypatch, "star", config, "scalar"
+        )
+        assert any(clamped), "no proposal reached the -pairs / 2 clamp"
+        exact, proposed, _ = (sum(column) for column in zip(*counts))
+        assert exact < proposed, "no proposal skipped its rows"
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_nan_force_raises_the_same_error_on_both_paths(self):

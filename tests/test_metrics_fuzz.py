@@ -18,6 +18,13 @@ every sweep inside the kernel (``mc_sweep``), the ``scalar`` run (under
 every ``RefineStats`` field and the annealer RNG's final state must
 match the ``scalar`` run exactly.
 
+Each band-walk trial draws a layout that stresses the compiled engine's
+crossing grid (long diagonals over many bucket rows, axis-parallel edges
+on band boundaries, moves past the grid's margin) and checks every
+engine's crossing count against the O(m^2) reference after every move.
+The tracker's domain is integer cells: layouts and moves drawn off the
+lattice must raise, naming the vertex.
+
 Each force trial draws a random graph, placement and force configuration
 (negative weights, every radius from 1 to 9, every combination of the
 three force switches) and compares the kernel's force pass
@@ -35,13 +42,16 @@ lists every failing seed with a one-line repro command
 from __future__ import annotations
 
 import functools
+import math
 import random
+import re
 
 import networkx as nx
 import pytest
 
 from repro.distillation import build_single_level_factory, build_two_level_factory
 from repro.graphs import MappingCostTracker, interaction_graph, tracker_engines
+from repro.graphs.metrics import count_edge_crossings_reference
 from repro.mapping import ForceDirectedConfig, linear_factory_placement
 from repro.mapping.force_directed import (
     _ForceField,
@@ -237,6 +247,226 @@ def test_harness_detects_divergence(monkeypatch):
     monkeypatch.setattr(MappingCostTracker, "apply", corrupted)
     with pytest.raises(AssertionError, match="diverged"):
         run_trial(0)
+
+
+# ----------------------------------------------------------------------
+# The tracker's domain: integer grid cells
+# ----------------------------------------------------------------------
+def _off_grid_coordinate(rng: random.Random, span: int) -> float:
+    """An integer (30%), a half-integer (30%), a float in [-2, span + 2]
+    (20%), or an integer nudged by +-1e-13, 1e-9 or 0.1 (20%)."""
+    roll = rng.random()
+    if roll < 0.3:
+        return float(rng.randrange(span))
+    if roll < 0.6:
+        return rng.randrange(span) + 0.5
+    if roll < 0.8:
+        return rng.uniform(-2.0, span + 2.0)
+    nudge = rng.choice([1e-13, 1e-9, 0.1]) * rng.choice([-1, 1])
+    return rng.randrange(span) + nudge
+
+
+def _off_grid_position(rng: random.Random, span: int):
+    return (_off_grid_coordinate(rng, span), _off_grid_coordinate(rng, span))
+
+
+def _first_off_grid(items):
+    """The first vertex of ``(vertex, position)`` items off the lattice."""
+    for vertex, (row, col) in items:
+        if not (float(row).is_integer() and float(col).is_integer()):
+            return vertex
+    return None
+
+
+def _names(vertex):
+    return re.escape(f"vertex {vertex!r} ")
+
+
+def test_off_grid_coordinates_are_rejected(request):
+    """Layouts and moves off the integer lattice raise, naming the vertex.
+
+    Off the lattice the two engines count crossings differently (the
+    crossing predicates' tolerance depends on argument order), so the
+    tracker refuses such input on both engines, and a refused move
+    leaves the state untouched.
+    """
+
+    def trial(seed: int) -> None:
+        rng = random.Random(SEED_BASE + seed)
+        graph = _random_graph(rng)
+        span = rng.randint(6, 18)
+        layout = {vertex: _off_grid_position(rng, span) for vertex in graph.nodes()}
+        if rng.random() < 0.5:  # start from cells half the time
+            layout = {
+                v: (float(round(r)), float(round(c))) for v, (r, c) in layout.items()
+            }
+        bad = _first_off_grid(layout.items())
+        for engine in _engines():
+            if bad is not None:
+                with pytest.raises(ValueError, match=_names(bad)):
+                    MappingCostTracker(graph, dict(layout), engine=engine)
+                continue
+            tracker = MappingCostTracker(graph, dict(layout), engine=engine)
+            vertices = sorted(graph.nodes(), key=str)
+            for _ in range(20):
+                chosen = rng.sample(vertices, min(len(vertices), rng.randint(1, 3)))
+                updates = {vertex: _off_grid_position(rng, span) for vertex in chosen}
+                bad_move = _first_off_grid(updates.items())
+                if bad_move is None:
+                    tracker.apply(updates)
+                    continue
+                state = _state(tracker)
+                for method in (tracker.evaluate, tracker.apply):
+                    with pytest.raises(ValueError, match=_names(bad_move)):
+                        method(updates)
+                    assert _state(tracker) == state, f"seed {seed}: {engine}"
+
+    fuzz_corpus(request, trial)
+
+
+@pytest.mark.parametrize("coordinate", [math.inf, -math.inf, math.nan, 2.5])
+def test_non_finite_coordinates_are_rejected(coordinate):
+    graph = nx.Graph([(0, 1), (2, 3)])
+    layout = {0: (0.0, 0.0), 1: (2.0, 2.0), 2: (0.0, 2.0), 3: (2.0, 0.0)}
+    for engine in _engines():
+        with pytest.raises(ValueError, match=_names(3)):
+            MappingCostTracker(graph, {**layout, 3: (coordinate, 1.0)}, engine=engine)
+        tracker = MappingCostTracker(graph, layout, engine=engine)
+        with pytest.raises(ValueError, match=_names(1)):
+            tracker.evaluate({0: (1.0, 1.0), 1: (1.0, coordinate)})
+        assert tracker.apply({9: (coordinate, 0.0)}) == 0.0  # unknown: ignored
+
+
+# ----------------------------------------------------------------------
+# The compiled grid's band walk vs the O(m^2) reference
+# ----------------------------------------------------------------------
+def _band_position(rng: random.Random, positions, extent: int):
+    """A cell that stresses the band walk: anywhere in the extent, on even
+    (band-boundary) coordinates, in line with a placed vertex (an
+    axis-parallel edge), or past the grid's margin."""
+    roll = rng.random()
+    if roll < 0.3 or not positions:
+        return (float(rng.randrange(extent)), float(rng.randrange(extent)))
+    if roll < 0.5:
+        return (
+            float(2 * rng.randrange(extent // 2)),
+            float(2 * rng.randrange(extent // 2)),
+        )
+    if roll < 0.8:
+        row, col = rng.choice(list(positions.values()))
+        if rng.random() < 0.5:
+            return (row, float(rng.randrange(extent)))
+        return (float(rng.randrange(extent)), col)
+    far = [rng.randint(-extent - 12, -8), rng.randint(extent + 8, 2 * extent + 12)]
+    return (
+        float(rng.choice(far + [rng.randrange(extent)])),
+        float(rng.choice(far + [rng.randrange(extent)])),
+    )
+
+
+def _assert_band_crossings(graph, layout, moves, bucket, label):
+    """Every engine's crossings equal the reference's, after every move."""
+    positions = dict(layout)
+    trackers = {
+        engine: MappingCostTracker(
+            graph, dict(layout), bucket_size=bucket, engine=engine
+        )
+        for engine in _engines()
+    }
+    for step in range(len(moves) + 1):
+        if step:
+            positions.update(moves[step - 1])
+            for tracker in trackers.values():
+                tracker.apply(moves[step - 1])
+        expected = count_edge_crossings_reference(graph, positions)
+        for engine, tracker in trackers.items():
+            assert tracker.crossings == expected, (
+                f"{label}: engine={engine!r} counted {tracker.crossings} "
+                f"crossings, the reference {expected}, after {step} moves"
+            )
+
+
+def test_band_walk_crossings_fuzz(request):
+    """Long diagonals, boundary edges and far moves: crossings stay exact."""
+
+    def trial(seed: int) -> None:
+        rng = random.Random(SEED_BASE + seed)
+        n = rng.randint(8, 24)
+        extent = rng.choice([16, 24, 40])
+        graph = nx.gnm_random_graph(
+            n, rng.randint(n, 3 * n), seed=rng.randrange(1 << 30)
+        )
+        layout = {}
+        for vertex in graph.nodes():
+            layout[vertex] = _band_position(rng, layout, extent)
+        # Bucket 2 or 2.5 puts integer cells on band boundaries, and every
+        # edge longer than 16 cells spans at least 8 bucket rows or columns.
+        bucket = rng.choice([None, 1.0, 2.0, 2.5])
+        positions = dict(layout)
+        vertices = list(graph.nodes())
+        moves = []
+        for _ in range(rng.randint(10, 30)):
+            if rng.random() < 0.2:
+                # A cluster drifts past the grid's margin together, taking
+                # its crossings along (the grid is sized to the layout).
+                shift = [
+                    rng.choice([-1, 0, 1]) * rng.randint(extent + 12, extent + 24)
+                    for _ in range(2)
+                ]
+                cluster = rng.sample(vertices, len(vertices) // 2)
+                move = {
+                    v: (positions[v][0] + shift[0], positions[v][1] + shift[1])
+                    for v in cluster
+                }
+            else:
+                chosen = rng.sample(vertices, rng.randint(1, 2))
+                move = {v: _band_position(rng, positions, extent) for v in chosen}
+            positions.update(move)
+            moves.append(move)
+        _assert_band_crossings(graph, layout, moves, bucket, f"seed {seed}")
+
+    fuzz_corpus(request, trial)
+
+
+def test_band_walk_boundary_shapes():
+    """Hand-placed crossings on band corners and boundaries (bucket 2)."""
+    graph = nx.Graph()
+    edges = {
+        # Two long diagonals crossing at (8, 8), a band corner, and a
+        # third one sharing no cell-aligned point.
+        (0, 1): ((0.0, 0.0), (16.0, 16.0)),
+        (2, 3): ((0.0, 16.0), (16.0, 0.0)),
+        (4, 5): ((1.0, 0.0), (17.0, 15.0)),
+        # Horizontal and vertical edges on band boundaries, touching the
+        # diagonals and each other end to side.
+        (6, 7): ((4.0, 0.0), (4.0, 14.0)),
+        (8, 9): ((0.0, 6.0), (4.0, 6.0)),
+        (10, 11): ((10.0, 2.0), (10.0, 2.0 + 8.0)),
+        (12, 13): ((2.0, 12.0), (18.0, 12.0)),
+        # A steep and a shallow segment through band corners.
+        (14, 15): ((0.0, 2.0), (16.0, 4.0)),
+        (16, 17): ((2.0, 0.0), (4.0, 16.0)),
+    }
+    layout = {}
+    for (a, b), (p, q) in edges.items():
+        graph.add_edge(a, b)
+        layout[a], layout[b] = p, q
+    moves = [
+        {0: (-20.0, -20.0)},  # far past the low margin on both axes
+        {1: (40.0, 40.0)},  # and past the high one: the diagonal spans the grid
+        {6: (-20.0, 4.0), 7: (40.0, 4.0)},  # a vertical edge beyond both ends
+        {12: (2.0, -30.0), 13: (2.0, 50.0)},  # a boundary row beyond both ends
+        {14: (8.0, -40.0)},
+        {0: (0.0, 0.0), 1: (16.0, 16.0)},
+    ]
+    # Crossing pairs wholly beyond each side of the grid: their crossings
+    # lie in the bands clamping folds into the border rows and columns.
+    # One edge per move, so the grid (not the changed-vs-changed block)
+    # finds each crossing with the edges already out there.
+    for row, col in ((-40.0, 0.0), (60.0, 0.0), (0.0, -40.0), (0.0, 60.0)):
+        for edge in ((0, 1), (2, 3), (14, 15), (16, 17)):
+            moves.append({v: (layout[v][0] + row, layout[v][1] + col) for v in edge})
+    _assert_band_crossings(graph, layout, moves, 2.0, "boundary shapes")
 
 
 # ----------------------------------------------------------------------
