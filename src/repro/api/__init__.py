@@ -65,6 +65,7 @@ from .pipeline import (
     EvaluationRequest,
     Pipeline,
     PipelineStats,
+    RequestError,
     capacity_sweep,
     default_pipeline,
     evaluate_factory_mapping,
@@ -130,6 +131,7 @@ __all__ = [
     "EvaluationRequest",
     "Pipeline",
     "PipelineStats",
+    "RequestError",
     "capacity_sweep",
     "default_pipeline",
     "evaluate_factory_mapping",

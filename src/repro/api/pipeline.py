@@ -60,6 +60,24 @@ def _reuse_policy(reuse: bool) -> ReusePolicy:
     return ReusePolicy.REUSE if reuse else ReusePolicy.NO_REUSE
 
 
+class RequestError(ValueError):
+    """A request that cannot be evaluated as given.
+
+    ``field`` is the dotted path of the value at fault (``sim_config.hops``,
+    ``requests[3].capacity``), or ``None`` when the problem is the request
+    as a whole.  ``str()`` always includes the path; the sweep service
+    answers the error with HTTP 400 and :meth:`to_dict` as the body.
+    """
+
+    def __init__(self, message: str, field: Optional[str] = None) -> None:
+        self.field = field
+        super().__init__(f"{field}: {message}" if field else message)
+
+    def to_dict(self) -> dict:
+        """The JSON body a 400 response carries."""
+        return {"error": {"message": str(self), "field": self.field}}
+
+
 # ----------------------------------------------------------------------
 # Request model
 # ----------------------------------------------------------------------
@@ -325,6 +343,8 @@ class Pipeline:
         Returns the concrete simulation point ``(circuit, placement,
         config)`` — with hop configs resolved for stitched mappings — after
         folding the mapper's refinement statistics into :attr:`stats`.
+        Stitched mappings replace the request's hops; any other mapping
+        raises :class:`RequestError` if a hop lies outside its grid.
         """
         factory = self.factory(request.capacity, request.levels, request.reuse)
 
@@ -346,6 +366,16 @@ class Pipeline:
         if isinstance(outcome, StitchedMapping):
             hop_config = replace(sim_config, hops=outcome.hops)
             return outcome.factory.circuit, outcome.placement, hop_config
+        # A hop outside the grid would cost routing time and memory linear
+        # in its distance; no mapper places one there, so it is an error.
+        for gate, cell in sim_config.hops.items():
+            if cell[0] >= outcome.height or cell[1] >= outcome.width:
+                raise RequestError(
+                    f"the hop of gate {gate} at tile {tuple(cell)} lies outside "
+                    f"the {outcome.height}x{outcome.width} grid of the "
+                    f"{request.method!r} placement",
+                    field="sim_config.hops",
+                )
         return factory.circuit, outcome, sim_config
 
     def _result_point(

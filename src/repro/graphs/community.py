@@ -23,7 +23,14 @@ import math
 import random
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .adjacency import Adjacency, adjacency, edges, subgraph_order, weighted_degree
+from .adjacency import (
+    Adjacency,
+    adjacency,
+    edges,
+    subgraph_order,
+    to_networkx,
+    weighted_degree,
+)
 
 Position = Tuple[float, float]
 
@@ -38,9 +45,10 @@ def detect_communities(
     with networkx's merge order and community order.  Isolated vertices are
     grouped into their own trailing community.  If the edges' total weight
     is zero, modularity is undefined and the non-isolated vertices are
-    grouped by networkx's label propagation instead.  If
-    ``max_communities`` is given, the smallest communities are merged until
-    the bound is met.  Directed graphs and multigraphs raise
+    grouped by networkx's label propagation instead; that branch alone
+    imports networkx, and converts a :class:`~repro.graphs.adjacency.Graph`
+    first.  If ``max_communities`` is given, the smallest communities are
+    merged until the bound is met.  Directed graphs and multigraphs raise
     :class:`TypeError`.
     """
     adj = adjacency(graph)
@@ -60,7 +68,7 @@ def detect_communities(
             import networkx as nx
 
             detected = nx.community.label_propagation_communities(
-                graph.subgraph(connected_nodes)
+                to_networkx(graph).subgraph(connected_nodes)
             )
             communities = [sorted(c) for c in detected]
     if isolated:

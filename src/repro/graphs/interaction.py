@@ -11,21 +11,25 @@ Edges carry a ``weight`` attribute equal to the number of gates between the
 endpoints, and a ``gates`` attribute listing the gate indices, so mappers can
 weight frequently-interacting pairs more heavily and analyses can recover the
 originating schedule positions.
+
+The graph is a :class:`~repro.graphs.adjacency.Graph`, which stores and
+iterates its nodes, neighbours and edges exactly as ``networkx.Graph`` would
+after the same calls, so every mapper's tie-breaks are the ones a networkx
+graph gives.  Building and mapping it imports no networkx.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-import networkx as nx
-
 from ..circuits.circuit import Circuit
 from ..circuits.gates import Gate
+from .adjacency import Graph
 
 
 def interaction_graph(
     circuit_or_gates, include_qubits: Optional[Iterable[int]] = None
-) -> nx.Graph:
+) -> Graph:
     """Build the interaction graph of a circuit or gate sequence.
 
     Parameters
@@ -45,16 +49,16 @@ def interaction_graph(
         gates = tuple(circuit_or_gates)
         default_vertices = ()
 
-    graph = nx.Graph()
+    graph = Graph()
     vertices = include_qubits if include_qubits is not None else default_vertices
-    graph.add_nodes_from(vertices)
+    for vertex in vertices:
+        graph.add_node(vertex)
 
     for gate_index, gate in enumerate(gates):
         if gate.is_barrier:
             continue
         for qubit in gate.qubits:
-            if qubit not in graph:
-                graph.add_node(qubit)
+            graph.add_node(qubit)
         for a, b in gate.interaction_pairs():
             if graph.has_edge(a, b):
                 graph[a][b]["weight"] += 1
@@ -79,7 +83,7 @@ def interaction_edges(circuit_or_gates) -> List[Tuple[int, int]]:
     return edges
 
 
-def degree_statistics(graph: nx.Graph) -> Dict[str, float]:
+def degree_statistics(graph: Graph) -> Dict[str, float]:
     """Basic degree statistics used in the qubit-reuse analysis (Section VIII-C).
 
     Returns a dict with ``min``, ``max`` and ``mean`` vertex degree.  The
@@ -97,24 +101,6 @@ def degree_statistics(graph: nx.Graph) -> Dict[str, float]:
     }
 
 
-def subgraph_for_qubits(graph: nx.Graph, qubits: Iterable[int]) -> nx.Graph:
+def subgraph_for_qubits(graph: Graph, qubits: Iterable[int]) -> Graph:
     """Induced subgraph on ``qubits`` (copied, so it can be mutated freely)."""
-    return graph.subgraph(list(qubits)).copy()
-
-
-def merge_graphs(graphs: Sequence[nx.Graph]) -> nx.Graph:
-    """Union of interaction graphs over a shared qubit index space.
-
-    Edge weights are summed when the same edge appears in several inputs.
-    Used when re-assembling per-round subgraphs into a factory-wide graph.
-    """
-    merged = nx.Graph()
-    for graph in graphs:
-        merged.add_nodes_from(graph.nodes())
-        for a, b, data in graph.edges(data=True):
-            weight = data.get("weight", 1)
-            if merged.has_edge(a, b):
-                merged[a][b]["weight"] += weight
-            else:
-                merged.add_edge(a, b, weight=weight)
-    return merged
+    return graph.subgraph(qubits)

@@ -59,17 +59,17 @@ from typing import (
     Tuple,
 )
 
-import networkx as nx
 import numpy as _np
 
 from ..kernels import metrics as _metrics_kernel
+from .adjacency import Graph
 
 Position = Tuple[float, float]
 PositionMap = Mapping[int, Position]
 
 
 def _placed_edges(
-    graph: nx.Graph, positions: PositionMap
+    graph: Graph, positions: PositionMap
 ) -> List[Tuple[int, int, Position, Position]]:
     """Every non-loop edge with its endpoint vertices and placed coordinates."""
     edges: List[Tuple[int, int, Position, Position]] = []
@@ -93,7 +93,7 @@ def euclidean_distance(p: Position, q: Position) -> float:
 
 
 def total_edge_length(
-    graph: nx.Graph, positions: PositionMap, weighted: bool = True
+    graph: Graph, positions: PositionMap, weighted: bool = True
 ) -> float:
     """Sum of Manhattan edge lengths (optionally weighted by interaction count)."""
     total = 0.0
@@ -103,7 +103,7 @@ def total_edge_length(
     return total
 
 
-def _non_loop_edge_count(graph: nx.Graph) -> int:
+def _non_loop_edge_count(graph: Graph) -> int:
     """Number of edges between distinct vertices (self-loops excluded).
 
     Every Fig. 6 metric ignores self-loops — a qubit does not braid with
@@ -113,7 +113,7 @@ def _non_loop_edge_count(graph: nx.Graph) -> int:
     return sum(1 for a, b in graph.edges() if a != b)
 
 
-def average_edge_length(graph: nx.Graph, positions: PositionMap) -> float:
+def average_edge_length(graph: Graph, positions: PositionMap) -> float:
     """Average Manhattan edge length of the mapping (Fig. 6, middle metric)."""
     edges = _non_loop_edge_count(graph)
     if edges == 0:
@@ -128,7 +128,7 @@ def edge_midpoint(p: Position, q: Position) -> Position:
     return ((p[0] + q[0]) / 2.0, (p[1] + q[1]) / 2.0)
 
 
-def _edge_midpoints(graph: nx.Graph, positions: PositionMap) -> List[Position]:
+def _edge_midpoints(graph: Graph, positions: PositionMap) -> List[Position]:
     """Midpoints of every non-loop edge (self-loops carry no braid)."""
     return [
         edge_midpoint(positions[a], positions[b])
@@ -168,7 +168,7 @@ def _pairwise_distance_sum(midpoints: Sequence[Position]) -> float:
     return total
 
 
-def average_edge_spacing(graph: nx.Graph, positions: PositionMap) -> float:
+def average_edge_spacing(graph: Graph, positions: PositionMap) -> float:
     """Average pairwise distance between edge midpoints (Fig. 6, right metric).
 
     Larger values mean braids are more spread out over the mesh and are less
@@ -182,7 +182,7 @@ def average_edge_spacing(graph: nx.Graph, positions: PositionMap) -> float:
     return _pairwise_distance_sum(midpoints) / pairs
 
 
-def average_edge_spacing_reference(graph: nx.Graph, positions: PositionMap) -> float:
+def average_edge_spacing_reference(graph: Graph, positions: PositionMap) -> float:
     """Brute-force O(m^2) oracle for :func:`average_edge_spacing`."""
     midpoints = _edge_midpoints(graph, positions)
     if len(midpoints) < 2:
@@ -259,10 +259,11 @@ class _SegmentGrid:
     """Uniform spatial hash of segments, bucketed by bounding-box coverage.
 
     Each segment is registered in every grid bucket its axis-aligned
-    bounding box overlaps.  Two segments can only intersect if their
-    bounding boxes overlap, and overlapping boxes always share at least one
-    bucket, so the per-bucket candidate lists are a sound pruning of the
-    O(m^2) pair space.
+    bounding box overlaps, widened by the crossing predicates' 1e-12
+    tolerance.  Two segments can only intersect if their widened boxes
+    overlap (the predicates count pairs that touch within the tolerance),
+    and overlapping boxes always share at least one bucket, so the
+    per-bucket candidate lists are a sound pruning of the O(m^2) pair space.
     """
 
     def __init__(self, bucket_size: float) -> None:
@@ -272,12 +273,12 @@ class _SegmentGrid:
         self._buckets: Dict[Tuple[int, int], Set[int]] = defaultdict(set)
 
     def cells(self, p: Position, q: Position) -> List[Tuple[int, int]]:
-        """The bucket keys overlapped by the bounding box of segment ``p-q``."""
+        """The bucket keys overlapped by the widened bounding box of ``p-q``."""
         size = self.bucket_size
-        row_lo = math.floor(min(p[0], q[0]) / size)
-        row_hi = math.floor(max(p[0], q[0]) / size)
-        col_lo = math.floor(min(p[1], q[1]) / size)
-        col_hi = math.floor(max(p[1], q[1]) / size)
+        row_lo = math.floor((min(p[0], q[0]) - 1e-12) / size)
+        row_hi = math.floor((max(p[0], q[0]) + 1e-12) / size)
+        col_lo = math.floor((min(p[1], q[1]) - 1e-12) / size)
+        col_hi = math.floor((max(p[1], q[1]) + 1e-12) / size)
         return [
             (row, col)
             for row in range(row_lo, row_hi + 1)
@@ -325,7 +326,7 @@ def _auto_bucket_size(
 
 
 def count_edge_crossings(
-    graph: nx.Graph, positions: PositionMap, bucket_size: Optional[float] = None
+    graph: Graph, positions: PositionMap, bucket_size: Optional[float] = None
 ) -> int:
     """Count pairs of placed edges whose straight segments cross (Fig. 6, left).
 
@@ -370,7 +371,7 @@ def count_edge_crossings(
     return crossings
 
 
-def count_edge_crossings_reference(graph: nx.Graph, positions: PositionMap) -> int:
+def count_edge_crossings_reference(graph: Graph, positions: PositionMap) -> int:
     """Brute-force O(m^2) oracle for :func:`count_edge_crossings`.
 
     Same semantics (vertex-identity endpoint exclusion), plain pairwise loop.
@@ -385,7 +386,7 @@ def count_edge_crossings_reference(graph: nx.Graph, positions: PositionMap) -> i
     return crossings
 
 
-def mapping_metrics(graph: nx.Graph, positions: PositionMap) -> Dict[str, float]:
+def mapping_metrics(graph: Graph, positions: PositionMap) -> Dict[str, float]:
     """All three Fig. 6 metrics for a mapping, as a dictionary.
 
     Keys: ``edge_crossings``, ``average_edge_length``, ``average_edge_spacing``.
@@ -414,7 +415,7 @@ def combine_metric_cost(
 
 
 def mapping_cost(
-    graph: nx.Graph,
+    graph: Graph,
     positions: PositionMap,
     length_weight: float = 1.0,
     spacing_weight: float = 1.0,
@@ -1172,7 +1173,7 @@ class MappingCostTracker:
 
     def __init__(
         self,
-        graph: nx.Graph,
+        graph: Graph,
         positions: PositionMap,
         length_weight: float = 1.0,
         spacing_weight: float = 1.0,

@@ -14,12 +14,14 @@ recursive driver that returns a hierarchy of vertex blocks.  The grid side
 (matching grid bisections and final cell assignment) lives in
 :mod:`repro.mapping.graph_partition`.
 
-The public functions take a networkx graph and convert it once to a plain
+The public functions take an interaction :class:`~repro.graphs.adjacency.Graph`
+or a networkx graph and convert it once to a plain
 :data:`~repro.graphs.adjacency.Adjacency` plus a ``{vertex: size}`` map
 (the ``size`` node attribute, 1 when missing); coarse graphs are
 adjacencies with their own size maps.  Every iteration order follows the
-networkx graph (see :mod:`repro.graphs.adjacency`), so the blocks and the
-GP placements are the ones the networkx-backed version produced.
+input graph's, which is networkx's (see :mod:`repro.graphs.adjacency`), so
+the blocks and the GP placements are the ones the networkx-backed version
+produced.
 """
 
 from __future__ import annotations

@@ -9,36 +9,40 @@ special treatment.
 
 This module wraps :mod:`networkx`'s planarity check and provides the
 per-round / per-module planar decomposition used by the stitcher and the
-test-suite.
+test-suite.  networkx is imported only when a check or layout runs, and an
+interaction :class:`~repro.graphs.adjacency.Graph` is converted on entry.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-import networkx as nx
-
 from ..distillation.block_code import Factory
+from .adjacency import Graph, to_networkx
 from .interaction import interaction_graph, subgraph_for_qubits
 
 
-def is_planar(graph: nx.Graph) -> bool:
-    """Whether the graph admits a planar embedding."""
-    planar, _embedding = nx.check_planarity(graph, counterexample=False)
+def is_planar(graph) -> bool:
+    """Whether the graph (a :class:`Graph` or networkx graph) is planar."""
+    import networkx as nx
+
+    planar, _embedding = nx.check_planarity(to_networkx(graph), counterexample=False)
     return planar
 
 
-def planar_embedding_positions(graph: nx.Graph) -> Dict[int, Tuple[float, float]]:
+def planar_embedding_positions(graph) -> Dict[int, Tuple[float, float]]:
     """A planar (crossing-free) straight-line drawing of a planar graph.
 
     Uses networkx's combinatorial-embedding based planar layout.  Raises
     :class:`networkx.NetworkXException` if the graph is not planar.
     """
-    positions = nx.planar_layout(graph)
+    import networkx as nx
+
+    positions = nx.planar_layout(to_networkx(graph))
     return {node: (float(x), float(y)) for node, (x, y) in positions.items()}
 
 
-def round_interaction_graphs(factory: Factory) -> List[nx.Graph]:
+def round_interaction_graphs(factory: Factory) -> List[Graph]:
     """Interaction graph of each round of a factory (barriers excluded).
 
     Round ``r``'s graph contains the qubits active during that round and the
@@ -46,7 +50,7 @@ def round_interaction_graphs(factory: Factory) -> List[nx.Graph]:
     round are *not* included because they belong to the boundary, not the
     round.
     """
-    graphs: List[nx.Graph] = []
+    graphs: List[Graph] = []
     for round_index in range(1, factory.spec.levels + 1):
         gates = factory.round_gates(round_index)
         qubits = factory.round_qubits(round_index)
@@ -54,7 +58,7 @@ def round_interaction_graphs(factory: Factory) -> List[nx.Graph]:
     return graphs
 
 
-def module_interaction_graphs(factory: Factory, round_index: int) -> List[nx.Graph]:
+def module_interaction_graphs(factory: Factory, round_index: int) -> List[Graph]:
     """Per-module interaction subgraphs of one round.
 
     Because modules within a round never interact (Section VII-A), the
@@ -62,7 +66,7 @@ def module_interaction_graphs(factory: Factory, round_index: int) -> List[nx.Gra
     planar (Fig. 4a) and small enough to embed nearly optimally.
     """
     round_graph = round_interaction_graphs(factory)[round_index - 1]
-    graphs: List[nx.Graph] = []
+    graphs: List[Graph] = []
     for module in factory.rounds[round_index - 1]:
         graphs.append(subgraph_for_qubits(round_graph, module.all_qubits))
     return graphs

@@ -34,10 +34,10 @@ import random
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as _np
 
 from ..circuits.circuit import Circuit
+from ..graphs.adjacency import Graph
 from ..graphs.community import (
     community_centroid,
     community_fragmentation,
@@ -126,7 +126,7 @@ def _check_config_field(name: str, value) -> None:
             )
 
 
-def assign_dipole_poles(graph: nx.Graph, seed: int = 0) -> Dict[int, int]:
+def assign_dipole_poles(graph: Graph, seed: int = 0) -> Dict[int, int]:
     """Assign a +1 / -1 pole to every vertex by greedy 2-colouring.
 
     The interaction graph of a full schedule is generally not bipartite, so
@@ -220,7 +220,7 @@ class _ForceField:
 
     def __init__(
         self,
-        graph: nx.Graph,
+        graph: Graph,
         config: ForceDirectedConfig,
         poles: Mapping[int, int],
     ) -> None:
@@ -512,7 +512,7 @@ def _oracle_sweep(
 
 
 def force_directed_refine(
-    graph: nx.Graph,
+    graph: Graph,
     initial: Placement,
     config: Optional[ForceDirectedConfig] = None,
 ) -> Placement:
@@ -638,7 +638,7 @@ def force_directed_refine(
 
 def _apply_community_move(
     placement: Placement,
-    graph: nx.Graph,
+    graph: Graph,
     communities: Sequence[Sequence[int]],
     rng: random.Random,
 ) -> None:

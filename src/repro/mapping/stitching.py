@@ -179,8 +179,7 @@ def _module_block_placement(
         qubits = list(module.local_qubits)
         if place_raw:
             qubits = list(module.all_qubits)
-        graph = interaction_graph(gates, include_qubits=qubits)
-        graph = graph.subgraph(qubits).copy()
+        graph = interaction_graph(gates, include_qubits=qubits).subgraph(qubits)
         placement = graph_partition_placement(
             graph, qubits=qubits, seed=config.seed, slack=1.15
         )
@@ -193,8 +192,8 @@ def _module_block_placement(
             for gate in factory.round_gates(module.round_index)
             if gate.tag == f"r{module.round_index}.m{module.module_index}"
         ]
-        graph = interaction_graph(gates, include_qubits=list(placement.positions))
-        graph = graph.subgraph(list(placement.positions)).copy()
+        qubits = list(placement.positions)
+        graph = interaction_graph(gates, include_qubits=qubits).subgraph(qubits)
         placement = force_directed_refine(
             graph,
             placement,

@@ -25,6 +25,10 @@ Endpoints (all JSON)::
     GET  /v1/status     store status+counters, server counters, job counts
     GET  /healthz       liveness probe
 
+A malformed payload, or a request the pipeline rejects as given (a
+:class:`~repro.api.pipeline.RequestError`, such as a hop outside the mapped
+grid), is answered 400 naming the offending field; any other failure 500.
+
 Built on :class:`http.server.ThreadingHTTPServer` — no new runtime
 dependencies — with one thread per connection; CPU-bound evaluation is
 serialized through a pipeline lock (the GIL would anyway), while sweep
@@ -43,7 +47,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
-from ..api.pipeline import Pipeline
+from ..api.pipeline import Pipeline, RequestError
 from ..api.store import DEFAULT_STORE_ROOT, ResultStore, as_result_store
 from ..routing.simulator import SimulatorConfig
 from .jobs import JobManager
@@ -378,7 +382,7 @@ def build_handler(service: SweepService, quiet: bool = True):
             self._pending_observation = (endpoint, time.perf_counter())
             try:
                 handler()
-            except WireFormatError as error:
+            except RequestError as error:  # a bad payload or an unmappable request
                 self._send_json(400, error.to_dict())
             except Exception as error:  # never kill the connection thread
                 self._send_json(

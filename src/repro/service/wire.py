@@ -9,9 +9,10 @@ contract for a network service (or a ``--plan`` file typed by a human).
 This module is the validating front door both the sweep service and
 ``repro-msfu sweep run --plan`` decode through:
 
-* :class:`WireFormatError` — a :class:`ValueError` carrying the dotted
-  ``field`` path of the offending value (``requests[3].capacity``), so an
-  HTTP 400 body or an exit-2 CLI message can say exactly what to fix;
+* :class:`WireFormatError` — a :class:`~repro.api.pipeline.RequestError`
+  (a :class:`ValueError`) carrying the dotted ``field`` path of the
+  offending value (``requests[3].capacity``), so an HTTP 400 body or an
+  exit-2 CLI message can say exactly what to fix;
 * :func:`decode_evaluation_request` / :func:`decode_sweep_plan` — type- and
   range-checked decoding into the existing request/plan classes;
 * :func:`validate_plan_mappers` — registry validation of every mapper name
@@ -28,25 +29,17 @@ from typing import Any, List, Mapping, Optional
 
 from ..api.executor import SweepPlan
 from ..api.mappers import available_mappers
-from ..api.pipeline import CONFIG_DECODERS, EvaluationRequest
+from ..api.pipeline import CONFIG_DECODERS, EvaluationRequest, RequestError
 from ..api.sharding import SHARD_STRATEGIES, ShardSpec
 
 
-class WireFormatError(ValueError):
+class WireFormatError(RequestError):
     """A wire payload failed validation; ``field`` names the offending value.
 
     ``field`` is a dotted path into the payload (``capacity``,
     ``requests[3].method``) or ``None`` when the problem is the payload as
     a whole (e.g. not a JSON object).  ``str()`` always includes the path.
     """
-
-    def __init__(self, message: str, field: Optional[str] = None) -> None:
-        self.field = field
-        super().__init__(f"{field}: {message}" if field else message)
-
-    def to_dict(self) -> dict:
-        """The JSON body a 400 response carries."""
-        return {"error": {"message": str(self), "field": self.field}}
 
 
 def _path(prefix: str, key: str) -> str:

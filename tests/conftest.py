@@ -10,6 +10,8 @@ import contextlib
 import dataclasses
 import os
 import random
+import subprocess
+import sys
 import types
 
 import pytest
@@ -36,6 +38,8 @@ def pytest_addoption(parser):
         ),
     )
 
+import repro
+from repro.circuits import Circuit
 from repro.distillation import (
     ReusePolicy,
     build_single_level_factory,
@@ -74,6 +78,67 @@ def fuzz_corpus(request, trial) -> None:
                 f"--fuzz-seeds={seed}"
             )
         pytest.fail("\n".join(lines))
+
+
+def run_fresh(code: str) -> str:
+    """Run ``code`` in a fresh interpreter on this checkout; return stdout."""
+    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
+    env = dict(os.environ, PYTHONPATH=src_dir)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def networkx_interaction_graph(circuit_or_gates, include_qubits=None):
+    """The oracle of ``interaction_graph``: its body as an ``nx.Graph``.
+
+    The production graph (:class:`repro.graphs.Graph`) must iterate its
+    nodes, neighbours and edges exactly like this one.
+    """
+    import networkx as nx
+
+    if isinstance(circuit_or_gates, Circuit):
+        gates = circuit_or_gates.gates
+        default_vertices = range(circuit_or_gates.num_qubits)
+    else:
+        gates = tuple(circuit_or_gates)
+        default_vertices = ()
+
+    graph = nx.Graph()
+    vertices = include_qubits if include_qubits is not None else default_vertices
+    graph.add_nodes_from(vertices)
+
+    for gate_index, gate in enumerate(gates):
+        if gate.is_barrier:
+            continue
+        for qubit in gate.qubits:
+            if qubit not in graph:
+                graph.add_node(qubit)
+        for a, b in gate.interaction_pairs():
+            if graph.has_edge(a, b):
+                graph[a][b]["weight"] += 1
+                graph[a][b]["gates"].append(gate_index)
+            else:
+                graph.add_edge(a, b, weight=1, gates=[gate_index])
+    return graph
+
+
+def assert_same_graph(graph, oracle, label="") -> None:
+    """``graph`` iterates exactly like the networkx ``oracle``.
+
+    Node order, each node's neighbour order, and ``edges(data=True)``
+    (order, weights and gate lists) must all be equal.
+    """
+    assert list(graph.nodes()) == list(oracle.nodes()), f"{label}: node order"
+    for vertex in oracle.nodes():
+        assert list(graph.neighbors(vertex)) == list(oracle.neighbors(vertex)), (
+            f"{label}: neighbour order of {vertex!r}"
+        )
+    assert list(graph.edges(data=True)) == list(oracle.edges(data=True)), (
+        f"{label}: edges"
+    )
 
 
 @contextlib.contextmanager

@@ -384,6 +384,66 @@ class TestSimStallStats:
         assert evaluation.wakeups == 1
 
 
+class TestClientHops:
+    """``sim_config.hops`` against the placement the pipeline evaluates."""
+
+    @staticmethod
+    def _request(hops, method="linear"):
+        from repro.routing import SimulatorConfig
+
+        return EvaluationRequest(
+            method=method, capacity=2, sim_config=SimulatorConfig(hops=hops)
+        )
+
+    @staticmethod
+    def _braid_gate(circuit) -> int:
+        return next(
+            index
+            for index, gate in enumerate(circuit.gates)
+            if any(gate.interaction_pairs())
+        )
+
+    @pytest.mark.parametrize("cell", [(10_000, 10_000), (0, 10_000), (10_000, 0)])
+    def test_hop_outside_the_grid_is_rejected_before_simulation(
+        self, monkeypatch, cell
+    ):
+        from repro.api import RequestError
+
+        pipeline = Pipeline()
+        simulated = []
+        monkeypatch.setattr(
+            pipeline.sim_cache, "simulate", lambda *args: simulated.append(args)
+        )
+        request = self._request({7: cell})
+        for evaluate in (pipeline.evaluate, lambda r: pipeline.evaluate_batch([r])):
+            with pytest.raises(RequestError, match="gate 7 ") as excinfo:
+                evaluate(request)
+            assert excinfo.value.field == "sim_config.hops"
+            assert str(excinfo.value).startswith("sim_config.hops: ")
+        assert simulated == []
+
+    def test_hop_inside_the_grid_equals_a_direct_simulation(self):
+        from repro.routing import SimulatorConfig, simulate
+
+        pipeline = Pipeline()
+        factory = pipeline.factory(2, 1, False)
+        placement = get_mapper("linear").place(factory)
+        gate = self._braid_gate(factory.circuit)
+        cell = (placement.height - 1, placement.width - 1)
+        result = pipeline.evaluate(self._request({gate: cell}))
+        direct = simulate(
+            factory.circuit, placement, SimulatorConfig(hops={gate: cell})
+        )
+        expected = (direct.latency, direct.stall_cycles)
+        assert (result.latency, result.stall_cycles) == expected
+        plain = pipeline.evaluate(EvaluationRequest(method="linear", capacity=2))
+        assert result.latency != plain.latency  # the hop was routed
+
+    def test_stitched_mappings_replace_client_hops(self):
+        request = self._request({0: (10_000, 10_000)}, "hierarchical_stitching")
+        assert Pipeline().evaluate(request).latency > 0
+
+
 class TestPackageMetadata:
     def test_version_matches_pyproject(self):
         import re

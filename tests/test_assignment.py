@@ -25,22 +25,18 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import random
-import subprocess
-import sys
 
 import numpy as np
 import pytest
 from scipy.optimize import linear_sum_assignment as scipy_assignment
 
-import repro
 from repro.api import EvaluationRequest, Pipeline
 from repro.distillation import FactorySpec, ReusePolicy
 from repro.mapping import stitching
 from repro.mapping.assignment import linear_sum_assignment
 
-from conftest import fuzz_corpus
+from conftest import fuzz_corpus, run_fresh
 
 #: Offset added to the trial index so seed 0 is not a magic value.
 SEED_BASE = 20261018
@@ -193,20 +189,9 @@ EVALUATE_LEVEL2_HS = (
 )
 
 
-def _run_fresh(code: str) -> str:
-    """Run ``code`` in a fresh interpreter on this checkout; return stdout."""
-    src_dir = os.path.dirname(os.path.dirname(repro.__file__))
-    env = dict(os.environ, PYTHONPATH=src_dir)
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env
-    )
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout
-
-
 class TestRuntimeWithoutScipy:
     def test_level2_stitching_leaves_scipy_unimported(self):
-        out = _run_fresh(
+        out = run_fresh(
             EVALUATE_LEVEL2_HS
             + "import sys\n"
             + "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
@@ -214,7 +199,7 @@ class TestRuntimeWithoutScipy:
         assert out.strip() == "[]"
 
     def test_level2_stitching_runs_with_scipy_unimportable(self):
-        out = _run_fresh(
+        out = run_fresh(
             "import sys\nsys.modules['scipy'] = None\n"
             + EVALUATE_LEVEL2_HS
             + "import json\nprint(json.dumps(result, sort_keys=True))\n"

@@ -1,4 +1,11 @@
-"""Exactness tests for graph partitioning and community detection.
+"""Exactness tests for interaction graphs, graph partitioning and communities.
+
+The interaction graph is a repro-owned :class:`repro.graphs.Graph`.  Its
+oracle is the networkx body ``interaction_graph`` had before
+(``conftest.networkx_interaction_graph``): on every factory below, on each
+round's graph and on the module subgraphs hierarchical stitching maps, node
+order, each node's neighbour order and ``edges(data=True)`` must be equal,
+and so must induced copies against ``G.subgraph(vertices).copy()``.
 
 Community detection (Section VI-B.1) runs Clauset-Newman-Moore greedy
 modularity on a plain adjacency dict.  Its oracle is networkx's own
@@ -38,13 +45,16 @@ import pytest
 
 from repro.distillation import FactorySpec, ReusePolicy, build_factory
 from repro.graphs import (
+    Graph,
     bisect,
     detect_communities,
     heavy_edge_matching,
     interaction_graph,
     recursive_bisection,
+    round_interaction_graphs,
 )
-from repro.mapping import graph_partition_placement
+from repro.mapping import StitchingConfig, graph_partition_placement
+from repro.mapping import stitching
 
 #: Offset added to the trial index so seed 0 is not a magic value.
 SEED_BASE = 20261017
@@ -107,6 +117,100 @@ FACTORY_CASES = [
 
 
 # ----------------------------------------------------------------------
+# Interaction graphs against the networkx oracle
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("capacity,levels,reuse", FACTORY_CASES)
+def test_factory_graphs_match_networkx(capacity, levels, reuse):
+    # Imported here so the module also runs as a script (see the docstring).
+    from conftest import assert_same_graph, networkx_interaction_graph
+
+    factory = _factory(capacity, levels, reuse)
+    label = f"K={capacity} levels={levels} reuse={reuse}"
+    graph = interaction_graph(factory.circuit)
+    oracle = networkx_interaction_graph(factory.circuit)
+    assert_same_graph(graph, oracle, label)
+    assert graph.number_of_edges() == oracle.number_of_edges()
+    assert dict(graph.degree()) == dict(oracle.degree())
+
+    rounds = round_interaction_graphs(factory)
+    assert len(rounds) == levels
+    for round_index, round_graph in enumerate(rounds, start=1):
+        round_oracle = networkx_interaction_graph(
+            factory.round_gates(round_index),
+            include_qubits=factory.round_qubits(round_index),
+        )
+        assert_same_graph(round_graph, round_oracle, f"{label} round {round_index}")
+
+    # Induced copies keeping under and over half of the nodes, drawn in a
+    # shuffled order: networkx iterates the kept set in the first case and
+    # the graph's order in the second.
+    rng = random.Random(SEED_BASE + capacity + 100 * levels)
+    nodes = list(oracle.nodes())
+    for keep in (len(nodes) // 3, len(nodes) // 2 + 1):
+        chosen = rng.sample(nodes, keep)
+        assert_same_graph(
+            graph.subgraph(chosen),
+            oracle.subgraph(chosen).copy(),
+            f"{label} subgraph of {keep}/{len(nodes)} nodes",
+        )
+
+
+def test_small_subgraph_iterates_the_kept_set():
+    """Under half the nodes kept: the set's order, not the graph's."""
+    from conftest import assert_same_graph
+
+    graph = Graph()
+    oracle = nx.Graph()
+    for g in (graph, oracle):
+        for v in range(20):
+            g.add_node(v)
+        for v in range(19):
+            g.add_edge(v + 1, v, weight=v, gates=[v])
+        g.add_edge(17, 3, weight=7, gates=[])
+        g.add_edge(9, 17, weight=8, gates=[])
+    chosen = [17, 3, 9]
+    copied = oracle.subgraph(chosen).copy()
+    assert list(copied) != sorted(chosen)  # the case under test
+    assert_same_graph(graph.subgraph(chosen), copied, "small subgraph")
+
+
+@pytest.mark.parametrize("capacity", [4, 16])
+def test_stitching_module_graphs_match_networkx(monkeypatch, capacity):
+    """The module subgraphs stitching maps with GP and refines with FD."""
+    from conftest import assert_same_graph, networkx_interaction_graph
+
+    built, mapped = [], []
+
+    def spy(function, record):
+        def call(graph, *args, **kwargs):
+            record.append((graph, args, kwargs))
+            return function(graph, *args, **kwargs)
+
+        return call
+
+    for name, record in (
+        ("interaction_graph", built),
+        ("graph_partition_placement", mapped),
+        ("force_directed_refine", mapped),
+    ):
+        monkeypatch.setattr(stitching, name, spy(getattr(stitching, name), record))
+    config = StitchingConfig(module_mapper="graph_partition", refine_modules=True)
+    spec = FactorySpec.from_capacity(capacity, 2)
+    stitching.hierarchical_stitching(spec, config=config)
+
+    # Each module builds one graph for GP and one for the FD refinement.
+    assert len(built) == len(mapped) >= 4
+    sizes = set()
+    for index, ((gates, _, kwargs), (graph, _, _)) in enumerate(zip(built, mapped)):
+        qubits = kwargs["include_qubits"]
+        oracle = networkx_interaction_graph(gates, include_qubits=qubits)
+        label = f"K={capacity} module graph {index}"
+        assert_same_graph(graph, oracle.subgraph(qubits).copy(), label)
+        sizes.add(graph.number_of_nodes())
+    assert len(sizes) > 1  # modules of both rounds
+
+
+# ----------------------------------------------------------------------
 # Community detection against networkx
 # ----------------------------------------------------------------------
 def _oracle_communities(graph: nx.Graph, max_communities=None):
@@ -133,12 +237,15 @@ def _oracle_communities(graph: nx.Graph, max_communities=None):
     return communities
 
 
-def _check_communities(graph: nx.Graph, label: str) -> None:
-    expected = _oracle_communities(graph)
+def _check_communities(graph, label: str, oracle=None) -> None:
+    """``detect_communities(graph)`` against networkx on ``oracle``
+    (``graph`` itself when it is a networkx graph)."""
+    oracle = graph if oracle is None else oracle
+    expected = _oracle_communities(oracle)
     assert detect_communities(graph) == expected, f"{label}: communities differ"
     bound = max(1, len(expected) // 2)
     assert detect_communities(graph, max_communities=bound) == _oracle_communities(
-        graph, max_communities=bound
+        oracle, max_communities=bound
     ), f"{label}: communities differ with max_communities={bound}"
 
 
@@ -158,8 +265,14 @@ def test_communities_match_networkx_fuzz(request):
 
 @pytest.mark.parametrize("capacity,levels,reuse", FACTORY_CASES)
 def test_factory_communities_match_networkx(capacity, levels, reuse):
-    graph = interaction_graph(_factory(capacity, levels, reuse).circuit)
-    _check_communities(graph, f"K={capacity} levels={levels} reuse={reuse}")
+    from conftest import networkx_interaction_graph
+
+    circuit = _factory(capacity, levels, reuse).circuit
+    _check_communities(
+        interaction_graph(circuit),
+        f"K={capacity} levels={levels} reuse={reuse}",
+        oracle=networkx_interaction_graph(circuit),
+    )
 
 
 def test_zero_total_weight_falls_back_to_label_propagation():
@@ -169,6 +282,21 @@ def test_zero_total_weight_falls_back_to_label_propagation():
     graph.add_edge(5, 6, weight=0)
     graph.add_node(9)
     assert detect_communities(graph) == _oracle_communities(graph)
+
+
+def test_label_propagation_on_a_repro_graph():
+    """The networkx branch converts a repro graph to the same result."""
+    oracle, graph = nx.Graph(), Graph()
+    for g in (oracle, graph):
+        for a, b in ((5, 6), (0, 1), (1, 2), (12, 5), (2, 0), (7, 3)):
+            g.add_edge(a, b, weight=0)
+        g.add_node(9)
+    expected = _oracle_communities(oracle)
+    assert len(expected) == 4  # three components and the isolated vertex
+    assert detect_communities(graph) == expected
+    assert detect_communities(graph, max_communities=2) == _oracle_communities(
+        oracle, max_communities=2
+    )
 
 
 def test_directed_graphs_are_rejected():

@@ -1,13 +1,23 @@
-"""Unit tests for interaction-graph construction (repro.graphs.interaction)."""
+"""Unit tests for interaction-graph construction (repro.graphs.interaction).
 
+Evaluation does not import networkx: two fresh-interpreter checks run
+every registered mapper at levels 1 and 2, once watching ``sys.modules``
+and once with networkx made unimportable.  The graph's iteration order is
+checked against a networkx oracle in ``test_graph_fuzz.py``.
+"""
+
+import json
+
+from repro.api import EvaluationRequest, Pipeline
 from repro.circuits import Circuit, barrier, cnot, cxx, h, inject_t
 from repro.graphs import (
     degree_statistics,
     interaction_edges,
     interaction_graph,
-    merge_graphs,
     subgraph_for_qubits,
 )
+
+from conftest import run_fresh
 
 
 def build_circuit():
@@ -57,7 +67,7 @@ class TestInteractionGraph:
     def test_include_qubits_forces_isolated_vertices(self):
         graph = interaction_graph([cnot(0, 1)], include_qubits=[0, 1, 9])
         assert 9 in graph
-        assert graph.degree(9) == 0
+        assert dict(graph.degree())[9] == 0
 
     def test_interaction_edges_flat_list(self):
         edges = interaction_edges(build_circuit())
@@ -83,13 +93,6 @@ class TestInteractionGraph:
         sub.add_edge(0, 1, weight=99)
         assert graph[0][1]["weight"] == 2
 
-    def test_merge_graphs_sums_weights(self):
-        g1 = interaction_graph([cnot(0, 1)])
-        g2 = interaction_graph([cnot(0, 1), cnot(1, 2)])
-        merged = merge_graphs([g1, g2])
-        assert merged[0][1]["weight"] == 2
-        assert merged.has_edge(1, 2)
-
 
 class TestFactoryGraphs:
     def test_single_level_graph_connected_core(
@@ -109,3 +112,45 @@ class TestFactoryGraphs:
         }
         for output in producer_outputs:
             assert any(n in round2_ancillas for n in graph.neighbors(output))
+
+
+# ----------------------------------------------------------------------
+# Evaluation without networkx
+# ----------------------------------------------------------------------
+EVALUATE_EVERY_MAPPER = (
+    "import repro, repro.api, repro.cli, repro.service.server\n"
+    "from repro.api import EvaluationRequest, Pipeline, available_mappers\n"
+    "pipeline = Pipeline()\n"
+    "results = {\n"
+    "    f'{method}/{levels}': pipeline.evaluate(\n"
+    "        EvaluationRequest(method, 4, levels=levels)\n"
+    "    ).to_dict()\n"
+    "    for levels in (1, 2)\n"
+    "    for method in available_mappers()\n"
+    "}\n"
+)
+
+
+class TestEvaluationWithoutNetworkx:
+    def test_evaluation_leaves_networkx_unimported(self):
+        out = run_fresh(
+            EVALUATE_EVERY_MAPPER
+            + "import sys\n"
+            + "print(sorted(m for m in sys.modules if m.split('.')[0] == 'networkx'))\n"
+        )
+        assert out.strip() == "[]"
+
+    def test_evaluation_runs_with_networkx_unimportable(self):
+        out = run_fresh(
+            "import sys\nsys.modules['networkx'] = None\n"
+            + EVALUATE_EVERY_MAPPER
+            + "import json\nprint(json.dumps(results, sort_keys=True))\n"
+        )
+        results = json.loads(out)
+        # The five paper mappers, at both levels.
+        assert len(results) >= 10
+        pipeline = Pipeline()
+        for key, result in results.items():
+            method, levels = key.split("/")
+            request = EvaluationRequest(method, 4, levels=int(levels))
+            assert pipeline.evaluate(request).to_dict() == result, key

@@ -246,6 +246,27 @@ class TestBucketedParity:
         expected = count_edge_crossings_reference(graph, positions)
         assert count_edge_crossings(graph, positions) == expected == 3
 
+    @pytest.mark.parametrize(
+        "stem, touch, wall",
+        [
+            # An endpoint 1e-13 left and right of a segment on column 4.0,
+            ((2.0, 0.5), (2.0, 3.9999999999999), ((1.0, 4.0), (3.0, 4.0))),
+            ((2.0, 7.5), (2.0, 4.0000000000001), ((1.0, 4.0), (3.0, 4.0))),
+            # and above and below one on row 4.0.
+            ((0.5, 2.0), (3.9999999999999, 2.0), ((4.0, 1.0), (4.0, 3.0))),
+            ((7.5, 2.0), (4.0000000000001, 2.0), ((4.0, 1.0), (4.0, 3.0))),
+        ],
+    )
+    def test_pairs_touching_within_tolerance_are_counted(self, stem, touch, wall):
+        # The predicates count a touch within their 1e-12 tolerance, so the
+        # grid must test the pair although at bucket size 2 the segments'
+        # exact boxes may lie on either side of the bucket boundary at 4.0.
+        graph = nx.Graph([(0, 1), (2, 3)])
+        positions = {0: stem, 1: touch, 2: wall[0], 3: wall[1]}
+        assert count_edge_crossings_reference(graph, positions) == 1
+        assert count_edge_crossings(graph, positions) == 1
+        assert count_edge_crossings(graph, positions, bucket_size=2.0) == 1
+
     def test_self_loops_are_ignored(self):
         graph = nx.Graph()
         graph.add_edge(0, 0)

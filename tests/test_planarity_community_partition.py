@@ -56,6 +56,22 @@ class TestPlanarity:
     def test_k5_is_not_planar(self):
         assert not is_planar(nx.complete_graph(5))
 
+    def test_interaction_graphs_convert_like_networkx(
+        self, single_level_k8, two_level_cap4
+    ):
+        # networkx runs on a converted copy; its answers are the ones the
+        # networkx-built graph gets.
+        from conftest import networkx_interaction_graph
+
+        circuit = single_level_k8.circuit
+        graph = interaction_graph(circuit)
+        oracle = networkx_interaction_graph(circuit)
+        assert planar_embedding_positions(graph) == planar_embedding_positions(oracle)
+        circuit = two_level_cap4.circuit
+        assert is_planar(interaction_graph(circuit)) == is_planar(
+            networkx_interaction_graph(circuit)
+        )
+
 
 class TestCommunityDetection:
     def two_cliques(self):

@@ -399,6 +399,13 @@ class TestHttpEndpoints:
         assert body["error"]["field"] == "sim_config"
         assert "max_candidates" in body["error"]["message"]
 
+    def test_hop_outside_the_grid_is_400_naming_sim_config_hops(self, base_url):
+        request = a_request(sim_config=SimulatorConfig(hops={3: (10_000, 10_000)}))
+        status, _, body = http("POST", f"{base_url}/v1/evaluate", request.to_dict())
+        assert status == 400
+        assert body["error"]["field"] == "sim_config.hops"
+        assert "gate 3 " in body["error"]["message"]
+
     def test_overflowing_fd_weight_is_400_not_500(self, base_url):
         # A finite weight this large once passed validation, overflowed
         # the first sweep's repulsion sums to NaN and answered 500.
