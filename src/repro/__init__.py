@@ -69,7 +69,7 @@ from . import (
     scheduling,
 )
 
-__version__ = "1.11.0"
+__version__ = "1.12.0"
 
 __all__ = [
     "analysis",

@@ -50,8 +50,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import queue
-import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass, field
@@ -61,7 +59,6 @@ from typing import (
     Callable,
     Dict,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -72,7 +69,7 @@ from typing import (
 
 from ..mapping.force_directed import ForceDirectedConfig
 from ..mapping.stitching import StitchingConfig
-from ..routing.simulator import SimulationCache, SimulatorConfig
+from ..routing.simulator import SimulatorConfig
 from .pipeline import EvaluationRequest, Pipeline, PipelineStats
 from .results import FactoryEvaluation
 from .store import ResultStore, as_result_store
@@ -229,7 +226,6 @@ class ExecutorStats:
         self.factory_builds += delta.factory_builds
         self.factory_cache_hits += delta.cache_hits
         self.sim_cache_hits += delta.sim_cache_hits
-        self.store_hits += delta.store_hits
         self.fd_sweeps += delta.fd_sweeps
         self.fd_moves_accepted += delta.fd_moves_accepted
         self.sim_stall_events += delta.sim_stall_events
@@ -332,15 +328,13 @@ class SweepRunResult:
 # Each worker process holds one long-lived pipeline so the factory and
 # simulation caches amortize across every request the worker receives.
 _WORKER_PIPELINE: Optional[Pipeline] = None
-_WORKER_ARGS: Tuple = (None, 8, 512)
+_WORKER_SIM_CONFIG: Optional[SimulatorConfig] = None
 
 
-def _worker_init(
-    sim_config: Optional[SimulatorConfig], cache_size: int, sim_cache_size: int
-) -> None:
-    """Process-pool initializer: remember the pipeline configuration."""
-    global _WORKER_ARGS, _WORKER_PIPELINE
-    _WORKER_ARGS = (sim_config, cache_size, sim_cache_size)
+def _worker_init(sim_config: Optional[SimulatorConfig]) -> None:
+    """Process-pool initializer: remember the default simulator config."""
+    global _WORKER_SIM_CONFIG, _WORKER_PIPELINE
+    _WORKER_SIM_CONFIG = sim_config
     _WORKER_PIPELINE = None
 
 
@@ -348,12 +342,7 @@ def _worker_pipeline() -> Pipeline:
     """The worker's lazily created process-wide pipeline."""
     global _WORKER_PIPELINE
     if _WORKER_PIPELINE is None:
-        sim_config, cache_size, sim_cache_size = _WORKER_ARGS
-        _WORKER_PIPELINE = Pipeline(
-            sim_config=sim_config,
-            cache_size=cache_size,
-            sim_cache=SimulationCache(max_entries=sim_cache_size),
-        )
+        _WORKER_PIPELINE = Pipeline(sim_config=_WORKER_SIM_CONFIG)
     return _WORKER_PIPELINE
 
 
@@ -391,8 +380,6 @@ class SweepExecutor:
     sim_config:
         Default simulator configuration for every evaluation (a request's
         own ``sim_config`` takes precedence), forwarded to each worker.
-    cache_size / sim_cache_size:
-        Per-worker factory-cache and simulation-cache bounds.
     store:
         Optional persistent :class:`~repro.api.store.ResultStore` (or a
         path, wrapped automatically).  When attached, every completed
@@ -408,8 +395,8 @@ class SweepExecutor:
         evaluation is deterministic in the request.
     batch:
         ``True`` routes the pending requests through the serial pipeline's
-        batched evaluation path (:meth:`Pipeline.evaluate_batch`): store
-        and simulation-cache probes still happen per request, and only the
+        batched evaluation path (:meth:`Pipeline.evaluate_batch`):
+        simulation-cache probes still happen per request, and only the
         cache-missing simulations are grouped into one
         :func:`~repro.routing.batchsim.simulate_batch` call.  The batch
         *is* the parallelism, so this mode runs in-process and takes
@@ -436,8 +423,6 @@ class SweepExecutor:
         self,
         workers: int = 1,
         sim_config: Optional[SimulatorConfig] = None,
-        cache_size: int = 8,
-        sim_cache_size: int = 512,
         store: Optional[Union[ResultStore, str, Path]] = None,
         resume: bool = False,
         batch: bool = False,
@@ -447,8 +432,6 @@ class SweepExecutor:
         self.workers = workers
         self.batch = batch
         self.sim_config = sim_config
-        self.cache_size = cache_size
-        self.sim_cache_size = sim_cache_size
         self.store = as_result_store(store)
         if resume and self.store is None:
             raise ValueError("resume=True requires a result store (store=...)")
@@ -461,11 +444,7 @@ class SweepExecutor:
     def pipeline(self) -> Pipeline:
         """The executor's own serial pipeline (persists across runs)."""
         if self._pipeline is None:
-            self._pipeline = Pipeline(
-                sim_config=self.sim_config,
-                cache_size=self.cache_size,
-                sim_cache=SimulationCache(max_entries=self.sim_cache_size),
-            )
+            self._pipeline = Pipeline(sim_config=self.sim_config)
         return self._pipeline
 
     # ------------------------------------------------------------------
@@ -571,71 +550,6 @@ class SweepExecutor:
         _LAST_RUN_STATS = stats
         return result
 
-    def stream(
-        self,
-        plan: Union[SweepPlan, Iterable[EvaluationRequest]],
-        resume: Optional[bool] = None,
-    ) -> Iterator[SweepProgress]:
-        """Execute ``plan``, yielding each :class:`SweepProgress` as it lands.
-
-        The streaming twin of :meth:`run`: instead of reassembling the
-        whole result at the end, events are handed to the consumer in
-        completion order the moment each unique request resolves (store
-        hits first on a resumed run, then evaluations as workers finish).
-        This is the primitive behind the CLI's ``--stream-output`` JSONL
-        sink and the job layer's live progress — a fleet coordinator can
-        watch points land without waiting for (or buffering) the full
-        sweep.
-
-        The run itself executes on a background thread through the normal
-        :meth:`run` machinery, so every mode (serial, ``workers > 1``,
-        ``batch=True``) and every guarantee (dedup, resume, immediate
-        persistence) is identical to the blocking call; the assembled
-        result's stats remain available through :func:`take_last_run_stats`
-        after the iterator is exhausted.  Closing the generator early
-        aborts the run at the next completion event (work already finished
-        stays persisted, exactly like a killed resumable sweep); an
-        evaluation error surfaces by raising from the iterator after the
-        events that preceded it have been delivered.
-        """
-        events: "queue.Queue[Optional[SweepProgress]]" = queue.Queue()
-        abort = threading.Event()
-        failure: List[BaseException] = []
-
-        class _StreamClosed(Exception):
-            """Raised inside the worker when the consumer went away."""
-
-        def relay(event: SweepProgress) -> None:
-            if abort.is_set():
-                raise _StreamClosed()
-            events.put(event)
-
-        def worker() -> None:
-            try:
-                self.run(plan, resume=resume, progress=relay)
-            except _StreamClosed:
-                pass
-            except BaseException as error:  # noqa: BLE001 - re-raised in consumer
-                failure.append(error)
-            finally:
-                events.put(None)
-
-        thread = threading.Thread(
-            target=worker, name="sweep-stream", daemon=True
-        )
-        thread.start()
-        try:
-            while True:
-                event = events.get()
-                if event is None:
-                    break
-                yield event
-        finally:
-            abort.set()
-            thread.join()
-        if failure:
-            raise failure[0]
-
     def _storage_request(self, request: EvaluationRequest) -> EvaluationRequest:
         """The store identity of a request under this executor's defaults."""
         return request.with_effective_sim_config(self.sim_config)
@@ -674,7 +588,7 @@ class SweepExecutor:
     ) -> None:
         """The batching mode: one grouped pass over every pending request.
 
-        Store and simulation-cache probes still happen per request inside
+        Simulation-cache probes still happen per request inside
         :meth:`~repro.api.pipeline.Pipeline.evaluate_batch`; only the
         cache-missing simulations are batched.  Results land in the same
         unique slots as the serial runner, so the assembled output is
@@ -719,7 +633,7 @@ class SweepExecutor:
         with ProcessPoolExecutor(
             max_workers=workers,
             initializer=_worker_init,
-            initargs=(self.sim_config, self.cache_size, self.sim_cache_size),
+            initargs=(self.sim_config,),
         ) as pool:
             futures = {
                 pool.submit(_worker_evaluate, unique[index]): index

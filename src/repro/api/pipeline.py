@@ -19,7 +19,6 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import (
-    TYPE_CHECKING,
     Any,
     Callable,
     Dict,
@@ -30,9 +29,6 @@ from typing import (
     Sequence,
     Tuple,
 )
-
-if TYPE_CHECKING:  # imported only for annotations: store.py imports this module
-    from .store import ResultStore
 
 from ..circuits.gates import DEFAULT_DURATIONS, GateKind
 from ..distillation.block_code import (
@@ -215,12 +211,6 @@ class PipelineStats:
     the simulation work this process performed, so the numbers are stable
     across cache states and worker counts.
 
-    ``store_hits`` counts requests answered whole from the attached
-    :class:`~repro.api.store.ResultStore` — those runs skip mapping and
-    simulation entirely, so they increment *only* this counter (not
-    ``evaluations`` and not the per-workload sim counters above):
-    ``store_hits + evaluations`` is the number of ``evaluate`` calls.
-
     ``build_seconds`` / ``map_seconds`` / ``sim_seconds`` split the wall
     time of the three pipeline phases — factory-circuit construction
     (cache misses only), mapper placement, and simulation (including
@@ -232,7 +222,6 @@ class PipelineStats:
     cache_hits: int = 0
     evaluations: int = 0
     sim_cache_hits: int = 0
-    store_hits: int = 0
     fd_sweeps: int = 0
     fd_moves_accepted: int = 0
     sim_stall_events: int = 0
@@ -259,6 +248,11 @@ class PipelineStats:
 class Pipeline:
     """Build -> map -> simulate, with factory-circuit and simulation caching.
 
+    A pure evaluator: it never reads or writes a
+    :class:`~repro.api.store.ResultStore`.  The layers that persist results
+    (:class:`~repro.api.executor.SweepExecutor`, the sweep service) own
+    their store and decide when to probe it.
+
     Parameters
     ----------
     sim_config:
@@ -266,35 +260,22 @@ class Pipeline:
         own ``sim_config`` takes precedence).
     cache_size:
         Maximum number of built factories kept alive (LRU).  Two-level
-        factories are large, so the cache is bounded.
-    sim_cache:
-        Memo of deterministic simulation results, so repeated sweep points
-        never re-simulate.  A fresh bounded cache is created when omitted;
-        pass ``None``-disabling is not supported because memoization never
-        changes results — share one cache between pipelines instead when
-        coordinating sweeps.
-    store:
-        Optional :class:`~repro.api.store.ResultStore` (or anything with its
-        ``get``/``put`` contract).  When set, every request is probed in the
-        store *before* building or simulating — a hit returns the persisted
-        :class:`FactoryEvaluation` (counted in ``stats.store_hits``) and a
-        miss persists the freshly computed one, so results amortize across
-        processes and machine reboots, not just within this process.
+        factories are large, so the cache is bounded.  Simulation results
+        are memoized in a bounded
+        :class:`~repro.routing.simulator.SimulationCache`, so repeated sweep
+        points never re-simulate.
     """
 
     def __init__(
         self,
         sim_config: Optional[SimulatorConfig] = None,
         cache_size: int = 8,
-        sim_cache: Optional[SimulationCache] = None,
-        store: Optional["ResultStore"] = None,
     ) -> None:
         if cache_size < 1:
             raise ValueError(f"cache_size must be >= 1, got {cache_size}")
         self.sim_config = sim_config
         self.cache_size = cache_size
-        self.sim_cache = sim_cache if sim_cache is not None else SimulationCache()
-        self.store = store
+        self.sim_cache = SimulationCache()
         self.stats = PipelineStats()
         self._factories: "OrderedDict[Tuple[int, int, ReusePolicy], Factory]" = (
             OrderedDict()
@@ -413,18 +394,6 @@ class Pipeline:
         # factory is built, with a message listing the registered mappers.
         mapper = get_mapper(request.method)
         sim_config = request.sim_config or self.sim_config or SimulatorConfig()
-
-        # Probe the persistent store before any build or simulation work,
-        # keyed on the request with its effective simulator config made
-        # explicit (see EvaluationRequest.with_effective_sim_config).
-        if self.store is not None:
-            storage_request = request.with_effective_sim_config(self.sim_config)
-            stored = self.store.get(storage_request)
-            if stored is not None:
-                self.stats.store_hits += 1
-                return stored
-
-        evaluation_started = time.perf_counter()
         circuit, placement, point_config = self._map_request(
             mapper, request, sim_config
         )
@@ -433,14 +402,7 @@ class Pipeline:
         sim_result = self.sim_cache.simulate(circuit, placement, point_config)
         self.stats.sim_seconds += time.perf_counter() - sim_started
         self.stats.sim_cache_hits += self.sim_cache.hits - hits_before
-        result = self._result_point(request, sim_config, placement, sim_result)
-        if self.store is not None:
-            self.store.try_put(
-                storage_request,
-                result,
-                wall_seconds=time.perf_counter() - evaluation_started,
-            )
-        return result
+        return self._result_point(request, sim_config, placement, sim_result)
 
     def evaluate_batch(
         self, requests: Sequence[EvaluationRequest]
@@ -448,12 +410,11 @@ class Pipeline:
         """Evaluate many requests, batching the cache-missing simulations.
 
         Semantically identical to ``[self.evaluate(r) for r in requests]``
-        — same results, same store/cache accounting — but the simulations
-        not answered by the :class:`~repro.api.store.ResultStore` or the
-        :class:`~repro.routing.simulator.SimulationCache` are executed in
-        one :func:`~repro.routing.batchsim.simulate_batch` call, which
-        groups same-circuit points and runs them through the compiled
-        batched kernel.
+        — same results, same cache accounting — but the simulations not
+        answered by the :class:`~repro.routing.simulator.SimulationCache`
+        are executed in one :func:`~repro.routing.batchsim.simulate_batch`
+        call, which groups same-circuit points and runs them through the
+        compiled batched kernel.
         """
         # Imported lazily, like the other analysis/routing consumers above.
         from ..routing.batchsim import simulate_batch
@@ -463,22 +424,13 @@ class Pipeline:
         results: List[Optional[FactoryEvaluation]] = [None] * len(requests)
         points: List[tuple] = []  # unique cache-missing (circuit, placement, config)
         point_of_key: Dict[tuple, int] = {}
-        # Deferred finishing context per request: (position, storage_request,
-        # sim_config, placement, point, started, point_index).
+        # Deferred finishing context per request: (position, sim_config,
+        # placement, point_index, first).
         deferred: List[tuple] = []
 
         for position, request in enumerate(requests):
             mapper = get_mapper(request.method)
             sim_config = request.sim_config or self.sim_config or SimulatorConfig()
-            storage_request = None
-            if self.store is not None:
-                storage_request = request.with_effective_sim_config(self.sim_config)
-                stored = self.store.get(storage_request)
-                if stored is not None:
-                    self.stats.store_hits += 1
-                    results[position] = stored
-                    continue
-            started = time.perf_counter()
             circuit, placement, point_config = self._map_request(
                 mapper, request, sim_config
             )
@@ -491,14 +443,9 @@ class Pipeline:
             )
             if cached is not None:
                 self.stats.sim_cache_hits += 1
-                result = self._result_point(request, sim_config, placement, cached)
-                results[position] = result
-                if self.store is not None:
-                    self.store.try_put(
-                        storage_request,
-                        result,
-                        wall_seconds=time.perf_counter() - started,
-                    )
+                results[position] = self._result_point(
+                    request, sim_config, placement, cached
+                )
                 continue
             point_index = point_of_key.get(key)
             first = point_index is None
@@ -506,39 +453,18 @@ class Pipeline:
                 point_index = len(points)
                 point_of_key[key] = point_index
                 points.append(point)
-            deferred.append(
-                (
-                    position,
-                    storage_request,
-                    sim_config,
-                    placement,
-                    point,
-                    started,
-                    point_index,
-                    first,
-                )
-            )
+            deferred.append((position, sim_config, placement, point_index, first))
 
         if not deferred:
             return results  # type: ignore[return-value]
 
         batch_started = time.perf_counter()
         batch_results = simulate_batch(points)
-        batch_seconds = time.perf_counter() - batch_started
-        self.stats.sim_seconds += batch_seconds
-        batch_share = batch_seconds / len(points)
+        self.stats.sim_seconds += time.perf_counter() - batch_started
 
-        for (
-            position,
-            storage_request,
-            sim_config,
-            placement,
-            point,
-            started,
-            point_index,
-            first,
-        ) in deferred:
+        for position, sim_config, placement, point_index, first in deferred:
             sim_result = batch_results[point_index]
+            point = points[point_index]
             if first:
                 # First occurrence of this simulation point: insert the
                 # batched result into the cache (booked as the miss an
@@ -552,15 +478,9 @@ class Pipeline:
                 # one (the first occurrence was inserted above).
                 self.sim_cache.lookup(point[0], point[1], point[2])
                 self.stats.sim_cache_hits += 1
-            request = requests[position]
-            result = self._result_point(request, sim_config, placement, sim_result)
-            results[position] = result
-            if self.store is not None:
-                self.store.try_put(
-                    storage_request,
-                    result,
-                    wall_seconds=(time.perf_counter() - started) + batch_share,
-                )
+            results[position] = self._result_point(
+                requests[position], sim_config, placement, sim_result
+            )
         return results  # type: ignore[return-value]
 
     def run(self, requests: Iterable[EvaluationRequest]) -> List[FactoryEvaluation]:

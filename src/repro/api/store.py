@@ -45,6 +45,7 @@ import json
 import os
 import platform
 import subprocess
+import threading
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -353,8 +354,11 @@ class ResultStore:
     ``hits`` / ``misses`` / ``puts`` / ``corrupt_skipped`` are
     process-lifetime counters on the *lookup* path, making the executor's
     ``store_hits`` accounting exact (maintenance scans — ``status``,
-    ``gc`` — do not move them).  Entries are plain JSON files, so a store
-    can be rsynced, committed, or inspected with ``jq``.
+    ``gc`` — and reporting reads — :meth:`peek`, :meth:`contains` — do not
+    move them).  They are updated under a lock the store owns, so threads
+    sharing one store (the sweep service's request handlers and job
+    worker) never lose each other's counts.  Entries are plain JSON files,
+    so a store can be rsynced, committed, or inspected with ``jq``.
     """
 
     def __init__(
@@ -368,6 +372,7 @@ class ResultStore:
         self.misses = 0
         self.puts = 0
         self.corrupt_skipped = 0
+        self._counter_lock = threading.Lock()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<ResultStore root={str(self.root)!r} v{self.schema_version}>"
@@ -386,89 +391,81 @@ class ResultStore:
     # ------------------------------------------------------------------
     # Read path
     # ------------------------------------------------------------------
-    def _read_payload(
-        self, path: Path, count_corrupt: bool = True
-    ) -> Optional[Dict[str, Any]]:
-        """Parse one payload file; corrupt files are warnings, not crashes.
+    @staticmethod
+    def _read_payload(path: Path) -> Tuple[Optional[Dict[str, Any]], Optional[str]]:
+        """Parse one payload file: ``(payload, None)``, or ``(None, problem)``.
 
-        ``count_corrupt=False`` keeps maintenance scans (``status``/``gc``
-        iterating every entry) from inflating the ``corrupt_skipped``
-        counter, which counts skips on the *lookup* path only.
+        A missing file is ``(None, None)``; a truncated, garbage or
+        non-object file is ``(None, message)``, and the caller decides
+        whether that is worth a warning or a counter.
         """
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 payload = json.load(handle)
         except FileNotFoundError:
-            return None
+            return None, None
         except (OSError, ValueError, UnicodeDecodeError) as error:
-            if count_corrupt:
-                self.corrupt_skipped += 1
-            warnings.warn(
-                f"result store: skipping unreadable entry {path} ({error})",
-                ResultStoreWarning,
-                stacklevel=3,
-            )
-            return None
+            return None, f"result store: skipping unreadable entry {path} ({error})"
         if not isinstance(payload, dict):
-            if count_corrupt:
-                self.corrupt_skipped += 1
-            warnings.warn(
-                f"result store: skipping non-object entry {path}",
-                ResultStoreWarning,
-                stacklevel=3,
-            )
-            return None
-        return payload
+            return None, f"result store: skipping non-object entry {path}"
+        return payload, None
 
-    def get(self, request: EvaluationRequest) -> Optional[FactoryEvaluation]:
-        """The stored evaluation of ``request``, or ``None`` (a miss).
+    def _load(
+        self, request: EvaluationRequest
+    ) -> Tuple[Optional[FactoryEvaluation], Optional[str]]:
+        """Uncounted read: ``(evaluation, None)`` on a hit, else ``(None, problem)``.
 
-        Payloads whose embedded schema version or fingerprint does not match
-        the probe — manual edits, partial writes that survived as valid
-        JSON, foreign-schema leftovers — are treated as misses with a
-        :class:`ResultStoreWarning`, never as crashes or wrong answers.
+        ``problem`` is ``None`` for a plain miss (no entry) and a message
+        for an entry that exists but cannot serve the probe.
         """
         fingerprint = self.fingerprint(request)
-        payload = self._read_payload(self.path_for(fingerprint))
+        payload, problem = self._read_payload(self.path_for(fingerprint))
         if payload is None:
-            self.misses += 1
-            return None
+            return None, problem
         if (
             payload.get("schema_version") != self.schema_version
             or payload.get("fingerprint") != fingerprint
         ):
-            self.corrupt_skipped += 1
-            warnings.warn(
+            return None, (
                 f"result store: entry {fingerprint} is mislabelled "
-                f"(schema_version={payload.get('schema_version')!r}); skipping",
-                ResultStoreWarning,
-                stacklevel=2,
+                f"(schema_version={payload.get('schema_version')!r}); skipping"
             )
-            self.misses += 1
-            return None
         try:
-            result = FactoryEvaluation.from_dict(payload["result"])
+            return FactoryEvaluation.from_dict(payload["result"]), None
         except (AttributeError, KeyError, TypeError, ValueError) as error:
-            self.corrupt_skipped += 1
-            warnings.warn(
+            return None, (
                 f"result store: entry {fingerprint} has an undecodable "
-                f"result ({error}); skipping",
-                ResultStoreWarning,
-                stacklevel=2,
+                f"result ({error}); skipping"
             )
-            self.misses += 1
-            return None
-        self.hits += 1
-        return result
+
+    def get(self, request: EvaluationRequest) -> Optional[FactoryEvaluation]:
+        """The stored evaluation of ``request``, or ``None`` (a miss).
+
+        Payloads that are unreadable, or whose embedded schema version or
+        fingerprint does not match the probe — manual edits, partial writes
+        that survived as valid JSON, foreign-schema leftovers — are treated
+        as misses with a :class:`ResultStoreWarning`, never as crashes or
+        wrong answers.
+        """
+        evaluation, problem = self._load(request)
+        if problem is not None:
+            warnings.warn(problem, ResultStoreWarning, stacklevel=2)
+        with self._counter_lock:
+            if evaluation is not None:
+                self.hits += 1
+            else:
+                self.misses += 1
+                if problem is not None:
+                    self.corrupt_skipped += 1
+        return evaluation
+
+    def peek(self, request: EvaluationRequest) -> Optional[FactoryEvaluation]:
+        """:meth:`get` as a reporting read: no counters, no warnings."""
+        return self._load(request)[0]
 
     def contains(self, request: EvaluationRequest) -> bool:
         """Whether a readable, correctly labelled entry exists (no counters)."""
-        hits, misses, corrupt = self.hits, self.misses, self.corrupt_skipped
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ResultStoreWarning)
-            found = self.get(request)
-        self.hits, self.misses, self.corrupt_skipped = hits, misses, corrupt
-        return found is not None
+        return self.peek(request) is not None
 
     # ------------------------------------------------------------------
     # Write path
@@ -495,7 +492,8 @@ class ResultStore:
             "meta": store_metadata(wall_seconds),
         }
         atomic_write_json(path, payload, indent=2, sort_keys=True)
-        self.puts += 1
+        with self._counter_lock:
+            self.puts += 1
         return fingerprint
 
     def try_put(
@@ -548,10 +546,14 @@ class ResultStore:
         """Every entry path with its parsed payload (``None`` if corrupt).
 
         A maintenance scan, not a lookup: corrupt entries are reported in
-        the yielded pairs without touching the ``corrupt_skipped`` counter.
+        the yielded pairs (with a :class:`ResultStoreWarning`) without
+        touching the ``corrupt_skipped`` counter.
         """
         for path in self._entry_paths():
-            yield path, self._read_payload(path, count_corrupt=False)
+            payload, problem = self._read_payload(path)
+            if problem is not None:
+                warnings.warn(problem, ResultStoreWarning, stacklevel=2)
+            yield path, payload
 
     def __len__(self) -> int:
         return sum(1 for _ in self._entry_paths())
@@ -576,12 +578,13 @@ class ResultStore:
         ``misses`` / ``puts`` / ``corrupt_skipped`` move only on the
         lookup/write path, never during maintenance scans.
         """
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "puts": self.puts,
-            "corrupt_skipped": self.corrupt_skipped,
-        }
+        with self._counter_lock:
+            return {
+                "hits": self.hits,
+                "misses": self.misses,
+                "puts": self.puts,
+                "corrupt_skipped": self.corrupt_skipped,
+            }
 
     def status_record(self) -> StoreStatus:
         """Aggregate view of the store as a structured :class:`StoreStatus`."""
@@ -742,13 +745,9 @@ class ResultStore:
                     source_report.stale_schema += 1
                     continue
                 destination = self.path_for(fingerprint)
-                with warnings.catch_warnings():
-                    # A corrupt destination entry is healed by the copy
-                    # below; warning about reading it would be noise.
-                    warnings.simplefilter("ignore", ResultStoreWarning)
-                    existing = self._read_payload(
-                        destination, count_corrupt=False
-                    )
+                # A corrupt destination entry is healed by the copy below,
+                # so it is read without a warning.
+                existing, _ = self._read_payload(destination)
                 if existing is not None and (
                     existing.get("fingerprint") != fingerprint
                     or existing.get("schema_version") != self.schema_version

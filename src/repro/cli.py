@@ -63,26 +63,21 @@ coalescing, fingerprint-ETag revalidation)::
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
 import sys
 import time
 from datetime import datetime, timezone
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence
 
 from .api.benchcompare import (
     BenchRecordError,
     compare_bench_records,
     load_bench_record,
 )
-from .api.executor import (
-    ExecutorStats,
-    SweepExecutor,
-    SweepPlan,
-    SweepRunResult,
-    take_last_run_stats,
-)
+from .api.executor import SweepExecutor, SweepPlan, take_last_run_stats
 from .api.experiments import (
     ExperimentSpec,
     available_experiments,
@@ -701,7 +696,7 @@ def _bench_one(name: str, args: argparse.Namespace) -> Dict[str, Any]:
             "factory_builds": delta.factory_builds,
             "factory_cache_hits": delta.cache_hits,
             "sim_cache_hits": delta.sim_cache_hits,
-            "store_hits": delta.store_hits,
+            "store_hits": 0,  # the default pipeline reads no store
             "fd_sweeps": delta.fd_sweeps,
             "fd_moves_accepted": delta.fd_moves_accepted,
             "sim_stall_events": delta.sim_stall_events,
@@ -902,6 +897,53 @@ def _emit(text: str, output: Optional[str]) -> None:
 _STREAM_LINE_SCHEMA = "repro-msfu-stream/v1"
 
 
+@contextlib.contextmanager
+def _stream_sink(
+    path: Optional[str], line: Callable[[Any], Dict[str, Any]]
+) -> Iterator[Optional[Callable[[Any], None]]]:
+    """The ``--stream-output`` progress callback, or ``None`` without a path.
+
+    Each progress event is appended to ``path`` as one JSONL line
+    (``line(event)`` under the stream schema tag) and flushed the moment it
+    lands, so a killed run leaves a complete record of everything it
+    finished.
+    """
+    if not path:
+        yield None
+        return
+    with open(path, "a", encoding="utf-8") as handle:
+        yield lambda event: write_jsonl_line(
+            handle, {"schema": _STREAM_LINE_SCHEMA, **line(event)}
+        )
+
+
+def _run_stream_line(event) -> Dict[str, Any]:
+    """One ``sweep run --stream-output`` line (a ``SweepProgress``)."""
+    return {
+        "kind": "run",
+        "done": event.done,
+        "total": event.total,
+        "source": event.source,
+        "plan_indices": list(event.plan_indices),
+        "request": event.request.to_dict(),
+        "evaluation": event.evaluation.to_dict(),
+    }
+
+
+def _shard_stream_line(event) -> Dict[str, Any]:
+    """One ``sweep shard --stream-output`` line (a ``ShardProgress``)."""
+    return {
+        "kind": "shard",
+        "done": event.done,
+        "phase": event.phase,
+        "source": event.source,
+        "plan_index": event.plan_index,
+        "fingerprint": event.fingerprint,
+        "request": event.request.to_dict(),
+        "evaluation": event.evaluation.to_dict(),
+    }
+
+
 def run_sweep_command(args: argparse.Namespace) -> int:
     """The ``sweep`` command family: run / status / gc on the result store,
     plan-split / shard / merge for distributed execution."""
@@ -956,35 +998,8 @@ def run_sweep_command(args: argparse.Namespace) -> int:
         return 2
     executor = SweepExecutor(workers=args.workers, store=store, batch=args.batch)
     started = time.time()
-    if args.stream_output:
-        # Streaming mode: every resolved point is appended to the JSONL
-        # sink the moment it lands (and flushed), so a killed run leaves a
-        # complete record of everything it finished; the final result is
-        # assembled from the same events.
-        evaluations = [None] * len(plan)
-        with open(args.stream_output, "a", encoding="utf-8") as handle:
-            for event in executor.stream(plan, resume=args.resume):
-                write_jsonl_line(
-                    handle,
-                    {
-                        "schema": _STREAM_LINE_SCHEMA,
-                        "kind": "run",
-                        "done": event.done,
-                        "total": event.total,
-                        "source": event.source,
-                        "plan_indices": list(event.plan_indices),
-                        "request": event.request.to_dict(),
-                        "evaluation": event.evaluation.to_dict(),
-                    },
-                )
-                for index in event.plan_indices:
-                    evaluations[index] = event.evaluation
-        result = SweepRunResult(
-            evaluations=evaluations,
-            stats=take_last_run_stats() or ExecutorStats(),
-        )
-    else:
-        result = executor.run(plan, resume=args.resume)
+    with _stream_sink(args.stream_output, _run_stream_line) as progress:
+        result = executor.run(plan, resume=args.resume, progress=progress)
     elapsed = time.time() - started
     stats = result.stats
     print(
@@ -1106,29 +1121,8 @@ def _run_sweep_shard(args: argparse.Namespace) -> int:
         return 2
 
     store = ResultStore(args.store)
-    stream_handle = None
-    progress = None
     started = time.time()
-    try:
-        if args.stream_output:
-            stream_handle = open(args.stream_output, "a", encoding="utf-8")
-
-            def progress(event):
-                write_jsonl_line(
-                    stream_handle,
-                    {
-                        "schema": _STREAM_LINE_SCHEMA,
-                        "kind": "shard",
-                        "done": event.done,
-                        "phase": event.phase,
-                        "source": event.source,
-                        "plan_index": event.plan_index,
-                        "fingerprint": event.fingerprint,
-                        "request": event.request.to_dict(),
-                        "evaluation": event.evaluation.to_dict(),
-                    },
-                )
-
+    with _stream_sink(args.stream_output, _shard_stream_line) as progress:
         result = run_shard(
             plan,
             spec,
@@ -1139,9 +1133,6 @@ def _run_sweep_shard(args: argparse.Namespace) -> int:
             steal=not args.no_steal,
             progress=progress,
         )
-    finally:
-        if stream_handle is not None:
-            stream_handle.close()
     elapsed = time.time() - started
     stats = result.stats
     print(

@@ -220,7 +220,11 @@ def _segments_cross(
     o3 = _orientation(b1, b2, a1)
     o4 = _orientation(b1, b2, a2)
 
-    if o1 != o2 and o3 != o4:
+    # A proper crossing needs every orientation strict.  An endpoint that is
+    # collinear within the tolerance goes to the on-segment checks below:
+    # orientations like (2, 0, 0, 2) also come from segments whose boxes
+    # lie apart.
+    if o1 != o2 and o3 != o4 and 0 not in (o1, o2, o3, o4):
         return True
     if o1 == 0 and _on_segment(a1, b1, a2):
         return True

@@ -385,21 +385,15 @@ class JobManager:
     def _fill_results_from_store(self, job: Job) -> None:
         """Backfill a recovered completed job's results from the store.
 
-        Caller holds the lock.  Counters are deliberately untouched: this
-        is reporting, not a lookup on the evaluation path.
+        Caller holds the lock.  The store reads are
+        :meth:`~repro.api.store.ResultStore.peek`: this is reporting, not a
+        lookup on the evaluation path, so no counter moves.
         """
         for index, request in enumerate(job.effective_plan):
             if job.results[index] is not None:
                 continue
             storage = request.with_effective_sim_config(self.sim_config)
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ResultStoreWarning)
-                counters = self.store.counters()
-                stored = self.store.get(storage)
-                # Restore counters: a status/report probe is not a lookup.
-                self.store.hits = counters["hits"]
-                self.store.misses = counters["misses"]
-                self.store.corrupt_skipped = counters["corrupt_skipped"]
+            stored = self.store.peek(storage)
             if stored is not None:
                 job.results[index] = stored.to_dict()
 

@@ -31,9 +31,10 @@ grid), is answered 400 naming the offending field; any other failure 500.
 
 Built on :class:`http.server.ThreadingHTTPServer` — no new runtime
 dependencies — with one thread per connection; CPU-bound evaluation is
-serialized through a pipeline lock (the GIL would anyway), while sweep
-jobs run on the :class:`~repro.service.jobs.JobManager` worker and fan out
-across processes via ``--workers``.
+serialized through a pipeline lock (the GIL would anyway), while store
+reads run outside it, so a stored answer never queues behind a fresh
+evaluation.  Sweep jobs run on the :class:`~repro.service.jobs.JobManager`
+worker and fan out across processes via ``--workers``.
 """
 
 from __future__ import annotations
@@ -67,13 +68,19 @@ _JOB_PATH = re.compile(r"^/v1/jobs/([0-9a-f]{8,128})$")
 
 
 class ServiceCounters:
-    """Thread-safe request/latency/coalescing accounting for ``/v1/status``."""
+    """Thread-safe request/latency/coalescing accounting for ``/v1/status``.
+
+    ``store_hits`` counts ``/v1/evaluate`` requests answered from the
+    result store (reported as ``evaluate.store_hits``, beside the
+    pipeline's ``evaluations``).
+    """
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self.requests = 0
         self.coalesced_hits = 0
         self.not_modified = 0
+        self.store_hits = 0
         self._endpoints: Dict[str, Dict[str, float]] = {}
 
     def observe(self, endpoint: str, seconds: float, status: int) -> None:
@@ -94,6 +101,10 @@ class ServiceCounters:
     def etag_hit(self) -> None:
         with self._lock:
             self.not_modified += 1
+
+    def store_hit(self) -> None:
+        with self._lock:
+            self.store_hits += 1
 
     def to_dict(self) -> Dict[str, Any]:
         with self._lock:
@@ -177,11 +188,12 @@ class SweepService:
         assert resolved is not None
         self.store = resolved
         self.workers = workers
-        self.pipeline = Pipeline(sim_config=sim_config, store=self.store)
+        self.pipeline = Pipeline(sim_config=sim_config)
         self.jobs = JobManager(self.store, workers=workers, sim_config=sim_config)
         self.counters = ServiceCounters()
         self.started_unix = time.time()
         # The pipeline mutates shared caches/stats; one evaluation at a time.
+        # Store reads and writes need no such lock (see evaluate).
         self._pipeline_lock = threading.Lock()
         self._flight_lock = threading.Lock()
         self._inflight: Dict[str, _Flight] = {}
@@ -207,7 +219,14 @@ class SweepService:
     def evaluate(
         self, data: Any, if_none_match: Optional[str] = None
     ) -> EvaluateOutcome:
-        """Validate, revalidate (ETag), coalesce, and evaluate one request."""
+        """Validate, revalidate (ETag), coalesce, and evaluate one request.
+
+        The flight leader reads the store before it takes the pipeline lock
+        and evaluates under the lock only on a miss, so a stored answer
+        never waits for another request's evaluation.  It persists a fresh
+        result before it releases the flight: a request arriving after the
+        followers were answered finds the entry in the store.
+        """
         request = decode_evaluation_request(data)
         validate_mapper_name(request.method)
         storage = request.with_effective_sim_config(self.pipeline.sim_config)
@@ -240,12 +259,18 @@ class SweepService:
             )
 
         try:
-            with self._pipeline_lock:
-                store_hits_before = self.pipeline.stats.store_hits
-                evaluation = self.pipeline.evaluate(request)
-                from_store = self.pipeline.stats.store_hits > store_hits_before
+            evaluation = self.store.get(storage)
+            if evaluation is not None:
+                self.counters.store_hit()
+                flight.source = "store"
+            else:
+                with self._pipeline_lock:
+                    started = time.perf_counter()
+                    evaluation = self.pipeline.evaluate(request)
+                    wall_seconds = time.perf_counter() - started
+                self.store.try_put(storage, evaluation, wall_seconds=wall_seconds)
+                flight.source = "evaluated"
             flight.payload = evaluation.to_dict()
-            flight.source = "store" if from_store else "evaluated"
         except BaseException as error:
             flight.error = error
             raise
@@ -296,7 +321,6 @@ class SweepService:
     # GET /v1/status
     # ------------------------------------------------------------------
     def status(self) -> Dict[str, Any]:
-        pipeline_stats = self.pipeline.stats
         payload = {
             "service": SERVICE_VERSION,
             "uptime_seconds": round(time.time() - self.started_unix, 3),
@@ -304,8 +328,8 @@ class SweepService:
             "store": self.store.status(),
             "store_counters": self.store.counters(),
             "evaluate": {
-                "evaluations": pipeline_stats.evaluations,
-                "store_hits": pipeline_stats.store_hits,
+                "evaluations": self.pipeline.stats.evaluations,
+                "store_hits": self.counters.store_hits,
             },
             "server": self.counters.to_dict(),
         }

@@ -20,8 +20,11 @@ from repro.api import (
     SweepProgress,
     SweepRunResult,
     capacity_sweep,
+    get_mapper,
     recommended_workers,
+    register_mapper,
     run_sweep,
+    unregister_mapper,
 )
 from repro.api.executor import ExecutorStats
 from repro.api.pipeline import PipelineStats
@@ -227,7 +230,7 @@ class TestLongestFirstSubmission:
         monkeypatch.setattr(executor_module, "ProcessPoolExecutor", RecordingPool)
         # The stand-in runs the worker initializer in this process: restore
         # the worker globals it sets when the test ends.
-        for name in ("_WORKER_ARGS", "_WORKER_PIPELINE"):
+        for name in ("_WORKER_SIM_CONFIG", "_WORKER_PIPELINE"):
             monkeypatch.setattr(executor_module, name, getattr(executor_module, name))
         plan = SweepPlan.from_requests(
             [
@@ -649,3 +652,23 @@ class TestSweepProgress:
 
         with pytest.raises(RuntimeError, match="observer failure"):
             SweepExecutor().run(small_plan(), progress=explode)
+
+    def test_evaluation_error_surfaces_after_preceding_events(self):
+        linear = get_mapper("linear")
+        calls = {"n": 0}
+
+        def flaky(factory, seed=0, context=None):
+            calls["n"] += 1
+            if calls["n"] > 2:
+                raise RuntimeError("boom")
+            return linear.place(factory, seed=seed, context=context)
+
+        plan = SweepPlan.from_grid(methods=("flaky-progress",), capacities=(2, 3, 4))
+        register_mapper(flaky, name="flaky-progress")
+        try:
+            events = []
+            with pytest.raises(RuntimeError, match="boom"):
+                SweepExecutor().run(plan, progress=events.append)
+            assert [event.done for event in events] == [1, 2]
+        finally:
+            unregister_mapper("flaky-progress")

@@ -267,6 +267,19 @@ class TestBucketedParity:
         assert count_edge_crossings(graph, positions) == 1
         assert count_edge_crossings(graph, positions, bucket_size=2.0) == 1
 
+    def test_pair_collinear_within_tolerance_but_apart_does_not_cross(self):
+        # Each segment has an endpoint collinear with the other within the
+        # 1e-12 tolerance, but their boxes are 1e-9 apart: no crossing.
+        graph = nx.Graph([(0, 1), (2, 3)])
+        positions = {
+            0: (2.999999999, 1.0),
+            1: (2.5, 0.5),
+            2: (3.5, 1.5),
+            3: (3.0, 1.000000001),
+        }
+        assert count_edge_crossings_reference(graph, positions) == 0
+        assert count_edge_crossings(graph, positions) == 0
+
     def test_self_loops_are_ignored(self):
         graph = nx.Graph()
         graph.add_edge(0, 0)

@@ -222,6 +222,20 @@ class TestEvaluate:
         payloads = [json.dumps(o.payload, sort_keys=True) for o in outcomes]
         assert len(set(payloads)) == 1
 
+    def test_stored_answer_does_not_wait_for_the_pipeline_lock(self, service):
+        data = a_request().to_dict()
+        service.evaluate(data)
+        pool = ThreadPoolExecutor(max_workers=1)
+        try:
+            # Another request's evaluation holds the pipeline lock.
+            with service._pipeline_lock:
+                outcome = pool.submit(service.evaluate, data).result(timeout=10)
+        finally:
+            pool.shutdown(wait=True)
+        assert outcome.source == "store"
+        assert service.counters.store_hits == 1
+        assert service.status()["evaluate"] == {"evaluations": 1, "store_hits": 1}
+
     def test_unknown_mapper_is_wire_error_listing_registered(self, service):
         with pytest.raises(WireFormatError) as excinfo:
             service.evaluate(a_request(method="nope").to_dict())

@@ -385,67 +385,6 @@ class TestMergeSemantics:
 
 
 # ----------------------------------------------------------------------
-# Streaming execution
-# ----------------------------------------------------------------------
-class TestExecutorStream:
-    def test_stream_yields_every_unique_request(self, tmp_path):
-        plan = small_plan()
-        store = ResultStore(tmp_path / "store")
-        events = list(SweepExecutor(store=store, resume=True).stream(plan))
-        assert len(events) == len(plan)
-        assert events[-1].done == len(plan)
-        covered = sorted(i for e in events for i in e.plan_indices)
-        assert covered == list(range(len(plan)))
-        # Resumed stream: same events, now all from the store.
-        resumed = list(SweepExecutor(store=store, resume=True).stream(plan))
-        assert [e.source for e in resumed] == ["store"] * len(plan)
-
-    def test_stream_matches_run_output(self):
-        plan = small_plan(capacities=(2, 3))
-        streamed = {}
-        for event in SweepExecutor().stream(plan):
-            for index in event.plan_indices:
-                streamed[index] = event.evaluation
-        ordered = [streamed[i].to_dict() for i in range(len(plan))]
-        baseline = SweepExecutor().run(plan).to_dict()["evaluations"]
-        assert ordered == baseline
-
-    def test_early_close_aborts_but_keeps_store(self, tmp_path):
-        plan = small_plan()
-        store = ResultStore(tmp_path / "store")
-        stream = SweepExecutor(store=store, resume=True).stream(plan)
-        next(stream)
-        stream.close()
-        # The consumed point (at least) is durably persisted; a resumed run
-        # completes the rest with byte-identical output.
-        assert len(store) >= 1
-        resumed = SweepExecutor(store=store, resume=True).run(plan)
-        assert resumed.stats.store_hits >= 1
-        assert json.dumps(resumed.to_dict(), sort_keys=True) == baseline_output(plan)
-
-    def test_stream_propagates_errors_after_preceding_events(self):
-        linear = get_mapper("linear")
-        calls = {"n": 0}
-
-        def flaky(factory, seed=0, context=None):
-            calls["n"] += 1
-            if calls["n"] > 2:
-                raise RuntimeError("boom")
-            return linear.place(factory, seed=seed, context=context)
-
-        plan = SweepPlan.from_grid(methods=("flaky-stream",), capacities=(2, 3, 4))
-        register_mapper(flaky, name="flaky-stream")
-        try:
-            events = []
-            with pytest.raises(RuntimeError, match="boom"):
-                for event in SweepExecutor().stream(plan):
-                    events.append(event)
-            assert len(events) == 2
-        finally:
-            unregister_mapper("flaky-stream")
-
-
-# ----------------------------------------------------------------------
 # Wire decoding and shard jobs
 # ----------------------------------------------------------------------
 class TestDecodeShardSpec:

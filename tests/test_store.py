@@ -12,7 +12,9 @@ The contracts under test:
 * a :class:`~repro.api.SweepExecutor` run killed mid-plan and re-run with
   ``resume=True`` produces output **byte-identical** to an uninterrupted
   run while re-executing only the missing requests, with exact
-  ``store_hits`` accounting.
+  ``store_hits`` accounting;
+* the sweep service reads through the store: a stored request is answered
+  without building or simulating, and a fresh one is persisted.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from repro.api import (
 )
 from repro.api.store import STORE_SCHEMA_VERSION, store_metadata
 from repro.routing.simulator import SimulatorConfig
+from repro.service import SweepService, WireFormatError
 
 METHODS = ("linear", "graph_partition")
 CAPACITIES = (2, 3)
@@ -195,22 +198,23 @@ class TestStoreCorruption:
         with pytest.warns(ResultStoreWarning):
             assert store.get(request) is None
 
-    def test_corrupt_entry_is_recomputed_through_pipeline(self, tmp_path):
-        """A pipeline with a corrupt store recomputes and heals the entry."""
+    def test_corrupt_entry_is_recomputed_through_service(self, tmp_path):
+        """A service with a corrupt store recomputes and heals the entry."""
         store = ResultStore(tmp_path / "store")
-        request = a_request()
-        reference = Pipeline(store=store).evaluate(request)
-        [(path, _)] = list(store.entries())  # the entry the pipeline wrote
+        data = a_request().to_dict()
+        reference = SweepService(store=store).evaluate(data)
+        [(path, _)] = list(store.entries())  # the entry the service wrote
         path.write_text("{ truncated")
-        pipeline = Pipeline(store=store)
+        service = SweepService(store=store)
         with pytest.warns(ResultStoreWarning):
-            recomputed = pipeline.evaluate(request)
-        assert recomputed == reference
-        assert pipeline.stats.store_hits == 0
+            recomputed = service.evaluate(data)
+        assert recomputed.payload == reference.payload
+        assert recomputed.source == "evaluated"
+        assert service.counters.store_hits == 0
         # The put after recomputation repaired the entry.
-        healed = Pipeline(store=store)
-        assert healed.evaluate(request) == reference
-        assert healed.stats.store_hits == 1
+        healed = SweepService(store=store)
+        assert healed.evaluate(data).payload == reference.payload
+        assert healed.counters.store_hits == 1
 
     def test_status_counts_corrupt_entries(self, tmp_path):
         store, _, path = self._stored(tmp_path)
@@ -322,44 +326,45 @@ class TestSchemaBump:
 
 
 # ----------------------------------------------------------------------
-# Pipeline integration
+# Service integration: read-through
 # ----------------------------------------------------------------------
-class TestPipelineStore:
-    def test_pipeline_probes_store_before_building(self, tmp_path):
+class TestServiceStore:
+    def test_service_probes_store_before_building(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        request = a_request()
-        warm = Pipeline(store=store)
-        reference = warm.evaluate(request)
-        assert warm.stats.store_hits == 0
+        data = a_request().to_dict()
+        warm = SweepService(store=store)
+        reference = warm.evaluate(data)
+        assert reference.source == "evaluated"
+        assert warm.counters.store_hits == 0
         assert store.puts == 1
 
-        # A completely fresh pipeline answers from the store: no factory
+        # A completely fresh service answers from the store: no factory
         # build, no simulation, exact store_hits accounting.
-        cold = Pipeline(store=store)
-        result = cold.evaluate(request)
-        assert result == reference
-        assert cold.stats.store_hits == 1
-        assert cold.stats.factory_builds == 0
-        assert cold.stats.evaluations == 0
-        assert cold.stats.sim_cache_hits == 0
+        cold = SweepService(store=store)
+        outcome = cold.evaluate(data)
+        assert outcome.payload == reference.payload
+        assert outcome.source == "store"
+        assert cold.counters.store_hits == 1
+        assert cold.pipeline.stats.factory_builds == 0
+        assert cold.pipeline.stats.evaluations == 0
+        assert cold.pipeline.stats.sim_cache_hits == 0
 
     def test_store_hit_result_is_byte_identical(self, tmp_path):
         store = ResultStore(tmp_path / "store")
         request = a_request(method="graph_partition", capacity=3)
         reference = Pipeline().evaluate(request)
-        Pipeline(store=store).evaluate(request)
-        stored = Pipeline(store=store).evaluate(request)
-        assert json.dumps(stored.to_dict(), sort_keys=True) == json.dumps(
+        SweepService(store=store).evaluate(request.to_dict())
+        stored = SweepService(store=store).evaluate(request.to_dict())
+        assert stored.source == "store"
+        assert json.dumps(stored.payload, sort_keys=True) == json.dumps(
             reference.to_dict(), sort_keys=True
         )
 
     def test_unknown_mapper_fails_before_store_probe(self, tmp_path):
-        from repro.api import RegistryError
-
         store = ResultStore(tmp_path / "store")
-        pipeline = Pipeline(store=store)
-        with pytest.raises(RegistryError):
-            pipeline.evaluate(a_request(method="no-such-mapper"))
+        service = SweepService(store=store)
+        with pytest.raises(WireFormatError):
+            service.evaluate(a_request(method="no-such-mapper").to_dict())
         assert store.hits == store.misses == 0
 
 
@@ -571,18 +576,20 @@ class TestExecutorResume:
         assert resumed.stats.store_hits == 1
         assert resumed.evaluations == run_a.evaluations
 
-    def test_pipeline_store_identity_carries_effective_sim_config(self, tmp_path):
+    def test_service_store_identity_carries_effective_sim_config(self, tmp_path):
         store = ResultStore(tmp_path / "store")
-        request = a_request()
+        data = a_request().to_dict()
         config = SimulatorConfig(max_candidates=1)
-        Pipeline(sim_config=config, store=store).evaluate(request)
-        other = Pipeline(sim_config=SimulatorConfig(max_candidates=8), store=store)
-        other.evaluate(request)
-        assert other.stats.store_hits == 0
-        # The default-config pipeline likewise gets its own entry.
-        default = Pipeline(store=store)
-        default.evaluate(request)
-        assert default.stats.store_hits == 0
+        SweepService(store=store, sim_config=config).evaluate(data)
+        other = SweepService(
+            store=store, sim_config=SimulatorConfig(max_candidates=8)
+        )
+        assert other.evaluate(data).source == "evaluated"
+        assert other.counters.store_hits == 0
+        # The default-config service likewise gets its own entry.
+        default = SweepService(store=store)
+        assert default.evaluate(data).source == "evaluated"
+        assert default.counters.store_hits == 0
         assert len(store) == 3
 
     def test_failed_store_write_warns_but_never_kills_the_sweep(
@@ -719,3 +726,54 @@ class TestStoreConcurrency:
         # The payload on disk is whole, parseable JSON (no interleaving).
         payload = json.loads(store.path_for(fingerprints[0]).read_text())
         assert payload["fingerprint"] == fingerprints[0]
+
+    def test_uncounted_read_keeps_a_concurrent_lookup_count(
+        self, tmp_path, monkeypatch
+    ):
+        """A counted get landing during contains() keeps its hit."""
+        store = ResultStore(tmp_path / "store")
+        probed, other = a_request(), a_request(capacity=3)
+        store.put(other, Pipeline().evaluate(other))
+        read_payload = store._read_payload
+        concurrent = []
+
+        def read_with_a_concurrent_get(path, *args, **kwargs):
+            if not concurrent:  # another thread's lookup, mid-read
+                concurrent.append(None)
+                concurrent[0] = store.get(other)
+            return read_payload(path, *args, **kwargs)
+
+        monkeypatch.setattr(store, "_read_payload", read_with_a_concurrent_get)
+        assert not store.contains(probed)
+        assert concurrent[0] is not None
+        assert (store.hits, store.misses) == (1, 0)
+
+    def test_concurrent_lookups_lose_no_count(self, tmp_path):
+        import sys
+        import threading
+
+        store = ResultStore(tmp_path / "store")
+        stored, absent = a_request(), a_request(capacity=3)
+        store.put(stored, Pipeline().evaluate(stored))
+        thread_count, rounds = 8, 100
+        barrier = threading.Barrier(thread_count)
+
+        def reader():
+            barrier.wait()
+            for _ in range(rounds):
+                store.get(stored)
+                store.get(absent)
+                store.contains(stored)  # a reporting read: counts nothing
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=reader) for _ in range(thread_count)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert store.hits == store.misses == thread_count * rounds
