@@ -33,7 +33,6 @@ from .executor import (
     SweepProgress,
     SweepRunResult,
     recommended_workers,
-    run_sweep,
     take_last_run_stats,
 )
 from .experiments import (
@@ -105,7 +104,6 @@ __all__ = [
     "SweepProgress",
     "SweepRunResult",
     "recommended_workers",
-    "run_sweep",
     "take_last_run_stats",
     "PARAM_KINDS",
     "SEED_PARAM",

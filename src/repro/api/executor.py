@@ -683,21 +683,6 @@ def take_last_run_stats() -> Optional[ExecutorStats]:
     return stats
 
 
-def run_sweep(
-    plan: Union[SweepPlan, Iterable[EvaluationRequest]],
-    workers: int = 1,
-    sim_config: Optional[SimulatorConfig] = None,
-    store: Optional[Union[ResultStore, str, Path]] = None,
-    resume: bool = False,
-    batch: bool = False,
-) -> SweepRunResult:
-    """One-shot convenience: execute a plan on a fresh :class:`SweepExecutor`."""
-    return SweepExecutor(
-        workers=workers, sim_config=sim_config, store=store, resume=resume,
-        batch=batch,
-    ).run(plan)
-
-
 def recommended_workers() -> int:
     """A sensible default worker count: the machine's CPU count, at least 1."""
     return max(1, os.cpu_count() or 1)

@@ -103,14 +103,6 @@ WORKERS_PARAM = ParamSpec(
     "workers", "int", default=1, help="worker processes for the sweep (1 = serial)"
 )
 
-#: Batching flag of the sweep-style experiments: route the cache-missing
-#: simulations through the batched simulator core
-#: (:func:`repro.routing.batchsim.simulate_batch`) — identical results,
-#: same order, one grouped simulation pass instead of one call per point.
-BATCH_PARAM = ParamSpec(
-    "batch", "flag", help="batch the sweep's simulations (identical results)"
-)
-
 
 @dataclass(frozen=True)
 class ExperimentSpec:

@@ -569,7 +569,6 @@ def capacity_sweep(
     stitch_config: Optional[StitchingConfig] = None,
     sim_config: Optional[SimulatorConfig] = None,
     workers: int = 1,
-    batch: bool = False,
 ) -> List[FactoryEvaluation]:
     """Evaluate every (method, capacity) combination.
 
@@ -578,15 +577,11 @@ def capacity_sweep(
     calls.  With ``workers > 1`` it is executed by a
     :class:`~repro.api.executor.SweepExecutor` across worker processes;
     results are identical and returned in the same deterministic
-    (capacity-major, method-minor) order.  With ``batch=True`` the sweep
-    runs through the executor's batching mode instead: the cache-missing
-    simulations execute together in the batched simulator core (see
-    :func:`~repro.routing.batchsim.simulate_batch`) — again with identical
-    results in the identical order.
+    (capacity-major, method-minor) order.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers > 1 or batch:
+    if workers > 1:
         # Imported lazily: the executor module builds on this one.
         from .executor import SweepExecutor, SweepPlan
 
@@ -600,7 +595,7 @@ def capacity_sweep(
             stitch_config=stitch_config,
             sim_config=sim_config,
         )
-        executor = SweepExecutor(workers=workers, sim_config=sim_config, batch=batch)
+        executor = SweepExecutor(workers=workers, sim_config=sim_config)
         return executor.run(plan).evaluations
     return _default_pipeline.sweep(
         methods,

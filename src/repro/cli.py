@@ -209,14 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=None, help="random seed forwarded to experiments"
     )
     bench_parser.add_argument(
-        "--batch",
-        action="store_true",
-        help=(
-            "run sweep experiments through the batched simulator core "
-            "(identical results; timing reflects the batched path)"
-        ),
-    )
-    bench_parser.add_argument(
         "--smoke",
         action="store_true",
         help="use reduced parameter ranges so the whole bench finishes in seconds",
@@ -653,8 +645,6 @@ def _bench_kwargs(spec: ExperimentSpec, args: argparse.Namespace) -> Dict[str, A
         kwargs["seed"] = args.seed
     if args.workers != 1 and "workers" in param_names:
         kwargs["workers"] = args.workers
-    if getattr(args, "batch", False) and "batch" in param_names:
-        kwargs["batch"] = True
     return kwargs
 
 
@@ -720,7 +710,6 @@ def run_bench_compare(args: argparse.Namespace) -> int:
             ("--smoke", args.smoke),
             ("--workers", args.workers != 1),
             ("--seed", args.seed is not None),
-            ("--batch", args.batch),
         )
         if used
     ]

@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..api.experiments import (
-    BATCH_PARAM,
     SEED_PARAM,
     WORKERS_PARAM,
     ParamSpec,
@@ -79,7 +78,6 @@ def run_single_level(
     fd_config: Optional[ForceDirectedConfig] = None,
     sim_config: Optional[SimulatorConfig] = None,
     workers: int = 1,
-    batch: bool = False,
 ) -> Fig7Result:
     """Fig. 7a: single-level factories, FD and GP versus the lower bound."""
     capacities = tuple(capacities or DEFAULT_SINGLE_LEVEL_CAPACITIES)
@@ -91,7 +89,6 @@ def run_single_level(
         fd_config=fd_config,
         sim_config=sim_config,
         workers=workers,
-        batch=batch,
     )
     return Fig7Result(levels=1, evaluations=evaluations)
 
@@ -102,7 +99,6 @@ def run_two_level(
     fd_config: Optional[ForceDirectedConfig] = None,
     sim_config: Optional[SimulatorConfig] = None,
     workers: int = 1,
-    batch: bool = False,
 ) -> Fig7Result:
     """Fig. 7b: two-level factories, FD and GP versus the lower bound."""
     capacities = tuple(capacities or DEFAULT_TWO_LEVEL_CAPACITIES)
@@ -114,7 +110,6 @@ def run_two_level(
         fd_config=fd_config,
         sim_config=sim_config,
         workers=workers,
-        batch=batch,
     )
     return Fig7Result(levels=2, evaluations=evaluations)
 
@@ -143,13 +138,13 @@ register_experiment(
     "fig7a",
     run_single_level,
     formatter=format_result,
-    params=(_CAPACITIES_PARAM, SEED_PARAM, WORKERS_PARAM, BATCH_PARAM),
+    params=(_CAPACITIES_PARAM, SEED_PARAM, WORKERS_PARAM),
     description="Fig. 7a: single-level FD/GP latency vs the lower bound",
 )
 register_experiment(
     "fig7b",
     run_two_level,
     formatter=format_result,
-    params=(_CAPACITIES_PARAM, SEED_PARAM, WORKERS_PARAM, BATCH_PARAM),
+    params=(_CAPACITIES_PARAM, SEED_PARAM, WORKERS_PARAM),
     description="Fig. 7b: two-level FD/GP latency vs the lower bound",
 )

@@ -51,8 +51,8 @@ from .placement import Cell, Placement, grid_dimensions_for, row_major_placement
 class ForceDirectedConfig:
     """Tuning knobs of the force-directed annealer.
 
-    The ``use_*`` switches exist for the ablation benchmarks (e.g. running
-    the annealer without the dipole rotation force to quantify how much the
+    The ``use_*`` switches exist for ablations (e.g. running the annealer
+    without the dipole rotation force to quantify how much the
     edge-crossing heuristic contributes).
     """
 

@@ -53,6 +53,7 @@ environment loses speed, never correctness.
 
 from __future__ import annotations
 
+import weakref
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -95,6 +96,7 @@ class _Shared:
     """
 
     __slots__ = (
+        "gates",
         "n",
         "kind",
         "max_legs",
@@ -111,9 +113,10 @@ class _Shared:
         "star_legs",
     )
 
-    def __init__(self, gates) -> None:
+    def __init__(self, gates: Tuple) -> None:
         from ..circuits.dag import build_dependency_dag
 
+        self.gates = gates
         self.n = len(gates)
         kind = [
             _KIND_STAR if gate.kind is GateKind.CXX
@@ -167,6 +170,25 @@ class _Shared:
         self.star_rows = np.asarray(star_rows, dtype=np.int64)
         self.star_cols = np.asarray(star_cols, dtype=np.int64)
         self.star_legs = np.asarray(star_legs, dtype=np.int64)
+
+
+#: ``_Shared`` per ``Circuit``, keyed weakly like ``circuit_fingerprint``'s
+#: digests and guarded by the gate count.  Points only read it (the kernel
+#: copies ``pred_count``), so threads share it; a race builds one twice.
+_prepared: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _prepare(circuit_or_gates) -> _Shared:
+    """The memoized ``_Shared`` of a ``Circuit``; raw gate sequences are
+    prepared on every call."""
+    if not isinstance(circuit_or_gates, Circuit):
+        return _Shared(_gate_list(circuit_or_gates))
+    cached = _prepared.get(circuit_or_gates)
+    if cached is not None and cached.n == len(circuit_or_gates):
+        return cached
+    shared = _Shared(circuit_or_gates.gates)
+    _prepared[circuit_or_gates] = shared
+    return shared
 
 
 def _validate_placement(shared: _Shared, placement: Placement) -> None:
@@ -353,16 +375,16 @@ def _simulate_point(kern, shared: _Shared, plans: _PlacementPlans,
     )
 
 
-def _run_group(kern, gates, points: List[Tuple[object, Placement, SimulatorConfig]]
+def _run_group(kern, shared: _Shared,
+               points: List[Tuple[object, Placement, SimulatorConfig]]
                ) -> List[Optional[SimulationResult]]:
     """Kernel results of one circuit's points; None where it cannot plan one.
 
     Points are taken placement by placement, so only one placement's
     candidate table is alive at a time.  Detour points never build one.
     """
-    if len(gates) == 0:
+    if shared.n == 0:
         return [_empty_result(placement) for _, placement, _ in points]
-    shared = _Shared(gates)
     for _, placement, _ in points:
         _validate_placement(shared, placement)
     results: List[Optional[SimulationResult]] = [None] * len(points)
@@ -383,7 +405,7 @@ def _run_group(kern, gates, points: List[Tuple[object, Placement, SimulatorConfi
             dur = durations.get(key)
             if dur is None:
                 dur = np.asarray(
-                    [gate.duration(config.durations) for gate in gates],
+                    [gate.duration(config.durations) for gate in shared.gates],
                     dtype=np.int64,
                 )
                 durations[key] = dur
@@ -393,7 +415,7 @@ def _run_group(kern, gates, points: List[Tuple[object, Placement, SimulatorConfi
     return results
 
 
-def _simulate_in_kernel(gates, placement: Placement,
+def _simulate_in_kernel(circuit_or_gates, placement: Placement,
                         config: SimulatorConfig) -> Optional[SimulationResult]:
     """One point through the kernel, or None when it cannot run there.
 
@@ -404,7 +426,8 @@ def _simulate_in_kernel(gates, placement: Placement,
     kern = _kernel.load()
     if kern is None:
         return None
-    return _run_group(kern, gates, [(gates, placement, config)])[0]
+    shared = _prepare(circuit_or_gates)
+    return _run_group(kern, shared, [(circuit_or_gates, placement, config)])[0]
 
 
 def kernel_available() -> bool:
@@ -450,11 +473,11 @@ def simulate_batch(requests: Sequence[BatchPoint]) -> List[SimulationResult]:
 
     results: List[Optional[SimulationResult]] = [None] * len(normalized)
     for fingerprint, indices in groups.items():
-        gates = _gate_list(circuits[fingerprint])
+        shared = _prepare(circuits[fingerprint])
         group = [normalized[i] for i in indices]
-        group_results = _run_group(kern, gates, group)
+        group_results = _run_group(kern, shared, group)
         for index, (_, placement, config), result in zip(indices, group, group_results):
             if result is None:
-                result = simulate_reference(gates, placement, config)
+                result = simulate_reference(shared.gates, placement, config)
             results[index] = result
     return results  # type: ignore[return-value]

@@ -307,10 +307,11 @@ def simulate(
     from .batchsim import _simulate_in_kernel  # batchsim imports this module
 
     config = config or SimulatorConfig()
-    gates = _gate_list(circuit_or_gates)
-    result = _simulate_in_kernel(gates, placement, config)
+    if not isinstance(circuit_or_gates, Circuit):
+        circuit_or_gates = _gate_list(circuit_or_gates)  # read an iterable once
+    result = _simulate_in_kernel(circuit_or_gates, placement, config)
     if result is None:
-        result = simulate_reference(gates, placement, config)
+        result = simulate_reference(circuit_or_gates, placement, config)
     return result
 
 

@@ -23,7 +23,6 @@ from repro.api import (
     get_mapper,
     recommended_workers,
     register_mapper,
-    run_sweep,
     unregister_mapper,
 )
 from repro.api.executor import ExecutorStats
@@ -131,11 +130,6 @@ class TestExecutorDeterminism:
         assert capacity_sweep(METHODS, CAPACITIES, workers=2) == capacity_sweep(
             METHODS, CAPACITIES
         )
-
-    def test_run_sweep_convenience(self):
-        result = run_sweep(small_plan(), workers=1)
-        assert isinstance(result, SweepRunResult)
-        assert len(result.evaluations) == len(small_plan())
 
     def test_result_round_trip_drops_stats(self):
         result = SweepExecutor(workers=1).run(small_plan())

@@ -10,6 +10,7 @@ import pytest
 from repro.circuits import critical_path_length
 from repro.distillation import BravyiHaahSpec
 from repro.graphs import (
+    count_edge_crossings,
     interaction_graph,
     mapping_cost,
     mapping_metrics,
@@ -203,6 +204,27 @@ class TestForceDirected:
         )
         assert set(refined.positions) == set(k4_random_placement.positions)
         refined.validate()
+
+    def test_dipole_force_ablation(self, single_level_k8):
+        """With or without the dipole rotation force FD beats the random
+        start, and the dipole never costs much over attraction alone."""
+        graph = interaction_graph(single_level_k8.circuit)
+        initial = random_circuit_placement(single_level_k8.circuit, seed=5, slack=1.5)
+        crossings = {
+            use_dipole: count_edge_crossings(
+                graph,
+                force_directed_refine(
+                    graph,
+                    initial,
+                    ForceDirectedConfig(sweeps=25, seed=1, use_dipole=use_dipole),
+                ).as_float_positions(),
+            )
+            for use_dipole in (True, False)
+        }
+        initial_crossings = count_edge_crossings(graph, initial.as_float_positions())
+        assert crossings[True] < initial_crossings
+        assert crossings[False] < initial_crossings
+        assert crossings[True] <= crossings[False] * 1.25
 
     def test_input_placement_not_mutated(self, single_level_k4, k4_random_placement):
         graph = interaction_graph(single_level_k4.circuit)

@@ -13,6 +13,8 @@ from repro.circuits import (
 )
 from repro.circuits.gates import DEFAULT_DURATIONS
 from repro.distillation import FactorySpec, ReusePolicy, build_factory
+from repro.mapping import linear_factory_placement
+from repro.routing import simulate
 from repro.scheduling import (
     asap_timesteps,
     circuit_lower_bound,
@@ -90,6 +92,14 @@ class TestBarriers:
         )
         assert with_barrier >= without_barrier
         assert with_barrier <= per_round + 1
+
+    def test_barrier_latency_cost_is_bounded(self, two_level_cap4):
+        # Simulated on the linear layout, the barrier costs latency but at
+        # most serialises the two rounds.
+        placement = linear_factory_placement(two_level_cap4)
+        with_barrier = simulate(two_level_cap4.circuit, placement).latency
+        without = simulate(strip_barriers(two_level_cap4.circuit), placement).latency
+        assert without <= with_barrier <= 2.5 * without
 
 
 class TestTimesteps:

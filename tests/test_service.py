@@ -295,17 +295,46 @@ class TestHttpEndpoints:
         etag = headers["ETag"]
         assert etag == f'"{body["fingerprint"]}"'
 
-        status, headers, body = http(
-            "POST", f"{base_url}/v1/evaluate", data, {"If-None-Match": etag}
-        )
-        assert status == 304
-        assert body is None
-        assert headers["ETag"] == etag
-        assert service.counters.not_modified == 1
+        before = service.store.counters()
+        for _ in range(50):
+            status, headers, body = http(
+                "POST", f"{base_url}/v1/evaluate", data, {"If-None-Match": etag}
+            )
+            assert status == 304
+            assert body is None
+            assert headers["ETag"] == etag
+        # Revalidation is HTTP overhead only: no store read, no evaluation.
+        assert service.store.counters() == before
+        assert service.pipeline.stats.evaluations == 1
+        assert service.counters.not_modified == 50
 
         status, _, body = http("POST", f"{base_url}/v1/evaluate", data)
         assert status == 200
         assert body["source"] == "store"
+
+    def test_concurrent_identical_evaluates_cost_one_evaluation(
+        self, base_url, service
+    ):
+        data = a_request(capacity=6).to_dict()
+        herd = 8
+        barrier = threading.Barrier(herd)
+
+        def call(_):
+            barrier.wait()
+            return http("POST", f"{base_url}/v1/evaluate", data)
+
+        with ThreadPoolExecutor(max_workers=herd) as pool:
+            responses = list(pool.map(call, range(herd)))
+
+        assert [status for status, _, _ in responses] == [200] * herd
+        results = {json.dumps(body["result"], sort_keys=True) for _, _, body in responses}
+        assert len(results) == 1
+        # One evaluation; everyone else coalesced into its flight or read
+        # the store the leader had just populated.
+        assert service.pipeline.stats.evaluations == 1
+        sources = [body["source"] for _, _, body in responses]
+        assert sources.count("evaluated") == 1
+        assert sources.count("coalesced") == service.counters.coalesced_hits
 
     def test_malformed_body_is_400_naming_the_field(self, base_url):
         status, _, body = http(

@@ -117,6 +117,20 @@ class TestCongestion:
         random_latency = simulate_latency(single_level_k8.circuit, random_place)
         assert random_latency >= linear_latency
 
+    def test_detours_never_slower_than_stalling(self, single_level_k8):
+        # Stall-on-conflict is the paper's semantics; a detour-capable
+        # router with more candidates can only help, down to the bound.
+        placement = random_circuit_placement(single_level_k8.circuit, seed=2)
+        stall_only = simulate_latency(
+            single_level_k8.circuit, placement, SimulatorConfig(max_candidates=1)
+        )
+        flexible = simulate_latency(
+            single_level_k8.circuit,
+            placement,
+            SimulatorConfig(max_candidates=8, allow_detour=True),
+        )
+        assert critical_path_length(single_level_k8.circuit) <= flexible <= stall_only
+
 
 class TestGateKinds:
     def test_single_qubit_gates_do_not_consume_channels(self):

@@ -15,12 +15,14 @@ lives in ``test_simulator_fuzz.py``.
 from __future__ import annotations
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from repro.circuits import Circuit
-from repro.circuits.gates import cnot, cxx
+from repro.circuits.gates import GateKind, cnot, cxx
 from repro.distillation import (
     ReusePolicy,
     build_single_level_factory,
@@ -296,6 +298,74 @@ class TestCompiledCoverage:
         calls = _counting(monkeypatch, simulator_module, "_gates_fingerprint")
         simulate_batch(points)
         assert len(calls) == 1
+
+    def test_circuit_prepared_once(self, monkeypatch):
+        """N ``simulate`` calls on one ``Circuit`` build its ``_Shared`` once.
+
+        Batches of the same circuit reuse it too; a circuit that grew is
+        prepared again, and a raw gate sequence every time.
+        """
+        circuit = Circuit("prepared-once")
+        circuit.add_register("q", 4)
+        circuit.extend([cnot(0, 1), cnot(2, 3), cnot(0, 3), cnot(1, 2)])
+        placements = [
+            Placement(width=2, height=2, positions=dict(enumerate(cells)))
+            for cells in (
+                [(0, 0), (0, 1), (1, 0), (1, 1)],
+                [(1, 1), (0, 0), (0, 1), (1, 0)],
+                [(0, 1), (1, 0), (1, 1), (0, 0)],
+            )
+        ]
+        calls = _counting(monkeypatch, batchsim, "_Shared")
+        results = [simulate(circuit, placement) for placement in placements]
+        assert len(calls) == 1
+        assert dicts(results) == [
+            simulate_reference(circuit, placement).to_dict()
+            for placement in placements
+        ]
+        simulate_batch([(circuit, placement, None) for placement in placements])
+        assert len(calls) == 1
+
+        circuit.append(cnot(0, 2))
+        grown = simulate(circuit, placements[0])
+        assert len(calls) == 2
+        assert grown.to_dict() == simulate_reference(circuit, placements[0]).to_dict()
+        simulate(circuit.gates, placements[0])
+        simulate(circuit.gates, placements[0])
+        assert len(calls) == 4
+
+    def test_threads_share_one_preparation(self, single_level_k8):
+        """Points of one ``Circuit`` simulated from many threads at once,
+        hop points included, match the reference: points only read it."""
+        circuit = single_level_k8.circuit
+        pair = next(
+            index for index, gate in enumerate(circuit.gates)
+            if gate.is_braided and gate.kind is not GateKind.CXX
+        )
+        configs = [
+            SimulatorConfig(max_candidates=1),
+            SimulatorConfig(max_candidates=8),
+            SimulatorConfig(hops={pair: (0, 0)}, max_candidates=2),
+        ]
+        points = [
+            (random_circuit_placement(circuit, seed=seed), config)
+            for seed in range(4)
+            for config in configs
+        ]
+        expected = [simulate_reference(circuit, p, c).to_dict() for p, c in points]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [
+                    pool.submit(simulate, circuit, placement, config)
+                    for _ in range(4)
+                    for placement, config in points
+                ]
+                results = [future.result(timeout=60) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert dicts(results) == expected * 4
 
     @pytest.mark.parametrize("layout", ["linear", "linear-reuse", "random"])
     @pytest.mark.parametrize("capacity", [16, 36, 64])

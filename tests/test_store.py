@@ -399,6 +399,9 @@ class TestExecutorResume:
         assert json.dumps(second.to_dict(), sort_keys=True) == blob
         assert second.stats.store_hits == len(plan)
         assert second.stats.evaluations == 0
+        # Served from disk: nothing built, nothing simulated or memo-probed.
+        assert second.stats.factory_builds == 0
+        assert second.stats.sim_cache_hits == 0
         assert second.stats.requests == (
             second.stats.duplicate_hits
             + second.stats.store_hits
@@ -618,7 +621,9 @@ class TestExecutorResume:
         plan = small_plan()
         store = ResultStore(tmp_path / "store")
         executor = SweepExecutor(workers=1, store=store)
-        executor.run(plan)
+        cold = executor.run(plan)
+        assert len(cold.evaluations) == len(plan)
+        assert len(store) == len(plan)
         again = executor.run(plan)  # resume defaults to False: recompute
         assert again.stats.store_hits == 0
         assert again.stats.evaluations == len(plan)
