@@ -17,7 +17,7 @@ Run with::
     python examples/factory_resource_planning.py
 """
 
-from repro.api import evaluate_factory_mapping
+from repro.api import EvaluationRequest, Pipeline
 from repro.distillation import (
     ErrorBudget,
     FactorySpec,
@@ -58,8 +58,8 @@ def main() -> None:
 
     if levels == 2:
         print("Mapping the factory with hierarchical stitching...")
-        evaluation = evaluate_factory_mapping(
-            "hierarchical_stitching", spec.capacity, levels=2
+        evaluation = Pipeline().evaluate(
+            EvaluationRequest("hierarchical_stitching", spec.capacity, levels=2)
         )
         print(
             f"  latency {evaluation.latency} cycles, area {evaluation.area} tiles, "

@@ -45,8 +45,8 @@ def main() -> None:
     print(f"  space-time volume : {point.volume} qubit-cycles "
           f"({point.volume_over_critical:.2f}x the critical volume)")
 
-    # 3. A custom mapper plugs into the same pipeline (and into
-    #    capacity_sweep, the experiments and the CLI) by registering a name.
+    # 3. A custom mapper plugs into the same pipeline (and into every
+    #    sweep, the experiments and the CLI) by registering a name.
     @register_mapper
     class SnakeMapper(Mapper):
         """Row-major snake layout — a deliberately naive baseline."""

@@ -1,7 +1,7 @@
 """Tabulating capacity sweeps: method names, labels and best-volume tables.
 
 The sweeps themselves run through :mod:`repro.api`
-(:func:`~repro.api.capacity_sweep`, :class:`~repro.api.Pipeline`); this
+(:class:`~repro.api.SweepExecutor`, :class:`~repro.api.Pipeline`); this
 module groups and prints their :class:`~repro.api.FactoryEvaluation`
 points the way the figures and tables of the paper's Section VIII do.
 """

@@ -3,7 +3,7 @@
 This package is the extension surface of the toolchain.  Third-party code
 adds mapping procedures with :func:`register_mapper` and new paper-style
 studies with :func:`register_experiment`; everything registered becomes
-available to :class:`Pipeline`, :func:`capacity_sweep` and the ``repro-msfu``
+available to :class:`Pipeline`, :class:`SweepExecutor` and the ``repro-msfu``
 command line (including ``--json`` machine-readable output) without touching
 the analysis layer.
 
@@ -23,7 +23,9 @@ The core abstractions:
   :func:`request_fingerprint`), making sweeps resumable (``resume=True``)
   and CI bench comparisons possible;
 * :class:`ExperimentSpec` / :class:`ParamSpec` — declarative experiments
-  whose typed parameters drive the auto-generated CLI options.
+  whose typed parameters drive the auto-generated CLI options; a sweep
+  experiment declares its requests and :meth:`ExperimentSpec.run` executes
+  them on a :class:`SweepExecutor`.
 """
 
 from .executor import (
@@ -33,7 +35,6 @@ from .executor import (
     SweepProgress,
     SweepRunResult,
     recommended_workers,
-    take_last_run_stats,
 )
 from .experiments import (
     PARAM_KINDS,
@@ -65,9 +66,6 @@ from .pipeline import (
     Pipeline,
     PipelineStats,
     RequestError,
-    capacity_sweep,
-    default_pipeline,
-    evaluate_factory_mapping,
 )
 from .registry import Registry, RegistryError
 from .results import FactoryEvaluation, from_json, to_json
@@ -104,7 +102,6 @@ __all__ = [
     "SweepProgress",
     "SweepRunResult",
     "recommended_workers",
-    "take_last_run_stats",
     "PARAM_KINDS",
     "SEED_PARAM",
     "WORKERS_PARAM",
@@ -130,9 +127,6 @@ __all__ = [
     "Pipeline",
     "PipelineStats",
     "RequestError",
-    "capacity_sweep",
-    "default_pipeline",
-    "evaluate_factory_mapping",
     "Registry",
     "RegistryError",
     "FactoryEvaluation",

@@ -130,9 +130,8 @@ class SweepPlan:
 
         Axes nest as (seed, levels, reuse, capacity, method), innermost
         last, so a plain ``from_grid(methods, capacities)`` enumerates in
-        the same (capacity-major, method-minor) order as
-        :meth:`repro.api.Pipeline.sweep` and tables can be assembled by
-        simple grouping.
+        (capacity-major, method-minor) order and tables can be assembled
+        by simple grouping.
         """
         # Materialize every axis first: the nested comprehension iterates
         # the inner axes once per outer combination, which would silently
@@ -407,9 +406,8 @@ class SweepExecutor:
     -----
     Worker processes cache independently, so cross-request cache hits
     depend on which worker a request lands on; request-level deduplication
-    happens in the parent and is scheduling-independent.  Use
-    :func:`take_last_run_stats` (or ``run(...).stats``) for the exact
-    accounting of a run.
+    happens in the parent and is scheduling-independent.
+    ``run(...).stats`` is the exact accounting of a run.
 
     Mappers are resolved by name *inside* each worker.  On platforms whose
     process start method is ``fork`` (Linux, the default) workers inherit
@@ -545,10 +543,7 @@ class SweepExecutor:
 
         evaluations = [unique_results[slot] for slot in slots]
         stats.wall_seconds = time.perf_counter() - started
-        result = SweepRunResult(evaluations=evaluations, stats=stats)
-        global _LAST_RUN_STATS
-        _LAST_RUN_STATS = stats
-        return result
+        return SweepRunResult(evaluations=evaluations, stats=stats)
 
     def _storage_request(self, request: EvaluationRequest) -> EvaluationRequest:
         """The store identity of a request under this executor's defaults."""
@@ -666,21 +661,6 @@ class SweepExecutor:
                 report(index, "evaluated", evaluation)
             if first_error is not None:
                 raise first_error
-
-
-#: Stats of the most recent ``SweepExecutor.run`` in this process — set even
-#: when the executor was created internally (e.g. by ``capacity_sweep`` with
-#: ``workers > 1``), so the ``repro-msfu bench`` command can report cache
-#: behaviour it could not otherwise observe.
-_LAST_RUN_STATS: Optional[ExecutorStats] = None
-
-
-def take_last_run_stats() -> Optional[ExecutorStats]:
-    """Pop the stats of the most recent executor run (``None`` if none ran)."""
-    global _LAST_RUN_STATS
-    stats = _LAST_RUN_STATS
-    _LAST_RUN_STATS = None
-    return stats
 
 
 def recommended_workers() -> int:

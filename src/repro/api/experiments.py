@@ -6,7 +6,16 @@ a printable table.  Experiments register with :func:`register_experiment`;
 the command-line interface generates its per-experiment options directly
 from each experiment's :class:`ParamSpec` list, so registering a new
 experiment is all it takes to make it runnable (and ``--json``-able) from
-the shell:
+the shell.
+
+A *sweep* experiment declares what it evaluates instead of running it:
+``requests(**params)`` lists its
+:class:`~repro.api.pipeline.EvaluationRequest` objects and
+``assemble(evaluations, **params)`` builds the result from their
+evaluations, in request order.  :meth:`ExperimentSpec.run` executes every
+sweep experiment the same way, on one
+:class:`~repro.api.executor.SweepExecutor` with the ``workers`` parameter.
+Any other experiment registers a runner that computes its result itself:
 
 .. code-block:: python
 
@@ -27,6 +36,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from .executor import SweepExecutor, SweepRunResult
+from .pipeline import EvaluationRequest, RequestError
 from .registry import Registry
 
 #: Parameter kinds understood by the CLI generator.
@@ -34,15 +45,23 @@ PARAM_KINDS = ("int", "float", "str", "int_list", "flag")
 
 
 def parse_int_list(text: Any) -> List[int]:
-    """Parse ``"4,16,36"`` (or an already-parsed sequence) into ints."""
+    """Parse ``"4,16,36"`` (or an already-parsed sequence) into ints.
+
+    An empty list (``""``, ``","``, ``[]``) is an error, not a request for
+    the defaults: a parameter left unset is ``None``.
+    """
     if isinstance(text, (list, tuple)):
-        return [int(item) for item in text]
-    try:
-        return [int(token) for token in str(text).split(",") if token.strip()]
-    except ValueError as error:
-        raise ValueError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from error
+        values = [int(item) for item in text]
+    else:
+        try:
+            values = [int(token) for token in str(text).split(",") if token.strip()]
+        except ValueError as error:
+            raise ValueError(
+                f"expected comma-separated integers, got {text!r}"
+            ) from error
+    if not values:
+        raise ValueError(f"expected at least one integer, got {text!r}")
+    return values
 
 
 @dataclass(frozen=True)
@@ -96,9 +115,9 @@ class ParamSpec:
 #: The common trailing parameter shared by every built-in experiment.
 SEED_PARAM = ParamSpec("seed", "int", default=0, help="random seed")
 
-#: Worker-count parameter of the sweep-style experiments: ``1`` runs the
-#: sweep serially, higher values execute it across a process pool via
-#: :class:`repro.api.executor.SweepExecutor` (identical results, same order).
+#: Worker-count parameter of the sweep experiments: the ``workers`` of the
+#: :class:`repro.api.executor.SweepExecutor` that :meth:`ExperimentSpec.run`
+#: executes the requests on (``1`` serial; identical results at any count).
 WORKERS_PARAM = ParamSpec(
     "workers", "int", default=1, help="worker processes for the sweep (1 = serial)"
 )
@@ -106,24 +125,51 @@ WORKERS_PARAM = ParamSpec(
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """A registered experiment: runner, formatter and parameter schema."""
+    """A registered experiment: what it runs, formatter and parameter schema.
+
+    Either ``runner`` computes the result, or the experiment is a sweep:
+    ``requests`` and ``assemble`` are set and ``runner`` is ``None``.
+    """
 
     name: str
-    runner: Callable[..., Any]
+    runner: Optional[Callable[..., Any]]
     formatter: Callable[[Any], str]
     params: Tuple[ParamSpec, ...] = field(default_factory=tuple)
     description: str = ""
+    requests: Optional[Callable[..., Sequence[EvaluationRequest]]] = None
+    assemble: Optional[Callable[..., Any]] = None
 
     def run(self, **kwargs: Any) -> Any:
         """Run the experiment; ``None`` kwargs fall back to runner defaults."""
+        return self.execute(**kwargs)[0]
+
+    def execute(self, **kwargs: Any) -> Tuple[Any, Optional[SweepRunResult]]:
+        """Run the experiment; also return its sweep run (``None`` for a runner).
+
+        A sweep's requests run on a new executor, so its
+        :class:`~repro.api.executor.ExecutorStats` count this run alone.
+        Every request is checked before the executor starts: a capacity
+        with no factory raises :class:`~repro.api.pipeline.RequestError`
+        (field ``capacities``) before anything is evaluated.
+        """
         known = {spec.name: spec for spec in self.params}
-        filtered: Dict[str, Any] = {}
+        params: Dict[str, Any] = {}
         for key, value in kwargs.items():
             if value is None:
                 continue
             spec = known.get(key)
-            filtered[key] = spec.convert(value) if spec else value
-        return self.runner(**filtered)
+            params[key] = spec.convert(value) if spec else value
+        if self.requests is None:
+            return self.runner(**params), None
+        executor = SweepExecutor(workers=params.pop("workers", 1))
+        requests = list(self.requests(**params))
+        for request in requests:
+            try:
+                request.spec()
+            except ValueError as error:
+                raise RequestError(str(error), field="capacities") from error
+        swept = executor.run(requests)
+        return self.assemble(swept.evaluations, **params), swept
 
     def format(self, result: Any) -> str:
         """Render a result for humans."""
@@ -160,6 +206,8 @@ def register_experiment(
     name: str,
     runner: Optional[Callable[..., Any]] = None,
     *,
+    requests: Optional[Callable[..., Sequence[EvaluationRequest]]] = None,
+    assemble: Optional[Callable[..., Any]] = None,
     formatter: Optional[Callable[[Any], str]] = None,
     params: Sequence[ParamSpec] = (),
     description: str = "",
@@ -167,23 +215,33 @@ def register_experiment(
 ):
     """Register an experiment; usable as a decorator over the runner.
 
-    With ``runner`` given, registers immediately and returns the
-    :class:`ExperimentSpec`.  Without it, returns a decorator (the decorated
-    function is returned unchanged, so the module keeps its plain ``run``).
+    With ``runner`` given, or ``requests`` and ``assemble`` for a sweep
+    experiment, registers immediately and returns the
+    :class:`ExperimentSpec`.  Without any, returns a decorator (the
+    decorated function is returned unchanged, so the module keeps its plain
+    ``run``).
     """
+    if (requests is None) != (assemble is None) or (
+        requests is not None and runner is not None
+    ):
+        raise ValueError(
+            f"experiment {name!r}: give a runner, or requests and assemble"
+        )
 
-    def _register(fn: Callable[..., Any]) -> ExperimentSpec:
+    def _register(fn: Optional[Callable[..., Any]]) -> ExperimentSpec:
         spec = ExperimentSpec(
             name=name,
             runner=fn,
             formatter=formatter if formatter is not None else str,
             params=tuple(params),
             description=description,
+            requests=requests,
+            assemble=assemble,
         )
         experiment_registry.register(name, spec, overwrite=overwrite)
         return spec
 
-    if runner is not None:
+    if runner is not None or requests is not None:
         return _register(runner)
 
     def decorator(fn: Callable[..., Any]) -> Callable[..., Any]:

@@ -7,9 +7,9 @@ factory circuit (caching it so a sweep over many mappers builds each
 construction dominates the two-level benches), runs the braid simulator and
 reports the :class:`~repro.api.results.FactoryEvaluation` data point.
 
-:class:`EvaluationRequest` is the serializable description of one such run;
-:func:`capacity_sweep` and :func:`evaluate_factory_mapping` are its
-functional conveniences.
+:class:`EvaluationRequest` is the serializable description of one such run.
+Many requests run through a :class:`~repro.api.executor.SweepExecutor`,
+which owns the pipelines that evaluate them.
 """
 
 from __future__ import annotations
@@ -18,17 +18,7 @@ import dataclasses
 import time
 from collections import OrderedDict
 from dataclasses import dataclass, field, replace
-from typing import (
-    Any,
-    Callable,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..circuits.gates import DEFAULT_DURATIONS, GateKind
 from ..distillation.block_code import (
@@ -482,128 +472,3 @@ class Pipeline:
                 requests[position], sim_config, placement, sim_result
             )
         return results  # type: ignore[return-value]
-
-    def run(self, requests: Iterable[EvaluationRequest]) -> List[FactoryEvaluation]:
-        """Evaluate many requests, sharing the factory cache."""
-        return [self.evaluate(request) for request in requests]
-
-    def sweep(
-        self,
-        methods: Sequence[str],
-        capacities: Sequence[int],
-        levels: int = 1,
-        reuse: bool = False,
-        seed: int = 0,
-        fd_config: Optional[ForceDirectedConfig] = None,
-        stitch_config: Optional[StitchingConfig] = None,
-        sim_config: Optional[SimulatorConfig] = None,
-    ) -> List[FactoryEvaluation]:
-        """Evaluate every (method, capacity) combination.
-
-        Results are returned in (capacity-major, method-minor) order so
-        tables can be assembled by simple grouping; each capacity's factory
-        is built once and shared by every method.
-        """
-        requests = [
-            EvaluationRequest(
-                method=method,
-                capacity=capacity,
-                levels=levels,
-                reuse=reuse,
-                seed=seed,
-                fd_config=fd_config,
-                stitch_config=stitch_config,
-                sim_config=sim_config,
-            )
-            for capacity in capacities
-            for method in methods
-        ]
-        return self.run(requests)
-
-
-# ----------------------------------------------------------------------
-# Functional conveniences
-# ----------------------------------------------------------------------
-#: Shared pipeline behind the module-level convenience functions, so repeat
-#: calls for the same configuration reuse the built factory.
-_default_pipeline = Pipeline()
-
-
-def default_pipeline() -> Pipeline:
-    """The process-wide pipeline used by the convenience functions."""
-    return _default_pipeline
-
-
-def evaluate_factory_mapping(
-    method: str,
-    capacity: int,
-    levels: int = 1,
-    reuse: bool = False,
-    seed: int = 0,
-    fd_config: Optional[ForceDirectedConfig] = None,
-    stitch_config: Optional[StitchingConfig] = None,
-    sim_config: Optional[SimulatorConfig] = None,
-) -> FactoryEvaluation:
-    """Build, map and simulate one factory configuration."""
-    return _default_pipeline.evaluate(
-        EvaluationRequest(
-            method=method,
-            capacity=capacity,
-            levels=levels,
-            reuse=reuse,
-            seed=seed,
-            fd_config=fd_config,
-            stitch_config=stitch_config,
-            sim_config=sim_config,
-        )
-    )
-
-
-def capacity_sweep(
-    methods: Sequence[str],
-    capacities: Sequence[int],
-    levels: int = 1,
-    reuse: bool = False,
-    seed: int = 0,
-    fd_config: Optional[ForceDirectedConfig] = None,
-    stitch_config: Optional[StitchingConfig] = None,
-    sim_config: Optional[SimulatorConfig] = None,
-    workers: int = 1,
-) -> List[FactoryEvaluation]:
-    """Evaluate every (method, capacity) combination.
-
-    With ``workers=1`` (the default) the sweep runs serially on the shared
-    process-wide pipeline, reusing its factory and simulation caches across
-    calls.  With ``workers > 1`` it is executed by a
-    :class:`~repro.api.executor.SweepExecutor` across worker processes;
-    results are identical and returned in the same deterministic
-    (capacity-major, method-minor) order.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    if workers > 1:
-        # Imported lazily: the executor module builds on this one.
-        from .executor import SweepExecutor, SweepPlan
-
-        plan = SweepPlan.from_grid(
-            methods=methods,
-            capacities=capacities,
-            levels=levels,
-            reuse=reuse,
-            seeds=(seed,),
-            fd_config=fd_config,
-            stitch_config=stitch_config,
-            sim_config=sim_config,
-        )
-        executor = SweepExecutor(workers=workers, sim_config=sim_config)
-        return executor.run(plan).evaluations
-    return _default_pipeline.sweep(
-        methods,
-        capacities,
-        levels=levels,
-        reuse=reuse,
-        seed=seed,
-        fd_config=fd_config,
-        stitch_config=stitch_config,
-        sim_config=sim_config,
-    )

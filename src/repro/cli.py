@@ -77,14 +77,14 @@ from .api.benchcompare import (
     compare_bench_records,
     load_bench_record,
 )
-from .api.executor import SweepExecutor, SweepPlan, take_last_run_stats
+from .api.executor import SweepExecutor, SweepPlan
 from .api.experiments import (
     ExperimentSpec,
     available_experiments,
     get_experiment,
     parse_int_list,
 )
-from .api.pipeline import default_pipeline
+from .api.pipeline import RequestError
 from .api.sharding import (
     SHARD_STRATEGIES,
     ShardSpec,
@@ -649,14 +649,17 @@ def _bench_kwargs(spec: ExperimentSpec, args: argparse.Namespace) -> Dict[str, A
 
 
 def _bench_one(name: str, args: argparse.Namespace) -> Dict[str, Any]:
-    """Benchmark one experiment and return its JSON-safe record."""
+    """Benchmark one experiment and return its JSON-safe record.
+
+    The timed span builds a sweep experiment's requests, executes them on
+    the experiment's own executor and assembles the result, so ``cache``
+    holds that executor's stats and nothing that ran before it.  A plain
+    runner (no requests) records ``"cache": null``.
+    """
     spec = get_experiment(name)
     kwargs = _bench_kwargs(spec, args)
-    pipeline = default_pipeline()
-    before = pipeline.stats.snapshot()
-    take_last_run_stats()  # discard stats of any earlier, unrelated run
     started = time.perf_counter()
-    result = spec.run(**kwargs)
+    _, swept = spec.execute(**kwargs)
     wall_seconds = time.perf_counter() - started
 
     record: Dict[str, Any] = {
@@ -667,36 +670,13 @@ def _bench_one(name: str, args: argparse.Namespace) -> Dict[str, Any]:
         "sim_cycles": None,
         "stall_cycles": None,
         "evaluations": None,
+        "cache": None,
     }
-    evaluations = getattr(result, "evaluations", None)
-    if evaluations:
-        record["evaluations"] = len(evaluations)
-        record["sim_cycles"] = sum(e.latency for e in evaluations)
-        record["stall_cycles"] = sum(e.stall_cycles for e in evaluations)
-
-    executor_stats = take_last_run_stats()
-    if executor_stats is not None:
-        # The sweep ran through a SweepExecutor (workers > 1): report its
-        # exact per-run accounting, aggregated across worker processes.
-        record["cache"] = executor_stats.to_dict()
-    else:
-        delta = pipeline.stats.delta(before)
-        record["cache"] = {
-            "evaluations": delta.evaluations,
-            "factory_builds": delta.factory_builds,
-            "factory_cache_hits": delta.cache_hits,
-            "sim_cache_hits": delta.sim_cache_hits,
-            "store_hits": 0,  # the default pipeline reads no store
-            "fd_sweeps": delta.fd_sweeps,
-            "fd_moves_accepted": delta.fd_moves_accepted,
-            "sim_stall_events": delta.sim_stall_events,
-            "sim_distinct_stalls": delta.sim_distinct_stalls,
-            "sim_wakeups": delta.sim_wakeups,
-            "build_seconds": round(delta.build_seconds, 4),
-            "map_seconds": round(delta.map_seconds, 4),
-            "sim_seconds": round(delta.sim_seconds, 4),
-            "workers": 1,
-        }
+    if swept is not None:
+        record["evaluations"] = len(swept.evaluations)
+        record["sim_cycles"] = sum(e.latency for e in swept.evaluations)
+        record["stall_cycles"] = sum(e.stall_cycles for e in swept.evaluations)
+        record["cache"] = swept.stats.to_dict()
     return record
 
 
@@ -1316,7 +1296,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     kwargs = _experiment_kwargs(spec, args)
 
     started = time.time()
-    result = spec.run(**kwargs)
+    try:
+        result = spec.run(**kwargs)
+    except RequestError as error:
+        print(f"run {args.experiment}: {error}", file=sys.stderr)
+        return 2
     elapsed = time.time() - started
     rendered = _render(args.experiment, result, spec, args.json, elapsed)
 

@@ -16,16 +16,18 @@ this experiment reproduces:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..api.executor import SweepPlan
 from ..api.experiments import (
     SEED_PARAM,
     WORKERS_PARAM,
     ParamSpec,
     register_experiment,
 )
-from ..api.pipeline import capacity_sweep
+from ..api.pipeline import EvaluationRequest
 from ..api.results import (
     FactoryEvaluation,
     evaluation_series_from_dict,
@@ -99,48 +101,36 @@ class Fig10Result:
         return cls(levels=levels, evaluations=evaluations)
 
 
-def run_single_level(
-    capacities: Optional[Sequence[int]] = None,
-    seed: int = 0,
-    fd_config: Optional[ForceDirectedConfig] = None,
-    sim_config: Optional[SimulatorConfig] = None,
-    workers: int = 1,
-) -> Fig10Result:
-    """Fig. 10a/10b/10e: single-level latency, area and volume sweeps."""
-    capacities = tuple(capacities or DEFAULT_SINGLE_LEVEL_CAPACITIES)
-    evaluations = capacity_sweep(
-        methods=SINGLE_LEVEL_METHODS,
-        capacities=capacities,
-        levels=1,
-        seed=seed,
-        fd_config=fd_config,
-        sim_config=sim_config,
-        workers=workers,
-    )
-    return Fig10Result(levels=1, evaluations=evaluations)
-
-
-def run_two_level(
+def sweep_requests(
+    levels: int,
     capacities: Optional[Sequence[int]] = None,
     seed: int = 0,
     fd_config: Optional[ForceDirectedConfig] = None,
     stitch_config: Optional[StitchingConfig] = None,
     sim_config: Optional[SimulatorConfig] = None,
-    workers: int = 1,
-) -> Fig10Result:
-    """Fig. 10c/10d/10f: two-level latency, area and volume sweeps."""
-    capacities = tuple(capacities or DEFAULT_TWO_LEVEL_CAPACITIES)
-    evaluations = capacity_sweep(
-        methods=TWO_LEVEL_METHODS,
-        capacities=capacities,
-        levels=2,
-        seed=seed,
+) -> Tuple[EvaluationRequest, ...]:
+    """Every procedure of one factory level at every capacity, capacity-major."""
+    single = levels == 1
+    if capacities is None:
+        capacities = (
+            DEFAULT_SINGLE_LEVEL_CAPACITIES if single else DEFAULT_TWO_LEVEL_CAPACITIES
+        )
+    return SweepPlan.from_grid(
+        SINGLE_LEVEL_METHODS if single else TWO_LEVEL_METHODS,
+        capacities,
+        levels=levels,
+        seeds=(seed,),
         fd_config=fd_config,
         stitch_config=stitch_config,
         sim_config=sim_config,
-        workers=workers,
-    )
-    return Fig10Result(levels=2, evaluations=evaluations)
+    ).requests
+
+
+def assemble(
+    evaluations: List[FactoryEvaluation], levels: int, **params: Any
+) -> Fig10Result:
+    """The latency/area/volume sweep of one level from its evaluations."""
+    return Fig10Result(levels=levels, evaluations=evaluations)
 
 
 def format_result(result: Fig10Result) -> str:
@@ -166,17 +156,25 @@ _CAPACITIES_PARAM = ParamSpec(
     "capacities", "int_list", help="comma-separated factory capacities to sweep"
 )
 
-register_experiment(
+_FIG10_SINGLE = register_experiment(
     "fig10-single",
-    run_single_level,
+    requests=functools.partial(sweep_requests, levels=1),
+    assemble=functools.partial(assemble, levels=1),
     formatter=format_result,
     params=(_CAPACITIES_PARAM, SEED_PARAM, WORKERS_PARAM),
     description="Fig. 10a/10b/10e: single-level latency/area/volume sweeps",
 )
-register_experiment(
+_FIG10_TWO = register_experiment(
     "fig10-two",
-    run_two_level,
+    requests=functools.partial(sweep_requests, levels=2),
+    assemble=functools.partial(assemble, levels=2),
     formatter=format_result,
     params=(_CAPACITIES_PARAM, SEED_PARAM, WORKERS_PARAM),
     description="Fig. 10c/10d/10f: two-level latency/area/volume sweeps",
 )
+
+#: Fig. 10a/10b/10e: single-level latency, area and volume sweeps (keyword
+#: arguments of :func:`sweep_requests` bar ``levels``, plus ``workers``).
+run_single_level = _FIG10_SINGLE.run
+#: Fig. 10c/10d/10f: the two-level sweeps.
+run_two_level = _FIG10_TWO.run

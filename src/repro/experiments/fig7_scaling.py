@@ -16,16 +16,18 @@ The qualitative claims this experiment checks:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..api.executor import SweepPlan
 from ..api.experiments import (
     SEED_PARAM,
     WORKERS_PARAM,
     ParamSpec,
     register_experiment,
 )
-from ..api.pipeline import capacity_sweep
+from ..api.pipeline import EvaluationRequest
 from ..api.results import (
     FactoryEvaluation,
     evaluation_series_from_dict,
@@ -72,46 +74,39 @@ class Fig7Result:
         return cls(levels=levels, evaluations=evaluations)
 
 
-def run_single_level(
+#: The mappers compared with the lower bound.
+METHODS = ("force_directed", "graph_partition")
+
+
+def sweep_requests(
+    levels: int,
     capacities: Optional[Sequence[int]] = None,
     seed: int = 0,
     fd_config: Optional[ForceDirectedConfig] = None,
     sim_config: Optional[SimulatorConfig] = None,
-    workers: int = 1,
-) -> Fig7Result:
-    """Fig. 7a: single-level factories, FD and GP versus the lower bound."""
-    capacities = tuple(capacities or DEFAULT_SINGLE_LEVEL_CAPACITIES)
-    evaluations = capacity_sweep(
-        methods=("force_directed", "graph_partition"),
-        capacities=capacities,
-        levels=1,
-        seed=seed,
+) -> Tuple[EvaluationRequest, ...]:
+    """FD and GP at every capacity of one factory level, capacity-major."""
+    if capacities is None:
+        capacities = (
+            DEFAULT_SINGLE_LEVEL_CAPACITIES
+            if levels == 1
+            else DEFAULT_TWO_LEVEL_CAPACITIES
+        )
+    return SweepPlan.from_grid(
+        METHODS,
+        capacities,
+        levels=levels,
+        seeds=(seed,),
         fd_config=fd_config,
         sim_config=sim_config,
-        workers=workers,
-    )
-    return Fig7Result(levels=1, evaluations=evaluations)
+    ).requests
 
 
-def run_two_level(
-    capacities: Optional[Sequence[int]] = None,
-    seed: int = 0,
-    fd_config: Optional[ForceDirectedConfig] = None,
-    sim_config: Optional[SimulatorConfig] = None,
-    workers: int = 1,
+def assemble(
+    evaluations: List[FactoryEvaluation], levels: int, **params: Any
 ) -> Fig7Result:
-    """Fig. 7b: two-level factories, FD and GP versus the lower bound."""
-    capacities = tuple(capacities or DEFAULT_TWO_LEVEL_CAPACITIES)
-    evaluations = capacity_sweep(
-        methods=("force_directed", "graph_partition"),
-        capacities=capacities,
-        levels=2,
-        seed=seed,
-        fd_config=fd_config,
-        sim_config=sim_config,
-        workers=workers,
-    )
-    return Fig7Result(levels=2, evaluations=evaluations)
+    """The latency series of one level from its evaluations."""
+    return Fig7Result(levels=levels, evaluations=evaluations)
 
 
 def format_result(result: Fig7Result) -> str:
@@ -134,17 +129,26 @@ _CAPACITIES_PARAM = ParamSpec(
     "capacities", "int_list", help="comma-separated factory capacities to sweep"
 )
 
-register_experiment(
+_FIG7A = register_experiment(
     "fig7a",
-    run_single_level,
+    requests=functools.partial(sweep_requests, levels=1),
+    assemble=functools.partial(assemble, levels=1),
     formatter=format_result,
     params=(_CAPACITIES_PARAM, SEED_PARAM, WORKERS_PARAM),
     description="Fig. 7a: single-level FD/GP latency vs the lower bound",
 )
-register_experiment(
+_FIG7B = register_experiment(
     "fig7b",
-    run_two_level,
+    requests=functools.partial(sweep_requests, levels=2),
+    assemble=functools.partial(assemble, levels=2),
     formatter=format_result,
     params=(_CAPACITIES_PARAM, SEED_PARAM, WORKERS_PARAM),
     description="Fig. 7b: two-level FD/GP latency vs the lower bound",
 )
+
+#: Fig. 7a: single-level factories, FD and GP versus the lower bound
+#: (keyword arguments of :func:`sweep_requests` bar ``levels``, plus
+#: ``workers``).
+run_single_level = _FIG7A.run
+#: Fig. 7b: the same comparison on two-level factories.
+run_two_level = _FIG7B.run

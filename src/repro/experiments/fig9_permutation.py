@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..api.experiments import SEED_PARAM, ParamSpec, register_experiment
+from ..api.pipeline import RequestError
 from ..api.results import filter_fields
 from ..distillation.block_code import FactorySpec, ReusePolicy
 from ..mapping.stitching import (
@@ -122,12 +123,20 @@ def run(
     seed: int = 0,
     sim_config: Optional[SimulatorConfig] = None,
 ) -> Fig9PermutationResult:
-    """Measure the permutation-step latency for every hop policy."""
-    capacities = tuple(capacities or DEFAULT_CAPACITIES)
+    """Measure the permutation-step latency for every hop policy.
+
+    Every capacity is checked before anything runs: one with no two-level
+    factory raises :class:`~repro.api.pipeline.RequestError` (field
+    ``capacities``).
+    """
+    capacities = DEFAULT_CAPACITIES if capacities is None else capacities
+    try:
+        specs = [FactorySpec.from_capacity(capacity, 2) for capacity in capacities]
+    except ValueError as error:
+        raise RequestError(str(error), field="capacities") from error
     sim_config = sim_config or SimulatorConfig()
     measurements: List[PermutationLatency] = []
-    for capacity in capacities:
-        spec = FactorySpec.from_capacity(capacity, levels=2)
+    for capacity, spec in zip(capacities, specs):
         stitched = hierarchical_stitching(
             spec,
             reuse_policy=ReusePolicy.NO_REUSE,

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from ..api.experiments import SEED_PARAM, ParamSpec, register_experiment
-from ..api.pipeline import evaluate_factory_mapping
-from ..api.results import filter_fields
+from ..api.pipeline import EvaluationRequest
+from ..api.results import FactoryEvaluation, filter_fields
 from ..mapping.force_directed import ForceDirectedConfig
 from ..routing.simulator import SimulatorConfig
 
@@ -89,45 +89,43 @@ class Fig9ReuseResult:
         )
 
 
-def run(
+def sweep_requests(
     capacities: Optional[Sequence[int]] = None,
     methods: Sequence[str] = METHODS,
     seed: int = 0,
     fd_config: Optional[ForceDirectedConfig] = None,
     sim_config: Optional[SimulatorConfig] = None,
-) -> Fig9ReuseResult:
-    """Evaluate every method with and without qubit reuse on two-level factories."""
-    capacities = tuple(capacities or DEFAULT_CAPACITIES)
-    comparisons: List[ReuseComparison] = []
-    for capacity in capacities:
-        for method in methods:
-            no_reuse = evaluate_factory_mapping(
-                method,
-                capacity,
-                levels=2,
-                reuse=False,
-                seed=seed,
-                fd_config=fd_config,
-                sim_config=sim_config,
+) -> List[EvaluationRequest]:
+    """Each method's two-level no-reuse request, then its reuse twin."""
+    return [
+        EvaluationRequest(
+            method=method,
+            capacity=capacity,
+            levels=2,
+            reuse=reuse,
+            seed=seed,
+            fd_config=fd_config,
+            sim_config=sim_config,
+        )
+        for capacity in (DEFAULT_CAPACITIES if capacities is None else capacities)
+        for method in methods
+        for reuse in (False, True)
+    ]
+
+
+def assemble(evaluations: List[FactoryEvaluation], **params: Any) -> Fig9ReuseResult:
+    """Pair every no-reuse evaluation with the reuse twin that follows it."""
+    return Fig9ReuseResult(
+        comparisons=[
+            ReuseComparison(
+                method=no_reuse.method,
+                capacity=no_reuse.capacity,
+                volume_no_reuse=no_reuse.volume,
+                volume_reuse=reuse.volume,
             )
-            reuse = evaluate_factory_mapping(
-                method,
-                capacity,
-                levels=2,
-                reuse=True,
-                seed=seed,
-                fd_config=fd_config,
-                sim_config=sim_config,
-            )
-            comparisons.append(
-                ReuseComparison(
-                    method=method,
-                    capacity=capacity,
-                    volume_no_reuse=no_reuse.volume,
-                    volume_reuse=reuse.volume,
-                )
-            )
-    return Fig9ReuseResult(comparisons=comparisons)
+            for no_reuse, reuse in zip(evaluations[::2], evaluations[1::2])
+        ]
+    )
 
 
 def format_result(result: Fig9ReuseResult) -> str:
@@ -152,9 +150,10 @@ def format_result(result: Fig9ReuseResult) -> str:
     return "\n".join(lines)
 
 
-register_experiment(
+_FIG9AB = register_experiment(
     "fig9ab",
-    run,
+    requests=sweep_requests,
+    assemble=assemble,
     formatter=format_result,
     params=(
         ParamSpec(
@@ -164,3 +163,7 @@ register_experiment(
     ),
     description="Fig. 9a/9b: qubit reuse vs renaming volume differentials",
 )
+
+#: Evaluate every method with and without qubit reuse on two-level
+#: factories (keyword arguments of :func:`sweep_requests`).
+run = _FIG9AB.run

@@ -21,23 +21,17 @@ import functools
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from ..api.executor import SweepExecutor, SweepPlan
 from ..api.experiments import (
     SEED_PARAM,
     WORKERS_PARAM,
     ParamSpec,
     register_experiment,
 )
-from ..api.pipeline import EvaluationRequest, evaluate_factory_mapping
+from ..api.pipeline import EvaluationRequest
 from ..api.results import FactoryEvaluation, int_keyed, str_keyed
-from ..distillation.block_code import FactorySpec
 from ..mapping.force_directed import ForceDirectedConfig
 from ..mapping.stitching import StitchingConfig
 from ..routing.simulator import SimulatorConfig
-from ..scheduling.critical_path import (
-    factory_area_lower_bound,
-    factory_latency_lower_bound,
-)
 
 #: Table I of the paper, level-1 block (capacities 2, 4, 8, 10, 24).
 PAPER_LEVEL1_VOLUMES = {
@@ -158,71 +152,50 @@ def _row_request(
     )
 
 
-def run(
+def sweep_requests(
     levels: int,
     capacities: Optional[Sequence[int]] = None,
     seed: int = 0,
     fd_config: Optional[ForceDirectedConfig] = None,
     stitch_config: Optional[StitchingConfig] = None,
     sim_config: Optional[SimulatorConfig] = None,
-    workers: int = 1,
-) -> Table1Result:
-    """Regenerate one level-block of Table I.
+) -> List[EvaluationRequest]:
+    """One request per non-blank cell of one level-block of Table I.
 
-    The table is expanded into an explicit request list first (one request
-    per non-blank cell); with ``workers > 1`` those requests run across a
-    :class:`~repro.api.executor.SweepExecutor` process pool, producing the
-    identical table in the identical order.
+    Capacity-major, then in :data:`ROW_ORDER`.
     """
-    if levels not in (1, 2):
-        raise ValueError("Table I covers one- and two-level factories only")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
     if capacities is None:
         capacities = (
             DEFAULT_LEVEL1_CAPACITIES if levels == 1 else DEFAULT_LEVEL2_CAPACITIES
         )
-    capacities = tuple(capacities)
-    sim_config = sim_config or SimulatorConfig()
+    cells = (
+        _row_request(row, capacity, levels, seed, fd_config, stitch_config, sim_config)
+        for capacity in capacities
+        for row in ROW_ORDER
+    )
+    return [request for request in cells if request is not None]
 
-    volumes: Dict[str, Dict[int, float]] = {}
-    cells: List[tuple] = []
-    for capacity in capacities:
-        spec = FactorySpec.from_capacity(capacity, levels)
-        critical = factory_latency_lower_bound(
-            spec, dict(sim_config.durations)
-        ) * factory_area_lower_bound(spec)
-        volumes.setdefault("critical", {})[capacity] = float(critical)
-        for row in ROW_ORDER:
-            request = _row_request(
-                row, capacity, levels, seed, fd_config, stitch_config, sim_config
-            )
-            if request is not None:
-                cells.append((row, capacity, request))
 
-    if workers > 1:
-        plan = SweepPlan.from_requests(request for _, _, request in cells)
-        results = SweepExecutor(workers=workers, sim_config=sim_config).run(plan)
-        cell_evaluations = results.evaluations
-    else:
-        cell_evaluations = [
-            evaluate_factory_mapping(
-                request.method,
-                request.capacity,
-                levels=request.levels,
-                reuse=request.reuse,
-                seed=request.seed,
-                fd_config=request.fd_config,
-                stitch_config=request.stitch_config,
-                sim_config=request.sim_config,
-            )
-            for _, _, request in cells
-        ]
+def _row(evaluation: FactoryEvaluation) -> str:
+    """The Table I row an evaluation fills."""
+    if evaluation.method == "linear":
+        return "linear_reuse" if evaluation.reuse else "linear_no_reuse"
+    return evaluation.method
 
-    evaluations: List[FactoryEvaluation] = []
-    for (row, capacity, _), evaluation in zip(cells, cell_evaluations):
-        volumes.setdefault(row, {})[capacity] = float(evaluation.volume)
-        evaluations.append(evaluation)
+
+def assemble(
+    evaluations: List[FactoryEvaluation], levels: int, **params: Any
+) -> Table1Result:
+    """The level-block of Table I from its cells' evaluations.
+
+    The first row, ``critical``, is each capacity's lower-bound volume.
+    """
+    volumes: Dict[str, Dict[int, float]] = {"critical": {}}
+    for evaluation in evaluations:
+        volumes["critical"][evaluation.capacity] = float(evaluation.critical_volume)
+        volumes.setdefault(_row(evaluation), {})[evaluation.capacity] = float(
+            evaluation.volume
+        )
     return Table1Result(levels=levels, volumes=volumes, evaluations=evaluations)
 
 
@@ -252,17 +225,26 @@ _CAPACITIES_PARAM = ParamSpec(
     "capacities", "int_list", help="comma-separated factory capacities to sweep"
 )
 
-register_experiment(
-    "table1-level1",
-    functools.partial(run, levels=1),
-    formatter=format_result,
-    params=(_CAPACITIES_PARAM, SEED_PARAM, WORKERS_PARAM),
-    description="Table I: single-level quantum volumes by procedure",
-)
-register_experiment(
-    "table1-level2",
-    functools.partial(run, levels=2),
-    formatter=format_result,
-    params=(_CAPACITIES_PARAM, SEED_PARAM, WORKERS_PARAM),
-    description="Table I: two-level quantum volumes by procedure",
-)
+#: The two registered level-blocks of Table I, by factory level.
+_EXPERIMENTS = {
+    levels: register_experiment(
+        f"table1-level{levels}",
+        requests=functools.partial(sweep_requests, levels=levels),
+        assemble=functools.partial(assemble, levels=levels),
+        formatter=format_result,
+        params=(_CAPACITIES_PARAM, SEED_PARAM, WORKERS_PARAM),
+        description=f"Table I: {label} quantum volumes by procedure",
+    )
+    for levels, label in ((1, "single-level"), (2, "two-level"))
+}
+
+
+def run(levels: int, **params: Any) -> Table1Result:
+    """Regenerate one level-block of Table I.
+
+    Takes the keyword arguments of :func:`sweep_requests` plus ``workers``,
+    and runs the registered experiment of that level.
+    """
+    if levels not in _EXPERIMENTS:
+        raise ValueError("Table I covers one- and two-level factories only")
+    return _EXPERIMENTS[levels].run(**params)

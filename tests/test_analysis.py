@@ -12,9 +12,25 @@ from repro.analysis import (
     mapping_area,
     occupied_bounding_box,
 )
-from repro.api import capacity_sweep, evaluate_factory_mapping
+from repro.api import EvaluationRequest, Pipeline, SweepExecutor, SweepPlan
 from repro.mapping import Placement
 from repro.routing import SimulatorConfig
+
+
+@pytest.fixture(scope="module")
+def pipeline():
+    """One pipeline for the module, so repeated configurations build once."""
+    return Pipeline()
+
+
+@pytest.fixture(scope="module")
+def executor():
+    """One serial executor for the module's sweeps (its pipeline persists)."""
+    return SweepExecutor()
+
+
+def run_grid(executor, methods, capacities, **grid):
+    return executor.run(SweepPlan.from_grid(methods, capacities, **grid)).evaluations
 
 
 class TestVolumeAccounting:
@@ -62,37 +78,43 @@ class TestCorrelationStudy:
 
 
 class TestFactoryEvaluation:
-    def test_unknown_method_rejected(self):
+    def test_unknown_method_rejected(self, pipeline):
         with pytest.raises(ValueError):
-            evaluate_factory_mapping("bogus", 4)
+            pipeline.evaluate(EvaluationRequest("bogus", 4))
 
     @pytest.mark.parametrize("method", ["random", "linear", "graph_partition"])
-    def test_single_level_methods(self, method):
-        evaluation = evaluate_factory_mapping(method, 4, levels=1, seed=0)
+    def test_single_level_methods(self, pipeline, method):
+        evaluation = pipeline.evaluate(EvaluationRequest(method, 4, levels=1, seed=0))
         assert evaluation.latency >= evaluation.critical_latency
         assert evaluation.volume == evaluation.latency * evaluation.area
         assert evaluation.method == method
 
-    def test_volume_over_critical_at_least_one(self):
-        evaluation = evaluate_factory_mapping("linear", 4, levels=1)
+    def test_volume_over_critical_at_least_one(self, pipeline):
+        evaluation = pipeline.evaluate(EvaluationRequest("linear", 4, levels=1))
         assert evaluation.volume_over_critical >= 1.0
 
-    def test_hierarchical_stitching_two_level(self):
-        evaluation = evaluate_factory_mapping("hierarchical_stitching", 4, levels=2)
+    def test_hierarchical_stitching_two_level(self, pipeline):
+        evaluation = pipeline.evaluate(
+            EvaluationRequest("hierarchical_stitching", 4, levels=2)
+        )
         assert evaluation.latency >= evaluation.critical_latency
         assert evaluation.area > 0
 
-    def test_reuse_flag_changes_result(self):
-        no_reuse = evaluate_factory_mapping("linear", 4, levels=2, reuse=False)
-        reuse = evaluate_factory_mapping("linear", 4, levels=2, reuse=True)
+    def test_reuse_flag_changes_result(self, pipeline):
+        no_reuse = pipeline.evaluate(EvaluationRequest("linear", 4, levels=2))
+        reuse = pipeline.evaluate(EvaluationRequest("linear", 4, levels=2, reuse=True))
         assert reuse.area <= no_reuse.area
 
-    def test_sim_config_propagates(self):
-        fast = evaluate_factory_mapping(
-            "linear", 4, levels=1, sim_config=SimulatorConfig(max_candidates=8)
+    def test_sim_config_propagates(self, pipeline):
+        fast = pipeline.evaluate(
+            EvaluationRequest(
+                "linear", 4, levels=1, sim_config=SimulatorConfig(max_candidates=8)
+            )
         )
-        strict = evaluate_factory_mapping(
-            "linear", 4, levels=1, sim_config=SimulatorConfig(max_candidates=1)
+        strict = pipeline.evaluate(
+            EvaluationRequest(
+                "linear", 4, levels=1, sim_config=SimulatorConfig(max_candidates=1)
+            )
         )
         assert fast.latency <= strict.latency
 
@@ -102,29 +124,28 @@ class TestSweeps:
         assert "hierarchical_stitching" in MAPPING_METHODS
         assert "linear" in MAPPING_METHODS
 
-    def test_capacity_sweep_shape(self):
-        results = capacity_sweep(["linear", "graph_partition"], [2, 4], levels=1)
+    def test_sweep_shape(self, executor):
+        results = run_grid(executor, ["linear", "graph_partition"], [2, 4], levels=1)
         assert len(results) == 4
         assert {r.capacity for r in results} == {2, 4}
 
-    def test_best_volume_by_method_picks_minimum(self):
-        results = capacity_sweep(["linear"], [4], levels=2, reuse=False)
-        results += capacity_sweep(["linear"], [4], levels=2, reuse=True)
+    def test_best_volume_by_method_picks_minimum(self, executor):
+        results = run_grid(executor, ["linear"], [4], levels=2, reuse=(False, True))
         best = best_volume_by_method(results)
         assert best["linear"][4].volume == min(r.volume for r in results)
 
-    def test_format_sweep_table(self):
-        results = capacity_sweep(["linear"], [2, 4], levels=1)
+    def test_format_sweep_table(self, executor):
+        results = run_grid(executor, ["linear"], [2, 4], levels=1)
         table = format_sweep_table(results, value="volume")
         assert "K=2" in table and "K=4" in table
         assert "Line" in table
 
-    def test_format_sweep_table_rejects_bad_field(self):
-        results = capacity_sweep(["linear"], [2], levels=1)
+    def test_format_sweep_table_rejects_bad_field(self, executor):
+        results = run_grid(executor, ["linear"], [2], levels=1)
         with pytest.raises(ValueError):
             format_sweep_table(results, value="bogus")
 
-    def test_linear_single_level_close_to_bound(self):
-        evaluation = evaluate_factory_mapping("linear", 8, levels=1)
+    def test_linear_single_level_close_to_bound(self, pipeline):
+        evaluation = pipeline.evaluate(EvaluationRequest("linear", 8, levels=1))
         # The hand layout should stay within a small factor of the bound.
         assert evaluation.volume_over_critical < 3.0

@@ -13,8 +13,10 @@ from repro.api import (
     Pipeline,
     RegistryError,
     available_experiments,
+    SweepExecutor,
+    SweepPlan,
+    WORKERS_PARAM,
     available_mappers,
-    capacity_sweep,
     get_experiment,
     get_mapper,
     register_experiment,
@@ -105,8 +107,9 @@ class TestCustomMapperEndToEnd:
         assert evaluation.latency >= evaluation.critical_latency
         assert evaluation.volume == evaluation.latency * evaluation.area
 
-    def test_capacity_sweep_picks_up_custom_mapper(self, snake_mapper):
-        results = capacity_sweep(["linear", snake_mapper], [2, 4], levels=1)
+    def test_sweep_picks_up_custom_mapper(self, snake_mapper):
+        plan = SweepPlan.from_grid(["linear", snake_mapper], [2, 4], levels=1)
+        results = SweepExecutor().run(plan).evaluations
         assert [(r.method, r.capacity) for r in results] == [
             ("linear", 2),
             ("snake", 2),
@@ -125,7 +128,8 @@ class TestPipelineCaching:
             return real_build(spec, **kwargs)
 
         monkeypatch.setattr(pipeline_module, "build_factory", counting_build)
-        pipeline = Pipeline()
+        executor = SweepExecutor()
+        pipeline = executor.pipeline()
         methods = [
             "random",
             "linear",
@@ -133,7 +137,7 @@ class TestPipelineCaching:
             "graph_partition",
             "hierarchical_stitching",
         ]
-        pipeline.sweep(methods, [4], levels=2)
+        executor.run(SweepPlan.from_grid(methods, [4], levels=2))
         # One base factory for all five mappers (hierarchical stitching's
         # port-reassignment rebuild goes through repro.mapping.stitching,
         # not the pipeline's builder).
@@ -141,7 +145,7 @@ class TestPipelineCaching:
         assert pipeline.stats.factory_builds == 1
         assert pipeline.stats.cache_hits == len(methods) - 1
 
-        pipeline.sweep(methods, [4], levels=2, reuse=True)
+        executor.run(SweepPlan.from_grid(methods, [4], levels=2, reuse=True))
         assert pipeline.stats.factory_builds == 2  # reuse=True is a new config
 
     def test_cache_is_lru_bounded(self):
@@ -262,6 +266,43 @@ class TestExperimentRegistry:
             assert "mini volume=" in capsys.readouterr().out
         finally:
             unregister_experiment("mini-study")
+
+    def test_register_sweep_experiment_runs_its_requests_on_an_executor(self, capsys):
+        def requests(capacities=(2, 3), seed=0):
+            return [EvaluationRequest("linear", k, seed=seed) for k in capacities]
+
+        def assemble(evaluations, **params):
+            return {"volumes": [point.volume for point in evaluations]}
+
+        spec = register_experiment(
+            "mini-sweep",
+            requests=requests,
+            assemble=assemble,
+            params=(ParamSpec("capacities", "int_list"), WORKERS_PARAM),
+            formatter=lambda result: f"mini volumes={result['volumes']}",
+        )
+        try:
+            result, swept = spec.execute(capacities="2,3,2")
+            pipeline = Pipeline()
+            assert result["volumes"] == [
+                pipeline.evaluate(request).volume for request in requests((2, 3, 2))
+            ]
+            assert swept.stats.requests == 3 and swept.stats.duplicate_hits == 1
+            assert spec.run(capacities=[2, 3, 2], workers=2) == result
+            assert main(["run", "mini-sweep", "--capacities", "3"]) == 0
+            assert "mini volumes=" in capsys.readouterr().out
+        finally:
+            unregister_experiment("mini-sweep")
+
+    @pytest.mark.parametrize(
+        "forms",
+        [{"requests": list}, {"assemble": list}, {"requests": list, "assemble": list}],
+    )
+    def test_register_experiment_takes_a_runner_or_requests_and_assemble(self, forms):
+        runner = (lambda: None) if len(forms) == 2 else None
+        with pytest.raises(ValueError):
+            register_experiment("malformed", runner, **forms)
+        assert "malformed" not in available_experiments()
 
     def test_param_spec_rejects_unknown_kind(self):
         with pytest.raises(ValueError):

@@ -19,7 +19,6 @@ from repro.api import (
     SweepPlan,
     SweepProgress,
     SweepRunResult,
-    capacity_sweep,
     get_mapper,
     recommended_workers,
     register_mapper,
@@ -61,7 +60,7 @@ def counters(stats: PipelineStats) -> dict:
 # SweepPlan
 # ----------------------------------------------------------------------
 class TestSweepPlan:
-    def test_grid_expansion_order_matches_pipeline_sweep(self):
+    def test_grid_expansion_is_capacity_major(self):
         plan = small_plan()
         combos = [(r.capacity, r.method) for r in plan]
         assert combos == [
@@ -112,9 +111,10 @@ class TestSweepPlan:
 # Executor determinism
 # ----------------------------------------------------------------------
 class TestExecutorDeterminism:
-    def test_serial_matches_pipeline_sweep(self):
+    def test_serial_matches_pipeline_evaluate(self):
         serial = SweepExecutor(workers=1).run(small_plan())
-        reference = Pipeline().sweep(METHODS, CAPACITIES)
+        pipeline = Pipeline()
+        reference = [pipeline.evaluate(request) for request in small_plan()]
         assert serial.evaluations == reference
 
     def test_workers_1_vs_4_byte_identical(self):
@@ -125,11 +125,6 @@ class TestExecutorDeterminism:
         blob_1 = json.dumps(serial.to_dict(), sort_keys=True)
         blob_4 = json.dumps(parallel.to_dict(), sort_keys=True)
         assert blob_1 == blob_4
-
-    def test_capacity_sweep_workers_kwarg(self):
-        assert capacity_sweep(METHODS, CAPACITIES, workers=2) == capacity_sweep(
-            METHODS, CAPACITIES
-        )
 
     def test_result_round_trip_drops_stats(self):
         result = SweepExecutor(workers=1).run(small_plan())
@@ -142,8 +137,6 @@ class TestExecutorDeterminism:
     def test_invalid_workers(self):
         with pytest.raises(ValueError):
             SweepExecutor(workers=0)
-        with pytest.raises(ValueError):
-            capacity_sweep(METHODS, (2,), workers=0)
         with pytest.raises(ValueError):
             from repro.experiments import table1_volumes
 
@@ -471,19 +464,27 @@ class TestRouterPlanCache:
 # ----------------------------------------------------------------------
 # Experiment runners and the bench command
 # ----------------------------------------------------------------------
+def _experiments_declaring(param_name):
+    from repro.api import available_experiments, get_experiment
+
+    return [
+        name
+        for name in available_experiments()
+        if any(param.name == param_name for param in get_experiment(name).params)
+    ]
+
+
 class TestWorkersIntegration:
-    def test_table1_workers_identical(self):
-        from repro.experiments import table1_volumes
+    @pytest.mark.parametrize("name", _experiments_declaring("workers"))
+    def test_workers_parity(self, name):
+        """Every experiment with a workers option gives the same result at
+        1 and 2 workers, at its bench smoke scale."""
+        from repro.api import get_experiment
+        from repro.cli import SMOKE_OVERRIDES
 
-        serial = table1_volumes.run(levels=1, capacities=[2])
-        parallel = table1_volumes.run(levels=1, capacities=[2], workers=2)
-        assert parallel.to_dict() == serial.to_dict()
-
-    def test_fig7a_workers_identical(self):
-        from repro.experiments import fig7_scaling
-
-        serial = fig7_scaling.run_single_level(capacities=[2])
-        parallel = fig7_scaling.run_single_level(capacities=[2], workers=2)
+        spec = get_experiment(name)
+        serial = spec.run(**SMOKE_OVERRIDES[name], workers=1)
+        parallel = spec.run(**SMOKE_OVERRIDES[name], workers=2)
         assert parallel.to_dict() == serial.to_dict()
 
     def test_sweep_experiments_declare_workers_param(self):
@@ -561,8 +562,40 @@ class TestBenchCommand:
         assert names == available_experiments()
         for entry in record["experiments"]:
             assert entry["wall_seconds"] > 0, entry
+            if entry["experiment"] in ("fig6", "fig9cd"):  # not request sweeps
+                assert entry["cache"] is None, entry
+            else:
+                assert entry["cache"]["requests"] == entry["evaluations"], entry
+                assert entry["cache"]["workers"] == entry["workers"], entry
         assert "python" not in record  # only python_version is written
         assert record["python_version"]
+
+    def test_bench_entry_does_not_depend_on_what_ran_before_it(self, tmp_path):
+        """fig10-two evaluates factories and mappings that table1-level2
+        shares, yet table1-level2 records the same counters after it as
+        alone: every entry runs on its own executor."""
+        from repro.cli import main
+
+        def table1_cache(experiments):
+            output = tmp_path / "BENCH_order.json"
+            argv = ["bench", "--smoke", "--experiments", experiments]
+            assert main(argv + ["--output", str(output)]) == 0
+            entries = json.loads(output.read_text())["experiments"]
+            [entry] = [e for e in entries if e["experiment"] == "table1-level2"]
+            return {
+                key: entry["cache"][key]
+                for key in (
+                    "evaluations",
+                    "factory_builds",
+                    "factory_cache_hits",
+                    "sim_cache_hits",
+                    "requests",
+                    "duplicate_hits",
+                )
+            }
+
+        alone = table1_cache("table1-level2")
+        assert table1_cache("fig10-two,table1-level2") == alone
 
 
 # ----------------------------------------------------------------------

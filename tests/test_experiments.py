@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.api import available_experiments, get_experiment, run_experiment
+from repro.api import (
+    Pipeline,
+    RequestError,
+    available_experiments,
+    get_experiment,
+    run_experiment,
+)
 from repro.cli import build_parser, main
 from repro.experiments import (
     fig6_correlation,
@@ -60,10 +66,11 @@ class TestFig9Reuse:
         assert -1.0 <= comparison.differential <= 1.0
 
     def test_reuse_saves_area_for_linear(self):
-        from repro.api import evaluate_factory_mapping
+        from repro.api import EvaluationRequest, Pipeline
 
-        no_reuse = evaluate_factory_mapping("linear", 4, levels=2, reuse=False)
-        reuse = evaluate_factory_mapping("linear", 4, levels=2, reuse=True)
+        pipeline = Pipeline()
+        no_reuse = pipeline.evaluate(EvaluationRequest("linear", 4, levels=2))
+        reuse = pipeline.evaluate(EvaluationRequest("linear", 4, levels=2, reuse=True))
         assert reuse.area <= no_reuse.area
 
     def test_format(self):
@@ -191,3 +198,74 @@ class TestRegistryAndCli:
         parser = build_parser()
         with pytest.raises(SystemExit):
             parser.parse_args(["run", "nonexistent"])
+
+
+def _capacity_cases():
+    """(experiment, capacities) pairs no experiment may evaluate any of:
+    an empty list, and a list whose second capacity has no factory (0 at
+    any level, 5 at two levels)."""
+    two_level = {"fig7b", "fig9ab", "fig9cd", "fig10-two", "table1-level2"}
+    cases = []
+    for name in available_experiments():
+        if any(param.name == "capacities" for param in get_experiment(name).params):
+            for capacities in ([], [16, 0]) + (([16, 5],) if name in two_level else ()):
+                label = ",".join(map(str, capacities)) or "empty"
+                cases.append(pytest.param(name, capacities, id=f"{name}-{label}"))
+    return cases
+
+
+class TestCapacityChecks:
+    """Capacity lists are checked once, before anything is evaluated."""
+
+    @pytest.fixture
+    def evaluations(self, monkeypatch):
+        """Every Pipeline.evaluate and fig9cd hierarchical_stitching call."""
+        calls = []
+        evaluate = Pipeline.evaluate
+        stitch = fig9_permutation.hierarchical_stitching
+
+        def counting_evaluate(pipeline, request):
+            calls.append(request)
+            return evaluate(pipeline, request)
+
+        def counting_stitch(*args, **kwargs):
+            calls.append(args)
+            return stitch(*args, **kwargs)
+
+        monkeypatch.setattr(Pipeline, "evaluate", counting_evaluate)
+        monkeypatch.setattr(fig9_permutation, "hierarchical_stitching", counting_stitch)
+        return calls
+
+    def test_every_capacities_experiment_is_covered(self):
+        names = {case.values[0] for case in _capacity_cases()}
+        assert names == set(available_experiments()) - {"fig6"}
+
+    @pytest.mark.parametrize("name, capacities", _capacity_cases())
+    def test_raises_before_any_evaluation(self, evaluations, name, capacities):
+        expected = RequestError if capacities else ValueError
+        with pytest.raises(expected):
+            get_experiment(name).run(capacities=capacities)
+        assert evaluations == []
+
+    @pytest.mark.parametrize("name, capacities", _capacity_cases())
+    def test_cli_exits_2_without_a_traceback(
+        self, evaluations, capsys, name, capacities
+    ):
+        argv = ["run", name, "--capacities", ",".join(map(str, capacities)) or ","]
+        try:
+            code = main(argv)
+        except SystemExit as exit:  # argparse rejects the empty list
+            code = exit.code
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        if capacities:
+            assert err.startswith(f"run {name}: capacities: "), err
+        assert evaluations == []
+
+    def test_request_error_names_the_capacity(self):
+        with pytest.raises(RequestError) as excinfo:
+            fig7_scaling.run_two_level(capacities=[16, 5])
+        assert excinfo.value.field == "capacities"
+        assert "capacity 5" in str(excinfo.value)
+

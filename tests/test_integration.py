@@ -7,7 +7,7 @@ model of the simulator.
 
 import pytest
 
-from repro.api import evaluate_factory_mapping
+from repro.api import EvaluationRequest, Pipeline
 from repro.experiments import (
     fig6_correlation,
     fig7_scaling,
@@ -22,32 +22,33 @@ class TestSingleLevelClaims:
     """Single-level factories: the linear baseline is already near optimal."""
 
     @pytest.fixture(scope="class")
-    def sweep(self):
+    def fig10(self):
         return fig10_resources.run_single_level(capacities=[4, 8])
 
-    def test_every_method_above_lower_bound(self, sweep):
-        for evaluation in sweep.evaluations:
+    def test_every_method_above_lower_bound(self, fig10):
+        for evaluation in fig10.evaluations:
             assert evaluation.latency >= evaluation.critical_latency
 
-    def test_linear_close_to_lower_bound(self, sweep):
-        for evaluation in sweep.evaluations:
+    def test_linear_close_to_lower_bound(self, fig10):
+        for evaluation in fig10.evaluations:
             if evaluation.method == "linear":
                 assert evaluation.latency <= 1.6 * evaluation.critical_latency
 
     def test_random_is_the_worst_mapping(self):
-        random_eval = evaluate_factory_mapping("random", 8, levels=1, seed=0)
-        linear_eval = evaluate_factory_mapping("linear", 8, levels=1)
+        pipeline = Pipeline()
+        random_eval = pipeline.evaluate(EvaluationRequest("random", 8, seed=0))
+        linear_eval = pipeline.evaluate(EvaluationRequest("linear", 8))
         assert random_eval.volume > linear_eval.volume
 
-    def test_linear_within_1_3x_of_the_best_mapper(self, sweep):
-        volumes = sweep.series("volume")
+    def test_linear_within_1_3x_of_the_best_mapper(self, fig10):
+        volumes = fig10.series("volume")
         for capacity in volumes["linear"]:
             best = min(series[capacity] for series in volumes.values())
             assert volumes["linear"][capacity] <= 1.3 * best
 
-    def test_resources_grow_with_capacity(self, sweep):
-        volumes = sweep.series("volume")
-        areas = sweep.series("area")
+    def test_resources_grow_with_capacity(self, fig10):
+        volumes = fig10.series("volume")
+        areas = fig10.series("area")
         for method in volumes:
             assert volumes[method][8] > volumes[method][4]
             assert areas[method][8] > areas[method][4]
@@ -57,29 +58,30 @@ class TestTwoLevelClaims:
     """Two-level factories: stitching wins, permutation dominates the baseline."""
 
     @pytest.fixture(scope="class")
-    def sweep(self):
+    def fig10(self):
         return fig10_resources.run_two_level(capacities=[16])
 
-    def test_stitching_has_lowest_volume(self, sweep):
-        volumes = sweep.series("volume")
+    def test_stitching_has_lowest_volume(self, fig10):
+        volumes = fig10.series("volume")
         stitching = volumes["hierarchical_stitching"][16]
         for method, series in volumes.items():
             if method == "hierarchical_stitching":
                 continue
             assert stitching <= series[16]
 
-    def test_stitching_reduces_volume_over_linear(self, sweep):
+    def test_stitching_reduces_volume_over_linear(self, fig10):
         # The paper reports up to 5.64x at capacity 100; at capacity 16 the
         # reduction is smaller but must be clearly above 1.
-        assert sweep.volume_reduction(16) > 1.2
+        assert fig10.volume_reduction(16) > 1.2
 
-    def test_graph_partition_beats_linear_at_capacity_16(self, sweep):
-        volumes = sweep.series("volume")
+    def test_graph_partition_beats_linear_at_capacity_16(self, fig10):
+        volumes = fig10.series("volume")
         assert volumes["graph_partition"][16] < volumes["linear"][16]
 
     def test_two_level_overheads_exceed_single_level(self):
-        single = evaluate_factory_mapping("linear", 4, levels=1)
-        double = evaluate_factory_mapping("linear", 4, levels=2)
+        pipeline = Pipeline()
+        single = pipeline.evaluate(EvaluationRequest("linear", 4, levels=1))
+        double = pipeline.evaluate(EvaluationRequest("linear", 4, levels=2))
         assert double.volume > single.volume
         assert double.volume_over_critical >= single.volume_over_critical
 

@@ -96,7 +96,8 @@ def service(tmp_path):
 def base_url(service):
     """The service behind a live HTTP server on an ephemeral port."""
     server = create_server(service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A 0.05 s poll interval: shutdown() waits up to one interval to return.
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     try:
         yield f"http://{server.server_address[0]}:{server.server_address[1]}"

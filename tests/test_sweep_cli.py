@@ -257,6 +257,15 @@ class TestSweepRun:
         assert code == 2
         assert "needs --methods" in capsys.readouterr().err
 
+    def test_empty_capacities_exit_2(self, tmp_path, capsys):
+        argv = ["sweep", "run", "--methods", "linear", "--capacities", ","]
+        try:
+            code = run_cli(argv + ["--store", str(tmp_path / "store")])
+        except SystemExit as exit:  # argparse rejects the empty list
+            code = exit.code
+        assert code == 2
+        assert "at least one integer" in capsys.readouterr().err
+
     def test_invalid_workers_exit_2(self, tmp_path):
         code = run_cli(
             [
