@@ -69,7 +69,7 @@ from . import (
     scheduling,
 )
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 __all__ = [
     "analysis",

@@ -148,9 +148,10 @@ class ExperimentSpec:
 
         A sweep's requests run on a new executor, so its
         :class:`~repro.api.executor.ExecutorStats` count this run alone.
-        Every request is checked before the executor starts: a capacity
-        with no factory raises :class:`~repro.api.pipeline.RequestError`
-        (field ``capacities``) before anything is evaluated.
+        Everything is checked before the executor starts: a worker count
+        below 1 raises :class:`~repro.api.pipeline.RequestError` (field
+        ``workers``), and so does a capacity with no factory (field
+        ``capacities``), before anything is evaluated.
         """
         known = {spec.name: spec for spec in self.params}
         params: Dict[str, Any] = {}
@@ -161,7 +162,10 @@ class ExperimentSpec:
             params[key] = spec.convert(value) if spec else value
         if self.requests is None:
             return self.runner(**params), None
-        executor = SweepExecutor(workers=params.pop("workers", 1))
+        workers = params.pop("workers", 1)
+        if workers < 1:
+            raise RequestError(f"must be >= 1, got {workers}", field="workers")
+        executor = SweepExecutor(workers=workers)
         requests = list(self.requests(**params))
         for request in requests:
             try:

@@ -967,8 +967,12 @@ def run_sweep_command(args: argparse.Namespace) -> int:
         return 2
     executor = SweepExecutor(workers=args.workers, store=store, batch=args.batch)
     started = time.time()
-    with _stream_sink(args.stream_output, _run_stream_line) as progress:
-        result = executor.run(plan, resume=args.resume, progress=progress)
+    try:
+        with _stream_sink(args.stream_output, _run_stream_line) as progress:
+            result = executor.run(plan, resume=args.resume, progress=progress)
+    except RequestError as error:
+        print(f"sweep run: {error}", file=sys.stderr)
+        return 2
     elapsed = time.time() - started
     stats = result.stats
     print(
@@ -1091,17 +1095,21 @@ def _run_sweep_shard(args: argparse.Namespace) -> int:
 
     store = ResultStore(args.store)
     started = time.time()
-    with _stream_sink(args.stream_output, _shard_stream_line) as progress:
-        result = run_shard(
-            plan,
-            spec,
-            store,
-            claim_dir=args.claim_dir,
-            workers=args.workers,
-            batch=args.batch,
-            steal=not args.no_steal,
-            progress=progress,
-        )
+    try:
+        with _stream_sink(args.stream_output, _shard_stream_line) as progress:
+            result = run_shard(
+                plan,
+                spec,
+                store,
+                claim_dir=args.claim_dir,
+                workers=args.workers,
+                batch=args.batch,
+                steal=not args.no_steal,
+                progress=progress,
+            )
+    except RequestError as error:
+        print(f"sweep shard: {error}", file=sys.stderr)
+        return 2
     elapsed = time.time() - started
     stats = result.stats
     print(

@@ -887,14 +887,20 @@ class KernelSweep:
 
     Built by :meth:`MappingCostTracker.kernel_sweep` on the compiled
     engine, once per refinement, with the annealer's force field.  The
-    annealer keeps the policy (weights and switches, proposal order,
-    temperature schedule) and hands over one sweep per :meth:`run`; the
-    kernel computes the forces and grid steps from the current cells,
+    annealer keeps the policy (weights and switches, temperature
+    schedule, best-placement tracking, community moves) and hands the
+    kernel one sweep per :meth:`run`; the kernel shuffles the proposal
+    order, computes the forces and grid steps from the current cells,
     then runs the proposal loop (target cell, bounds check, occupant
     swap, evaluate, Boltzmann test, commit) against the engine's arrays.
-    Vertices are indexed ``movers`` first, then every other tracked
-    vertex (occupants that never move on their own), so proposal index
-    ``i`` always means ``movers[i]``.
+
+    State crosses once per stretch of sweeps: :meth:`load` hands the
+    cells and the generator's state to the kernel, which keeps them from
+    one sweep to the next, and :meth:`sync` takes them back.  In between
+    the kernel owns the tracker's committed state, so the tracker must
+    not be used.  Vertices are indexed ``movers`` first, then every other
+    tracked vertex (occupants that never move on their own), so proposal
+    index ``i`` always means ``movers[i]``.
     """
 
     def __init__(
@@ -931,6 +937,8 @@ class KernelSweep:
         ids = list(movers) + [v for v in tracker._positions if v not in mover_set]
         self._ids = ids
         index = {vertex: i for i, vertex in enumerate(ids)}
+        #: Every tracked vertex's row of ``pos``, in the tracker's order.
+        self._slots = {vertex: index[vertex] for vertex in tracker._positions}
         edges = tracker._edges
         self._weight = _np.asarray([w for _, _, w in edges] or [0.0], dtype=float)
         self._ea = _np.asarray([index[a] for a, _, _ in edges] or [0], dtype=_np.int64)
@@ -947,12 +955,14 @@ class KernelSweep:
         n = max(len(movers), 1)
         self._width = width
         self._pos = _np.zeros((max(len(ids), 1), 2), dtype=_np.int64)
+        self._loaded = self._pos.copy()
         self._occ = _np.full(height * width, -1, dtype=_np.int64)
         self._order = _np.zeros(n, dtype=_np.int64)
         self._step = _np.zeros((n, 2), dtype=_np.int64)
-        self._log = _np.zeros((n, 3), dtype=_np.int64)
         self._mt = _np.zeros(624, dtype=_np.uint32)
+        self._rng_frame: Tuple[object, object] = (None, None)
         self._sp = _np.zeros(k.SP_SLOTS, dtype=_np.int64)
+        self._sp[k.SP_COUNT] = len(movers)
         self._sp[k.SP_HEIGHT] = height
         self._sp[k.SP_WIDTH] = width
         self._dp = _np.zeros(k.DP_SLOTS, dtype=float)
@@ -996,9 +1006,23 @@ class KernelSweep:
             for array in (
                 self._weight, self._ea, self._eb, self._inc_off,
                 self._inc_edge, self._pos, self._occ, self._order,
-                self._step, self._mt, self._sp, self._dp, self._log,
+                self._step, self._mt, self._sp, self._dp,
             )
         ] + self._force_pointers + [self._fbuf.ctypes.data, self._ibuf.ctypes.data]
+        self._args: Tuple = ()
+
+    def _sweep_args(self) -> Tuple:
+        """``mc_sweep``'s arguments; the engine's grid may have moved."""
+        engine = self._engine
+        return (
+            engine._ip_p, engine._bucket,
+            engine._seg_p, engine._mid_p, engine._R_p,
+            engine._eu_p, engine._ev_p, engine._crossC_p, engine._cflag_p,
+            engine._cc_p, engine._ci_p,
+            engine._stamp_p, engine._gen_p, engine._scratch_p,
+            engine._changed_p, engine._newseg_p, engine._newmid_p,
+            engine._newrow_p, *self._pointers,
+        )
 
     def _load_cells(self, cells: Mapping):
         """Copy every tracked vertex's cell into the kernel's ``pos``."""
@@ -1011,8 +1035,8 @@ class KernelSweep:
 
         ``forces`` is the ``(n, 2)`` net force on every mover at ``cells``
         and ``steps`` the grid steps of proposals in ``order``, the values
-        a :meth:`run` from these cells would use.  Raises ``ValueError``
-        on a NaN force.
+        a sweep from these cells in that order would use.  Raises
+        ``ValueError`` on a NaN force.
         """
         nodes = int(self._fp[_metrics_kernel.FP_NODES])
         self._load_cells(cells)
@@ -1030,49 +1054,26 @@ class KernelSweep:
             self._step[:count].copy(),
         )
 
-    def run(
-        self,
-        cells: Mapping,
-        order: Sequence[int],
-        temperature: float,
-        rng,
-    ) -> Tuple[List[Tuple[object, Tuple[int, int]]], int, int]:
-        """Run one sweep; returns ``(moves, proposed, improving)``.
+    def load(self, cells: Mapping, rng) -> None:
+        """Hand the annealing state to the kernel.
 
         ``cells`` maps every tracked vertex to its grid cell (the
-        placement, re-read every sweep because community moves change it
-        in between) and ``order`` lists mover indices in proposal order;
-        the kernel derives each proposal's step from the forces at
-        ``cells``.  ``rng`` (a :class:`random.Random`) crosses into the
-        kernel and back through ``getstate``/``setstate``.  ``moves``
-        lists the accepted ``(vertex, target_cell)`` pairs in acceptance
-        order, for the caller to replay with ``Placement.move``; the
-        tracker already holds their committed state.  A NaN force raises
-        ``ValueError`` before any proposal, leaving tracker and ``rng``
-        untouched.
+        placement) and ``rng`` is the annealer's :class:`random.Random`,
+        whose MT19937 state the kernel draws from until :meth:`sync`.  The
+        tracker's committed state goes along.
         """
         k = _metrics_kernel
         tracker = self._tracker
-        engine = self._engine
         tracker._flush_pending()
         tracker._pending_eval = None
         tracker._last_move = None
-        ids = self._ids
-        nv = len(ids)
         pos = self._load_cells(cells)
-        before = pos.copy()
+        self._loaded[:] = self._pos
         self._occ.fill(-1)
-        self._occ[pos[:, 0] * self._width + pos[:, 1]] = _np.arange(nv)
-        n = len(order)
-        self._order[:n] = order
+        self._occ[pos[:, 0] * self._width + pos[:, 1]] = _np.arange(len(pos))
         sp = self._sp
         dp = self._dp
-        sp[k.SP_START] = 0
-        sp[k.SP_COUNT] = n
-        sp[k.SP_DRAWS] = sp[k.SP_PROPOSED] = sp[k.SP_EXACT] = 0
-        sp[k.SP_ACCEPTED] = sp[k.SP_IMPROVING] = 0
         sp[k.SP_CROSSINGS] = tracker.crossings
-        dp[k.DP_TEMPERATURE] = temperature
         dp[k.DP_TOTAL_LENGTH] = tracker.total_edge_length
         dp[k.DP_WEIGHTED_LENGTH] = tracker.total_weighted_length
         dp[k.DP_SPACING_SUM] = tracker.spacing_sum
@@ -1080,31 +1081,74 @@ class KernelSweep:
         version, internal, gauss_next = rng.getstate()
         self._mt[:] = internal[:-1]
         sp[k.SP_MT_INDEX] = internal[-1]
-        while (status := engine._kern.sweep(
-            engine._ip_p, engine._bucket,
-            engine._seg_p, engine._mid_p, engine._R_p,
-            engine._eu_p, engine._ev_p, engine._crossC_p, engine._cflag_p,
-            engine._cc_p, engine._ci_p,
-            engine._stamp_p, engine._gen_p, engine._scratch_p,
-            engine._changed_p, engine._newseg_p, engine._newmid_p,
-            engine._newrow_p, *self._pointers,
-        )) == 1:
+        self._rng_frame = (version, gauss_next)
+        self._args = self._sweep_args()
+
+    def run(self, temperature: float) -> Tuple[int, int, int]:
+        """One sweep at ``temperature``: ``(proposed, accepted, improving)``.
+
+        The kernel shuffles the movers into a proposal order with the
+        loaded generator, derives each proposal's step from the forces
+        at the current cells and commits the accepted moves.  A NaN force
+        raises ``ValueError`` before any proposal.
+        """
+        k = _metrics_kernel
+        sp = self._sp
+        sp[k.SP_START] = 0
+        self._dp[k.DP_TEMPERATURE] = temperature
+        sweep = self._engine._kern.sweep
+        while (status := sweep(*self._args)) == 1:
             # A commit overflowed a grid cell: the state arrays are
             # current, so rebuild the grid and resume at sp[SP_START]
-            # (with the steps the force pass already wrote).
-            engine._rebuild_grid()
+            # (with the order and steps the sweep already made).
+            self._engine._rebuild_grid()
+            self._args = self._sweep_args()
         if status == k.STATUS_NAN_FORCE:
             raise ValueError(NAN_FORCE_ERROR)
-        if sp[k.SP_DRAWS]:
-            internal = tuple(self._mt.tolist()) + (int(sp[k.SP_MT_INDEX]),)
-            rng.setstate((version, internal, gauss_next))
-        # Refresh the tracker's Python mirrors of the committed state.
+        return (
+            int(sp[k.SP_PROPOSED]),
+            int(sp[k.SP_ACCEPTED]),
+            int(sp[k.SP_IMPROVING]),
+        )
+
+    def cost(self) -> float:
+        """The combined cost of the kernel's committed state."""
+        return float(self._dp[_metrics_kernel.DP_COST])
+
+    def cells(self):
+        """A copy of the kernel's cell array, for :meth:`placed`."""
+        return self._pos.copy()
+
+    def placed(self, cells) -> Dict[object, Tuple[int, int]]:
+        """``{vertex: (row, col)}`` from a :meth:`cells` copy, in the
+        order of the positions the tracker was built from."""
+        rows = cells.tolist()
+        return {vertex: tuple(rows[i]) for vertex, i in self._slots.items()}
+
+    def sync(self, rng) -> Dict[object, Tuple[int, int]]:
+        """Take the state back from the kernel after :meth:`load`.
+
+        ``rng`` continues where the kernel's draws left off, and the
+        tracker's Python mirrors hold the committed state again.  Returns
+        the cells of the vertices that moved since :meth:`load`.
+        """
+        k = _metrics_kernel
+        tracker = self._tracker
+        sp = self._sp
+        dp = self._dp
+        version, gauss_next = self._rng_frame
+        internal = tuple(self._mt.tolist()) + (int(sp[k.SP_MT_INDEX]),)
+        rng.setstate((version, internal, gauss_next))
+        ids = self._ids
+        rows = self._pos.tolist()
         positions = tracker._positions
         incident = tracker._incident
+        moved: Dict[object, Tuple[int, int]] = {}
         touched = set()
-        for i in _np.flatnonzero((pos != before).any(axis=1)).tolist():
+        for i in _np.flatnonzero((self._pos != self._loaded).any(axis=1)).tolist():
             vertex = ids[i]
-            row, col = pos[i].tolist()
+            row, col = rows[i]
+            moved[vertex] = (row, col)
             positions[vertex] = (float(row), float(col))
             touched.update(incident.get(vertex, ()))
         for index in touched:
@@ -1117,11 +1161,7 @@ class KernelSweep:
         tracker.spacing_sum = float(dp[k.DP_SPACING_SUM])
         tracker.crossings = int(sp[k.SP_CROSSINGS])
         tracker._cost_value = float(dp[k.DP_COST])
-        moves = [
-            (ids[v], (row, col))
-            for v, row, col in self._log[: int(sp[k.SP_ACCEPTED])].tolist()
-        ]
-        return moves, int(sp[k.SP_PROPOSED]), int(sp[k.SP_IMPROVING])
+        return moved
 
     @property
     def exact_proposals(self) -> int:
@@ -1132,6 +1172,13 @@ class KernelSweep:
         full, so this count has no ``RefineStats`` counterpart.
         """
         return int(self._sp[_metrics_kernel.SP_EXACT])
+
+    @property
+    def settled_proposals(self) -> int:
+        """Proposals of the last :meth:`run` rejected before their crossing
+        queries finished, by a partial count (see ``mc_sweep``); like
+        :attr:`exact_proposals`, this has no ``RefineStats`` counterpart."""
+        return int(self._sp[_metrics_kernel.SP_SETTLED])
 
 
 class MappingCostTracker:

@@ -14,19 +14,25 @@ still IEEE correctly rounded).
 
 The façade exposes the raw ``ctypes`` entry points; the tracker passes
 cached ``ndarray.ctypes.data`` addresses.  ``mc_sweep`` runs a whole
-force-directed annealing sweep per call: the force pass and the grid
-steps (``mc_forces``, the numpy ``_ForceField.forces`` and
-``_step_toward`` in numpy's float order), then per proposal the target,
-occupant swap, evaluate, Boltzmann test and commit, drawing from a C
-replica of CPython's MT19937 ``random.random()`` and calling libm
-``exp`` like ``math.exp`` does.  A proposal computes its midpoint
-distance rows only when a bound on its spacing term cannot settle the
-Boltzmann test (``SP_EXACT`` counts those that do).  ``mc_forces`` and ``mc_random`` are
-exported on their own for the parity tests.  ``mc_hop_sweep`` runs one
-sweep of the permutation-hop annealer of :mod:`repro.mapping.stitching`
-on the same crossing predicates: the caller pre-draws the visit order
-and one random cell per visit with CPython's own generator, and the
-kernel scores every candidate hop as an exact integer.
+force-directed annealing sweep per call: the proposal order (a C replica
+of CPython's ``random.shuffle``), the force pass and the grid steps
+(``mc_forces``, the numpy ``_ForceField.forces`` and ``_step_toward`` in
+numpy's float order), then per proposal the target, occupant swap,
+evaluate, Boltzmann test and commit, drawing from a C replica of
+CPython's MT19937 ``random.random()`` and calling libm ``exp`` like
+``math.exp`` does.  Cells, occupancy and the generator state stay in the
+caller's buffers between sweeps, so a refinement hands its state across
+once and takes it back only when Python needs it.  A proposal counts its
+new crossings only until the partial count settles the Boltzmann test
+(``SP_SETTLED`` counts the proposals rejected that way), and computes its
+midpoint distance rows only when a bound on its spacing term cannot
+settle it (``SP_EXACT`` counts those that do).  ``mc_forces``,
+``mc_random`` and ``mc_shuffle`` are exported on their own for the
+parity tests.  ``mc_hop_sweep`` runs one sweep of the permutation-hop
+annealer of :mod:`repro.mapping.stitching` on the same crossing
+predicates: the caller pre-draws the visit order and one random cell per
+visit with CPython's own generator, and the kernel scores every
+candidate hop as an exact integer.
 """
 
 from __future__ import annotations
@@ -52,12 +58,12 @@ BASE_CFLAGS = ("-ffp-contract=off", "-fno-math-errno")
     SP_HEIGHT,
     SP_WIDTH,
     SP_MT_INDEX,
-    SP_DRAWS,
     SP_PROPOSED,
     SP_ACCEPTED,
     SP_IMPROVING,
     SP_CROSSINGS,
     SP_EXACT,
+    SP_SETTLED,
     SP_SLOTS,
 ) = range(12)
 (
@@ -111,13 +117,16 @@ class MetricsKernel:
         self.commit.argtypes = [_ptr, _dbl, _i64] + [_ptr] * 15
         self.sweep = lib.mc_sweep
         self.sweep.restype = _i64
-        self.sweep.argtypes = [_ptr, _dbl] + [_ptr] * 38
+        self.sweep.argtypes = [_ptr, _dbl] + [_ptr] * 37
         self.forces = lib.mc_forces
         self.forces.restype = _i64
         self.forces.argtypes = [_ptr] * 8 + [_i64] + [_ptr] * 4
         self.random = lib.mc_random
         self.random.restype = None
         self.random.argtypes = [_ptr, _ptr, _i64, _ptr]
+        self.shuffle = lib.mc_shuffle
+        self.shuffle.restype = None
+        self.shuffle.argtypes = [_ptr, _ptr, _i64, _ptr]
         self.hop_sweep = lib.mc_hop_sweep
         self.hop_sweep.restype = None
         self.hop_sweep.argtypes = [_i64] * 3 + [_ptr] * 6

@@ -34,14 +34,16 @@
  * cap }.  All functions are single-threaded over caller-owned buffers.
  *
  * mc_sweep (at the end) runs a whole force-directed annealing sweep over
- * this state: the force pass and steps (mc_forces) and the proposal loop
- * of repro.mapping.force_directed, with a replica of CPython's
- * random.random() for the Boltzmann test.  Each proposal computes its
- * crossings and lengths exactly, then bounds the spacing term, and skips
- * the k distance rows whenever that bound already rejects the move (see
- * delta_lower_bound).  mc_hop_sweep (after it) runs one sweep of the
- * permutation-hop annealer of repro.mapping.stitching on the same crossing
- * predicates.
+ * this state: the proposal order (a replica of CPython's random.shuffle),
+ * the force pass and steps (mc_forces) and the proposal loop of
+ * repro.mapping.force_directed, with a replica of CPython's random.random()
+ * for the Boltzmann test.  Cells, occupancy and the generator state stay
+ * in the caller's buffers from one sweep to the next.  Each proposal
+ * bounds its spacing term and counts its new crossings only until the
+ * partial count settles the Boltzmann test (see Settle); it skips the k
+ * distance rows whenever the bound already rejects the move.  mc_hop_sweep
+ * (after it) runs one sweep of the permutation-hop annealer of
+ * repro.mapping.stitching on the same crossing predicates.
  */
 
 #include <float.h>
@@ -384,11 +386,35 @@ int64_t mc_count_crossings(const int64_t *ip, const double *seg,
 /* Move evaluation                                                     */
 /* ------------------------------------------------------------------ */
 
+/* A sweep proposal's Boltzmann test while its new crossings are counted:
+ * the pieces of its lower bound (delta_lower_bound), the count at which
+ * the test settles next, and the oracle's draw once it is made.  See
+ * mc_sweep. */
+typedef struct {
+    const double *dp;
+    int64_t m;
+    double total_length;  /* after the move */
+    double low, high;     /* the spacing sum's interval after the move */
+    int64_t base;         /* crossings after the move, less new grid ones */
+    int64_t most;         /* the most new grid crossings the move can have */
+    double temperature;
+    uint32_t *mt;
+    int64_t *mt_index;
+    int drawn;
+    double draw;
+    int64_t found;        /* new grid crossings of the finished queries */
+    int64_t stop;         /* count at which settle_step acts; NEVER: none */
+} Settle;
+
+static int settle_step(Settle *s, int64_t found);
+
 /* Crossings of one query segment against the grid, skipping every changed
  * edge (cflag[edge] != 0; changed-vs-changed pairs are enumerated
  * separately).  When cross_adjust is non-NULL, every crossing partner has
  * cross_adjust[other] bumped by delta — the commit path uses this to keep
- * the per-edge crossing-count cache current. */
+ * the per-edge crossing-count cache current.  When settle is non-NULL the
+ * query stops, returning -1, as soon as settle_step rejects the proposal
+ * at the running count settle->found + crossings so far. */
 static int64_t cross_vs_grid(const double *query_seg, double bucket,
                              int64_t self_u, int64_t self_v,
                              const int64_t *cflag,
@@ -397,7 +423,8 @@ static int64_t cross_vs_grid(const double *query_seg, double bucket,
                              const int64_t *cell_count,
                              const int64_t *cell_items,
                              int64_t *stamp, int64_t *gen,
-                             int64_t *cross_adjust, int64_t delta) {
+                             int64_t *cross_adjust, int64_t delta,
+                             Settle *settle) {
     int64_t origin_row = ip[2], origin_col = ip[3];
     int64_t n_cols = ip[5], cap = ip[6];
     int64_t count_crossing = 0;
@@ -447,6 +474,10 @@ static int64_t cross_vs_grid(const double *query_seg, double bucket,
                     if (cross_adjust) {
                         cross_adjust[other] += delta;
                     }
+                    if (settle
+                        && settle_step(settle, settle->found + count_crossing)) {
+                        return -1;
+                    }
                 }
             }
         }
@@ -476,47 +507,66 @@ static int64_t cross_intra(const double *segs, const int64_t *changed,
     return count_crossing;
 }
 
-/* Crossings of one move of k edges, without mutating any state:
- * cross_out = {old crossings touching a changed edge, new crossings}.
- * The old count comes from the per-edge crossing cache crossC (maintained
- * by mc_commit): sum over changed edges counts changed-vs-changed pairs
- * twice, so one intra-block count is subtracted back out — exact integer
+/* The crossings of one move of k edges that need no grid query:
+ * cross_out[0] = the old crossings touching a changed edge, and
+ * cross_out[1] = the new changed-vs-changed crossings.  The old count
+ * comes from the per-edge crossing cache crossC (maintained by
+ * mc_commit): the sum over changed edges counts changed-vs-changed pairs
+ * twice, so one old intra block is subtracted back out — exact integer
  * arithmetic, identical to re-scanning the old segments. */
-static void eval_crossings(const int64_t *ip, double bucket, int64_t k,
-                           const int64_t *changed, const double *newseg,
-                           const double *seg, const int64_t *eu,
-                           const int64_t *ev, const int64_t *crossC,
-                           int64_t *cflag, const int64_t *cell_count,
-                           const int64_t *cell_items, int64_t *stamp,
-                           int64_t *gen, double *scratch, int64_t *cross_out) {
+static void cached_crossings(int64_t k, const int64_t *changed,
+                             const double *newseg, const double *seg,
+                             const int64_t *eu, const int64_t *ev,
+                             const int64_t *crossC, double *scratch,
+                             int64_t *cross_out) {
     int64_t t;
-    int64_t old_crossings = 0, new_crossings = 0;
-
-    for (t = 0; t < k; t++) {
-        cflag[changed[t]] = 1;
-        old_crossings += crossC[changed[t]];
-    }
+    int64_t old_crossings = 0;
     for (t = 0; t < k; t++) {
         int64_t i = changed[t];
-        new_crossings += cross_vs_grid(
-            newseg + 4 * t, bucket, eu[i], ev[i], cflag,
-            ip, seg, eu, ev, cell_count, cell_items, stamp, gen, 0, 0);
-    }
-    /* Old intra block reads the current segments of the changed edges. */
-    for (t = 0; t < k; t++) {
-        int64_t i = changed[t];
+        old_crossings += crossC[i];
+        /* The old intra block reads the changed edges' current segments. */
         scratch[4 * t] = seg[4 * i];
         scratch[4 * t + 1] = seg[4 * i + 1];
         scratch[4 * t + 2] = seg[4 * i + 2];
         scratch[4 * t + 3] = seg[4 * i + 3];
     }
-    old_crossings -= cross_intra(scratch, changed, k, eu, ev);
-    new_crossings += cross_intra(newseg, changed, k, eu, ev);
+    cross_out[0] = old_crossings - cross_intra(scratch, changed, k, eu, ev);
+    cross_out[1] = cross_intra(newseg, changed, k, eu, ev);
+}
+
+/* The new segments' crossings with every unchanged edge, one grid query
+ * per changed edge.  With a settle, returns -1 as soon as the running
+ * count settles the proposal's rejection (before any query when the count
+ * 0 already does). */
+static int64_t grid_crossings(const int64_t *ip, double bucket, int64_t k,
+                              const int64_t *changed, const double *newseg,
+                              const double *seg, const int64_t *eu,
+                              const int64_t *ev, int64_t *cflag,
+                              const int64_t *cell_count,
+                              const int64_t *cell_items, int64_t *stamp,
+                              int64_t *gen, Settle *settle) {
+    int64_t t, found = 0;
+    if (settle && settle_step(settle, 0)) {
+        return -1;
+    }
+    for (t = 0; t < k; t++) {
+        cflag[changed[t]] = 1;
+    }
+    for (t = 0; t < k && found >= 0; t++) {
+        int64_t i = changed[t];
+        int64_t count;
+        if (settle) {
+            settle->found = found;
+        }
+        count = cross_vs_grid(newseg + 4 * t, bucket, eu[i], ev[i], cflag,
+                              ip, seg, eu, ev, cell_count, cell_items, stamp,
+                              gen, 0, 0, settle);
+        found = count < 0 ? -1 : found + count;
+    }
     for (t = 0; t < k; t++) {
         cflag[changed[t]] = 0;
     }
-    cross_out[0] = old_crossings;
-    cross_out[1] = new_crossings;
+    return found;
 }
 
 /* newrow_out[t] = tree-folded distance row from the new midpoint of
@@ -538,10 +588,11 @@ static void eval_rows(const int64_t *ip, int64_t k, const int64_t *changed,
     }
 }
 
-/* Evaluate one move of k edges without mutating any state: its crossings
- * (eval_crossings) and its distance rows (eval_rows).  The caller
- * assembles the cost delta from these plus R (old rows) and the tiny
- * intra-changed midpoint terms, identically across engines. */
+/* Evaluate one move of k edges without mutating any state: its crossings,
+ * cross_out = {old crossings touching a changed edge, new crossings}, and
+ * its distance rows (eval_rows).  The caller assembles the cost delta from
+ * these plus R (old rows) and the tiny intra-changed midpoint terms,
+ * identically across engines. */
 void mc_eval(const int64_t *ip, double bucket, int64_t k,
              const int64_t *changed, const double *newseg,
              const double *newmid, const double *seg, const double *mid,
@@ -550,9 +601,11 @@ void mc_eval(const int64_t *ip, double bucket, int64_t k,
              const int64_t *cell_count,
              const int64_t *cell_items, int64_t *stamp, int64_t *gen,
              double *scratch, double *newrow_out, int64_t *cross_out) {
-    eval_crossings(ip, bucket, k, changed, newseg, seg, eu, ev, crossC,
-                   cflag, cell_count, cell_items, stamp, gen, scratch,
-                   cross_out);
+    cached_crossings(k, changed, newseg, seg, eu, ev, crossC, scratch,
+                     cross_out);
+    cross_out[1] += grid_crossings(ip, bucket, k, changed, newseg, seg, eu,
+                                   ev, cflag, cell_count, cell_items, stamp,
+                                   gen, 0);
     eval_rows(ip, k, changed, newmid, mid, scratch, newrow_out);
 }
 
@@ -591,11 +644,11 @@ int64_t mc_commit(const int64_t *ip, double bucket, int64_t k,
         int64_t i = changed[t];
         cross_vs_grid(seg + 4 * i, bucket, eu[i], ev[i], cflag,
                       ip, seg, eu, ev, cell_count, cell_items, stamp, gen,
-                      crossC, -1);
+                      crossC, -1, 0);
         crossC[i] = cross_vs_grid(
             newseg + 4 * t, bucket, eu[i], ev[i], cflag,
             ip, seg, eu, ev, cell_count, cell_items, stamp, gen,
-            crossC, +1);
+            crossC, +1, 0);
     }
     for (t = 0; t < k; t++) {
         int64_t i = changed[t];
@@ -698,6 +751,30 @@ void mc_random(uint32_t *mt, int64_t *index, int64_t n, double *out) {
     int64_t i;
     for (i = 0; i < n; i++) {
         out[i] = mt_random(mt, index);
+    }
+}
+
+/* random.shuffle(items[0..n)), n < 2**32: for i from n - 1 down to 1,
+ * _randbelow(i + 1) draws getrandbits(k) for k = (i + 1).bit_length(),
+ * which for k <= 32 is one 32-bit word shifted right by 32 - k, and draws
+ * again while the result exceeds i; then items i and r swap.  Exported for
+ * the parity test; mc_sweep shuffles its proposal order with it. */
+void mc_shuffle(uint32_t *mt, int64_t *index, int64_t n, int64_t *items) {
+    int64_t i;
+    for (i = n - 1; i > 0; i--) {
+        uint64_t bound = (uint64_t)i + 1;
+        uint64_t r;
+        int64_t swap;
+        int k = 0;
+        while (bound >> k) {
+            k++;
+        }
+        do {
+            r = mt_next(mt, index) >> (32 - k);
+        } while (r >= bound);
+        swap = items[i];
+        items[i] = items[r];
+        items[r] = swap;
     }
 }
 
@@ -1006,12 +1083,12 @@ enum {
     SP_HEIGHT,     /* placement grid rows */
     SP_WIDTH,      /* placement grid columns */
     SP_MT_INDEX,   /* MT19937 read index */
-    SP_DRAWS,      /* random.random() draws made */
-    SP_PROPOSED,   /* proposals evaluated */
-    SP_ACCEPTED,   /* accepted moves = rows written to the move log */
-    SP_IMPROVING,  /* accepted moves with a negative delta */
+    SP_PROPOSED,   /* proposals evaluated, this sweep */
+    SP_ACCEPTED,   /* accepted moves, this sweep */
+    SP_IMPROVING,  /* accepted moves with a negative delta, this sweep */
     SP_CROSSINGS,  /* committed crossing count */
     SP_EXACT,      /* proposals that computed their distance rows */
+    SP_SETTLED,    /* proposals rejected before their query finished */
     SP_SLOTS
 };
 enum {
@@ -1083,8 +1160,8 @@ static void move_lengths(int64_t k, const int64_t *changed,
     after[1] = weighted_length;
 }
 
-/* A lower bound on the cost delta move_delta would compute, from the exact
- * crossings and total length of the move but without its distance rows.
+/* A lower bound on the cost delta move_delta would compute, from the
+ * move's crossings and exact total length but without its distance rows.
  *
  * Each pairwise midpoint distance that involves a changed midpoint moves
  * by at most the Manhattan displacements of its two ends, so the spacing
@@ -1094,34 +1171,141 @@ static void move_lengths(int64_t k, const int64_t *changed,
  * interval is widened by far more than either: x (1 + 1e-6), plus
  * 1e-6 * |S|, plus 1.0.  Its low end is clamped at -pairs / 2, where
  * 1 + S / pairs = 0.5, so that 1 / (1 + S / pairs) stays monotone on it.
+ * settle_init stores the interval's ends; delta_lower_bound takes the
+ * crossing count.
  *
  * combined_cost is a chain of correctly rounded operations, each monotone
  * in S (the spacing weight's sign only flips the direction), so the cost
  * at the computed S after the move lies between its values at the two
  * ends, and the smaller one minus the committed cost bounds the delta
- * from below.  A NaN end bounds nothing and returns -HUGE_VAL. */
-static double delta_lower_bound(int64_t m, int64_t k, const int64_t *changed,
-                                const double *newmid, const double *mid,
-                                const double *dp, int64_t crossings,
-                                double total_length) {
+ * from below.  A NaN end bounds nothing and returns -HUGE_VAL.
+ *
+ * The same chain is monotone in the crossing count: with a crossing weight
+ * w > 0 the bound never falls as the count grows, with w = 0 it does not
+ * depend on it, and with w < 0 it falls.  (A NaN at a larger count needs
+ * an infinite length or spacing term, which makes the bound -inf or NaN
+ * at every count, so it never turns a positive bound back.) */
+static double delta_lower_bound(const Settle *s, int64_t crossings) {
+    double cost_low = combined_cost(s->dp, s->m, crossings, s->total_length,
+                                    s->low);
+    double cost_high = combined_cost(s->dp, s->m, crossings, s->total_length,
+                                     s->high);
+    if (isnan(cost_low) || isnan(cost_high)) {
+        return -HUGE_VAL;
+    }
+    return (cost_low < cost_high ? cost_low : cost_high) - s->dp[DP_COST];
+}
+
+/* The oracle rejects a move whose delta is at least `bound` > 0 when its
+ * draw is at least this: -delta / T <= -bound / T, so the oracle's
+ * exp(-delta / T) is below it.  The factor covers libm exp's error of
+ * under 1 ulp, and DBL_MIN covers underflow. */
+static int draw_rejects(double bound, double temperature, double draw) {
+    return draw >= exp(-bound / temperature) * (1.0 + 1e-9) + DBL_MIN;
+}
+
+#define NEVER INT64_MAX
+
+/* Whether `found` new grid crossings settle the test: before the draw,
+ * the bound is positive (the oracle's first test fails); after it, the
+ * draw rejects the move. */
+static int settles(const Settle *s, int64_t found) {
+    double bound = delta_lower_bound(s, s->base + found);
+    return bound > 0.0
+           && (!s->drawn || draw_rejects(bound, s->temperature, s->draw));
+}
+
+/* The least count in [lo, s->most] at which the test settles, or NEVER;
+ * with w = 0 only lo is tried, since the count cannot move the bound.
+ * settles is monotone in the count for w >= 0 (false, then true), so this
+ * bisects, and every count it returns was seen to settle.  The first two
+ * probes go to `guess` and then to its neighbour on the side that holds
+ * the answer, which ends the search when the guess is right or off by
+ * one. */
+static int64_t first_settling(const Settle *s, int64_t lo, double guess) {
+    int64_t hi = s->dp[DP_CROSSING_W] > 0.0 ? s->most : lo;
+    int64_t a = lo, b = hi + 1; /* the answer lies in [a, b]; hi + 1: none */
+    int64_t probe = guess > (double)lo ? (guess < (double)hi ? (int64_t)guess
+                                                             : hi)
+                                       : lo;
+    int tries = 0;
+    while (a < b) {
+        int64_t g = tries++ < 2 && probe >= a && probe < b ? probe
+                                                           : a + (b - a) / 2;
+        if (settles(s, g)) {
+            b = g;
+            probe = g - 1;
+        } else {
+            a = g + 1;
+            probe = g + 1;
+        }
+    }
+    return b > hi ? NEVER : b;
+}
+
+/* The partial count `found` reached s->stop.  Before the draw the bound
+ * has turned positive, so the oracle draws: at T <= 1e-9 it rejects
+ * without one (return 1); otherwise the draw is made here, and s->stop
+ * moves to the least count at which it rejects the move.  After the draw,
+ * reaching s->stop rejects.  Returns 1 when the proposal is rejected. */
+static int settle_step(Settle *s, int64_t found) {
+    double bound, needed, w = s->dp[DP_CROSSING_W];
+    if (found < s->stop) {
+        return 0;
+    }
+    if (s->drawn || !(s->temperature > 1e-9)) {
+        return 1;
+    }
+    s->draw = mt_random(s->mt, s->mt_index);
+    s->drawn = 1;
+    /* Guess: the bound grows by about w per crossing, and the draw rejects
+     * from a bound of -T log((draw - DBL_MIN) / (1 + 1e-9)) on. */
+    bound = delta_lower_bound(s, s->base + found);
+    needed = -s->temperature * log((s->draw - DBL_MIN) / (1.0 + 1e-9));
+    s->stop = first_settling(
+        s, found,
+        w > 0.0 ? (double)found + ceil((needed - bound) / w) : (double)found);
+    return s->stop == found;
+}
+
+/* Set up a proposal's settle from its exact total length and its crossing
+ * base, with s->stop at the least count where the bound turns positive
+ * (NEVER at w < 0, where a growing count can only lower the bound). */
+static void settle_init(Settle *s, int64_t m, int64_t k,
+                        const int64_t *changed, const double *newmid,
+                        const double *mid, const double *dp,
+                        double total_length, int64_t base,
+                        double temperature, uint32_t *mt, int64_t *mt_index) {
     double spacing = dp[DP_SPACING_SUM];
-    double shift = 0.0, reach, low, cost_low, cost_high;
+    double shift = 0.0, reach, w = dp[DP_CROSSING_W];
     int64_t t;
     for (t = 0; t < k; t++) {
         const double *old = mid + 2 * changed[t];
         shift += fabs(newmid[2 * t] - old[0]) + fabs(newmid[2 * t + 1] - old[1]);
     }
     reach = (double)m * shift * (1.0 + 1e-6) + 1e-6 * fabs(spacing) + 1.0;
-    low = spacing - reach;
-    if (low < -0.5 * (double)(m * (m - 1) / 2)) {
-        low = -0.5 * (double)(m * (m - 1) / 2);
+    s->low = spacing - reach;
+    if (s->low < -0.5 * (double)(m * (m - 1) / 2)) {
+        s->low = -0.5 * (double)(m * (m - 1) / 2);
     }
-    cost_low = combined_cost(dp, m, crossings, total_length, low);
-    cost_high = combined_cost(dp, m, crossings, total_length, spacing + reach);
-    if (isnan(cost_low) || isnan(cost_high)) {
-        return -HUGE_VAL;
+    s->high = spacing + reach;
+    s->dp = dp;
+    s->m = m;
+    s->total_length = total_length;
+    s->base = base;
+    s->most = k * (m - k);
+    s->temperature = temperature;
+    s->mt = mt;
+    s->mt_index = mt_index;
+    s->drawn = 0;
+    s->draw = 0.0;
+    s->found = 0;
+    s->stop = NEVER;
+    if (w >= 0.0) {
+        /* Guess: the count at which w * crossings outgrows the bound at 0. */
+        s->stop = first_settling(
+            s, 0, w > 0.0 ? floor(-delta_lower_bound(s, base) / w) + 1.0 : 0.0);
     }
-    return (cost_low < cost_high ? cost_low : cost_high) - dp[DP_COST];
 }
 
 /* Cost delta of an evaluated move, in exactly the float order of the
@@ -1161,36 +1345,45 @@ static double move_delta(const int64_t *ip, int64_t k, const int64_t *changed,
  * the sequential proposal loop of repro.mapping.force_directed, whose
  * Python form is the oracle this must match bit for bit.
  *
- * A sweep starting at proposal 0 first runs the force pass (mc_forces)
- * over the movers' current cells and writes every proposal's step into
- * step[2p], step[2p+1]; a resumed sweep reuses those steps.  Proposal p
- * moves vertex order[p] by that step (vertices are indices into
- * pos[nv*2] = placement cells, movers first; ea/eb[m] are the edge
- * endpoints in that index space, inc_off/inc_edge their ascending
- * incident-edge lists).  A zero step or an off-grid target is skipped
- * without counting; otherwise the target's occupant (occ[height*width],
- * -1 when free) swaps into the vertex's cell, the move is evaluated
- * against the tracker state, and it is accepted when
+ * A sweep starting at proposal 0 first sets order to 0..count-1 and
+ * shuffles it like random.shuffle (mc_shuffle), zeroes the per-sweep
+ * counters, runs the force pass (mc_forces) over the movers' current cells
+ * and writes every proposal's step into step[2p], step[2p+1]; a resumed
+ * sweep reuses those.  Proposal p moves vertex order[p] by that step
+ * (vertices are indices into pos[nv*2] = placement cells, movers first;
+ * ea/eb[m] are the edge endpoints in that index space, inc_off/inc_edge
+ * their ascending incident-edge lists).  A zero step or an off-grid
+ * target is skipped without counting; otherwise the target's occupant
+ * (occ[height*width], -1 when free) swaps into the vertex's cell, the
+ * move is evaluated against the tracker state, and it is accepted when
  * delta <= 0 or (temperature > 1e-9 and random() < exp(-delta / T)) --
  * one draw only when the first test fails, exactly like Python's `or`.
- * Accepted moves are committed (mc_commit), applied to pos/occ, counted,
- * and logged as rows log[3j..3j+2] = {vertex, target_row, target_col}.
+ * Accepted moves are committed (mc_commit), applied to pos/occ and
+ * counted.  pos, occ, the generator (mt, sp[SP_MT_INDEX]) and the
+ * committed sums carry over to the next call.
  *
- * A proposal pays for its k distance rows only when they can decide it.
- * Its crossings and lengths are computed exactly first, and
- * delta_lower_bound gives dlo <= delta.  When dlo > 0 the oracle's first
- * test fails, so:
+ * A proposal pays only for what decides it.  Its lengths and the
+ * crossings that need no query come first: crossings after the move are
+ * base + the new segments' grid crossings.  delta_lower_bound at the
+ * count gives dlo <= delta.  When dlo > 0 the oracle's first test fails,
+ * so:
  *  - at temperature <= 1e-9 the move is rejected without a draw, as the
  *    oracle rejects it;
  *  - otherwise the draw r the oracle makes is made here too, and the move
- *    is rejected when r >= exp(-dlo / T) * (1 + 1e-9) + DBL_MIN.  Since
- *    -delta / T <= -dlo / T, the oracle's exp(-delta / T) is below that:
- *    the factor covers libm exp's error of under 1 ulp, and DBL_MIN
- *    covers underflow.  The oracle rejects too.
- * Every other proposal computes its rows and the exact delta, and decides
- * with the draw already made, if any.  Decisions, draws and committed
- * sums are therefore the oracle's.  sp[SP_EXACT] counts the proposals
- * that computed their rows.
+ *    is rejected when draw_rejects(dlo, T, r).
+ * A partial count already settles this when the crossing weight w > 0:
+ * dlo never falls as the count grows, so a positive dlo at a partial
+ * count stays positive at the full one.  settle_init finds the least
+ * count at which dlo turns positive, and the queries stop there
+ * (settle_step): they reject at T <= 1e-9, or make the draw and go on to
+ * the least count at which it rejects the move.  At w = 0 the count
+ * does not move dlo, so this is decided before the first query; at
+ * w < 0 the queries run in full.  A proposal that no count settles
+ * computes its rows and the exact delta, and decides with the draw
+ * already made, if any.  Decisions, draws and committed sums are
+ * therefore the oracle's.  sp[SP_EXACT] counts the proposals that
+ * computed their rows, sp[SP_SETTLED] those rejected before their
+ * queries finished.
  *
  * Returns 0 when the sweep is done; STATUS_NAN_FORCE, before any
  * proposal, when a force is NaN; or 1 when a commit overflowed a grid
@@ -1207,8 +1400,8 @@ int64_t mc_sweep(const int64_t *ip, double bucket,
                  const double *weight, const int64_t *ea, const int64_t *eb,
                  const int64_t *inc_off, const int64_t *inc_edge,
                  int64_t *pos, int64_t *occ,
-                 const int64_t *order, int64_t *step,
-                 uint32_t *mt, int64_t *sp, double *dp, int64_t *log,
+                 int64_t *order, int64_t *step,
+                 uint32_t *mt, int64_t *sp, double *dp,
                  const int64_t *fp, const double *fw,
                  const int64_t *nbr_off, const int64_t *nbr_idx,
                  const int64_t *fe_u, const int64_t *fe_v,
@@ -1216,16 +1409,22 @@ int64_t mc_sweep(const int64_t *ip, double bucket,
     int64_t height = sp[SP_HEIGHT], width = sp[SP_WIDTH];
     double temperature = dp[DP_TEMPERATURE];
     int64_t p;
-    if (sp[SP_START] == 0
-        && mc_forces(fp, fw, nbr_off, nbr_idx, fe_u, fe_v, pole, pos,
-                     sp[SP_COUNT], order, fbuf, ibuf, step) != 0) {
-        return STATUS_NAN_FORCE;
+    if (sp[SP_START] == 0) {
+        for (p = 0; p < sp[SP_COUNT]; p++) {
+            order[p] = p;
+        }
+        mc_shuffle(mt, &sp[SP_MT_INDEX], sp[SP_COUNT], order);
+        sp[SP_PROPOSED] = sp[SP_ACCEPTED] = sp[SP_IMPROVING] = 0;
+        sp[SP_EXACT] = sp[SP_SETTLED] = 0;
+        if (mc_forces(fp, fw, nbr_off, nbr_idx, fe_u, fe_v, pole, pos,
+                      sp[SP_COUNT], order, fbuf, ibuf, step) != 0) {
+            return STATUS_NAN_FORCE;
+        }
     }
     for (p = sp[SP_START]; p < sp[SP_COUNT]; p++) {
         int64_t v = order[p];
         int64_t d_row = step[2 * p], d_col = step[2 * p + 1];
         int64_t row, col, t_row, t_col, occupant, k, t;
-        int64_t cross[2];
         int64_t crossings_after = 0;
         double after[4] = {0.0, 0.0, 0.0, 0.0};
         double delta = 0.0, draw = 0.0;
@@ -1266,22 +1465,35 @@ int64_t mc_sweep(const int64_t *ip, double bucket,
         }
         sp[SP_PROPOSED] += 1;
         if (k > 0) {
+            Settle s;
+            int64_t cached[2], found;
             double bound;
-            eval_crossings(ip, bucket, k, changed, newseg, seg, eu, ev,
-                           crossC, cflag, cell_count, cell_items, stamp, gen,
-                           scratch, cross);
-            crossings_after = sp[SP_CROSSINGS] + (cross[1] - cross[0]);
             move_lengths(k, changed, newseg, seg, weight, dp, after);
-            bound = delta_lower_bound(ip[0], k, changed, newmid, mid, dp,
-                                      crossings_after, after[0]);
+            cached_crossings(k, changed, newseg, seg, eu, ev, crossC, scratch,
+                             cached);
+            settle_init(&s, ip[0], k, changed, newmid, mid, dp, after[0],
+                        sp[SP_CROSSINGS] - cached[0] + cached[1], temperature,
+                        mt, &sp[SP_MT_INDEX]);
+            found = grid_crossings(ip, bucket, k, changed, newseg, seg, eu,
+                                   ev, cflag, cell_count, cell_items, stamp,
+                                   gen, &s);
+            if (found < 0) {
+                sp[SP_SETTLED] += 1;
+                continue;
+            }
+            crossings_after = s.base + found;
+            drawn = s.drawn;
+            draw = s.draw;
+            bound = delta_lower_bound(&s, crossings_after);
             if (bound > 0.0) {
                 if (!(temperature > 1e-9)) {
                     continue;
                 }
-                sp[SP_DRAWS] += 1;
-                draw = mt_random(mt, &sp[SP_MT_INDEX]);
-                drawn = 1;
-                if (draw >= exp(-bound / temperature) * (1.0 + 1e-9) + DBL_MIN) {
+                if (!drawn) {
+                    draw = mt_random(mt, &sp[SP_MT_INDEX]);
+                    drawn = 1;
+                }
+                if (draw_rejects(bound, temperature, draw)) {
                     continue;
                 }
             }
@@ -1293,7 +1505,6 @@ int64_t mc_sweep(const int64_t *ip, double bucket,
         accept = delta <= 0.0;
         if (!accept && temperature > 1e-9) {
             if (!drawn) {
-                sp[SP_DRAWS] += 1;
                 draw = mt_random(mt, &sp[SP_MT_INDEX]);
             }
             accept = draw < exp(-delta / temperature);
@@ -1309,9 +1520,6 @@ int64_t mc_sweep(const int64_t *ip, double bucket,
             pos[2 * occupant] = row;
             pos[2 * occupant + 1] = col;
         }
-        log[3 * sp[SP_ACCEPTED]] = v;
-        log[3 * sp[SP_ACCEPTED] + 1] = t_row;
-        log[3 * sp[SP_ACCEPTED] + 2] = t_col;
         sp[SP_ACCEPTED] += 1;
         if (delta < 0.0) {
             sp[SP_IMPROVING] += 1;

@@ -44,7 +44,12 @@ from ..graphs.community import (
     detect_communities,
 )
 from ..graphs.interaction import interaction_graph
-from ..graphs.metrics import NAN_FORCE_ERROR, MappingCostTracker, SweepForces
+from ..graphs.metrics import (
+    NAN_FORCE_ERROR,
+    KernelSweep,
+    MappingCostTracker,
+    SweepForces,
+)
 from .placement import Cell, Placement, grid_dimensions_for, row_major_placement
 
 @dataclass
@@ -525,14 +530,16 @@ def force_directed_refine(
     Returns the exact-cost argmin over all sweep-end placements (including
     the initial one); the input placement is not modified.
 
-    The policy lives here: the force weights and switches, proposal
-    order, the temperature schedule, best-placement tracking and
-    community moves.  On the compiled tracker engine each sweep's forces,
+    The policy lives here: the force weights and switches, the
+    temperature schedule, best-placement tracking and community moves.
+    On the compiled tracker engine each sweep's proposal order, forces,
     steps and proposal loop run inside the metrics kernel
-    (:class:`repro.graphs.metrics.KernelSweep`); otherwise
-    :meth:`_ForceField.forces`, :func:`_step_toward` and
-    :func:`_oracle_sweep` run them.  The two are bit-identical.  Every
-    graph vertex must be placed (``KeyError`` otherwise).
+    (:class:`repro.graphs.metrics.KernelSweep`), which keeps the cells
+    and the generator from one sweep to the next and hands them back
+    only before a community move and at the end; otherwise
+    ``random.shuffle``, :meth:`_ForceField.forces`, :func:`_step_toward`
+    and :func:`_oracle_sweep` run them.  The two are bit-identical.
+    Every graph vertex must be placed (``KeyError`` otherwise).
     """
     config = config or ForceDirectedConfig()
     rng = random.Random(config.seed)
@@ -567,41 +574,44 @@ def force_directed_refine(
     stats = RefineStats()
 
     best = placement.copy()
+    best_cells = None  # the kernel's cell array at the best sweep end
     best_cost = tracker.cost()
     stats.initial_cost = best_cost
     temperature = config.temperature
     stall_counter = 0
     community_moves_used = 0
+    if kernel is not None:
+        kernel.load(placement.positions, rng)
 
     for _sweep in range(config.sweeps):
-        order = list(range(len(vertices)))
-        rng.shuffle(order)
         stats.sweeps += 1
         if kernel is not None:
-            moves, proposed, improving = kernel.run(
-                placement.positions, order, temperature, rng
-            )
-            for vertex, cell in moves:
-                placement.move(vertex, cell)
+            proposed, accepted, improving = kernel.run(temperature)
             stats.proposed_moves += proposed
-            stats.accepted_moves += len(moves)
+            stats.accepted_moves += accepted
             stats.improving_moves += improving
             improved_any = improving > 0
+            current_cost = kernel.cost()
         else:
+            order = list(range(len(vertices)))
+            rng.shuffle(order)
             forces = field_model.forces(placement.positions)
             steps = _step_toward(forces[order], max_step)
             improved_any = _oracle_sweep(
                 placement, tracker, vertices, order, steps, temperature, rng,
                 stats,
             )
+            current_cost = tracker.cost()
 
         temperature *= config.cooling
-        current_cost = tracker.cost()
         stats.sweep_costs.append(current_cost)
         new_best = current_cost < best_cost
         if new_best:
             best_cost = current_cost
-            best = placement.copy()
+            if kernel is not None:
+                best_cells = kernel.cells()
+            else:
+                best = placement.copy()
         stall_counter = _next_stall_counter(stall_counter, new_best, improved_any)
         if not new_best and not improved_any:
             stats.stalled_sweeps += 1
@@ -615,6 +625,8 @@ def force_directed_refine(
                 communities = detect_communities(graph)
             if not communities:
                 continue  # computed once; nothing to move, keep sweeping
+            if kernel is not None:
+                _take_back(kernel, placement, rng)
             before_positions = dict(placement.positions)
             _apply_community_move(placement, graph, communities, rng)
             moved = {
@@ -624,16 +636,33 @@ def force_directed_refine(
             }
             if moved:
                 tracker.apply(moved)
+            if kernel is not None:
+                kernel.load(placement.positions, rng)
             community_moves_used += 1
             stats.community_moves += 1
             stall_counter = 0
 
+    if kernel is not None:
+        _take_back(kernel, placement, rng)
+        if best_cells is not None:
+            best = Placement(
+                placement.width, placement.height, kernel.placed(best_cells)
+            )
     stats.best_cost = best_cost
     global _REFINE_RUN_COUNTER
     _REFINE_RUN_COUNTER += 1
     _PENDING_REFINE_STATS.append(stats)
     del _PENDING_REFINE_STATS[:-_MAX_PENDING_REFINE_STATS]
     return best
+
+
+def _take_back(
+    kernel: KernelSweep, placement: Placement, rng: random.Random
+) -> None:
+    """Move the kernel's cells into ``placement`` and its generator state
+    into ``rng`` (the tracker's mirrors follow)."""
+    placement.positions.update(kernel.sync(rng))
+    placement.validate()
 
 
 def _apply_community_move(

@@ -111,6 +111,7 @@ class _Shared:
         "star_rows",
         "star_cols",
         "star_legs",
+        "_durations",
     )
 
     def __init__(self, gates: Tuple) -> None:
@@ -170,11 +171,25 @@ class _Shared:
         self.star_rows = np.asarray(star_rows, dtype=np.int64)
         self.star_cols = np.asarray(star_cols, dtype=np.int64)
         self.star_legs = np.asarray(star_legs, dtype=np.int64)
+        self._durations: Dict[tuple, np.ndarray] = {}
+
+    def gate_durations(self, table) -> np.ndarray:
+        """Every gate's duration under the durations ``table``, built once
+        per table: every point of a sweep with that table shares it."""
+        key = tuple(sorted((kind.value, int(v)) for kind, v in table.items()))
+        durations = self._durations.get(key)
+        if durations is None:
+            durations = np.asarray(
+                [gate.duration(table) for gate in self.gates], dtype=np.int64
+            )
+            self._durations[key] = durations
+        return durations
 
 
 #: ``_Shared`` per ``Circuit``, keyed weakly like ``circuit_fingerprint``'s
 #: digests and guarded by the gate count.  Points only read it (the kernel
-#: copies ``pred_count``), so threads share it; a race builds one twice.
+#: copies ``pred_count``) or add a durations array to its memo, so threads
+#: share it; a race builds one twice.
 _prepared: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -392,25 +407,15 @@ def _run_group(kern, shared: _Shared,
     for position, (_, placement, config) in enumerate(points):
         if not config.allow_detour:
             by_placement.setdefault(placement.fingerprint(), []).append(position)
-    durations: Dict[tuple, np.ndarray] = {}
     for positions in by_placement.values():
         plans = _PlacementPlans(kern, shared, points[positions[0]][1])
         if not plans.batchable:
             continue
         for position in positions:
             _, placement, config = points[position]
-            key = tuple(
-                sorted((kind.value, int(v)) for kind, v in config.durations.items())
-            )
-            dur = durations.get(key)
-            if dur is None:
-                dur = np.asarray(
-                    [gate.duration(config.durations) for gate in shared.gates],
-                    dtype=np.int64,
-                )
-                durations[key] = dur
+            durations = shared.gate_durations(config.durations)
             results[position] = _simulate_point(
-                kern, shared, plans, placement, config, dur
+                kern, shared, plans, placement, config, durations
             )
     return results
 

@@ -214,27 +214,28 @@ def _capacity_cases():
     return cases
 
 
+@pytest.fixture
+def evaluations(monkeypatch):
+    """Every Pipeline.evaluate and fig9cd hierarchical_stitching call."""
+    calls = []
+    evaluate = Pipeline.evaluate
+    stitch = fig9_permutation.hierarchical_stitching
+
+    def counting_evaluate(pipeline, request):
+        calls.append(request)
+        return evaluate(pipeline, request)
+
+    def counting_stitch(*args, **kwargs):
+        calls.append(args)
+        return stitch(*args, **kwargs)
+
+    monkeypatch.setattr(Pipeline, "evaluate", counting_evaluate)
+    monkeypatch.setattr(fig9_permutation, "hierarchical_stitching", counting_stitch)
+    return calls
+
+
 class TestCapacityChecks:
     """Capacity lists are checked once, before anything is evaluated."""
-
-    @pytest.fixture
-    def evaluations(self, monkeypatch):
-        """Every Pipeline.evaluate and fig9cd hierarchical_stitching call."""
-        calls = []
-        evaluate = Pipeline.evaluate
-        stitch = fig9_permutation.hierarchical_stitching
-
-        def counting_evaluate(pipeline, request):
-            calls.append(request)
-            return evaluate(pipeline, request)
-
-        def counting_stitch(*args, **kwargs):
-            calls.append(args)
-            return stitch(*args, **kwargs)
-
-        monkeypatch.setattr(Pipeline, "evaluate", counting_evaluate)
-        monkeypatch.setattr(fig9_permutation, "hierarchical_stitching", counting_stitch)
-        return calls
 
     def test_every_capacities_experiment_is_covered(self):
         names = {case.values[0] for case in _capacity_cases()}
@@ -268,4 +269,43 @@ class TestCapacityChecks:
             fig7_scaling.run_two_level(capacities=[16, 5])
         assert excinfo.value.field == "capacities"
         assert "capacity 5" in str(excinfo.value)
+
+
+def _workers_experiments():
+    return sorted(
+        name
+        for name in available_experiments()
+        if any(param.name == "workers" for param in get_experiment(name).params)
+    )
+
+
+class TestWorkerChecks:
+    """A worker count below 1 is a request error, raised before anything
+    is evaluated."""
+
+    def test_the_sweep_experiments_declare_workers(self):
+        assert _workers_experiments() == [
+            "fig10-single",
+            "fig10-two",
+            "fig7a",
+            "fig7b",
+            "table1-level1",
+            "table1-level2",
+        ]
+
+    @pytest.mark.parametrize("name", _workers_experiments())
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_raises_before_any_evaluation(self, evaluations, name, workers):
+        with pytest.raises(RequestError) as excinfo:
+            get_experiment(name).run(workers=workers)
+        assert excinfo.value.field == "workers"
+        assert str(excinfo.value) == f"workers: must be >= 1, got {workers}"
+        assert evaluations == []
+
+    @pytest.mark.parametrize("name", _workers_experiments())
+    def test_cli_exits_2_without_a_traceback(self, evaluations, capsys, name):
+        assert main(["run", name, "--capacities", "4", "--workers", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err == f"run {name}: workers: must be >= 1, got 0\n", err
+        assert evaluations == []
 

@@ -334,6 +334,36 @@ class TestCompiledCoverage:
         simulate(circuit.gates, placements[0])
         assert len(calls) == 4
 
+    def test_gate_durations_built_once_per_table(self, monkeypatch):
+        """A second ``simulate`` of a prepared circuit with the same
+        durations reads no gate duration and gives the same result; a
+        different durations table gets its own array."""
+        from repro.circuits.gates import DEFAULT_DURATIONS, Gate
+
+        circuit = Circuit("durations-once")
+        circuit.add_register("q", 4)
+        circuit.extend([cnot(0, 1), cnot(2, 3), cnot(0, 3), cnot(1, 2)])
+        placement = Placement(
+            width=2, height=2,
+            positions={0: (0, 0), 1: (0, 1), 2: (1, 0), 3: (1, 1)},
+        )
+        slower = SimulatorConfig(durations={**DEFAULT_DURATIONS, GateKind.CNOT: 7})
+        expected = simulate_reference(circuit, placement, slower).to_dict()
+        calls = _counting(monkeypatch, Gate, "duration")
+        first = simulate(circuit, placement)
+        assert len(calls) == len(circuit.gates)
+        again = simulate(circuit, placement)
+        assert len(calls) == len(circuit.gates)
+        assert again.to_dict() == first.to_dict()
+        other = simulate(circuit, placement, slower)
+        assert len(calls) == 2 * len(circuit.gates)
+        assert other.to_dict() == expected
+        assert other.latency > first.latency
+        shared = batchsim._prepare(circuit)
+        default_array = shared.gate_durations(SimulatorConfig().durations)
+        assert default_array is not shared.gate_durations(slower.durations)
+        assert len(calls) == 2 * len(circuit.gates)
+
     def test_threads_share_one_preparation(self, single_level_k8):
         """Points of one ``Circuit`` simulated from many threads at once,
         hop points included, match the reference: points only read it."""

@@ -284,6 +284,33 @@ class TestSweepRun:
         assert code == 2
 
 
+class TestRequestErrors:
+    """A request the evaluator rejects exits 2 with one line, naming the
+    field, like ``run`` does; the service answers it with 400."""
+
+    def _plan(self, tmp_path):
+        plan = tmp_path / "plan.json"
+        request = {"method": "linear", "capacity": 2}
+        request["sim_config"] = {"hops": {"0": [500, 500]}}  # off the 6x8 grid
+        plan.write_text(json.dumps({"requests": [request]}))
+        return str(plan)
+
+    def test_sweep_run(self, tmp_path, capsys):
+        argv = ["sweep", "run", "--plan", self._plan(tmp_path)]
+        assert run_cli(argv + ["--store", str(tmp_path / "store")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sweep run: sim_config.hops: "), err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+    def test_sweep_shard(self, tmp_path, capsys):
+        argv = ["sweep", "shard", "--plan", self._plan(tmp_path)]
+        argv += ["--shard-index", "0", "--shard-count", "1"]
+        assert run_cli(argv + ["--store", str(tmp_path / "store")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sweep shard: sim_config.hops: "), err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+
 class TestSweepStatus:
     def test_status_json(self, tmp_path, capsys):
         store = tmp_path / "store"
