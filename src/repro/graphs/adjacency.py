@@ -4,9 +4,8 @@
 simple graph stored in networkx's own layout, ``{u: {v: data}}`` with one
 ``data`` dict shared by both directions of an edge.  Node, neighbour and
 edge iteration therefore follow networkx's order by construction, and the
-mappers, metrics and partitioners accept either type.  Evaluation never
-imports networkx; :func:`to_networkx` converts for the analyses that run
-a networkx algorithm (planarity, label propagation).
+mappers, metrics and partitioners accept either type.  No module of the
+package imports networkx; the tests use it as the oracle of these orders.
 
 Graph partitioning (Section VI-B.2) and community detection (Section
 VI-B.1) run on an *adjacency*: ``{u: {v: weight}}``, symmetric, with a
@@ -188,19 +187,3 @@ class Graph:
         sub.adj = induced_subgraph(self.adj, vertices, copy=dict)
         return sub
 
-
-def to_networkx(graph):
-    """``graph`` as a ``networkx.Graph``; a networkx graph is returned as is.
-
-    A :class:`Graph` keeps its node order and edge data, and its edges
-    are added in :meth:`Graph.edges` order, the order in which
-    ``networkx.Graph(G)`` copies a networkx graph.
-    """
-    if not isinstance(graph, Graph):
-        return graph
-    import networkx as nx
-
-    converted = nx.Graph()
-    converted.add_nodes_from(graph.nodes())
-    converted.add_edges_from(graph.edges(data=True))
-    return converted

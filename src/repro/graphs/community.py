@@ -28,16 +28,13 @@ from .adjacency import (
     adjacency,
     edges,
     subgraph_order,
-    to_networkx,
     weighted_degree,
 )
 
 Position = Tuple[float, float]
 
 
-def detect_communities(
-    graph, max_communities: Optional[int] = None, seed: int = 0
-) -> List[List[int]]:
+def detect_communities(graph, max_communities: Optional[int] = None) -> List[List[int]]:
     """Partition the graph's vertices into communities.
 
     Uses greedy modularity maximisation (Clauset-Newman-Moore, one of the
@@ -45,12 +42,15 @@ def detect_communities(
     with networkx's merge order and community order.  Isolated vertices are
     grouped into their own trailing community.  If the edges' total weight
     is zero, modularity is undefined and the non-isolated vertices are
-    grouped by networkx's label propagation instead; that branch alone
-    imports networkx, and converts a :class:`~repro.graphs.adjacency.Graph`
-    first.  If ``max_communities`` is given, the smallest communities are
-    merged until the bound is met.  Directed graphs and multigraphs raise
+    grouped into their connected components instead, each sorted, in the
+    order of their first vertex (networkx's ``connected_components`` order
+    on ``graph.subgraph``).  If ``max_communities`` is given, the smallest
+    communities are merged until the bound is met; a bound below 1 raises
+    :class:`ValueError`.  Directed graphs and multigraphs raise
     :class:`TypeError`.
     """
+    if max_communities is not None and max_communities < 1:
+        raise ValueError(f"max_communities must be >= 1, got {max_communities}")
     adj = adjacency(graph)
     if not adj:
         return []
@@ -62,15 +62,13 @@ def detect_communities(
         # networkx ran on the view ``graph.subgraph(connected_nodes)``: its
         # node order, and each node's full neighbour dict.
         order, _ = subgraph_order(adj, connected_nodes)
-        try:
-            communities = _greedy_modularity({node: adj[node] for node in order})
-        except ZeroDivisionError:
-            import networkx as nx
-
-            detected = nx.community.label_propagation_communities(
-                to_networkx(graph).subgraph(connected_nodes)
-            )
-            communities = [sorted(c) for c in detected]
+        core = {node: adj[node] for node in order}
+        # Modularity is undefined at zero total weight (CNM divides by it);
+        # the degrees are summed in CNM's order, so the two agree on zero.
+        if sum(weighted_degree(nbrs, u) for u, nbrs in core.items()) == 0:
+            communities = _connected_components(core)
+        else:
+            communities = _greedy_modularity(core)
     if isolated:
         communities.append(sorted(isolated))
 
@@ -83,6 +81,25 @@ def detect_communities(
         kept.append(merged)
         communities = kept
     return communities
+
+
+def _connected_components(core: Adjacency) -> List[List[int]]:
+    """The connected components of ``core``, each sorted, in the order of
+    their first vertex in ``core``."""
+    seen = set()
+    components: List[List[int]] = []
+    for root in core:
+        if root in seen:
+            continue
+        seen.add(root)
+        component = [root]
+        for u in component:
+            for v in core[u]:
+                if v not in seen:
+                    seen.add(v)
+                    component.append(v)
+        components.append(sorted(component))
+    return components
 
 
 def _greedy_modularity(core: Adjacency) -> List[List[int]]:

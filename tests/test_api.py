@@ -1,9 +1,14 @@
-"""Tests for the pluggable API: registries, pipeline caching, JSON CLI."""
+"""Tests for the pluggable API: registries, pipeline caching, JSON CLI,
+and the package metadata: its version and its one runtime dependency."""
 
+import ast
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.api.pipeline as pipeline_module
 from repro.api import (
     EvaluationRequest,
@@ -28,6 +33,8 @@ from repro.api import (
 from repro.cli import build_parser, main
 from repro.mapping import Placement, grid_dimensions_for
 from repro.mapping.stitching import StitchedMapping
+
+PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
 
 
 class SnakeMapper(Mapper):
@@ -485,16 +492,70 @@ class TestClientHops:
         assert Pipeline().evaluate(request).latency > 0
 
 
+#: Packages only the tests import, as oracles of the in-repo algorithms.
+TEST_ORACLES = ("networkx", "scipy")
+
+
+def _oracle_imports(source: str):
+    """``(line, module)`` of each import of a test oracle in ``source``,
+    at any depth: lazy imports inside functions count."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [
+            (node.lineno, name) for name in names if name.split(".")[0] in TEST_ORACLES
+        ]
+    return sorted(found)
+
+
 class TestPackageMetadata:
     def test_version_matches_pyproject(self):
-        import re
-        from pathlib import Path
-
-        import repro
-
-        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
         match = re.search(
-            r'^version\s*=\s*"([^"]+)"', pyproject.read_text(), re.MULTILINE
+            r'^version\s*=\s*"([^"]+)"', PYPROJECT.read_text(), re.MULTILINE
         )
         assert match is not None, "no version line in pyproject.toml"
         assert repro.__version__ == match.group(1)
+
+    def test_numpy_is_the_only_runtime_dependency(self):
+        match = re.search(
+            r"^dependencies = \[(.*?)\]",
+            PYPROJECT.read_text(),
+            re.MULTILINE | re.DOTALL,
+        )
+        assert match is not None, "no dependencies list in pyproject.toml"
+        assert re.findall(r'"([A-Za-z0-9_.-]+)', match.group(1)) == ["numpy"]
+
+    def test_no_module_imports_a_test_oracle(self):
+        package = Path(repro.__file__).parent
+        files = sorted(package.rglob("*.py"))
+        assert package / "graphs" / "community.py" in files
+        found = [
+            f"{path.relative_to(package)}:{line}: import {name}"
+            for path in files
+            for line, name in _oracle_imports(path.read_text())
+        ]
+        assert found == []
+
+    def test_the_import_walk_sees_lazy_and_dotted_imports(self):
+        source = (
+            "import numpy\n"
+            "import scipy.optimize as so\n"
+            "def f():\n"
+            "    import networkx as nx\n"
+            "    from networkx.algorithms import community\n"
+            "    from .networkx import helper\n"
+            "class C:\n"
+            "    def g(self):\n"
+            "        from scipy import sparse\n"
+        )
+        assert _oracle_imports(source) == [
+            (2, "scipy.optimize"),
+            (4, "networkx"),
+            (5, "networkx.algorithms"),
+            (9, "scipy"),
+        ]

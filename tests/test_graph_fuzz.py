@@ -11,7 +11,9 @@ Community detection (Section VI-B.1) runs Clauset-Newman-Moore greedy
 modularity on a plain adjacency dict.  Its oracle is networkx's own
 ``greedy_modularity_communities`` behind the same wrapper
 (:func:`_oracle_communities`): every community list must be equal, list
-order included, with and without ``max_communities``.  Each fuzz trial
+order included, with and without ``max_communities``.  At zero total edge
+weight, where modularity is undefined, the oracle is networkx's
+``connected_components`` on the same subgraph.  Each fuzz trial
 draws a random graph with int or float weights, self-loops, isolated
 vertices, non-contiguous or string ids and a shuffled insertion order; the
 factory interaction graphs of levels 1-2, capacities 2-36, with and
@@ -51,7 +53,6 @@ from repro.graphs import (
     heavy_edge_matching,
     interaction_graph,
     recursive_bisection,
-    round_interaction_graphs,
 )
 from repro.mapping import StitchingConfig, graph_partition_placement
 from repro.mapping import stitching
@@ -123,6 +124,7 @@ FACTORY_CASES = [
 def test_factory_graphs_match_networkx(capacity, levels, reuse):
     # Imported here so the module also runs as a script (see the docstring).
     from conftest import assert_same_graph, networkx_interaction_graph
+    from test_planarity_community_partition import round_interaction_graphs
 
     factory = _factory(capacity, levels, reuse)
     label = f"K={capacity} levels={levels} reuse={reuse}"
@@ -225,7 +227,7 @@ def _oracle_communities(graph: nx.Graph, max_communities=None):
         try:
             detected = nx.community.greedy_modularity_communities(core, weight="weight")
         except ZeroDivisionError:
-            detected = nx.community.label_propagation_communities(core)
+            detected = nx.connected_components(core)
         communities = [sorted(c) for c in detected]
     if isolated:
         communities.append(sorted(isolated))
@@ -256,11 +258,33 @@ def run_community_trial(seed: int) -> None:
     _check_communities(graph, f"seed {seed}")
 
 
+def run_zero_weight_trial(seed: int) -> None:
+    """One random graph with every edge weight set to zero, as a networkx
+    graph for even seeds and a repro graph for odd ones."""
+    rng = random.Random(SEED_BASE + seed)
+    oracle = _random_graph(rng, float_weights=False)
+    nx.set_edge_attributes(oracle, 0, "weight")
+    graph = oracle
+    if seed % 2:
+        graph = Graph()
+        for node in oracle.nodes():
+            graph.add_node(node)
+        for a, b in oracle.edges():
+            graph.add_edge(a, b, weight=0)
+    _check_communities(graph, f"zero-weight seed {seed}", oracle=oracle)
+
+
 def test_communities_match_networkx_fuzz(request):
     # Imported here so the module also runs as a script (see the docstring).
     from conftest import fuzz_corpus
 
     fuzz_corpus(request, run_community_trial)
+
+
+def test_zero_weight_communities_match_networkx_fuzz(request):
+    from conftest import fuzz_corpus
+
+    fuzz_corpus(request, run_zero_weight_trial)
 
 
 @pytest.mark.parametrize("capacity,levels,reuse", FACTORY_CASES)
@@ -275,28 +299,70 @@ def test_factory_communities_match_networkx(capacity, levels, reuse):
     )
 
 
-def test_zero_total_weight_falls_back_to_label_propagation():
+def test_zero_total_weight_gives_connected_components():
     graph = nx.Graph()
     graph.add_edge(0, 1, weight=0)
     graph.add_edge(1, 2, weight=0)
     graph.add_edge(5, 6, weight=0)
     graph.add_node(9)
-    assert detect_communities(graph) == _oracle_communities(graph)
+    expected = [[0, 1, 2], [5, 6], [9]]
+    assert _oracle_communities(graph) == expected
+    assert detect_communities(graph) == expected
 
 
-def test_label_propagation_on_a_repro_graph():
-    """The networkx branch converts a repro graph to the same result."""
+def test_zero_total_weight_on_a_repro_graph():
     oracle, graph = nx.Graph(), Graph()
     for g in (oracle, graph):
         for a, b in ((5, 6), (0, 1), (1, 2), (12, 5), (2, 0), (7, 3)):
             g.add_edge(a, b, weight=0)
         g.add_node(9)
-    expected = _oracle_communities(oracle)
-    assert len(expected) == 4  # three components and the isolated vertex
+    # Three components, in the order of their first node, and the isolated
+    # vertex.
+    expected = [[5, 6, 12], [0, 1, 2], [3, 7], [9]]
+    assert _oracle_communities(oracle) == expected
     assert detect_communities(graph) == expected
-    assert detect_communities(graph, max_communities=2) == _oracle_communities(
-        oracle, max_communities=2
-    )
+    merged = [[5, 6, 12], [0, 1, 2, 3, 7, 9]]
+    assert _oracle_communities(oracle, max_communities=2) == merged
+    assert detect_communities(graph, max_communities=2) == merged
+
+
+def test_zero_total_weight_keeps_a_path_whole():
+    # Connected, so one community, where label propagation finds five.
+    graph = nx.path_graph(11)
+    nx.set_edge_attributes(graph, 0, "weight")
+    assert _oracle_communities(graph) == [list(range(11))]
+    assert detect_communities(graph) == [list(range(11))]
+
+
+@pytest.mark.parametrize("kind", [nx.Graph, Graph], ids=["networkx", "repro"])
+def test_zero_total_weight_on_sparse_ids_follows_the_kept_set(kind):
+    """Under half the nodes have edges: components follow the kept set's
+    order (``subgraph_order``), not the graph's."""
+    oracle, graph = nx.Graph(), kind()
+    for g in (oracle, graph):
+        for v in range(20):
+            g.add_node(v)
+        g.add_edge(70, 33, weight=0)
+        g.add_edge(40, 65, weight=0)
+    expected = [[40, 65], [33, 70], list(range(20))]
+    assert _oracle_communities(oracle) == expected
+    assert detect_communities(graph) == expected
+
+
+def test_zero_total_weight_merges_down_to_max_communities():
+    graph = nx.Graph()
+    for a, b in ((0, 1), (1, 2), (3, 4), (5, 6)):
+        graph.add_edge(a, b, weight=0)
+    graph.add_node(7)
+    assert detect_communities(graph) == [[0, 1, 2], [3, 4], [5, 6], [7]]
+    for bound, expected in (
+        (4, [[0, 1, 2], [3, 4], [5, 6], [7]]),
+        (3, [[0, 1, 2], [3, 4], [5, 6, 7]]),
+        (2, [[0, 1, 2], [3, 4, 5, 6, 7]]),
+        (1, [list(range(8))]),
+    ):
+        assert _oracle_communities(graph, max_communities=bound) == expected
+        assert detect_communities(graph, max_communities=bound) == expected
 
 
 def test_directed_graphs_are_rejected():

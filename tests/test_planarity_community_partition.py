@@ -1,27 +1,100 @@
-"""Unit tests for planarity, community detection and graph partitioning."""
+"""Unit tests for Fig. 4's planarity claims, community detection and graph
+partitioning.
+
+Fig. 4 of the paper: a single-level factory's interaction graph is planar,
+and so is each round of a multi-level factory, whose modules never
+interact; the permutation edges between rounds break planarity, which is
+why hierarchical stitching embeds each round's modules on their own.  The
+package runs no planarity analysis, so the helpers behind these claims
+live here, with networkx as their oracle.
+"""
 
 import networkx as nx
 import pytest
 
 from repro.graphs import (
+    Graph,
     bisect,
     community_centroid,
     community_fragmentation,
     community_of,
     contract,
+    count_edge_crossings,
     cut_weight,
     detect_communities,
     heavy_edge_matching,
     interaction_graph,
-    is_planar,
     kmeans,
-    module_interaction_graphs,
-    modules_are_disjoint,
-    planar_embedding_positions,
-    planar_round_fraction,
     recursive_bisection,
-    round_interaction_graphs,
+    subgraph_for_qubits,
 )
+
+
+# ----------------------------------------------------------------------
+# Fig. 4 helpers, on networkx
+# ----------------------------------------------------------------------
+def to_networkx(graph) -> nx.Graph:
+    """``graph`` as a ``networkx.Graph``; a networkx graph is returned as is.
+
+    A :class:`Graph` keeps its node order and edge data, and its edges are
+    added in ``Graph.edges`` order, the order in which ``nx.Graph(G)``
+    copies a networkx graph.
+    """
+    if not isinstance(graph, Graph):
+        return graph
+    converted = nx.Graph()
+    converted.add_nodes_from(graph.nodes())
+    converted.add_edges_from(graph.edges(data=True))
+    return converted
+
+
+def is_planar(graph) -> bool:
+    planar, _embedding = nx.check_planarity(to_networkx(graph), counterexample=False)
+    return planar
+
+
+def planar_embedding_positions(graph):
+    """A crossing-free straight-line drawing of a planar graph."""
+    positions = nx.planar_layout(to_networkx(graph))
+    return {node: (float(x), float(y)) for node, (x, y) in positions.items()}
+
+
+def round_interaction_graphs(factory):
+    """Each round's interaction graph: the round's qubits and the edges of
+    its own gates, without the permutation edges to the next round."""
+    return [
+        interaction_graph(
+            factory.round_gates(round_index),
+            include_qubits=factory.round_qubits(round_index),
+        )
+        for round_index in range(1, factory.spec.levels + 1)
+    ]
+
+
+def module_interaction_graphs(factory, round_index):
+    """The interaction subgraph of each module of one round."""
+    round_graph = round_interaction_graphs(factory)[round_index - 1]
+    return [
+        subgraph_for_qubits(round_graph, module.all_qubits)
+        for module in factory.rounds[round_index - 1]
+    ]
+
+
+def modules_are_disjoint(factory, round_index) -> bool:
+    """Whether no edge of a round joins two of its modules."""
+    round_graph = round_interaction_graphs(factory)[round_index - 1]
+    owner = {
+        qubit: module.module_index
+        for module in factory.rounds[round_index - 1]
+        for qubit in module.all_qubits
+    }
+    return all(owner.get(a) == owner.get(b) for a, b in round_graph.edges())
+
+
+def planar_round_fraction(factory) -> float:
+    """The fraction of a factory's rounds whose interaction graph is planar."""
+    graphs = round_interaction_graphs(factory)
+    return sum(1 for graph in graphs if is_planar(graph)) / len(graphs)
 
 
 class TestPlanarity:
@@ -47,8 +120,6 @@ class TestPlanarity:
             assert is_planar(module_graph)
 
     def test_planar_embedding_positions_no_crossings(self, single_level_k4):
-        from repro.graphs import count_edge_crossings
-
         graph = interaction_graph(single_level_k4.circuit)
         positions = planar_embedding_positions(graph)
         assert count_edge_crossings(graph, positions) == 0
@@ -56,21 +127,9 @@ class TestPlanarity:
     def test_k5_is_not_planar(self):
         assert not is_planar(nx.complete_graph(5))
 
-    def test_interaction_graphs_convert_like_networkx(
-        self, single_level_k8, two_level_cap4
-    ):
-        # networkx runs on a converted copy; its answers are the ones the
-        # networkx-built graph gets.
-        from conftest import networkx_interaction_graph
-
-        circuit = single_level_k8.circuit
-        graph = interaction_graph(circuit)
-        oracle = networkx_interaction_graph(circuit)
-        assert planar_embedding_positions(graph) == planar_embedding_positions(oracle)
-        circuit = two_level_cap4.circuit
-        assert is_planar(interaction_graph(circuit)) == is_planar(
-            networkx_interaction_graph(circuit)
-        )
+    def test_permutation_edges_break_planarity(self, two_level_cap4):
+        # Fig. 4b against 4c: every round is planar, the whole factory not.
+        assert not is_planar(interaction_graph(two_level_cap4.circuit))
 
 
 class TestCommunityDetection:
@@ -99,6 +158,14 @@ class TestCommunityDetection:
         graph.add_node(99)
         communities = detect_communities(graph, max_communities=2)
         assert len(communities) == 2
+
+    def test_max_communities_below_one_is_rejected(self):
+        graph = nx.Graph([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (6, 7)])
+        assert len(detect_communities(graph)) == 3
+        for bound in (0, -1):
+            with pytest.raises(ValueError, match="max_communities"):
+                detect_communities(graph, max_communities=bound)
+        assert detect_communities(graph, max_communities=1) == [list(range(8))]
 
     def test_empty_graph(self):
         assert detect_communities(nx.Graph()) == []
