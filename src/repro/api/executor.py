@@ -12,8 +12,8 @@ an implicit loop:
   fallback) or across a :class:`concurrent.futures.ProcessPoolExecutor`,
   with **deterministic result ordering** (results always come back in plan
   order, whatever the completion order) and request-level deduplication
-  (identical requests are evaluated once — evaluation is deterministic in
-  the request, so duplicates are pure cache hits);
+  (requests with one store fingerprint are evaluated once — evaluation is
+  deterministic in the request, so duplicates are pure cache hits);
 * :class:`SweepRunResult` — the evaluations in plan order plus an
   :class:`ExecutorStats` accounting of wall time and cache behaviour.
   ``to_dict()`` intentionally covers only the deterministic evaluations, so
@@ -25,8 +25,8 @@ memoizes :class:`~repro.routing.simulator.SimulationResult`s keyed by
 :class:`~repro.routing.simulator.SimulationCache` — so repeated sweep
 points never re-simulate even across distinct requests.  Above it, an
 optional persistent :class:`~repro.api.store.ResultStore` makes sweeps
-*resumable across processes*: attach ``store=`` and run with
-``resume=True`` and already-stored plan entries are answered from disk
+*resumable across processes*: ``SweepExecutor(store=...).run(plan,
+resume=True)`` answers already-stored plan entries from disk
 (``stats.store_hits``) while fresh results are persisted the moment they
 complete, so a killed sweep restarts where it died with byte-identical
 output.
@@ -48,7 +48,6 @@ output.
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -72,7 +71,7 @@ from ..mapping.stitching import StitchingConfig
 from ..routing.simulator import SimulatorConfig
 from .pipeline import EvaluationRequest, Pipeline, PipelineStats
 from .results import FactoryEvaluation
-from .store import ResultStore, as_result_store
+from .store import ResultStore, as_result_store, request_fingerprint
 
 
 def _as_tuple(value: Union[Any, Sequence[Any]]) -> Tuple[Any, ...]:
@@ -187,7 +186,8 @@ class ExecutorStats:
     """Exact accounting of one executor run.
 
     ``duplicate_hits`` counts plan entries answered by request-level
-    deduplication (identical request seen earlier in the plan);
+    deduplication (a request with the same store fingerprint seen earlier
+    in the plan);
     ``sim_cache_hits`` counts simulations answered from the per-worker
     :class:`~repro.routing.simulator.SimulationCache`; ``factory_builds`` /
     ``factory_cache_hits`` count factory-circuit construction.
@@ -220,41 +220,28 @@ class ExecutorStats:
     wall_seconds: float = 0.0
 
     def add_pipeline_delta(self, delta: PipelineStats) -> None:
-        """Fold one evaluation's pipeline counter delta into this record."""
-        self.evaluations += delta.evaluations
-        self.factory_builds += delta.factory_builds
-        self.factory_cache_hits += delta.cache_hits
-        self.sim_cache_hits += delta.sim_cache_hits
-        self.fd_sweeps += delta.fd_sweeps
-        self.fd_moves_accepted += delta.fd_moves_accepted
-        self.sim_stall_events += delta.sim_stall_events
-        self.sim_distinct_stalls += delta.sim_distinct_stalls
-        self.sim_wakeups += delta.sim_wakeups
-        self.build_seconds += delta.build_seconds
-        self.map_seconds += delta.map_seconds
-        self.sim_seconds += delta.sim_seconds
+        """Fold one evaluation's pipeline counter delta into this record.
+
+        Every :class:`PipelineStats` counter has a field of the same name
+        here, except ``cache_hits``, which is ``factory_cache_hits``.
+        """
+        for stats_field in dataclasses.fields(PipelineStats):
+            name = stats_field.name
+            total = "factory_cache_hits" if name == "cache_hits" else name
+            setattr(self, total, getattr(self, total) + getattr(delta, name))
+
+    def add_run(self, part: "ExecutorStats") -> None:
+        """Fold another run's record into this one (``workers`` is the max)."""
+        for stats_field in dataclasses.fields(self):
+            name = stats_field.name
+            if name == "workers":
+                self.workers = max(self.workers, part.workers)
+            else:
+                setattr(self, name, getattr(self, name) + getattr(part, name))
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-safe dict of every counter."""
-        return {
-            "requests": self.requests,
-            "evaluations": self.evaluations,
-            "duplicate_hits": self.duplicate_hits,
-            "store_hits": self.store_hits,
-            "factory_builds": self.factory_builds,
-            "factory_cache_hits": self.factory_cache_hits,
-            "sim_cache_hits": self.sim_cache_hits,
-            "fd_sweeps": self.fd_sweeps,
-            "fd_moves_accepted": self.fd_moves_accepted,
-            "sim_stall_events": self.sim_stall_events,
-            "sim_distinct_stalls": self.sim_distinct_stalls,
-            "sim_wakeups": self.sim_wakeups,
-            "build_seconds": self.build_seconds,
-            "map_seconds": self.map_seconds,
-            "sim_seconds": self.sim_seconds,
-            "workers": self.workers,
-            "wall_seconds": self.wall_seconds,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ExecutorStats":
@@ -327,38 +314,37 @@ class SweepRunResult:
 # Each worker process holds one long-lived pipeline so the factory and
 # simulation caches amortize across every request the worker receives.
 _WORKER_PIPELINE: Optional[Pipeline] = None
-_WORKER_SIM_CONFIG: Optional[SimulatorConfig] = None
 
 
-def _worker_init(sim_config: Optional[SimulatorConfig]) -> None:
-    """Process-pool initializer: remember the default simulator config."""
-    global _WORKER_SIM_CONFIG, _WORKER_PIPELINE
-    _WORKER_SIM_CONFIG = sim_config
+def _worker_init() -> None:
+    """Process-pool initializer: start the worker with no pipeline yet."""
+    global _WORKER_PIPELINE
     _WORKER_PIPELINE = None
 
 
-def _worker_pipeline() -> Pipeline:
-    """The worker's lazily created process-wide pipeline."""
-    global _WORKER_PIPELINE
-    if _WORKER_PIPELINE is None:
-        _WORKER_PIPELINE = Pipeline(sim_config=_WORKER_SIM_CONFIG)
-    return _WORKER_PIPELINE
-
-
-def _worker_evaluate(
-    request: EvaluationRequest,
+def _timed_evaluate(
+    pipeline: Pipeline, request: EvaluationRequest
 ) -> Tuple[FactoryEvaluation, PipelineStats, float]:
-    """Evaluate one request in a worker; returns point, stat delta, wall time."""
-    pipeline = _worker_pipeline()
+    """Evaluate one request; returns the point, its stat delta and wall time."""
     before = pipeline.stats.snapshot()
     started = time.perf_counter()
     evaluation = pipeline.evaluate(request)
     return evaluation, pipeline.stats.delta(before), time.perf_counter() - started
 
 
-def _request_key(request: EvaluationRequest) -> str:
-    """Canonical dedup key: requests with equal keys evaluate identically."""
-    return json.dumps(request.to_dict(), sort_keys=True)
+def _worker_evaluate(
+    request: EvaluationRequest,
+) -> Tuple[FactoryEvaluation, PipelineStats, float]:
+    """:func:`_timed_evaluate` on the worker's lazily created pipeline."""
+    global _WORKER_PIPELINE
+    if _WORKER_PIPELINE is None:
+        _WORKER_PIPELINE = Pipeline()
+    return _timed_evaluate(_WORKER_PIPELINE, request)
+
+
+#: The completion step every runner calls once per evaluated unique slot:
+#: ``complete(slot, evaluation, pipeline_delta, wall_seconds)``.
+_Complete = Callable[[int, FactoryEvaluation, PipelineStats, float], None]
 
 
 # ----------------------------------------------------------------------
@@ -376,22 +362,15 @@ class SweepExecutor:
         :class:`~concurrent.futures.ProcessPoolExecutor`; results and their
         order are identical to the serial run (evaluation is deterministic
         in the request and results are reassembled in plan order).
-    sim_config:
-        Default simulator configuration for every evaluation (a request's
-        own ``sim_config`` takes precedence), forwarded to each worker.
     store:
         Optional persistent :class:`~repro.api.store.ResultStore` (or a
         path, wrapped automatically).  When attached, every completed
         evaluation is persisted **as soon as it finishes** — in completion
         order, not plan order — so a killed sweep keeps everything it
-        already computed.  Reads happen only on a *resumed* run (see
-        ``resume``): plan entries already in the store are answered without
-        dispatching any work, counted exactly in ``stats.store_hits``.
-    resume:
-        Default for :meth:`run`'s ``resume`` flag.  ``resume=True`` requires
-        a store and makes the run skip already-stored requests; the output
-        is byte-identical to an uninterrupted run either way, because
-        evaluation is deterministic in the request.
+        already computed.  Reads happen only on a *resumed* run
+        (``run(plan, resume=True)``): plan entries already in the store are
+        answered without dispatching any work, counted exactly in
+        ``stats.store_hits``.
     batch:
         ``True`` routes the pending requests through the serial pipeline's
         batched evaluation path (:meth:`Pipeline.evaluate_batch`):
@@ -420,20 +399,14 @@ class SweepExecutor:
     def __init__(
         self,
         workers: int = 1,
-        sim_config: Optional[SimulatorConfig] = None,
         store: Optional[Union[ResultStore, str, Path]] = None,
-        resume: bool = False,
         batch: bool = False,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.workers = workers
         self.batch = batch
-        self.sim_config = sim_config
         self.store = as_result_store(store)
-        if resume and self.store is None:
-            raise ValueError("resume=True requires a result store (store=...)")
-        self.resume = resume
         self._pipeline: Optional[Pipeline] = None
 
     # ------------------------------------------------------------------
@@ -442,7 +415,7 @@ class SweepExecutor:
     def pipeline(self) -> Pipeline:
         """The executor's own serial pipeline (persists across runs)."""
         if self._pipeline is None:
-            self._pipeline = Pipeline(sim_config=self.sim_config)
+            self._pipeline = Pipeline()
         return self._pipeline
 
     # ------------------------------------------------------------------
@@ -451,15 +424,17 @@ class SweepExecutor:
     def run(
         self,
         plan: Union[SweepPlan, Iterable[EvaluationRequest]],
-        resume: Optional[bool] = None,
+        resume: bool = False,
         progress: Optional[ProgressCallback] = None,
     ) -> SweepRunResult:
         """Execute every request of ``plan``; results come back in plan order.
 
-        Identical requests are evaluated once (the first occurrence) and
-        fanned out to every duplicate position — a pure optimization, since
-        evaluation is deterministic in the request.  With a store attached
-        and ``resume=True`` (per call, or the executor default), requests
+        Requests with one store fingerprint
+        (:func:`~repro.api.store.request_fingerprint`) are evaluated once
+        (the first occurrence) and fanned out to every duplicate position —
+        a pure optimization, since evaluation is deterministic in the
+        request, and the reason one store entry always means one
+        evaluation.  With a store attached and ``resume=True``, requests
         already persisted are answered from the store without dispatching
         any work — which is how a killed sweep restarts where it died — and
         every freshly computed result is persisted the moment it completes.
@@ -474,22 +449,22 @@ class SweepExecutor:
         """
         if not isinstance(plan, SweepPlan):
             plan = SweepPlan.from_requests(plan)
-        resume = self.resume if resume is None else resume
         if resume and self.store is None:
             raise ValueError("resume=True requires a result store (store=...)")
         started = time.perf_counter()
         stats = ExecutorStats(requests=len(plan), workers=self.workers)
 
-        # Deduplicate while preserving first-occurrence order.
+        # Deduplicate by store identity while preserving first-occurrence
+        # order.
         unique: List[EvaluationRequest] = []
-        slot_of_key: Dict[str, int] = {}
+        slot_of_fingerprint: Dict[str, int] = {}
         slots: List[int] = []
         for request in plan:
-            key = _request_key(request)
-            slot = slot_of_key.get(key)
+            fingerprint = request_fingerprint(request)
+            slot = slot_of_fingerprint.get(fingerprint)
             if slot is None:
                 slot = len(unique)
-                slot_of_key[key] = slot
+                slot_of_fingerprint[fingerprint] = slot
                 unique.append(request)
             else:
                 stats.duplicate_hits += 1
@@ -501,9 +476,11 @@ class SweepExecutor:
         for position, slot in enumerate(slots):
             indices_of_slot[slot].append(position)
         done_entries = 0
+        unique_results: List[Optional[FactoryEvaluation]] = [None] * len(unique)
 
-        def report(slot: int, source: str, evaluation: FactoryEvaluation) -> None:
+        def resolve(slot: int, source: str, evaluation: FactoryEvaluation) -> None:
             nonlocal done_entries
+            unique_results[slot] = evaluation
             done_entries += len(indices_of_slot[slot])
             if progress is not None:
                 progress(
@@ -517,69 +494,60 @@ class SweepExecutor:
                     )
                 )
 
+        def complete(
+            slot: int,
+            evaluation: FactoryEvaluation,
+            delta: PipelineStats,
+            wall_seconds: float,
+        ) -> None:
+            stats.add_pipeline_delta(delta)
+            # Persist immediately: if the process dies on a later request,
+            # everything up to here survives for a resumed run.
+            if self.store is not None:
+                self.store.try_put(unique[slot], evaluation, wall_seconds=wall_seconds)
+            resolve(slot, "evaluated", evaluation)
+
         # On a resumed run, answer already-stored requests before scheduling
         # anything: a 10k-point sweep killed at 9k re-executes only 1k.
-        unique_results: List[Optional[FactoryEvaluation]] = [None] * len(unique)
         pending = list(range(len(unique)))
         if resume and self.store is not None:
             still_pending: List[int] = []
             for index in pending:
-                stored = self.store.get(self._storage_request(unique[index]))
+                stored = self.store.get(unique[index])
                 if stored is not None:
-                    unique_results[index] = stored
                     stats.store_hits += 1
-                    report(index, "store", stored)
+                    resolve(index, "store", stored)
                 else:
                     still_pending.append(index)
             pending = still_pending
 
         if pending:
             if self.batch:
-                self._run_batched(unique, unique_results, pending, stats, report)
+                self._run_batched(unique, pending, complete)
             elif self.workers == 1 or len(pending) <= 1:
-                self._run_serial(unique, unique_results, pending, stats, report)
+                self._run_serial(unique, pending, complete)
             else:
-                self._run_parallel(unique, unique_results, pending, stats, report)
+                self._run_parallel(unique, pending, complete)
 
         evaluations = [unique_results[slot] for slot in slots]
         stats.wall_seconds = time.perf_counter() - started
         return SweepRunResult(evaluations=evaluations, stats=stats)
 
-    def _storage_request(self, request: EvaluationRequest) -> EvaluationRequest:
-        """The store identity of a request under this executor's defaults."""
-        return request.with_effective_sim_config(self.sim_config)
-
     def _run_serial(
         self,
         unique: Sequence[EvaluationRequest],
-        unique_results: List[Optional[FactoryEvaluation]],
         pending: Sequence[int],
-        stats: ExecutorStats,
-        report: Callable[[int, str, FactoryEvaluation], None],
+        complete: _Complete,
     ) -> None:
         pipeline = self.pipeline()
         for index in pending:
-            before = pipeline.stats.snapshot()
-            tick = time.perf_counter()
-            evaluation = pipeline.evaluate(unique[index])
-            wall = time.perf_counter() - tick
-            unique_results[index] = evaluation
-            stats.add_pipeline_delta(pipeline.stats.delta(before))
-            # Persist immediately: if the process dies on a later request,
-            # everything up to here survives for a resumed run.
-            if self.store is not None:
-                self.store.try_put(
-                    self._storage_request(unique[index]), evaluation, wall_seconds=wall
-                )
-            report(index, "evaluated", evaluation)
+            complete(index, *_timed_evaluate(pipeline, unique[index]))
 
     def _run_batched(
         self,
         unique: Sequence[EvaluationRequest],
-        unique_results: List[Optional[FactoryEvaluation]],
         pending: Sequence[int],
-        stats: ExecutorStats,
-        report: Callable[[int, str, FactoryEvaluation], None],
+        complete: _Complete,
     ) -> None:
         """The batching mode: one grouped pass over every pending request.
 
@@ -596,26 +564,18 @@ class SweepExecutor:
         before = pipeline.stats.snapshot()
         tick = time.perf_counter()
         evaluations = pipeline.evaluate_batch([unique[index] for index in pending])
-        wall = time.perf_counter() - tick
-        stats.add_pipeline_delta(pipeline.stats.delta(before))
-        share = wall / len(pending)
+        share = (time.perf_counter() - tick) / len(pending)
+        # The batch's counter delta is folded in once, with its first result.
+        delta = pipeline.stats.delta(before)
         for index, evaluation in zip(pending, evaluations):
-            unique_results[index] = evaluation
-            if self.store is not None:
-                self.store.try_put(
-                    self._storage_request(unique[index]),
-                    evaluation,
-                    wall_seconds=share,
-                )
-            report(index, "evaluated", evaluation)
+            complete(index, evaluation, delta, share)
+            delta = PipelineStats()
 
     def _run_parallel(
         self,
         unique: Sequence[EvaluationRequest],
-        unique_results: List[Optional[FactoryEvaluation]],
         pending: Sequence[int],
-        stats: ExecutorStats,
-        report: Callable[[int, str, FactoryEvaluation], None],
+        complete: _Complete,
     ) -> None:
         workers = min(self.workers, len(pending))
         # Longest first: more levels, then higher capacity, so the slowest
@@ -625,11 +585,7 @@ class SweepExecutor:
             pending,
             key=lambda index: (-unique[index].levels, -unique[index].capacity),
         )
-        with ProcessPoolExecutor(
-            max_workers=workers,
-            initializer=_worker_init,
-            initargs=(self.sim_config,),
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_worker_init) as pool:
             futures = {
                 pool.submit(_worker_evaluate, unique[index]): index
                 for index in longest_first
@@ -643,22 +599,13 @@ class SweepExecutor:
             # resumed run re-executes only the genuinely failed work.
             first_error: Optional[BaseException] = None
             for future in as_completed(futures):
-                index = futures[future]
                 try:
-                    evaluation, delta, wall = future.result()
+                    outcome = future.result()
                 except Exception as error:
                     if first_error is None:
                         first_error = error
                     continue
-                unique_results[index] = evaluation
-                stats.add_pipeline_delta(delta)
-                if self.store is not None:
-                    self.store.try_put(
-                        self._storage_request(unique[index]),
-                        evaluation,
-                        wall_seconds=wall,
-                    )
-                report(index, "evaluated", evaluation)
+                complete(futures[future], *outcome)
             if first_error is not None:
                 raise first_error
 

@@ -100,22 +100,19 @@ class EvaluationRequest:
         """The factory spec this request evaluates."""
         return FactorySpec.from_capacity(self.capacity, self.levels)
 
-    def with_effective_sim_config(
-        self, default: Optional[SimulatorConfig] = None
-    ) -> "EvaluationRequest":
+    def with_effective_sim_config(self) -> "EvaluationRequest":
         """This request with its *effective* simulator config made explicit.
 
-        A request whose ``sim_config`` is ``None`` inherits a pipeline or
-        executor default at evaluation time, so any **storage identity**
-        (e.g. :func:`repro.api.store.request_fingerprint`) must be taken
-        over this resolved form — otherwise two runs with different
-        defaults would alias each other's persisted entries.  This is the
-        single definition of that resolution rule.
+        A ``sim_config`` of ``None`` means the default
+        :class:`~repro.routing.simulator.SimulatorConfig`, so the implicit
+        and the explicit default are one request: the store fingerprints
+        and persists this resolved form
+        (:func:`repro.api.store.request_fingerprint`).  A request that
+        carries a config is returned as it is.
         """
-        effective = self.sim_config or default or SimulatorConfig()
-        if effective is self.sim_config:
+        if self.sim_config is not None:
             return self
-        return replace(self, sim_config=effective)
+        return replace(self, sim_config=SimulatorConfig())
 
     # ------------------------------------------------------------------
     # Serialization
@@ -245,9 +242,6 @@ class Pipeline:
 
     Parameters
     ----------
-    sim_config:
-        Default simulator configuration for every evaluation (a request's
-        own ``sim_config`` takes precedence).
     cache_size:
         Maximum number of built factories kept alive (LRU).  Two-level
         factories are large, so the cache is bounded.  Simulation results
@@ -256,14 +250,9 @@ class Pipeline:
         points never re-simulate.
     """
 
-    def __init__(
-        self,
-        sim_config: Optional[SimulatorConfig] = None,
-        cache_size: int = 8,
-    ) -> None:
+    def __init__(self, cache_size: int = 8) -> None:
         if cache_size < 1:
             raise ValueError(f"cache_size must be >= 1, got {cache_size}")
-        self.sim_config = sim_config
         self.cache_size = cache_size
         self.sim_cache = SimulationCache()
         self.stats = PipelineStats()
@@ -299,11 +288,6 @@ class Pipeline:
         while len(self._factories) > self.cache_size:
             self._factories.popitem(last=False)
         return built
-
-    def clear_cache(self) -> None:
-        """Drop every cached factory and memoized simulation result."""
-        self._factories.clear()
-        self.sim_cache.clear()
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -383,7 +367,7 @@ class Pipeline:
         # Resolve the mapper first: an unknown name should fail before any
         # factory is built, with a message listing the registered mappers.
         mapper = get_mapper(request.method)
-        sim_config = request.sim_config or self.sim_config or SimulatorConfig()
+        sim_config = request.sim_config or SimulatorConfig()
         circuit, placement, point_config = self._map_request(
             mapper, request, sim_config
         )
@@ -420,7 +404,7 @@ class Pipeline:
 
         for position, request in enumerate(requests):
             mapper = get_mapper(request.method)
-            sim_config = request.sim_config or self.sim_config or SimulatorConfig()
+            sim_config = request.sim_config or SimulatorConfig()
             circuit, placement, point_config = self._map_request(
                 mapper, request, sim_config
             )

@@ -14,9 +14,9 @@ primitive:
   :func:`~repro.persistutil.tagged_fingerprint` over the plan fingerprint
   plus ``index/count`` and strategy, so a shard names exactly one piece of
   exactly one plan, on every machine;
-* :func:`plan_fingerprint` — the content address of a whole plan under an
-  executor's defaults (the ordered per-request *store* fingerprints), the
-  same identity the sweep service keys its jobs by;
+* :func:`plan_fingerprint` — the content address of a whole plan (the
+  ordered per-request *store* fingerprints), the same identity the sweep
+  service keys its jobs by;
 * :class:`ClaimDir` — optional file-based **work stealing**: shards claim
   pending points through atomic exclusive claim files in a shared
   directory (:func:`~repro.persistutil.exclusive_write_json`, which
@@ -39,7 +39,6 @@ memo of it.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import time
 import warnings
@@ -62,7 +61,6 @@ from ..persistutil import (
     exclusive_write_json,
     tagged_fingerprint,
 )
-from ..routing.simulator import SimulatorConfig
 from .executor import ExecutorStats, SweepExecutor, SweepPlan, SweepProgress
 from .pipeline import EvaluationRequest
 from .results import FactoryEvaluation
@@ -88,23 +86,17 @@ _SHARD_FINGERPRINT_TAG = "repro-msfu-shard/v{version}"
 
 
 def plan_fingerprint(
-    plan: SweepPlan,
-    sim_config: Optional[SimulatorConfig] = None,
-    schema_version: int = STORE_SCHEMA_VERSION,
+    plan: SweepPlan, *, schema_version: int = STORE_SCHEMA_VERSION
 ) -> str:
-    """Canonical content address of a plan under an executor's defaults.
+    """Canonical content address of a plan.
 
     blake2b over the *ordered* per-request store fingerprints (order is
     result order, so two plans differing only in order are different
-    plans), each resolved with the effective simulator config exactly as
-    the store keys them — so plan identity is store identity one level up,
-    stable across machines.
+    plans) — so plan identity is store identity one level up, stable
+    across machines.
     """
     parts = "\n".join(
-        request_fingerprint(
-            request.with_effective_sim_config(sim_config), schema_version
-        )
-        for request in plan
+        request_fingerprint(request, schema_version=schema_version) for request in plan
     )
     return tagged_fingerprint(
         _PLAN_FINGERPRINT_TAG.format(version=schema_version), parts
@@ -206,7 +198,6 @@ def write_shard_files(
     count: int,
     directory: Union[str, Path],
     strategy: str = "contiguous",
-    sim_config: Optional[SimulatorConfig] = None,
 ) -> List[Path]:
     """Write one self-contained shard file per piece of ``plan``.
 
@@ -215,7 +206,7 @@ def write_shard_files(
     needs nothing else.  Returns the written paths in shard order.
     """
     directory = Path(directory)
-    fingerprint = plan_fingerprint(plan, sim_config)
+    fingerprint = plan_fingerprint(plan)
     plan_payload = plan.to_dict()
     width = max(2, len(str(count - 1)))
     paths: List[Path] = []
@@ -413,26 +404,12 @@ class ShardRunResult:
         )
 
 
-def _fold_stats(total: ExecutorStats, part: ExecutorStats) -> None:
-    """Accumulate one executor run's counters into the shard total."""
-    for stats_field in dataclasses.fields(ExecutorStats):
-        if stats_field.name == "workers":
-            total.workers = max(total.workers, part.workers)
-        else:
-            setattr(
-                total,
-                stats_field.name,
-                getattr(total, stats_field.name) + getattr(part, stats_field.name),
-            )
-
-
 def run_shard(
     plan: Union[SweepPlan, Iterable[EvaluationRequest]],
     shard: ShardSpec,
     store: Union[ResultStore, str, Path],
     claim_dir: Optional[Union[str, Path]] = None,
     workers: int = 1,
-    sim_config: Optional[SimulatorConfig] = None,
     batch: bool = False,
     steal: bool = True,
     progress: Optional[ShardProgressCallback] = None,
@@ -464,7 +441,7 @@ def run_shard(
     resolved_store = as_result_store(store)
     if resolved_store is None:
         raise ValueError("run_shard requires a result store (store=...)")
-    fingerprint = plan_fingerprint(plan, sim_config)
+    fingerprint = plan_fingerprint(plan)
     shard_id = shard.fingerprint(fingerprint)
     result = ShardRunResult(
         shard=shard,
@@ -481,10 +458,7 @@ def run_shard(
     order: List[Tuple[int, str, EvaluationRequest]] = []
     seen: Dict[str, int] = {}
     for position, request in enumerate(plan):
-        point_fp = request_fingerprint(
-            request.with_effective_sim_config(sim_config),
-            resolved_store.schema_version,
-        )
+        point_fp = resolved_store.fingerprint(request)
         if point_fp not in seen:
             seen[point_fp] = position
             order.append((position, point_fp, request))
@@ -498,13 +472,7 @@ def run_shard(
     claims = (
         ClaimDir(claim_dir, shard_id) if claim_dir is not None else None
     )
-    executor = SweepExecutor(
-        workers=workers,
-        sim_config=sim_config,
-        store=resolved_store,
-        resume=True,
-        batch=batch,
-    )
+    executor = SweepExecutor(workers=workers, store=resolved_store, batch=batch)
 
     done = 0
 
@@ -541,7 +509,7 @@ def run_shard(
             resume=True,
             progress=relay,
         )
-        _fold_stats(result.stats, run.stats)
+        result.stats.add_run(run.stats)
 
     # Phase 1: the shard's own partition (claim first when stealing is on,
     # so a thief and the owner never both simulate the same point).

@@ -10,7 +10,8 @@ sharded JSON payloads, one per evaluated
 **fingerprint** of the request:
 
 * :func:`request_fingerprint` — blake2b over the sorted-key JSON encoding
-  of ``request.to_dict()``, salted with a schema/version tag.  Evaluation
+  of the request with its effective simulator config (a ``None`` config
+  is the default one), salted with a schema/version tag.  Evaluation
   is deterministic in the request, so two equal fingerprints are guaranteed
   to name the same result, which makes the store a pure optimization;
 * payloads carry the full ``EvaluationResult.to_dict()`` form plus
@@ -100,17 +101,23 @@ class MergeConflictError(ValueError):
 
 
 def request_fingerprint(
-    request: EvaluationRequest, schema_version: int = STORE_SCHEMA_VERSION
+    request: EvaluationRequest, *, schema_version: int = STORE_SCHEMA_VERSION
 ) -> str:
     """Canonical content address of one evaluation request.
 
     blake2b over the sorted-key, separator-normalized JSON encoding of
-    ``request.to_dict()``, salted with the schema/version tag — so the
-    fingerprint is stable across processes and machines, and a schema bump
-    re-addresses every request.
+    the request with its effective simulator config
+    (:meth:`~repro.api.pipeline.EvaluationRequest.with_effective_sim_config`),
+    salted with the schema/version tag — so a ``None`` config and the
+    explicit default share one address, the fingerprint is stable across
+    processes and machines, and a schema bump re-addresses every request.
+    It is also the executor's deduplication key and, as the plan
+    fingerprint's parts, the sweep service's job identity.
     """
     canonical = json.dumps(
-        request.to_dict(), sort_keys=True, separators=(",", ":")
+        request.with_effective_sim_config().to_dict(),
+        sort_keys=True,
+        separators=(",", ":"),
     )
     return tagged_fingerprint(
         _FINGERPRINT_TAG.format(version=schema_version), canonical
@@ -381,8 +388,8 @@ class ResultStore:
     # Addressing
     # ------------------------------------------------------------------
     def fingerprint(self, request: EvaluationRequest) -> str:
-        """The content address this store uses for ``request``."""
-        return request_fingerprint(request, self.schema_version)
+        """The content address of ``request`` (``None`` config = the default)."""
+        return request_fingerprint(request, schema_version=self.schema_version)
 
     def path_for(self, fingerprint: str) -> Path:
         """Sharded payload path of a fingerprint."""
@@ -481,7 +488,10 @@ class ResultStore:
         The write is atomic (temporary file + :func:`os.replace`), so a
         killed sweep never leaves a half-written entry under the final
         name, and two processes storing the same fingerprint are safe.
+        The payload records the request with its effective simulator
+        config, the form its fingerprint is taken over.
         """
+        request = request.with_effective_sim_config()
         fingerprint = self.fingerprint(request)
         path = self.path_for(fingerprint)
         payload = {

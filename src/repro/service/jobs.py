@@ -51,7 +51,6 @@ from ..api.store import (
     as_result_store,
 )
 from ..persistutil import atomic_write_json
-from ..routing.simulator import SimulatorConfig
 
 __all__ = [
     "JOBS_DIRNAME",
@@ -137,7 +136,7 @@ class JobManager:
         The shared :class:`~repro.api.store.ResultStore` (or a path).  Job
         records persist under ``<root>/jobs/``; results persist as ordinary
         store entries.
-    workers / sim_config:
+    workers:
         Forwarded to the per-job :class:`~repro.api.executor.SweepExecutor`.
     """
 
@@ -145,14 +144,12 @@ class JobManager:
         self,
         store: Union[ResultStore, str, Path],
         workers: int = 1,
-        sim_config: Optional[SimulatorConfig] = None,
     ) -> None:
         resolved = as_result_store(store)
         if resolved is None:
             raise ValueError("JobManager requires a result store")
         self.store = resolved
         self.workers = workers
-        self.sim_config = sim_config
         self._jobs: Dict[str, Job] = {}
         self._queue: "queue.Queue[Optional[str]]" = queue.Queue()
         self._lock = threading.Lock()
@@ -211,7 +208,7 @@ class JobManager:
         """
         if len(plan) == 0:
             raise ValueError("cannot submit an empty sweep plan")
-        fingerprint = plan_fingerprint(plan, self.sim_config)
+        fingerprint = plan_fingerprint(plan)
         if shard is None:
             job_id = fingerprint
         else:
@@ -392,8 +389,7 @@ class JobManager:
         for index, request in enumerate(job.effective_plan):
             if job.results[index] is not None:
                 continue
-            storage = request.with_effective_sim_config(self.sim_config)
-            stored = self.store.peek(storage)
+            stored = self.store.peek(request)
             if stored is not None:
                 job.results[index] = stored.to_dict()
 
@@ -424,11 +420,7 @@ class JobManager:
                     self._idle.set()
 
     def _execute(self, job: Job) -> None:
-        executor = SweepExecutor(
-            workers=self.workers,
-            sim_config=self.sim_config,
-            store=self.store,
-        )
+        executor = SweepExecutor(workers=self.workers, store=self.store)
 
         def on_progress(event: SweepProgress) -> None:
             payload = event.evaluation.to_dict()

@@ -50,7 +50,6 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 from ..api.pipeline import Pipeline, RequestError
 from ..api.store import DEFAULT_STORE_ROOT, ResultStore, as_result_store
-from ..routing.simulator import SimulatorConfig
 from .jobs import JobManager
 from .wire import (
     WireFormatError,
@@ -180,7 +179,6 @@ class SweepService:
         self,
         store: Union[ResultStore, str, Path] = DEFAULT_STORE_ROOT,
         workers: int = 1,
-        sim_config: Optional[SimulatorConfig] = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
@@ -188,8 +186,8 @@ class SweepService:
         assert resolved is not None
         self.store = resolved
         self.workers = workers
-        self.pipeline = Pipeline(sim_config=sim_config)
-        self.jobs = JobManager(self.store, workers=workers, sim_config=sim_config)
+        self.pipeline = Pipeline()
+        self.jobs = JobManager(self.store, workers=workers)
         self.counters = ServiceCounters()
         self.started_unix = time.time()
         # The pipeline mutates shared caches/stats; one evaluation at a time.
@@ -229,8 +227,10 @@ class SweepService:
         """
         request = decode_evaluation_request(data)
         validate_mapper_name(request.method)
-        storage = request.with_effective_sim_config(self.pipeline.sim_config)
-        fingerprint = self.store.fingerprint(storage)
+        # Resolve the default config once: the ETag, the store read and
+        # the store write each fingerprint the request.
+        request = request.with_effective_sim_config()
+        fingerprint = self.store.fingerprint(request)
 
         # ETag fast path: a fingerprint match proves the client's cached
         # body is the answer — no store read, no lock, nothing.
@@ -259,7 +259,7 @@ class SweepService:
             )
 
         try:
-            evaluation = self.store.get(storage)
+            evaluation = self.store.get(request)
             if evaluation is not None:
                 self.counters.store_hit()
                 flight.source = "store"
@@ -268,7 +268,7 @@ class SweepService:
                     started = time.perf_counter()
                     evaluation = self.pipeline.evaluate(request)
                     wall_seconds = time.perf_counter() - started
-                self.store.try_put(storage, evaluation, wall_seconds=wall_seconds)
+                self.store.try_put(request, evaluation, wall_seconds=wall_seconds)
                 flight.source = "evaluated"
             flight.payload = evaluation.to_dict()
         except BaseException as error:
@@ -516,14 +516,13 @@ def serve(
     host: str = "127.0.0.1",
     port: int = 8765,
     workers: int = 1,
-    sim_config: Optional[SimulatorConfig] = None,
 ) -> Tuple[SweepService, ThreadingHTTPServer]:
     """Build a started service + bound server pair (the CLI entry point).
 
     The caller owns the loop: call ``server.serve_forever()`` and, on the
     way out, ``server.shutdown()`` / ``service.close()``.
     """
-    service = SweepService(store=store, workers=workers, sim_config=sim_config)
+    service = SweepService(store=store, workers=workers)
     service.start()
     server = create_server(service, host=host, port=port, quiet=False)
     return service, server

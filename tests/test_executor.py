@@ -199,8 +199,8 @@ class TestLongestFirstSubmission:
         class RecordingPool:
             """An in-process stand-in for the process pool."""
 
-            def __init__(self, max_workers, initializer, initargs):
-                initializer(*initargs)
+            def __init__(self, max_workers, initializer):
+                initializer()
 
             def __enter__(self):
                 return self
@@ -216,9 +216,10 @@ class TestLongestFirstSubmission:
 
         monkeypatch.setattr(executor_module, "ProcessPoolExecutor", RecordingPool)
         # The stand-in runs the worker initializer in this process: restore
-        # the worker globals it sets when the test ends.
-        for name in ("_WORKER_SIM_CONFIG", "_WORKER_PIPELINE"):
-            monkeypatch.setattr(executor_module, name, getattr(executor_module, name))
+        # the worker global it sets when the test ends.
+        monkeypatch.setattr(
+            executor_module, "_WORKER_PIPELINE", executor_module._WORKER_PIPELINE
+        )
         plan = SweepPlan.from_requests(
             [
                 EvaluationRequest(method="linear", capacity=2),
@@ -602,9 +603,11 @@ class TestBenchCommand:
 # The progress callback (the sweep service's window into a running plan)
 # ----------------------------------------------------------------------
 class TestSweepProgress:
-    def collect(self, plan, **executor_kwargs):
+    def collect(self, plan, resume=False, **executor_kwargs):
         events = []
-        result = SweepExecutor(**executor_kwargs).run(plan, progress=events.append)
+        result = SweepExecutor(**executor_kwargs).run(
+            plan, resume=resume, progress=events.append
+        )
         return result, events
 
     def test_one_event_per_unique_request_covering_every_plan_index(self):

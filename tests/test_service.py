@@ -691,14 +691,41 @@ class TestPlanFingerprint:
         assert plan_fingerprint(plan) != plan_fingerprint(reordered)
         assert plan_fingerprint(plan) != plan_fingerprint(shorter)
 
-    def test_default_sim_config_resolution_matches_store_identity(self):
-        from repro.routing.simulator import SimulatorConfig
-
-        explicit = SweepPlan.from_requests(
-            [a_request(sim_config=SimulatorConfig())]
-        )
+    def test_plan_identity_is_the_effective_sim_config(self, tmp_path):
+        """The implicit and explicit default are one plan and one job; two
+        different explicit configs are two of each."""
         implicit = SweepPlan.from_requests([a_request()])
+        explicit = SweepPlan.from_requests([a_request(sim_config=SimulatorConfig())])
+        other = SweepPlan.from_requests(
+            [a_request(sim_config=SimulatorConfig(max_candidates=3))]
+        )
         assert plan_fingerprint(implicit) == plan_fingerprint(explicit)
-        assert plan_fingerprint(
-            implicit, SimulatorConfig(max_candidates=3)
-        ) != plan_fingerprint(implicit)
+        assert plan_fingerprint(other) != plan_fingerprint(implicit)
+        with pytest.raises(TypeError):
+            plan_fingerprint(implicit, SimulatorConfig(max_candidates=3))
+
+        manager = JobManager(tmp_path / "store")  # records jobs; never started
+        job, coalesced = manager.submit(implicit)
+        assert not coalesced
+        joined, coalesced = manager.submit(explicit)
+        assert coalesced
+        assert joined.job_id == job.job_id
+        separate, coalesced = manager.submit(other)
+        assert not coalesced
+        assert separate.job_id != job.job_id
+
+    def test_mixed_default_forms_are_one_evaluation_in_a_job(self, service):
+        plan = SweepPlan.from_requests(
+            [
+                EvaluationRequest("linear", 4),
+                EvaluationRequest("linear", 4, sim_config=SimulatorConfig()),
+            ]
+        )
+        accepted = service.submit_sweep(plan.to_dict())
+        assert service.jobs.wait_idle(timeout=90)
+        view = service.job_status(accepted["job_id"])
+        assert view["state"] == "completed"
+        assert view["stats"]["evaluations"] == 1
+        assert view["stats"]["duplicate_hits"] == 1
+        assert view["results"][0]["result"] == view["results"][1]["result"]
+        assert len(service.store) == 1

@@ -40,7 +40,7 @@ def small_plan(capacities=(2, 3, 4)) -> SweepPlan:
 
 def run_output(store, plan) -> str:
     """The canonical serialized sweep output, resolved purely from a store."""
-    result = SweepExecutor(store=store, resume=True).run(plan)
+    result = SweepExecutor(store=store).run(plan, resume=True)
     assert result.stats.evaluations == 0, "store did not cover the plan"
     return json.dumps(result.to_dict(), sort_keys=True)
 
@@ -304,7 +304,7 @@ class TestMergeSemantics:
     def seed_store(self, root, capacities=(2, 3)):
         store = ResultStore(root)
         plan = small_plan(capacities=capacities)
-        SweepExecutor(store=store, resume=True).run(plan)
+        SweepExecutor(store=store).run(plan, resume=True)
         return store, plan
 
     def test_conflict_raises_by_default(self, tmp_path):

@@ -75,9 +75,29 @@ class TestRequestFingerprint:
 
     def test_schema_version_changes_fingerprint(self):
         request = a_request()
-        assert request_fingerprint(request, STORE_SCHEMA_VERSION) != (
-            request_fingerprint(request, STORE_SCHEMA_VERSION + 1)
+        current = request_fingerprint(request, schema_version=STORE_SCHEMA_VERSION)
+        bumped = request_fingerprint(request, schema_version=STORE_SCHEMA_VERSION + 1)
+        assert current != bumped
+        with pytest.raises(TypeError):
+            request_fingerprint(request, STORE_SCHEMA_VERSION)  # keyword-only
+
+    def test_default_sim_config_is_one_fingerprint(self):
+        implicit = a_request()
+        explicit = a_request(sim_config=SimulatorConfig())
+        assert explicit.with_effective_sim_config() is explicit
+        assert implicit.with_effective_sim_config() == explicit
+        assert request_fingerprint(implicit) == request_fingerprint(explicit)
+        assert request_fingerprint(implicit) != request_fingerprint(
+            a_request(sim_config=SimulatorConfig(max_candidates=1))
         )
+
+    def test_stored_request_carries_the_effective_sim_config(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        request = a_request()
+        fingerprint = store.put(request, Pipeline().evaluate(request))
+        payload = json.loads(store.path_for(fingerprint).read_text())
+        assert payload["request"] == request.with_effective_sim_config().to_dict()
+        assert payload["request"]["sim_config"]["max_candidates"] == 2
 
     def test_fingerprint_is_hex_and_fixed_width(self):
         fingerprint = request_fingerprint(a_request())
@@ -374,8 +394,6 @@ class TestServiceStore:
 class TestExecutorResume:
     def test_resume_requires_store(self, tmp_path):
         with pytest.raises(ValueError):
-            SweepExecutor(resume=True)
-        with pytest.raises(ValueError):
             SweepExecutor().run(small_plan(), resume=True)
 
     def test_store_accepts_path_and_instance(self, tmp_path):
@@ -546,54 +564,106 @@ class TestExecutorResume:
             stats.duplicate_hits + stats.store_hits + stats.evaluations
         )
 
-    def test_store_identity_carries_effective_sim_config(self, tmp_path):
-        """Two executors with different default configs must not alias.
+    def test_default_sim_config_is_one_evaluation(self, tmp_path):
+        """The implicit and the explicit default config are one request.
 
-        A request with ``sim_config=None`` inherits the executor default at
-        evaluation time, so the store fingerprint must carry the *resolved*
-        config: resuming under a different default must recompute, not
-        serve the other configuration's numbers.
+        They share a fingerprint, so the executor evaluates and persists
+        the plan's one point once, and a resumed run serves it once.
         """
+        plan = SweepPlan.from_requests(
+            [
+                EvaluationRequest("linear", 4),
+                EvaluationRequest("linear", 4, sim_config=SimulatorConfig()),
+            ]
+        )
         store = ResultStore(tmp_path / "store")
-        plan = SweepPlan.from_grid(methods=("linear",), capacities=(2,))
+        first = SweepExecutor(store=store).run(plan)
+        assert first.stats.evaluations == 1
+        assert first.stats.duplicate_hits == 1
+        assert store.puts == 1
+        assert first.evaluations[0] == first.evaluations[1]
+
+        resumed = SweepExecutor(store=store).run(plan, resume=True)
+        assert resumed.stats.store_hits == 1
+        assert resumed.stats.duplicate_hits == 1
+        assert resumed.stats.evaluations == 0
+        assert resumed.evaluations == first.evaluations
+
+    def test_store_identity_is_the_effective_sim_config(self, tmp_path):
+        """One entry per effective config: forms of one config share it,
+        and different configs never serve each other's numbers."""
+        store = ResultStore(tmp_path / "store")
         config_a = SimulatorConfig(max_candidates=8, allow_detour=True)
         config_b = SimulatorConfig(max_candidates=1)
-        run_a = SweepExecutor(workers=1, sim_config=config_a, store=store).run(
-            plan, resume=True
-        )
-        run_b = SweepExecutor(workers=1, sim_config=config_b, store=store).run(
-            plan, resume=True
-        )
+
+        def plan(sim_config=None):
+            return SweepPlan.from_grid(
+                methods=("linear",), capacities=(2,), sim_config=sim_config
+            )
+
+        run_a = SweepExecutor(store=store).run(plan(config_a), resume=True)
+        run_b = SweepExecutor(store=store).run(plan(config_b), resume=True)
         assert run_b.stats.store_hits == 0  # config_a's entry must not serve
-        reference_b = SweepExecutor(workers=1, sim_config=config_b).run(plan)
-        assert run_b.evaluations == reference_b.evaluations
-        assert len(store) == 2  # one entry per effective configuration
+        assert run_b.evaluations == SweepExecutor().run(plan(config_b)).evaluations
+        assert len(store) == 2
 
-        # Same effective config expressed implicitly vs explicitly is ONE
-        # identity: a request carrying config_a hits the entry stored by
-        # the executor whose *default* was config_a.
-        explicit = SweepPlan.from_grid(
-            methods=("linear",), capacities=(2,), sim_config=config_a
-        )
-        resumed = SweepExecutor(workers=1, store=store).run(explicit, resume=True)
-        assert resumed.stats.store_hits == 1
-        assert resumed.evaluations == run_a.evaluations
-
-    def test_service_store_identity_carries_effective_sim_config(self, tmp_path):
-        store = ResultStore(tmp_path / "store")
-        data = a_request().to_dict()
-        config = SimulatorConfig(max_candidates=1)
-        SweepService(store=store, sim_config=config).evaluate(data)
-        other = SweepService(
-            store=store, sim_config=SimulatorConfig(max_candidates=8)
-        )
-        assert other.evaluate(data).source == "evaluated"
-        assert other.counters.store_hits == 0
-        # The default-config service likewise gets its own entry.
-        default = SweepService(store=store)
-        assert default.evaluate(data).source == "evaluated"
-        assert default.counters.store_hits == 0
+        implicit = SweepExecutor(store=store).run(plan(), resume=True)
+        assert implicit.stats.store_hits == 0
         assert len(store) == 3
+        explicit = SweepExecutor(store=store).run(plan(SimulatorConfig()), resume=True)
+        assert explicit.stats.store_hits == 1
+        assert explicit.evaluations == implicit.evaluations
+        again = SweepExecutor(store=store).run(plan(config_a), resume=True)
+        assert again.stats.store_hits == 1
+        assert again.evaluations == run_a.evaluations
+        assert len(store) == 3
+
+    def test_service_store_identity_is_the_effective_sim_config(self, tmp_path):
+        store = ResultStore(tmp_path / "store")
+        service = SweepService(store=store)
+        implicit = service.evaluate(a_request().to_dict())
+        assert implicit.source == "evaluated"
+        # The explicit default is the same entry under the same ETag.
+        explicit = service.evaluate(a_request(sim_config=SimulatorConfig()).to_dict())
+        assert explicit.source == "store"
+        assert explicit.etag == implicit.etag
+        assert explicit.payload == implicit.payload
+        # Two other configs are two more entries, each under its own ETag.
+        etags = {implicit.etag}
+        for max_candidates in (1, 8):
+            data = a_request(
+                sim_config=SimulatorConfig(max_candidates=max_candidates)
+            ).to_dict()
+            outcome = service.evaluate(data)
+            assert outcome.source == "evaluated"
+            etags.add(outcome.etag)
+        assert len(etags) == 3
+        assert service.counters.store_hits == 1
+        assert len(store) == 3
+
+    def test_no_runner_takes_a_default_sim_config(self):
+        """A request alone defines what it evaluates: no runner default."""
+        import inspect
+
+        from repro.api.sharding import plan_fingerprint, run_shard, write_shard_files
+        from repro.service import JobManager
+        from repro.service.server import serve
+
+        for runner in (
+            Pipeline,
+            SweepExecutor,
+            SweepService,
+            JobManager,
+            serve,
+            run_shard,
+            plan_fingerprint,
+            write_shard_files,
+        ):
+            assert "sim_config" not in inspect.signature(runner).parameters, runner
+        assert "resume" not in inspect.signature(SweepExecutor).parameters
+        assert list(
+            inspect.signature(EvaluationRequest.with_effective_sim_config).parameters
+        ) == ["self"]
 
     def test_failed_store_write_warns_but_never_kills_the_sweep(
         self, tmp_path, monkeypatch
