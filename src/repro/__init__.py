@@ -69,7 +69,7 @@ from . import (
     scheduling,
 )
 
-__version__ = "1.17.0"
+__version__ = "1.18.0"
 
 __all__ = [
     "analysis",

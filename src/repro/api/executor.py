@@ -197,7 +197,10 @@ class ExecutorStats:
     their semantics.  ``store_hits`` counts plan entries answered from the
     persistent :class:`~repro.api.store.ResultStore` during a resumed run
     (unique requests only — a duplicate of a stored request still counts as
-    a ``duplicate_hit``).  The invariant
+    a ``duplicate_hit``).  ``workers`` is the number of processes that
+    evaluated: the pool's size when the run used one, else 1 (a batched
+    run, a serial one, or one with at most one request to evaluate).  The
+    invariant
     ``requests == duplicate_hits + store_hits + evaluations`` always holds.
     """
 
@@ -452,7 +455,7 @@ class SweepExecutor:
         if resume and self.store is None:
             raise ValueError("resume=True requires a result store (store=...)")
         started = time.perf_counter()
-        stats = ExecutorStats(requests=len(plan), workers=self.workers)
+        stats = ExecutorStats(requests=len(plan))
 
         # Deduplicate by store identity while preserving first-occurrence
         # order.
@@ -527,7 +530,8 @@ class SweepExecutor:
             elif self.workers == 1 or len(pending) <= 1:
                 self._run_serial(unique, pending, complete)
             else:
-                self._run_parallel(unique, pending, complete)
+                stats.workers = min(self.workers, len(pending))
+                self._run_parallel(unique, pending, complete, stats.workers)
 
         evaluations = [unique_results[slot] for slot in slots]
         stats.wall_seconds = time.perf_counter() - started
@@ -576,8 +580,8 @@ class SweepExecutor:
         unique: Sequence[EvaluationRequest],
         pending: Sequence[int],
         complete: _Complete,
+        workers: int,
     ) -> None:
-        workers = min(self.workers, len(pending))
         # Longest first: more levels, then higher capacity, so the slowest
         # points (paper-scale level 2) do not start last and leave the other
         # workers idle.  The sort is stable, so ties keep plan order.

@@ -1,4 +1,4 @@
-"""Multilevel recursive graph bisection (METIS-style, pure Python).
+"""Multilevel recursive graph bisection (METIS-style).
 
 Section VI-B.2 of the paper uses a recursive bisectioning technique in the
 style of METIS / Scotch: vertices are *coarsened* by heavy-edge matching, a
@@ -22,20 +22,56 @@ adjacencies with their own size maps.  Every iteration order follows the
 input graph's, which is networkx's (see :mod:`repro.graphs.adjacency`), so
 the blocks and the GP placements are the ones the networkx-backed version
 produced.
+
+:func:`bisect_left` runs the whole multilevel bisection in the mapping
+kernel (``mc_bisect`` in ``repro/kernels/metrics_kernel.c``) whenever the
+kernel loads, through a :class:`Bisector`, which holds the adjacency as
+CSR arrays and also bisects the subgraphs it induces without copying them.
+The kernel replays the Python functions below, which stay as its oracle
+(:func:`bisect_left_reference`; ``REPRO_NO_KERNEL=1`` pins them): the
+seeding of ``random.Random(seed)`` for int seeds, ``shuffle`` and
+``choice``, every stable sort and first-max tie, every float sum in
+neighbour order (``sum()``'s compensated float adds from Python 3.12
+included) and the coarse graphs' neighbour order.  Only what depends on
+Python's set order stays in Python: the node order of an induced subgraph
+(:func:`~repro.graphs.adjacency.subgraph_order`) and the vertex order of
+the first refinement (``{v for v in adj}``).  Graphs the kernel cannot
+replay exactly go to the oracle: weights that are not all ``int`` or
+``float``, weights that are NaN or infinite or whose absolute values sum
+past 2**52 (ints and their sums would stop being exact in a double),
+sizes that are not all ``int`` or that sum past 2**61 in absolute value,
+and adjacencies that are not symmetric; so do calls whose seed is not an
+int or whose ``target_left`` or ``coarsen_threshold`` is not an int.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from collections import deque
+from itertools import chain
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
+from ..kernels import metrics as _metrics_kernel
+from ..kernels.metrics import (
+    BP_COMPENSATED,
+    BP_COUNT,
+    BP_INDUCED,
+    BP_NEGATIVE,
+    BP_SEED_WORDS,
+    BP_SLOTS,
+    BP_TARGET,
+    BP_THRESHOLD,
+)
 from .adjacency import (
     Adjacency,
     adjacency,
     edges,
     induced_subgraph,
+    subgraph_order,
     weighted_degree,
 )
 
@@ -274,6 +310,18 @@ def bisect_left(
     coarsen_threshold: int = 32,
 ) -> Set[int]:
     """The left half of :func:`bisect`'s cut of an adjacency, as a set."""
+    bisector = Bisector(adj, sizes)
+    return bisector.bisect_left(None, target_left, seed, coarsen_threshold)
+
+
+def bisect_left_reference(
+    adj: Adjacency,
+    sizes: Sizes,
+    target_left: Optional[int] = None,
+    seed: int = 0,
+    coarsen_threshold: int = 32,
+) -> Set[int]:
+    """:func:`bisect_left` in Python: the oracle the kernel replays."""
     vertices = list(adj)
     if target_left is None:
         target_left = sum(sizes[v] for v in vertices) // 2
@@ -285,7 +333,7 @@ def bisect_left(
         groups = _heavy_edge_matching(adj, seed)
         if len(groups) < len(vertices):
             coarse, coarse_sizes, membership = _contract(adj, sizes, groups)
-            coarse_left = bisect_left(
+            coarse_left = bisect_left_reference(
                 coarse,
                 coarse_sizes,
                 target_left=target_left,
@@ -296,6 +344,150 @@ def bisect_left(
     if initial is None:
         initial = _initial_bisection(adj, sizes, target_left, seed=seed)
     return _refine_bisection(adj, sizes, initial, target_left)
+
+
+#: Bounds of what the kernel replays exactly: ints and every sum of them
+#: stay exact in a double while the absolute weights sum to at most
+#: ``_WEIGHT_BOUND`` (a self-loop counts twice in a degree), and the size
+#: and balance arithmetic stays inside int64 below ``_SIZE_BOUND``.
+_WEIGHT_BOUND = 2**52
+_SIZE_BOUND = 2**61
+
+
+class Bisector:
+    """Bisects one adjacency, or subgraphs it induces, in the kernel when it can.
+
+    The adjacency becomes CSR arrays once: node ``i`` is its ``i``-th key,
+    and a row lists the node's neighbours, weights and weight types in
+    dict order.  Each :meth:`bisect_left` then hands the kernel only the
+    node orders that depend on Python's set order.  Without the kernel, or
+    on a graph or call it cannot replay exactly (see the module
+    docstring), :func:`bisect_left_reference` runs instead, on the
+    adjacency or on an induced dict copy.  A bisector is not thread-safe:
+    its calls share scratch buffers.
+    """
+
+    def __init__(self, adj: Adjacency, sizes: Sizes) -> None:
+        self.adj = adj
+        self.sizes = sizes
+        kernel = _metrics_kernel.load()
+        self._kernel = kernel if kernel is not None and self._build() else None
+
+    def _build(self) -> bool:
+        """Fill the CSR arrays; False when the kernel cannot take the graph."""
+        adj = self.adj
+        rows = list(adj.values())
+        weights = [w for row in rows for w in row.values()]
+        kinds = set(map(type, weights))
+        node_sizes = [self.sizes[v] for v in adj]
+        if not (
+            kinds <= {int, float}
+            and set(map(type, node_sizes)) <= {int}
+            and sum(map(abs, node_sizes)) <= _SIZE_BOUND
+        ):
+            return False
+        try:
+            weight = np.array(weights, dtype=np.float64)
+        except OverflowError:
+            return False
+        if not np.abs(weight).sum() <= _WEIGHT_BOUND:  # NaN fails here too
+            return False
+        if kinds == {float}:
+            ints = np.zeros(len(weights), dtype=np.uint8)
+        elif kinds == {int}:
+            ints = np.ones(len(weights), dtype=np.uint8)
+        else:
+            ints = np.array([type(w) is int for w in weights], dtype=np.uint8)
+        self._index = index = {v: i for i, v in enumerate(adj)}
+        n = len(index)
+        degree = np.fromiter(map(len, rows), dtype=np.int64, count=n)
+        off = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degree, out=off[1:])
+        nbr = np.fromiter(
+            map(index.__getitem__, chain.from_iterable(rows)),
+            dtype=np.int64,
+            count=len(weights),
+        )
+        # Symmetric: every entry (u, v) has a twin (v, u) of equal weight
+        # and type.  A row holds each neighbour once, so sorting the entries
+        # by (u, v) and by (v, u) lines each one up with its only possible
+        # twin.
+        node = np.repeat(np.arange(n, dtype=np.int64), degree)
+        forward = np.argsort(node * n + nbr, kind="stable")
+        backward = np.argsort(nbr * n + node, kind="stable")
+        if not (
+            np.array_equal(node[forward], nbr[backward])
+            and np.array_equal(nbr[forward], node[backward])
+            and np.array_equal(weight[forward], weight[backward])
+            and np.array_equal(ints[forward], ints[backward])
+        ):
+            return False
+        self._params = np.zeros(BP_SLOTS, dtype=np.int64)
+        self._params[BP_COMPENSATED] = sys.version_info >= (3, 12)
+        self._order = np.zeros(n + 1, dtype=np.int64)
+        self._visit = np.zeros(n + 1, dtype=np.int64)
+        self._left = np.zeros(n + 1, dtype=np.int64)
+        # mc_bisect's array arguments, kept alive with their addresses.
+        self._arrays = (
+            self._params,
+            off,
+            nbr,
+            weight,
+            ints,
+            np.array(node_sizes, dtype=np.int64),
+            self._order,
+            self._visit,
+            np.full(n + 1, -1, dtype=np.int64),
+            self._left,
+        )
+        self._addresses = [array.ctypes.data for array in self._arrays]
+        return True
+
+    def bisect_left(
+        self,
+        vertices: Optional[Iterable[Hashable]] = None,
+        target_left: Optional[int] = None,
+        seed: int = 0,
+        coarsen_threshold: int = 32,
+    ) -> Set[Hashable]:
+        """``bisect_left(adj, sizes, ...)``; with ``vertices``,
+        ``bisect_left(induced_subgraph(adj, vertices), sizes, ...)``."""
+        if (
+            self._kernel is None
+            or not isinstance(seed, int)
+            or not (target_left is None or type(target_left) is int)
+            or abs(target_left or 0) > _SIZE_BOUND
+            or type(coarsen_threshold) is not int
+        ):
+            adj = self.adj
+            if vertices is not None:
+                adj = induced_subgraph(adj, vertices)
+            return bisect_left_reference(
+                adj, self.sizes, target_left, seed, coarsen_threshold
+            )
+        index = self._index
+        if vertices is None:
+            order = list(self.adj)
+        else:
+            order = list(subgraph_order(self.adj, vertices)[0])
+            self._order[: len(order)] = [index[v] for v in order]
+        if target_left is None:
+            target_left = sum(self.sizes[v] for v in order) // 2
+        self._visit[: len(order)] = [index[v] for v in {v for v in order}]
+        magnitude = abs(int(seed))
+        words = (magnitude.bit_length() + 31) // 32
+        params = self._params
+        params[BP_COUNT] = len(order)
+        params[BP_INDUCED] = vertices is not None
+        params[BP_TARGET] = target_left
+        params[BP_THRESHOLD] = max(-1, min(coarsen_threshold, _SIZE_BOUND))
+        params[BP_NEGATIVE] = seed < 0
+        params[BP_SEED_WORDS] = words
+        seed_words = magnitude.to_bytes(4 * words, "little")
+        count = self._kernel.bisect(*self._addresses, seed_words)
+        if count < 0:
+            raise MemoryError("the bisection kernel ran out of memory")
+        return {order[i] for i in self._left[:count].tolist()}
 
 
 def recursive_bisection(

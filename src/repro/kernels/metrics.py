@@ -32,7 +32,12 @@ parity tests.  ``mc_hop_sweep`` runs one sweep of the permutation-hop
 annealer of :mod:`repro.mapping.stitching` on the same crossing
 predicates: the caller pre-draws the visit order and one random cell per
 visit with CPython's own generator, and the kernel scores every
-candidate hop as an exact integer.
+candidate hop as an exact integer.  ``mc_bisect`` runs the GP mapper's
+whole multilevel bisection (:class:`repro.graphs.partition.Bisector`) on
+a CSR graph or a subgraph it induces: heavy-edge matching, contraction,
+the initial cut and the refinement of every level, seeding each level's
+generator like ``random.Random(seed)`` (``mc_seed``, exported on its own
+for the parity test).
 """
 
 from __future__ import annotations
@@ -86,6 +91,19 @@ FW_ATTRACTION, FW_REPULSION, FW_DIPOLE, FW_SLOTS = range(4)
 FORCE_ATTRACTION, FORCE_REPULSION, FORCE_DIPOLE = 1, 2, 4
 STATUS_NAN_FORCE = 2
 
+#: Slots of ``mc_bisect``'s int64 parameter array (the ``BP_*`` enum of
+#: the C source).
+(
+    BP_COUNT,
+    BP_INDUCED,
+    BP_TARGET,
+    BP_THRESHOLD,
+    BP_COMPENSATED,
+    BP_NEGATIVE,
+    BP_SEED_WORDS,
+    BP_SLOTS,
+) = range(8)
+
 _i64 = ctypes.c_int64
 _dbl = ctypes.c_double
 _ptr = ctypes.c_void_p
@@ -130,6 +148,12 @@ class MetricsKernel:
         self.hop_sweep = lib.mc_hop_sweep
         self.hop_sweep.restype = None
         self.hop_sweep.argtypes = [_i64] * 3 + [_ptr] * 6
+        self.seed = lib.mc_seed
+        self.seed.restype = None
+        self.seed.argtypes = [_ptr, _i64, _ptr, _ptr]
+        self.bisect = lib.mc_bisect
+        self.bisect.restype = _i64
+        self.bisect.argtypes = [_ptr] * 11
 
 
 _LOADER = KernelLoader(

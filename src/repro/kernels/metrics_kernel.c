@@ -43,11 +43,16 @@
  * partial count settles the Boltzmann test (see Settle); it skips the k
  * distance rows whenever the bound already rejects the move.  mc_hop_sweep
  * (after it) runs one sweep of the permutation-hop annealer of
- * repro.mapping.stitching on the same crossing predicates.
+ * repro.mapping.stitching on the same crossing predicates.  mc_bisect (at
+ * the end) runs the multilevel graph bisection of repro.graphs.partition,
+ * the one part of this file that allocates: each coarse level is malloc'ed
+ * and freed within the call.
  */
 
 #include <float.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 #include <math.h>
 
 #define TOL 1e-12
@@ -754,25 +759,28 @@ void mc_random(uint32_t *mt, int64_t *index, int64_t n, double *out) {
     }
 }
 
+/* random's _randbelow(count), 0 < count < 2**32: getrandbits(k) for
+ * k = count.bit_length(), which for k <= 32 is one 32-bit word shifted
+ * right by 32 - k, drawn again while the result is not below count. */
+static int64_t mt_randbelow(uint32_t *mt, int64_t *index, int64_t count) {
+    int k = 0;
+    uint64_t r;
+    while (((uint64_t)count) >> k) {
+        k++;
+    }
+    do {
+        r = mt_next(mt, index) >> (32 - k);
+    } while (r >= (uint64_t)count);
+    return (int64_t)r;
+}
+
 /* random.shuffle(items[0..n)), n < 2**32: for i from n - 1 down to 1,
- * _randbelow(i + 1) draws getrandbits(k) for k = (i + 1).bit_length(),
- * which for k <= 32 is one 32-bit word shifted right by 32 - k, and draws
- * again while the result exceeds i; then items i and r swap.  Exported for
- * the parity test; mc_sweep shuffles its proposal order with it. */
+ * items i and _randbelow(i + 1) swap.  Exported for the parity test;
+ * mc_sweep shuffles its proposal order with it. */
 void mc_shuffle(uint32_t *mt, int64_t *index, int64_t n, int64_t *items) {
     int64_t i;
     for (i = n - 1; i > 0; i--) {
-        uint64_t bound = (uint64_t)i + 1;
-        uint64_t r;
-        int64_t swap;
-        int k = 0;
-        while (bound >> k) {
-            k++;
-        }
-        do {
-            r = mt_next(mt, index) >> (32 - k);
-        } while (r >= bound);
-        swap = items[i];
+        int64_t r = mt_randbelow(mt, index, i + 1), swap = items[i];
         items[i] = items[r];
         items[r] = swap;
     }
@@ -1682,4 +1690,705 @@ void mc_hop_sweep(int64_t braids, int64_t height, int64_t width,
         row_seg[2] = row_seg[4] = (double)best_row;
         row_seg[3] = row_seg[5] = (double)best_col;
     }
+}
+
+/* ------------------------------------------------------------------ */
+/* Multilevel graph bisection                                          */
+/* ------------------------------------------------------------------ */
+
+/* The bisection of repro.graphs.partition (bisect_left and the oracle
+ * helpers it calls), whose Python form is the oracle this must match
+ * exactly.  A level is an adjacency in CSR form: node i of a level is the
+ * oracle dict's i-th key, a row lists the node's neighbours in the dict's
+ * order, and every weight carries whether the oracle holds it as an int.
+ * The caller guarantees that ints and every sum of them are exact in a
+ * double (their absolute values sum to at most 2**52) and that no weight
+ * is NaN or infinite, so each float operation below is the oracle's. */
+
+/* random.Random(seed) for an int seed: CPython's init_by_array over the
+ * 32-bit words of abs(seed), least significant first (one zero word for
+ * 0), with the read index left at MT_N.  Exported for the parity test. */
+void mc_seed(const uint32_t *key, int64_t length, uint32_t *mt,
+             int64_t *index) {
+    static const uint32_t zero = 0;
+    int64_t i = 1, j = 0, k;
+    if (length == 0) {
+        key = &zero;
+        length = 1;
+    }
+    mt[0] = 19650218U;
+    for (k = 1; k < MT_N; k++) {
+        mt[k] = 1812433253U * (mt[k - 1] ^ (mt[k - 1] >> 30)) + (uint32_t)k;
+    }
+    for (k = MT_N > length ? MT_N : length; k > 0; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1664525U))
+                + key[j] + (uint32_t)j;
+        i++;
+        j++;
+        if (i >= MT_N) {
+            mt[0] = mt[MT_N - 1];
+            i = 1;
+        }
+        if (j >= length) {
+            j = 0;
+        }
+    }
+    for (k = MT_N - 1; k > 0; k--) {
+        mt[i] = (mt[i] ^ ((mt[i - 1] ^ (mt[i - 1] >> 30)) * 1566083941U))
+                - (uint32_t)i;
+        i++;
+        if (i >= MT_N) {
+            mt[0] = mt[MT_N - 1];
+            i = 1;
+        }
+    }
+    mt[0] = 0x80000000U;
+    *index = MT_N;
+}
+
+/* A Python int seed as sign and magnitude words, least significant first,
+ * with no leading zero word (0 has none); words has room for one more. */
+typedef struct {
+    uint32_t *words;
+    int64_t count;
+    int negative;
+} Seed;
+
+/* seed += 1: the magnitude grows for seeds >= 0 and shrinks below. */
+static void seed_increment(Seed *s) {
+    int64_t i = 0;
+    if (!s->negative) {
+        while (i < s->count && ++s->words[i] == 0) {
+            i++;
+        }
+        if (i == s->count) {
+            s->words[s->count++] = 1;
+        }
+        return;
+    }
+    while (s->words[i] == 0) {
+        s->words[i++] = 0xffffffffU;
+    }
+    s->words[i]--;
+    while (s->count > 0 && s->words[s->count - 1] == 0) {
+        s->count--;
+    }
+    s->negative = s->count > 0;
+}
+
+/* Python's sum() over one row's weights: exact int adds up to the first
+ * float, which is one rounded add; then plain adds, or from Python 3.12
+ * (compensated) Neumaier-compensated adds for the floats and plain ones
+ * for the ints, the compensation added at the end when finite. */
+static double py_sum(const double *w, const uint8_t *isint, int64_t count,
+                     int compensated) {
+    double total = 0.0, c = 0.0;
+    int64_t e = 0;
+    while (e < count && isint[e]) {
+        total += w[e++];
+    }
+    if (e == count) {
+        return total;
+    }
+    total += w[e++];
+    for (; e < count; e++) {
+        double x = w[e], t;
+        if (!compensated || isint[e]) {
+            total += x;
+            continue;
+        }
+        t = total + x;
+        if (fabs(total) >= fabs(x)) {
+            c += (total - t) + x;
+        } else {
+            c += (x - t) + total;
+        }
+        total = t;
+    }
+    if (c != 0.0 && isfinite(c)) {
+        total += c;
+    }
+    return total;
+}
+
+/* Stable sort of items[0..n) by keys, descending: equal keys keep their
+ * order, as list.sort(key=k, reverse=True) and sorted(key=-k) leave them
+ * (keys are never NaN, so any stable sort agrees with Python's).
+ * ti/tk hold n entries of scratch. */
+static void sort_descending(int64_t *items, double *keys, int64_t n,
+                            int64_t *ti, double *tk) {
+    int64_t lo, width;
+    for (lo = 0; lo < n; lo += 16) {
+        int64_t hi = lo + 16 < n ? lo + 16 : n, a, b;
+        for (a = lo + 1; a < hi; a++) {
+            double key = keys[a];
+            int64_t item = items[a];
+            for (b = a; b > lo && keys[b - 1] < key; b--) {
+                keys[b] = keys[b - 1];
+                items[b] = items[b - 1];
+            }
+            keys[b] = key;
+            items[b] = item;
+        }
+    }
+    for (width = 16; width < n; width *= 2) {
+        for (lo = 0; lo + width < n; lo += 2 * width) {
+            int64_t mid = lo + width, hi = mid + width < n ? mid + width : n;
+            int64_t a = lo, b = mid, t = lo;
+            while (a < mid || b < hi) {
+                if (b >= hi || (a < mid && !(keys[b] > keys[a]))) {
+                    tk[t] = keys[a];
+                    ti[t++] = items[a++];
+                } else {
+                    tk[t] = keys[b];
+                    ti[t++] = items[b++];
+                }
+            }
+            memcpy(keys + lo, tk + lo, (size_t)(hi - lo) * sizeof(double));
+            memcpy(items + lo, ti + lo, (size_t)(hi - lo) * sizeof(int64_t));
+        }
+    }
+}
+
+/* One level of the multilevel scheme.  off/nbr/w/isint/size are borrowed
+ * from the caller for a whole graph taken as is, owned otherwise. */
+typedef struct {
+    int64_t n;
+    int64_t *off, *nbr, *size;
+    double *w;
+    uint8_t *isint;
+    int64_t *mem;  /* node -> coarse node, on a level that coarsens */
+    uint8_t *left; /* this level's bisection */
+    int owned;
+} Level;
+
+static void level_free(Level *g) {
+    if (g->owned) {
+        free(g->off);
+        free(g->nbr);
+        free(g->size);
+        free(g->w);
+        free(g->isint);
+    }
+    free(g->mem);
+    free(g->left);
+}
+
+static int level_alloc(Level *g, int64_t n, int64_t entries) {
+    g->n = n;
+    g->owned = 1;
+    g->off = malloc((size_t)(n + 1) * sizeof(int64_t));
+    g->nbr = malloc((size_t)(entries + 1) * sizeof(int64_t));
+    g->size = malloc((size_t)(n + 1) * sizeof(int64_t));
+    g->w = malloc((size_t)(entries + 1) * sizeof(double));
+    g->isint = malloc((size_t)(entries + 1));
+    return g->off && g->nbr && g->size && g->w && g->isint ? 0 : -1;
+}
+
+/* Scratch shared by every level, sized for the largest (the first). */
+typedef struct {
+    int64_t *items, *ti, *queue;
+    double *keys, *tk;
+    uint8_t *flag;
+} Scratch;
+
+/* induced_subgraph(adj, order): node l is order[l] (pos maps it back) and
+ * a row holds first the neighbours met while earlier nodes were scanned,
+ * by ascending node, then the node's own neighbours from itself on in its
+ * dict order -- networkx's G.subgraph(order).copy() on a symmetric
+ * adjacency. */
+static int build_induced(Level *g, int64_t n, const int64_t *order,
+                         const int64_t *pos, const int64_t *off,
+                         const int64_t *nbr, const double *w,
+                         const uint8_t *isint, const int64_t *size,
+                         Scratch *s) {
+    int64_t *early = s->ti, *cursor = s->queue, *late = s->items;
+    int64_t l, e, entries = 0;
+    for (l = 0; l < n; l++) {
+        early[l] = late[l] = 0;
+    }
+    for (l = 0; l < n; l++) {
+        int64_t u = order[l];
+        for (e = off[u]; e < off[u + 1]; e++) {
+            int64_t k = pos[nbr[e]];
+            if (k >= l) {
+                late[l]++;
+                if (k > l) {
+                    early[k]++;
+                }
+            }
+        }
+    }
+    for (l = 0; l < n; l++) {
+        entries += early[l] + late[l];
+    }
+    if (level_alloc(g, n, entries) != 0) {
+        return -1;
+    }
+    g->off[0] = 0;
+    for (l = 0; l < n; l++) {
+        g->off[l + 1] = g->off[l] + early[l] + late[l];
+        cursor[l] = g->off[l];
+        late[l] = g->off[l] + early[l];
+        g->size[l] = size[order[l]];
+    }
+    for (l = 0; l < n; l++) {
+        int64_t u = order[l];
+        for (e = off[u]; e < off[u + 1]; e++) {
+            int64_t k = pos[nbr[e]], at;
+            if (k < l) {
+                continue;
+            }
+            at = late[l]++;
+            g->nbr[at] = k;
+            g->w[at] = w[e];
+            g->isint[at] = isint[e];
+            if (k > l) {
+                at = cursor[k]++;
+                g->nbr[at] = l;
+                g->w[at] = w[e];
+                g->isint[at] = isint[e];
+            }
+        }
+    }
+    return 0;
+}
+
+/* _heavy_edge_matching on a seeded generator: visit the nodes in
+ * random.shuffle order and pair each unmatched one with its heaviest
+ * unmatched neighbour (the first of equal weights).  Writes g->mem and
+ * returns the number of groups. */
+static int64_t heavy_edge_matching(Level *g, uint32_t *mt, int64_t *mti,
+                                   Scratch *s) {
+    int64_t *visit = s->items, v, t, e, groups = 0;
+    uint8_t *matched = s->flag;
+    for (v = 0; v < g->n; v++) {
+        visit[v] = v;
+        matched[v] = 0;
+    }
+    mc_shuffle(mt, mti, g->n, visit);
+    for (t = 0; t < g->n; t++) {
+        int64_t best = -1;
+        double best_weight = -1.0;
+        v = visit[t];
+        if (matched[v]) {
+            continue;
+        }
+        for (e = g->off[v]; e < g->off[v + 1]; e++) {
+            int64_t u = g->nbr[e];
+            if (matched[u] || u == v) {
+                continue;
+            }
+            if (g->w[e] > best_weight) {
+                best_weight = g->w[e];
+                best = u;
+            }
+        }
+        matched[v] = 1;
+        g->mem[v] = groups;
+        if (best >= 0) {
+            matched[best] = 1;
+            g->mem[best] = groups;
+        }
+        groups++;
+    }
+    return groups;
+}
+
+/* _contract: coarse node c is group c; a coarse edge sums its fine edges'
+ * weights in edges() order (row by row, each edge from its first
+ * endpoint), and each coarse row lists its neighbours in the order their
+ * edges first appear there.  The coarse edges are numbered in that order
+ * through an open-addressing table, so emitting them by number fills
+ * every row in order. */
+static int contract(const Level *g, int64_t groups, Level *c) {
+    int64_t n = g->n, v, e, edges = 0, canonical = 0, mask = 1, id;
+    int64_t *table = NULL, *ea = NULL, *eb = NULL, *cursor = NULL;
+    double *ew = NULL;
+    uint8_t *eint = NULL;
+    int status = -1;
+    for (v = 0; v < n; v++) {
+        for (e = g->off[v]; e < g->off[v + 1]; e++) {
+            canonical += g->nbr[e] >= v;
+        }
+    }
+    while (mask < 2 * canonical + 1) {
+        mask = 2 * mask + 1;
+    }
+    table = malloc((size_t)(mask + 1) * sizeof(int64_t));
+    ea = malloc((size_t)(canonical + 1) * sizeof(int64_t));
+    eb = malloc((size_t)(canonical + 1) * sizeof(int64_t));
+    ew = malloc((size_t)(canonical + 1) * sizeof(double));
+    eint = malloc((size_t)(canonical + 1));
+    if (!table || !ea || !eb || !ew || !eint) {
+        goto done;
+    }
+    memset(table, 0xff, (size_t)(mask + 1) * sizeof(int64_t));
+    for (v = 0; v < n; v++) {
+        int64_t cv = g->mem[v];
+        for (e = g->off[v]; e < g->off[v + 1]; e++) {
+            int64_t u = g->nbr[e], cu = g->mem[u], lo, hi, slot;
+            if (u < v || cu == cv) {
+                continue;
+            }
+            lo = cv < cu ? cv : cu;
+            hi = cv < cu ? cu : cv;
+            slot = (int64_t)(((uint64_t)lo * 0x9e3779b97f4a7c15ULL
+                              ^ (uint64_t)hi * 0xc2b2ae3d27d4eb4fULL)
+                             >> 17) & mask;
+            for (;;) {
+                id = table[slot];
+                if (id < 0 || (ea[id] == lo && eb[id] == hi)
+                    || (ea[id] == hi && eb[id] == lo)) {
+                    break;
+                }
+                slot = (slot + 1) & mask;
+            }
+            if (id < 0) {
+                id = table[slot] = edges++;
+                ea[id] = cv;
+                eb[id] = cu;
+                ew[id] = g->w[e];
+                eint[id] = g->isint[e];
+            } else {
+                ew[id] += g->w[e];
+                eint[id] &= g->isint[e];
+            }
+        }
+    }
+    if (level_alloc(c, groups, 2 * edges) != 0) {
+        goto done;
+    }
+    cursor = malloc((size_t)(groups + 1) * sizeof(int64_t));
+    if (!cursor) {
+        goto done;
+    }
+    for (v = 0; v <= groups; v++) {
+        c->off[v] = 0;
+    }
+    for (v = 0; v < groups; v++) {
+        c->size[v] = 0;
+    }
+    for (v = 0; v < n; v++) {
+        c->size[g->mem[v]] += g->size[v];
+    }
+    for (id = 0; id < edges; id++) {
+        c->off[ea[id] + 1]++;
+        c->off[eb[id] + 1]++;
+    }
+    for (v = 0; v < groups; v++) {
+        c->off[v + 1] += c->off[v];
+        cursor[v] = c->off[v];
+    }
+    for (id = 0; id < edges; id++) {
+        int64_t at = cursor[ea[id]]++;
+        c->nbr[at] = eb[id];
+        c->w[at] = ew[id];
+        c->isint[at] = eint[id];
+        at = cursor[eb[id]]++;
+        c->nbr[at] = ea[id];
+        c->w[at] = ew[id];
+        c->isint[at] = eint[id];
+    }
+    status = 0;
+done:
+    free(table);
+    free(ea);
+    free(eb);
+    free(ew);
+    free(eint);
+    free(cursor);
+    return status;
+}
+
+/* _initial_bisection: grow the left side breadth-first from the first
+ * node of largest weighted degree, children by descending edge weight;
+ * when the frontier runs dry after an added node, restart from
+ * rng.choice of the unvisited nodes.  The generator is seeded only when
+ * it is first needed, as no other draw comes before. */
+static void initial_bisection(Level *g, int64_t target, const Seed *seed,
+                              int compensated, Scratch *s) {
+    int64_t *queue = s->queue, *cand = s->items, head = 0, tail = 0;
+    int64_t v, e, start = 0, left_size = 0, left_count = 0, mti = -1;
+    uint8_t *visited = s->flag;
+    uint32_t mt[MT_N];
+    double best = 0.0;
+    for (v = 0; v < g->n; v++) {
+        int64_t count = g->off[v + 1] - g->off[v];
+        double degree = py_sum(g->w + g->off[v], g->isint + g->off[v],
+                               count, compensated);
+        for (e = g->off[v]; e < g->off[v + 1]; e++) {
+            if (g->nbr[e] == v) {
+                degree += g->w[e];
+            }
+        }
+        if (v == 0 || degree > best) {
+            best = degree;
+            start = v;
+        }
+        visited[v] = 0;
+        g->left[v] = 0;
+    }
+    queue[tail++] = start;
+    visited[start] = 1;
+    while (head < tail && left_size < target) {
+        int64_t count = 0, i;
+        v = queue[head++];
+        if (left_size + g->size[v] > target && left_count > 0) {
+            continue;
+        }
+        g->left[v] = 1;
+        left_count++;
+        left_size += g->size[v];
+        for (e = g->off[v]; e < g->off[v + 1]; e++) {
+            if (!visited[g->nbr[e]]) {
+                s->keys[count] = g->w[e];
+                cand[count++] = g->nbr[e];
+            }
+        }
+        sort_descending(cand, s->keys, count, s->ti, s->tk);
+        for (i = 0; i < count; i++) {
+            visited[cand[i]] = 1;
+            queue[tail++] = cand[i];
+        }
+        if (head == tail) {
+            int64_t remaining = 0, pick;
+            for (i = 0; i < g->n; i++) {
+                remaining += !visited[i];
+            }
+            if (remaining == 0) {
+                continue;
+            }
+            if (mti < 0) {
+                mc_seed(seed->words, seed->count, mt, &mti);
+            }
+            pick = mt_randbelow(mt, &mti, remaining); /* rng.choice */
+            for (i = 0; i < g->n; i++) {
+                if (!visited[i] && pick-- == 0) {
+                    break;
+                }
+            }
+            visited[i] = 1;
+            queue[tail++] = i;
+        }
+    }
+}
+
+/* external - internal edge weight of node v, in row order. */
+static double cut_gain(const Level *g, int64_t v) {
+    double internal = 0.0, external = 0.0;
+    int64_t e;
+    for (e = g->off[v]; e < g->off[v + 1]; e++) {
+        if (g->left[g->nbr[e]] == g->left[v]) {
+            internal += g->w[e];
+        } else {
+            external += g->w[e];
+        }
+    }
+    return external - internal;
+}
+
+/* _refine_bisection with its defaults (4 passes, balance tolerance 1):
+ * each pass sorts the boundary nodes, taken in visit order (the order of
+ * the oracle's vertex set; NULL for 0..n-1), by descending gain, and
+ * moves each one whose current gain is positive unless the move breaks
+ * the balance. */
+static void refine_bisection(Level *g, const int64_t *visit, int64_t target,
+                             Scratch *s) {
+    int64_t *boundary = s->items, v, e, t, pass, left_size = 0;
+    for (v = 0; v < g->n; v++) {
+        left_size += g->left[v] ? g->size[v] : 0;
+    }
+    for (pass = 0; pass < 4; pass++) {
+        int64_t count = 0, i;
+        int moved = 0;
+        for (t = 0; t < g->n; t++) {
+            v = visit ? visit[t] : t;
+            for (e = g->off[v]; e < g->off[v + 1]; e++) {
+                if (g->left[g->nbr[e]] != g->left[v]) {
+                    boundary[count++] = v;
+                    break;
+                }
+            }
+        }
+        for (i = 0; i < count; i++) {
+            s->keys[i] = cut_gain(g, boundary[i]);
+        }
+        sort_descending(boundary, s->keys, count, s->ti, s->tk);
+        for (i = 0; i < count; i++) {
+            int64_t new_size, slack;
+            v = boundary[i];
+            if (cut_gain(g, v) <= 0) {
+                break;
+            }
+            new_size = g->left[v] ? left_size - g->size[v]
+                                  : left_size + g->size[v];
+            slack = left_size > target ? left_size - target
+                                       : target - left_size;
+            if ((new_size > target ? new_size - target : target - new_size)
+                > 1 + slack) {
+                continue;
+            }
+            g->left[v] = !g->left[v];
+            left_size = new_size;
+            moved = 1;
+        }
+        if (!moved) {
+            break;
+        }
+    }
+}
+
+/* Slots of mc_bisect's parameter array (mirrored by repro.kernels.metrics). */
+enum {
+    BP_COUNT,       /* nodes bisected */
+    BP_INDUCED,     /* 1: the subgraph order[0..count) induces; 0: the graph */
+    BP_TARGET,      /* target_left */
+    BP_THRESHOLD,   /* coarsen_threshold */
+    BP_COMPENSATED, /* sum() compensates float adds (Python >= 3.12) */
+    BP_NEGATIVE,    /* the seed is negative */
+    BP_SEED_WORDS,  /* words of abs(seed) in seed[] */
+    BP_SLOTS
+};
+
+/* bisect_left on the graph (off, nbr, w, isint, size) as is, or on the
+ * subgraph induced by order[0..bp[BP_COUNT]): coarsen by
+ * heavy-edge matching while a level has more than bp[BP_THRESHOLD] nodes
+ * and the matching shrinks it (level l seeded with seed + l), bisect the
+ * coarsest level, then project the cut back up, refining it on every
+ * level.  The first level's refinement visits refine_order (whole-graph
+ * nodes) in turn.  pos is whole-graph scratch that holds -1 on entry and
+ * on return.  Writes the left side's positions in order (or nodes), in
+ * ascending order, to left and returns how many there are, or -1 when
+ * memory runs out. */
+int64_t mc_bisect(const int64_t *bp, const int64_t *off, const int64_t *nbr,
+                  const double *w, const uint8_t *isint, const int64_t *size,
+                  const int64_t *order, const int64_t *refine_order,
+                  int64_t *pos, int64_t *left, const uint32_t *seed_words) {
+    int64_t n = bp[BP_COUNT], target = bp[BP_TARGET], depth = 0, cap = 0;
+    int64_t l, v, mti, status = -1;
+    int compensated = (int)bp[BP_COMPENSATED];
+    Level *levels = NULL;
+    Scratch s;
+    Seed seed;
+    uint32_t mt[MT_N];
+    int64_t *visit = NULL;
+    memset(&s, 0, sizeof(s));
+    seed.count = bp[BP_SEED_WORDS];
+    seed.negative = (int)bp[BP_NEGATIVE];
+    seed.words = malloc((size_t)(seed.count + 1) * sizeof(uint32_t));
+    s.items = malloc((size_t)(n + 1) * sizeof(int64_t));
+    s.ti = malloc((size_t)(n + 1) * sizeof(int64_t));
+    s.queue = malloc((size_t)(n + 1) * sizeof(int64_t));
+    s.keys = malloc((size_t)(n + 1) * sizeof(double));
+    s.tk = malloc((size_t)(n + 1) * sizeof(double));
+    s.flag = malloc((size_t)(n + 1));
+    visit = malloc((size_t)(n + 1) * sizeof(int64_t));
+    cap = 8;
+    levels = calloc((size_t)cap, sizeof(Level));
+    if (!seed.words || !s.items || !s.ti || !s.queue || !s.keys || !s.tk
+        || !s.flag || !visit || !levels) {
+        goto done;
+    }
+    if (seed.count > 0) {
+        memcpy(seed.words, seed_words, (size_t)seed.count * sizeof(uint32_t));
+    }
+    if (bp[BP_INDUCED]) {
+        for (l = 0; l < n; l++) {
+            pos[order[l]] = l;
+        }
+        status = build_induced(&levels[0], n, order, pos, off, nbr, w, isint,
+                               size, &s);
+        for (l = 0; l < n; l++) {
+            visit[l] = pos[refine_order[l]];
+        }
+        for (l = 0; l < n; l++) {
+            pos[order[l]] = -1;
+        }
+        if (status != 0) {
+            goto done;
+        }
+        status = -1;
+    } else {
+        levels[0].n = n;
+        levels[0].off = (int64_t *)off;
+        levels[0].nbr = (int64_t *)nbr;
+        levels[0].w = (double *)w;
+        levels[0].isint = (uint8_t *)isint;
+        levels[0].size = (int64_t *)size;
+        memcpy(visit, refine_order, (size_t)n * sizeof(int64_t));
+    }
+    for (;;) {
+        Level *g = &levels[depth];
+        int64_t groups;
+        g->left = malloc((size_t)(g->n + 1));
+        if (!g->left) {
+            goto done;
+        }
+        if (g->n <= 1) {
+            for (v = 0; v < g->n; v++) {
+                g->left[v] = 1;
+            }
+            break;
+        }
+        if (g->n > bp[BP_THRESHOLD]) {
+            g->mem = malloc((size_t)g->n * sizeof(int64_t));
+            if (!g->mem) {
+                goto done;
+            }
+            mc_seed(seed.words, seed.count, mt, &mti);
+            groups = heavy_edge_matching(g, mt, &mti, &s);
+            if (groups < g->n) {
+                if (depth + 1 == cap) {
+                    Level *grown = realloc(levels,
+                                           (size_t)(2 * cap) * sizeof(Level));
+                    if (!grown) {
+                        goto done;
+                    }
+                    levels = grown;
+                    memset(levels + cap, 0, (size_t)cap * sizeof(Level));
+                    cap *= 2;
+                    g = &levels[depth];
+                }
+                if (contract(g, groups, &levels[depth + 1]) != 0) {
+                    goto done;
+                }
+                depth++;
+                seed_increment(&seed);
+                continue;
+            }
+        }
+        initial_bisection(g, target, &seed, compensated, &s);
+        refine_bisection(g, depth == 0 ? visit : NULL, target, &s);
+        break;
+    }
+    for (l = depth - 1; l >= 0; l--) {
+        Level *g = &levels[l];
+        for (v = 0; v < g->n; v++) {
+            g->left[v] = levels[l + 1].left[g->mem[v]];
+        }
+        refine_bisection(g, l == 0 ? visit : NULL, target, &s);
+    }
+    status = 0;
+    for (v = 0; v < n; v++) {
+        if (levels[0].left[v]) {
+            left[status++] = v;
+        }
+    }
+done:
+    if (levels) {
+        for (l = 0; l < cap; l++) {
+            level_free(&levels[l]);
+        }
+    }
+    free(levels);
+    free(seed.words);
+    free(s.items);
+    free(s.ti);
+    free(s.queue);
+    free(s.keys);
+    free(s.tk);
+    free(s.flag);
+    free(visit);
+    return status;
 }

@@ -11,8 +11,13 @@ spatially close and the global structure of the circuit (including the
 permutation edges of a multi-level factory) is optimised directly.
 
 The mapper converts its graph once to a plain adjacency (see
-:mod:`repro.graphs.adjacency`) and recurses on dict copies that iterate in
-networkx's order, so its placements are the networkx-backed ones.
+:mod:`repro.graphs.adjacency`) that iterates in networkx's order, so its
+placements are the networkx-backed ones.  One
+:class:`~repro.graphs.partition.Bisector` per placement holds that
+adjacency as CSR arrays, and every recursion node has the mapping kernel
+bisect the subgraph its vertices induce, without building it; without the
+kernel each node bisects an induced dict copy in Python, with the same
+result.
 """
 
 from __future__ import annotations
@@ -21,9 +26,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..circuits.circuit import Circuit
-from ..graphs.adjacency import Adjacency, adjacency, induced_subgraph
+from ..graphs.adjacency import Adjacency, adjacency
 from ..graphs.interaction import interaction_graph
-from ..graphs.partition import Sizes, bisect_left, vertex_sizes
+from ..graphs.partition import Bisector, vertex_sizes
 from .placement import Cell, Placement, grid_dimensions_for
 
 
@@ -82,7 +87,7 @@ class GridRegion:
 
 def _embed_recursive(
     adj: Adjacency,
-    sizes: Sizes,
+    bisector: Bisector,
     vertices: List[int],
     region: GridRegion,
     placement: Placement,
@@ -104,10 +109,7 @@ def _embed_recursive(
         _place_leaf(adj, vertices, region, placement)
         return
 
-    target_left = len(vertices) // 2
-    cut = bisect_left(
-        induced_subgraph(adj, vertices), sizes, target_left=target_left, seed=seed
-    )
+    cut = bisector.bisect_left(vertices, target_left=len(vertices) // 2, seed=seed)
     left = sorted(cut)
     right = sorted(v for v in vertices if v not in cut)
     if not left or not right:
@@ -123,10 +125,10 @@ def _embed_recursive(
             _place_leaf(adj, vertices, region, placement)
             return
     _embed_recursive(
-        adj, sizes, left, region_left, placement, seed * 2 + 1, leaf_size
+        adj, bisector, left, region_left, placement, seed * 2 + 1, leaf_size
     )
     _embed_recursive(
-        adj, sizes, right, region_right, placement, seed * 2 + 2, leaf_size
+        adj, bisector, right, region_right, placement, seed * 2 + 2, leaf_size
     )
 
 
@@ -219,6 +221,7 @@ def graph_partition_placement(
         height, width = grid_dimensions_for(len(vertex_list), slack=slack)
     placement = Placement(width=width, height=height)
     region = GridRegion(0, 0, height, width)
-    _embed_recursive(adj, sizes, vertex_list, region, placement, seed, leaf_size)
+    bisector = Bisector(adj, sizes)
+    _embed_recursive(adj, bisector, vertex_list, region, placement, seed, leaf_size)
     placement.validate()
     return placement

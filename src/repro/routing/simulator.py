@@ -657,10 +657,6 @@ class SimulationCache:
     def __len__(self) -> int:
         return len(self._entries)
 
-    def clear(self) -> None:
-        """Drop every cached result (counters kept)."""
-        self._entries.clear()
-
     def simulate(
         self,
         circuit_or_gates,

@@ -2,8 +2,12 @@
 and the package metadata: its version and its one runtime dependency."""
 
 import ast
+import importlib
+import inspect
 import json
+import pkgutil
 import re
+import typing
 from pathlib import Path
 
 import pytest
@@ -513,6 +517,25 @@ def _oracle_imports(source: str):
     return sorted(found)
 
 
+def _defined_in(module):
+    """The functions and classes ``module`` defines, with each class's
+    methods, class and static methods and property getters."""
+    for obj in vars(module).values():
+        if getattr(obj, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            yield obj
+            for member in vars(obj).values():
+                if isinstance(member, (classmethod, staticmethod)):
+                    member = member.__func__
+                elif isinstance(member, property):
+                    member = member.fget
+                if inspect.isfunction(member):
+                    yield member
+
+
 class TestPackageMetadata:
     def test_version_matches_pyproject(self):
         match = re.search(
@@ -540,6 +563,22 @@ class TestPackageMetadata:
             for line, name in _oracle_imports(path.read_text())
         ]
         assert found == []
+
+    def test_every_annotation_resolves(self):
+        """``typing.get_type_hints`` resolves every annotation of every
+        function, class and method defined in the package: a name an
+        annotation uses but its module never imports would raise."""
+        checked, failures = 0, []
+        for info in pkgutil.walk_packages(repro.__path__, "repro."):
+            module = importlib.import_module(info.name)
+            for obj in _defined_in(module):
+                checked += 1
+                try:
+                    typing.get_type_hints(obj)
+                except Exception as error:
+                    failures.append(f"{info.name}.{obj.__qualname__}: {error!r}")
+        assert checked > 500
+        assert failures == []
 
     def test_the_import_walk_sees_lazy_and_dotted_imports(self):
         source = (

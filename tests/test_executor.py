@@ -183,6 +183,18 @@ class TestCacheAccounting:
         assert stats.workers == 2
         assert stats.wall_seconds > 0
 
+    def test_workers_counts_the_processes_that_evaluated(self):
+        """A batched run and a one-request run evaluate in-process, and a
+        pool never outnumbers the requests it evaluates."""
+        two = SweepPlan.from_requests(list(small_plan())[:2])
+        one = SweepPlan.from_requests(list(small_plan())[:1])
+        batched = SweepExecutor(workers=4, batch=True).run(two).stats
+        assert (batched.evaluations, batched.workers) == (2, 1)
+        single = SweepExecutor(workers=4).run(one).stats
+        assert (single.evaluations, single.workers) == (1, 1)
+        pooled = SweepExecutor(workers=4).run(two).stats
+        assert (pooled.evaluations, pooled.workers) == (2, 2)
+
 
 # ----------------------------------------------------------------------
 # Parallel scheduling

@@ -33,14 +33,28 @@ the last networkx-backed commit (``377e87d``), from its root, by::
 
 and pasted into ``GP_GOLDEN`` and ``PARTITION_GOLDEN`` below.  The same
 command prints the record of the current tree.
+
+The bisection runs in the mapping kernel (``mc_bisect``) whenever it
+loads, so the golden record checks whichever engine runs; CI repeats this
+file under ``REPRO_NO_KERNEL=1``.  The kernel is also fuzzed against its
+oracle, :func:`repro.graphs.partition.bisect_left_reference`: whole-graph
+and induced-subgraph bisections and whole GP placements on seeded graphs
+with int and float weights, self-loops, isolated vertices, sizes above 1,
+contiguous, sparse or string ids, vertex counts on both sides of the
+coarsening threshold and seeds that are 0, negative or past 2**64.  The
+kernel side runs with the oracle made to raise, so a silent fallback
+cannot pass.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
+import math
 import random
+from fractions import Fraction
 
 import networkx as nx
 import pytest
@@ -54,6 +68,10 @@ from repro.graphs import (
     interaction_graph,
     recursive_bisection,
 )
+from repro.graphs import partition
+from repro.graphs.adjacency import adjacency, induced_subgraph
+from repro.graphs.partition import Bisector, bisect_left, vertex_sizes
+from repro.kernels import metrics as metrics_kernel
 from repro.mapping import StitchingConfig, graph_partition_placement
 from repro.mapping import stitching
 
@@ -64,14 +82,15 @@ SEED_BASE = 20261017
 # ----------------------------------------------------------------------
 # Inputs
 # ----------------------------------------------------------------------
-def _random_graph(rng: random.Random, float_weights: bool) -> nx.Graph:
+def _random_graph(rng: random.Random, float_weights: bool, n: int = 0) -> nx.Graph:
     """A random weighted graph exercising every ordering hazard.
 
     Ids are contiguous, non-contiguous or strings; nodes and edges are
     inserted in shuffled order; some vertices carry a self-loop and some
-    stay isolated; a few edges have no ``weight`` attribute at all.
+    stay isolated; a few edges have no ``weight`` attribute at all.  It
+    has ``n`` vertices, or a random count up to 48 when ``n`` is 0.
     """
-    n = rng.randint(1, 48)
+    n = n or rng.randint(1, 48)
     style = rng.choice(("contiguous", "sparse", "string"))
     if style == "contiguous":
         ids = list(range(n))
@@ -513,6 +532,200 @@ def test_graph_partition_placement_matches_golden(capacity, levels, reuse, seed)
 @pytest.mark.parametrize("index", range(PARTITION_GRAPHS))
 def test_partition_helpers_match_golden(index):
     assert partition_digest(index) == PARTITION_GOLDEN[index]
+
+
+# ----------------------------------------------------------------------
+# The bisection kernel against its Python oracle
+# ----------------------------------------------------------------------
+def _require_kernel():
+    if metrics_kernel.load() is None:
+        pytest.skip("the metrics kernel is unavailable")
+
+
+@contextlib.contextmanager
+def _oracle_refused():
+    """Make the Python bisection raise inside the block, so only the
+    kernel can answer there."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the bisection fell back to the Python oracle")
+
+    saved = partition.bisect_left_reference
+    partition.bisect_left_reference = refuse
+    try:
+        yield
+    finally:
+        partition.bisect_left_reference = saved
+
+
+#: Seeds that reach every branch of the kernel's seeding: 0, negative
+#: (through 0 as coarse levels add 1), carries across a 32-bit word, and
+#: magnitudes of three words and more.
+KERNEL_SEEDS = (0, 1, -1, -3, 2**32 - 1, -(2**32), 2**64, 2**64 + 3, -(2**64) - 1)
+
+
+def run_bisect_trial(seed: int) -> None:
+    """One random graph on each side of the coarsening threshold (32).
+
+    Compares whole-graph and induced-subgraph bisections and the whole GP
+    placement between the kernel and the oracle.
+    """
+    from conftest import kernel_disabled
+
+    rng = random.Random(SEED_BASE + 5000 + seed)
+    n = rng.randint(2, 31) if seed % 2 else rng.randint(33, 140)
+    graph = _random_graph(rng, float_weights=bool(seed % 3 == 1), n=n)
+    for v in rng.sample(list(graph), n // 5):
+        graph.nodes[v]["size"] = rng.randint(2, 4)
+    seed_value = rng.choice(KERNEL_SEEDS + (rng.randrange(-(10**6), 10**6),))
+    adj, sizes = adjacency(graph), vertex_sizes(graph)
+    subsets = [rng.sample(list(adj), rng.randint(0, n)) for _ in range(3)]
+    label = f"n={n} seed={seed_value}"
+
+    expected = [partition.bisect_left_reference(adj, sizes, seed=seed_value)]
+    expected += [
+        partition.bisect_left_reference(
+            induced_subgraph(adj, vertices), sizes, len(vertices) // 2, seed_value
+        )
+        for vertices in subsets
+    ]
+    with kernel_disabled():
+        expected_cells = graph_partition_placement(graph, seed=seed_value).positions
+    with _oracle_refused():
+        bisector = Bisector(adj, sizes)
+        got = [bisect_left(adj, sizes, seed=seed_value)]
+        got += [
+            bisector.bisect_left(vertices, len(vertices) // 2, seed_value)
+            for vertices in subsets
+        ]
+        cells = graph_partition_placement(graph, seed=seed_value).positions
+    assert got == expected, f"{label}: a bisection differs"
+    assert cells == expected_cells, f"{label}: the GP placement differs"
+
+
+def test_bisect_kernel_matches_oracle_fuzz(request):
+    from conftest import fuzz_corpus
+
+    _require_kernel()
+    fuzz_corpus(request, run_bisect_trial)
+
+
+@pytest.mark.parametrize("capacity,levels", [(4, 1), (4, 2), (16, 2)])
+@pytest.mark.parametrize("seed", [0, -5, 2**64 + 1])
+def test_bisect_kernel_places_factories_like_the_oracle(capacity, levels, seed):
+    from conftest import kernel_disabled
+
+    _require_kernel()
+    circuit = _factory(capacity, levels, False).circuit
+    with kernel_disabled():
+        expected = graph_partition_placement(circuit, seed=seed)
+    with _oracle_refused():
+        placement = graph_partition_placement(circuit, seed=seed)
+    assert placement.positions == expected.positions
+
+
+@pytest.mark.parametrize(
+    "row",
+    [
+        [0.1, 0.2, 0.3],  # sum() compensates from Python 3.12 on
+        [5, 0.1, 4, 5, 0.7, 1e-16],  # ints first: the first float adds plainly
+        [3.3, 0.1, 2],  # floats first: a later int adds plainly
+    ],
+)
+def test_bisect_kernel_degree_rounds_like_sum(row):
+    """The start vertex of the initial cut is the first of largest
+    weighted degree, which ``sum()`` computes: a vertex whose degree is
+    ``sum(row)`` against one of degree just below, at, and just above."""
+    _require_kernel()
+    total = sum(row)
+    below, above = math.nextafter(total, -math.inf), math.nextafter(total, math.inf)
+    for rival in (below, total, above):
+        adj = {"b": {"x": rival}, "x": {"b": rival}, "a": {}}
+        for index, weight in enumerate(row):
+            adj["a"][f"y{index}"] = weight
+            adj[f"y{index}"] = {"a": weight}
+        sizes = {v: 1 for v in adj}
+        expected = partition.bisect_left_reference(adj, sizes, seed=3)
+        with _oracle_refused():
+            assert bisect_left(adj, sizes, seed=3) == expected, rival
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        "fraction weights",
+        "nan weight",
+        "huge int weight",
+        "float size",
+        "asymmetric",
+        "float seed",
+        "float target",
+    ],
+)
+def test_bisect_kernel_leaves_what_it_cannot_replay_to_the_oracle(case):
+    """Graphs and calls outside the kernel's exact domain reach the oracle
+    and get its answer."""
+    _require_kernel()
+    rng = random.Random(SEED_BASE + 77)
+    adj = adjacency(_random_graph(rng, float_weights=False, n=40))
+    sizes = {v: 1 for v in adj}
+    u, v = next((u, v) for u in adj for v in adj[u] if u != v)
+    seed, target = 4, None
+    if case == "fraction weights":
+        adj = {a: {b: Fraction(w) for b, w in row.items()} for a, row in adj.items()}
+    elif case == "nan weight":
+        adj[u][v] = adj[v][u] = math.nan
+    elif case == "huge int weight":
+        adj[u][v] = adj[v][u] = 2**60
+    elif case == "float size":
+        sizes[u] = 1.0
+    elif case == "asymmetric":
+        adj[u]["extra"] = 1
+        adj["extra"] = {}
+        sizes["extra"] = 1
+    elif case == "float seed":
+        seed = 2.5
+    else:
+        target = 19.5
+    expected = partition.bisect_left_reference(adj, sizes, target, seed)
+    calls = []
+    real = partition.bisect_left_reference
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    partition.bisect_left_reference = spy
+    try:
+        assert bisect_left(adj, sizes, target, seed) == expected
+    finally:
+        partition.bisect_left_reference = real
+    assert calls
+
+
+class TestKernelSeed:
+    """The kernel seeds its MT19937 like ``random.Random(seed)``."""
+
+    @pytest.mark.parametrize(
+        "seed",
+        [0, 1, 42, 2**32 - 1, 2**32, 2**40 + 7, 2**64 + 3, 2**100, -1, -5, -(2**70)],
+    )
+    def test_state_matches_python(self, seed):
+        import numpy as np
+
+        _require_kernel()
+        magnitude = abs(seed)
+        words = (magnitude.bit_length() + 31) // 32
+        mt = np.zeros(624, dtype=np.uint32)
+        index = np.zeros(1, dtype=np.int64)
+        metrics_kernel.load().seed(
+            magnitude.to_bytes(4 * words, "little"),
+            words,
+            mt.ctypes.data,
+            index.ctypes.data,
+        )
+        internal = random.Random(seed).getstate()[1]
+        assert tuple(mt.tolist()) + (int(index[0]),) == internal
 
 
 if __name__ == "__main__":
