@@ -449,7 +449,7 @@ def run_shard(
         plan_fingerprint=fingerprint,
         plan_entries=len(plan),
         unique_points=0,
-        stats=ExecutorStats(workers=workers),
+        stats=ExecutorStats(),
     )
 
     # Unique points in plan order: (first position, store fingerprint,

@@ -806,7 +806,11 @@ def _sweep_plan_from_args(args: argparse.Namespace) -> SweepPlan:
     """Build the plan for ``sweep run`` from ``--plan`` or the grid options."""
     # The validating wire decoder is shared with the HTTP service, so a bad
     # plan file gets the same field-naming message an HTTP 400 body would.
-    from .service.wire import decode_sweep_plan, validate_plan_mappers
+    from .service.wire import (
+        decode_sweep_plan,
+        validate_plan_capacities,
+        validate_plan_mappers,
+    )
 
     if args.plan is not None:
         grid_flags_used = (
@@ -845,6 +849,8 @@ def _sweep_plan_from_args(args: argparse.Namespace) -> SweepPlan:
             reuse=args.reuse,
             seeds=args.seeds if args.seeds is not None else [0],
         )
+        # The decoder checks a plan file's capacities; these are the flags'.
+        validate_plan_capacities(plan, field="capacities")
     # Fail fast on unknown mapper names — a clean exit-2 message listing the
     # registered names beats a traceback out of the executor (or a worker
     # process) mid-run.  Applies to plan files and grid flags alike.
@@ -1055,7 +1061,7 @@ def _run_sweep_plan_split(args: argparse.Namespace) -> int:
 
 def _run_sweep_shard(args: argparse.Namespace) -> int:
     """``sweep shard``: execute one shard of a plan against its store."""
-    from .service.wire import validate_plan_mappers
+    from .service.wire import validate_plan_capacities, validate_plan_mappers
 
     if args.workers < 1:
         print(
@@ -1072,6 +1078,7 @@ def _run_sweep_shard(args: argparse.Namespace) -> int:
                 )
             plan, spec = load_shard_file(args.spec)
             validate_plan_mappers(plan)
+            validate_plan_capacities(plan)
         else:
             if args.shard_index is None or args.shard_count is None:
                 raise ValueError(

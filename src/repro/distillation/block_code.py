@@ -108,6 +108,10 @@ class FactorySpec:
         The paper labels its multi-level sweeps by total capacity (4, 16, 36,
         64, 100 for two-level factories); this helper recovers ``k``.
         """
+        if levels < 1:
+            raise ValueError(f"levels must be >= 1, got {levels}")
+        if capacity < 1:
+            raise ValueError(f"capacity must be >= 1, got {capacity}")
         k = round(capacity ** (1.0 / levels))
         if k**levels != capacity:
             raise ValueError(

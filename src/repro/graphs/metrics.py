@@ -31,10 +31,10 @@ under single-vertex moves (only edges incident to the moved vertices are
 re-tested against their bucket neighbourhoods), which is what lets the
 force-directed annealer of Section VI-B.1 accept or reject every move
 against the exact combined cost at any graph size.  The tracker has
-two engines — ``compiled`` (the runtime-built C kernel of
-:mod:`repro.kernels.metrics`, used whenever it loads) and ``scalar``
-(pure Python, the retained oracle, used under ``REPRO_NO_KERNEL=1`` or
-without a C compiler) — that are **bit-identical** on every value they
+two engines — the compiled one (the runtime-built C kernel of
+:mod:`repro.kernels.metrics`, used whenever it loads) and the scalar
+one (pure Python, the retained oracle, used under ``REPRO_NO_KERNEL=1``
+or without a C compiler) — that are **bit-identical** on every value they
 produce: distances use only correctly-rounded IEEE operations
 (``sqrt(dr*dr + dc*dc)``, never ``hypot``), every row reduction is a
 binary tree fold over the row zero-padded to a power-of-two length, and
@@ -406,40 +406,29 @@ def combine_metric_cost(
     crossings: float,
     avg_length: float,
     avg_spacing: float,
-    length_weight: float = 1.0,
-    spacing_weight: float = 1.0,
     crossing_weight: float = 4.0,
 ) -> float:
     """The scalar Fig. 6 cost formula shared by :func:`mapping_cost` and the tracker."""
-    return (
-        crossing_weight * crossings
-        + length_weight * avg_length
-        + spacing_weight * (1.0 / (1.0 + avg_spacing))
-    )
+    return crossing_weight * crossings + avg_length + 1.0 / (1.0 + avg_spacing)
 
 
 def mapping_cost(
-    graph: Graph,
-    positions: PositionMap,
-    length_weight: float = 1.0,
-    spacing_weight: float = 1.0,
-    crossing_weight: float = 4.0,
+    graph: Graph, positions: PositionMap, crossing_weight: float = 4.0
 ) -> float:
     """Scalar cost combining the three metrics (lower is better).
 
     The force-directed annealer of Section VI-B.1 accepts or rejects vertex
     moves based on "a cost metric ... a function of the combination of
     average edge length, average edge spacing, and number of edge crossings".
-    Crossings get the largest default weight because they correlate most
-    strongly with latency (r = 0.831).
+    The crossings carry the only weight because they correlate most
+    strongly with latency (r = 0.831); length and the spacing term count
+    once each.
     """
     metrics = mapping_metrics(graph, positions)
     return combine_metric_cost(
         metrics["edge_crossings"],
         metrics["average_edge_length"],
         metrics["average_edge_spacing"],
-        length_weight=length_weight,
-        spacing_weight=spacing_weight,
         crossing_weight=crossing_weight,
     )
 
@@ -449,17 +438,21 @@ def mapping_cost(
 # ----------------------------------------------------------------------
 #
 # The tracker below is split into a shared Python core (positions, edge
-# bookkeeping, the scalar metric sums, move snapshots) and two
-# interchangeable *engines* that own the geometry state — segment
-# endpoints, midpoints, the bucket grid and the per-edge spacing row-sum
-# cache R[i] = treefold_j dist(mid_i, mid_j):
+# bookkeeping, the scalar metric sums) and two interchangeable *engines*
+# that own the geometry state — segment endpoints, midpoints, the bucket
+# grid and the per-edge spacing row-sum cache
+# R[i] = treefold_j dist(mid_i, mid_j):
 #
-# ============  =========================  ==============================
-# engine        geometry state             crossing / spacing evaluation
-# ============  =========================  ==============================
-# ``compiled``  flat numpy arrays          C kernel (repro.kernels.metrics)
-# ``scalar``    Python lists               pure Python (retained oracle)
-# ============  =========================  ==============================
+# ========================  =================  ==========================
+# engine                    geometry state     crossing / spacing eval
+# ========================  =================  ==========================
+# _CompiledTrackerEngine    flat numpy arrays  C kernel (repro.kernels)
+# _ScalarTrackerEngine      Python lists       pure Python (the oracle)
+# ========================  =================  ==========================
+#
+# The tracker builds the compiled engine whenever the metrics kernel
+# loads, so ``REPRO_NO_KERNEL=1`` (or no C compiler) is the only way to
+# the oracle; no argument picks an engine.
 #
 # The engines are **bit-identical** on every float they produce.  Three
 # rules make that possible:
@@ -491,18 +484,6 @@ def _cell_position(vertex, pos) -> Position:
             "coordinates must be finite integers (grid cells)"
         )
     return row, col
-
-
-def tracker_engines() -> List[str]:
-    """Tracker engine names usable in this environment.
-
-    Always includes ``scalar``; ``compiled`` needs the runtime-built
-    metrics kernel.
-    """
-    engines = ["scalar"]
-    if _metrics_kernel.available():
-        engines.append("compiled")
-    return engines
 
 
 def _pow2_pad(count: int) -> int:
@@ -560,11 +541,9 @@ def _intra_crossings(
 class _ScalarTrackerEngine:
     """Pure-Python engine: list geometry, dict bucket grid (the oracle)."""
 
-    name = "scalar"
-
     def __init__(self, edges, ends, mids, bucket_size):
-        self._eu = [a for a, _, _ in edges]
-        self._ev = [b for _, b, _ in edges]
+        self._eu = [a for a, _ in edges]
+        self._ev = [b for _, b in edges]
         self._seg: List[Tuple[Position, Position]] = list(ends)
         self._mid: List[Position] = list(mids)
         m = len(ends)
@@ -696,8 +675,6 @@ class _CompiledTrackerEngine:
     an argument-marshalling pass.
     """
 
-    name = "compiled"
-
     def __init__(self, edges, ends, mids, bucket_size, kern):
         self._kern = kern
         self._bucket = float(bucket_size)
@@ -708,10 +685,10 @@ class _CompiledTrackerEngine:
         # work: it sees them as dense ints numbered here.
         number: Dict[object, int] = {}
         self._eu_arr = _np.asarray(
-            [number.setdefault(a, len(number)) for a, _, _ in edges], dtype=_np.int64
+            [number.setdefault(a, len(number)) for a, _ in edges], dtype=_np.int64
         )
         self._ev_arr = _np.asarray(
-            [number.setdefault(b, len(number)) for _, b, _ in edges], dtype=_np.int64
+            [number.setdefault(b, len(number)) for _, b in edges], dtype=_np.int64
         )
         self._seg = _np.ascontiguousarray(
             _np.asarray(
@@ -940,9 +917,8 @@ class KernelSweep:
         #: Every tracked vertex's row of ``pos``, in the tracker's order.
         self._slots = {vertex: index[vertex] for vertex in tracker._positions}
         edges = tracker._edges
-        self._weight = _np.asarray([w for _, _, w in edges] or [0.0], dtype=float)
-        self._ea = _np.asarray([index[a] for a, _, _ in edges] or [0], dtype=_np.int64)
-        self._eb = _np.asarray([index[b] for _, b, _ in edges] or [0], dtype=_np.int64)
+        self._ea = _np.asarray([index[a] for a, _ in edges] or [0], dtype=_np.int64)
+        self._eb = _np.asarray([index[b] for _, b in edges] or [0], dtype=_np.int64)
         # Ascending incident-edge lists (the tracker builds them in edge
         # order), flattened with prefix offsets.
         offsets = [0]
@@ -966,8 +942,6 @@ class KernelSweep:
         self._sp[k.SP_HEIGHT] = height
         self._sp[k.SP_WIDTH] = width
         self._dp = _np.zeros(k.DP_SLOTS, dtype=float)
-        self._dp[k.DP_LENGTH_W] = tracker.length_weight
-        self._dp[k.DP_SPACING_W] = tracker.spacing_weight
         self._dp[k.DP_CROSSING_W] = tracker.crossing_weight
         # The force pass: settings, field arrays and scratch sized for the
         # layout of mc_forces (buckets of at least one cell on the grid).
@@ -1004,9 +978,9 @@ class KernelSweep:
         self._pointers = [
             array.ctypes.data
             for array in (
-                self._weight, self._ea, self._eb, self._inc_off,
-                self._inc_edge, self._pos, self._occ, self._order,
-                self._step, self._mt, self._sp, self._dp,
+                self._ea, self._eb, self._inc_off, self._inc_edge,
+                self._pos, self._occ, self._order, self._step,
+                self._mt, self._sp, self._dp,
             )
         ] + self._force_pointers + [self._fbuf.ctypes.data, self._ibuf.ctypes.data]
         self._args: Tuple = ()
@@ -1064,9 +1038,7 @@ class KernelSweep:
         """
         k = _metrics_kernel
         tracker = self._tracker
-        tracker._flush_pending()
-        tracker._pending_eval = None
-        tracker._last_move = None
+        tracker._pending_eval = None  # the kernel's moves will outdate it
         pos = self._load_cells(cells)
         self._loaded[:] = self._pos
         self._occ.fill(-1)
@@ -1075,7 +1047,6 @@ class KernelSweep:
         dp = self._dp
         sp[k.SP_CROSSINGS] = tracker.crossings
         dp[k.DP_TOTAL_LENGTH] = tracker.total_edge_length
-        dp[k.DP_WEIGHTED_LENGTH] = tracker.total_weighted_length
         dp[k.DP_SPACING_SUM] = tracker.spacing_sum
         dp[k.DP_COST] = tracker._cost_value
         version, internal, gauss_next = rng.getstate()
@@ -1152,12 +1123,11 @@ class KernelSweep:
             positions[vertex] = (float(row), float(col))
             touched.update(incident.get(vertex, ()))
         for index in touched:
-            a, b, _ = tracker._edges[index]
+            a, b = tracker._edges[index]
             p, q = positions[a], positions[b]
             tracker._ends[index] = (p, q)
             tracker._mids[index] = edge_midpoint(p, q)
         tracker.total_edge_length = float(dp[k.DP_TOTAL_LENGTH])
-        tracker.total_weighted_length = float(dp[k.DP_WEIGHTED_LENGTH])
         tracker.spacing_sum = float(dp[k.DP_SPACING_SUM])
         tracker.crossings = int(sp[k.SP_CROSSINGS])
         tracker._cost_value = float(dp[k.DP_COST])
@@ -1184,27 +1154,24 @@ class KernelSweep:
 class MappingCostTracker:
     """Exact Fig. 6 metrics maintained incrementally under vertex moves.
 
-    Holds the crossing count, the total (and weighted) Manhattan edge
-    length, and the pairwise midpoint-distance sum behind the spacing
-    metric for one placed interaction graph.  :meth:`apply` moves a batch
-    of vertices and updates every metric by *delta*: only the edges
-    incident to the moved vertices are re-tested, against their bucket
-    neighbourhoods for crossings and against the cached per-edge midpoint
-    row sums for spacing — O(deg * local density) per move instead of
-    O(m^2) per recompute.
+    Holds the crossing count, the total Manhattan edge length and the
+    pairwise midpoint-distance sum behind the spacing metric for one
+    placed interaction graph, and their combined cost
+    (:func:`mapping_cost` at ``crossing_weight``).  A move updates every
+    metric by *delta*: only the edges incident to the moved vertices are
+    re-tested, against their bucket neighbourhoods for crossings and
+    against the cached per-edge midpoint row sums for spacing —
+    O(deg * local density) per move instead of O(m^2) per recompute.
 
     An annealer's dominant path is *propose, inspect, reject*: use
     :meth:`evaluate` (pure) plus :meth:`commit_evaluated`, or, on the
     compiled engine, :meth:`kernel_sweep` to run a whole sweep of
-    proposals inside the kernel.
-    :meth:`apply` keeps the historical move-then-revert protocol:
-    :meth:`revert_last` restores the pre-move state exactly and in O(1),
-    because the heavy geometry updates are deferred until the *next*
-    evaluation needs them (a reverted move never touches the engine).
+    proposals inside the kernel.  :meth:`apply` evaluates and commits in
+    one call; applying the inverse mapping moves the vertices back.
 
-    ``engine`` selects the evaluation backend (``compiled`` or
-    ``scalar``, see the section comment above); ``None`` picks
-    ``compiled`` whenever the metrics kernel loads.  Both engines are
+    The engine is the compiled one whenever the metrics kernel loads and
+    the scalar oracle otherwise, so ``REPRO_NO_KERNEL=1`` is the only
+    selector (see the section comment above).  Both engines are
     bit-identical on every reported value.
 
     Vertices present in ``positions`` but not in the graph (or isolated
@@ -1226,35 +1193,29 @@ class MappingCostTracker:
         self,
         graph: Graph,
         positions: PositionMap,
-        length_weight: float = 1.0,
-        spacing_weight: float = 1.0,
         crossing_weight: float = 4.0,
         bucket_size: Optional[float] = None,
-        engine: Optional[str] = None,
     ) -> None:
-        self.graph = graph
-        self.length_weight = length_weight
-        self.spacing_weight = spacing_weight
         self.crossing_weight = crossing_weight
 
         self._positions: Dict[int, Position] = {
             vertex: _cell_position(vertex, pos)
             for vertex, pos in positions.items()
         }
-        self._edges: List[Tuple[int, int, float]] = []
+        self._edges: List[Tuple[int, int]] = []
         self._incident: Dict[int, List[int]] = defaultdict(list)
-        for a, b, data in graph.edges(data=True):
+        for a, b in graph.edges():
             if a == b:
                 continue
             if a not in self._positions or b not in self._positions:
                 raise KeyError(f"edge ({a}, {b}) has an unplaced endpoint")
             index = len(self._edges)
-            self._edges.append((a, b, float(data.get("weight", 1))))
+            self._edges.append((a, b))
             self._incident[a].append(index)
             self._incident[b].append(index)
 
         self._ends: List[Tuple[Position, Position]] = [
-            (self._positions[a], self._positions[b]) for a, b, _ in self._edges
+            (self._positions[a], self._positions[b]) for a, b in self._edges
         ]
         self._mids: List[Position] = [
             edge_midpoint(p, q) for p, q in self._ends
@@ -1262,53 +1223,33 @@ class MappingCostTracker:
 
         if bucket_size is None:
             bucket_size = _auto_bucket_size(
-                [(a, b, p, q) for (a, b, _), (p, q) in zip(self._edges, self._ends)]
+                [(a, b, p, q) for (a, b), (p, q) in zip(self._edges, self._ends)]
             )
         if bucket_size <= 0:
             raise ValueError(f"bucket_size must be positive, got {bucket_size}")
 
-        self._engine = self._build_engine(engine, float(bucket_size))
-        self.engine: str = self._engine.name
+        kern = _metrics_kernel.load()
+        if kern is not None:
+            self._engine = _CompiledTrackerEngine(
+                self._edges, self._ends, self._mids, float(bucket_size), kern
+            )
+        else:
+            self._engine = _ScalarTrackerEngine(
+                self._edges, self._ends, self._mids, float(bucket_size)
+            )
 
         self.total_edge_length = 0.0
-        self.total_weighted_length = 0.0
-        for (p, q), (_, _, weight) in zip(self._ends, self._edges):
-            length = manhattan_distance(p, q)
-            self.total_edge_length += length
-            self.total_weighted_length += weight * length
+        for p, q in self._ends:
+            self.total_edge_length += manhattan_distance(p, q)
         self.crossings: int = self._engine.crossings
         self.spacing_sum: float = self._engine.spacing_sum
         #: Cached combined cost of the committed state (pure function of
-        #: the three sums above; refreshed on commit and revert).
+        #: the three sums above; refreshed on commit).
         self._cost_value: float = self._cost_from(
             self.crossings, self.total_edge_length, self.spacing_sum
         )
-
-        #: Committed move whose geometry the engine has not absorbed yet.
-        self._pending: Optional[tuple] = None
         #: Result of the last :meth:`evaluate`, awaiting commit.
         self._pending_eval: Optional[tuple] = None
-        #: Snapshot for :meth:`revert_last`; ``None`` when nothing to revert.
-        self._last_move: Optional[tuple] = None
-
-    def _build_engine(self, requested: Optional[str], bucket_size: float):
-        if requested not in (None, "compiled", "scalar"):
-            raise ValueError(
-                f"unknown tracker engine {requested!r}; "
-                "expected 'compiled', 'scalar' or None"
-            )
-        kern = _metrics_kernel.load() if requested != "scalar" else None
-        if kern is not None:
-            return _CompiledTrackerEngine(
-                self._edges, self._ends, self._mids, bucket_size, kern
-            )
-        if requested == "compiled":
-            raise ValueError(
-                "engine 'compiled' unusable: the metrics kernel is unavailable"
-            )
-        return _ScalarTrackerEngine(
-            self._edges, self._ends, self._mids, bucket_size
-        )
 
     def kernel_sweep(
         self, movers: Sequence, height: int, width: int, forces: SweepForces
@@ -1319,7 +1260,7 @@ class MappingCostTracker:
         for, on a ``height`` x ``width`` placement grid, and ``forces``
         the field that steers them (indexed like ``movers``).
         """
-        if self.engine != "compiled":
+        if not isinstance(self._engine, _CompiledTrackerEngine):
             return None
         return KernelSweep(self, movers, height, width, forces)
 
@@ -1358,37 +1299,28 @@ class MappingCostTracker:
             float(crossings),
             total_length / m if m else 0.0,
             spacing_sum / pairs if pairs else 0.0,
-            length_weight=self.length_weight,
-            spacing_weight=self.spacing_weight,
             crossing_weight=self.crossing_weight,
         )
 
     # ------------------------------------------------------------------
     # Move evaluation
     # ------------------------------------------------------------------
-    def _flush_pending(self) -> None:
-        if self._pending is not None:
-            changed, new_ends, new_mids = self._pending
-            self._pending = None
-            self._engine.flush(changed, new_ends, new_mids)
-
     def _prepare(self, updates: Mapping[int, Position]):
         moves: Dict[int, Position] = {}
         for vertex, pos in updates.items():
             if vertex in self._positions:
                 moves[vertex] = _cell_position(vertex, pos)
-        moved_from = {vertex: self._positions[vertex] for vertex in moves}
         changed: List[int] = sorted(
             {index for vertex in moves for index in self._incident.get(vertex, ())}
         )
-        return moves, moved_from, changed
+        return moves, changed
 
     def _geometry_for(self, moves: Mapping[int, Position], changed: Sequence[int]):
         positions = self._positions
         new_ends: List[Tuple[Position, Position]] = []
         new_mids: List[Position] = []
         for index in changed:
-            a, b, _ = self._edges[index]
+            a, b = self._edges[index]
             p = moves[a] if a in moves else positions[a]
             q = moves[b] if b in moves else positions[b]
             new_ends.append((p, q))
@@ -1404,18 +1336,15 @@ class MappingCostTracker:
         """
         engine = self._engine
         ends = self._ends
-        edges = self._edges
         mids = self._mids
         sqrt = math.sqrt
         total_length = self.total_edge_length
-        weighted_length = self.total_weighted_length
         for t, index in enumerate(changed):
             p_old, q_old = ends[index]
             p, q = new_ends[t]
             old_len = abs(p_old[0] - q_old[0]) + abs(p_old[1] - q_old[1])
             new_len = abs(p[0] - q[0]) + abs(p[1] - q[1])
             total_length += new_len - old_len
-            weighted_length += edges[index][2] * (new_len - old_len)
         old_spacing = 0.0
         for index in changed:
             old_spacing += engine.row_sum(index)
@@ -1442,7 +1371,7 @@ class MappingCostTracker:
         spacing_after = self.spacing_sum + (new_spacing - old_spacing)
         cost_after = self._cost_from(crossings_after, total_length, spacing_after)
         delta = cost_after - self._cost_value
-        return delta, (total_length, weighted_length, crossings_after, spacing_after), cost_after
+        return delta, (total_length, crossings_after, spacing_after), cost_after
 
     def evaluate(self, updates: Mapping[int, Position]) -> float:
         """Cost delta of moving vertices to new positions, without moving.
@@ -1453,11 +1382,10 @@ class MappingCostTracker:
         that touch no edge cost 0.0.  A tracked vertex moved off the
         integer grid raises ``ValueError`` and changes nothing.
         """
-        moves, moved_from, changed = self._prepare(updates)
-        if not moves or not changed:
-            self._pending_eval = (moves, moved_from, changed, None)
+        moves, changed = self._prepare(updates)
+        if not changed:
+            self._pending_eval = (moves, changed, None)
             return 0.0
-        self._flush_pending()
         new_ends, new_mids = self._geometry_for(moves, changed)
         newrows, old_cross, new_cross = self._engine.eval(
             changed, new_ends, new_mids
@@ -1466,97 +1394,42 @@ class MappingCostTracker:
             changed, new_ends, new_mids, newrows, old_cross, new_cross
         )
         self._pending_eval = (
-            moves, moved_from, changed, (new_ends, new_mids, sums_after, cost_after)
+            moves, changed, (new_ends, new_mids, sums_after, cost_after)
         )
         return delta
 
     def commit_evaluated(self) -> None:
         """Make the last :meth:`evaluate` move the committed state.
 
-        Cheap: positions, endpoints, midpoints and the metric sums come
-        from the stored evaluation; the engine's heavy geometry update is
-        deferred until the next evaluation needs it, so a subsequent
-        :meth:`revert_last` stays O(1).
+        Positions, endpoints, midpoints and the metric sums come from the
+        stored evaluation, and the engine folds the move's geometry in.
         """
         if self._pending_eval is None:
             raise RuntimeError("no evaluate() to commit")
-        moves, moved_from, changed, record = self._pending_eval
+        moves, changed, record = self._pending_eval
         self._pending_eval = None
+        self._positions.update(moves)
         if record is None:
-            self._positions.update(moves)
-            self._last_move = (moved_from, [], [], [], None)
             return
         new_ends, new_mids, sums_after, cost_after = record
-        ends_before = [self._ends[index] for index in changed]
-        mids_before = [self._mids[index] for index in changed]
-        sums_before = (
-            self.total_edge_length,
-            self.total_weighted_length,
-            self.crossings,
-            self.spacing_sum,
-            self._cost_value,
-        )
-        self._positions.update(moves)
         for t, index in enumerate(changed):
             self._ends[index] = new_ends[t]
             self._mids[index] = new_mids[t]
-        (
-            self.total_edge_length,
-            self.total_weighted_length,
-            self.crossings,
-            self.spacing_sum,
-        ) = sums_after
+        self.total_edge_length, self.crossings, self.spacing_sum = sums_after
         self._cost_value = cost_after
-        self._pending = (changed, new_ends, new_mids)
-        self._last_move = (moved_from, changed, ends_before, mids_before, sums_before)
+        self._engine.flush(changed, new_ends, new_mids)
 
     def apply(self, updates: Mapping[int, Position]) -> float:
         """Move vertices to new positions; returns the combined-cost delta.
 
         ``updates`` maps vertices to their new ``(row, col)`` positions,
         integer cells like every tracked position (``ValueError``
-        otherwise).  Unknown vertices are ignored.  Undo with :meth:`revert_last`
-        (cheap, restores the pre-move state exactly) or by applying the
-        inverse mapping.
+        otherwise).  Unknown vertices are ignored.  Applying the inverse
+        mapping moves the vertices back.
         """
         delta = self.evaluate(updates)
         self.commit_evaluated()
         return delta
-
-    def revert_last(self) -> None:
-        """Undo the most recent :meth:`apply`, restoring its pre-move state.
-
-        Exact and cheap: positions, endpoints, midpoints and the metric
-        sums are restored from the commit-time snapshot, and the engine
-        update is simply cancelled when still pending (the common case —
-        no crossing test or spacing fold runs at all).  One-shot: raises
-        :class:`RuntimeError` if there is no un-reverted apply.
-        """
-        if self._last_move is None:
-            raise RuntimeError("no apply() to revert")
-        moved_from, changed, ends_before, mids_before, sums_before = self._last_move
-        self._last_move = None
-        self._pending_eval = None
-        self._positions.update(moved_from)
-        if not changed:
-            return
-        if self._pending is not None:
-            # The engine never saw this move: dropping it is the undo.
-            self._pending = None
-        else:
-            # An evaluation in between already flushed the move; push the
-            # old geometry back through the engine.
-            self._engine.flush(changed, ends_before, mids_before)
-        for t, index in enumerate(changed):
-            self._ends[index] = ends_before[t]
-            self._mids[index] = mids_before[t]
-        (
-            self.total_edge_length,
-            self.total_weighted_length,
-            self.crossings,
-            self.spacing_sum,
-            self._cost_value,
-        ) = sums_before
 
 
 def pearson_correlation(xs: Sequence[float], ys: Sequence[float]) -> float:

@@ -72,16 +72,13 @@ BASE_CFLAGS = ("-ffp-contract=off", "-fno-math-errno")
     SP_SLOTS,
 ) = range(12)
 (
-    DP_LENGTH_W,
-    DP_SPACING_W,
     DP_CROSSING_W,
     DP_TEMPERATURE,
     DP_TOTAL_LENGTH,
-    DP_WEIGHTED_LENGTH,
     DP_SPACING_SUM,
     DP_COST,
     DP_SLOTS,
-) = range(9)
+) = range(6)
 
 #: Slots of the force pass's int64 and double settings arrays, the bits
 #: of ``FP_USE`` and the status ``mc_forces``/``mc_sweep`` return for a
@@ -135,7 +132,7 @@ class MetricsKernel:
         self.commit.argtypes = [_ptr, _dbl, _i64] + [_ptr] * 15
         self.sweep = lib.mc_sweep
         self.sweep.restype = _i64
-        self.sweep.argtypes = [_ptr, _dbl] + [_ptr] * 37
+        self.sweep.argtypes = [_ptr, _dbl] + [_ptr] * 36
         self.forces = lib.mc_forces
         self.forces.restype = _i64
         self.forces.argtypes = [_ptr] * 8 + [_i64] + [_ptr] * 4

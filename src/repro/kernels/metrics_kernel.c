@@ -1100,12 +1100,9 @@ enum {
     SP_SLOTS
 };
 enum {
-    DP_LENGTH_W,
-    DP_SPACING_W,
     DP_CROSSING_W,
     DP_TEMPERATURE,
     DP_TOTAL_LENGTH,   /* committed metric sums ... */
-    DP_WEIGHTED_LENGTH,
     DP_SPACING_SUM,
     DP_COST,           /* ... and their combined cost */
     DP_SLOTS
@@ -1118,9 +1115,8 @@ static double combined_cost(const double *dp, int64_t m, int64_t crossings,
     int64_t pairs = m * (m - 1) / 2;
     double avg_length = m ? total_length / (double)m : 0.0;
     double avg_spacing = pairs ? spacing_sum / (double)pairs : 0.0;
-    return dp[DP_CROSSING_W] * (double)crossings
-           + dp[DP_LENGTH_W] * avg_length
-           + dp[DP_SPACING_W] * (1.0 / (1.0 + avg_spacing));
+    return dp[DP_CROSSING_W] * (double)crossings + avg_length
+           + 1.0 / (1.0 + avg_spacing);
 }
 
 /* Sorted, deduplicated union of the ascending incident-edge lists of
@@ -1147,14 +1143,12 @@ static int64_t incident_union(const int64_t *inc_off, const int64_t *inc_edge,
     return k;
 }
 
-/* Length sums after a move, in the float order of the tracker's
- * _assemble_delta: after[0] = total_length, after[1] = weighted_length. */
-static void move_lengths(int64_t k, const int64_t *changed,
-                         const double *newseg, const double *seg,
-                         const double *weight, const double *dp,
-                         double *after) {
+/* The total length after a move, in the float order of the tracker's
+ * _assemble_delta. */
+static double move_length(int64_t k, const int64_t *changed,
+                          const double *newseg, const double *seg,
+                          const double *dp) {
     double total_length = dp[DP_TOTAL_LENGTH];
-    double weighted_length = dp[DP_WEIGHTED_LENGTH];
     int64_t t;
     for (t = 0; t < k; t++) {
         const double *s = seg + 4 * changed[t];
@@ -1162,10 +1156,8 @@ static void move_lengths(int64_t k, const int64_t *changed,
         double old_len = fabs(s[0] - s[2]) + fabs(s[1] - s[3]);
         double new_len = fabs(ns[0] - ns[2]) + fabs(ns[1] - ns[3]);
         total_length += new_len - old_len;
-        weighted_length += weight[changed[t]] * (new_len - old_len);
     }
-    after[0] = total_length;
-    after[1] = weighted_length;
+    return total_length;
 }
 
 /* A lower bound on the cost delta move_delta would compute, from the
@@ -1183,10 +1175,10 @@ static void move_lengths(int64_t k, const int64_t *changed,
  * crossing count.
  *
  * combined_cost is a chain of correctly rounded operations, each monotone
- * in S (the spacing weight's sign only flips the direction), so the cost
- * at the computed S after the move lies between its values at the two
- * ends, and the smaller one minus the committed cost bounds the delta
- * from below.  A NaN end bounds nothing and returns -HUGE_VAL.
+ * in S, so the cost at the computed S after the move lies between its
+ * values at the two ends, and the smaller one minus the committed cost
+ * bounds the delta from below.  A NaN end bounds nothing and returns
+ * -HUGE_VAL.
  *
  * The same chain is monotone in the crossing count: with a crossing weight
  * w > 0 the bound never falls as the count grows, with w = 0 it does not
@@ -1317,12 +1309,13 @@ static void settle_init(Settle *s, int64_t m, int64_t k,
 }
 
 /* Cost delta of an evaluated move, in exactly the float order of the
- * tracker's _assemble_delta, given its lengths (move_lengths) and
- * crossings; fills after[2] = spacing_sum and after[3] = cost. */
+ * tracker's _assemble_delta, given its total length (move_length) and
+ * crossings; fills after[0] = spacing_sum and after[1] = cost. */
 static double move_delta(const int64_t *ip, int64_t k, const int64_t *changed,
                          const double *newmid, const double *mid,
                          const double *R, const double *newrow,
-                         int64_t crossings, const double *dp, double *after) {
+                         int64_t crossings, double total_length,
+                         const double *dp, double *after) {
     double old_spacing = 0.0, new_spacing = 0.0;
     int64_t t, u;
     for (t = 0; t < k; t++) {
@@ -1344,9 +1337,9 @@ static double move_delta(const int64_t *ip, int64_t k, const int64_t *changed,
                                   newmid[2 * u], newmid[2 * u + 1]);
         }
     }
-    after[2] = dp[DP_SPACING_SUM] + (new_spacing - old_spacing);
-    after[3] = combined_cost(dp, ip[0], crossings, after[0], after[2]);
-    return after[3] - dp[DP_COST];
+    after[0] = dp[DP_SPACING_SUM] + (new_spacing - old_spacing);
+    after[1] = combined_cost(dp, ip[0], crossings, total_length, after[0]);
+    return after[1] - dp[DP_COST];
 }
 
 /* Run proposals order[sp[SP_START]..sp[SP_COUNT]) of one annealing sweep:
@@ -1405,7 +1398,7 @@ int64_t mc_sweep(const int64_t *ip, double bucket,
                  int64_t *stamp, int64_t *gen,
                  double *scratch, int64_t *changed, double *newseg,
                  double *newmid, double *newrow,
-                 const double *weight, const int64_t *ea, const int64_t *eb,
+                 const int64_t *ea, const int64_t *eb,
                  const int64_t *inc_off, const int64_t *inc_edge,
                  int64_t *pos, int64_t *occ,
                  int64_t *order, int64_t *step,
@@ -1434,7 +1427,7 @@ int64_t mc_sweep(const int64_t *ip, double bucket,
         int64_t d_row = step[2 * p], d_col = step[2 * p + 1];
         int64_t row, col, t_row, t_col, occupant, k, t;
         int64_t crossings_after = 0;
-        double after[4] = {0.0, 0.0, 0.0, 0.0};
+        double total_length = 0.0, after[2] = {0.0, 0.0};
         double delta = 0.0, draw = 0.0;
         int accept, drawn = 0;
         if (d_row == 0 && d_col == 0) {
@@ -1476,10 +1469,10 @@ int64_t mc_sweep(const int64_t *ip, double bucket,
             Settle s;
             int64_t cached[2], found;
             double bound;
-            move_lengths(k, changed, newseg, seg, weight, dp, after);
+            total_length = move_length(k, changed, newseg, seg, dp);
             cached_crossings(k, changed, newseg, seg, eu, ev, crossC, scratch,
                              cached);
-            settle_init(&s, ip[0], k, changed, newmid, mid, dp, after[0],
+            settle_init(&s, ip[0], k, changed, newmid, mid, dp, total_length,
                         sp[SP_CROSSINGS] - cached[0] + cached[1], temperature,
                         mt, &sp[SP_MT_INDEX]);
             found = grid_crossings(ip, bucket, k, changed, newseg, seg, eu,
@@ -1508,7 +1501,7 @@ int64_t mc_sweep(const int64_t *ip, double bucket,
             eval_rows(ip, k, changed, newmid, mid, scratch, newrow);
             sp[SP_EXACT] += 1;
             delta = move_delta(ip, k, changed, newmid, mid, R, newrow,
-                               crossings_after, dp, after);
+                               crossings_after, total_length, dp, after);
         }
         accept = delta <= 0.0;
         if (!accept && temperature > 1e-9) {
@@ -1533,10 +1526,9 @@ int64_t mc_sweep(const int64_t *ip, double bucket,
             sp[SP_IMPROVING] += 1;
         }
         if (k > 0) {
-            dp[DP_TOTAL_LENGTH] = after[0];
-            dp[DP_WEIGHTED_LENGTH] = after[1];
-            dp[DP_SPACING_SUM] = after[2];
-            dp[DP_COST] = after[3];
+            dp[DP_TOTAL_LENGTH] = total_length;
+            dp[DP_SPACING_SUM] = after[0];
+            dp[DP_COST] = after[1];
             sp[SP_CROSSINGS] = crossings_after;
             if (mc_commit(ip, bucket, k, changed, newseg, newmid, seg, mid,
                           R, cell_count, cell_items, scratch, eu, ev, stamp,

@@ -480,7 +480,7 @@ def _oracle_sweep(
     """One sweep's proposal loop in Python; returns whether a move improved.
 
     The readable oracle for the kernel's ``mc_sweep`` (and the path of the
-    ``scalar`` tracker engine).  Each proposal moves
+    scalar tracker engine, under ``REPRO_NO_KERNEL=1``).  Each proposal moves
     ``vertices[order[p]]`` by ``steps[p]`` from its current cell, swapping
     with any occupant of the target; off-grid targets are skipped
     uncounted.  A move is accepted when it does not worsen the exact cost,

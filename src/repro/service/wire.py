@@ -19,7 +19,10 @@ This module is the validating front door both the sweep service and
   a plan references, with the registered names listed in the message (the
   same fail-fast contract the grid flags already have), applied *before*
   any work is queued so an unknown name can never become a mid-run
-  traceback in a worker process.
+  traceback in a worker process;
+* :func:`validate_plan_capacities` — the same for a capacity with no
+  factory at its level count, which the decoder already rejects for each
+  request it decodes.
 """
 
 from __future__ import annotations
@@ -78,7 +81,8 @@ def decode_evaluation_request(
 
     Raises :class:`WireFormatError` naming the offending field on any shape
     problem — a missing/mistyped key, an unknown key (almost always a
-    typo'd option name), or a config sub-object the typed decoders reject.
+    typo'd option name), a config sub-object the typed decoders reject, or
+    a capacity with no factory at the request's level count.
     """
     if not isinstance(data, Mapping):
         raise WireFormatError(
@@ -104,7 +108,7 @@ def decode_evaluation_request(
     if "capacity" not in data:
         raise WireFormatError("key is missing", _path(field_prefix, "capacity"))
     _require_int(data["capacity"], _path(field_prefix, "capacity"), minimum=1)
-    if "levels" in data and data["levels"] is not None:
+    if "levels" in data:
         _require_int(data["levels"], _path(field_prefix, "levels"), minimum=1)
     if "seed" in data and data["seed"] is not None:
         _require_int(data["seed"], _path(field_prefix, "seed"))
@@ -136,11 +140,20 @@ def decode_evaluation_request(
                 ) from error
     rest = {key: value for key, value in data.items() if key not in configs}
     try:
-        return replace(EvaluationRequest.from_dict(rest), **configs)
+        request = replace(EvaluationRequest.from_dict(rest), **configs)
     except (KeyError, TypeError, ValueError) as error:
         raise WireFormatError(
             f"could not be decoded: {error}", field_prefix or None
         ) from error
+    _require_factory(request, _path(field_prefix, "capacity"))
+    return request
+
+
+def _require_factory(request: EvaluationRequest, field: str) -> None:
+    try:
+        request.spec()
+    except (OverflowError, ValueError) as error:  # overflow: too big for a float
+        raise WireFormatError(str(error), field) from error
 
 
 def decode_sweep_plan(data: Any, field_prefix: str = "") -> SweepPlan:
@@ -239,3 +252,14 @@ def validate_plan_mappers(plan: SweepPlan) -> None:
             f"registered mappers: {', '.join(sorted(registered))}",
             "requests[].method",
         )
+
+
+def validate_plan_capacities(plan: SweepPlan, field: Optional[str] = None) -> None:
+    """Reject a plan holding a capacity with no factory at its level count.
+
+    Like :func:`validate_plan_mappers`, runs before anything is queued.
+    The error names ``field`` (the ``capacities`` option of a grid) or
+    else ``requests[i].capacity`` of the first such request.
+    """
+    for index, request in enumerate(plan):
+        _require_factory(request, field or f"requests[{index}].capacity")

@@ -146,7 +146,7 @@ def kernel_disabled():
     """``REPRO_NO_KERNEL=1`` for the block, restoring the kernels after.
 
     Both stacks fall back to their Python oracles inside the block: the
-    per-point ``simulate`` loop and the ``scalar`` metrics tracker.
+    per-point ``simulate`` loop and the metrics tracker's scalar engine.
     """
     previous = os.environ.get("REPRO_NO_KERNEL")
     os.environ["REPRO_NO_KERNEL"] = "1"

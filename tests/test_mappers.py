@@ -315,7 +315,7 @@ class TestExactCostRefinement:
         contract end to end, not just per-call.  The ``scalar`` run is
         the one under ``REPRO_NO_KERNEL=1``.
         """
-        from repro.graphs import tracker_engines
+        from repro.kernels import metrics as metrics_kernel
 
         graph = interaction_graph(single_level_k8.circuit)
         initial = random_circuit_placement(single_level_k8.circuit, seed=7, slack=1.5)
@@ -334,7 +334,7 @@ class TestExactCostRefinement:
             )
 
         outcomes = {}
-        if "compiled" in tracker_engines():
+        if metrics_kernel.available():
             outcomes["compiled"] = refine()
         with kernel_disabled():
             outcomes["scalar"] = refine()
@@ -499,9 +499,9 @@ def _parity_case(name):
 
 
 def _require_kernel():
-    from repro.graphs import tracker_engines
+    from repro.kernels import metrics as metrics_kernel
 
-    if "compiled" not in tracker_engines():
+    if not metrics_kernel.available():
         pytest.skip("the metrics kernel is unavailable")
 
 
@@ -674,7 +674,7 @@ class TestKernelSweepParity:
 
         def recording_evaluate(self, updates):
             # mc_sweep's spacing interval for this move, from the state.
-            moves, _, changed = self._prepare(updates)
+            moves, changed = self._prepare(updates)
             _, new_mids = self._geometry_for(moves, changed)
             shift = sum(
                 abs(new[0] - old[0]) + abs(new[1] - old[1])
@@ -772,9 +772,6 @@ def test_kernel_sweep_leaves_the_tracker_as_the_oracle_does():
 
     _require_kernel()
     graph, placement = _parity_case("random3")
-    graph = graph.copy()  # the case is cached and shared
-    for a, b in graph.edges():  # weights feed the weighted-length sum
-        graph[a][b]["weight"] = 0.5 + (a * 7 + b) % 4
     vertices = list(graph.nodes())
     # Real forces from a field with non-unit, signed weights.
     config = ForceDirectedConfig(
@@ -787,9 +784,7 @@ def test_kernel_sweep_leaves_the_tracker_as_the_oracle_does():
     states = []
     for use_kernel in (True, False):
         moved = placement.copy()
-        tracker = MappingCostTracker(
-            graph, moved.as_float_positions(), engine="compiled"
-        )
+        tracker = MappingCostTracker(graph, moved.as_float_positions())
         sweep_rng = random.Random(5)
         if use_kernel:
             kernel = tracker.kernel_sweep(
@@ -815,7 +810,6 @@ def test_kernel_sweep_leaves_the_tracker_as_the_oracle_does():
                 moved.positions,
                 tracker.crossings,
                 tracker.total_edge_length,
-                tracker.total_weighted_length,
                 tracker.spacing_sum,
                 tracker.cost(),
                 dict(tracker._positions),

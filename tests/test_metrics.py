@@ -5,6 +5,7 @@ import random
 import networkx as nx
 import pytest
 
+from repro.graphs import metrics as metrics_module
 from repro.graphs import (
     MappingCostTracker,
     average_edge_length,
@@ -21,6 +22,8 @@ from repro.graphs import (
     segments_intersect,
     total_edge_length,
 )
+from repro.kernels import metrics as metrics_kernel
+from conftest import kernel_disabled
 
 
 def square_graph():
@@ -351,52 +354,6 @@ class TestMappingCostTracker:
         positions.update(updates)
         self._assert_matches_recompute(tracker, graph, positions)
 
-    def test_revert_last_restores_state_exactly(self):
-        rng = random.Random(31)
-        graph = nx.gnm_random_graph(20, 45, seed=31)
-        positions = {
-            v: (float(rng.randrange(0, 10)), float(rng.randrange(0, 10)))
-            for v in graph.nodes()
-        }
-        tracker = MappingCostTracker(graph, positions)
-        nodes = list(graph.nodes())
-        for _step in range(30):
-            crossings = tracker.crossings
-            spacing = tracker.spacing_sum
-            length = tracker.total_edge_length
-            cost = tracker.cost()
-            vertex = rng.choice(nodes)
-            tracker.apply(
-                {vertex: (float(rng.randrange(0, 10)), float(rng.randrange(0, 10)))}
-            )
-            tracker.revert_last()
-            # Bit-exact restore (snapshots, not arithmetic inverses).
-            assert tracker.crossings == crossings
-            assert tracker.spacing_sum == spacing
-            assert tracker.total_edge_length == length
-            assert tracker.cost() == cost
-            self._assert_matches_recompute(tracker, graph, positions)
-
-    def test_revert_last_is_one_shot(self):
-        graph = nx.Graph()
-        graph.add_edge(0, 1)
-        tracker = MappingCostTracker(graph, {0: (0.0, 0.0), 1: (1.0, 0.0)})
-        tracker.apply({0: (2.0, 2.0)})
-        tracker.revert_last()
-        with pytest.raises(RuntimeError):
-            tracker.revert_last()
-
-    def test_revert_after_isolated_move_restores_position(self):
-        graph = nx.Graph()
-        graph.add_node(0)
-        graph.add_edge(1, 2)
-        tracker = MappingCostTracker(
-            graph, {0: (0.0, 0.0), 1: (1.0, 0.0), 2: (2.0, 0.0)}
-        )
-        tracker.apply({0: (5.0, 5.0)})
-        tracker.revert_last()
-        assert tracker.position(0) == (0.0, 0.0)
-
     def test_inverse_apply_reverts(self):
         graph = nx.gnm_random_graph(12, 25, seed=4)
         rng = random.Random(4)
@@ -434,6 +391,8 @@ class TestMappingCostTracker:
         tracker = MappingCostTracker(graph, positions)
         assert tracker.apply({0: (5.0, 5.0)}) == 0.0
         assert tracker.position(0) == (5.0, 5.0)
+        assert tracker.apply({0: (0.0, 0.0)}) == 0.0  # the inverse moves it back
+        assert tracker.position(0) == (0.0, 0.0)
 
     def test_unknown_vertex_ignored(self):
         graph = nx.Graph()
@@ -447,26 +406,6 @@ class TestMappingCostTracker:
         graph.add_edge(0, 1)
         with pytest.raises(KeyError):
             MappingCostTracker(graph, {0: (0.0, 0.0)})
-
-    def test_weighted_length_tracked_through_moves(self):
-        rng = random.Random(21)
-        graph = nx.gnm_random_graph(14, 30, seed=21)
-        for a, b in graph.edges():
-            graph[a][b]["weight"] = rng.randrange(1, 5)
-        positions = {
-            v: (float(rng.randrange(0, 9)), float(rng.randrange(0, 9)))
-            for v in graph.nodes()
-        }
-        tracker = MappingCostTracker(graph, positions)
-        nodes = list(graph.nodes())
-        for _step in range(40):
-            vertex = rng.choice(nodes)
-            new = (float(rng.randrange(0, 9)), float(rng.randrange(0, 9)))
-            positions[vertex] = new
-            tracker.apply({vertex: new})
-            assert tracker.total_weighted_length == pytest.approx(
-                total_edge_length(graph, positions, weighted=True), rel=1e-9
-            )
 
     def test_self_loop_graph_matches_mapping_cost(self):
         # Self-loops must be ignored consistently by every metric, so the
@@ -487,6 +426,38 @@ class TestMappingCostTracker:
         positions[0] = (5.0, 5.0)
         tracker.apply({0: (5.0, 5.0)})
         self._assert_matches_recompute(tracker, graph, positions)
+
+
+class TestTrackerOptions:
+    """The tracker takes the crossing weight alone and no engine choice."""
+
+    @pytest.mark.parametrize(
+        "option",
+        [
+            {"engine": "compiled"},
+            {"engine": "scalar"},
+            {"length_weight": 1.0},
+            {"spacing_weight": 1.0},
+        ],
+        ids=lambda option: "-".join(map(str, next(iter(option.items())))),
+    )
+    def test_removed_options_are_rejected(self, option):
+        graph, positions = square_graph()
+        with pytest.raises(TypeError, match=next(iter(option))):
+            MappingCostTracker(graph, positions, **option)
+
+    def test_no_kernel_env_pins_the_scalar_oracle(self):
+        """``REPRO_NO_KERNEL=1`` is the only selector, as for the simulator."""
+        graph, positions = square_graph()
+        with kernel_disabled():
+            tracker = MappingCostTracker(graph, positions)
+        assert isinstance(tracker._engine, metrics_module._ScalarTrackerEngine)
+        assert tracker.kernel_sweep(list(positions), 2, 2, None) is None
+        if metrics_kernel.available():
+            tracker = MappingCostTracker(graph, positions)
+            assert isinstance(
+                tracker._engine, metrics_module._CompiledTrackerEngine
+            )
 
 
 class TestCostAndCorrelation:

@@ -2,13 +2,13 @@
 
 Each tracker trial draws a random scenario — a random interaction-style
 graph (occasionally weighted, occasionally with string vertex labels), a
-random layout, and a random sequence of moves, reverts and pure (never
-committed) evaluations — and checks that **every** available
-:class:`repro.graphs.metrics.MappingCostTracker` engine (``scalar``
-reference, ``compiled`` when the C kernel builds) stays byte-identical
-on the full tracker state after every step: per-move deltas, crossings,
-total/weighted length, spacing sum, combined cost, and the tracked
-positions.
+random layout, and a random sequence of moves, moves and their inverses,
+and pure (never committed) evaluations — and checks that the
+:class:`repro.graphs.metrics.MappingCostTracker` built under the kernel
+(when the C kernel builds) stays byte-identical to the ``scalar``
+reference built under ``REPRO_NO_KERNEL=1`` on the full tracker state
+after every step: per-move deltas, crossings, total length, spacing sum,
+combined cost, and the tracked positions.
 
 Each refine trial draws a random graph, a placement with extra non-graph
 occupants and a random :class:`ForceDirectedConfig`, and runs the
@@ -41,6 +41,7 @@ lists every failing seed with a one-line repro command
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import random
@@ -50,8 +51,10 @@ import networkx as nx
 import pytest
 
 from repro.distillation import build_single_level_factory, build_two_level_factory
-from repro.graphs import MappingCostTracker, interaction_graph, tracker_engines
+from repro.graphs import MappingCostTracker, interaction_graph
+from repro.graphs import metrics as metrics_module
 from repro.graphs.metrics import count_edge_crossings_reference
+from repro.kernels import metrics as metrics_kernel
 from repro.mapping import ForceDirectedConfig, linear_factory_placement
 from repro.mapping.force_directed import (
     _ForceField,
@@ -65,8 +68,26 @@ from conftest import fuzz_corpus, kernel_disabled
 SEED_BASE = 20260808
 
 
-def _engines():
-    return tracker_engines()
+def _engine_contexts():
+    """``(engine, context)`` pairs: each context builds that tracker engine.
+
+    ``REPRO_NO_KERNEL=1`` is the only selector, so the ``scalar`` oracle
+    is built under :func:`kernel_disabled`; the ``compiled`` engine joins
+    when the metrics kernel loads.
+    """
+    contexts = [("scalar", kernel_disabled)]
+    if metrics_kernel.available():
+        contexts.append(("compiled", contextlib.nullcontext))
+    return contexts
+
+
+def _trackers(graph, layout, **options):
+    """One tracker per available engine over ``layout``, keyed by engine."""
+    trackers = {}
+    for engine, context in _engine_contexts():
+        with context():
+            trackers[engine] = MappingCostTracker(graph, dict(layout), **options)
+    return trackers
 
 
 def _random_graph(rng: random.Random) -> nx.Graph:
@@ -74,7 +95,7 @@ def _random_graph(rng: random.Random) -> nx.Graph:
     graph = nx.gnm_random_graph(
         n, rng.randint(n - 1, 3 * n), seed=rng.randrange(1 << 30)
     )
-    if rng.random() < 0.3:  # weighted edges exercise weighted-length sums
+    if rng.random() < 0.3:  # weights steer community moves, not the tracker
         for a, b in graph.edges():
             graph[a][b]["weight"] = rng.choice([0.5, 1.0, 2.0, 3.5])
     if rng.random() < 0.2:  # string ids: the kernel sees them as dense ints
@@ -102,7 +123,6 @@ def _state(tracker: MappingCostTracker):
     return (
         tracker.crossings,
         tracker.total_edge_length,
-        tracker.total_weighted_length,
         tracker.spacing_sum,
         tracker.cost(),
         dict(tracker._positions),
@@ -116,10 +136,7 @@ def run_trial(seed: int) -> None:
     layout = _random_layout(rng, graph)
     vertices = sorted(graph.nodes(), key=str)
     span = 20
-    trackers = {
-        engine: MappingCostTracker(graph, dict(layout), engine=engine)
-        for engine in _engines()
-    }
+    trackers = _trackers(graph, layout)
     reference = trackers["scalar"]
     ref_state = _state(reference)
     for engine, tracker in trackers.items():
@@ -128,25 +145,26 @@ def run_trial(seed: int) -> None:
             f"at construction (seed {seed})"
         )
 
+    def apply_everywhere(updates, step):
+        deltas = {
+            engine: tracker.apply(updates) for engine, tracker in trackers.items()
+        }
+        expected = deltas["scalar"]
+        for engine, delta in deltas.items():
+            assert delta == expected, (
+                f"engine={engine!r} diverged on the apply() delta "
+                f"at step {step} (seed {seed})"
+            )
+
     for step in range(rng.randint(10, 40)):
         action = rng.random()
         if action < 0.55:  # apply, keep
+            apply_everywhere(_random_updates(rng, vertices, span), step)
+        elif action < 0.8:  # apply, then apply the inverse mapping
             updates = _random_updates(rng, vertices, span)
-            deltas = {
-                engine: tracker.apply(updates)
-                for engine, tracker in trackers.items()
-            }
-            expected = deltas["scalar"]
-            for engine, delta in deltas.items():
-                assert delta == expected, (
-                    f"engine={engine!r} diverged on the apply() delta "
-                    f"at step {step} (seed {seed})"
-                )
-        elif action < 0.8:  # apply, then revert
-            updates = _random_updates(rng, vertices, span)
-            for tracker in trackers.values():
-                tracker.apply(updates)
-                tracker.revert_last()
+            inverse = {vertex: reference.position(vertex) for vertex in updates}
+            apply_everywhere(updates, step)
+            apply_everywhere(inverse, step)
         else:  # pure evaluations of independent proposals (no commit)
             for _ in range(rng.randint(1, 6)):
                 updates = _random_updates(rng, vertices, span)
@@ -219,7 +237,7 @@ def test_refine_differential_fuzz(request, refine_outcome):
         rng = random.Random(SEED_BASE + seed)
         graph, placement, config = _random_refine_case(rng)
         outcomes = {}
-        if "compiled" in _engines():
+        if metrics_kernel.available():
             outcomes["compiled"] = refine_outcome(graph, placement, config)
         with kernel_disabled():
             outcomes["scalar"] = refine_outcome(graph, placement, config)
@@ -240,7 +258,7 @@ def test_harness_detects_divergence(monkeypatch):
 
     def corrupted(self, updates):
         delta = real_apply(self, updates)
-        if self.engine == "scalar":
+        if isinstance(self._engine, metrics_module._ScalarTrackerEngine):
             return delta
         return delta + 1.0
 
@@ -301,12 +319,13 @@ def test_off_grid_coordinates_are_rejected(request):
                 v: (float(round(r)), float(round(c))) for v, (r, c) in layout.items()
             }
         bad = _first_off_grid(layout.items())
-        for engine in _engines():
+        for engine, context in _engine_contexts():
             if bad is not None:
-                with pytest.raises(ValueError, match=_names(bad)):
-                    MappingCostTracker(graph, dict(layout), engine=engine)
+                with context(), pytest.raises(ValueError, match=_names(bad)):
+                    MappingCostTracker(graph, dict(layout))
                 continue
-            tracker = MappingCostTracker(graph, dict(layout), engine=engine)
+            with context():
+                tracker = MappingCostTracker(graph, dict(layout))
             vertices = sorted(graph.nodes(), key=str)
             for _ in range(20):
                 chosen = rng.sample(vertices, min(len(vertices), rng.randint(1, 3)))
@@ -328,10 +347,11 @@ def test_off_grid_coordinates_are_rejected(request):
 def test_non_finite_coordinates_are_rejected(coordinate):
     graph = nx.Graph([(0, 1), (2, 3)])
     layout = {0: (0.0, 0.0), 1: (2.0, 2.0), 2: (0.0, 2.0), 3: (2.0, 0.0)}
-    for engine in _engines():
-        with pytest.raises(ValueError, match=_names(3)):
-            MappingCostTracker(graph, {**layout, 3: (coordinate, 1.0)}, engine=engine)
-        tracker = MappingCostTracker(graph, layout, engine=engine)
+    for _, context in _engine_contexts():
+        with context():
+            with pytest.raises(ValueError, match=_names(3)):
+                MappingCostTracker(graph, {**layout, 3: (coordinate, 1.0)})
+            tracker = MappingCostTracker(graph, layout)
         with pytest.raises(ValueError, match=_names(1)):
             tracker.evaluate({0: (1.0, 1.0), 1: (1.0, coordinate)})
         assert tracker.apply({9: (coordinate, 0.0)}) == 0.0  # unknown: ignored
@@ -367,12 +387,7 @@ def _band_position(rng: random.Random, positions, extent: int):
 def _assert_band_crossings(graph, layout, moves, bucket, label):
     """Every engine's crossings equal the reference's, after every move."""
     positions = dict(layout)
-    trackers = {
-        engine: MappingCostTracker(
-            graph, dict(layout), bucket_size=bucket, engine=engine
-        )
-        for engine in _engines()
-    }
+    trackers = _trackers(graph, layout, bucket_size=bucket)
     for step in range(len(moves) + 1):
         if step:
             positions.update(moves[step - 1])
@@ -473,7 +488,7 @@ def test_band_walk_boundary_shapes():
 # The kernel's force pass vs the numpy force field
 # ----------------------------------------------------------------------
 def _require_compiled():
-    if "compiled" not in tracker_engines():
+    if not metrics_kernel.available():
         pytest.skip("the metrics kernel is unavailable")
 
 
@@ -482,9 +497,7 @@ def _field_and_sweep(graph, placement, config):
     way ``force_directed_refine`` builds them."""
     field = _ForceField(graph, config, assign_dipole_poles(graph, seed=config.seed))
     max_step = min(config.max_step, max(placement.height, placement.width))
-    tracker = MappingCostTracker(
-        graph, placement.as_float_positions(), engine="compiled"
-    )
+    tracker = MappingCostTracker(graph, placement.as_float_positions())
     sweep = tracker.kernel_sweep(
         list(graph.nodes()),
         placement.height,
@@ -650,9 +663,7 @@ class TestKernelForces:
         placement = _grid_placement(range(4), 2, 2, cells)
         config = ForceDirectedConfig()
         field = _ForceField(graph, config, assign_dipole_poles(graph))
-        tracker = MappingCostTracker(
-            graph, placement.as_float_positions(), engine="compiled"
-        )
+        tracker = MappingCostTracker(graph, placement.as_float_positions())
         forces = field.sweep_forces(2)
         tracker.kernel_sweep(range(4), 2, 2, forces)  # the intact field
         with pytest.raises(ValueError, match="index exactly the movers"):

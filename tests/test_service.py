@@ -249,6 +249,13 @@ class TestEvaluate:
             service.evaluate({"method": "linear"})
         assert excinfo.value.field == "capacity"
 
+    def test_capacity_without_a_factory_is_wire_error(self, service):
+        with pytest.raises(WireFormatError) as excinfo:
+            service.evaluate({"method": "linear", "capacity": 3, "levels": 2})
+        assert excinfo.value.field == "capacity"
+        assert "perfect 2-th power" in str(excinfo.value)
+        assert service.pipeline.stats.evaluations == 0
+
 
 # ----------------------------------------------------------------------
 # HTTP layer
@@ -344,6 +351,13 @@ class TestHttpEndpoints:
         assert status == 400
         assert body["error"]["field"] == "capacity"
         assert "capacity" in body["error"]["message"]
+
+    def test_capacity_without_a_factory_is_400(self, base_url):
+        data = a_request(capacity=3, levels=2).to_dict()
+        status, _, body = http("POST", f"{base_url}/v1/evaluate", data)
+        assert status == 400
+        assert body["error"]["field"] == "capacity"
+        assert "capacity 3" in body["error"]["message"]
 
     def test_unknown_mapper_is_400_listing_registered(self, base_url):
         status, _, body = http(
@@ -568,6 +582,15 @@ class TestHttpSweeps:
         assert status == 400
         assert "'typo'" in body["error"]["message"]
         assert service.jobs.jobs_in_flight() == 0
+
+    def test_sweep_with_a_capacity_without_a_factory_is_400_before_queueing(
+        self, base_url, service
+    ):
+        plan = SweepPlan.from_grid(methods=("linear",), capacities=(4, 3), levels=(2,))
+        status, _, body = http("POST", f"{base_url}/v1/sweeps", plan.to_dict())
+        assert status == 400
+        assert body["error"]["field"] == "requests[1].capacity"
+        assert sum(service.status()["jobs"].values()) == 0
 
     def test_malformed_plan_is_400_naming_the_request(self, base_url):
         payload = {"requests": [a_request().to_dict(), {"method": "linear"}]}

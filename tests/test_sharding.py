@@ -297,6 +297,20 @@ class TestShardMergeIdentity:
         assert all(e.phase == "own" and e.source == "evaluated" for e in events)
 
 
+class TestShardStats:
+    def test_workers_counts_the_processes_that_evaluated(self, tmp_path):
+        # One request starts no pool, so one process evaluates it whatever
+        # was asked for; a shard reports workers as the executor does.
+        plan = SweepPlan.from_grid(methods=("linear",), capacities=(2,))
+        store = ResultStore(tmp_path / "s")
+        result = run_shard(plan, ShardSpec(0, 1), store, workers=4)
+        assert SweepExecutor(workers=4).run(plan).stats.workers == 1
+        assert result.stats.workers == 1
+        # A rerun answered from the store evaluates nothing at all.
+        rerun = run_shard(plan, ShardSpec(0, 1), store, workers=4)
+        assert rerun.stats.evaluations == 0 and rerun.stats.workers == 1
+
+
 # ----------------------------------------------------------------------
 # Merge semantics: conflicts, corruption, stale schemas
 # ----------------------------------------------------------------------

@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from repro.api import ResultStore, SweepExecutor, SweepPlan
+from repro.api.sharding import write_shard_files
 from repro.cli import main
 
 
@@ -308,6 +311,48 @@ class TestRequestErrors:
         assert run_cli(argv + ["--store", str(tmp_path / "store")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("sweep shard: sim_config.hops: "), err
+        assert "Traceback" not in err and err.count("\n") == 1
+
+
+class TestCapacityWithoutAFactory:
+    """A capacity with no factory at its levels exits 2 with one line, before
+    anything is evaluated or written, like ``run <experiment>`` does."""
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (["--capacities", "3", "--levels", "2"], "capacity 3 is not"),
+            (["--capacities", "0"], "capacity must be >= 1"),
+            (["--capacities", "4", "--levels", "0"], "levels must be >= 1"),
+        ],
+        ids=["not-a-square", "zero", "zero-levels"],
+    )
+    @pytest.mark.parametrize("command", ["run", "plan-split", "shard"])
+    def test_grid_exits_2_naming_capacities(
+        self, tmp_path, capsys, command, grid, message
+    ):
+        argv = ["sweep", command, "--methods", "linear", *grid]
+        if command == "plan-split":
+            argv += ["--shards", "1", "--out-dir", str(tmp_path / "shards")]
+        else:
+            argv += ["--store", str(tmp_path / "store")]
+        if command == "shard":
+            argv += ["--shard-index", "0", "--shard-count", "1"]
+        assert run_cli(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"sweep {command}: capacities: {message}"), err
+        assert "Traceback" not in err and err.count("\n") == 1
+        assert not (tmp_path / "shards").exists()
+
+    def test_shard_file_names_the_request(self, tmp_path, capsys):
+        plan = SweepPlan.from_grid(
+            methods=("linear",), capacities=(4, 3), levels=(2,)
+        )
+        (spec,) = write_shard_files(plan, 1, tmp_path / "shards")
+        argv = ["sweep", "shard", "--spec", str(spec)]
+        assert run_cli(argv + ["--store", str(tmp_path / "store")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("sweep shard: requests[1].capacity: capacity 3 "), err
         assert "Traceback" not in err and err.count("\n") == 1
 
 

@@ -64,7 +64,10 @@ class TestDecodeEvaluationRequest:
             ({"method": "linear", "capacity": True}, "capacity"),
             ({"method": "linear", "capacity": 0}, "capacity"),
             (wire_request(levels=0), "levels"),
+            (wire_request(levels=None), "levels"),
             (wire_request(levels="two"), "levels"),
+            (wire_request(capacity=3, levels=2), "capacity"),
+            (wire_request(capacity=10**400), "capacity"),
             (wire_request(reuse="yes"), "reuse"),
             (wire_request(seed=1.5), "seed"),
             (wire_request(options=[1]), "options"),
@@ -278,6 +281,10 @@ class TestDecodeSweepPlan:
             ({"requests": [{"method": "linear"}]}, "requests[0].capacity"),
             (
                 {"requests": [wire_request(), {"method": "linear", "capacity": "x"}]},
+                "requests[1].capacity",
+            ),
+            (
+                {"requests": [wire_request(), wire_request(capacity=8, levels=2)]},
                 "requests[1].capacity",
             ),
         ],
