@@ -69,7 +69,7 @@ from . import (
     scheduling,
 )
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 __all__ = [
     "analysis",

@@ -12,12 +12,7 @@ from .sweeps import (
     best_volume_by_method,
     format_sweep_table,
 )
-from .volume import (
-    EvaluationResult,
-    evaluate_mapping,
-    mapping_area,
-    occupied_bounding_box,
-)
+from .volume import mapping_area, occupied_bounding_box
 
 __all__ = [
     "CorrelationStudy",
@@ -28,8 +23,6 @@ __all__ = [
     "METHOD_LABELS",
     "best_volume_by_method",
     "format_sweep_table",
-    "EvaluationResult",
-    "evaluate_mapping",
     "mapping_area",
     "occupied_bounding_box",
 ]

@@ -2,28 +2,23 @@
 
 The paper reports three quantities per factory configuration (Fig. 10,
 Table I): circuit latency in cycles, circuit area in logical qubits, and
-their product, the space-time ("quantum") volume.  This module defines how a
-placement plus a simulation result are turned into those numbers:
+their product, the space-time ("quantum") volume:
 
 * **latency** — the simulator's completion time;
 * **area** — the bounding-box area of the tiles the mapping actually uses
   (a compact layout is credited for its compactness; a mapping that spreads
   qubits over a huge grid pays for the space its braids roam over);
 * **volume** — area times latency.
+
+This module defines the area; :class:`~repro.api.pipeline.Pipeline`
+multiplies it by the simulated latency into each reported data point.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..mapping.placement import Placement
-from ..routing.simulator import (
-    SimulationCache,
-    SimulationResult,
-    SimulatorConfig,
-    simulate,
-)
 
 
 def occupied_bounding_box(placement: Placement) -> Dict[str, int]:
@@ -60,54 +55,3 @@ def occupied_bounding_box(placement: Placement) -> Dict[str, int]:
 def mapping_area(placement: Placement) -> int:
     """The area metric used in all reported results (bounding-box tiles)."""
     return occupied_bounding_box(placement)["area"]
-
-
-@dataclass(frozen=True)
-class EvaluationResult:
-    """Latency / area / volume of one circuit under one mapping.
-
-    ``stall_events`` is the legacy retry count, ``distinct_stalls`` /
-    ``wakeups`` the event-driven engine's counters — see
-    :class:`~repro.routing.simulator.SimulationResult` for the exact
-    semantics of the three.
-    """
-
-    latency: int
-    area: int
-    stall_cycles: int
-    stall_events: int
-    braided_gates: int
-    distinct_stalls: int = 0
-    wakeups: int = 0
-
-    @property
-    def volume(self) -> int:
-        """Space-time volume in qubit-cycles."""
-        return self.latency * self.area
-
-
-def evaluate_mapping(
-    circuit_or_gates,
-    placement: Placement,
-    config: Optional[SimulatorConfig] = None,
-    cache: Optional[SimulationCache] = None,
-) -> EvaluationResult:
-    """Simulate a circuit on a placement and report latency/area/volume.
-
-    With ``cache`` given, the simulation is memoized through it (the
-    simulator is deterministic, so this never changes results — repeated
-    sweep points just skip the re-simulation).
-    """
-    if cache is not None:
-        result: SimulationResult = cache.simulate(circuit_or_gates, placement, config)
-    else:
-        result = simulate(circuit_or_gates, placement, config)
-    return EvaluationResult(
-        latency=result.latency,
-        area=mapping_area(placement),
-        stall_cycles=result.stall_cycles,
-        stall_events=result.stall_events,
-        braided_gates=result.braided_gates,
-        distinct_stalls=result.distinct_stalls,
-        wakeups=result.wakeups,
-    )

@@ -376,8 +376,8 @@ class SweepExecutor:
         ``stats.store_hits``.
     batch:
         ``True`` routes the pending requests through the serial pipeline's
-        batched evaluation path (:meth:`Pipeline.evaluate_batch`):
-        simulation-cache probes still happen per request, and only the
+        batched evaluation path (:meth:`Pipeline.evaluate_batch`): the
+        simulation cache answers the points it holds, and only the
         cache-missing simulations are grouped into one
         :func:`~repro.routing.batchsim.simulate_batch` call.  The batch
         *is* the parallelism, so this mode runs in-process and takes
@@ -555,9 +555,8 @@ class SweepExecutor:
     ) -> None:
         """The batching mode: one grouped pass over every pending request.
 
-        Simulation-cache probes still happen per request inside
-        :meth:`~repro.api.pipeline.Pipeline.evaluate_batch`; only the
-        cache-missing simulations are batched.  Results land in the same
+        :meth:`~repro.api.pipeline.Pipeline.evaluate_batch` batches only
+        the simulations its cache misses.  Results land in the same
         unique slots as the serial runner, so the assembled output is
         byte-identical.  Persistence happens after the batch completes (the
         batch is one simulation call), so crash durability is per batch,

@@ -33,7 +33,12 @@ from ..mapping.force_directed import (
     take_refine_stats,
 )
 from ..mapping.stitching import StitchedMapping, StitchingConfig
-from ..routing.simulator import SimulationCache, SimulatorConfig
+from ..routing.simulator import (
+    HopError,
+    SimulationCache,
+    SimulatorConfig,
+    check_point,
+)
 from ..scheduling.critical_path import (
     factory_area_lower_bound,
     factory_latency_lower_bound,
@@ -298,8 +303,9 @@ class Pipeline:
         Returns the concrete simulation point ``(circuit, placement,
         config)`` — with hop configs resolved for stitched mappings — after
         folding the mapper's refinement statistics into :attr:`stats`.
-        Stitched mappings replace the request's hops; any other mapping
-        raises :class:`RequestError` if a hop lies outside its grid.
+        Stitched mappings replace the request's hops; for any other
+        mapping a hop that :func:`~repro.routing.simulator.check_point`
+        rejects is a :class:`RequestError` on ``sim_config.hops``.
         """
         factory = self.factory(request.capacity, request.levels, request.reuse)
 
@@ -321,16 +327,14 @@ class Pipeline:
         if isinstance(outcome, StitchedMapping):
             hop_config = replace(sim_config, hops=outcome.hops)
             return outcome.factory.circuit, outcome.placement, hop_config
-        # A hop outside the grid would cost routing time and memory linear
-        # in its distance; no mapper places one there, so it is an error.
-        for gate, cell in sim_config.hops.items():
-            if cell[0] >= outcome.height or cell[1] >= outcome.width:
+        if sim_config.hops:
+            try:
+                check_point(factory.circuit.used_qubits(), outcome, sim_config)
+            except HopError as error:
                 raise RequestError(
-                    f"the hop of gate {gate} at tile {tuple(cell)} lies outside "
-                    f"the {outcome.height}x{outcome.width} grid of the "
-                    f"{request.method!r} placement",
+                    f"{error} of the {request.method!r} placement",
                     field="sim_config.hops",
-                )
+                ) from None
         return factory.circuit, outcome, sim_config
 
     def _result_point(
@@ -381,78 +385,29 @@ class Pipeline:
     def evaluate_batch(
         self, requests: Sequence[EvaluationRequest]
     ) -> List[FactoryEvaluation]:
-        """Evaluate many requests, batching the cache-missing simulations.
+        """Evaluate many requests, batching their simulations.
 
         Semantically identical to ``[self.evaluate(r) for r in requests]``
-        — same results, same cache accounting — but the simulations not
-        answered by the :class:`~repro.routing.simulator.SimulationCache`
-        are executed in one :func:`~repro.routing.batchsim.simulate_batch`
-        call, which groups same-circuit points and runs them through the
-        compiled batched kernel.
+        — same results, same cache accounting — but every request is
+        mapped first, and the simulations run through one
+        :meth:`~repro.routing.simulator.SimulationCache.simulate_batch`
+        call, which sends the points it has not cached to the batched
+        kernel together.
         """
-        # Imported lazily, like the other analysis/routing consumers above.
-        from ..routing.batchsim import simulate_batch
-        from ..routing.simulator import simulation_cache_key
-
         requests = list(requests)
-        results: List[Optional[FactoryEvaluation]] = [None] * len(requests)
-        points: List[tuple] = []  # unique cache-missing (circuit, placement, config)
-        point_of_key: Dict[tuple, int] = {}
-        # Deferred finishing context per request: (position, sim_config,
-        # placement, point_index, first).
-        deferred: List[tuple] = []
-
-        for position, request in enumerate(requests):
+        sim_configs, points = [], []
+        for request in requests:
             mapper = get_mapper(request.method)
-            sim_config = request.sim_config or SimulatorConfig()
-            circuit, placement, point_config = self._map_request(
-                mapper, request, sim_config
+            sim_configs.append(request.sim_config or SimulatorConfig())
+            points.append(self._map_request(mapper, request, sim_configs[-1]))
+        hits_before = self.sim_cache.hits
+        sim_started = time.perf_counter()
+        sim_results = self.sim_cache.simulate_batch(points)
+        self.stats.sim_seconds += time.perf_counter() - sim_started
+        self.stats.sim_cache_hits += self.sim_cache.hits - hits_before
+        return [
+            self._result_point(request, sim_config, point[1], sim_result)
+            for request, sim_config, point, sim_result in zip(
+                requests, sim_configs, points, sim_results
             )
-            point = (circuit, placement, point_config)
-            key = simulation_cache_key(circuit, placement, point_config)
-            cached = (
-                self.sim_cache.lookup(circuit, placement, point_config)
-                if key not in point_of_key
-                else None
-            )
-            if cached is not None:
-                self.stats.sim_cache_hits += 1
-                results[position] = self._result_point(
-                    request, sim_config, placement, cached
-                )
-                continue
-            point_index = point_of_key.get(key)
-            first = point_index is None
-            if first:
-                point_index = len(points)
-                point_of_key[key] = point_index
-                points.append(point)
-            deferred.append((position, sim_config, placement, point_index, first))
-
-        if not deferred:
-            return results  # type: ignore[return-value]
-
-        batch_started = time.perf_counter()
-        batch_results = simulate_batch(points)
-        self.stats.sim_seconds += time.perf_counter() - batch_started
-
-        for position, sim_config, placement, point_index, first in deferred:
-            sim_result = batch_results[point_index]
-            point = points[point_index]
-            if first:
-                # First occurrence of this simulation point: insert the
-                # batched result into the cache (booked as the miss an
-                # unbatched run would have taken).
-                self.sim_cache.store_result(
-                    point[0], point[1], point[2], sim_result
-                )
-            else:
-                # A later duplicate of an earlier point in this batch: an
-                # unbatched run answers it from the cache, and so does this
-                # one (the first occurrence was inserted above).
-                self.sim_cache.lookup(point[0], point[1], point[2])
-                self.stats.sim_cache_hits += 1
-            results[position] = self._result_point(
-                requests[position], sim_config, placement, sim_result
-            )
-        return results  # type: ignore[return-value]
+        ]

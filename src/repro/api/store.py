@@ -14,7 +14,7 @@ sharded JSON payloads, one per evaluated
   is the default one), salted with a schema/version tag.  Evaluation
   is deterministic in the request, so two equal fingerprints are guaranteed
   to name the same result, which makes the store a pure optimization;
-* payloads carry the full ``EvaluationResult.to_dict()`` form plus
+* payloads carry the full ``FactoryEvaluation.to_dict()`` form plus
   provenance metadata (git SHA, platform, Python version, wall time,
   timestamps) so stored numbers can be audited and cross-machine
   comparisons annotated;

@@ -842,14 +842,19 @@ def _sweep_plan_from_args(args: argparse.Namespace) -> SweepPlan:
         methods = [name.strip() for name in args.methods.split(",") if name.strip()]
         if not methods:
             raise ValueError("--methods must name at least one mapper")
+        # The decoder checks a plan file's levels and capacities; these are
+        # the flags'.
+        levels = args.levels if args.levels is not None else [1]
+        for level in levels:
+            if level < 1:
+                raise RequestError(f"must be >= 1, got {level}", field="levels")
         plan = SweepPlan.from_grid(
             methods=methods,
             capacities=args.capacities,
-            levels=args.levels if args.levels is not None else [1],
+            levels=levels,
             reuse=args.reuse,
             seeds=args.seeds if args.seeds is not None else [0],
         )
-        # The decoder checks a plan file's capacities; these are the flags'.
         validate_plan_capacities(plan, field="capacities")
     # Fail fast on unknown mapper names — a clean exit-2 message listing the
     # registered names beats a traceback out of the executor (or a worker

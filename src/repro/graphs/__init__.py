@@ -37,7 +37,6 @@ from .partition import (
     contract,
     cut_weight,
     heavy_edge_matching,
-    recursive_bisection,
 )
 
 __all__ = [
@@ -71,5 +70,4 @@ __all__ = [
     "contract",
     "cut_weight",
     "heavy_edge_matching",
-    "recursive_bisection",
 ]

@@ -1267,25 +1267,6 @@ class MappingCostTracker:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def num_edges(self) -> int:
-        """Number of (non-loop) tracked edges."""
-        return len(self._edges)
-
-    def position(self, vertex: int) -> Position:
-        """The tracked position of ``vertex``."""
-        return self._positions[vertex]
-
-    def metrics(self) -> Dict[str, float]:
-        """The three Fig. 6 metrics, keyed like :func:`mapping_metrics`."""
-        m = len(self._edges)
-        pairs = m * (m - 1) // 2
-        return {
-            "edge_crossings": float(self.crossings),
-            "average_edge_length": self.total_edge_length / m if m else 0.0,
-            "average_edge_spacing": self.spacing_sum / pairs if pairs else 0.0,
-        }
-
     def cost(self) -> float:
         """The combined scalar cost, identical to :func:`mapping_cost`."""
         return self._cost_value

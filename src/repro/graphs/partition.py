@@ -8,11 +8,10 @@ coarsening, and the whole procedure recurses on both halves.  Each graph
 bisection is matched by a bisection of the physical grid, which yields the
 graph-partitioning (GP) mapping evaluated throughout the paper.
 
-This module implements the graph side of that procedure: coarsening,
-balanced bisection with Kernighan-Lin-style boundary refinement, and the
-recursive driver that returns a hierarchy of vertex blocks.  The grid side
-(matching grid bisections and final cell assignment) lives in
-:mod:`repro.mapping.graph_partition`.
+This module implements the graph side of that procedure: coarsening and
+balanced bisection with Kernighan-Lin-style boundary refinement.  The
+recursion and the grid side (matching grid bisections and final cell
+assignment) live in :mod:`repro.mapping.graph_partition`.
 
 The public functions take an interaction :class:`~repro.graphs.adjacency.Graph`
 or a networkx graph and convert it once to a plain
@@ -488,40 +487,3 @@ class Bisector:
         if count < 0:
             raise MemoryError("the bisection kernel ran out of memory")
         return {order[i] for i in self._left[:count].tolist()}
-
-
-def recursive_bisection(
-    graph,
-    num_parts: int,
-    seed: int = 0,
-) -> List[List[int]]:
-    """Partition the graph into ``num_parts`` balanced blocks recursively.
-
-    The recursion splits the requested part count as evenly as possible at
-    every level (left gets ``ceil(parts/2)`` parts), so non-power-of-two part
-    counts are supported.  Returns the blocks in recursion order.
-    """
-    if num_parts < 1:
-        raise ValueError(f"num_parts must be >= 1, got {num_parts}")
-    return _recursive_bisection(adjacency(graph), vertex_sizes(graph), num_parts, seed)
-
-
-def _recursive_bisection(
-    adj: Adjacency, sizes: Sizes, num_parts: int, seed: int
-) -> List[List[int]]:
-    vertices = list(adj)
-    if num_parts == 1 or len(vertices) <= 1:
-        return [sorted(vertices)]
-    left_parts = (num_parts + 1) // 2
-    right_parts = num_parts - left_parts
-    total = len(vertices)
-    target_left = round(total * left_parts / num_parts)
-    left = bisect_left(adj, sizes, target_left=target_left, seed=seed)
-    blocks = _recursive_bisection(
-        induced_subgraph(adj, sorted(left)), sizes, left_parts, seed * 2 + 1
-    )
-    right = sorted(v for v in vertices if v not in left)
-    blocks += _recursive_bisection(
-        induced_subgraph(adj, right), sizes, right_parts, seed * 2 + 2
-    )
-    return blocks

@@ -1176,9 +1176,12 @@ static double move_length(int64_t k, const int64_t *changed,
  *
  * combined_cost is a chain of correctly rounded operations, each monotone
  * in S, so the cost at the computed S after the move lies between its
- * values at the two ends, and the smaller one minus the committed cost
- * bounds the delta from below.  A NaN end bounds nothing and returns
- * -HUGE_VAL.
+ * values at the two ends.  The spacing term 1 / (1 + S / pairs) never
+ * rises with S, so the high end holds the smaller value, and it minus the
+ * committed cost bounds the delta from below.  A NaN cost at either end
+ * bounds nothing and returns -HUGE_VAL; at the low end, whose spacing
+ * term is finite on the clamped interval, that is a NaN high-end cost or,
+ * with pairs to average over (m > 1), a NaN low end itself (S = +inf).
  *
  * The same chain is monotone in the crossing count: with a crossing weight
  * w > 0 the bound never falls as the count grows, with w = 0 it does not
@@ -1186,14 +1189,12 @@ static double move_length(int64_t k, const int64_t *changed,
  * an infinite length or spacing term, which makes the bound -inf or NaN
  * at every count, so it never turns a positive bound back.) */
 static double delta_lower_bound(const Settle *s, int64_t crossings) {
-    double cost_low = combined_cost(s->dp, s->m, crossings, s->total_length,
-                                    s->low);
-    double cost_high = combined_cost(s->dp, s->m, crossings, s->total_length,
-                                     s->high);
-    if (isnan(cost_low) || isnan(cost_high)) {
+    double cost = combined_cost(s->dp, s->m, crossings, s->total_length,
+                                s->high);
+    if (isnan(cost) || (s->m > 1 && isnan(s->low))) {
         return -HUGE_VAL;
     }
-    return (cost_low < cost_high ? cost_low : cost_high) - s->dp[DP_COST];
+    return cost - s->dp[DP_COST];
 }
 
 /* The oracle rejects a move whose delta is at least `bound` > 0 when its

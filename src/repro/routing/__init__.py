@@ -20,16 +20,20 @@ schedules on it:
   cells.  It runs a point in a runtime-compiled C kernel, which parks
   stalled braids on the cells that blocked them (wakeup on release), and
   on :func:`simulate_reference` — the set-based retry-every-event oracle
-  the kernel matches byte for byte — where the kernel cannot plan the
-  point or does not load;
+  the kernel matches byte for byte — for a BFS detour or where the kernel
+  does not load;
+* :func:`check_point` — the one check both engines run first: every
+  qubit placed, each on its own tile inside the grid, every hop inside
+  the grid (:class:`HopError` otherwise);
 * :func:`simulate_batch` — the batched core: groups same-circuit sweep
   points, shares their circuit preparation and route-candidate table
   across the kernel runs, byte-identical to :func:`simulate` at any batch
   size and mesh size;
 * :class:`SimulationCache` / :func:`simulation_cache_key` — memoization of
   deterministic simulation results keyed by (circuit fingerprint,
-  placement, simulator config), used by the evaluation pipeline so repeated
-  sweep points never re-simulate.
+  placement, simulator config), one point at a time or a batch at once,
+  used by the evaluation pipeline so repeated sweep points never
+  re-simulate.
 """
 
 from .batchsim import kernel_available, simulate_batch
@@ -44,13 +48,14 @@ from .mesh import (
 )
 from .router import BraidRouter, bfs_detour, rectilinear_candidates
 from .simulator import (
+    HopError,
     RoutingDeadlockError,
     SimulationCache,
     SimulationResult,
     SimulatorConfig,
+    check_point,
     circuit_fingerprint,
     simulate,
-    simulate_latency,
     simulate_reference,
     simulation_cache_key,
 )
@@ -66,15 +71,16 @@ __all__ = [
     "BraidRouter",
     "bfs_detour",
     "rectilinear_candidates",
+    "HopError",
     "RoutingDeadlockError",
     "SimulationCache",
     "SimulationResult",
     "SimulatorConfig",
+    "check_point",
     "circuit_fingerprint",
     "kernel_available",
     "simulate",
     "simulate_batch",
-    "simulate_latency",
     "simulate_reference",
     "simulation_cache_key",
 ]

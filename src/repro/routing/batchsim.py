@@ -1,10 +1,10 @@
 """The compiled fast path of the braid simulator.
 
 Every point :func:`repro.routing.simulator.simulate` or
-:func:`simulate_batch` can plan runs its event loop in the compiled kernel
-(:mod:`repro.routing.kernel`, ``batchsim_kernel.c``);
+:func:`simulate_batch` runs, except a BFS detour, runs its event loop in
+the compiled kernel (:mod:`repro.routing.kernel`, ``batchsim_kernel.c``);
 :func:`~repro.routing.simulator.simulate_reference` is the oracle it
-matches and the engine of every other point.
+matches and the engine of detours.
 
 A capacity sweep simulates the *same circuit* under many placements and
 configs.  :func:`simulate_batch` exploits that: it groups requests by
@@ -42,13 +42,15 @@ equality) to :func:`~repro.routing.simulator.simulate_reference` at any
 batch size and any grouping: same candidate order and truncation, the
 same watch cell per blocked candidate (its lowest blocked cell in
 row-major order), the same wake rule, and the same legacy ``scan`` clock
-behind ``stall_events``.  The kernel does not plan three kinds of point,
-which run on :func:`~repro.routing.simulator.simulate_reference`
-instead: BFS detours (``allow_detour``); a braid with coincident
-endpoints (a star leg whose target sits on the control's tile); and a hop
-outside the mesh.  Without the kernel (no C compiler, or
-``REPRO_NO_KERNEL=1``) every point runs on the reference, so such an
-environment loses speed, never correctness.
+behind ``stall_events``.  Both engines first run
+:func:`~repro.routing.simulator.check_point`, which rejects a qubit not
+placed, two qubits on one tile and a hop outside the grid with the same
+:class:`ValueError`, so every braid the kernel sees has distinct in-mesh
+endpoints and a plan.  The one kind of point the kernel does not plan,
+the BFS detour (``allow_detour``), runs on
+:func:`~repro.routing.simulator.simulate_reference` instead.  Without the
+kernel (no C compiler, or ``REPRO_NO_KERNEL=1``) every point runs on the
+reference, so such an environment loses speed, never correctness.
 """
 
 from __future__ import annotations
@@ -62,13 +64,13 @@ from ..circuits.circuit import Circuit
 from ..circuits.gates import GateKind
 from ..mapping.placement import Placement
 from . import kernel as _kernel
-from .mesh import Mesh
 from .simulator import (
     RoutingDeadlockError,
     SimulationResult,
     SimulatorConfig,
     _empty_result,
     _gate_list,
+    check_point,
     circuit_fingerprint,
     simulate_reference,
 )
@@ -206,16 +208,6 @@ def _prepare(circuit_or_gates) -> _Shared:
     return shared
 
 
-def _validate_placement(shared: _Shared, placement: Placement) -> None:
-    """Same check (and message) as ``simulator._prepare_simulation``."""
-    missing = [q for q in shared.qubits if q not in placement.positions]
-    if missing:
-        raise ValueError(
-            f"{len(missing)} qubits used by the circuit are not placed "
-            f"(first few: {sorted(missing)[:5]})"
-        )
-
-
 def _candidate_rows(kern, coords: np.ndarray, height: int,
                     width: int) -> Tuple[np.ndarray, np.ndarray]:
     """Untruncated candidate rows of each endpoint pair on a lattice.
@@ -248,9 +240,9 @@ class _PlacementPlans:
     ``table`` holds one untruncated plan per leg (``coords`` its
     endpoints); ``block``/``length`` locate each pair gate's rows, and
     star gates get per-leg rows (``star_start``/``star_len``; the control
-    cell is every leg's source endpoint).  ``batchable`` is False when
-    some braid has no plan (coincident endpoints), which sends every point
-    on this placement to the reference.
+    cell is every leg's source endpoint).  The placement has passed
+    :func:`~repro.routing.simulator.check_point`, so every leg has a plan;
+    one without would make the kernel read unwritten rows, so it raises.
     """
 
     __slots__ = (
@@ -262,26 +254,24 @@ class _PlacementPlans:
         "length",
         "star_start",
         "star_len",
-        "batchable",
     )
 
     def __init__(self, kern, shared: _Shared, placement: Placement) -> None:
-        # Built for its bounds check, which simulate_reference performs too.
-        mesh = Mesh.from_placement(
-            placement.positions, width=placement.width, height=placement.height
-        )
-        self.height = mesh.lattice_height
-        self.width = mesh.lattice_width
-        cells = np.asarray(
-            [mesh.qubit_cells[q] for q in shared.qubits], dtype=np.int64
+        # Mesh.from_placement's lattice: tile (r, c) is cell (2r + 1, 2c + 1).
+        self.height = 2 * placement.height + 1
+        self.width = 2 * placement.width + 1
+        tiles = np.asarray(
+            [placement.positions[q] for q in shared.qubits], dtype=np.int64
         ).reshape(-1, 2)
+        cells = 2 * tiles + 1
         self.coords = np.concatenate(
             [cells[shared.leg_src], cells[shared.leg_dst]], axis=1
         )
         self.table, kept = _candidate_rows(
             kern, self.coords, self.height, self.width
         )
-        self.batchable = bool((kept >= 0).all())
+        if (kept < 0).any():  # a plan-less leg would read unwritten rows
+            raise RuntimeError("a braid leg has no candidate plan")
         first = np.arange(len(kept), dtype=np.int64) * _kernel.MAX_CANDIDATES
         n = shared.n
         self.block = np.zeros(n, dtype=np.int64)
@@ -296,7 +286,7 @@ class _PlacementPlans:
 
 
 def _hop_inputs(kern, shared: _Shared, plans: _PlacementPlans,
-                placement: Placement, config: SimulatorConfig):
+                config: SimulatorConfig):
     """``(kind, table, star_start, star_len)`` for one point's hops.
 
     Hop gates become ``_KIND_HOP`` with their two legs planned here and
@@ -304,9 +294,8 @@ def _hop_inputs(kern, shared: _Shared, plans: _PlacementPlans,
     gates are ignored, as the router ignores them.  So is a hop on its
     braid's own source or target tile: the router routes that leg as the
     tile cell alone and the other leg as the direct route, which is
-    exactly the plain pair.  Returns None when a hop lies outside the
-    mesh: the kernel has no plan for its legs, so the reference routes
-    them.
+    exactly the plain pair.  Every hop lies inside the grid
+    (:func:`~repro.routing.simulator.check_point`), so both legs have plans.
     """
     gates = [
         index for index in config.hops
@@ -315,8 +304,6 @@ def _hop_inputs(kern, shared: _Shared, plans: _PlacementPlans,
     tiles = np.asarray(
         [config.hops[index] for index in gates], dtype=np.int64
     ).reshape(-1, 2)
-    if not ((tiles >= 0) & (tiles < (placement.height, placement.width))).all():
-        return None
     hop = 2 * tiles + 1
     gates = np.asarray(gates, dtype=np.int64)
     ends = plans.coords[
@@ -331,8 +318,8 @@ def _hop_inputs(kern, shared: _Shared, plans: _PlacementPlans,
         np.concatenate([hop, ends[:, 2:]], axis=1),
     ])
     rows, kept = _candidate_rows(kern, legs, plans.height, plans.width)
-    if (kept < 0).any():  # pragma: no cover - in-mesh, distinct endpoints
-        return None
+    if (kept < 0).any():  # a plan-less leg would read unwritten rows
+        raise RuntimeError("a hop leg has no candidate plan")
     kind = shared.kind.copy()
     kind[gates] = _KIND_HOP
     width = max(2, shared.max_legs)
@@ -348,12 +335,9 @@ def _hop_inputs(kern, shared: _Shared, plans: _PlacementPlans,
 
 def _simulate_point(kern, shared: _Shared, plans: _PlacementPlans,
                     placement: Placement, config: SimulatorConfig,
-                    dur: np.ndarray) -> Optional[SimulationResult]:
-    """One point's event loop in the kernel; None when it cannot plan it."""
-    inputs = _hop_inputs(kern, shared, plans, placement, config)
-    if inputs is None:
-        return None
-    kind, table, star_start, star_len = inputs
+                    dur: np.ndarray) -> SimulationResult:
+    """One point's event loop in the kernel."""
+    kind, table, star_start, star_len = _hop_inputs(kern, shared, plans, config)
     n = shared.n
     mc = max(1, config.max_candidates)
     gate_start = np.empty(n, dtype=np.int64)
@@ -393,15 +377,16 @@ def _simulate_point(kern, shared: _Shared, plans: _PlacementPlans,
 def _run_group(kern, shared: _Shared,
                points: List[Tuple[object, Placement, SimulatorConfig]]
                ) -> List[Optional[SimulationResult]]:
-    """Kernel results of one circuit's points; None where it cannot plan one.
+    """Kernel results of one circuit's points; None for each detour point.
 
-    Points are taken placement by placement, so only one placement's
-    candidate table is alive at a time.  Detour points never build one.
+    Every point is checked first.  Points are taken placement by
+    placement, so only one placement's candidate table is alive at a
+    time.  Detour points never build one.
     """
+    for _, placement, config in points:
+        check_point(shared.qubits, placement, config)
     if shared.n == 0:
         return [_empty_result(placement) for _, placement, _ in points]
-    for _, placement, _ in points:
-        _validate_placement(shared, placement)
     results: List[Optional[SimulationResult]] = [None] * len(points)
     by_placement: Dict[tuple, List[int]] = {}
     for position, (_, placement, config) in enumerate(points):
@@ -409,8 +394,6 @@ def _run_group(kern, shared: _Shared,
             by_placement.setdefault(placement.fingerprint(), []).append(position)
     for positions in by_placement.values():
         plans = _PlacementPlans(kern, shared, points[positions[0]][1])
-        if not plans.batchable:
-            continue
         for position in positions:
             _, placement, config = points[position]
             durations = shared.gate_durations(config.durations)
@@ -422,11 +405,11 @@ def _run_group(kern, shared: _Shared,
 
 def _simulate_in_kernel(circuit_or_gates, placement: Placement,
                         config: SimulatorConfig) -> Optional[SimulationResult]:
-    """One point through the kernel, or None when it cannot run there.
+    """One point through the kernel, or None when it does not run there.
 
-    The fast path of :func:`~repro.routing.simulator.simulate`, which
-    falls back to the reference on None: the kernel did not load, or the
-    point is one the kernel does not plan (see the module docstring).
+    The fast path of :func:`~repro.routing.simulator.simulate`, which runs
+    the reference on None: the kernel did not load, or the point is a BFS
+    detour.
     """
     kern = _kernel.load()
     if kern is None:
@@ -446,11 +429,13 @@ def simulate_batch(requests: Sequence[BatchPoint]) -> List[SimulationResult]:
     ``requests`` is a sequence of ``(circuit_or_gates, placement, config)``
     triples (``config`` may be ``None`` for the default).  Requests are
     grouped by circuit content; each group shares its circuit preparation,
-    each placement its candidate table, and every point the kernel can
-    plan runs through it; the rest, and every point when the kernel does
+    each placement its candidate table, and every point but a BFS detour
+    runs through the kernel; detours, and every point when the kernel does
     not load, run on :func:`~repro.routing.simulator.simulate_reference`.
     Results come back in request order and are byte-identical to
-    per-request :func:`~repro.routing.simulator.simulate` calls.
+    per-request :func:`~repro.routing.simulator.simulate` calls, and a
+    point :func:`~repro.routing.simulator.check_point` rejects raises the
+    same :class:`ValueError`.
     """
     normalized = [
         (circ, placement, config or SimulatorConfig())

@@ -30,8 +30,10 @@ the next.  It has one oracle and one fast path:
   braid frees one of them.  Its :meth:`SimulationResult.to_dict` output is
   byte-identical to the oracle's (pinned by the differential fuzz suite).
 
-:func:`simulate` runs a point in the kernel when the kernel loads and can
-plan the point, and on the oracle otherwise.
+:func:`simulate` runs a point in the kernel when the kernel loads, and on
+the oracle for a BFS detour (``allow_detour``) or without the kernel.
+Both engines first run :func:`check_point`, so they reject a point the
+simulator does not run with the same :class:`ValueError`.
 """
 
 from __future__ import annotations
@@ -42,7 +44,17 @@ import math
 import weakref
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from ..circuits.circuit import Circuit
 from ..circuits.dag import build_dependency_dag
@@ -78,8 +90,8 @@ class SimulatorConfig:
     hops:
         Optional map from gate index to an intermediate *tile* cell the braid
         must pass through (Valiant-style routing for permutation braids,
-        Section VII-B.3).  A hop outside the placement's grid is routed by
-        :func:`simulate_reference` alone.
+        Section VII-B.3).  A hop outside the placement's grid is rejected
+        by :func:`check_point` (a :class:`HopError`).
     max_cycles:
         Safety limit; simulation aborts with an error beyond this.
 
@@ -208,6 +220,42 @@ class RoutingDeadlockError(RuntimeError):
     """Raised when no ready braid can be routed and nothing is in flight."""
 
 
+class HopError(ValueError):
+    """A ``SimulatorConfig.hops`` tile outside the placement's grid."""
+
+
+def check_point(
+    qubits: Iterable[int], placement: Placement, config: SimulatorConfig
+) -> None:
+    """Raise :class:`ValueError` for a point the simulator does not run.
+
+    ``qubits`` are the qubits the circuit uses.  Each must be placed, every
+    placed qubit must sit on its own tile inside the placement's grid, and
+    every hop must lie inside that grid (else :class:`HopError`).  Both
+    engines run this check before simulating, so they reject a point with
+    the same message, and every braid of a point that passes has distinct
+    in-mesh endpoints, which the kernel always plans.
+    """
+    positions = placement.positions
+    missing = [q for q in qubits if q not in positions]
+    if missing:
+        raise ValueError(
+            f"{len(missing)} qubits used by the circuit are not placed "
+            f"(first few: {sorted(missing)[:5]})"
+        )
+    height, width = placement.height, placement.width
+    if len(set(positions.values())) < len(positions) or not all(
+        0 <= row < height and 0 <= col < width for row, col in positions.values()
+    ):
+        placement.validate()  # raises, naming the first qubit at fault
+    for gate, cell in config.hops.items():
+        if not placement.in_bounds(cell):
+            raise HopError(
+                f"the hop of gate {gate} at tile {tuple(cell)} lies outside "
+                f"the {height}x{width} grid"
+            )
+
+
 def _gate_list(circuit_or_gates) -> Tuple[Gate, ...]:
     if isinstance(circuit_or_gates, Circuit):
         return circuit_or_gates.gates
@@ -219,16 +267,7 @@ def _prepare_simulation(
 ):
     """The reference's setup: validation, mesh, router, hops, DAG."""
     gates = _gate_list(circuit_or_gates)
-    used_qubits: Set[int] = set()
-    for gate in gates:
-        used_qubits.update(gate.qubits)
-    missing = [q for q in used_qubits if q not in placement.positions]
-    if missing:
-        raise ValueError(
-            f"{len(missing)} qubits used by the circuit are not placed "
-            f"(first few: {sorted(missing)[:5]})"
-        )
-
+    check_point({q for gate in gates for q in gate.qubits}, placement, config)
     mesh = Mesh.from_placement(
         placement.positions, width=placement.width, height=placement.height
     )
@@ -291,17 +330,18 @@ def simulate(
       them on completion.
 
     The point runs in the compiled kernel of :mod:`repro.routing.batchsim`
-    when the kernel loads and can plan it, and on :func:`simulate_reference`
-    otherwise (BFS detours, coincident braid endpoints, hops outside the
-    mesh, and every point without a C compiler or under
-    ``REPRO_NO_KERNEL=1``).  Both give byte-identical results.
+    when the kernel loads, and on :func:`simulate_reference` for a BFS
+    detour (``allow_detour``) and for every point without a C compiler or
+    under ``REPRO_NO_KERNEL=1``.  Both give byte-identical results.
 
     Stalled cycles (start minus ready time, summed over gates) are reported
     as ``stall_cycles`` and charged to the mapping; see
     :class:`SimulationResult` for the three stall counters.
 
-    Raises :class:`RoutingDeadlockError` if ready braids cannot be routed on
-    an otherwise idle mesh, and :class:`RuntimeError` past
+    Raises :class:`ValueError` for a point :func:`check_point` rejects (a
+    qubit not placed, two qubits on one tile, a hop outside the grid),
+    :class:`RoutingDeadlockError` if ready braids cannot be routed on an
+    otherwise idle mesh, and :class:`RuntimeError` past
     ``config.max_cycles``.
     """
     from .batchsim import _simulate_in_kernel  # batchsim imports this module
@@ -325,7 +365,7 @@ def simulate_reference(
     Occupancy is a plain set of lattice cells and every stalled gate is
     re-tried at every completion event — the straightforward transcription
     of the paper's semantics that the compiled kernel must match byte for
-    byte.  It also runs every point the kernel cannot plan.
+    byte.  It also runs every BFS detour, which the kernel does not plan.
 
     It additionally runs *shadow parking accounting*: on each failed route
     it records the watch cells the kernel parks the gate on and counts a
@@ -524,13 +564,6 @@ def simulate_reference(
     )
 
 
-def simulate_latency(
-    circuit_or_gates, placement: Placement, config: Optional[SimulatorConfig] = None
-) -> int:
-    """Convenience wrapper returning only the circuit latency in cycles."""
-    return simulate(circuit_or_gates, placement, config).latency
-
-
 # ----------------------------------------------------------------------
 # Simulation memoization
 # ----------------------------------------------------------------------
@@ -679,49 +712,45 @@ class SimulationCache:
         self._insert(key, result)
         return result
 
-    def lookup(
-        self,
-        circuit_or_gates,
-        placement: Placement,
-        config: Optional[SimulatorConfig] = None,
-    ) -> Optional[SimulationResult]:
-        """Probe the memo without simulating on a miss.
+    def simulate_batch(
+        self, points: Sequence[Tuple[object, Placement, Optional[SimulatorConfig]]]
+    ) -> List[SimulationResult]:
+        """Memoized :func:`~repro.routing.batchsim.simulate_batch`.
 
-        A hit counts as a ``hits`` (exactly like :meth:`simulate`); a miss
-        returns ``None`` *uncounted* — the caller is expected to compute the
-        result some other way (e.g. through the batched engine) and insert
-        it with :meth:`store_result`, which books the miss.  The batched
-        evaluation pipeline uses this pair so its cache accounting is
-        identical to per-request :meth:`simulate` calls.
+        Returns what one :meth:`simulate` call per point, in order, would
+        return, and books hits, misses and LRU order exactly as those calls
+        would.  Each point is keyed once; the distinct points not cached on
+        entry run in one batched call, and then each point is booked in
+        order: a point first simulated earlier in the list is a hit, and
+        one evicted earlier in the list is a miss again.  The cache is left
+        untouched when the batched call raises.
         """
-        if not isinstance(circuit_or_gates, Circuit):
-            circuit_or_gates = tuple(circuit_or_gates)
-        key = simulation_cache_key(circuit_or_gates, placement, config)
-        cached = self._entries.get(key)
-        if cached is not None:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return cached
-        return None
+        from .batchsim import simulate_batch  # batchsim imports this module
 
-    def store_result(
-        self,
-        circuit_or_gates,
-        placement: Placement,
-        config: Optional[SimulatorConfig],
-        result: SimulationResult,
-    ) -> None:
-        """Insert an externally computed result, counted as a ``misses``.
-
-        The counterpart of a :meth:`lookup` miss: simulation happened
-        outside the cache (the batched engine), so book the miss here to
-        keep the hit/miss counters byte-identical to an unbatched run.
-        """
-        if not isinstance(circuit_or_gates, Circuit):
-            circuit_or_gates = tuple(circuit_or_gates)
-        key = simulation_cache_key(circuit_or_gates, placement, config)
-        self.misses += 1
-        self._insert(key, result)
+        keys: List[Tuple] = []
+        known: Dict[Tuple, SimulationResult] = {}
+        missing: Dict[Tuple, tuple] = {}
+        for circuit_or_gates, placement, config in points:
+            if not isinstance(circuit_or_gates, Circuit):
+                circuit_or_gates = tuple(circuit_or_gates)
+            key = simulation_cache_key(circuit_or_gates, placement, config)
+            keys.append(key)
+            if key not in known and key not in missing:
+                cached = self._entries.get(key)
+                if cached is None:
+                    missing[key] = (circuit_or_gates, placement, config)
+                else:
+                    known[key] = cached
+        if missing:
+            known.update(zip(missing, simulate_batch(list(missing.values()))))
+        for key in keys:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                self.hits += 1
+            else:
+                self.misses += 1
+                self._insert(key, known[key])
+        return [known[key] for key in keys]
 
     def _insert(self, key: Tuple, result: SimulationResult) -> None:
         self._entries[key] = result

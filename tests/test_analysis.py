@@ -7,7 +7,6 @@ from repro.analysis import (
     best_volume_by_method,
     collect_samples,
     correlation_study,
-    evaluate_mapping,
     format_sweep_table,
     mapping_area,
     occupied_bounding_box,
@@ -49,10 +48,13 @@ class TestVolumeAccounting:
         placement = Placement(width=100, height=100, positions={0: (0, 0), 1: (1, 1)})
         assert mapping_area(placement) == 4
 
-    def test_evaluate_mapping(self, single_level_k4, k4_linear_placement):
-        result = evaluate_mapping(single_level_k4.circuit, k4_linear_placement)
+    def test_volume_is_latency_times_mapping_area(self, pipeline):
+        from repro.api import get_mapper
+
+        result = pipeline.evaluate(EvaluationRequest(method="linear", capacity=4))
+        placement = get_mapper("linear").place(pipeline.factory(4))
         assert result.latency > 0
-        assert result.area == mapping_area(k4_linear_placement)
+        assert result.area == mapping_area(placement)
         assert result.volume == result.latency * result.area
 
 

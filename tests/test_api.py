@@ -418,23 +418,6 @@ class TestSimStallStats:
         assert stats["sim_distinct_stalls"] > 0
         assert stats["sim_wakeups"] <= stats["sim_stall_events"]
 
-    def test_evaluation_result_carries_counters(self):
-        from repro.analysis.volume import evaluate_mapping
-        from repro.circuits import cnot
-        from repro.routing import SimulatorConfig
-
-        placement = Placement(
-            width=6,
-            height=1,
-            positions={0: (0, 0), 1: (0, 3), 2: (0, 1), 3: (0, 4)},
-        )
-        evaluation = evaluate_mapping(
-            [cnot(0, 1), cnot(2, 3)], placement, SimulatorConfig(max_candidates=1)
-        )
-        assert evaluation.stall_events == 1
-        assert evaluation.distinct_stalls == 1
-        assert evaluation.wakeups == 1
-
 
 class TestClientHops:
     """``sim_config.hops`` against the placement the pipeline evaluates."""

@@ -388,6 +388,45 @@ class TestSimulationCache:
         with pytest.raises(ValueError):
             SimulationCache(max_entries=0)
 
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_batch_books_like_one_simulate_per_point(self, warm):
+        """Hits, misses, LRU order and results equal a per-point loop, with
+        in-list repeats and evictions on a two-entry cache."""
+        circuit = tiny_circuit()
+        a, b, c = (
+            row_major_placement(order)
+            for order in ([0, 1, 2, 3], [3, 2, 1, 0], [1, 0, 3, 2])
+        )
+        points = [
+            (circuit, placement, None) for placement in (a, b, a, c, b, a, a, c)
+        ]
+        serial, batched = SimulationCache(max_entries=2), SimulationCache(max_entries=2)
+        if warm:
+            for cache in (serial, batched):
+                cache.simulate(circuit, c)
+                cache.simulate(circuit, a)
+        expected = [serial.simulate(*point) for point in points]
+        results = batched.simulate_batch(points)
+        assert [r.to_dict() for r in results] == [r.to_dict() for r in expected]
+        assert (batched.hits, batched.misses) == (serial.hits, serial.misses)
+        assert list(batched._entries) == list(serial._entries)
+        assert batched.simulate_batch([]) == []
+
+    def test_batched_sweep_keys_each_point_once(self, monkeypatch):
+        from repro.routing import simulator
+
+        calls = []
+        real = simulator.simulation_cache_key
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(simulator, "simulation_cache_key", counting)
+        plan = small_plan()
+        SweepExecutor(batch=True).run(plan)
+        assert len(calls) == len(plan)
+
     def test_pipeline_counts_sim_cache_hits(self):
         pipeline = Pipeline()
         request = EvaluationRequest(method="linear", capacity=2)

@@ -24,9 +24,12 @@ single trials.
 The graph-partitioning mapper (Section VI-B.2) and its bisection helpers
 are pinned to a golden record taken from the networkx-backed
 implementation they replace: blake2b digests of
-``graph_partition_placement`` on factory circuits and of ``bisect``,
-``recursive_bisection`` and ``heavy_edge_matching`` on seeded random
-graphs.  The record was printed with this file placed in a checkout of
+``graph_partition_placement`` on factory circuits and of ``bisect``, a
+recursive bisection into 2-6 blocks and ``heavy_edge_matching`` on
+seeded random graphs.  The package no longer has a recursive-bisection
+driver outside the GP mapper, so :func:`_recursive_bisection` replays the
+one the record was taken from on :func:`bisect_left`.  The record was
+printed with this file placed in a checkout of
 the last networkx-backed commit (``377e87d``), from its root, by::
 
     PYTHONPATH=src python tests/test_graph_fuzz.py
@@ -66,7 +69,6 @@ from repro.graphs import (
     detect_communities,
     heavy_edge_matching,
     interaction_graph,
-    recursive_bisection,
 )
 from repro.graphs import partition
 from repro.graphs.adjacency import adjacency, induced_subgraph
@@ -440,9 +442,33 @@ def _partition_graph(index: int) -> nx.Graph:
     return graph
 
 
+def _recursive_bisection(adj, sizes, num_parts: int, seed: int):
+    """Blocks of a recursive bisection into ``num_parts``, in recursion order.
+
+    Each level splits the part count as evenly as possible (the left half
+    gets ``ceil(parts / 2)``), bisects with ``bisect_left`` at a target
+    proportional to it and recurses on both halves with seeds ``2s + 1``
+    and ``2s + 2``.
+    """
+    vertices = list(adj)
+    if num_parts == 1 or len(vertices) <= 1:
+        return [sorted(vertices)]
+    left_parts = (num_parts + 1) // 2
+    target_left = round(len(vertices) * left_parts / num_parts)
+    left = bisect_left(adj, sizes, target_left=target_left, seed=seed)
+    right = sorted(v for v in vertices if v not in left)
+    return _recursive_bisection(
+        induced_subgraph(adj, sorted(left)), sizes, left_parts, seed * 2 + 1
+    ) + _recursive_bisection(
+        induced_subgraph(adj, right), sizes, num_parts - left_parts, seed * 2 + 2
+    )
+
+
 def partition_digest(index: int) -> str:
     graph = _partition_graph(index)
-    parts = recursive_bisection(graph, 2 + index % 5, seed=index)
+    parts = _recursive_bisection(
+        adjacency(graph), vertex_sizes(graph), 2 + index % 5, index
+    )
     halves = bisect(graph, seed=index)
     groups = heavy_edge_matching(graph, seed=index)
     return _digest(

@@ -680,7 +680,7 @@ class TestKernelSweepParity:
                 abs(new[0] - old[0]) + abs(new[1] - old[1])
                 for new, old in zip(new_mids, (self._mids[i] for i in changed))
             )
-            m = self.num_edges
+            m = len(self._edges)
             reach = m * shift * (1 + 1e-6) + 1e-6 * abs(self.spacing_sum) + 1.0
             clamped.append(self.spacing_sum - reach < -0.5 * (m * (m - 1) // 2))
             return real_evaluate(self, updates)

@@ -137,6 +137,7 @@ def run_trial(seed: int) -> None:
     vertices = sorted(graph.nodes(), key=str)
     span = 20
     trackers = _trackers(graph, layout)
+    positions = dict(layout)  # the layout every tracker holds
     reference = trackers["scalar"]
     ref_state = _state(reference)
     for engine, tracker in trackers.items():
@@ -146,6 +147,7 @@ def run_trial(seed: int) -> None:
         )
 
     def apply_everywhere(updates, step):
+        positions.update(updates)
         deltas = {
             engine: tracker.apply(updates) for engine, tracker in trackers.items()
         }
@@ -162,7 +164,7 @@ def run_trial(seed: int) -> None:
             apply_everywhere(_random_updates(rng, vertices, span), step)
         elif action < 0.8:  # apply, then apply the inverse mapping
             updates = _random_updates(rng, vertices, span)
-            inverse = {vertex: reference.position(vertex) for vertex in updates}
+            inverse = {vertex: positions[vertex] for vertex in updates}
             apply_everywhere(updates, step)
             apply_everywhere(inverse, step)
         else:  # pure evaluations of independent proposals (no commit)

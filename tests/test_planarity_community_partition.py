@@ -25,7 +25,6 @@ from repro.graphs import (
     heavy_edge_matching,
     interaction_graph,
     kmeans,
-    recursive_bisection,
     subgraph_for_qubits,
 )
 
@@ -258,25 +257,3 @@ class TestGraphPartitioning:
         graph.add_edge(1, 2, weight=5)
         assert cut_weight(graph, {0}) == 2
         assert cut_weight(graph, {0, 1}) == 5
-
-    def test_recursive_bisection_covers_all_vertices(self):
-        graph = nx.grid_2d_graph(4, 6)
-        graph = nx.convert_node_labels_to_integers(graph)
-        blocks = recursive_bisection(graph, 4, seed=0)
-        assert len(blocks) == 4
-        assert sorted(v for block in blocks for v in block) == sorted(graph.nodes())
-
-    def test_recursive_bisection_single_part(self):
-        graph = nx.path_graph(5)
-        blocks = recursive_bisection(graph, 1)
-        assert blocks == [[0, 1, 2, 3, 4]]
-
-    def test_recursive_bisection_invalid_parts(self):
-        with pytest.raises(ValueError):
-            recursive_bisection(nx.path_graph(3), 0)
-
-    def test_recursive_bisection_non_power_of_two(self):
-        graph = nx.cycle_graph(9)
-        blocks = recursive_bisection(graph, 3, seed=2)
-        assert len(blocks) == 3
-        assert sorted(v for block in blocks for v in block) == sorted(graph.nodes())

@@ -1,5 +1,8 @@
 """Unit tests for the cycle-accurate braid simulator (repro.routing.simulator)."""
 
+import contextlib
+import re
+
 import pytest
 
 from repro.circuits import (
@@ -15,13 +18,16 @@ from repro.circuits.gates import DEFAULT_DURATIONS, GateKind
 from repro.mapping import Placement, linear_factory_placement, random_circuit_placement
 from repro.routing import (
     BraidRouter,
-    Mesh,
+    HopError,
     RoutingDeadlockError,
+    SimulationCache,
     SimulatorConfig,
+    check_point,
     simulate,
-    simulate_latency,
+    simulate_batch,
     simulate_reference,
 )
+from conftest import kernel_disabled
 
 
 def line_placement(num_qubits, width=None):
@@ -40,12 +46,12 @@ class TestBasicSemantics:
         assert result.volume == 0
 
     def test_single_gate_latency_is_duration(self):
-        latency = simulate_latency([cnot(0, 1)], line_placement(2))
+        latency = simulate([cnot(0, 1)], line_placement(2)).latency
         assert latency == DEFAULT_DURATIONS[GateKind.CNOT]
 
     def test_dependent_gates_serialise(self):
         gates = [cnot(0, 1), cnot(1, 2)]
-        latency = simulate_latency(gates, line_placement(3))
+        latency = simulate(gates, line_placement(3)).latency
         assert latency == 2 * DEFAULT_DURATIONS[GateKind.CNOT]
 
     def test_independent_distant_gates_run_in_parallel(self):
@@ -54,12 +60,12 @@ class TestBasicSemantics:
             height=3,
             positions={0: (0, 0), 1: (0, 7), 2: (2, 0), 3: (2, 7)},
         )
-        latency = simulate_latency([cnot(0, 1), cnot(2, 3)], placement)
+        latency = simulate([cnot(0, 1), cnot(2, 3)], placement).latency
         assert latency == DEFAULT_DURATIONS[GateKind.CNOT]
 
     def test_latency_never_below_critical_path(self, single_level_k4):
         placement = random_circuit_placement(single_level_k4.circuit, seed=2)
-        latency = simulate_latency(single_level_k4.circuit, placement)
+        latency = simulate(single_level_k4.circuit, placement).latency
         assert latency >= critical_path_length(single_level_k4.circuit)
 
     def test_unplaced_qubit_rejected(self):
@@ -68,7 +74,7 @@ class TestBasicSemantics:
 
     def test_custom_durations(self):
         config = SimulatorConfig(durations={**DEFAULT_DURATIONS, GateKind.CNOT: 9})
-        assert simulate_latency([cnot(0, 1)], line_placement(2), config) == 9
+        assert simulate([cnot(0, 1)], line_placement(2), config).latency == 9
 
     def test_max_cycles_guard(self):
         config = SimulatorConfig(max_cycles=0)
@@ -113,22 +119,22 @@ class TestCongestion:
     def test_random_mapping_never_faster_than_linear(self, single_level_k8):
         linear = linear_factory_placement(single_level_k8)
         random_place = random_circuit_placement(single_level_k8.circuit, seed=1)
-        linear_latency = simulate_latency(single_level_k8.circuit, linear)
-        random_latency = simulate_latency(single_level_k8.circuit, random_place)
+        linear_latency = simulate(single_level_k8.circuit, linear).latency
+        random_latency = simulate(single_level_k8.circuit, random_place).latency
         assert random_latency >= linear_latency
 
     def test_detours_never_slower_than_stalling(self, single_level_k8):
         # Stall-on-conflict is the paper's semantics; a detour-capable
         # router with more candidates can only help, down to the bound.
         placement = random_circuit_placement(single_level_k8.circuit, seed=2)
-        stall_only = simulate_latency(
+        stall_only = simulate(
             single_level_k8.circuit, placement, SimulatorConfig(max_candidates=1)
-        )
-        flexible = simulate_latency(
+        ).latency
+        flexible = simulate(
             single_level_k8.circuit,
             placement,
             SimulatorConfig(max_candidates=8, allow_detour=True),
-        )
+        ).latency
         assert critical_path_length(single_level_k8.circuit) <= flexible <= stall_only
 
 
@@ -152,13 +158,13 @@ class TestGateKinds:
             height=3,
             positions={0: (0, 0), 1: (0, 7), 2: (2, 0), 3: (2, 7)},
         )
-        latency = simulate_latency(gates, placement)
-        without_barrier = simulate_latency([cnot(0, 1), cnot(2, 3)], placement)
+        latency = simulate(gates, placement).latency
+        without_barrier = simulate([cnot(0, 1), cnot(2, 3)], placement).latency
         assert latency > without_barrier
 
     def test_measurement_and_injection(self):
         gates = [inject_t(0, 1), meas_x(1)]
-        latency = simulate_latency(gates, line_placement(2))
+        latency = simulate(gates, line_placement(2)).latency
         expected = (
             DEFAULT_DURATIONS[GateKind.INJECT_T] + DEFAULT_DURATIONS[GateKind.MEAS_X]
         )
@@ -221,38 +227,6 @@ class TestStallCounters:
         # completion event, so wakeups never exceed the legacy retry count.
         assert 0 < result.distinct_stalls <= result.stall_events
         assert result.distinct_stalls <= result.wakeups <= result.stall_events
-
-    def test_off_mesh_hop_watches_the_legs_the_router_tries(self):
-        """A hop two tiles below the grid with eight candidates: the braid
-        on the bottom channel row blocks every leg the router tries (their
-        channels are clamped to the mesh), so its retirement at cycle 2
-        must wake the hop gate, which then routes via the hop while the
-        direct route stays blocked until cycle 4."""
-        placement = Placement(
-            width=3,
-            height=2,
-            positions={
-                0: (0, 1), 1: (1, 1), 2: (1, 0), 3: (1, 2), 4: (0, 0), 5: (0, 2),
-            },
-        )
-        gates = [inject_t(0, 1), cnot(2, 3), cnot(4, 5)]
-        router = BraidRouter(
-            Mesh.from_placement(placement.positions, width=3, height=2),
-            max_candidates=8,
-        )
-        locked = set(router.route_pair(0, 1, set()).cells)
-        bottom_row = router.mesh.lattice_height - 1
-        assert bottom_row in {row for row, _ in router.route_pair(2, 3, locked).cells}
-
-        config = SimulatorConfig(max_candidates=8, hops={2: (3, 1)})
-        for engine in (simulate, simulate_reference):
-            result = engine(gates, placement, config)
-            assert result.gate_start == [0, 0, 2]
-            assert (result.stall_events, result.distinct_stalls, result.wakeups) == (
-                1, 1, 1,
-            )
-        direct = simulate(gates, placement, SimulatorConfig(max_candidates=8))
-        assert direct.gate_start[2] == 4
 
     def test_unstalled_run_reports_zero(self):
         placement = Placement(
@@ -326,6 +300,81 @@ class TestRoutingDeadlock:
                 line_placement(4),
                 self.ROUTER_PATH_CONFIG,
             )
+
+
+def _invalid_point(case):
+    """A point ``check_point`` rejects: ``(gates, placement, config)``.
+
+    A valid ``Placement`` never puts a qubit outside its grid or two qubits
+    on one tile, so those cases edit ``positions`` behind its back.
+    """
+    gates = (cnot(0, 1), cxx(0, [1, 2]), cnot(1, 2))
+    placement = line_placement(3)
+    config = SimulatorConfig()
+    if case.startswith("hop"):
+        cell = {"hop below": (1, 0), "hop right": (0, 3), "hop far": (10**4,) * 2}
+        config = SimulatorConfig(hops={0: cell[case]})
+    elif case == "shared tile":
+        placement.positions[2] = (0, 0)  # a star leg on its control's tile
+    elif case == "unused qubit on a shared tile":
+        placement.positions[3] = (0, 1)
+    elif case == "qubit off the grid":
+        placement.positions[2] = (0, 5)
+    else:
+        del placement.positions[2]
+    return gates, placement, config
+
+
+INVALID_POINTS = {
+    "hop below": "the hop of gate 0 at tile (1, 0) lies outside the 1x3 grid",
+    "hop right": "the hop of gate 0 at tile (0, 3) lies outside the 1x3 grid",
+    "hop far": "the hop of gate 0 at tile (10000, 10000) lies outside the 1x3",
+    "shared tile": "qubits 0 and 2 both placed at (0, 0)",
+    "unused qubit on a shared tile": "qubits 1 and 3 both placed at (0, 1)",
+    "qubit off the grid": "qubit 2 placed at (0, 5), outside 1x3 grid",
+    "missing qubit": "1 qubits used by the circuit are not placed (first few: [2])",
+}
+
+
+class TestInvalidPoints:
+    """Every engine and entry point rejects a point ``check_point`` rejects,
+    with the same ``ValueError``, before simulating anything."""
+
+    ENTRIES = {
+        "simulate": lambda point: simulate(*point),
+        "simulate_reference": lambda point: simulate_reference(*point),
+        "simulate_batch": lambda point: simulate_batch([point]),
+        "batch with valid points": lambda point: simulate_batch(
+            [(point[0], line_placement(3), None), point]
+        ),
+        "SimulationCache.simulate_batch": lambda point: (
+            SimulationCache().simulate_batch([point])
+        ),
+    }
+
+    @pytest.mark.parametrize("kernel", [True, False])
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("case", sorted(INVALID_POINTS))
+    def test_rejected_with_one_message(self, case, entry, kernel):
+        point = _invalid_point(case)
+        error = HopError if case.startswith("hop") else ValueError
+        context = contextlib.nullcontext() if kernel else kernel_disabled()
+        message = re.escape(INVALID_POINTS[case])
+        with context, pytest.raises(error, match=message) as raised:
+            self.ENTRIES[entry](point)
+        if not case.startswith("hop"):
+            assert not isinstance(raised.value, HopError)
+        with pytest.raises(error) as direct:
+            check_point((0, 1, 2), point[1], point[2])
+        assert str(direct.value) == str(raised.value)
+
+    def test_a_rejected_batch_leaves_the_cache_untouched(self):
+        cache = SimulationCache()
+        good = ((cnot(0, 1),), line_placement(2), None)
+        cache.simulate(*good)
+        with pytest.raises(HopError):
+            cache.simulate_batch([good, _invalid_point("hop far")])
+        assert (len(cache), cache.hits, cache.misses) == (1, 0, 1)
 
 
 class TestResultFields:

@@ -7,9 +7,10 @@ and mesh size.  These tests pin the invariants that promise decomposes
 into — batch-of-1 equals the reference, grouping/order independence,
 early retirees not perturbing survivors, the compiled candidate table
 matching ``BraidRouter._pair_plan``, the hop gate's watch rule — plus the
-dispatch contract: which points run in the kernel, which fall back to the
-reference, and ``REPRO_NO_KERNEL``.  The randomized end-to-end sweep
-lives in ``test_simulator_fuzz.py``.
+dispatch contract: every point but a BFS detour runs in the kernel, and
+``REPRO_NO_KERNEL`` pins the reference.  The randomized end-to-end sweep
+lives in ``test_simulator_fuzz.py``; the points every engine rejects are
+in ``test_simulator.py::TestInvalidPoints``.
 """
 
 from __future__ import annotations
@@ -430,28 +431,20 @@ class TestCompiledCoverage:
         assert calls == []
         assert dicts([results[0], results[3]]) == expected
 
-    def test_coincident_star_leg_falls_back(self, monkeypatch):
-        """A star leg on the control's own tile has no candidate plan.
 
-        A valid ``Placement`` never puts two qubits on one tile, so this
-        needs ``positions`` edited behind its back; the router then routes
-        the leg as its single cell, and the batch hands exactly those
-        points to ``simulate_reference``.
-        """
+    def test_a_leg_without_a_plan_never_reaches_the_kernel(self):
+        """``check_point`` rules out two qubits on one tile; past it,
+        building the plans raises rather than hand the kernel a star leg
+        on its control's tile, which has no candidate rows."""
         gates = (cnot(0, 1), cxx(0, [1, 2]), cnot(1, 2))
-        good = Placement(
+        placement = Placement(
             width=3, height=1, positions={0: (0, 0), 1: (0, 1), 2: (0, 2)}
         )
-        bad = Placement(
-            width=3, height=1, positions={0: (0, 0), 1: (0, 1), 2: (0, 2)}
-        )
-        bad.positions[2] = (0, 0)
-        config = SimulatorConfig(max_candidates=2)
-        points = [(gates, good, config), (gates, bad, config)]
-        expected = [simulate_reference(*point).to_dict() for point in points]
-        calls = _counting(monkeypatch, batchsim, "simulate_reference")
-        assert dicts(simulate_batch(points)) == expected
-        assert [args[1] for args in calls] == [bad]
+        placement.positions[2] = (0, 0)
+        with pytest.raises(RuntimeError, match="no candidate plan"):
+            batchsim._PlacementPlans(
+                kernel_module.load(), batchsim._prepare(gates), placement
+            )
 
 
 def _spy_dispatch(monkeypatch):
@@ -480,27 +473,46 @@ class TestSingleEvaluationDispatch:
             assert Pipeline().evaluate(request) == result
         assert len(calls["reference"]) == 1
 
-    @pytest.mark.parametrize("case", ["detour", "off-mesh hop"])
-    def test_unplannable_points_run_on_the_reference(
-        self, single_level_k2, monkeypatch, case
-    ):
-        """Detours and a hop outside the mesh make exactly one reference
-        call, with the reference's result."""
+    def test_a_detour_runs_on_the_reference(self, single_level_k2, monkeypatch):
+        """A detour makes exactly one reference call, with its result."""
         circuit = single_level_k2.circuit
         placement = linear_factory_placement(single_level_k2)
-        gate = 5  # the circuit's first pair braid
-        assert circuit.gates[gate].kind.value == "cnot"
-        config = {
-            "detour": SimulatorConfig(allow_detour=True),
-            "off-mesh hop": SimulatorConfig(hops={gate: (100, 100)}),
-        }[case]
+        config = SimulatorConfig(allow_detour=True)
         expected = simulate_reference(circuit, placement, config)
         calls = _spy_dispatch(monkeypatch)
         result = simulate(circuit, placement, config)
         assert len(calls["reference"]) == 1
         assert result.to_dict() == expected.to_dict()
-        if case == "off-mesh hop":
-            assert result.latency == 30
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_only_detours_reach_the_reference(self, monkeypatch, seed):
+        """Across the fuzz's point styles (plain, hops on free, occupied
+        and own tiles, detours), ``simulate`` and ``simulate_batch`` call
+        ``simulate_reference`` for exactly the detour points."""
+        from test_simulator_fuzz import _random_config, wide_placement
+        from test_simulator_parity import random_gates
+
+        rng = random.Random(seed)
+        points = []
+        for _ in range(3):
+            num_qubits = rng.randint(4, 9)
+            gates = tuple(random_gates(rng, num_qubits))
+            placement = wide_placement(rng, num_qubits, 1 + seed % 2, 1)
+            for _ in range(6):
+                points.append((gates, placement, _random_config(rng, gates, placement)))
+        detours = [point for point in points if point[2].allow_detour]
+        assert any(point[2].hops for point in points)
+        calls = _spy_dispatch(monkeypatch)
+        for point in points:
+            simulate(*point)
+        assert [args[2] for args in calls["reference"]] == [
+            config for _, _, config in detours
+        ]
+        assert calls["batch_reference"] == []
+        simulate_batch(points)
+        assert [args[2] for args in calls["batch_reference"]] == [
+            config for _, _, config in detours
+        ]
 
     @pytest.mark.parametrize("end", [0, 1])
     def test_hop_on_its_own_tile_runs_as_the_plain_pair(
@@ -695,9 +707,9 @@ class TestCompiledPlanBuilder:
     def test_prefetch_skips_border_and_degenerate_pairs(self, single_level_k4):
         """Padding-frame and coincident pairs get no plan.
 
-        Qubit tiles live at odd/odd lattice cells, so neither shape occurs
-        in a valid placement; the kernel reports them as plan-less (count
-        -1), which sends their points to ``simulate_reference``.
+        Qubit tiles live at odd/odd lattice cells and ``check_point``
+        rejects two qubits on one tile, so the simulator never asks for
+        either shape; the kernel reports them as plan-less (count -1).
         """
         placement = random_circuit_placement(single_level_k4.circuit, seed=0)
         mesh = self._mesh(placement)

@@ -8,9 +8,9 @@ single-point :func:`repro.routing.simulate`, produces ``to_dict()`` output
 byte-identical to :func:`repro.routing.simulate_reference`
 (stall_events, distinct_stalls and wakeups included; the oracle asserts
 its own wakeup invariant on every point).  Configs cover hop (Valiant)
-braids on free tiles and on a braid's own tiles, which run in the
-kernel, and the points it hands back to the reference: hops outside the
-mesh and BFS detours.  Each trial's first placement spans 1–3 lattice words
+braids on free tiles, on occupied tiles and on a braid's own tiles, which
+run in the kernel, and BFS detours, which it hands back to the reference.
+Each trial's first placement spans 1–3 lattice words
 per row and per column (trial ``seed`` takes combination ``seed % 9``),
 so any nine consecutive trials cross every multi-word board shape of the
 kernel.  Without the kernel only the oracle runs.  A small corpus runs in
@@ -74,8 +74,7 @@ def _random_hops(rng: random.Random, gates, placement: Placement):
     ``free`` picks unoccupied tiles, ``mixed`` any in-mesh tile (most
     hierarchical-stitching hops sit on another qubit's tile) and
     ``endpoint`` one of the braid's own tiles: all three run in the
-    kernel.  ``off-mesh`` puts the hop below the last tile row, and the
-    point falls back to the reference.
+    kernel.
     """
     occupied = set(placement.positions.values())
     free = [
@@ -84,7 +83,7 @@ def _random_hops(rng: random.Random, gates, placement: Placement):
         for c in range(placement.width)
         if (r, c) not in occupied
     ]
-    style = rng.choice(["free", "free", "endpoint", "off-mesh", "mixed"])
+    style = rng.choice(["free", "free", "endpoint", "mixed"])
     share = rng.choice([0.3, 0.8])
     hops = {}
     for index, gate in enumerate(gates):
@@ -94,11 +93,6 @@ def _random_hops(rng: random.Random, gates, placement: Placement):
             hops[index] = rng.choice(free)
         elif style == "endpoint":
             hops[index] = placement.positions[rng.choice(gate.qubits)]
-        elif style == "off-mesh":
-            hops[index] = (
-                placement.height + rng.randrange(3),
-                rng.randrange(placement.width),
-            )
         else:
             hops[index] = (
                 rng.randrange(placement.height),

@@ -318,19 +318,8 @@ class TestCapacityWithoutAFactory:
     """A capacity with no factory at its levels exits 2 with one line, before
     anything is evaluated or written, like ``run <experiment>`` does."""
 
-    @pytest.mark.parametrize(
-        "grid, message",
-        [
-            (["--capacities", "3", "--levels", "2"], "capacity 3 is not"),
-            (["--capacities", "0"], "capacity must be >= 1"),
-            (["--capacities", "4", "--levels", "0"], "levels must be >= 1"),
-        ],
-        ids=["not-a-square", "zero", "zero-levels"],
-    )
-    @pytest.mark.parametrize("command", ["run", "plan-split", "shard"])
-    def test_grid_exits_2_naming_capacities(
-        self, tmp_path, capsys, command, grid, message
-    ):
+    @staticmethod
+    def _exits_2(tmp_path, capsys, command, grid) -> str:
         argv = ["sweep", command, "--methods", "linear", *grid]
         if command == "plan-split":
             argv += ["--shards", "1", "--out-dir", str(tmp_path / "shards")]
@@ -340,9 +329,30 @@ class TestCapacityWithoutAFactory:
             argv += ["--shard-index", "0", "--shard-count", "1"]
         assert run_cli(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"sweep {command}: capacities: {message}"), err
         assert "Traceback" not in err and err.count("\n") == 1
         assert not (tmp_path / "shards").exists()
+        return err
+
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            (["--capacities", "3", "--levels", "2"], "capacity 3 is not"),
+            (["--capacities", "0"], "capacity must be >= 1"),
+        ],
+        ids=["not-a-square", "zero"],
+    )
+    @pytest.mark.parametrize("command", ["run", "plan-split", "shard"])
+    def test_grid_exits_2_naming_capacities(
+        self, tmp_path, capsys, command, grid, message
+    ):
+        err = self._exits_2(tmp_path, capsys, command, grid)
+        assert err.startswith(f"sweep {command}: capacities: {message}"), err
+
+    @pytest.mark.parametrize("command", ["run", "plan-split", "shard"])
+    def test_zero_levels_exits_2_naming_levels(self, tmp_path, capsys, command):
+        grid = ["--capacities", "4", "--levels", "1,0"]
+        err = self._exits_2(tmp_path, capsys, command, grid)
+        assert err == f"sweep {command}: levels: must be >= 1, got 0\n", err
 
     def test_shard_file_names_the_request(self, tmp_path, capsys):
         plan = SweepPlan.from_grid(
